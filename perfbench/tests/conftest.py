@@ -1,0 +1,7 @@
+"""Put the benchmark modules and the mixquant sources on the import path."""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(PERFBENCH), str(PERFBENCH.parent / "src")]
