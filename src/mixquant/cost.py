@@ -9,6 +9,7 @@ error, the model never interpolates between measurements.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,8 +41,8 @@ class LatencyTable:
         key = (kind, int(m), int(n), int(k), int(bits))
         if any(v < 1 for v in key[1:]):
             raise DataFormatError(f"non-positive dimension or bit width in {key}")
-        if not latency_us > 0:
-            raise DataFormatError(f"latency for {key} must be > 0, got {latency_us}")
+        if not 0 < latency_us < math.inf:
+            raise DataFormatError(f"latency for {key} must be finite and > 0, got {latency_us}")
         if key in self.entries:
             raise DataFormatError(f"duplicate latency entry for {key}")
         self.entries[key] = float(latency_us)

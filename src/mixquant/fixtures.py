@@ -135,7 +135,8 @@ def build_fixture_latency_table(
 
     Latencies grow affinely with the multiply count and proportionally
     with bit width, so narrower configs are always faster and the table
-    is safe for relative-latency assertions.
+    is safe for relative-latency assertions. Layers of the same shape
+    share their rows.
     """
     table = LatencyTable()
     for layer in model.layers:
@@ -143,6 +144,8 @@ def build_fixture_latency_table(
             continue
         out_dim, in_dim = layer.weight.shape
         for bits in bit_widths:
+            if (KIND_MATMUL, out_dim, 1, in_dim, int(bits)) in table.entries:
+                continue
             latency = (0.05 + 2e-4 * out_dim * in_dim) * bits / 16.0
             table.add(KIND_MATMUL, out_dim, 1, in_dim, int(bits), round(latency, 6))
     return table

@@ -407,27 +407,93 @@ def capture_activations(model: ModelGraph, data: Dataset) -> dict[str, np.ndarra
     return {f"{t.layer.name}.out": t.output for t in tapes}
 
 
+@dataclass(frozen=True)
+class ForwardTape:
+    """One unquantized taped forward pass of ``model`` over ``data``.
+
+    Recorded once by :func:`forward_tape` and reused by any number of
+    :func:`hessian_vector_product` calls on the same model and dataset.
+    """
+
+    model: ModelGraph
+    data: Dataset
+    layers: tuple[_LayerTape, ...]
+    probs: np.ndarray | None  # softmax of the logits; None for squared error
+
+
+def forward_tape(model: ModelGraph, data: Dataset) -> ForwardTape:
+    """Record the activations that Hessian-vector products of the mean loss need."""
+    _check_compat(model, data, None)
+    logits, tapes = _run_layers(model, data.features, {}, keep_tape=True)
+    probs = _softmax(logits) if model.head == HEAD_SOFTMAX_CE else None
+    return ForwardTape(model, data, tuple(tapes), probs)
+
+
 def hessian_vector_product(
-    model: ModelGraph, data: Dataset, tensor: str, v: np.ndarray
+    model: ModelGraph,
+    data: Dataset,
+    tensor: str,
+    v: np.ndarray,
+    tape: ForwardTape | None = None,
 ) -> np.ndarray:
     """Product of the loss Hessian restricted to ``tensor`` with ``v``.
 
-    Computed as a central finite difference of reverse-mode gradients,
+    Exact, by Pearlmutter's R-operator on the affine/relu chain: a
+    forward R-pass from the scored layer (``R(z) = a V^T`` for a weight,
+    ``1 v^T`` for a bias; relu passes it where its output is positive,
+    since relu has zero second derivative almost everywhere), the R-op of
+    the loss head, and a reverse R-pass that stops at the scored layer.
 
-        (grad(w + eps*v) - grad(w - eps*v)) / (2*eps),
-
-    with ``eps = 1e-3 * (1 + max|w|)``. Perturbations act on private
-    copies; the shared model is never touched.
+    ``v`` is one direction shaped like the tensor, or a stack
+    ``(k,) + shape`` of directions answered in one batched pass; the
+    result has the shape of ``v``. ``tape`` is a :func:`forward_tape` of
+    the same model and dataset, which spares repeated calls the forward
+    pass.
     """
     w = model.parameter(tensor)
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != w.shape:
+    single = v.shape == w.shape
+    if not single and v.shape[1:] != w.shape:
         raise GraphError(
-            f"direction for {tensor!r} has shape {v.shape}, expected {w.shape}"
+            f"direction for {tensor!r} has shape {v.shape}, expected {w.shape} "
+            f"or a stack (k,) + {w.shape}"
         )
     if not np.all(np.isfinite(v)):
         raise GraphError("direction vector must be finite")
-    eps = 1e-3 * (1.0 + float(np.max(np.abs(w))))
-    plus = gradients(model.with_parameter(tensor, w + eps * v), data, [tensor])[tensor]
-    minus = gradients(model.with_parameter(tensor, w - eps * v), data, [tensor])[tensor]
-    return (plus - minus) / (2.0 * eps)
+    if tape is None:
+        tape = forward_tape(model, data)
+    elif tape.model is not model or tape.data is not data:
+        raise GraphError("forward tape was recorded for another model or dataset")
+    hv = _r_op(tape, tensor, v[np.newaxis] if single else v)
+    return hv[0] if single else hv
+
+
+def _r_op(tape: ForwardTape, tensor: str, v: np.ndarray) -> np.ndarray:
+    layer_name, _, field = tensor.rpartition(".")
+    start = next(i for i, t in enumerate(tape.layers) if t.layer.name == layer_name)
+    scored, above = tape.layers[start], tape.layers[start + 1 :]
+    n = scored.inputs.shape[0]
+    # r holds R(activation) for every direction: (k, n, width).
+    if field == "weight":
+        r = scored.inputs @ v.transpose(0, 2, 1)
+    else:
+        r = np.broadcast_to(v[:, np.newaxis, :], (v.shape[0], n, v.shape[1]))
+    for t in above:
+        if t.layer.kind == KIND_RELU:
+            r = np.where(t.output > 0.0, r, 0.0)
+        else:
+            r = r @ t.layer.weight.T
+    if tape.probs is not None:
+        # R-op of softmax-CE's gradient (p - y)/n: (diag p - p p^T) r / n
+        pr = tape.probs * r
+        r = (pr - tape.probs * pr.sum(axis=2, keepdims=True)) / n
+    else:
+        r = r / n
+    for t in reversed(above):
+        if t.layer.kind == KIND_RELU:
+            r = np.where(t.output > 0.0, r, 0.0)
+        else:
+            r = r @ t.layer.weight
+    if field == "weight":
+        return r.transpose(0, 2, 1) @ scored.inputs
+    return r.sum(axis=1)

@@ -100,6 +100,11 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
                 w_off, b_off = int(entry["weight_offset"]), int(entry["bias_offset"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"bad affine layer entry {entry!r}") from exc
+            if out_dim < 1 or in_dim < 1 or w_off < 0 or b_off < 0:
+                raise DataFormatError(
+                    f"layer {entry.get('name')!r} needs positive widths and "
+                    "non-negative offsets"
+                )
             w_bytes = 4 * out_dim * in_dim
             if w_off + w_bytes > len(blob) or b_off + 4 * out_dim > len(blob):
                 raise DataFormatError(f"layer {entry.get('name')!r} points past the blob")

@@ -22,7 +22,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import Dataset, GraphError, ModelGraph, capture_activations, forward, hessian_vector_product
+from .graph import (
+    KIND_AFFINE,
+    Dataset,
+    GraphError,
+    ModelGraph,
+    capture_activations,
+    forward,
+    forward_tape,
+    hessian_vector_product,
+)
 from .modelio import DataFormatError
 from .quantize import QuantSpec, quantization_error
 from .rng import substream
@@ -39,6 +48,11 @@ DEFAULT_NOISE_SCALE = 0.05
 DEFAULT_TRIALS = 5
 DEFAULT_PROBES = 128
 DEFAULT_SEED = 42
+
+# Floats one chunk of Hessian probes may hold per activation array
+# (probes x rows x widest layer). Bounds the batched R-pass's working set
+# so that peak memory does not grow with the probe count.
+PROBE_CHUNK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -150,20 +164,36 @@ def score_noise(
     return _build_report(METRIC_NOISE, scores, seed=seed)
 
 
-def hutchinson_trace(rng: np.random.Generator, hvp, shape, probes: int) -> list[float]:
+def hutchinson_trace(
+    rng: np.random.Generator, hvp, shape, probes: int, chunk: int | None = None
+) -> list[float]:
     """Per-probe samples of a Hessian trace estimate.
 
     Draws sign vectors ``z`` with independent +/-1 entries and returns
     ``z . hvp(z)`` for each; the mean over probes estimates the trace,
-    exactly in expectation since ``E[z z^T]`` is the identity.
+    exactly in expectation since ``E[z z^T]`` is the identity. ``hvp``
+    takes a stack ``(k,) + shape`` of probes and returns their products
+    in the same shape. Probes go through it ``chunk`` at a time (default:
+    all at once); the draws are the same for every chunk size.
     """
     if probes < 1:
         raise GraphError(f"probes must be >= 1, got {probes}")
-    samples = []
-    for _ in range(probes):
-        z = rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-        samples.append(float(np.sum(z * hvp(z))))
+    chunk = probes if chunk is None else chunk
+    if chunk < 1:
+        raise GraphError(f"chunk must be >= 1, got {chunk}")
+    samples: list[float] = []
+    for start in range(0, probes, chunk):
+        k = min(chunk, probes - start)
+        z = rng.integers(0, 2, size=(k, *shape)).astype(np.float64) * 2.0 - 1.0
+        samples.extend((z * hvp(z)).reshape(k, -1).sum(axis=1).tolist())
     return samples
+
+
+def _probe_chunk(model: ModelGraph, data: Dataset) -> int:
+    widest = max(
+        max(layer.weight.shape) for layer in model.layers if layer.kind == KIND_AFFINE
+    )
+    return max(1, PROBE_CHUNK_FLOATS // (len(data) * widest))
 
 
 def score_hessian(
@@ -176,17 +206,25 @@ def score_hessian(
     """Stochastic loss-curvature trace per weight tensor.
 
     Each tensor's score is the mean over sign-vector probes of
-    ``z . H z`` with the Hessian-vector product taken on the full
-    dataset as one batch. With ``normalize`` the trace is divided by the
-    element count, making differently sized tensors comparable; without
-    it the raw trace estimate is reported.
+    ``z . H z`` with exact Hessian-vector products taken on the full
+    dataset as one batch. One forward pass serves every product, and
+    probes are pushed through in chunks sized by ``PROBE_CHUNK_FLOATS``.
+    With ``normalize`` the trace is divided by the element count, making
+    differently sized tensors comparable; without it the raw trace
+    estimate is reported.
     """
+    tape = forward_tape(model, data)
+    chunk = _probe_chunk(model, data)
     scores: dict[str, TensorScore] = {}
     for index, name in enumerate(model.weight_tensor_names()):
         w = model.parameter(name)
         rng = substream(seed, "hessian", index)
         samples = hutchinson_trace(
-            rng, lambda z: hessian_vector_product(model, data, name, z), w.shape, probes
+            rng,
+            lambda z: hessian_vector_product(model, data, name, z, tape=tape),
+            w.shape,
+            probes,
+            chunk,
         )
         if normalize:
             samples = [s / w.size for s in samples]

@@ -13,6 +13,7 @@ from mixquant.graph import (
     Dataset,
     Layer,
     ModelGraph,
+    gradients,
 )
 
 F1_SEED = 7
@@ -86,6 +87,22 @@ def make_small_ce_model(seed=5, examples=64):
     features = rng.normal(0, 1, size=(examples, 4))
     data = Dataset(features, rng.integers(0, 3, examples), 3)
     return model, data
+
+
+def central_difference_hvp(model, data, tensor, v, eps=1e-6):
+    """Finite-difference oracle for a Hessian-vector product.
+
+    ``(grad(w + eps*v) - grad(w - eps*v)) / (2*eps)`` from reverse-mode
+    gradients of perturbed private copies. It is exact only while no
+    example's pre-activation crosses a relu kink between the two points:
+    on the standard fixture the smallest relu margin is about 1e-5, so
+    the step must be small and the direction of modest norm. A step of
+    1e-3 crosses kinks there and gets whole layers wrong.
+    """
+    w = model.parameter(tensor)
+    plus = gradients(model.with_parameter(tensor, w + eps * v), data, [tensor])[tensor]
+    minus = gradients(model.with_parameter(tensor, w - eps * v), data, [tensor])[tensor]
+    return (plus - minus) / (2.0 * eps)
 
 
 def reference_levenshtein(a, b):

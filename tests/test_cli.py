@@ -1,6 +1,7 @@
 """Command-line interface tests, driven in process through main()."""
 
 import json
+import shutil
 
 import pytest
 
@@ -43,6 +44,15 @@ class TestGenFixture:
         capsys.readouterr()
         for name in ("model.bin", "calib.features.bin", "eval.features.bin"):
             assert (again / name).read_bytes() == (fixture_dir / name).read_bytes()
+
+    def test_repeated_layer_shapes_share_latency_rows(self, tmp_path, capsys):
+        out = tmp_path / "repeated"
+        dims = ["--dims", "8,12,12,12,12,2", "--calib-examples", "96", "--eval-examples", "256"]
+        assert main(["gen-fixture", "--seed", "13", "--out", str(out), *dims]) == EXIT_OK
+        capsys.readouterr()
+        rows = (out / "latency.csv").read_text().splitlines()[1:]
+        # three shapes (12x8, 12x12, 2x12) at widths 2..16
+        assert len(rows) == len(set(rows)) == 3 * 15
 
     def test_reports_summary(self, tmp_path, capsys):
         out = tmp_path / "f"
@@ -88,6 +98,16 @@ class TestRun:
         args[args.index("--model") + 1] = str(tmp_path / "missing.json")
         assert main(args) == EXIT_DATA
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["weight_offset", "bias_offset"])
+    def test_negative_model_offset_exit_data(self, fixture_dir, tmp_path, capsys, field):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixture_dir, inputs)
+        manifest = json.loads((inputs / "model.json").read_text())
+        manifest["layers"][0][field] = -4
+        (inputs / "model.json").write_text(json.dumps(manifest))
+        assert main(run_args(inputs, tmp_path / "x")) == EXIT_DATA
+        assert "offsets" in capsys.readouterr().err
 
     def test_metric_choice_enforced_by_parser(self, fixture_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -11,6 +11,7 @@ from mixquant.cost import (
     model_size,
 )
 from mixquant.graph import KIND_AFFINE, KIND_RELU, GraphError, Layer, ModelGraph
+from mixquant.modelio import DataFormatError
 from mixquant.search import QuantConfig
 
 
@@ -53,7 +54,10 @@ class TestLatencyTable:
         with pytest.raises(ValueError):
             table.add("conv2d", 8, 1, 4, 8, 1.0)
 
-    @pytest.mark.parametrize("field,value", [("m", 0), ("k", -1), ("latency_us", -2.0)])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("m", 0), ("k", -1), ("latency_us", -2.0), ("latency_us", np.inf), ("latency_us", np.nan)],
+    )
     def test_nonpositive_values_rejected(self, field, value):
         table = LatencyTable()
         kwargs = {"kind": "matmul", "m": 2, "n": 1, "k": 2, "bits": 8, "latency_us": 1.0}
@@ -82,6 +86,13 @@ class TestLatencyTable:
         path = tmp_path / "bad.csv"
         path.write_text("op,rows,cols,inner,width,us\nmatmul,1,1,1,8,1.0\n")
         with pytest.raises(ValueError):
+            LatencyTable.from_csv(path)
+
+    @pytest.mark.parametrize("latency", ["inf", "nan", "-inf"])
+    def test_csv_non_finite_latency_rejected(self, tmp_path, latency):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"kind,m,n,k,bits,latency_us\nmatmul,2,1,3,8,{latency}\n")
+        with pytest.raises(DataFormatError):
             LatencyTable.from_csv(path)
 
     def test_csv_duplicate_rows_rejected(self, tmp_path):

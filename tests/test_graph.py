@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import make_dead_relu_model, make_diagonal_quadratic, make_small_ce_model
+from conftest import (
+    central_difference_hvp,
+    make_dead_relu_model,
+    make_diagonal_quadratic,
+    make_small_ce_model,
+)
 from mixquant.graph import (
+    HEAD_SOFTMAX_CE,
     HEAD_SQUARED_ERROR,
     KIND_AFFINE,
     KIND_RELU,
@@ -14,6 +20,7 @@ from mixquant.graph import (
     ModelGraph,
     capture_activations,
     forward,
+    forward_tape,
     gradients,
     hessian_vector_product,
 )
@@ -244,7 +251,7 @@ class TestHessianVectorProduct:
         for _ in range(5):
             v = rng.normal(size=(1, 3))
             hv = hessian_vector_product(model, data, "probe.weight", v)
-            np.testing.assert_allclose(hv, diag * v, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(hv, diag * v, rtol=1e-13, atol=1e-15)
 
     def test_symmetry_of_bilinear_form(self):
         model, data = make_small_ce_model()
@@ -253,8 +260,43 @@ class TestHessianVectorProduct:
         v = rng.normal(size=(3, 6))
         uhv = float(np.sum(u * hessian_vector_product(model, data, "second.weight", v)))
         vhu = float(np.sum(v * hessian_vector_product(model, data, "second.weight", u)))
-        # finite differencing leaves O(step^2) truncation per direction
-        assert uhv == pytest.approx(vhu, rel=1e-4)
+        assert uhv == pytest.approx(vhu, rel=1e-12)
+
+    def test_fixture_matches_small_step_central_difference(self, f1):
+        model, calib, _ = f1
+        rng = np.random.default_rng(0)
+        for name in model.parameter_names():
+            # unit norm keeps the oracle's step inside every relu margin
+            v = rng.normal(size=model.parameter(name).shape)
+            v /= np.linalg.norm(v)
+            exact = hessian_vector_product(model, calib, name, v)
+            np.testing.assert_allclose(
+                exact, central_difference_hvp(model, calib, name, v), rtol=1e-4, err_msg=name
+            )
+
+    @pytest.mark.parametrize("head", [HEAD_SOFTMAX_CE, HEAD_SQUARED_ERROR])
+    def test_both_heads_match_central_difference(self, head):
+        model, data = make_small_ce_model()
+        model = ModelGraph(model.layers, head=head)
+        rng = np.random.default_rng(5)
+        for name in model.parameter_names():
+            v = rng.normal(size=model.parameter(name).shape)
+            exact = hessian_vector_product(model, data, name, v)
+            np.testing.assert_allclose(
+                exact, central_difference_hvp(model, data, name, v), rtol=1e-4, err_msg=name
+            )
+
+    @pytest.mark.parametrize("name", ["first.weight", "first.bias", "second.weight"])
+    def test_stacked_directions_match_single_calls(self, name):
+        model, data = make_small_ce_model()
+        stack = np.random.default_rng(6).normal(size=(4, *model.parameter(name).shape))
+        tape = forward_tape(model, data)
+        batched = hessian_vector_product(model, data, name, stack, tape=tape)
+        assert batched.shape == stack.shape
+        for v, hv in zip(stack, batched):
+            np.testing.assert_allclose(
+                hv, hessian_vector_product(model, data, name, v), rtol=1e-12, atol=1e-15
+            )
 
     def test_dead_relu_region_has_zero_curvature(self):
         model, data = make_dead_relu_model()
@@ -266,3 +308,24 @@ class TestHessianVectorProduct:
         model, data, _ = make_diagonal_quadratic()
         with pytest.raises(GraphError):
             hessian_vector_product(model, data, "probe.weight", np.ones((2, 2)))
+        with pytest.raises(GraphError):
+            hessian_vector_product(model, data, "probe.weight", np.ones((2, 2, 3)))
+
+    def test_non_finite_direction_rejected(self):
+        model, data, _ = make_diagonal_quadratic()
+        with pytest.raises(GraphError):
+            hessian_vector_product(model, data, "probe.weight", np.array([[1.0, np.nan, 0.0]]))
+
+    def test_incompatible_dataset_rejected(self):
+        model, _ = make_small_ce_model()
+        _, data, _ = make_diagonal_quadratic()
+        with pytest.raises(GraphError):
+            hessian_vector_product(model, data, "second.weight", np.ones((3, 6)))
+
+    def test_tape_of_another_dataset_rejected(self):
+        model, data = make_small_ce_model()
+        other = data.subset(np.arange(8))
+        with pytest.raises(GraphError):
+            hessian_vector_product(
+                model, data, "second.weight", np.ones((3, 6)), tape=forward_tape(model, other)
+            )

@@ -83,6 +83,20 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("weight_offset", -4), ("bias_offset", -1), ("out_dim", -2), ("in_dim", 0)],
+    )
+    def test_negative_offsets_and_widths_rejected(self, tmp_path, field, value):
+        model = ModelGraph([Layer("a", KIND_AFFINE, np.eye(2), np.zeros(2))])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["layers"][0][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError):
+            load_model(path)
+
     def test_manifest_is_deterministic(self, tmp_path):
         model, _ = make_small_ce_model()
         a, b = tmp_path / "a.json", tmp_path / "b.json"
