@@ -2,145 +2,10 @@
 
 Calibrates per-tensor quantizer scales, ranks tensors by sensitivity,
 searches per-tensor bit widths against an accuracy target, and prices
-the result in bytes and table-driven kernel latency.
+the result in bytes and table-driven kernel latency. The library surface
+lives in the submodules: ``mixquant.modelio``, ``mixquant.calibrate``,
+``mixquant.sensitivity``, ``mixquant.search``, ``mixquant.cost`` and
+``mixquant.pipeline``.
 """
 
 __version__ = "0.1.0"
-
-from .calibrate import (
-    AdjustmentDivergedError,
-    CalibrationOutcome,
-    adjust_scales,
-    calibrate,
-    load_specs,
-    save_specs,
-)
-from .cost import (
-    CostReport,
-    LatencyTable,
-    MissingLatencyEntry,
-    cost_report,
-    model_latency,
-    model_size,
-)
-from .fixtures import (
-    FixtureSpec,
-    build_fixture,
-    build_fixture_latency_table,
-    build_fixture_model,
-)
-from .graph import (
-    Dataset,
-    EvalResult,
-    GraphError,
-    Layer,
-    ModelGraph,
-    forward,
-    gradients,
-    hessian_vector_product,
-)
-from .modelio import (
-    DataFormatError,
-    load_dataset,
-    load_model,
-    save_dataset,
-    save_model,
-)
-from .pipeline import (
-    PipelineConfig,
-    PipelineConfigError,
-    RunResult,
-    compare_runs,
-    load_manifest,
-    run_pipeline,
-)
-from .quantize import (
-    QuantSpec,
-    quantization_error,
-    quantization_grid,
-    quantize,
-)
-from .search import (
-    QuantConfig,
-    SearchOutcome,
-    TargetUnreachableError,
-    bisection_search,
-    evaluate_config,
-    greedy_search,
-    load_config,
-    load_outcome,
-    save_config,
-    save_outcome,
-)
-from .sensitivity import (
-    SensitivityReport,
-    TensorScore,
-    load_report,
-    ordering_distance,
-    save_report,
-    score_hessian,
-    score_noise,
-    score_qe,
-    score_random,
-)
-
-__all__ = [
-    "AdjustmentDivergedError",
-    "CalibrationOutcome",
-    "CostReport",
-    "DataFormatError",
-    "Dataset",
-    "EvalResult",
-    "FixtureSpec",
-    "GraphError",
-    "LatencyTable",
-    "Layer",
-    "MissingLatencyEntry",
-    "ModelGraph",
-    "PipelineConfig",
-    "PipelineConfigError",
-    "QuantConfig",
-    "QuantSpec",
-    "RunResult",
-    "SearchOutcome",
-    "SensitivityReport",
-    "TargetUnreachableError",
-    "TensorScore",
-    "adjust_scales",
-    "bisection_search",
-    "build_fixture",
-    "build_fixture_latency_table",
-    "build_fixture_model",
-    "calibrate",
-    "compare_runs",
-    "cost_report",
-    "evaluate_config",
-    "forward",
-    "gradients",
-    "greedy_search",
-    "hessian_vector_product",
-    "load_config",
-    "load_dataset",
-    "load_manifest",
-    "load_model",
-    "load_outcome",
-    "load_report",
-    "load_specs",
-    "model_latency",
-    "model_size",
-    "ordering_distance",
-    "quantization_error",
-    "quantization_grid",
-    "quantize",
-    "run_pipeline",
-    "save_config",
-    "save_dataset",
-    "save_model",
-    "save_outcome",
-    "save_report",
-    "save_specs",
-    "score_hessian",
-    "score_noise",
-    "score_qe",
-    "score_random",
-]

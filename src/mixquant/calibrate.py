@@ -9,7 +9,6 @@ forward pass. Model weights are read, never written.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import Dataset, GraphError, ModelGraph, capture_activations, loss_and_scale_gradients
-from .modelio import DataFormatError
+from .graph import Dataset, GraphError, ModelGraph, loss_and_scale_gradients
+from .modelio import DataFormatError, read_json, write_json
 from .quantize import QuantSpec
 
 SPECS_FORMAT = "mixquant-quant-specs"
@@ -43,28 +42,19 @@ class CalibrationOutcome:
 
 
 def calibrate(model: ModelGraph, data: Dataset, bits: Mapping[str, int]) -> CalibrationOutcome:
-    """Max-value scale initialization for the tensors named in ``bits``.
+    """Max-value scale initialization for the weight tensors named in ``bits``.
 
-    Weight tensors are read from the model; activation tensors (named
-    ``<layer>.out``) are observed over the full calibration set. A tensor
-    that is identically zero gets the neutral scales (1, 1).
+    A tensor that is identically zero gets the neutral scales (1, 1).
     """
     if len(data) == 0:
         raise GraphError("calibration requires a non-empty dataset")
-    names = list(bits)
-    known = set(model.quantizable_tensor_names())
-    unknown = sorted(set(names) - known)
+    unknown = sorted(set(bits) - set(model.weight_tensor_names()))
     if unknown:
         raise GraphError(f"cannot calibrate unknown tensors: {unknown}")
 
-    activations: dict[str, np.ndarray] = {}
-    if any(name.endswith(".out") for name in names):
-        activations = capture_activations(model, data)
-
     specs: dict[str, QuantSpec] = {}
-    for name in names:
-        values = activations[name] if name.endswith(".out") else model.parameter(name)
-        peak = float(np.max(np.abs(values)))
+    for name in bits:
+        peak = float(np.max(np.abs(model.parameter(name))))
         if peak == 0.0:
             alpha, gamma = 1.0, 1.0
         else:
@@ -114,26 +104,22 @@ def adjust_scales(
 
 def save_specs(outcome: CalibrationOutcome, path: str | Path) -> None:
     """Serialize an outcome as JSON with full round-trip float precision."""
-    payload = {
-        "format": SPECS_FORMAT,
-        "version": 1,
-        "specs": {
-            name: {"alpha": spec.alpha, "gamma": spec.gamma, "bits": spec.bits}
-            for name, spec in sorted(outcome.specs.items())
+    write_json(
+        path,
+        {
+            "format": SPECS_FORMAT,
+            "version": 1,
+            "specs": {
+                name: {"alpha": spec.alpha, "gamma": spec.gamma, "bits": spec.bits}
+                for name, spec in outcome.specs.items()
+            },
+            "adjustment_log": list(outcome.adjustment_log),
         },
-        "adjustment_log": list(outcome.adjustment_log),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    )
 
 
 def load_specs(path: str | Path) -> CalibrationOutcome:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read quantizer specs {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != SPECS_FORMAT:
-        raise DataFormatError(f"{path} is not a {SPECS_FORMAT!r} file")
+    payload = read_json(path, SPECS_FORMAT)
     try:
         specs = {
             name: QuantSpec(
@@ -144,6 +130,6 @@ def load_specs(path: str | Path) -> CalibrationOutcome:
             for name, entry in payload.get("specs", {}).items()
         }
         log = [float(v) for v in payload.get("adjustment_log", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed quantizer specs in {path}") from exc
     return CalibrationOutcome(specs=specs, adjustment_log=log)

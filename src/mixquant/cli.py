@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .fixtures import (
     build_fixture_latency_table,
 )
 from .graph import GraphError
-from .modelio import DataFormatError, save_dataset, save_model
+from .modelio import DataFormatError, save_dataset, save_model, write_json
 from .pipeline import (
     ALGO_GREEDY,
     ALGOS,
@@ -68,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-fixture", help="generate a synthetic model, datasets and latency table")
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    gen.add_argument("--out", required=True, help="output directory")
+    gen.add_argument("--out", dest="out_dir", required=True, help="output directory")
     gen.add_argument(
         "--dims",
         type=_parse_int_list,
@@ -107,17 +106,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--probes", type=int, default=DEFAULT_PROBES)
     run.add_argument("--lr", type=float, default=DEFAULT_LEARNING_RATE)
     run.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
-    run.add_argument("--out", help="run output directory")
+    run.add_argument("--out", dest="out_dir", help="run output directory")
 
     cmp_parser = sub.add_parser("compare", help="summarize completed runs side by side")
     cmp_parser.add_argument("runs", nargs="+", help="run output directories")
-    cmp_parser.add_argument("--out", help="optional path for the comparison JSON")
+    cmp_parser.add_argument(
+        "--out", dest="out_file", help="optional path for the comparison JSON"
+    )
 
     return parser
 
 
 def _cmd_gen_fixture(args) -> int:
-    out = Path(args.out)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = FixtureSpec(
         dims=tuple(args.dims),
@@ -138,8 +139,8 @@ def _cmd_gen_fixture(args) -> int:
 def _cmd_run(args) -> int:
     if args.manifest:
         config = load_manifest(args.manifest)
-        if args.out:
-            config = dataclasses.replace(config, out_dir=args.out)
+        if args.out_dir:
+            config = dataclasses.replace(config, out_dir=args.out_dir)
     else:
         missing = [
             flag
@@ -148,7 +149,7 @@ def _cmd_run(args) -> int:
                 ("--calib", args.calib),
                 ("--eval", args.eval_data),
                 ("--latency-table", args.latency_table),
-                ("--out", args.out),
+                ("--out", args.out_dir),
             )
             if not value
         ]
@@ -159,7 +160,7 @@ def _cmd_run(args) -> int:
             calib_data=args.calib,
             eval_data=args.eval_data,
             latency_table=args.latency_table,
-            out_dir=args.out,
+            out_dir=args.out_dir,
             metric=args.metric,
             algo=args.algo,
             bits=tuple(args.bits),
@@ -190,10 +191,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     comparison = compare_runs(args.runs)
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(comparison, indent=2, sort_keys=True) + "\n"
-        )
+    if args.out_file:
+        write_json(args.out_file, comparison)
     _print_comparison(comparison)
     return EXIT_OK
 

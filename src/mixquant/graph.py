@@ -5,8 +5,8 @@ classification head. Everything is computed in float64 numpy; parameters
 are frozen read-only arrays, so a loaded model can be shared freely
 across threads. Quantized evaluation is expressed by passing a map of
 per-tensor quantizer specs to :func:`forward`; the named weight tensors
-and layer outputs are then fake-quantized in flight while the stored
-parameters stay untouched.
+are then fake-quantized in flight while the stored parameters stay
+untouched. Activations always stay in float.
 """
 
 from __future__ import annotations
@@ -131,15 +131,6 @@ class ModelGraph:
     def weight_tensor_names(self) -> list[str]:
         return [f"{l.name}.weight" for l in self.layers if l.kind == KIND_AFFINE]
 
-    def quantizable_tensor_names(self) -> list[str]:
-        """Weight tensors plus every layer's output activation tensor."""
-        names = []
-        for layer in self.layers:
-            if layer.kind == KIND_AFFINE:
-                names.append(f"{layer.name}.weight")
-            names.append(f"{layer.name}.out")
-        return names
-
     def parameter_count(self) -> int:
         return sum(
             l.weight.size + l.bias.size for l in self.layers if l.kind == KIND_AFFINE
@@ -227,16 +218,15 @@ class EvalResult:
 class _LayerTape:
     layer: Layer
     inputs: np.ndarray  # activations entering the layer
-    output: np.ndarray  # layer output before any activation quantizer
+    output: np.ndarray  # activations leaving the layer
     weight_used: np.ndarray | None = None
     weight_tape: QuantTape | None = None
-    out_tape: QuantTape | None = None
 
 
 def _check_compat(model: ModelGraph, data: Dataset, quant) -> dict[str, QuantSpec]:
     quant = dict(quant) if quant else {}
     if quant:
-        known = set(model.quantizable_tensor_names())
+        known = set(model.weight_tensor_names())
         unknown = sorted(set(quant) - known)
         if unknown:
             raise GraphError(f"quantizer specs name unknown tensors: {unknown}")
@@ -257,24 +247,18 @@ def _run_layers(
     tapes: list[_LayerTape] = []
     a = x
     for layer in model.layers:
-        tape = _LayerTape(layer=layer, inputs=a, output=a)
+        w_used = w_tape = None
         if layer.kind == KIND_AFFINE:
             w_used = layer.weight
             w_spec = quant.get(f"{layer.name}.weight")
             if w_spec is not None:
-                w_used, tape.weight_tape = quantize_with_tape(layer.weight, w_spec)
+                w_used, w_tape = quantize_with_tape(layer.weight, w_spec)
             z = a @ w_used.T + layer.bias
-            tape.weight_used = w_used
         else:
             z = np.maximum(a, 0.0)
-        tape.output = z
-        out = z
-        o_spec = quant.get(f"{layer.name}.out")
-        if o_spec is not None:
-            out, tape.out_tape = quantize_with_tape(z, o_spec)
         if keep_tape:
-            tapes.append(tape)
-        a = out
+            tapes.append(_LayerTape(layer, a, z, w_used, w_tape))
+        a = z
     return a, tapes
 
 
@@ -315,9 +299,9 @@ def forward(
 ) -> EvalResult:
     """Evaluate mean loss and accuracy over the whole dataset.
 
-    When ``quant`` is given, each named weight tensor and layer output is
-    fake-quantized before use; stored parameters are never modified. An
-    empty map behaves exactly like no map at all.
+    When ``quant`` is given, each named weight tensor is fake-quantized
+    before use; stored parameters are never modified. An empty map behaves
+    exactly like no map at all.
     """
     specs = _check_compat(model, data, quant)
     logits, _ = _run_layers(model, data.features, specs, keep_tape=False)
@@ -338,10 +322,6 @@ def _backward(
     g = grad_logits
     for tape in reversed(tapes):
         layer = tape.layer
-        if tape.out_tape is not None:
-            spec = quant[f"{layer.name}.out"]
-            g, ga, gg = quantize_backward(tape.out_tape, spec, g)
-            scale_grads[f"{layer.name}.out"] = (ga, gg)
         if layer.kind == KIND_RELU:
             # Output is positive exactly where the input was; gradient at 0 is 0.
             g = np.where(tape.output > 0.0, g, 0.0)
@@ -398,13 +378,6 @@ def loss_and_scale_gradients(
     grad_logits = _head_gradient(model, logits, data.labels)
     _, scale_grads = _backward(model, tapes, grad_logits, specs)
     return loss, {name: scale_grads.get(name, (0.0, 0.0)) for name in specs}
-
-
-def capture_activations(model: ModelGraph, data: Dataset) -> dict[str, np.ndarray]:
-    """Unquantized output of every layer over the dataset, keyed ``<layer>.out``."""
-    _check_compat(model, data, None)
-    _, tapes = _run_layers(model, data.features, {}, keep_tape=True)
-    return {f"{t.layer.name}.out": t.output for t in tapes}
 
 
 @dataclass(frozen=True)

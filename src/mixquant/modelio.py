@@ -1,10 +1,15 @@
-"""On-disk formats for models and datasets.
+"""On-disk formats for models and datasets, and the JSON layer every artifact uses.
 
 A model is a JSON manifest next to one raw blob of little-endian float32
 parameter values; the manifest records layer structure and byte offsets
 into the blob. A dataset is a JSON manifest next to a float32 feature
 blob and a uint32 label blob. Manifests reference their blobs by file
 name, so a pair (or triple) can be moved around together.
+
+Every JSON file the package writes or reads, model and dataset manifests
+as well as run artifacts, goes through :func:`write_json` and
+:func:`read_json`: one byte-stable layout on the way out, and on the way
+in one check that the file is a JSON object of the expected ``format``.
 """
 
 from __future__ import annotations
@@ -24,18 +29,24 @@ class DataFormatError(ValueError):
     """A manifest or blob does not match the documented layout."""
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as sorted-key, two-space-indented JSON plus a newline."""
     # sort_keys plus fixed separators keeps re-runs byte-identical.
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json(path: Path, expected_format: str) -> dict:
+def read_json(path: str | Path, expected_format: str) -> dict:
+    """The JSON object in ``path``, whose ``format`` must be ``expected_format``.
+
+    An unreadable file, invalid JSON, a non-object or another format all
+    raise :class:`DataFormatError`.
+    """
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read manifest {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
-        raise DataFormatError(f"{path} is not a {expected_format!r} manifest")
+        raise DataFormatError(f"{path} is not a {expected_format!r} file")
     return payload
 
 
@@ -65,7 +76,7 @@ def save_model(model: ModelGraph, manifest_path: str | Path) -> None:
             chunks.append(b.tobytes())
         layers.append(entry)
     blob_path.write_bytes(b"".join(chunks))
-    _write_json(
+    write_json(
         manifest_path,
         {
             "format": MODEL_FORMAT,
@@ -81,7 +92,7 @@ def save_model(model: ModelGraph, manifest_path: str | Path) -> None:
 def load_model(manifest_path: str | Path) -> ModelGraph:
     """Load a model file pair written by :func:`save_model`."""
     manifest_path = Path(manifest_path)
-    payload = _read_json(manifest_path, MODEL_FORMAT)
+    payload = read_json(manifest_path, MODEL_FORMAT)
     blob_path = manifest_path.parent / payload.get("blob", "")
     try:
         blob = blob_path.read_bytes()
@@ -92,22 +103,26 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
             f"{blob_path} holds {len(blob)} bytes, manifest says {payload.get('blob_bytes')}"
         )
     layers = []
+    extents: list[tuple[int, int]] = []  # (start, end) byte range of every tensor
     for entry in payload.get("layers", []):
         kind = entry.get("kind")
         if kind == KIND_AFFINE:
-            try:
-                out_dim, in_dim = int(entry["out_dim"]), int(entry["in_dim"])
-                w_off, b_off = int(entry["weight_offset"]), int(entry["bias_offset"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"bad affine layer entry {entry!r}") from exc
-            if out_dim < 1 or in_dim < 1 or w_off < 0 or b_off < 0:
+            fields = [entry.get(k) for k in ("out_dim", "in_dim", "weight_offset", "bias_offset")]
+            # type() rather than isinstance: JSON true/false load as bools
+            if not all(type(v) is int for v in fields):
+                raise DataFormatError(
+                    f"layer {entry.get('name')!r}: widths and offsets must be JSON integers"
+                )
+            out_dim, in_dim, w_off, b_off = fields
+            if out_dim < 1 or in_dim < 1 or w_off < 0 or b_off < 0 or w_off % 4 or b_off % 4:
                 raise DataFormatError(
                     f"layer {entry.get('name')!r} needs positive widths and "
-                    "non-negative offsets"
+                    "non-negative offsets that are multiples of 4"
                 )
             w_bytes = 4 * out_dim * in_dim
             if w_off + w_bytes > len(blob) or b_off + 4 * out_dim > len(blob):
                 raise DataFormatError(f"layer {entry.get('name')!r} points past the blob")
+            extents += [(w_off, w_off + w_bytes), (b_off, b_off + 4 * out_dim)]
             w = np.frombuffer(blob, dtype="<f4", count=out_dim * in_dim, offset=w_off)
             b = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=b_off)
             layers.append(
@@ -122,6 +137,9 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
             layers.append(Layer(str(entry.get("name")), KIND_RELU))
         else:
             raise DataFormatError(f"unknown layer kind {kind!r} in {manifest_path}")
+    extents.sort()
+    if any(start < end for (_, end), (start, _) in zip(extents, extents[1:])):
+        raise DataFormatError(f"{manifest_path}: tensor byte offsets overlap in the blob")
     try:
         return ModelGraph(layers, head=payload.get("head", "softmax_ce"))
     except GraphError as exc:
@@ -136,7 +154,7 @@ def save_dataset(data: Dataset, manifest_path: str | Path) -> None:
     labels_path = stem.with_suffix(".labels.bin")
     features_path.write_bytes(data.features.astype("<f4").tobytes())
     labels_path.write_bytes(data.labels.astype("<u4").tobytes())
-    _write_json(
+    write_json(
         manifest_path,
         {
             "format": DATASET_FORMAT,
@@ -153,7 +171,7 @@ def save_dataset(data: Dataset, manifest_path: str | Path) -> None:
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load a dataset triple written by :func:`save_dataset`."""
     manifest_path = Path(manifest_path)
-    payload = _read_json(manifest_path, DATASET_FORMAT)
+    payload = read_json(manifest_path, DATASET_FORMAT)
     try:
         n = int(payload["num_examples"])
         d = int(payload["feature_dim"])

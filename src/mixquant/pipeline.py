@@ -4,15 +4,14 @@ A run loads a model with calibration and eval splits, calibrates and
 adjusts quantizer scales once per candidate bit width, scores tensor
 sensitivity with the chosen metric, searches bit widths over the induced
 ordering against the eval split, and writes every report plus a manifest
-that reproduces the run byte for byte. The search space is the model's
-weight tensors; activation tensors are carried in the final config at
-the baseline width so the artifact covers the full quantizable set.
+that reproduces the run byte for byte. The search space, the final
+config and the cost report all cover the model's weight tensors only;
+activations stay in float.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .calibrate import (
 )
 from .cost import LatencyTable, cost_report
 from .graph import Dataset, GraphError, ModelGraph, forward
-from .modelio import DataFormatError, load_dataset, load_model
+from .modelio import DataFormatError, load_dataset, load_model, read_json, write_json
 from .rng import substream
 from .search import (
     DEFAULT_BASELINE_BITS,
@@ -38,6 +37,7 @@ from .search import (
     bisection_search,
     evaluate_config,
     greedy_search,
+    load_outcome,
     save_config,
     save_outcome,
 )
@@ -62,6 +62,7 @@ from .sensitivity import (
 )
 
 MANIFEST_FORMAT = "mixquant-run-manifest"
+COST_FORMAT = "mixquant-cost-report"
 COMPARISON_FORMAT = "mixquant-comparison"
 
 ALGO_BISECTION = "bisection"
@@ -253,13 +254,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             )
 
     with _Stage("report-costs"):
-        activation_names = [
-            n for n in model.quantizable_tensor_names() if n.endswith(".out")
-        ]
-        full_config = outcome.config.replace(
-            {name: config.baseline_bits for name in activation_names}
-        )
-        cost = cost_report(model, full_config, table, baseline_bits=config.baseline_bits)
+        cost = cost_report(model, outcome.config, table, baseline_bits=config.baseline_bits)
 
     with _Stage("write-artifacts"):
         out_dir = Path(config.out_dir)
@@ -279,19 +274,19 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             },
             "baseline_accuracy": baseline_accuracy,
         }
-        _write_json(out_dir / "manifest.json", manifest)
+        write_json(out_dir / "manifest.json", manifest)
         save_report(report, out_dir / "sensitivity.json")
-        save_config(full_config, out_dir / "config.json")
+        save_config(outcome.config, out_dir / "config.json")
         save_outcome(outcome, out_dir / "outcome.json")
         cost_payload = {
-            "format": "mixquant-cost-report",
+            "format": COST_FORMAT,
             "version": 1,
             "size_bytes": cost.size_bytes,
             "latency_us": cost.latency_us,
             "relative_size": cost.relative_size,
             "relative_latency": cost.relative_latency,
         }
-        _write_json(out_dir / "cost.json", cost_payload)
+        write_json(out_dir / "cost.json", cost_payload)
         for bits, outcome_b in bank_outcomes.items():
             save_specs(outcome_b, out_dir / f"specs-{bits}bit.json")
 
@@ -300,51 +295,50 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         manifest=manifest,
         report=report,
         outcome=outcome,
-        config=full_config,
+        config=outcome.config,
         cost=cost_payload,
         baseline_accuracy=baseline_accuracy,
     )
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _manifest_config(payload: dict, path: Path) -> PipelineConfig:
+    try:
+        params = dict(payload["parameters"])
+        params["bits"] = tuple(int(b) for b in params["bits"])
+        config = PipelineConfig(**params)
+        config.validate()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"malformed manifest parameters in {path}: {exc}") from exc
+    return config
 
 
 def load_manifest(path: str | Path) -> PipelineConfig:
     """Rebuild the PipelineConfig a manifest was written from."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read manifest {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
-        raise DataFormatError(f"{path} is not a {MANIFEST_FORMAT!r} file")
-    try:
-        params = dict(payload["parameters"])
-        params["bits"] = tuple(int(b) for b in params["bits"])
-        return PipelineConfig(**params)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed manifest parameters in {path}") from exc
+    return _manifest_config(read_json(path, MANIFEST_FORMAT), path)
 
 
 def _load_run(run_dir: Path) -> dict:
+    """Everything ``compare`` reads from a run directory, through the typed loaders."""
     manifest_path = run_dir / "manifest.json"
+    manifest = read_json(manifest_path, MANIFEST_FORMAT)
+    cost_path = run_dir / "cost.json"
+    cost = read_json(cost_path, COST_FORMAT)
+    inputs = manifest.get("inputs", {})
+    if not isinstance(inputs, dict) or not isinstance(inputs.get("model_sha256", ""), str):
+        raise DataFormatError(f"malformed manifest inputs in {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read {manifest_path}: {exc}") from exc
-    try:
-        cost = json.loads((run_dir / "cost.json").read_text())
-        outcome_payload = json.loads((run_dir / "outcome.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"incomplete run directory {run_dir}: {exc}") from exc
-    report = load_report(run_dir / "sensitivity.json")
+        relative_size = float(cost["relative_size"])
+        relative_latency = float(cost["relative_latency"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"malformed cost report in {cost_path}") from exc
     return {
         "dir": run_dir,
-        "manifest": manifest,
-        "cost": cost,
-        "outcome": outcome_payload,
-        "report": report,
+        "config": _manifest_config(manifest, manifest_path),
+        "model_sha256": inputs.get("model_sha256"),
+        "relative_size": relative_size,
+        "relative_latency": relative_latency,
+        "outcome": load_outcome(run_dir / "outcome.json"),
+        "report": load_report(run_dir / "sensitivity.json"),
     }
 
 
@@ -360,25 +354,25 @@ def compare_runs(run_dirs) -> dict:
     if len(runs) < 2:
         raise PipelineConfigError("compare needs at least two run directories")
 
-    model_hashes = {r["manifest"].get("inputs", {}).get("model_sha256") for r in runs}
+    model_hashes = {r["model_sha256"] for r in runs}
     if len(model_hashes) != 1 or None in model_hashes:
         raise PipelineConfigError("runs were produced from different models")
 
     labels = _distinct_labels([r["dir"] for r in runs])
     rows = []
     for label, run in zip(labels, runs):
-        params = run["manifest"].get("parameters", {})
+        config, outcome = run["config"], run["outcome"]
         rows.append(
             {
                 "run": label,
-                "metric": params.get("metric"),
-                "algo": params.get("algo"),
-                "seed": params.get("seed"),
-                "target": params.get("target"),
-                "achieved_accuracy": run["outcome"].get("achieved_accuracy"),
-                "evals": run["outcome"].get("evals"),
-                "relative_size": run["cost"].get("relative_size"),
-                "relative_latency": run["cost"].get("relative_latency"),
+                "metric": config.metric,
+                "algo": config.algo,
+                "seed": config.seed,
+                "target": config.target,
+                "achieved_accuracy": outcome.achieved_accuracy,
+                "evals": outcome.evals,
+                "relative_size": run["relative_size"],
+                "relative_latency": run["relative_latency"],
             }
         )
 

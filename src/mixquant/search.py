@@ -10,14 +10,13 @@ instrumented and checked against the analytic budgets.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
 from .graph import Dataset, GraphError, ModelGraph, forward
-from .modelio import DataFormatError
+from .modelio import DataFormatError, read_json, write_json
 from .quantize import MAX_BITS, MIN_BITS, QuantSpec
 
 CONFIG_FORMAT = "mixquant-quant-config"
@@ -263,68 +262,53 @@ def bisection_search(
     )
 
 
+def _config_payload(config: QuantConfig) -> dict:
+    return {"baseline_bits": config.baseline_bits, "bits": dict(config.bits)}
+
+
+def _config_from_payload(payload: dict) -> QuantConfig:
+    return QuantConfig(
+        bits={name: int(b) for name, b in payload["bits"].items()},
+        baseline_bits=int(payload["baseline_bits"]),
+    )
+
+
 def save_config(config: QuantConfig, path: str | Path) -> None:
-    payload = {
-        "format": CONFIG_FORMAT,
-        "version": 1,
-        "baseline_bits": config.baseline_bits,
-        "bits": {name: config.bits[name] for name in sorted(config.bits)},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"format": CONFIG_FORMAT, "version": 1, **_config_payload(config)})
 
 
 def load_config(path: str | Path) -> QuantConfig:
-    path = Path(path)
+    payload = read_json(path, CONFIG_FORMAT)
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read quantization config {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != CONFIG_FORMAT:
-        raise DataFormatError(f"{path} is not a {CONFIG_FORMAT!r} file")
-    try:
-        return QuantConfig(
-            bits={name: int(b) for name, b in payload["bits"].items()},
-            baseline_bits=int(payload["baseline_bits"]),
-        )
-    except (KeyError, TypeError, ValueError, GraphError) as exc:
+        return _config_from_payload(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed quantization config in {path}") from exc
 
 
 def save_outcome(outcome: SearchOutcome, path: str | Path) -> None:
-    payload = {
-        "format": OUTCOME_FORMAT,
-        "version": 1,
-        "config": {
-            "baseline_bits": outcome.config.baseline_bits,
-            "bits": {n: outcome.config.bits[n] for n in sorted(outcome.config.bits)},
+    write_json(
+        path,
+        {
+            "format": OUTCOME_FORMAT,
+            "version": 1,
+            "config": _config_payload(outcome.config),
+            "evals": outcome.evals,
+            "target": outcome.target,
+            "achieved_accuracy": outcome.achieved_accuracy,
+            "trace": list(outcome.trace),
         },
-        "evals": outcome.evals,
-        "target": outcome.target,
-        "achieved_accuracy": outcome.achieved_accuracy,
-        "trace": list(outcome.trace),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    )
 
 
 def load_outcome(path: str | Path) -> SearchOutcome:
-    path = Path(path)
+    payload = read_json(path, OUTCOME_FORMAT)
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read search outcome {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != OUTCOME_FORMAT:
-        raise DataFormatError(f"{path} is not a {OUTCOME_FORMAT!r} file")
-    try:
-        config = QuantConfig(
-            bits={n: int(b) for n, b in payload["config"]["bits"].items()},
-            baseline_bits=int(payload["config"]["baseline_bits"]),
-        )
         return SearchOutcome(
-            config=config,
+            config=_config_from_payload(payload["config"]),
             evals=int(payload["evals"]),
             target=float(payload["target"]),
             achieved_accuracy=float(payload["achieved_accuracy"]),
             trace=tuple(payload["trace"]),
         )
-    except (KeyError, TypeError, ValueError, GraphError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed search outcome in {path}") from exc

@@ -15,7 +15,6 @@ evaluation order and tensors could be scored concurrently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -27,12 +26,11 @@ from .graph import (
     Dataset,
     GraphError,
     ModelGraph,
-    capture_activations,
     forward,
     forward_tape,
     hessian_vector_product,
 )
-from .modelio import DataFormatError
+from .modelio import DataFormatError, read_json, write_json
 from .quantize import QuantSpec, quantization_error
 from .rng import substream
 
@@ -90,36 +88,23 @@ def score_qe(
     model: ModelGraph,
     specs: Mapping[str, QuantSpec],
     probe_bits: int | None = None,
-    data: Dataset | None = None,
 ) -> SensitivityReport:
-    """Normalized RMS quantization error per tensor in ``specs``.
+    """Normalized RMS quantization error per weight tensor in ``specs``.
 
-    Weight tensors are scored from their stored values. Activation
-    tensors (``<layer>.out``) are scored from the values they take over
-    ``data``, which must then be supplied. ``probe_bits`` overrides every
-    spec's bit width, so one calibration can be probed at the most
-    discriminative width, typically the lowest candidate.
+    ``probe_bits`` overrides every spec's bit width, so one calibration
+    can be probed at the most discriminative width, typically the lowest
+    candidate.
     """
     if not specs:
         raise GraphError("score_qe needs at least one tensor spec")
-    known = set(model.quantizable_tensor_names())
-    unknown = sorted(set(specs) - known)
+    unknown = sorted(set(specs) - set(model.weight_tensor_names()))
     if unknown:
         raise GraphError(f"specs name unknown tensors: {unknown}")
-    activation_names = [n for n in specs if n.endswith(".out")]
-    activations: dict[str, np.ndarray] = {}
-    if activation_names:
-        if data is None:
-            raise GraphError(
-                f"activation tensors {sorted(activation_names)} need calibration data to score"
-            )
-        activations = capture_activations(model, data)
     scores: dict[str, TensorScore] = {}
     for name, spec in specs.items():
         if probe_bits is not None:
             spec = spec.with_bits(probe_bits)
-        values = activations[name] if name.endswith(".out") else model.parameter(name)
-        scores[name] = _stat([quantization_error(values, spec)])
+        scores[name] = _stat([quantization_error(model.parameter(name), spec)])
     return _build_report(METRIC_QE, scores, seed=0)
 
 
@@ -276,28 +261,24 @@ def ordering_distance(a: list[str], b: list[str]) -> int:
 
 
 def save_report(report: SensitivityReport, path: str | Path) -> None:
-    payload = {
-        "format": REPORT_FORMAT,
-        "version": 1,
-        "metric": report.metric,
-        "seed": report.seed,
-        "ordering": list(report.ordering),
-        "scores": {
-            name: {"mean": s.mean, "std": s.std, "trials": s.trials}
-            for name, s in sorted(report.scores.items())
+    write_json(
+        path,
+        {
+            "format": REPORT_FORMAT,
+            "version": 1,
+            "metric": report.metric,
+            "seed": report.seed,
+            "ordering": list(report.ordering),
+            "scores": {
+                name: {"mean": s.mean, "std": s.std, "trials": s.trials}
+                for name, s in report.scores.items()
+            },
         },
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    )
 
 
 def load_report(path: str | Path) -> SensitivityReport:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"cannot read sensitivity report {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
-        raise DataFormatError(f"{path} is not a {REPORT_FORMAT!r} file")
+    payload = read_json(path, REPORT_FORMAT)
     try:
         scores = {
             name: TensorScore(
@@ -305,11 +286,14 @@ def load_report(path: str | Path) -> SensitivityReport:
             )
             for name, s in payload.get("scores", {}).items()
         }
-        return SensitivityReport(
+        report = SensitivityReport(
             metric=str(payload["metric"]),
             scores=scores,
             ordering=tuple(payload["ordering"]),
             seed=int(payload["seed"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed sensitivity report in {path}") from exc
+    if not all(isinstance(name, str) for name in report.ordering):
+        raise DataFormatError(f"{path}: the ordering must list tensor names")
+    return report

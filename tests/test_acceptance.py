@@ -231,12 +231,8 @@ def test_criterion_7_end_to_end_fixture(f1, tmp_path):
     stored_model = load_model(inputs / "model.json")
     stored_eval = load_dataset(inputs / "eval.json")
     stored_config = load_config(run_dir / "config.json")
-    weights_only = QuantConfig(
-        bits={n: b for n, b in stored_config.bits.items() if not n.endswith(".out")},
-        baseline_bits=stored_config.baseline_bits,
-    )
     bank = {b: load_specs(run_dir / f"specs-{b}bit.json").specs for b in (4, 8)}
-    independent = evaluate_config(stored_model, stored_eval, bank, weights_only)
+    independent = evaluate_config(stored_model, stored_eval, bank, stored_config)
     stored_outcome = load_outcome(run_dir / "outcome.json")
     assert independent >= 0.99 * baseline_accuracy
     assert independent == stored_outcome.achieved_accuracy

@@ -23,9 +23,8 @@ from mixquant.graph import (
 from mixquant.quantize import QuantSpec
 
 
-def bits_for(model, data=None, bits=4):
-    names = model.weight_tensor_names() if data is None else model.quantizable_tensor_names()
-    return {name: bits for name in names}
+def bits_for(model, bits=4):
+    return {name: bits for name in model.weight_tensor_names()}
 
 
 class TestCalibrate:
@@ -46,25 +45,23 @@ class TestCalibrate:
         assert out.specs["lin.weight"].alpha == 1.0
         assert out.specs["lin.weight"].gamma == 1.0
 
-    def test_activation_scales_span_all_batches(self):
-        model, data = make_small_ce_model()
-        out = calibrate(model, data, bits_for(model, data))
-        acts_peak = np.abs(data.features @ model.parameter("first.weight").T
-                           + model.parameter("first.bias")).max()
-        assert out.specs["first.out"].gamma == pytest.approx(acts_peak, rel=1e-12)
-
     def test_data_order_invariance(self):
         model, data = make_small_ce_model()
         perm = np.random.default_rng(9).permutation(len(data))
         shuffled = data.subset(perm)
-        a = calibrate(model, data, bits_for(model, data))
-        b = calibrate(model, shuffled, bits_for(model, data))
+        a = calibrate(model, data, bits_for(model))
+        b = calibrate(model, shuffled, bits_for(model))
         assert a.specs == b.specs
 
     def test_unknown_tensor_name_rejected(self):
         model, data = make_small_ce_model()
         with pytest.raises(GraphError):
             calibrate(model, data, {"phantom.weight": 4})
+
+    def test_activation_name_rejected(self):
+        model, data = make_small_ce_model()
+        with pytest.raises(GraphError, match="first.out"):
+            calibrate(model, data, {"first.out": 4})
 
 
 class TestAdjustScales:
@@ -84,7 +81,7 @@ class TestAdjustScales:
 
     def test_recovers_from_deliberately_doubled_alpha(self):
         model, data = make_small_ce_model()
-        out = calibrate(model, data, bits_for(model, bits=3))
+        out = calibrate(model, data, bits_for(model, 3))
         broken = {
             name: QuantSpec(spec.alpha * 2.0, spec.gamma, spec.bits)
             for name, spec in out.specs.items()
@@ -108,7 +105,7 @@ class TestAdjustScales:
 
     def test_input_outcome_not_mutated(self):
         model, data = make_small_ce_model()
-        out = calibrate(model, data, bits_for(model, bits=2))
+        out = calibrate(model, data, bits_for(model, 2))
         frozen = dict(out.specs)
         adjust_scales(model, data, out, learning_rate=1e-2, epochs=5)
         assert out.specs == frozen
@@ -138,7 +135,7 @@ class TestAdjustScales:
 
     def test_adjustment_changes_quantized_loss_not_clean_loss(self):
         model, data = make_small_ce_model()
-        out = calibrate(model, data, bits_for(model, bits=2))
+        out = calibrate(model, data, bits_for(model, 2))
         adjusted = adjust_scales(model, data, out, learning_rate=1e-2, epochs=20)
         clean = forward(model, data).loss
         assert forward(model, data).loss == clean
@@ -152,7 +149,7 @@ class TestSpecsRoundTrip:
         outcome = CalibrationOutcome(
             specs={
                 "a.weight": QuantSpec(alpha=1 / 3, gamma=2.718281828459045, bits=5),
-                "b.out": QuantSpec(alpha=0.1, gamma=7.0, bits=16),
+                "b.weight": QuantSpec(alpha=0.1, gamma=7.0, bits=16),
             },
             adjustment_log=[0.9, 0.30000000000000004],
         )

@@ -83,6 +83,17 @@ class TestRun:
         for name in ("config.json", "outcome.json", "cost.json", "sensitivity.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    @pytest.mark.parametrize("field,value", [("target", "x"), ("bits", 4), ("metric", ["qe"])])
+    def test_malformed_manifest_rerun_exit_data(self, fixture_dir, tmp_path, capsys, field, value):
+        first = tmp_path / "first"
+        assert main(run_args(fixture_dir, first)) == EXIT_OK
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["parameters"][field] = value
+        (first / "manifest.json").write_text(json.dumps(manifest))
+        args = ["run", "--manifest", str(first / "manifest.json"), "--out", str(tmp_path / "x")]
+        assert main(args) == EXIT_DATA
+        assert "malformed manifest parameters" in capsys.readouterr().err
+
     def test_missing_flags_exit_config(self, fixture_dir, capsys):
         code = main(["run", "--model", str(fixture_dir / "model.json")])
         assert code == EXIT_CONFIG
@@ -99,12 +110,21 @@ class TestRun:
         assert main(args) == EXIT_DATA
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["weight_offset", "bias_offset"])
-    def test_negative_model_offset_exit_data(self, fixture_dir, tmp_path, capsys, field):
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            pytest.param("weight_offset", -4, id="weight_offset"),
+            pytest.param("bias_offset", -4, id="bias_offset"),
+            pytest.param("bias_offset", 3, id="bias_offset-unaligned"),
+            pytest.param("weight_offset", 0.9, id="weight_offset-fraction"),
+            pytest.param("bias_offset", "8", id="bias_offset-string"),
+        ],
+    )
+    def test_negative_model_offset_exit_data(self, fixture_dir, tmp_path, capsys, field, value):
         inputs = tmp_path / "inputs"
         shutil.copytree(fixture_dir, inputs)
         manifest = json.loads((inputs / "model.json").read_text())
-        manifest["layers"][0][field] = -4
+        manifest["layers"][0][field] = value
         (inputs / "model.json").write_text(json.dumps(manifest))
         assert main(run_args(inputs, tmp_path / "x")) == EXIT_DATA
         assert "offsets" in capsys.readouterr().err
@@ -145,3 +165,36 @@ class TestCompare:
     def test_missing_run_dir_exit_data(self, two_runs, tmp_path, capsys):
         assert main(["compare", str(two_runs[0]), str(tmp_path / "void")]) == EXIT_DATA
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "name", ["manifest.json", "cost.json", "outcome.json", "sensitivity.json"]
+    )
+    @pytest.mark.parametrize("damage", ["not-json", "list", "format", "body", "entry"])
+    def test_malformed_run_artifact_exit_data(self, two_runs, tmp_path, capsys, name, damage):
+        broken = tmp_path / "broken"
+        shutil.copytree(two_runs[1], broken)
+        path = broken / name
+        if damage == "not-json":
+            path.write_text("{nope")
+        elif damage == "list":
+            path.write_text("[]")
+        elif damage == "format":
+            path.write_text('{"format": "mixquant-something-else"}')
+        elif damage == "body":
+            # right format, but every other top-level field is a list
+            payload = json.loads(path.read_text())
+            path.write_text(json.dumps({k: v if k == "format" else [] for k, v in payload.items()}))
+        else:
+            # one field the comparison table prints or hashes gets a wrong type
+            payload = json.loads(path.read_text())
+            if name == "manifest.json":
+                payload["parameters"]["metric"] = ["qe"]
+            elif name == "cost.json":
+                payload["relative_size"] = "small"
+            elif name == "outcome.json":
+                payload["achieved_accuracy"] = [1.0]
+            else:
+                payload["ordering"] = [[tensor] for tensor in payload["ordering"]]
+            path.write_text(json.dumps(payload))
+        assert main(["compare", str(two_runs[0]), str(broken)]) == EXIT_DATA
+        assert name in capsys.readouterr().err

@@ -18,7 +18,6 @@ from mixquant.graph import (
     GraphError,
     Layer,
     ModelGraph,
-    capture_activations,
     forward,
     forward_tape,
     gradients,
@@ -72,7 +71,7 @@ class TestModelValidation:
         assert other.parameter("lin.weight")[0, 0] == 2.0
         assert model.parameter_digest() != other.parameter_digest()
 
-    def test_quantizable_names_cover_weights_and_outputs(self):
+    def test_weight_names_are_the_quantizable_tensors(self):
         model = ModelGraph(
             [
                 Layer("d1", KIND_AFFINE, np.ones((3, 2)), np.zeros(3)),
@@ -81,13 +80,10 @@ class TestModelValidation:
             ]
         )
         assert model.weight_tensor_names() == ["d1.weight", "d2.weight"]
-        assert model.quantizable_tensor_names() == [
-            "d1.weight",
-            "d1.out",
-            "r1.out",
-            "d2.weight",
-            "d2.out",
-        ]
+        data = Dataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
+        for name in ("d1.out", "r1.out"):
+            with pytest.raises(GraphError, match="unknown tensors"):
+                forward(model, data, {name: QuantSpec(1.0, 1.0, 4)})
 
 
 class TestDatasetValidation:
@@ -226,22 +222,6 @@ class TestGradients:
         data = Dataset(np.ones((4, 2)), np.array([0, 1, 0, 1]), 2)
         grads = gradients(model, data)
         np.testing.assert_array_equal(grads["in.weight"], np.zeros((2, 2)))
-
-
-class TestCaptureActivations:
-    def test_shapes_and_relu_nonnegativity(self):
-        model, data = make_small_ce_model()
-        acts = capture_activations(model, data)
-        assert set(acts) == {"first.out", "act.out", "second.out"}
-        assert acts["first.out"].shape == (len(data), 6)
-        assert acts["act.out"].min() >= 0.0
-
-    def test_matches_manual_layer_chain(self):
-        model, data = make_small_ce_model()
-        acts = capture_activations(model, data)
-        w1 = model.parameter("first.weight")
-        b1 = model.parameter("first.bias")
-        np.testing.assert_allclose(acts["first.out"], data.features @ w1.T + b1, rtol=1e-13)
 
 
 class TestHessianVectorProduct:

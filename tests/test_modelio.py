@@ -85,7 +85,20 @@ class TestModelRoundTrip:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("weight_offset", -4), ("bias_offset", -1), ("out_dim", -2), ("in_dim", 0)],
+        [
+            ("weight_offset", -4),
+            ("bias_offset", -1),
+            ("out_dim", -2),
+            ("in_dim", 0),
+            # unaligned, fractional, string and boolean offsets
+            ("bias_offset", 3),
+            ("weight_offset", 0.9),
+            ("bias_offset", "8"),
+            ("weight_offset", True),
+            ("out_dim", 2.0),
+            # the bias would be read from the weight's bytes
+            ("bias_offset", 0),
+        ],
     )
     def test_negative_offsets_and_widths_rejected(self, tmp_path, field, value):
         model = ModelGraph([Layer("a", KIND_AFFINE, np.eye(2), np.zeros(2))])

@@ -16,7 +16,7 @@ from mixquant.pipeline import (
     load_manifest,
     run_pipeline,
 )
-from mixquant.search import QuantConfig, evaluate_config, load_config, load_outcome
+from mixquant.search import evaluate_config, load_config, load_outcome
 from mixquant.sensitivity import load_report
 
 SMALL = FixtureSpec(dims=(8, 12, 12, 8, 2), calib_examples=96, eval_examples=256)
@@ -77,14 +77,7 @@ class TestRunPipeline:
         bank = {
             bits: load_specs(out / f"specs-{bits}bit.json").specs for bits in (4, 8)
         }
-        weights_only = QuantConfig(
-            bits={
-                n: b
-                for n, b in load_config(out / "config.json").bits.items()
-                if not n.endswith(".out")
-            }
-        )
-        measured = evaluate_config(model, eval_data, bank, weights_only)
+        measured = evaluate_config(model, eval_data, bank, load_config(out / "config.json"))
         assert measured >= result.outcome.target
         assert measured == result.outcome.achieved_accuracy
 
@@ -92,11 +85,7 @@ class TestRunPipeline:
         _, out = hessian_run
         model = load_model(small_inputs / "model.json")
         config = load_config(out / "config.json")
-        assert set(config.bits) == set(model.quantizable_tensor_names())
-        # activations ride at baseline: the search space is weights only
-        for name, bits in config.bits.items():
-            if name.endswith(".out"):
-                assert bits == config.baseline_bits
+        assert list(config.bits) == sorted(model.weight_tensor_names())
 
     def test_manifest_round_trips_parameters(self, hessian_run, small_inputs):
         result, out = hessian_run
