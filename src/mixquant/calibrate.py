@@ -41,13 +41,12 @@ class CalibrationOutcome:
     adjustment_log: list[float] = field(default_factory=list)
 
 
-def calibrate(model: ModelGraph, data: Dataset, bits: Mapping[str, int]) -> CalibrationOutcome:
+def calibrate(model: ModelGraph, bits: Mapping[str, int]) -> CalibrationOutcome:
     """Max-value scale initialization for the weight tensors named in ``bits``.
 
-    A tensor that is identically zero gets the neutral scales (1, 1).
+    The scales depend on the weights alone, no data is read. A tensor that
+    is identically zero gets the neutral scales (1, 1).
     """
-    if len(data) == 0:
-        raise GraphError("calibration requires a non-empty dataset")
     unknown = sorted(set(bits) - set(model.weight_tensor_names()))
     if unknown:
         raise GraphError(f"cannot calibrate unknown tensors: {unknown}")

@@ -146,16 +146,13 @@ def cost_report(
     model: ModelGraph,
     config: QuantConfig,
     table: LatencyTable,
-    baseline_bits: int | None = None,
 ) -> CostReport:
     """Absolute and baseline-relative size and latency for ``config``.
 
-    Relatives divide by the uniform-``baseline_bits`` model (default: the
-    config's own baseline width), so an unquantized model reports 1.0 for
-    both.
+    Relatives divide by the model with every tensor at the config's
+    baseline width, so an unquantized model reports 1.0 for both.
     """
-    if baseline_bits is None:
-        baseline_bits = config.baseline_bits
+    baseline_bits = config.baseline_bits
     base = QuantConfig.uniform(config.bits, baseline_bits, baseline_bits=baseline_bits)
     size = model_size(model, config)
     latency = model_latency(model, config, table)

@@ -3,10 +3,10 @@
 The graph is a straight chain of affine and relu layers with a
 classification head. Everything is computed in float64 numpy; parameters
 are frozen read-only arrays, so a loaded model can be shared freely
-across threads. Quantized evaluation is expressed by passing a map of
-per-tensor quantizer specs to :func:`forward`; the named weight tensors
-are then fake-quantized in flight while the stored parameters stay
-untouched. Activations always stay in float.
+across threads. The one way to evaluate altered weights is to pass
+:func:`forward` a map of replacement arrays, one per named weight tensor;
+the stored parameters stay untouched. Callers quantize or perturb the
+weights themselves, and activations always stay in float.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .quantize import QuantSpec, QuantTape, quantize_backward, quantize_with_tape
+from .quantize import QuantSpec, quantize_backward, quantize_with_tape
 
 HEAD_SOFTMAX_CE = "softmax_ce"
 HEAD_SQUARED_ERROR = "squared_error"
@@ -136,25 +136,6 @@ class ModelGraph:
             l.weight.size + l.bias.size for l in self.layers if l.kind == KIND_AFFINE
         )
 
-    def with_parameter(self, name: str, values: np.ndarray) -> "ModelGraph":
-        """A new graph sharing every tensor except ``name``, which is replaced."""
-        current = self.parameter(name)
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != current.shape:
-            raise GraphError(
-                f"replacement for {name!r} has shape {values.shape}, expected {current.shape}"
-            )
-        layer_name, _, field = name.rpartition(".")
-        rebuilt = []
-        for layer in self.layers:
-            if layer.name == layer_name:
-                w = values if field == "weight" else layer.weight
-                b = values if field == "bias" else layer.bias
-                rebuilt.append(Layer(layer.name, KIND_AFFINE, w, b))
-            else:
-                rebuilt.append(layer)
-        return ModelGraph(rebuilt, head=self.head)
-
     def parameter_digest(self) -> str:
         """SHA-256 over all parameter bytes, for mutation checks."""
         h = hashlib.sha256()
@@ -220,16 +201,27 @@ class _LayerTape:
     inputs: np.ndarray  # activations entering the layer
     output: np.ndarray  # activations leaving the layer
     weight_used: np.ndarray | None = None
-    weight_tape: QuantTape | None = None
 
 
-def _check_compat(model: ModelGraph, data: Dataset, quant) -> dict[str, QuantSpec]:
-    quant = dict(quant) if quant else {}
-    if quant:
-        known = set(model.weight_tensor_names())
-        unknown = sorted(set(quant) - known)
+def _check_compat(
+    model: ModelGraph, data: Dataset, weights: Mapping[str, np.ndarray] | None = None
+) -> dict[str, np.ndarray]:
+    """``weights`` as float64 arrays, once they and ``data`` are checked against ``model``."""
+    checked: dict[str, np.ndarray] = {}
+    if weights:
+        unknown = sorted(set(weights) - set(model.weight_tensor_names()))
         if unknown:
-            raise GraphError(f"quantizer specs name unknown tensors: {unknown}")
+            raise GraphError(f"replacement weights name unknown tensors: {unknown}")
+        for name, values in weights.items():
+            values = np.asarray(values, dtype=np.float64)
+            expected = model.parameter(name).shape
+            if values.shape != expected:
+                raise GraphError(
+                    f"replacement for {name!r} has shape {values.shape}, expected {expected}"
+                )
+            if not np.all(np.isfinite(values)):
+                raise GraphError(f"replacement for {name!r} has non-finite values")
+            checked[name] = values
     if data.feature_dim != model.input_dim:
         raise GraphError(
             f"dataset has {data.feature_dim} features but the model expects {model.input_dim}"
@@ -238,26 +230,23 @@ def _check_compat(model: ModelGraph, data: Dataset, quant) -> dict[str, QuantSpe
         raise GraphError(
             f"dataset has {data.num_classes} classes but the model emits {model.output_dim}"
         )
-    return quant
+    return checked
 
 
 def _run_layers(
-    model: ModelGraph, x: np.ndarray, quant: Mapping[str, QuantSpec], keep_tape: bool
+    model: ModelGraph, x: np.ndarray, weights: Mapping[str, np.ndarray], keep_tape: bool
 ) -> tuple[np.ndarray, list[_LayerTape]]:
     tapes: list[_LayerTape] = []
     a = x
     for layer in model.layers:
-        w_used = w_tape = None
+        w = None
         if layer.kind == KIND_AFFINE:
-            w_used = layer.weight
-            w_spec = quant.get(f"{layer.name}.weight")
-            if w_spec is not None:
-                w_used, w_tape = quantize_with_tape(layer.weight, w_spec)
-            z = a @ w_used.T + layer.bias
+            w = weights.get(f"{layer.name}.weight", layer.weight)
+            z = a @ w.T + layer.bias
         else:
             z = np.maximum(a, 0.0)
         if keep_tape:
-            tapes.append(_LayerTape(layer, a, z, w_used, w_tape))
+            tapes.append(_LayerTape(layer, a, z, w))
         a = z
     return a, tapes
 
@@ -295,30 +284,26 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 def forward(
     model: ModelGraph,
     data: Dataset,
-    quant: Mapping[str, QuantSpec] | None = None,
+    weights: Mapping[str, np.ndarray] | None = None,
 ) -> EvalResult:
     """Evaluate mean loss and accuracy over the whole dataset.
 
-    When ``quant`` is given, each named weight tensor is fake-quantized
-    before use; stored parameters are never modified. An empty map behaves
-    exactly like no map at all.
+    ``weights`` maps weight tensor names to arrays used in place of the
+    stored tensors; the stored parameters are never modified. An unknown
+    or non-weight name, a wrong shape or a non-finite array is a
+    :class:`GraphError`. An empty map behaves exactly like no map at all.
     """
-    specs = _check_compat(model, data, quant)
-    logits, _ = _run_layers(model, data.features, specs, keep_tape=False)
+    replaced = _check_compat(model, data, weights)
+    logits, _ = _run_layers(model, data.features, replaced, keep_tape=False)
     return EvalResult(
         loss=_head_loss(model, logits, data.labels),
         accuracy=_accuracy(logits, data.labels),
     )
 
 
-def _backward(
-    model: ModelGraph,
-    tapes: list[_LayerTape],
-    grad_logits: np.ndarray,
-    quant: Mapping[str, QuantSpec],
-) -> tuple[dict[str, np.ndarray], dict[str, tuple[float, float]]]:
+def _backward(tapes: list[_LayerTape], grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients for every bias and for every weight as the taped pass used it."""
     param_grads: dict[str, np.ndarray] = {}
-    scale_grads: dict[str, tuple[float, float]] = {}
     g = grad_logits
     for tape in reversed(tapes):
         layer = tape.layer
@@ -326,16 +311,10 @@ def _backward(
             # Output is positive exactly where the input was; gradient at 0 is 0.
             g = np.where(tape.output > 0.0, g, 0.0)
         else:
-            grad_w_used = g.T @ tape.inputs
+            param_grads[f"{layer.name}.weight"] = g.T @ tape.inputs
             param_grads[f"{layer.name}.bias"] = g.sum(axis=0)
-            if tape.weight_tape is not None:
-                spec = quant[f"{layer.name}.weight"]
-                _, ga, gg = quantize_backward(tape.weight_tape, spec, grad_w_used)
-                scale_grads[f"{layer.name}.weight"] = (ga, gg)
-            else:
-                param_grads[f"{layer.name}.weight"] = grad_w_used
             g = g @ tape.weight_used
-    return param_grads, scale_grads
+    return param_grads
 
 
 def gradients(
@@ -354,10 +333,9 @@ def gradients(
         unknown = sorted(set(wrt) - set(all_names))
         if unknown:
             raise GraphError(f"cannot differentiate unknown tensors: {unknown}")
-    _check_compat(model, data, None)
+    _check_compat(model, data)
     logits, tapes = _run_layers(model, data.features, {}, keep_tape=True)
-    grad_logits = _head_gradient(model, logits, data.labels)
-    param_grads, _ = _backward(model, tapes, grad_logits, {})
+    param_grads = _backward(tapes, _head_gradient(model, logits, data.labels))
     return {name: param_grads[name] for name in wrt}
 
 
@@ -369,15 +347,24 @@ def loss_and_scale_gradients(
     """Quantized-forward loss and its straight-through gradients.
 
     Returns the mean loss under ``quant`` together with ``(d loss /
-    d alpha, d loss / d gamma)`` for every tensor named in the map. Model
-    parameters receive no updates here and none are returned for them.
+    d alpha, d loss / d gamma)`` for every tensor named in the map. Each
+    named weight is quantized once, the quantized weights run through the
+    engine like any replacement, and each weight's gradient is carried
+    back through its quantizer. Model parameters receive no updates here
+    and none are returned for them.
     """
-    specs = _check_compat(model, data, quant)
-    logits, tapes = _run_layers(model, data.features, specs, keep_tape=True)
+    taped = {
+        name: quantize_with_tape(model.parameter(name), spec) for name, spec in quant.items()
+    }
+    weights = _check_compat(model, data, {name: w for name, (w, _) in taped.items()})
+    logits, tapes = _run_layers(model, data.features, weights, keep_tape=True)
     loss = _head_loss(model, logits, data.labels)
-    grad_logits = _head_gradient(model, logits, data.labels)
-    _, scale_grads = _backward(model, tapes, grad_logits, specs)
-    return loss, {name: scale_grads.get(name, (0.0, 0.0)) for name in specs}
+    grads = _backward(tapes, _head_gradient(model, logits, data.labels))
+    scale_grads = {}
+    for name, (_, tape) in taped.items():
+        _, g_alpha, g_gamma = quantize_backward(tape, quant[name], grads[name])
+        scale_grads[name] = (g_alpha, g_gamma)
+    return loss, scale_grads
 
 
 @dataclass(frozen=True)
@@ -396,7 +383,7 @@ class ForwardTape:
 
 def forward_tape(model: ModelGraph, data: Dataset) -> ForwardTape:
     """Record the activations that Hessian-vector products of the mean loss need."""
-    _check_compat(model, data, None)
+    _check_compat(model, data)
     logits, tapes = _run_layers(model, data.features, {}, keep_tape=True)
     probs = _softmax(logits) if model.head == HEAD_SOFTMAX_CE else None
     return ForwardTape(model, data, tuple(tapes), probs)

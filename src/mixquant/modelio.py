@@ -50,6 +50,14 @@ def read_json(path: str | Path, expected_format: str) -> dict:
     return payload
 
 
+def _blob_path(manifest_path: Path, payload: dict, key: str) -> Path:
+    """The file ``payload[key]`` names, next to the manifest."""
+    name = payload.get(key)
+    if not isinstance(name, str):
+        raise DataFormatError(f"{manifest_path}: {key!r} must be a file name, got {name!r}")
+    return manifest_path.parent / name
+
+
 def save_model(model: ModelGraph, manifest_path: str | Path) -> None:
     """Write ``<stem>.json`` and ``<stem>.bin`` for ``model``.
 
@@ -93,7 +101,10 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
     """Load a model file pair written by :func:`save_model`."""
     manifest_path = Path(manifest_path)
     payload = read_json(manifest_path, MODEL_FORMAT)
-    blob_path = manifest_path.parent / payload.get("blob", "")
+    blob_path = _blob_path(manifest_path, payload, "blob")
+    entries = payload.get("layers")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise DataFormatError(f"{manifest_path}: 'layers' must be a list of layer objects")
     try:
         blob = blob_path.read_bytes()
     except OSError as exc:
@@ -104,7 +115,7 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
         )
     layers = []
     extents: list[tuple[int, int]] = []  # (start, end) byte range of every tensor
-    for entry in payload.get("layers", []):
+    for entry in entries:
         kind = entry.get("kind")
         if kind == KIND_AFFINE:
             fields = [entry.get(k) for k in ("out_dim", "in_dim", "weight_offset", "bias_offset")]
@@ -178,8 +189,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         num_classes = int(payload["num_classes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad dataset manifest {manifest_path}") from exc
-    features_path = manifest_path.parent / payload.get("features", "")
-    labels_path = manifest_path.parent / payload.get("labels", "")
+    features_path = _blob_path(manifest_path, payload, "features")
+    labels_path = _blob_path(manifest_path, payload, "labels")
     try:
         raw_x = features_path.read_bytes()
         raw_y = labels_path.read_bytes()

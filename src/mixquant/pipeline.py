@@ -173,8 +173,7 @@ def _score(
     levels: list[int],
 ) -> SensitivityReport:
     if config.metric == METRIC_QE:
-        probe = min(levels)
-        return score_qe(model, spec_bank[probe], probe_bits=probe)
+        return score_qe(model, spec_bank[min(levels)])
     if config.metric == METRIC_NOISE:
         return score_noise(
             model,
@@ -214,7 +213,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         spec_bank: dict[int, dict] = {}
         bank_outcomes = {}
         for bits in levels:
-            outcome = calibrate(model, cal_data, {name: bits for name in weight_names})
+            outcome = calibrate(model, {name: bits for name in weight_names})
             outcome = adjust_scales(
                 model,
                 cal_data,
@@ -254,7 +253,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             )
 
     with _Stage("report-costs"):
-        cost = cost_report(model, outcome.config, table, baseline_bits=config.baseline_bits)
+        cost = cost_report(model, outcome.config, table)
 
     with _Stage("write-artifacts"):
         out_dir = Path(config.out_dir)

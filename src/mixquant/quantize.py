@@ -14,7 +14,7 @@ calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +44,6 @@ class QuantSpec:
             raise ValueError(
                 f"bits must be an integer in [{MIN_BITS}, {MAX_BITS}], got {self.bits!r}"
             )
-
-    def with_bits(self, bits: int) -> "QuantSpec":
-        """Same scales at a different bit width."""
-        return replace(self, bits=bits)
 
 
 def _round_half_away(y: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 from .graph import Dataset, GraphError, ModelGraph, forward
 from .modelio import DataFormatError, read_json, write_json
-from .quantize import MAX_BITS, MIN_BITS, QuantSpec
+from .quantize import MAX_BITS, MIN_BITS, QuantSpec, quantize
 
 CONFIG_FORMAT = "mixquant-quant-config"
 OUTCOME_FORMAT = "mixquant-search-outcome"
@@ -88,20 +88,22 @@ def evaluate_config(
 ) -> float:
     """Accuracy of the model under ``config`` with pre-calibrated scales.
 
-    ``specs_by_bits[b]`` holds the calibrated specs to use for tensors
-    assigned width ``b``; scales are never recalibrated here. Tensors at
-    the baseline width are evaluated unquantized. A missing spec for an
-    assigned (tensor, width) pair is an error.
+    ``specs_by_bits[b]`` holds the calibrated ``b``-bit specs to use for
+    tensors assigned width ``b``; scales are never recalibrated here. Each
+    such tensor is fake-quantized and passed to the engine in place of the
+    stored weight; tensors at the baseline width are evaluated unquantized.
+    A missing ``b``-bit spec for an assigned (tensor, width) pair is an
+    error.
     """
-    quant: dict[str, QuantSpec] = {}
+    weights = {}
     for name, b in config.bits.items():
         if b == config.baseline_bits:
             continue
-        per_width = specs_by_bits.get(b)
-        if per_width is None or name not in per_width:
+        spec = specs_by_bits.get(b, {}).get(name)
+        if spec is None or spec.bits != b:
             raise GraphError(f"no calibrated spec for tensor {name!r} at {b} bits")
-        quant[name] = per_width[name].with_bits(b)
-    return forward(model, data, quant).accuracy
+        weights[name] = quantize(model.parameter(name), spec)
+    return forward(model, data, weights).accuracy
 
 
 def _common_checks(ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits):

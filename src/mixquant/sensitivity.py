@@ -84,16 +84,11 @@ def _stat(samples: list[float]) -> TensorScore:
     )
 
 
-def score_qe(
-    model: ModelGraph,
-    specs: Mapping[str, QuantSpec],
-    probe_bits: int | None = None,
-) -> SensitivityReport:
+def score_qe(model: ModelGraph, specs: Mapping[str, QuantSpec]) -> SensitivityReport:
     """Normalized RMS quantization error per weight tensor in ``specs``.
 
-    ``probe_bits`` overrides every spec's bit width, so one calibration
-    can be probed at the most discriminative width, typically the lowest
-    candidate.
+    Each tensor is probed at its spec's own width; the pipeline passes the
+    bank of the lowest candidate width, the most discriminative one.
     """
     if not specs:
         raise GraphError("score_qe needs at least one tensor spec")
@@ -102,8 +97,6 @@ def score_qe(
         raise GraphError(f"specs name unknown tensors: {unknown}")
     scores: dict[str, TensorScore] = {}
     for name, spec in specs.items():
-        if probe_bits is not None:
-            spec = spec.with_bits(probe_bits)
         scores[name] = _stat([quantization_error(model.parameter(name), spec)])
     return _build_report(METRIC_QE, scores, seed=0)
 
@@ -114,23 +107,18 @@ def score_noise(
     noise_scale: float = DEFAULT_NOISE_SCALE,
     trials: int = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    measure: str = "loss",
 ) -> SensitivityReport:
-    """Performance drop when one weight tensor is perturbed by Gaussian noise.
+    """Loss increase when one weight tensor is perturbed by Gaussian noise.
 
     For each weight tensor the noise is drawn with standard deviation
-    ``noise_scale * max|w|``, the tensor is replaced on a private model
-    copy, and the score is the perturbed-minus-clean loss (or, with
-    ``measure="accuracy"``, clean-minus-perturbed accuracy, so larger
-    still means more sensitive). Mean and spread are taken over
-    ``trials`` independent draws.
+    ``noise_scale * max|w|``, the noisy array is passed to the engine in
+    place of the stored tensor, and the score is the perturbed-minus-clean
+    loss. Mean and spread are taken over ``trials`` independent draws.
     """
     if trials < 1:
         raise GraphError(f"trials must be >= 1, got {trials}")
-    if noise_scale < 0:
+    if not noise_scale >= 0:  # also rejects NaN
         raise GraphError(f"noise_scale must be >= 0, got {noise_scale}")
-    if measure not in ("loss", "accuracy"):
-        raise GraphError(f"measure must be 'loss' or 'accuracy', got {measure!r}")
     base = forward(model, data)
     scores: dict[str, TensorScore] = {}
     for index, name in enumerate(model.weight_tensor_names()):
@@ -140,11 +128,7 @@ def score_noise(
         samples = []
         for _ in range(trials):
             noisy = w + rng.normal(0.0, sigma, size=w.shape) if sigma > 0 else w
-            perturbed = forward(model.with_parameter(name, noisy), data)
-            if measure == "loss":
-                samples.append(perturbed.loss - base.loss)
-            else:
-                samples.append(base.accuracy - perturbed.accuracy)
+            samples.append(forward(model, data, {name: noisy}).loss - base.loss)
         scores[name] = _stat(samples)
     return _build_report(METRIC_NOISE, scores, seed=seed)
 
@@ -186,7 +170,6 @@ def score_hessian(
     data: Dataset,
     probes: int = DEFAULT_PROBES,
     seed: int = DEFAULT_SEED,
-    normalize: bool = True,
 ) -> SensitivityReport:
     """Stochastic loss-curvature trace per weight tensor.
 
@@ -194,9 +177,8 @@ def score_hessian(
     ``z . H z`` with exact Hessian-vector products taken on the full
     dataset as one batch. One forward pass serves every product, and
     probes are pushed through in chunks sized by ``PROBE_CHUNK_FLOATS``.
-    With ``normalize`` the trace is divided by the element count, making
-    differently sized tensors comparable; without it the raw trace
-    estimate is reported.
+    Every sample is divided by the tensor's element count, making
+    differently sized tensors comparable.
     """
     tape = forward_tape(model, data)
     chunk = _probe_chunk(model, data)
@@ -211,9 +193,7 @@ def score_hessian(
             probes,
             chunk,
         )
-        if normalize:
-            samples = [s / w.size for s in samples]
-        scores[name] = _stat(samples)
+        scores[name] = _stat([s / w.size for s in samples])
     return _build_report(METRIC_HESSIAN, scores, seed=seed)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,33 @@ def make_small_ce_model(seed=5, examples=64):
     return model, data
 
 
+def with_tensor(model, tensor, values):
+    """A new model equal to ``model`` except that ``tensor`` holds ``values``.
+
+    Rebuilt layer by layer through the ``ModelGraph`` constructor, apart
+    from the engine's own weight substitution, so it can serve as the
+    oracle for it. Works for weights and biases alike.
+    """
+    assert tensor in model.parameter_names(), tensor
+    layer_name, _, field = tensor.rpartition(".")
+    layers = [
+        dataclasses.replace(layer, **{field: values}) if layer.name == layer_name else layer
+        for layer in model.layers
+    ]
+    return ModelGraph(layers, head=model.head)
+
+
+def edit_json(path, keys, value):
+    """Set ``value`` at ``keys`` (object keys and list indices) in the JSON file ``path``."""
+    payload = json.loads(path.read_text())
+    *parents, last = keys
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    path.write_text(json.dumps(payload))
+
+
 def central_difference_hvp(model, data, tensor, v, eps=1e-6):
     """Finite-difference oracle for a Hessian-vector product.
 
@@ -100,8 +130,8 @@ def central_difference_hvp(model, data, tensor, v, eps=1e-6):
     1e-3 crosses kinks there and gets whole layers wrong.
     """
     w = model.parameter(tensor)
-    plus = gradients(model.with_parameter(tensor, w + eps * v), data, [tensor])[tensor]
-    minus = gradients(model.with_parameter(tensor, w - eps * v), data, [tensor])[tensor]
+    plus = gradients(with_tensor(model, tensor, w + eps * v), data, [tensor])[tensor]
+    minus = gradients(with_tensor(model, tensor, w - eps * v), data, [tensor])[tensor]
     return (plus - minus) / (2.0 * eps)
 
 

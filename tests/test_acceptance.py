@@ -18,6 +18,7 @@ from conftest import (
     o1_accuracy,
     o1_size_bytes,
     reference_levenshtein,
+    with_tensor,
 )
 from mixquant.calibrate import load_specs
 from mixquant.cost import model_size
@@ -102,9 +103,9 @@ def test_criterion_2_gradient_fidelity(f1):
             idx = it.multi_index
             bumped = base.copy()
             bumped[idx] += step
-            up = forward(model.with_parameter(name, bumped), calib).loss
+            up = forward(with_tensor(model, name, bumped), calib).loss
             bumped[idx] -= 2.0 * step
-            down = forward(model.with_parameter(name, bumped), calib).loss
+            down = forward(with_tensor(model, name, bumped), calib).loss
             fd[idx] = (up - down) / (2.0 * step)
         rel = np.linalg.norm(grads[name] - fd) / np.linalg.norm(fd)
         assert rel <= 1e-3, f"{name}: relative gradient error {rel:.3e}"

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from conftest import edit_json
 from mixquant.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 SMALL_GEN = ["--dims", "8,12,12,8,2", "--calib-examples", "96", "--eval-examples", "256"]
@@ -111,23 +112,35 @@ class TestRun:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field,value",
+        "name,path,value,message",
         [
-            pytest.param("weight_offset", -4, id="weight_offset"),
-            pytest.param("bias_offset", -4, id="bias_offset"),
-            pytest.param("bias_offset", 3, id="bias_offset-unaligned"),
-            pytest.param("weight_offset", 0.9, id="weight_offset-fraction"),
-            pytest.param("bias_offset", "8", id="bias_offset-string"),
+            pytest.param("model.json", ("layers", 0, "weight_offset"), -4, "offsets",
+                         id="weight_offset"),
+            pytest.param("model.json", ("layers", 0, "bias_offset"), -4, "offsets",
+                         id="bias_offset"),
+            pytest.param("model.json", ("layers", 0, "bias_offset"), 3, "offsets",
+                         id="bias_offset-unaligned"),
+            pytest.param("model.json", ("layers", 0, "weight_offset"), 0.9, "offsets",
+                         id="weight_offset-fraction"),
+            pytest.param("model.json", ("layers", 0, "bias_offset"), "8", "offsets",
+                         id="bias_offset-string"),
+            pytest.param("model.json", ("layers",), {"dense1": {}}, "'layers'",
+                         id="layers-object"),
+            pytest.param("model.json", ("layers", 1), "relu", "'layers'", id="layer-string"),
+            pytest.param("model.json", ("blob",), 7, "'blob'", id="blob-number"),
+            pytest.param("calib.json", ("features",), 7, "'features'", id="features-number"),
+            pytest.param("eval.json", ("labels",), ["eval.labels.bin"], "'labels'",
+                         id="labels-list"),
         ],
     )
-    def test_negative_model_offset_exit_data(self, fixture_dir, tmp_path, capsys, field, value):
+    def test_negative_model_offset_exit_data(
+        self, fixture_dir, tmp_path, capsys, name, path, value, message
+    ):
         inputs = tmp_path / "inputs"
         shutil.copytree(fixture_dir, inputs)
-        manifest = json.loads((inputs / "model.json").read_text())
-        manifest["layers"][0][field] = value
-        (inputs / "model.json").write_text(json.dumps(manifest))
+        edit_json(inputs / name, path, value)
         assert main(run_args(inputs, tmp_path / "x")) == EXIT_DATA
-        assert "offsets" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_metric_choice_enforced_by_parser(self, fixture_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

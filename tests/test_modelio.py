@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_small_ce_model
+from conftest import edit_json, make_small_ce_model
 from mixquant.graph import HEAD_SQUARED_ERROR, KIND_AFFINE, Dataset, Layer, ModelGraph
 from mixquant.modelio import (
     DataFormatError,
@@ -84,31 +84,33 @@ class TestModelRoundTrip:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "field,value",
+        "path,value",
         [
-            ("weight_offset", -4),
-            ("bias_offset", -1),
-            ("out_dim", -2),
-            ("in_dim", 0),
+            pytest.param(("layers", 0, "weight_offset"), -4, id="weight_offset--4"),
+            pytest.param(("layers", 0, "bias_offset"), -1, id="bias_offset--1"),
+            pytest.param(("layers", 0, "out_dim"), -2, id="out_dim--2"),
+            pytest.param(("layers", 0, "in_dim"), 0, id="in_dim-0"),
             # unaligned, fractional, string and boolean offsets
-            ("bias_offset", 3),
-            ("weight_offset", 0.9),
-            ("bias_offset", "8"),
-            ("weight_offset", True),
-            ("out_dim", 2.0),
+            pytest.param(("layers", 0, "bias_offset"), 3, id="bias_offset-3"),
+            pytest.param(("layers", 0, "weight_offset"), 0.9, id="weight_offset-0.9"),
+            pytest.param(("layers", 0, "bias_offset"), "8", id="bias_offset-8"),
+            pytest.param(("layers", 0, "weight_offset"), True, id="weight_offset-True"),
+            pytest.param(("layers", 0, "out_dim"), 2.0, id="out_dim-2.0"),
             # the bias would be read from the weight's bytes
-            ("bias_offset", 0),
+            pytest.param(("layers", 0, "bias_offset"), 0, id="bias_offset-0"),
+            # manifest structure: layers not a list of objects, blob not a name
+            pytest.param(("layers",), {"a": {"kind": "affine"}}, id="layers-object"),
+            pytest.param(("layers", 0), "relu", id="layer-string"),
+            pytest.param(("blob",), 7, id="blob-number"),
         ],
     )
-    def test_negative_offsets_and_widths_rejected(self, tmp_path, field, value):
+    def test_negative_offsets_and_widths_rejected(self, tmp_path, path, value):
         model = ModelGraph([Layer("a", KIND_AFFINE, np.eye(2), np.zeros(2))])
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        payload = json.loads(path.read_text())
-        payload["layers"][0][field] = value
-        path.write_text(json.dumps(payload))
+        manifest = tmp_path / "model.json"
+        save_model(model, manifest)
+        edit_json(manifest, path, value)
         with pytest.raises(DataFormatError):
-            load_model(path)
+            load_model(manifest)
 
     def test_manifest_is_deterministic(self, tmp_path):
         model, _ = make_small_ce_model()

@@ -37,12 +37,6 @@ class TestQuantSpec:
         with pytest.raises(ValueError):
             QuantSpec(alpha=alpha, gamma=gamma, bits=4)
 
-    def test_with_bits_changes_only_width(self):
-        s = QuantSpec(alpha=0.25, gamma=4.0, bits=8)
-        t = s.with_bits(3)
-        assert (t.alpha, t.gamma, t.bits) == (0.25, 4.0, 3)
-        assert s.bits == 8
-
 
 class TestQuantize:
     def test_zero_maps_to_zero(self):

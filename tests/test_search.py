@@ -13,7 +13,7 @@ from conftest import (
 )
 from mixquant.calibrate import calibrate
 from mixquant.graph import GraphError, forward
-from mixquant.quantize import QuantSpec
+from mixquant.quantize import quantize
 from mixquant.search import (
     QuantConfig,
     bisection_search,
@@ -82,14 +82,13 @@ class TestEvaluateConfig:
     def test_matches_direct_quantized_forward(self):
         model, data = make_small_ce_model()
         bits = {name: 8 for name in model.weight_tensor_names()}
-        specs = calibrate(model, data, bits).specs
+        specs = calibrate(model, bits).specs
         config = QuantConfig.uniform(model.weight_tensor_names(), 16).replace(
             {"first.weight": 8}
         )
         got = evaluate_config(model, data, {8: specs}, config)
-        direct = forward(
-            model, data, quant={"first.weight": specs["first.weight"]}
-        ).accuracy
+        w8 = quantize(model.parameter("first.weight"), specs["first.weight"])
+        direct = forward(model, data, {"first.weight": w8}).accuracy
         assert got == direct
 
     def test_missing_spec_is_an_error(self):
@@ -99,11 +98,15 @@ class TestEvaluateConfig:
         )
         with pytest.raises(GraphError):
             evaluate_config(model, data, {8: {}}, config)
+        # a spec of another width is not a 4-bit spec
+        specs8 = calibrate(model, {name: 8 for name in model.weight_tensor_names()}).specs
+        with pytest.raises(GraphError):
+            evaluate_config(model, data, {4: specs8}, config)
 
     def test_deterministic(self):
         model, data = make_small_ce_model()
         bits = {name: 4 for name in model.weight_tensor_names()}
-        specs = calibrate(model, data, bits).specs
+        specs = calibrate(model, bits).specs
         config = QuantConfig.uniform(model.weight_tensor_names(), 4)
         first = evaluate_config(model, data, {4: specs}, config)
         assert all(

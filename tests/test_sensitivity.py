@@ -8,6 +8,7 @@ from conftest import (
     make_diagonal_quadratic,
     make_small_ce_model,
     reference_levenshtein,
+    with_tensor,
 )
 from mixquant.calibrate import calibrate
 from mixquant.graph import (
@@ -34,9 +35,9 @@ from mixquant.sensitivity import (
 
 class TestScoreQE:
     def test_matches_direct_recomputation(self):
-        model, data = make_small_ce_model()
+        model, _ = make_small_ce_model()
         bits = {name: 4 for name in model.weight_tensor_names()}
-        specs = calibrate(model, data, bits).specs
+        specs = calibrate(model, bits).specs
         report = score_qe(model, specs)
         for name, spec in specs.items():
             expected = quantization_error(model.parameter(name), spec)
@@ -61,22 +62,13 @@ class TestScoreQE:
         assert list(report.ordering) == ["alpha.weight", "beta.weight"]
 
     def test_invariant_to_power_of_two_rescaling(self):
-        model, data = make_small_ce_model()
+        model, _ = make_small_ce_model()
         name = "first.weight"
         bits = {name: 3}
-        base = score_qe(model, calibrate(model, data, bits).specs).scores[name].mean
-        doubled = model.with_parameter(name, 2.0 * model.parameter(name))
-        redone = score_qe(doubled, calibrate(doubled, data, bits).specs).scores[name].mean
+        base = score_qe(model, calibrate(model, bits).specs).scores[name].mean
+        doubled = with_tensor(model, name, 2.0 * model.parameter(name))
+        redone = score_qe(doubled, calibrate(doubled, bits).specs).scores[name].mean
         assert redone == base
-
-    def test_probe_bits_override(self):
-        model, data = make_small_ce_model()
-        bits = {name: 8 for name in model.weight_tensor_names()}
-        specs = calibrate(model, data, bits).specs
-        at8 = score_qe(model, specs)
-        at2 = score_qe(model, specs, probe_bits=2)
-        for name in specs:
-            assert at2.scores[name].mean > at8.scores[name].mean
 
     def test_activation_name_rejected(self):
         model, _ = make_small_ce_model()
@@ -113,19 +105,15 @@ class TestScoreNoise:
             # the first draw can sit at most sqrt(n-1) population stds out
             assert abs(x1 - s5.mean) <= 3.0 * s5.std + 1e-15
 
-    def test_accuracy_measure_sign_convention(self):
-        # noise that flips predictions should score positive (drop in accuracy)
-        model, data = make_small_ce_model()
-        report = score_noise(model, data, noise_scale=3.0, trials=6, seed=0, measure="accuracy")
-        assert max(s.mean for s in report.scores.values()) > 0.0
-
     def test_model_untouched_by_scoring(self):
         model, data = make_small_ce_model()
         digest = model.parameter_digest()
         score_noise(model, data, noise_scale=0.5, trials=2, seed=3)
         assert model.parameter_digest() == digest
 
-    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"noise_scale": -0.1}, {"measure": "f1"}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"trials": 0}, {"noise_scale": -0.1}, {"noise_scale": np.nan}]
+    )
     def test_invalid_arguments_rejected(self, kwargs):
         model, data = make_small_ce_model()
         with pytest.raises(GraphError):
@@ -177,18 +165,23 @@ class TestHutchinsonTrace:
 class TestScoreHessian:
     def test_quadratic_fixture_recovers_analytic_trace(self):
         model, data, diag = make_diagonal_quadratic()
-        raw = score_hessian(model, data, probes=64, seed=0, normalize=False)
-        score = raw.scores["probe.weight"]
-        # diagonal Hessian: every probe is the exact trace up to round-off
-        assert score.mean == pytest.approx(float(diag.sum()), rel=1e-13)
-        assert score.std < 1e-13
+        score = score_hessian(model, data, probes=64, seed=0).scores["probe.weight"]
+        # diagonal Hessian: every probe is the exact trace up to round-off;
+        # scores are per element, so scale back by the 3 weights
+        assert 3 * score.mean == pytest.approx(float(diag.sum()), rel=1e-13)
+        assert 3 * score.std < 1e-13
 
     def test_normalization_divides_by_element_count(self):
-        model, data, diag = make_diagonal_quadratic()
-        raw = score_hessian(model, data, probes=16, seed=0, normalize=False)
+        model, data, _ = make_diagonal_quadratic()
+        raw = hutchinson_trace(
+            substream(0, "hessian", 0),
+            lambda z: hessian_vector_product(model, data, "probe.weight", z),
+            (1, 3),
+            probes=16,
+        )
         per_element = score_hessian(model, data, probes=16, seed=0)
         assert per_element.scores["probe.weight"].mean == pytest.approx(
-            raw.scores["probe.weight"].mean / 3.0, rel=1e-12
+            np.mean(raw) / 3.0, rel=1e-12
         )
 
     def test_dead_relu_scores_exactly_zero(self):
@@ -202,7 +195,7 @@ class TestScoreHessian:
         name = "second.weight"
 
         def estimate(probes, seed):
-            rep = score_hessian(model, data, probes=probes, seed=seed, normalize=False)
+            rep = score_hessian(model, data, probes=probes, seed=seed)
             return rep.scores[name].mean
 
         seeds = range(16)
