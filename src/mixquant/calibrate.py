@@ -83,10 +83,13 @@ def adjust_scales(
     specs = dict(outcome.specs)
     log: list[float] = []
     for epoch in range(epochs + 1):
-        loss, grads = loss_and_scale_gradients(model, data, specs)
+        # Overflow shows up as a non-finite loss, reported below as divergence.
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = loss_and_scale_gradients(model, data, specs)
         if not math.isfinite(loss):
             raise AdjustmentDivergedError(
-                f"calibration loss became non-finite at epoch {epoch}"
+                f"calibration loss became non-finite at epoch {epoch} "
+                f"with learning rate {learning_rate}"
             )
         log.append(loss)
         if epoch == epochs:

@@ -1,6 +1,7 @@
 """Command-line entry points: gen-fixture, run, compare.
 
-Exit codes: 0 success, 2 invalid configuration or usage, 3 malformed or
+Exit codes: 0 success, 2 invalid configuration or usage (including a
+learning rate that makes scale calibration diverge), 3 malformed or
 unreadable data files, 4 the search could not hold the accuracy target.
 Unexpected failures propagate as ordinary tracebacks with exit code 1.
 """
@@ -40,7 +41,7 @@ from .sensitivity import (
     METRIC_HESSIAN,
     METRICS,
 )
-from .calibrate import DEFAULT_EPOCHS, DEFAULT_LEARNING_RATE
+from .calibrate import DEFAULT_EPOCHS, DEFAULT_LEARNING_RATE, AdjustmentDivergedError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PipelineConfigError, GraphError) as exc:
+    except (PipelineConfigError, GraphError, AdjustmentDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataFormatError as exc:

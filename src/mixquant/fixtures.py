@@ -23,7 +23,7 @@ from .graph import (
     GraphError,
     Layer,
     ModelGraph,
-    _run_layers,
+    _blocked_logits,
     forward,
 )
 from .rng import substream
@@ -91,8 +91,7 @@ def build_fixture(
     rng = substream(seed, "fixture", "examples")
     features = _f32(rng.normal(0.0, 1.0, size=(pool_n, spec.dims[0])))
 
-    pool = Dataset(features, np.zeros(pool_n, dtype=np.int64), num_classes)
-    logits = _fixture_logits(model, pool)
+    logits = _blocked_logits(model, features, {})
     top2 = np.sort(logits, axis=1)[:, -2:]
     margin = top2[:, 1] - top2[:, 0]
     cutoff = np.quantile(margin, 1.0 - spec.margin_keep)
@@ -121,11 +120,6 @@ def build_fixture(
             f"generated fixture scores {accuracy:.4f}, below the floor {MIN_FIXTURE_ACCURACY}"
         )
     return model, calib, evalset
-
-
-def _fixture_logits(model: ModelGraph, data: Dataset) -> np.ndarray:
-    logits, _ = _run_layers(model, data.features, {}, keep_tape=False)
-    return logits
 
 
 def build_fixture_latency_table(

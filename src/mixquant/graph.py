@@ -7,6 +7,12 @@ across threads. The one way to evaluate altered weights is to pass
 :func:`forward` a map of replacement arrays, one per named weight tensor;
 the stored parameters stay untouched. Callers quantize or perturb the
 weights themselves, and activations always stay in float.
+
+Untaped passes (:func:`forward`) run the rows through the whole chain
+one block of rows at a time, in place, so their working memory is set by
+the block size and not by the split. Taped passes (gradients, scale
+gradients, Hessian-vector products) keep every layer's activations over
+the whole split, because the backward passes need them.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ _HEADS = (HEAD_SOFTMAX_CE, HEAD_SQUARED_ERROR)
 
 KIND_AFFINE = "affine"
 KIND_RELU = "relu"
+
+# Floats in one row block of an untaped pass at the widest affine output:
+# a block of 2**15 float64 (256 KiB) stays cache-resident from layer to layer.
+FORWARD_BLOCK_FLOATS = 2**15
 
 
 class GraphError(ValueError):
@@ -234,8 +244,9 @@ def _check_compat(
 
 
 def _run_layers(
-    model: ModelGraph, x: np.ndarray, weights: Mapping[str, np.ndarray], keep_tape: bool
+    model: ModelGraph, x: np.ndarray, weights: Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, list[_LayerTape]]:
+    """Logits of ``x`` and the tape of every layer, over all rows at once."""
     tapes: list[_LayerTape] = []
     a = x
     for layer in model.layers:
@@ -245,10 +256,37 @@ def _run_layers(
             z = a @ w.T + layer.bias
         else:
             z = np.maximum(a, 0.0)
-        if keep_tape:
-            tapes.append(_LayerTape(layer, a, z, w))
+        tapes.append(_LayerTape(layer, a, z, w))
         a = z
     return a, tapes
+
+
+def _blocked_logits(
+    model: ModelGraph, x: np.ndarray, weights: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Logits of ``x``, computed block of rows by block of rows without a tape.
+
+    Each block is at least ``FORWARD_BLOCK_FLOATS // widest`` rows unless
+    the whole split is shorter: a short trailing block could take BLAS's
+    small-matrix path and round differently from the taped pass.
+    """
+    n = x.shape[0]
+    widest = max(l.weight.shape[0] for l in model.layers if l.kind == KIND_AFFINE)
+    blocks = max(1, n // max(1, FORWARD_BLOCK_FLOATS // widest))
+    logits = np.empty((n, model.output_dim))
+    for i in range(blocks):
+        lo, hi = n * i // blocks, n * (i + 1) // blocks
+        rows = a = x[lo:hi]
+        for layer in model.layers:
+            if layer.kind == KIND_AFFINE:
+                a = a @ weights.get(f"{layer.name}.weight", layer.weight).T
+                a += layer.bias
+            elif a is rows:
+                a = np.maximum(a, 0.0)  # never write into the caller's features
+            else:
+                np.maximum(a, 0.0, out=a)
+        logits[lo:hi] = a
+    return logits
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -292,9 +330,15 @@ def forward(
     stored tensors; the stored parameters are never modified. An unknown
     or non-weight name, a wrong shape or a non-finite array is a
     :class:`GraphError`. An empty map behaves exactly like no map at all.
+
+    The rows run through the chain in blocks of about
+    ``FORWARD_BLOCK_FLOATS`` floats at the widest layer, so the pass
+    needs working memory for one block plus the logits, whatever the
+    size of the split. Loss and accuracy are computed over all logits at
+    once, exactly as for a whole-split pass.
     """
     replaced = _check_compat(model, data, weights)
-    logits, _ = _run_layers(model, data.features, replaced, keep_tape=False)
+    logits = _blocked_logits(model, data.features, replaced)
     return EvalResult(
         loss=_head_loss(model, logits, data.labels),
         accuracy=_accuracy(logits, data.labels),
@@ -334,7 +378,7 @@ def gradients(
         if unknown:
             raise GraphError(f"cannot differentiate unknown tensors: {unknown}")
     _check_compat(model, data)
-    logits, tapes = _run_layers(model, data.features, {}, keep_tape=True)
+    logits, tapes = _run_layers(model, data.features, {})
     param_grads = _backward(tapes, _head_gradient(model, logits, data.labels))
     return {name: param_grads[name] for name in wrt}
 
@@ -357,7 +401,7 @@ def loss_and_scale_gradients(
         name: quantize_with_tape(model.parameter(name), spec) for name, spec in quant.items()
     }
     weights = _check_compat(model, data, {name: w for name, (w, _) in taped.items()})
-    logits, tapes = _run_layers(model, data.features, weights, keep_tape=True)
+    logits, tapes = _run_layers(model, data.features, weights)
     loss = _head_loss(model, logits, data.labels)
     grads = _backward(tapes, _head_gradient(model, logits, data.labels))
     scale_grads = {}
@@ -384,7 +428,7 @@ class ForwardTape:
 def forward_tape(model: ModelGraph, data: Dataset) -> ForwardTape:
     """Record the activations that Hessian-vector products of the mean loss need."""
     _check_compat(model, data)
-    logits, tapes = _run_layers(model, data.features, {}, keep_tape=True)
+    logits, tapes = _run_layers(model, data.features, {})
     probs = _softmax(logits) if model.head == HEAD_SOFTMAX_CE else None
     return ForwardTape(model, data, tuple(tapes), probs)
 

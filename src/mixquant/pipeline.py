@@ -12,6 +12,7 @@ activations stay in float.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -116,6 +117,10 @@ class PipelineConfig:
             raise PipelineConfigError(f"target must lie in (0, 1], got {self.target}")
         if self.trials < 1 or self.probes < 1:
             raise PipelineConfigError("trials and probes must be >= 1")
+        rates = {"noise_scale": self.noise_scale, "learning_rate": self.learning_rate}
+        for name, value in rates.items():
+            if not math.isfinite(value):
+                raise PipelineConfigError(f"{name} must be finite, got {value}")
         if self.noise_scale < 0 or self.learning_rate < 0 or self.epochs < 0:
             raise PipelineConfigError("noise_scale, learning_rate and epochs must be >= 0")
         if self.sensitivity_samples < 1 or self.calibration_samples < 1:

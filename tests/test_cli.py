@@ -84,7 +84,16 @@ class TestRun:
         for name in ("config.json", "outcome.json", "cost.json", "sensitivity.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
-    @pytest.mark.parametrize("field,value", [("target", "x"), ("bits", 4), ("metric", ["qe"])])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("target", "x"),
+            ("bits", 4),
+            ("metric", ["qe"]),
+            ("learning_rate", float("nan")),
+            ("noise_scale", float("inf")),
+        ],
+    )
     def test_malformed_manifest_rerun_exit_data(self, fixture_dir, tmp_path, capsys, field, value):
         first = tmp_path / "first"
         assert main(run_args(fixture_dir, first)) == EXIT_OK
@@ -100,10 +109,31 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "--calib" in capsys.readouterr().err
 
-    def test_bad_target_exit_config(self, fixture_dir, tmp_path, capsys):
-        code = main(run_args(fixture_dir, tmp_path / "x", ["--target", "1.5"]))
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            pytest.param("--target", "1.5", "target", id="target"),
+            pytest.param("--lr", "nan", "learning_rate must be finite", id="lr-nan"),
+            pytest.param("--lr", "inf", "learning_rate must be finite", id="lr-inf"),
+            pytest.param("--lambda", "nan", "noise_scale must be finite", id="lambda-nan"),
+            pytest.param("--lambda", "inf", "noise_scale must be finite", id="lambda-inf"),
+        ],
+    )
+    def test_bad_target_exit_config(self, fixture_dir, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x"
+        code = main(run_args(fixture_dir, out, [flag, value]))
         assert code == EXIT_CONFIG
-        assert "target" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        # rejected while validating the parameters, before any stage ran
+        assert "[stage:" not in err and not out.exists()
+
+    def test_diverging_calibration_exit_config(self, fixture_dir, tmp_path, capsys):
+        code = main(run_args(fixture_dir, tmp_path / "x", ["--lr", "1e308"]))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: [stage: calibrate-scales]")
+        assert "non-finite" in err and "learning rate 1e+308" in err
 
     def test_unreadable_model_exit_data(self, fixture_dir, tmp_path, capsys):
         args = run_args(fixture_dir, tmp_path / "x")

@@ -1,31 +1,78 @@
 """Pinned decisions of full runs on the seed-7 default fixture.
 
 A refactor that keeps every unit test green can still change which
-tensor the pipeline scores as least sensitive or which width the search
-commits. Each case below is one ``mixquant run`` with default parameters
-(pipeline seed 42) and pins its sensitivity ordering and its per-tensor
-bit assignment, layer by layer from ``dense1`` to ``dense6``. The values
-were recorded from the engine before fake quantization moved out of it.
+tensor the pipeline scores as least sensitive, which width the search
+commits, or how many eval rows a probe gets right. Each case below is
+one ``mixquant run`` with default parameters (pipeline seed 42) and pins
+its sensitivity ordering, its per-tensor bit assignment (layer by layer
+from ``dense1`` to ``dense6``), and its search trace: every probe's
+mistakes on the 2048-row eval split and whether it was accepted, plus
+the mistakes of the committed configuration. Orderings and widths were
+recorded from the engine before fake quantization moved out of it; the
+traces from the engine before its forward pass ran in row blocks.
 """
+
+from typing import NamedTuple
 
 import pytest
 
 from mixquant.cli import EXIT_OK, main
 from mixquant.pipeline import PipelineConfig, run_pipeline
 
-NOISE_ORDER = (2, 1, 6, 5, 4, 3)
+EVAL_ROWS = 2048
 
-# (metric, algo, candidate bits): (ordering by layer number, bits of dense1..dense6)
+
+class Pin(NamedTuple):
+    ordering: tuple[int, ...]  # layer numbers, least sensitive first
+    widths: tuple[int, ...]  # committed bits of dense1..dense6
+    mistakes: tuple[int, ...]  # wrong eval rows, one per probe in trace order
+    accepted: str  # "1" for an accepted probe, "0" for a rejected one
+    achieved_mistakes: int  # wrong eval rows of the committed configuration
+
+
+NOISE_ORDER = (2, 1, 6, 5, 4, 3)
+GREEDY_LAST_FAILS = (0,) * 11 + (24,)
+
 PINNED = {
-    ("qe", "greedy", (4, 8)): ((6, 1, 4, 5, 2, 3), (4, 4, 8, 4, 4, 4)),
-    ("qe", "bisection", (4, 8)): ((6, 1, 4, 5, 2, 3), (4, 4, 8, 4, 4, 4)),
-    ("noise", "greedy", (4, 8)): (NOISE_ORDER, (4, 4, 8, 4, 4, 4)),
-    ("noise", "bisection", (4, 8)): (NOISE_ORDER, (4, 4, 8, 4, 4, 4)),
-    ("hessian", "greedy", (4, 8)): ((1, 2, 3, 4, 5, 6), (4, 4, 4, 4, 8, 4)),
-    ("hessian", "bisection", (4, 8)): ((1, 2, 3, 4, 5, 6), (4, 4, 4, 4, 8, 8)),
-    ("random", "greedy", (4, 8)): ((1, 6, 2, 4, 3, 5), (4, 4, 4, 4, 8, 4)),
-    ("random", "bisection", (4, 8)): ((1, 6, 2, 4, 3, 5), (4, 4, 4, 4, 8, 4)),
-    ("noise", "bisection", (2, 3, 4, 5, 6, 8)): (NOISE_ORDER, (4, 2, 5, 4, 4, 4)),
+    ("qe", "greedy", (4, 8)): Pin(
+        (6, 1, 4, 5, 2, 3), (4, 4, 8, 4, 4, 4), GREEDY_LAST_FAILS, "111111111110", 0
+    ),
+    ("qe", "bisection", (4, 8)): Pin(
+        (6, 1, 4, 5, 2, 3), (4, 4, 8, 4, 4, 4), (0, 0, 0, 0, 0, 0, 24, 0), "11111101", 0
+    ),
+    ("noise", "greedy", (4, 8)): Pin(
+        NOISE_ORDER, (4, 4, 8, 4, 4, 4), GREEDY_LAST_FAILS, "111111111110", 0
+    ),
+    ("noise", "bisection", (4, 8)): Pin(
+        NOISE_ORDER, (4, 4, 8, 4, 4, 4), (0, 0, 0, 0, 0, 0, 24, 0), "11111101", 0
+    ),
+    ("hessian", "greedy", (4, 8)): Pin(
+        (1, 2, 3, 4, 5, 6),
+        (4, 4, 4, 4, 8, 4),
+        (0, 0, 0, 0, 0, 0, 0, 0, 1, 9, 41, 2),
+        "111111111101",
+        2,
+    ),
+    ("hessian", "bisection", (4, 8)): Pin(
+        (1, 2, 3, 4, 5, 6), (4, 4, 4, 4, 8, 8), (0, 0, 0, 0, 1, 41, 9, 9), "11111011", 9
+    ),
+    ("random", "greedy", (4, 8)): Pin(
+        (1, 6, 2, 4, 3, 5),
+        (4, 4, 4, 4, 8, 4),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 24),
+        "111111111110",
+        2,
+    ),
+    ("random", "bisection", (4, 8)): Pin(
+        (1, 6, 2, 4, 3, 5), (4, 4, 4, 4, 8, 4), (0, 0, 0, 0, 0, 2, 24, 2), "11111101", 2
+    ),
+    ("noise", "bisection", (2, 3, 4, 5, 6, 8)): Pin(
+        NOISE_ORDER,
+        (4, 2, 5, 4, 4, 4),
+        (0,) * 14 + (24, 0, 77, 9, 26, 9, 17, 17),
+        "1111111111111101010111",
+        17,
+    ),
 }
 
 
@@ -54,6 +101,11 @@ def test_seed7_run_decisions_pinned(seed7_fixture, tmp_path, metric, algo, bits)
             bits=bits,
         )
     )
-    ordering, widths = PINNED[(metric, algo, bits)]
-    assert result.report.ordering == tuple(f"dense{i}.weight" for i in ordering)
-    assert result.config.bits == {f"dense{i}.weight": b for i, b in enumerate(widths, 1)}
+    pin = PINNED[(metric, algo, bits)]
+    assert result.report.ordering == tuple(f"dense{i}.weight" for i in pin.ordering)
+    assert result.config.bits == {f"dense{i}.weight": b for i, b in enumerate(pin.widths, 1)}
+    trace = result.outcome.trace
+    # EVAL_ROWS is a power of two, so each accuracy is exactly (rows - mistakes) / rows.
+    assert [t["accuracy"] for t in trace] == [(EVAL_ROWS - m) / EVAL_ROWS for m in pin.mistakes]
+    assert "".join("1" if t["accepted"] else "0" for t in trace) == pin.accepted
+    assert result.outcome.achieved_accuracy == (EVAL_ROWS - pin.achieved_mistakes) / EVAL_ROWS

@@ -1,5 +1,7 @@
 """Inference engine tests: forward, reverse mode, Hessian-vector products."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,23 @@ from conftest import (
     make_small_ce_model,
     with_tensor,
 )
+from mixquant.calibrate import calibrate
+from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import (
+    FORWARD_BLOCK_FLOATS,
     HEAD_SOFTMAX_CE,
     HEAD_SQUARED_ERROR,
     KIND_AFFINE,
     KIND_RELU,
     Dataset,
+    EvalResult,
     GraphError,
     Layer,
     ModelGraph,
+    _accuracy,
+    _blocked_logits,
+    _head_loss,
+    _run_layers,
     forward,
     forward_tape,
     gradients,
@@ -29,8 +39,29 @@ from mixquant.quantize import QuantSpec, quantize
 from mixquant.sensitivity import score_noise
 
 
+WIDE_DIMS = (64, 192, 160, 128, 96, 64, 32, 10)
+
+
 def identity_model(dim=2):
     return ModelGraph([Layer("lin", KIND_AFFINE, np.eye(dim), np.zeros(dim))])
+
+
+def block_rows(model):
+    """Rows per block of an untaped pass over ``model``."""
+    widest = max(model.parameter(name).shape[0] for name in model.weight_tensor_names())
+    return FORWARD_BLOCK_FLOATS // widest
+
+
+def random_split(model, rows, seed=0):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, model.output_dim, size=rows)
+    return Dataset(rng.normal(size=(rows, model.input_dim)), labels, model.output_dim)
+
+
+def whole_split_result(model, data, weights):
+    """Logits and result of the taped pass, which runs all rows at once."""
+    logits, _ = _run_layers(model, data.features, weights)
+    return logits, EvalResult(_head_loss(model, logits, data.labels), _accuracy(logits, data.labels))
 
 
 class TestModelValidation:
@@ -193,6 +224,61 @@ class TestWeightReplacement:
         specs = {name: QuantSpec(1.0, 1.0, 2) for name in model.weight_tensor_names()}
         loss_and_scale_gradients(model, data, specs)
         assert model.parameter_digest() == digest
+
+
+class TestBlockedForward:
+    @pytest.mark.parametrize("replaced", [False, True], ids=["stored", "quantized"])
+    @pytest.mark.parametrize("rows", ["below-block", "one-block", "ragged-blocks"])
+    @pytest.mark.parametrize("which", ["seed7", "wide"])
+    def test_matches_whole_split_pass_exactly(self, f1, which, rows, replaced):
+        model = f1[0] if which == "seed7" else build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        h = block_rows(model)
+        n = {"below-block": h // 2 + 1, "one-block": h, "ragged-blocks": 3 * h + h // 3}[rows]
+        data = random_split(model, n)
+        weights = {}
+        if replaced:
+            specs = calibrate(model, dict.fromkeys(model.weight_tensor_names(), 4)).specs
+            weights = {name: quantize(model.parameter(name), s) for name, s in specs.items()}
+        logits, result = whole_split_result(model, data, weights)
+        assert np.array_equal(_blocked_logits(model, data.features, weights), logits)
+        assert forward(model, data, weights) == result
+
+    def test_relu_first_model_leaves_features_untouched(self):
+        rng = np.random.default_rng(2)
+        model = ModelGraph(
+            [
+                Layer("r0", KIND_RELU),
+                Layer("a", KIND_AFFINE, rng.normal(size=(8, 4)), rng.normal(size=8)),
+                Layer("r1", KIND_RELU),
+                Layer("b", KIND_AFFINE, rng.normal(size=(3, 8)), rng.normal(size=3)),
+            ]
+        )
+        rows = 3 * block_rows(model) + 5
+        x = rng.normal(size=(rows, 4))
+        before = x.copy()
+        blocked = _blocked_logits(model, x, {})
+        assert np.array_equal(x, before)  # a writable caller array is not clamped either
+        # Dataset features are read-only, so an in-place relu on them would raise.
+        data = Dataset(x, rng.integers(0, 3, size=rows), 3)
+        logits, result = whole_split_result(model, data, {})
+        assert np.array_equal(blocked, logits)
+        assert forward(model, data) == result
+
+    def test_working_memory_is_set_by_the_block(self):
+        model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        data = random_split(model, 8192)
+        assert len(data) // block_rows(model) > 1
+        forward(model, data)
+        tracemalloc.start()
+        try:
+            forward(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One 8192 x 192 float64 layer output alone is 12.6 MB, and a
+        # whole-split pass peaks near 34 MB; a blocked one holds a 256 KiB
+        # block plus logits-sized (0.66 MB) loss and accuracy temporaries.
+        assert peak < 4 * 2**20
 
 
 class TestGradients:
