@@ -35,7 +35,6 @@ from .pipeline import (
 from .search import TargetUnreachableError
 from .sensitivity import (
     DEFAULT_NOISE_SCALE,
-    DEFAULT_PROBES,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     METRIC_HESSIAN,
@@ -104,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="noise-metric perturbation scale",
     )
     run.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    run.add_argument("--probes", type=int, default=DEFAULT_PROBES)
     run.add_argument("--lr", type=float, default=DEFAULT_LEARNING_RATE)
     run.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     run.add_argument("--out", dest="out_dir", help="run output directory")
@@ -169,7 +167,6 @@ def _cmd_run(args) -> int:
             seed=args.seed,
             noise_scale=args.noise_scale,
             trials=args.trials,
-            probes=args.probes,
             learning_rate=args.lr,
             epochs=args.epochs,
         )

@@ -23,7 +23,7 @@ _CSV_HEADER = ["kind", "m", "n", "k", "bits", "latency_us"]
 MB = 1e6  # decimal megabyte, matching how model sizes are usually quoted
 
 
-class MissingLatencyEntry(LookupError):
+class MissingLatencyEntry(DataFormatError, LookupError):
     """The latency table has no measurement for a required (shape, bits) key."""
 
 

@@ -11,7 +11,7 @@ weights themselves, and activations always stay in float.
 Untaped passes (:func:`forward`) run the rows through the whole chain
 one block of rows at a time, in place, so their working memory is set by
 the block size and not by the split. Taped passes (gradients, scale
-gradients, Hessian-vector products) keep every layer's activations over
+gradients, Hessian traces) keep every layer's activations over
 the whole split, because the backward passes need them.
 """
 
@@ -411,93 +411,35 @@ def loss_and_scale_gradients(
     return loss, scale_grads
 
 
-@dataclass(frozen=True)
-class ForwardTape:
-    """One unquantized taped forward pass of ``model`` over ``data``.
+def hessian_traces(model: ModelGraph, data: Dataset) -> dict[str, float]:
+    """Exact trace of the mean loss's Hessian block for every weight tensor.
 
-    Recorded once by :func:`forward_tape` and reused by any number of
-    :func:`hessian_vector_product` calls on the same model and dataset.
+    The logits are piecewise linear in any one weight matrix of an
+    affine/relu chain, so each block equals its Gauss-Newton block almost
+    everywhere, and its trace is ``(1/n) sum_i |a_i|^2 |B_i^T S_i|_F^2``:
+    ``a_i`` is the layer's input, ``B_i`` the Jacobian of the logits with
+    respect to the layer's output, and ``S_i S_i^T`` the head's Hessian in
+    the logits. One taped pass and one reverse sweep of the columns of
+    ``S_i`` yield every tensor's trace at once.
     """
-
-    model: ModelGraph
-    data: Dataset
-    layers: tuple[_LayerTape, ...]
-    probs: np.ndarray | None  # softmax of the logits; None for squared error
-
-
-def forward_tape(model: ModelGraph, data: Dataset) -> ForwardTape:
-    """Record the activations that Hessian-vector products of the mean loss need."""
     _check_compat(model, data)
     logits, tapes = _run_layers(model, data.features, {})
-    probs = _softmax(logits) if model.head == HEAD_SOFTMAX_CE else None
-    return ForwardTape(model, data, tuple(tapes), probs)
-
-
-def hessian_vector_product(
-    model: ModelGraph,
-    data: Dataset,
-    tensor: str,
-    v: np.ndarray,
-    tape: ForwardTape | None = None,
-) -> np.ndarray:
-    """Product of the loss Hessian restricted to ``tensor`` with ``v``.
-
-    Exact, by Pearlmutter's R-operator on the affine/relu chain: a
-    forward R-pass from the scored layer (``R(z) = a V^T`` for a weight,
-    ``1 v^T`` for a bias; relu passes it where its output is positive,
-    since relu has zero second derivative almost everywhere), the R-op of
-    the loss head, and a reverse R-pass that stops at the scored layer.
-
-    ``v`` is one direction shaped like the tensor, or a stack
-    ``(k,) + shape`` of directions answered in one batched pass; the
-    result has the shape of ``v``. ``tape`` is a :func:`forward_tape` of
-    the same model and dataset, which spares repeated calls the forward
-    pass.
-    """
-    w = model.parameter(tensor)
-    v = np.asarray(v, dtype=np.float64)
-    single = v.shape == w.shape
-    if not single and v.shape[1:] != w.shape:
-        raise GraphError(
-            f"direction for {tensor!r} has shape {v.shape}, expected {w.shape} "
-            f"or a stack (k,) + {w.shape}"
-        )
-    if not np.all(np.isfinite(v)):
-        raise GraphError("direction vector must be finite")
-    if tape is None:
-        tape = forward_tape(model, data)
-    elif tape.model is not model or tape.data is not data:
-        raise GraphError("forward tape was recorded for another model or dataset")
-    hv = _r_op(tape, tensor, v[np.newaxis] if single else v)
-    return hv[0] if single else hv
-
-
-def _r_op(tape: ForwardTape, tensor: str, v: np.ndarray) -> np.ndarray:
-    layer_name, _, field = tensor.rpartition(".")
-    start = next(i for i, t in enumerate(tape.layers) if t.layer.name == layer_name)
-    scored, above = tape.layers[start], tape.layers[start + 1 :]
-    n = scored.inputs.shape[0]
-    # r holds R(activation) for every direction: (k, n, width).
-    if field == "weight":
-        r = scored.inputs @ v.transpose(0, 2, 1)
+    n, classes = logits.shape
+    eye = np.eye(classes)[:, np.newaxis, :]
+    if model.head == HEAD_SOFTMAX_CE:
+        # column c of S = diag(sqrt p) - p sqrt(p)^T is sqrt(p_c) (e_c - p)
+        p = _softmax(logits)
+        r = np.sqrt(p).T[:, :, np.newaxis] * (eye - p)
     else:
-        r = np.broadcast_to(v[:, np.newaxis, :], (v.shape[0], n, v.shape[1]))
-    for t in above:
-        if t.layer.kind == KIND_RELU:
-            r = np.where(t.output > 0.0, r, 0.0)
+        r = np.broadcast_to(eye, (classes, n, classes))  # S = I
+    traces: dict[str, float] = {}
+    for tape in reversed(tapes):
+        if tape.layer.kind == KIND_RELU:
+            r = np.where(tape.output > 0.0, r, 0.0)
         else:
-            r = r @ t.layer.weight.T
-    if tape.probs is not None:
-        # R-op of softmax-CE's gradient (p - y)/n: (diag p - p p^T) r / n
-        pr = tape.probs * r
-        r = (pr - tape.probs * pr.sum(axis=2, keepdims=True)) / n
-    else:
-        r = r / n
-    for t in reversed(above):
-        if t.layer.kind == KIND_RELU:
-            r = np.where(t.output > 0.0, r, 0.0)
-        else:
-            r = r @ t.layer.weight
-    if field == "weight":
-        return r.transpose(0, 2, 1) @ scored.inputs
-    return r.sum(axis=1)
+            inputs_sq = np.einsum("ij,ij->i", tape.inputs, tape.inputs)
+            traces[f"{tape.layer.name}.weight"] = float(
+                inputs_sq @ np.einsum("cij,cij->i", r, r) / n
+            )
+            r = r @ tape.weight_used
+    return {name: traces[name] for name in model.weight_tensor_names()}

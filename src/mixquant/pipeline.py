@@ -44,7 +44,6 @@ from .search import (
 )
 from .sensitivity import (
     DEFAULT_NOISE_SCALE,
-    DEFAULT_PROBES,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     METRIC_HESSIAN,
@@ -74,6 +73,20 @@ ALGOS = (ALGO_BISECTION, ALGO_GREEDY)
 DEFAULT_STAGE_SAMPLES = 256
 
 
+# PipelineConfig fields that take a path string, an int, or an int or a
+# float; a bool is neither number, although Python counts it as an int.
+_PATH_FIELDS = ("model", "calib_data", "eval_data", "latency_table", "out_dir")
+_INTEGER_FIELDS = (
+    "seed",
+    "trials",
+    "epochs",
+    "baseline_bits",
+    "sensitivity_samples",
+    "calibration_samples",
+)
+_NUMBER_FIELDS = ("target", "noise_scale", "learning_rate")
+
+
 class PipelineConfigError(ValueError):
     """Invalid run parameters, as opposed to malformed data files."""
 
@@ -94,7 +107,6 @@ class PipelineConfig:
     seed: int = DEFAULT_SEED
     noise_scale: float = DEFAULT_NOISE_SCALE
     trials: int = DEFAULT_TRIALS
-    probes: int = DEFAULT_PROBES
     learning_rate: float = DEFAULT_LEARNING_RATE
     epochs: int = DEFAULT_EPOCHS
     baseline_bits: int = DEFAULT_BASELINE_BITS
@@ -102,6 +114,18 @@ class PipelineConfig:
     calibration_samples: int = DEFAULT_STAGE_SAMPLES
 
     def validate(self) -> None:
+        for name in _PATH_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise PipelineConfigError(f"{name} must be a path string, got {value!r}")
+        integers = [(name, getattr(self, name)) for name in _INTEGER_FIELDS]
+        for name, value in integers + [("bit width", b) for b in self.bits]:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise PipelineConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise PipelineConfigError(f"{name} must be a number, got {value!r}")
         if self.metric not in METRICS:
             raise PipelineConfigError(f"unknown metric {self.metric!r}; choose from {METRICS}")
         if self.algo not in ALGOS:
@@ -109,14 +133,14 @@ class PipelineConfig:
         if not self.bits:
             raise PipelineConfigError("at least one candidate bit width is required")
         for b in self.bits:
-            if not 2 <= int(b) <= self.baseline_bits:
+            if not 2 <= b <= self.baseline_bits:
                 raise PipelineConfigError(
                     f"candidate bit width {b} outside [2, {self.baseline_bits}]"
                 )
         if not 0.0 < self.target <= 1.0:
             raise PipelineConfigError(f"target must lie in (0, 1], got {self.target}")
-        if self.trials < 1 or self.probes < 1:
-            raise PipelineConfigError("trials and probes must be >= 1")
+        if self.trials < 1:
+            raise PipelineConfigError(f"trials must be >= 1, got {self.trials}")
         rates = {"noise_scale": self.noise_scale, "learning_rate": self.learning_rate}
         for name, value in rates.items():
             if not math.isfinite(value):
@@ -188,7 +212,7 @@ def _score(
             seed=config.seed,
         )
     if config.metric == METRIC_HESSIAN:
-        return score_hessian(model, sens_data, probes=config.probes, seed=config.seed)
+        return score_hessian(model, sens_data)
     return score_random(model.weight_tensor_names(), seed=config.seed)
 
 
@@ -202,7 +226,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         eval_data = load_dataset(config.eval_data)
         table = LatencyTable.from_csv(config.latency_table)
 
-    levels = sorted({int(b) for b in config.bits if int(b) < config.baseline_bits}, reverse=True)
+    levels = sorted({b for b in config.bits if b < config.baseline_bits}, reverse=True)
     if not levels:
         raise PipelineConfigError(
             f"no candidate bit width lies below the baseline {config.baseline_bits}"
@@ -308,7 +332,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 def _manifest_config(payload: dict, path: Path) -> PipelineConfig:
     try:
         params = dict(payload["parameters"])
-        params["bits"] = tuple(int(b) for b in params["bits"])
+        params.pop("probes", None)  # written by versions that sampled Hessian traces
+        params["bits"] = tuple(params["bits"])
         config = PipelineConfig(**params)
         config.validate()
     except (KeyError, TypeError, ValueError) as exc:

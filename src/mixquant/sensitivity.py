@@ -4,11 +4,11 @@ Each metric assigns every scored tensor a mean score (plus spread over
 repeated trials where the metric is stochastic) and the report orders
 tensors ascending by mean, least sensitive first. That ordering is what
 the bit-width searches consume. Three model-driven metrics are provided,
-quantization error, loss degradation under weight noise, and a
-stochastic estimate of loss curvature, plus a seeded random ordering
+quantization error, loss degradation under weight noise, and the exact
+trace of each tensor's loss-Hessian block, plus a seeded random ordering
 that serves as the comparison baseline.
 
-Stochastic metrics draw from a private substream per tensor (stream id
+The noise metric draws from a private substream per tensor (stream id
 is the tensor's position in the scored list), so scores do not depend on
 evaluation order and tensors could be scored concurrently.
 """
@@ -21,15 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import (
-    KIND_AFFINE,
-    Dataset,
-    GraphError,
-    ModelGraph,
-    forward,
-    forward_tape,
-    hessian_vector_product,
-)
+from .graph import Dataset, GraphError, ModelGraph, forward, hessian_traces
 from .modelio import DataFormatError, read_json, write_json
 from .quantize import QuantSpec, quantization_error
 from .rng import substream
@@ -44,13 +36,7 @@ METRICS = (METRIC_QE, METRIC_NOISE, METRIC_HESSIAN, METRIC_RANDOM)
 
 DEFAULT_NOISE_SCALE = 0.05
 DEFAULT_TRIALS = 5
-DEFAULT_PROBES = 128
 DEFAULT_SEED = 42
-
-# Floats one chunk of Hessian probes may hold per activation array
-# (probes x rows x widest layer). Bounds the batched R-pass's working set
-# so that peak memory does not grow with the probe count.
-PROBE_CHUNK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -133,68 +119,19 @@ def score_noise(
     return _build_report(METRIC_NOISE, scores, seed=seed)
 
 
-def hutchinson_trace(
-    rng: np.random.Generator, hvp, shape, probes: int, chunk: int | None = None
-) -> list[float]:
-    """Per-probe samples of a Hessian trace estimate.
+def score_hessian(model: ModelGraph, data: Dataset) -> SensitivityReport:
+    """Exact loss-curvature trace per weight tensor.
 
-    Draws sign vectors ``z`` with independent +/-1 entries and returns
-    ``z . hvp(z)`` for each; the mean over probes estimates the trace,
-    exactly in expectation since ``E[z z^T]`` is the identity. ``hvp``
-    takes a stack ``(k,) + shape`` of probes and returns their products
-    in the same shape. Probes go through it ``chunk`` at a time (default:
-    all at once); the draws are the same for every chunk size.
+    Each tensor's score is the trace of its block of the mean loss's
+    Hessian over the full dataset (:func:`hessian_traces`), divided by the
+    tensor's element count, making differently sized tensors comparable.
+    The scores are exact, so each is one trial with zero spread.
     """
-    if probes < 1:
-        raise GraphError(f"probes must be >= 1, got {probes}")
-    chunk = probes if chunk is None else chunk
-    if chunk < 1:
-        raise GraphError(f"chunk must be >= 1, got {chunk}")
-    samples: list[float] = []
-    for start in range(0, probes, chunk):
-        k = min(chunk, probes - start)
-        z = rng.integers(0, 2, size=(k, *shape)).astype(np.float64) * 2.0 - 1.0
-        samples.extend((z * hvp(z)).reshape(k, -1).sum(axis=1).tolist())
-    return samples
-
-
-def _probe_chunk(model: ModelGraph, data: Dataset) -> int:
-    widest = max(
-        max(layer.weight.shape) for layer in model.layers if layer.kind == KIND_AFFINE
-    )
-    return max(1, PROBE_CHUNK_FLOATS // (len(data) * widest))
-
-
-def score_hessian(
-    model: ModelGraph,
-    data: Dataset,
-    probes: int = DEFAULT_PROBES,
-    seed: int = DEFAULT_SEED,
-) -> SensitivityReport:
-    """Stochastic loss-curvature trace per weight tensor.
-
-    Each tensor's score is the mean over sign-vector probes of
-    ``z . H z`` with exact Hessian-vector products taken on the full
-    dataset as one batch. One forward pass serves every product, and
-    probes are pushed through in chunks sized by ``PROBE_CHUNK_FLOATS``.
-    Every sample is divided by the tensor's element count, making
-    differently sized tensors comparable.
-    """
-    tape = forward_tape(model, data)
-    chunk = _probe_chunk(model, data)
-    scores: dict[str, TensorScore] = {}
-    for index, name in enumerate(model.weight_tensor_names()):
-        w = model.parameter(name)
-        rng = substream(seed, "hessian", index)
-        samples = hutchinson_trace(
-            rng,
-            lambda z: hessian_vector_product(model, data, name, z, tape=tape),
-            w.shape,
-            probes,
-            chunk,
-        )
-        scores[name] = _stat([s / w.size for s in samples])
-    return _build_report(METRIC_HESSIAN, scores, seed=seed)
+    scores = {
+        name: _stat([trace / model.parameter(name).size])
+        for name, trace in hessian_traces(model, data).items()
+    }
+    return _build_report(METRIC_HESSIAN, scores, seed=0)
 
 
 def score_random(tensor_names: list[str], seed: int) -> SensitivityReport:

@@ -17,6 +17,7 @@ from conftest import (
     make_diagonal_quadratic,
     o1_accuracy,
     o1_size_bytes,
+    r_op_hvp,
     reference_levenshtein,
     with_tensor,
 )
@@ -30,7 +31,7 @@ from mixquant.graph import (
     ModelGraph,
     forward,
     gradients,
-    hessian_vector_product,
+    hessian_traces,
 )
 from mixquant.modelio import load_dataset, load_model, save_dataset, save_model
 from mixquant.pipeline import PipelineConfig, compare_runs, run_pipeline
@@ -43,7 +44,7 @@ from mixquant.search import (
     load_config,
     load_outcome,
 )
-from mixquant.sensitivity import hutchinson_trace, ordering_distance, score_noise
+from mixquant.sensitivity import ordering_distance, score_noise
 
 
 def test_criterion_1_grid_and_error_bound():
@@ -115,22 +116,11 @@ def test_criterion_2_gradient_fidelity(f1):
 def test_criterion_3_hessian_trace():
     started = time.monotonic()
     model, data, diag = make_diagonal_quadratic()
-    analytic = float(diag.sum())
-
-    estimates = []
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        samples = hutchinson_trace(
-            rng,
-            lambda z: hessian_vector_product(model, data, "probe.weight", z),
-            (1, 3),
-            probes=512,
-        )
-        estimates.append(float(np.mean(samples)))
-    assert abs(np.mean(estimates) - analytic) <= 0.10 * analytic
+    trace = hessian_traces(model, data)["probe.weight"]
+    assert trace == pytest.approx(float(diag.sum()), rel=1e-13)
 
     v = np.random.default_rng(99).normal(size=(1, 3))
-    hv = hessian_vector_product(model, data, "probe.weight", v)
+    hv = r_op_hvp(model, data, "probe.weight", v)
     rel = np.linalg.norm(hv - diag * v) / np.linalg.norm(diag * v)
     assert rel <= 1e-4
     assert time.monotonic() - started < 10.0

@@ -27,7 +27,6 @@ def run_args(fixture_dir, out, extra=()):
         "--eval", str(fixture_dir / "eval.json"),
         "--latency-table", str(fixture_dir / "latency.csv"),
         "--out", str(out),
-        "--probes", "16",
         "--epochs", "2",
         *extra,
     ]
@@ -92,6 +91,17 @@ class TestRun:
             ("metric", ["qe"]),
             ("learning_rate", float("nan")),
             ("noise_scale", float("inf")),
+            # wrongly typed, including a bool where a number belongs
+            pytest.param("trials", 2.5, id="trials-fraction"),
+            pytest.param("epochs", 1.5, id="epochs-fraction"),
+            pytest.param("sensitivity_samples", 2.5, id="sensitivity_samples-fraction"),
+            pytest.param("seed", "x", id="seed-string"),
+            pytest.param("baseline_bits", 16.5, id="baseline_bits-fraction"),
+            pytest.param("seed", 1.5, id="seed-fraction"),
+            pytest.param("bits", [4.7, 8], id="bits-fraction"),
+            pytest.param("target", True, id="target-bool"),
+            pytest.param("model", 5, id="model-number"),
+            pytest.param("out_dir", 5, id="out_dir-number"),
         ],
     )
     def test_malformed_manifest_rerun_exit_data(self, fixture_dir, tmp_path, capsys, field, value):
@@ -102,7 +112,24 @@ class TestRun:
         (first / "manifest.json").write_text(json.dumps(manifest))
         args = ["run", "--manifest", str(first / "manifest.json"), "--out", str(tmp_path / "x")]
         assert main(args) == EXIT_DATA
-        assert "malformed manifest parameters" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed manifest parameters" in err
+        # rejected while reading the manifest, before any stage ran
+        assert "[stage:" not in err and not (tmp_path / "x").exists()
+
+    def test_manifest_with_probes_reruns_exactly(self, fixture_dir, tmp_path, capsys):
+        # manifests written while the hessian metric was sampled carry the
+        # probe count; it is ignored, and the rerun scores exact traces
+        first = tmp_path / "first"
+        assert main(run_args(fixture_dir, first)) == EXIT_OK
+        edit_json(first / "manifest.json", ("parameters", "probes"), 16)
+        second = tmp_path / "second"
+        code = main(["run", "--manifest", str(first / "manifest.json"), "--out", str(second)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        for name in ("config.json", "outcome.json", "cost.json", "sensitivity.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        assert "probes" not in json.loads((second / "manifest.json").read_text())["parameters"]
 
     def test_missing_flags_exit_config(self, fixture_dir, capsys):
         code = main(["run", "--model", str(fixture_dir / "model.json")])
@@ -171,6 +198,19 @@ class TestRun:
         edit_json(inputs / name, path, value)
         assert main(run_args(inputs, tmp_path / "x")) == EXIT_DATA
         assert message in capsys.readouterr().err
+
+    def test_missing_latency_entry_exit_data(self, fixture_dir, tmp_path, capsys):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixture_dir, inputs)
+        table = inputs / "latency.csv"
+        header, first, *rest = table.read_text().splitlines()
+        shape = first.split(",")[:4]
+        kept = [row for row in rest if row.split(",")[:4] != shape]
+        table.write_text("\n".join([header, *kept]) + "\n")
+        code = main(run_args(inputs, tmp_path / "x", ["--metric", "qe"]))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: [stage: report-costs] no latency entry")
 
     def test_metric_choice_enforced_by_parser(self, fixture_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

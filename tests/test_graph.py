@@ -1,4 +1,4 @@
-"""Inference engine tests: forward, reverse mode, Hessian-vector products."""
+"""Inference engine tests: forward, reverse mode, Hessian traces and their HVP oracle."""
 
 import tracemalloc
 
@@ -7,9 +7,12 @@ import pytest
 
 from conftest import (
     central_difference_hvp,
+    full_basis_trace,
     make_dead_relu_model,
     make_diagonal_quadratic,
     make_small_ce_model,
+    r_op_hvp,
+    r_op_tape,
     with_tensor,
 )
 from mixquant.calibrate import calibrate
@@ -30,9 +33,8 @@ from mixquant.graph import (
     _head_loss,
     _run_layers,
     forward,
-    forward_tape,
     gradients,
-    hessian_vector_product,
+    hessian_traces,
     loss_and_scale_gradients,
 )
 from mixquant.quantize import QuantSpec, quantize
@@ -342,12 +344,14 @@ class TestGradients:
 
 
 class TestHessianVectorProduct:
+    """The R-op oracle that :class:`TestHessianTraces` checks the traces against."""
+
     def test_recovers_diagonal_curvature(self):
         model, data, diag = make_diagonal_quadratic()
         rng = np.random.default_rng(2)
         for _ in range(5):
             v = rng.normal(size=(1, 3))
-            hv = hessian_vector_product(model, data, "probe.weight", v)
+            hv = r_op_hvp(model, data, "probe.weight", v)
             np.testing.assert_allclose(hv, diag * v, rtol=1e-13, atol=1e-15)
 
     def test_symmetry_of_bilinear_form(self):
@@ -355,8 +359,8 @@ class TestHessianVectorProduct:
         rng = np.random.default_rng(3)
         u = rng.normal(size=(3, 6))
         v = rng.normal(size=(3, 6))
-        uhv = float(np.sum(u * hessian_vector_product(model, data, "second.weight", v)))
-        vhu = float(np.sum(v * hessian_vector_product(model, data, "second.weight", u)))
+        uhv = float(np.sum(u * r_op_hvp(model, data, "second.weight", v)))
+        vhu = float(np.sum(v * r_op_hvp(model, data, "second.weight", u)))
         assert uhv == pytest.approx(vhu, rel=1e-12)
 
     def test_fixture_matches_small_step_central_difference(self, f1):
@@ -366,7 +370,7 @@ class TestHessianVectorProduct:
             # unit norm keeps the oracle's step inside every relu margin
             v = rng.normal(size=model.parameter(name).shape)
             v /= np.linalg.norm(v)
-            exact = hessian_vector_product(model, calib, name, v)
+            exact = r_op_hvp(model, calib, name, v)
             np.testing.assert_allclose(
                 exact, central_difference_hvp(model, calib, name, v), rtol=1e-4, err_msg=name
             )
@@ -378,7 +382,7 @@ class TestHessianVectorProduct:
         rng = np.random.default_rng(5)
         for name in model.parameter_names():
             v = rng.normal(size=model.parameter(name).shape)
-            exact = hessian_vector_product(model, data, name, v)
+            exact = r_op_hvp(model, data, name, v)
             np.testing.assert_allclose(
                 exact, central_difference_hvp(model, data, name, v), rtol=1e-4, err_msg=name
             )
@@ -387,42 +391,71 @@ class TestHessianVectorProduct:
     def test_stacked_directions_match_single_calls(self, name):
         model, data = make_small_ce_model()
         stack = np.random.default_rng(6).normal(size=(4, *model.parameter(name).shape))
-        tape = forward_tape(model, data)
-        batched = hessian_vector_product(model, data, name, stack, tape=tape)
+        tape = r_op_tape(model, data)
+        batched = r_op_hvp(model, data, name, stack, tape=tape)
         assert batched.shape == stack.shape
         for v, hv in zip(stack, batched):
             np.testing.assert_allclose(
-                hv, hessian_vector_product(model, data, name, v), rtol=1e-12, atol=1e-15
+                hv, r_op_hvp(model, data, name, v), rtol=1e-12, atol=1e-15
             )
 
     def test_dead_relu_region_has_zero_curvature(self):
         model, data = make_dead_relu_model()
         v = np.ones((4, 3))
-        hv = hessian_vector_product(model, data, "inner.weight", v)
+        hv = r_op_hvp(model, data, "inner.weight", v)
         np.testing.assert_array_equal(hv, np.zeros((4, 3)))
 
     def test_shape_mismatch_rejected(self):
         model, data, _ = make_diagonal_quadratic()
         with pytest.raises(GraphError):
-            hessian_vector_product(model, data, "probe.weight", np.ones((2, 2)))
+            r_op_hvp(model, data, "probe.weight", np.ones((2, 2)))
         with pytest.raises(GraphError):
-            hessian_vector_product(model, data, "probe.weight", np.ones((2, 2, 3)))
+            r_op_hvp(model, data, "probe.weight", np.ones((2, 2, 3)))
 
     def test_non_finite_direction_rejected(self):
         model, data, _ = make_diagonal_quadratic()
         with pytest.raises(GraphError):
-            hessian_vector_product(model, data, "probe.weight", np.array([[1.0, np.nan, 0.0]]))
+            r_op_hvp(model, data, "probe.weight", np.array([[1.0, np.nan, 0.0]]))
 
     def test_incompatible_dataset_rejected(self):
         model, _ = make_small_ce_model()
         _, data, _ = make_diagonal_quadratic()
         with pytest.raises(GraphError):
-            hessian_vector_product(model, data, "second.weight", np.ones((3, 6)))
+            r_op_hvp(model, data, "second.weight", np.ones((3, 6)))
 
     def test_tape_of_another_dataset_rejected(self):
         model, data = make_small_ce_model()
         other = data.subset(np.arange(8))
         with pytest.raises(GraphError):
-            hessian_vector_product(
-                model, data, "second.weight", np.ones((3, 6)), tape=forward_tape(model, other)
+            r_op_hvp(
+                model, data, "second.weight", np.ones((3, 6)), tape=r_op_tape(model, other)
             )
+
+
+class TestHessianTraces:
+    # every trace is of a Gauss-Newton block, positive semidefinite, so >= 0
+    def test_fixture_matches_full_basis_r_op_sum(self, f1):
+        model, calib, _ = f1
+        traces = hessian_traces(model, calib)
+        assert list(traces) == model.weight_tensor_names()
+        for name, trace in traces.items():
+            assert trace == pytest.approx(full_basis_trace(model, calib, name), rel=1e-12), name
+            assert trace >= 0.0, name
+
+    @pytest.mark.parametrize("head", [HEAD_SOFTMAX_CE, HEAD_SQUARED_ERROR])
+    def test_both_heads_match_full_basis_r_op_sum(self, head):
+        model, data = make_small_ce_model()
+        model = ModelGraph(model.layers, head=head)
+        for name, trace in hessian_traces(model, data).items():
+            assert trace == pytest.approx(full_basis_trace(model, data, name), rel=1e-12), name
+            assert trace >= 0.0, name
+
+    def test_dead_relu_layers_score_exactly_zero(self):
+        model, data = make_dead_relu_model()
+        assert hessian_traces(model, data) == {"inner.weight": 0.0, "outer.weight": 0.0}
+
+    def test_incompatible_dataset_rejected(self):
+        model, _ = make_small_ce_model()
+        _, data, _ = make_diagonal_quadratic()
+        with pytest.raises(GraphError):
+            hessian_traces(model, data)

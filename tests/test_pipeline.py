@@ -40,7 +40,6 @@ def config_for(inputs, out_dir, **overrides):
         eval_data=str(inputs / "eval.json"),
         latency_table=str(inputs / "latency.csv"),
         out_dir=str(out_dir),
-        probes=16,
         epochs=4,
     )
     return dataclasses.replace(base, **overrides)

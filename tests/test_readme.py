@@ -16,4 +16,6 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
     exec(compile(code, str(README), "exec"), namespace)
-    assert namespace["w4"].shape == namespace["model"].parameter("dense1.weight").shape
+    model = namespace["model"]
+    assert namespace["w4"].shape == model.parameter("dense1.weight").shape
+    assert sorted(namespace["report"].ordering) == sorted(model.weight_tensor_names())

@@ -11,18 +11,9 @@ from conftest import (
     with_tensor,
 )
 from mixquant.calibrate import calibrate
-from mixquant.graph import (
-    KIND_AFFINE,
-    Dataset,
-    GraphError,
-    Layer,
-    ModelGraph,
-    hessian_vector_product,
-)
+from mixquant.graph import KIND_AFFINE, GraphError, Layer, ModelGraph, hessian_traces
 from mixquant.quantize import QuantSpec, quantization_error
-from mixquant.rng import substream
 from mixquant.sensitivity import (
-    hutchinson_trace,
     load_report,
     ordering_distance,
     save_report,
@@ -120,122 +111,42 @@ class TestScoreNoise:
             score_noise(model, data, **kwargs)
 
 
-class TestHutchinsonTrace:
-    def test_diagonal_operator_every_probe_exact(self):
-        # z_i^2 = 1 always, so each sample equals the trace exactly
-        diag = np.array([1.5, -2.0, 4.0, 0.25])
-        rng = np.random.default_rng(0)
-        samples = hutchinson_trace(rng, lambda z: diag * z, (4,), probes=32)
-        assert samples == pytest.approx([float(diag.sum())] * 32, abs=1e-14)
-
-    def test_general_symmetric_operator_converges(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(6, 6))
-        sym = (a + a.T) / 2
-        est_rng = np.random.default_rng(2)
-        samples = hutchinson_trace(est_rng, lambda z: z @ sym.T, (6,), probes=4096)
-        assert np.mean(samples) == pytest.approx(np.trace(sym), abs=4 * np.std(samples) / 64)
-
-    def test_zero_probes_rejected(self):
-        with pytest.raises(GraphError):
-            hutchinson_trace(np.random.default_rng(0), lambda z: z, (2,), probes=0)
-
-    def test_zero_chunk_rejected(self):
-        with pytest.raises(GraphError):
-            hutchinson_trace(np.random.default_rng(0), lambda z: z, (2,), probes=4, chunk=0)
-
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
-    def test_chunking_draws_the_same_probes(self, chunk):
-        # one probe per call is the reference; larger chunks must see the
-        # same probes in the same order and give the same samples
-        def record(calls):
-            def hvp(z):
-                calls.append(z.copy())
-                return z * np.arange(1.0, 7.0).reshape(2, 3)
-            return hvp
-
-        ref_calls, calls = [], []
-        ref = hutchinson_trace(np.random.default_rng(8), record(ref_calls), (2, 3), 7, chunk=1)
-        got = hutchinson_trace(np.random.default_rng(8), record(calls), (2, 3), 7, chunk=chunk)
-        assert got == ref
-        assert [len(c) for c in calls] == [min(chunk, 7 - s) for s in range(0, 7, chunk)]
-        np.testing.assert_array_equal(np.concatenate(calls), np.concatenate(ref_calls))
-
-
 class TestScoreHessian:
     def test_quadratic_fixture_recovers_analytic_trace(self):
         model, data, diag = make_diagonal_quadratic()
-        score = score_hessian(model, data, probes=64, seed=0).scores["probe.weight"]
-        # diagonal Hessian: every probe is the exact trace up to round-off;
+        score = score_hessian(model, data).scores["probe.weight"]
         # scores are per element, so scale back by the 3 weights
         assert 3 * score.mean == pytest.approx(float(diag.sum()), rel=1e-13)
-        assert 3 * score.std < 1e-13
+        assert score.std == 0.0
+        assert score.trials == 1
 
     def test_normalization_divides_by_element_count(self):
-        model, data, _ = make_diagonal_quadratic()
-        raw = hutchinson_trace(
-            substream(0, "hessian", 0),
-            lambda z: hessian_vector_product(model, data, "probe.weight", z),
-            (1, 3),
-            probes=16,
-        )
-        per_element = score_hessian(model, data, probes=16, seed=0)
-        assert per_element.scores["probe.weight"].mean == pytest.approx(
-            np.mean(raw) / 3.0, rel=1e-12
-        )
+        model, data = make_small_ce_model()
+        report = score_hessian(model, data)
+        for name, trace in hessian_traces(model, data).items():
+            assert report.scores[name].mean == trace / model.parameter(name).size
 
     def test_dead_relu_scores_exactly_zero(self):
         model, data = make_dead_relu_model()
-        report = score_hessian(model, data, probes=8, seed=5)
+        report = score_hessian(model, data)
         assert report.scores["inner.weight"].mean == 0.0
         assert report.scores["outer.weight"].mean == 0.0
-
-    def test_probe_variance_shrinks_with_more_probes(self):
-        model, data = make_small_ce_model()
-        name = "second.weight"
-
-        def estimate(probes, seed):
-            rep = score_hessian(model, data, probes=probes, seed=seed)
-            return rep.scores[name].mean
-
-        seeds = range(16)
-        few = np.std([estimate(16, s) for s in seeds])
-        many = np.std([estimate(256, s) for s in seeds])
-        assert many < few
 
     def test_fixture_block_traces_non_negative(self, f1):
         # With relu masks fixed, the loss is a convex head applied to a map
         # linear in one layer's weights, so each weight block of the Hessian
-        # is positive semidefinite and every probe's z . H z is >= 0.
+        # is positive semidefinite and its trace is >= 0.
         model, calib, _ = f1
-        for index, name in enumerate(model.weight_tensor_names()):
-            samples = hutchinson_trace(
-                substream(0, "psd", index),
-                lambda z: hessian_vector_product(model, calib, name, z),
-                model.parameter(name).shape,
-                probes=8,
-            )
-            assert min(samples) >= 0.0, name
-
-    def test_matches_per_probe_reference(self):
-        # the loop the batched, chunked scorer replaced: one probe per call
-        model, data = make_small_ce_model()
-        report = score_hessian(model, data, probes=24, seed=9)
-        for index, name in enumerate(model.weight_tensor_names()):
-            w = model.parameter(name)
-            rng = substream(9, "hessian", index)
-            samples = []
-            for _ in range(24):
-                z = rng.integers(0, 2, size=w.shape).astype(np.float64) * 2.0 - 1.0
-                samples.append(float(np.sum(z * hessian_vector_product(model, data, name, z))))
-            assert report.scores[name].mean == pytest.approx(np.mean(samples) / w.size, rel=1e-12)
-            assert report.scores[name].std == pytest.approx(np.std(samples) / w.size, rel=1e-9)
+        report = score_hessian(model, calib)
+        assert min(s.mean for s in report.scores.values()) >= 0.0
 
     def test_same_seed_bit_identical(self):
+        # exact scores draw nothing, so every report records seed 0
         model, data = make_small_ce_model()
-        a = score_hessian(model, data, probes=8, seed=11)
-        b = score_hessian(model, data, probes=8, seed=11)
+        a = score_hessian(model, data)
+        b = score_hessian(model, data)
         assert a == b
+        assert a.seed == 0
 
 
 class TestScoreRandom:
@@ -306,6 +217,6 @@ class TestReportRoundTrip:
 
     def test_ordering_ascending_with_name_tiebreak(self):
         model, data = make_small_ce_model()
-        report = score_hessian(model, data, probes=4, seed=2)
+        report = score_hessian(model, data)
         means = [report.scores[n].mean for n in report.ordering]
         assert means == sorted(means)
