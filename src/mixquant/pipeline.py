@@ -1,7 +1,7 @@
 """End-to-end run orchestration: calibrate, score, search, report.
 
 A run loads a model with calibration and eval splits, calibrates and
-adjusts quantizer scales once per candidate bit width, scores tensor
+adjusts one bank of quantizer scales per candidate bit width, scores tensor
 sensitivity with the chosen metric, searches bit widths over the induced
 ordering against the eval split, and writes every report plus a manifest
 that reproduces the run byte for byte. The search space, the final
@@ -239,19 +239,15 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         sens_data, cal_data = _split_subsets(calib_data, config)
 
     with _Stage("calibrate-scales"):
-        spec_bank: dict[int, dict] = {}
-        bank_outcomes = {}
-        for bits in levels:
-            outcome = calibrate(model, {name: bits for name in weight_names})
-            outcome = adjust_scales(
-                model,
-                cal_data,
-                outcome,
-                learning_rate=config.learning_rate,
-                epochs=config.epochs,
-            )
-            bank_outcomes[bits] = outcome
-            spec_bank[bits] = outcome.specs
+        adjusted = adjust_scales(
+            model,
+            cal_data,
+            [calibrate(model, {name: bits for name in weight_names}) for bits in levels],
+            learning_rate=config.learning_rate,
+            epochs=config.epochs,
+        )
+        bank_outcomes = dict(zip(levels, adjusted))
+        spec_bank = {bits: outcome.specs for bits, outcome in bank_outcomes.items()}
 
     with _Stage("score-sensitivity"):
         report = _score(config, model, sens_data, spec_bank, levels)
@@ -260,8 +256,15 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         baseline_accuracy = forward(model, eval_data).accuracy
 
     with _Stage("search-bit-widths"):
+        # Evaluation is deterministic, and bisection's verification probe
+        # repeats a probe it already ran; the trace still gets every call.
+        accuracies: dict[frozenset, float] = {}
+
         def evaluator(candidate: QuantConfig) -> float:
-            return evaluate_config(model, eval_data, spec_bank, candidate)
+            key = frozenset(candidate.bits.items())
+            if key not in accuracies:
+                accuracies[key] = evaluate_config(model, eval_data, spec_bank, candidate)
+            return accuracies[key]
 
         search = bisection_search if config.algo == ALGO_BISECTION else greedy_search
         outcome = search(
@@ -315,8 +318,13 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             "relative_latency": cost.relative_latency,
         }
         write_json(out_dir / "cost.json", cost_payload)
-        for bits, outcome_b in bank_outcomes.items():
-            save_specs(outcome_b, out_dir / f"specs-{bits}bit.json")
+        spec_files = {f"specs-{bits}bit.json": b for bits, b in bank_outcomes.items()}
+        for name, outcome_b in spec_files.items():
+            save_specs(outcome_b, out_dir / name)
+        # An earlier run into the same directory may have had other widths.
+        for stale in out_dir.glob("specs-*bit.json"):
+            if stale.name not in spec_files:
+                stale.unlink()
 
     return RunResult(
         out_dir=out_dir,

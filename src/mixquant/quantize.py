@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -85,38 +86,47 @@ def quantization_grid(spec: QuantSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantTape:
-    """Forward-pass record needed to backpropagate through a quantizer."""
+    """Forward-pass record needed to backpropagate through a stack of quantizers."""
 
     x: np.ndarray
-    scaled: np.ndarray  # round(clip(alpha*x)*half)/half, i.e. output before gamma
+    gamma: np.ndarray  # post-scales, one per bank, shaped to broadcast against x
+    scaled: np.ndarray  # round(clip(alpha*x)*half)/half per bank, i.e. output before gamma
     in_range: np.ndarray  # where |alpha*x| <= 1, the pass-through region of clip
 
 
-def quantize_with_tape(x: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, QuantTape]:
-    """Quantize and keep what the straight-through backward pass needs."""
+def quantize_with_tape(
+    x: np.ndarray, specs: Sequence[QuantSpec]
+) -> tuple[np.ndarray, QuantTape]:
+    """Quantize ``x`` under each spec and keep what the straight-through pass needs.
+
+    The results are stacked on a leading bank axis, one slice per spec,
+    each bit-identical to :func:`quantize` under that spec alone.
+    """
     x = np.asarray(x, dtype=np.float64)
-    half = float(2 ** (spec.bits - 1))
-    pre = spec.alpha * x
+    shape = (len(specs),) + (1,) * x.ndim
+    alpha = np.array([spec.alpha for spec in specs]).reshape(shape)
+    gamma = np.array([spec.gamma for spec in specs]).reshape(shape)
+    half = np.array([float(2 ** (spec.bits - 1)) for spec in specs]).reshape(shape)
+    pre = alpha * x
     in_range = np.abs(pre) <= 1.0
     scaled = _round_half_away(np.clip(pre, -1.0, 1.0) * half) / half
-    return scaled * spec.gamma, QuantTape(x=x, scaled=scaled, in_range=in_range)
+    return scaled * gamma, QuantTape(x=x, gamma=gamma, scaled=scaled, in_range=in_range)
 
 
-def quantize_backward(
-    tape: QuantTape, spec: QuantSpec, grad_out: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """Gradients of a quantizer output under the straight-through estimator.
+def quantize_backward(tape: QuantTape, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale gradients of a stack of quantizer outputs under the straight-through estimator.
 
     Rounding is treated as identity; clipping passes gradient where
-    ``|alpha*x| <= 1`` and blocks it outside. Returns ``(grad_x,
-    grad_alpha, grad_gamma)`` with the scale gradients summed over all
-    elements.
+    ``|alpha*x| <= 1`` and blocks it outside. ``grad_out`` is shaped like
+    the stacked output. Returns ``(grad_alpha, grad_gamma)``, one entry
+    per bank, each summed over all of the bank's elements.
     """
+    banks = grad_out.shape[0]
     gated = grad_out * tape.in_range
-    grad_x = gated * (spec.gamma * spec.alpha)
-    grad_alpha = float(np.sum(gated * tape.x) * spec.gamma)
-    grad_gamma = float(np.sum(grad_out * tape.scaled))
-    return grad_x, grad_alpha, grad_gamma
+    gated *= tape.x
+    grad_alpha = gated.reshape(banks, -1).sum(axis=1) * tape.gamma.reshape(banks)
+    grad_gamma = (grad_out * tape.scaled).reshape(banks, -1).sum(axis=1)
+    return grad_alpha, grad_gamma
 
 
 def quantization_error(x: np.ndarray, spec: QuantSpec) -> float:

@@ -71,6 +71,17 @@ class TestRun:
         for name in ("manifest.json", "config.json", "outcome.json", "cost.json"):
             assert (out / name).exists()
 
+    def test_rerun_with_fewer_widths_leaves_no_stale_specs(self, fixture_dir, tmp_path):
+        out = tmp_path / "run"
+        assert main(run_args(fixture_dir, out, ["--bits", "2,4,8"])) == EXIT_OK
+        assert sorted(p.name for p in out.glob("specs-*")) == [
+            "specs-2bit.json", "specs-4bit.json", "specs-8bit.json"
+        ]
+        assert main(run_args(fixture_dir, out, ["--bits", "4,8"])) == EXIT_OK
+        assert sorted(p.name for p in out.glob("specs-*")) == ["specs-4bit.json", "specs-8bit.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["bits"] == [4, 8]
+
     def test_manifest_rerun_reproduces_artifacts(self, fixture_dir, tmp_path, capsys):
         first = tmp_path / "first"
         assert main(run_args(fixture_dir, first)) == EXIT_OK
@@ -161,6 +172,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: [stage: calibrate-scales]")
         assert "non-finite" in err and "learning rate 1e+308" in err
+        assert "-bit bank" in err
 
     def test_unreadable_model_exit_data(self, fixture_dir, tmp_path, capsys):
         args = run_args(fixture_dir, tmp_path / "x")

@@ -31,6 +31,7 @@ from mixquant.graph import (
     _accuracy,
     _blocked_logits,
     _head_loss,
+    _relu_backward,
     _run_layers,
     forward,
     gradients,
@@ -224,7 +225,7 @@ class TestWeightReplacement:
         score_noise(model, data, noise_scale=0.5, trials=2, seed=3)
         assert model.parameter_digest() == digest
         specs = {name: QuantSpec(1.0, 1.0, 2) for name in model.weight_tensor_names()}
-        loss_and_scale_gradients(model, data, specs)
+        loss_and_scale_gradients(model, data, [specs])
         assert model.parameter_digest() == digest
 
 
@@ -341,6 +342,78 @@ class TestGradients:
         data = Dataset(np.ones((4, 2)), np.array([0, 1, 0, 1]), 2)
         grads = gradients(model, data)
         np.testing.assert_array_equal(grads["in.weight"], np.zeros((2, 2)))
+
+
+class TestReverseSweep:
+    def test_relu_mask_matches_np_where_bitwise(self):
+        output = np.array([[1.0, 0.0, -0.0, -2.0, np.nan, np.inf, -np.inf, 1e-300]])
+        g = np.array([[np.nan, 3.0, -4.0, np.inf, 5.0, -0.0, 6.0, -np.nan]])
+        expected = np.where(output > 0.0, g, 0.0)
+        got = _relu_backward(g, output)
+        assert got is g
+        assert got.tobytes() == expected.tobytes()
+
+    def test_relu_mask_broadcasts_over_a_stack(self):
+        rng = np.random.default_rng(4)
+        output = np.maximum(rng.normal(size=(5, 3)), 0.0)
+        g = rng.normal(size=(2, 5, 3))
+        expected = np.where(output > 0.0, g, 0.0)
+        assert np.array_equal(_relu_backward(g, output), expected)
+
+    def test_relu_below_first_affine_changes_nothing_upstream(self):
+        # the sweeps stop at the first affine layer, so a leading relu
+        # acts only through the features it clamps
+        rng = np.random.default_rng(6)
+        affine = [
+            Layer("a", KIND_AFFINE, rng.normal(size=(5, 4)), rng.normal(size=5)),
+            Layer("r1", KIND_RELU),
+            Layer("b", KIND_AFFINE, rng.normal(size=(3, 5)), rng.normal(size=3)),
+        ]
+        leading = ModelGraph([Layer("r0", KIND_RELU)] + affine)
+        plain = ModelGraph(affine)
+        x = rng.normal(size=(32, 4))
+        labels = rng.integers(0, 3, size=32)
+        data = Dataset(x, labels, 3)
+        clamped = Dataset(np.maximum(x, 0.0), labels, 3)
+        for name, grad in gradients(leading, data).items():
+            assert np.array_equal(grad, gradients(plain, clamped)[name]), name
+        assert hessian_traces(leading, data) == hessian_traces(plain, clamped)
+        specs = {name: QuantSpec(1.3, 0.8, 3) for name in plain.weight_tensor_names()}
+        assert loss_and_scale_gradients(leading, data, [specs]) == loss_and_scale_gradients(
+            plain, clamped, [specs]
+        )
+
+
+class TestScaleGradients:
+    @pytest.mark.parametrize("head", [HEAD_SOFTMAX_CE, HEAD_SQUARED_ERROR])
+    def test_bank_stack_matches_banks_alone(self, head):
+        model, data = make_small_ce_model()
+        model = ModelGraph(model.layers, head=head)
+        banks = [
+            {"first.weight": QuantSpec(1.1, 0.9, 4), "second.weight": QuantSpec(0.7, 1.2, 2)},
+            {"first.weight": QuantSpec(0.5, 2.0, 8), "second.weight": QuantSpec(1.9, 0.4, 3)},
+        ]
+        losses, grads = loss_and_scale_gradients(model, data, banks)
+        for k, bank in enumerate(banks):
+            assert loss_and_scale_gradients(model, data, [bank]) == ([losses[k]], [grads[k]])
+
+    def test_loss_is_the_quantized_forward_loss(self, f1):
+        model, calib, _ = f1
+        specs = calibrate(model, dict.fromkeys(model.weight_tensor_names(), 3)).specs
+        (loss,), _ = loss_and_scale_gradients(model, calib, [specs])
+        weights = {name: quantize(model.parameter(name), s) for name, s in specs.items()}
+        assert loss == forward(model, calib, weights).loss
+
+    def test_banks_naming_different_tensors_rejected(self):
+        model, data = make_small_ce_model()
+        banks = [{"first.weight": QuantSpec(1.0, 1.0, 4)}, {"second.weight": QuantSpec(1.0, 1.0, 4)}]
+        with pytest.raises(GraphError, match="same tensors"):
+            loss_and_scale_gradients(model, data, banks)
+
+    def test_unknown_tensor_rejected(self):
+        model, data = make_small_ce_model()
+        with pytest.raises(GraphError, match="first.bias"):
+            loss_and_scale_gradients(model, data, [{"first.bias": QuantSpec(1.0, 1.0, 4)}])
 
 
 class TestHessianVectorProduct:

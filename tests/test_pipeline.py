@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from mixquant.calibrate import load_specs
+import mixquant.pipeline as pipeline_module
+from mixquant.calibrate import DEFAULT_EPOCHS, load_specs
 from mixquant.fixtures import FixtureSpec, build_fixture, build_fixture_latency_table
 from mixquant.modelio import DataFormatError, load_model, save_dataset, save_model
 from mixquant.pipeline import (
@@ -128,6 +129,33 @@ class TestRunPipeline:
         model = load_model(small_inputs / "model.json")
         report = load_report(out / "sensitivity.json")
         assert sorted(report.ordering) == sorted(model.weight_tensor_names())
+
+
+class TestEvaluatorMemo:
+    def test_each_distinct_config_is_evaluated_once(self, f1, tmp_path, monkeypatch):
+        model, calib, evalset = f1
+        save_model(model, tmp_path / "model.json")
+        save_dataset(calib, tmp_path / "calib.json")
+        save_dataset(evalset, tmp_path / "eval.json")
+        build_fixture_latency_table(model).to_csv(tmp_path / "latency.csv")
+        evaluated = []
+        real = pipeline_module.evaluate_config
+
+        def counting(model, data, specs_by_bits, config):
+            evaluated.append(frozenset(config.bits.items()))
+            return real(model, data, specs_by_bits, config)
+
+        monkeypatch.setattr(pipeline_module, "evaluate_config", counting)
+        config = config_for(
+            tmp_path, tmp_path / "run", metric="noise", algo="bisection", bits=(2, 3, 4, 5, 6, 8)
+        )
+        result = run_pipeline(dataclasses.replace(config, epochs=DEFAULT_EPOCHS))
+        # the search's distinct configs, plus verify-target's own evaluation
+        assert len(evaluated) == len(set(evaluated)) + 1
+        assert evaluated[-1] == frozenset(result.config.bits.items())
+        # bisection's verification probes repeat earlier probes, and the
+        # trace still records every one of them
+        assert len(result.outcome.trace) == result.outcome.evals > len(set(evaluated))
 
 
 class TestPipelineValidation:

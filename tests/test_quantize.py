@@ -151,19 +151,19 @@ class TestQuantizationError:
 
 
 class TestQuantizeBackward:
-    def test_straight_through_passes_inside_clip_range(self):
+    def test_alpha_gradient_passes_inside_clip_range(self):
         x = np.array([0.1, -0.2, 0.3])
-        s = spec(alpha=1.0, gamma=1.0, bits=4)
-        _, tape = quantize_with_tape(x, s)
-        gx, _, _ = quantize_backward(tape, s, np.ones_like(x))
-        np.testing.assert_allclose(gx, np.full(3, s.gamma * s.alpha))
+        s = spec(alpha=1.0, gamma=2.0, bits=4)
+        _, tape = quantize_with_tape(x, [s])
+        ga, _ = quantize_backward(tape, np.ones((1, 3)))
+        assert ga[0] == pytest.approx(float(np.sum(x)) * s.gamma, rel=1e-15)
 
-    def test_clipped_elements_get_zero_input_gradient(self):
+    def test_clipped_elements_add_nothing_to_alpha_gradient(self):
         x = np.array([5.0, -5.0, 0.2])
         s = spec(alpha=1.0, gamma=1.0, bits=4)
-        _, tape = quantize_with_tape(x, s)
-        gx, _, _ = quantize_backward(tape, s, np.ones_like(x))
-        assert gx[0] == 0.0 and gx[1] == 0.0 and gx[2] != 0.0
+        _, tape = quantize_with_tape(x, [s])
+        ga, _ = quantize_backward(tape, np.array([[3.0, 7.0, 1.0]]))
+        assert ga[0] == pytest.approx(0.2, rel=1e-15)
 
     def test_alpha_gradient_matches_straight_through_surrogate(self):
         # with round treated as identity, q depends on alpha only through
@@ -172,16 +172,16 @@ class TestQuantizeBackward:
         x = rng.normal(0, 0.5, size=24)
         a, g = 0.9, 1.4
         s = QuantSpec(alpha=a, gamma=g, bits=6)
-        _, tape = quantize_with_tape(x, s)
+        _, tape = quantize_with_tape(x, [s])
         grad_out = rng.normal(size=24)
-        _, ga, _ = quantize_backward(tape, s, grad_out)
+        ga, _ = quantize_backward(tape, grad_out[np.newaxis])
 
         def surrogate(alpha):
             return float(np.sum(grad_out * np.clip(alpha * x, -1, 1) * g))
 
         eps = 1e-6
         fd = (surrogate(a + eps) - surrogate(a - eps)) / (2 * eps)
-        assert ga == pytest.approx(fd, rel=1e-6)
+        assert ga[0] == pytest.approx(fd, rel=1e-6)
 
     def test_gamma_gradient_is_rounded_pregamma_value(self):
         # the backward pass sees the forward activation, so the gamma grad
@@ -189,7 +189,22 @@ class TestQuantizeBackward:
         rng = np.random.default_rng(1)
         x = rng.normal(0, 0.5, size=24)
         s = QuantSpec(alpha=0.9, gamma=1.4, bits=4)
-        out, tape = quantize_with_tape(x, s)
+        out, tape = quantize_with_tape(x, [s])
         grad_out = rng.normal(size=24)
-        _, _, gg = quantize_backward(tape, s, grad_out)
-        assert gg == pytest.approx(float(np.sum(grad_out * out / s.gamma)), rel=1e-12)
+        _, gg = quantize_backward(tape, grad_out[np.newaxis])
+        assert gg[0] == pytest.approx(float(np.sum(grad_out * out[0] / s.gamma)), rel=1e-12)
+
+    def test_bank_stack_matches_banks_alone(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(0, 0.5, size=(7, 5))
+        specs = [QuantSpec(0.9, 1.4, 8), QuantSpec(1.7, 0.3, 2), QuantSpec(0.4, 2.2, 5)]
+        grad_out = rng.normal(size=(3, 7, 5))
+        out, tape = quantize_with_tape(x, specs)
+        ga, gg = quantize_backward(tape, grad_out)
+        assert out.shape == (3, 7, 5) and ga.shape == gg.shape == (3,)
+        for k, s in enumerate(specs):
+            assert np.array_equal(out[k], quantize(x, s))
+            one, one_tape = quantize_with_tape(x, [s])
+            assert np.array_equal(one[0], out[k])
+            one_ga, one_gg = quantize_backward(one_tape, grad_out[k : k + 1])
+            assert one_ga[0] == ga[k] and one_gg[0] == gg[k]
