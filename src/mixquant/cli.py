@@ -1,7 +1,8 @@
 """Command-line entry points: gen-fixture, run, compare.
 
 Exit codes: 0 success, 2 invalid configuration or usage (including a
-learning rate that makes scale calibration diverge), 3 malformed or
+learning rate that makes scale calibration diverge, and an ``--out`` path
+that is a file or lies below one), 3 malformed or
 unreadable data files, 4 the search could not hold the accuracy target.
 Unexpected failures propagate as ordinary tracebacks with exit code 1.
 """
@@ -28,6 +29,7 @@ from .pipeline import (
     ALGOS,
     PipelineConfig,
     PipelineConfigError,
+    check_out_dir,
     compare_runs,
     load_manifest,
     run_pipeline,
@@ -117,6 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_fixture(args) -> int:
+    check_out_dir(args.out_dir)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = FixtureSpec(

@@ -8,9 +8,12 @@ across threads. The one way to evaluate altered weights is to pass
 the stored parameters stay untouched. Callers quantize or perturb the
 weights themselves, and activations always stay in float.
 
-Untaped passes (:func:`forward`) run the rows through the whole chain
-one block of rows at a time, in place, so their working memory is set by
-the block size and not by the split. Taped passes (gradients, scale
+Untaped passes (:func:`forward`, :func:`chain_accuracies`) run the rows
+through the whole chain one block of rows at a time, in place, so their
+working memory is set by the block size and not by the split. One such
+pass can evaluate a chain of weight maps: inside each block, every map
+resumes from its predecessor's activations at the first affine layer
+whose weight it replaces differently. Taped passes (gradients, scale
 gradients, Hessian traces) keep every layer's activations over
 the whole split, because the backward passes need them.
 
@@ -272,31 +275,67 @@ def _run_layers(
     return a, tapes
 
 
+def _chained_blocks(
+    model: ModelGraph, x: np.ndarray, maps: Sequence[Mapping[str, np.ndarray]]
+):
+    """``(map index, lo, hi, logits of rows lo:hi)`` for every map, block by block.
+
+    The rows run through the chain one block at a time without a tape.
+    Inside a block, each map resumes from the previous map's activations
+    at the first affine layer whose weight array is not the very same
+    object. Only the block's inputs to the layers that a later map resumes
+    at are held, each until the last map that resumes there.
+    Each block is at least ``FORWARD_BLOCK_FLOATS // widest`` rows unless
+    the whole split is shorter: a short trailing block could take BLAS's
+    small-matrix path and round differently from the taped pass. The
+    yielded logits are the engine's own buffer; read them, never write.
+    """
+    lead = 0  # relus below the first affine layer
+    segments: list[list] = []  # [affine layer, relus after it]
+    for layer in model.layers:
+        if layer.kind == KIND_AFFINE:
+            segments.append([layer, 0])
+        elif segments:
+            segments[-1][1] += 1
+        else:
+            lead += 1
+    used = [[m.get(f"{l.name}.weight", l.weight) for l, _ in segments] for m in maps]
+    starts = [0] + [
+        next((i for i, (w, v) in enumerate(zip(cur, prev)) if w is not v), len(segments))
+        for prev, cur in zip(used, used[1:])
+    ]
+    last_resume = {start: k for k, start in enumerate(starts)}
+    n = x.shape[0]
+    widest = max(l.weight.shape[0] for l, _ in segments)
+    blocks = max(1, n // max(1, FORWARD_BLOCK_FLOATS // widest))
+    for b in range(blocks):
+        lo, hi = n * b // blocks, n * (b + 1) // blocks
+        a = x[lo:hi]
+        for r in range(lead):
+            # never write into the caller's features
+            a = np.maximum(a, 0.0) if r == 0 else np.maximum(a, 0.0, out=a)
+        held = {0: a}  # inputs by segment, as the latest map computed them
+        for k, (weights, start) in enumerate(zip(used, starts)):
+            if start < len(segments):
+                a = held[start] if last_resume[start] > k else held.pop(start)
+            for i in range(start, len(segments)):
+                if i > start and last_resume.get(i, -1) > k:
+                    held[i] = a
+                layer, relus = segments[i]
+                a = a @ weights[i].T
+                a += layer.bias
+                for _ in range(relus):
+                    np.maximum(a, 0.0, out=a)
+            yield k, lo, hi, a
+
+
 def _blocked_logits(
     model: ModelGraph, x: np.ndarray, weights: Mapping[str, np.ndarray]
 ) -> np.ndarray:
-    """Logits of ``x``, computed block of rows by block of rows without a tape.
-
-    Each block is at least ``FORWARD_BLOCK_FLOATS // widest`` rows unless
-    the whole split is shorter: a short trailing block could take BLAS's
-    small-matrix path and round differently from the taped pass.
-    """
-    n = x.shape[0]
-    widest = max(l.weight.shape[0] for l in model.layers if l.kind == KIND_AFFINE)
-    blocks = max(1, n // max(1, FORWARD_BLOCK_FLOATS // widest))
-    logits = np.empty((n, model.output_dim))
-    for i in range(blocks):
-        lo, hi = n * i // blocks, n * (i + 1) // blocks
-        rows = a = x[lo:hi]
-        for layer in model.layers:
-            if layer.kind == KIND_AFFINE:
-                a = a @ weights.get(f"{layer.name}.weight", layer.weight).T
-                a += layer.bias
-            elif a is rows:
-                a = np.maximum(a, 0.0)  # never write into the caller's features
-            else:
-                np.maximum(a, 0.0, out=a)
-        logits[lo:hi] = a
+    """Logits of ``x`` under ``weights``, computed block of rows by block of rows."""
+    logits = np.empty((x.shape[0], model.output_dim))
+    for _, lo, hi, block in _chained_blocks(model, x, [weights]):
+        logits[lo:hi] = block
     return logits
 
 
@@ -359,6 +398,28 @@ def forward(
         loss=_head_loss(model, logits, data.labels),
         accuracy=_accuracy(logits, data.labels),
     )
+
+
+def chain_accuracies(
+    model: ModelGraph, data: Dataset, maps: Sequence[Mapping[str, np.ndarray]]
+) -> list[float]:
+    """Accuracy under each map of replacement weights, in one row-blocked pass.
+
+    Each map is checked and applied as by :func:`forward`, and each
+    accuracy equals ``forward(model, data, map).accuracy`` bit for bit:
+    the logits are the same, and ``correct / n`` is the same division
+    ``np.mean`` makes. Inside each row block, map ``k`` resumes from map
+    ``k - 1``'s activations at the first affine layer whose weight array
+    differs from that map's by identity, so a chain of maps that share
+    their unchanged arrays costs one forward plus the tails below each
+    change. Only one block's inputs to the layers the maps resume at are
+    ever held. No loss is computed.
+    """
+    checked = [_check_compat(model, data, weights) for weights in maps]
+    correct = [0] * len(checked)
+    for k, lo, hi, logits in _chained_blocks(model, data.features, checked):
+        correct[k] += int(np.count_nonzero(np.argmax(logits, axis=1) == data.labels[lo:hi]))
+    return [c / len(data) for c in correct]
 
 
 def _relu_backward(g: np.ndarray, output: np.ndarray) -> np.ndarray:

@@ -7,10 +7,18 @@ ordering against the eval split, and writes every report plus a manifest
 that reproduces the run byte for byte. The search space, the final
 config and the cost report all cover the model's weight tensors only;
 activations stay in float.
+
+The search's evaluator memoizes accuracies by config and answers a chain
+of offered configs with one chained engine pass over the longest prefix
+whose speculative tail costs at most ``SPECULATION_FORWARDS`` forwards of
+multiply-adds; the final verification is an independent, uncached
+evaluation. An output path that is a file, or lies below one, is refused
+before any stage runs.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field
@@ -37,6 +45,7 @@ from .search import (
     TargetUnreachableError,
     bisection_search,
     evaluate_config,
+    evaluate_configs,
     greedy_search,
     load_outcome,
     save_config,
@@ -71,6 +80,11 @@ ALGOS = (ALGO_BISECTION, ALGO_GREEDY)
 
 # Per-stage sample counts for the two disjoint calibration-file subsets.
 DEFAULT_STAGE_SAMPLES = 256
+
+# Most multiply-adds, in forwards, that the search evaluator spends past
+# the first config of an offered chain: answers the search may discard
+# when an earlier probe is rejected.
+SPECULATION_FORWARDS = 0.5
 
 
 # PipelineConfig fields that take a path string, an int, or an int or a
@@ -177,6 +191,23 @@ class _Stage:
         return False
 
 
+def check_out_dir(path: str | Path) -> None:
+    """Refuse an output directory that is a file or lies below one.
+
+    Called before any work, so such a path fails fast instead of after a
+    whole run. A directory that does not exist yet is fine.
+    """
+    path = Path(path)
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise PipelineConfigError(
+                    f"output directory {str(path)!r} is not a directory: "
+                    f"{str(existing)!r} is a file"
+                )
+            return
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -216,9 +247,58 @@ def _score(
     return score_random(model.weight_tensor_names(), seed=config.seed)
 
 
+def _chain_macs(model: ModelGraph, configs) -> list[int]:
+    """Multiply-adds per row of each config of a chained evaluation.
+
+    The first config costs a whole forward; each later one the affine
+    layers from the first whose width differs from its predecessor's on.
+    """
+    names = model.weight_tensor_names()
+    macs = [model.parameter(name).size for name in names]
+    costs = [sum(macs)]
+    for prev, config in zip(configs, configs[1:]):
+        first = next(
+            (i for i, name in enumerate(names) if prev.bits.get(name) != config.bits.get(name)),
+            len(names),
+        )
+        costs.append(sum(macs[first:]))
+    return costs
+
+
+def _evaluate_chain(
+    model: ModelGraph,
+    data: Dataset,
+    spec_bank: dict[int, dict],
+    accuracies: dict[frozenset, float],
+    configs,
+) -> list[float]:
+    """The search evaluator, memoized by config in ``accuracies``.
+
+    Evaluates, in one chained pass, the longest prefix of ``configs`` that
+    stops before any config already evaluated and whose configs after the
+    first cost at most ``SPECULATION_FORWARDS`` forwards of multiply-adds.
+    A first config already evaluated is answered from the memo alone.
+    """
+    keys = [frozenset(c.bits.items()) for c in configs]
+    if keys[0] in accuracies:
+        return [accuracies[keys[0]]]
+    costs = _chain_macs(model, configs)
+    budget = SPECULATION_FORWARDS * costs[0]
+    count, spent = 1, 0
+    while count < len(configs) and keys[count] not in accuracies:
+        spent += costs[count]
+        if spent > budget:
+            break
+        count += 1
+    answers = evaluate_configs(model, data, spec_bank, configs[:count])
+    accuracies.update(zip(keys, answers))
+    return answers
+
+
 def run_pipeline(config: PipelineConfig) -> RunResult:
     """Execute one full run and write its artifacts under ``config.out_dir``."""
     config.validate()
+    check_out_dir(config.out_dir)
 
     with _Stage("load-inputs"):
         model = load_model(config.model)
@@ -258,14 +338,9 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     with _Stage("search-bit-widths"):
         # Evaluation is deterministic, and bisection's verification probe
         # repeats a probe it already ran; the trace still gets every call.
-        accuracies: dict[frozenset, float] = {}
-
-        def evaluator(candidate: QuantConfig) -> float:
-            key = frozenset(candidate.bits.items())
-            if key not in accuracies:
-                accuracies[key] = evaluate_config(model, eval_data, spec_bank, candidate)
-            return accuracies[key]
-
+        # A partial of a module-level function forms no reference cycle, so
+        # the eval split is freed as soon as the run returns.
+        evaluator = functools.partial(_evaluate_chain, model, eval_data, spec_bank, {})
         search = bisection_search if config.algo == ALGO_BISECTION else greedy_search
         outcome = search(
             evaluator,

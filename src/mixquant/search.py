@@ -2,10 +2,14 @@
 
 Both search strategies walk candidate bit widths from highest to lowest
 and only ever lower a tensor's width, never raise it. They are written
-against an abstract evaluator, a function from a bit-width assignment to
-an accuracy in [0, 1], so they can be driven by the real quantized
-engine or by a synthetic oracle in tests. Evaluation counts are
-instrumented and checked against the analytic budgets.
+against an abstract evaluator, so they can be driven by the real
+quantized engine or by a synthetic oracle in tests. The evaluator is
+offered a non-empty chain of bit-width assignments, each the previous
+one with one more change, and returns the accuracies in [0, 1] of a
+non-empty prefix of it: greedy offers the probes it would make if every
+one were accepted, and consumes the answers up to the first rejection.
+Evaluation counts are instrumented and checked against the analytic
+budgets.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
-from .graph import Dataset, GraphError, ModelGraph, forward
+from .graph import Dataset, GraphError, ModelGraph, chain_accuracies, forward
 from .modelio import DataFormatError, read_json, write_json
 from .quantize import MAX_BITS, MIN_BITS, QuantSpec, quantize
 
@@ -67,7 +71,8 @@ class SearchOutcome:
     """What a search returned and how it got there.
 
     ``target`` is the absolute accuracy bar (target fraction times
-    baseline accuracy), ``trace`` one entry per evaluator call.
+    baseline accuracy), ``trace`` one entry per probe whose answer the
+    search used.
     """
 
     config: QuantConfig
@@ -77,7 +82,30 @@ class SearchOutcome:
     trace: tuple[dict, ...] = field(default_factory=tuple)
 
 
-Evaluator = Callable[[QuantConfig], float]
+# Offered a non-empty chain of configs, returns the accuracies of a
+# non-empty prefix of it.
+Evaluator = Callable[[Sequence[QuantConfig]], Sequence[float]]
+
+
+def _quantized_weights(
+    model: ModelGraph,
+    specs_by_bits: Mapping[int, Mapping[str, QuantSpec]],
+    config: QuantConfig,
+    quantized: dict,
+) -> dict:
+    """Replacement arrays for ``config``; each (tensor, width) pair is
+    quantized once per ``quantized`` cache and then shared by identity."""
+    weights = {}
+    for name, b in config.bits.items():
+        if b == config.baseline_bits:
+            continue
+        if (name, b) not in quantized:
+            spec = specs_by_bits.get(b, {}).get(name)
+            if spec is None or spec.bits != b:
+                raise GraphError(f"no calibrated spec for tensor {name!r} at {b} bits")
+            quantized[name, b] = quantize(model.parameter(name), spec)
+        weights[name] = quantized[name, b]
+    return weights
 
 
 def evaluate_config(
@@ -95,15 +123,25 @@ def evaluate_config(
     A missing ``b``-bit spec for an assigned (tensor, width) pair is an
     error.
     """
-    weights = {}
-    for name, b in config.bits.items():
-        if b == config.baseline_bits:
-            continue
-        spec = specs_by_bits.get(b, {}).get(name)
-        if spec is None or spec.bits != b:
-            raise GraphError(f"no calibrated spec for tensor {name!r} at {b} bits")
-        weights[name] = quantize(model.parameter(name), spec)
-    return forward(model, data, weights).accuracy
+    return forward(model, data, _quantized_weights(model, specs_by_bits, config, {})).accuracy
+
+
+def evaluate_configs(
+    model: ModelGraph,
+    data: Dataset,
+    specs_by_bits: Mapping[int, Mapping[str, QuantSpec]],
+    configs: Sequence[QuantConfig],
+) -> list[float]:
+    """:func:`evaluate_config` of every config, as one chained engine pass.
+
+    Each (tensor, width) pair is quantized once per call, so a tensor a
+    config leaves unchanged is the same array in its predecessor's
+    weights, and the engine resumes each config below its change.
+    """
+    quantized: dict = {}
+    return chain_accuracies(
+        model, data, [_quantized_weights(model, specs_by_bits, c, quantized) for c in configs]
+    )
 
 
 def _common_checks(ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits):
@@ -125,6 +163,16 @@ def _common_checks(ordering, candidate_bits, target_fraction, baseline_accuracy,
     return names, levels
 
 
+def _answers(evaluator: Evaluator, offered: list[QuantConfig]) -> Sequence[float]:
+    """The evaluator's accuracies for ``offered``, checked to be a non-empty prefix."""
+    answers = evaluator(offered)
+    if not 1 <= len(answers) <= len(offered):
+        raise RuntimeError(
+            f"evaluator answered {len(answers)} of {len(offered)} offered configs"
+        )
+    return answers
+
+
 def greedy_search(
     evaluator: Evaluator,
     ordering,
@@ -140,6 +188,11 @@ def greedy_search(
     above the target. Tensors that survive a width are the only ones
     considered at the next, lower width. Uses at most ``len(candidate_bits)
     * len(ordering)`` evaluations.
+
+    The evaluator is offered every remaining probe as if each were
+    accepted, across widths, and its answers are consumed up to the first
+    rejection; right after a rejection only the next probe is offered.
+    The outcome does not depend on how many answers the evaluator gives.
     """
     names, levels = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits
@@ -148,23 +201,31 @@ def greedy_search(
     config = QuantConfig.uniform(names, baseline_bits, baseline_bits)
     achieved = baseline_accuracy
     trace: list[dict] = []
-    survivors = names
-    for bits in levels:
-        kept: list[str] = []
-        for name in survivors:
-            candidate = config.replace({name: bits})
-            accuracy = evaluator(candidate)
+    # (tensor, width) probes still to make, in order, if every one is accepted
+    probes = [(name, bits) for bits in levels for name in names]
+    rejected = None  # the tensor the last answer rejected, if it did
+    while probes:
+        offered = probes if rejected is None else probes[:1]
+        chain = []
+        candidate = config
+        for name, bits in offered:
+            candidate = candidate.replace({name: bits})
+            chain.append(candidate)
+        rejected = None
+        consumed = 0
+        for (name, bits), candidate, accuracy in zip(offered, chain, _answers(evaluator, chain)):
+            consumed += 1
             ok = accuracy >= target
             trace.append(
                 {"tensor": name, "bits": bits, "accuracy": accuracy, "accepted": ok}
             )
-            if ok:
-                config = candidate
-                achieved = accuracy
-                kept.append(name)
-        survivors = kept
-        if not survivors:
-            break
+            if not ok:
+                rejected = name
+                break
+            config = candidate
+            achieved = accuracy
+        # a tensor rejected at one width is not tried at the lower ones
+        probes = [(n, b) for n, b in probes[consumed:] if n != rejected]
     budget = len(levels) * len(names)
     if len(trace) > budget:
         raise RuntimeError(
@@ -196,7 +257,8 @@ def bisection_search(
     passing threshold if the verification fails, which only a
     non-deterministic evaluator can trigger. Uses at most
     ``len(candidate_bits) * (ceil(log2 N) + 2)`` probe evaluations plus
-    one verification per width.
+    one verification per width. The evaluator is offered one config at a
+    time.
     """
     names, levels = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits
@@ -219,7 +281,7 @@ def bisection_search(
         low, high = 0, n + 1
         while high - low > 1:
             threshold = (low + high) // 2
-            accuracy = evaluator(prefix_config(config, threshold, bits))
+            accuracy = _answers(evaluator, [prefix_config(config, threshold, bits)])[0]
             ok = accuracy >= target
             trace.append(
                 {"threshold": threshold, "bits": bits, "accuracy": accuracy, "accepted": ok}
@@ -230,7 +292,7 @@ def bisection_search(
                 high = threshold
         if low > 0:
             committed = prefix_config(config, low, bits)
-            verify = evaluator(committed)
+            verify = _answers(evaluator, [committed])[0]
             trace.append(
                 {
                     "threshold": low,

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     O1_NAMES,
+    first_only,
     make_diagonal_quadratic,
     o1_accuracy,
     o1_size_bytes,
@@ -142,7 +143,9 @@ def test_criterion_5_search_matches_exhaustive_oracle():
     started = time.monotonic()
     target_fraction, baseline = 0.99, 1.0
 
-    greedy = greedy_search(o1_accuracy, O1_NAMES, (4, 8, 16), target_fraction, baseline)
+    greedy = greedy_search(
+        first_only(o1_accuracy), O1_NAMES, (4, 8, 16), target_fraction, baseline
+    )
     best_size = min(
         o1_size_bytes(QuantConfig(bits=dict(zip(O1_NAMES, combo))))
         for combo in itertools.product((4, 8, 16), repeat=4)
@@ -151,7 +154,9 @@ def test_criterion_5_search_matches_exhaustive_oracle():
     assert o1_size_bytes(greedy.config) == best_size
     assert o1_accuracy(greedy.config) >= greedy.target
 
-    bisect = bisection_search(o1_accuracy, O1_NAMES, (4, 8, 16), target_fraction, baseline)
+    bisect = bisection_search(
+        first_only(o1_accuracy), O1_NAMES, (4, 8, 16), target_fraction, baseline
+    )
     prefix_best = None
     for t8 in range(5):
         for t4 in range(t8 + 1):
@@ -185,9 +190,9 @@ def test_criterion_6_evaluation_budgets():
         greedy_budget = 2 * n
         bisect_budget = 2 * (int(np.ceil(np.log2(max(n, 1)))) + 2) + 2
         for oracle in oracles:
-            greedy = greedy_search(oracle, names, (4, 8), 0.998, 1.0)
+            greedy = greedy_search(first_only(oracle), names, (4, 8), 0.998, 1.0)
             assert greedy.evals <= greedy_budget, (n, greedy.evals)
-            bisect = bisection_search(oracle, names, (4, 8), 0.998, 1.0)
+            bisect = bisection_search(first_only(oracle), names, (4, 8), 0.998, 1.0)
             assert bisect.evals <= bisect_budget, (n, bisect.evals)
 
 

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+import mixquant.pipeline as pipeline_module
 from conftest import edit_json
 from mixquant.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
@@ -53,6 +54,15 @@ class TestGenFixture:
         rows = (out / "latency.csv").read_text().splitlines()[1:]
         # three shapes (12x8, 12x12, 2x12) at widths 2..16
         assert len(rows) == len(set(rows)) == 3 * 15
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_that_is_a_file_exit_config(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "fixture" if below else taken
+        assert main(["gen-fixture", "--seed", "5", "--out", str(out), *SMALL_GEN]) == EXIT_CONFIG
+        assert "is a file" in capsys.readouterr().err
+        assert taken.read_text() == "kept"
 
     def test_reports_summary(self, tmp_path, capsys):
         out = tmp_path / "f"
@@ -165,6 +175,23 @@ class TestRun:
         assert message in err
         # rejected while validating the parameters, before any stage ran
         assert "[stage:" not in err and not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_that_is_a_file_exit_config(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, below
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+
+        def no_stage_may_run(path):
+            raise AssertionError("a stage ran before the output path was checked")
+
+        monkeypatch.setattr(pipeline_module, "load_model", no_stage_may_run)
+        out = taken / "run" if below else taken
+        assert main(run_args(fixture_dir, out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "is a file" in err and "[stage:" not in err
+        assert taken.read_text() == "kept"
 
     def test_diverging_calibration_exit_config(self, fixture_dir, tmp_path, capsys):
         code = main(run_args(fixture_dir, tmp_path / "x", ["--lr", "1e308"]))

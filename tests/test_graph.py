@@ -33,6 +33,7 @@ from mixquant.graph import (
     _head_loss,
     _relu_backward,
     _run_layers,
+    chain_accuracies,
     forward,
     gradients,
     hessian_traces,
@@ -281,6 +282,128 @@ class TestBlockedForward:
         # One 8192 x 192 float64 layer output alone is 12.6 MB, and a
         # whole-split pass peaks near 34 MB; a blocked one holds a 256 KiB
         # block plus logits-sized (0.66 MB) loss and accuracy temporaries.
+        assert peak < 4 * 2**20
+
+
+def quantized_bank(model, bits):
+    specs = calibrate(model, dict.fromkeys(model.weight_tensor_names(), bits)).specs
+    return {name: quantize(model.parameter(name), s) for name, s in specs.items()}
+
+
+def greedy_chain(model):
+    """The 14 maps of an all-accepted greedy search at widths 8 then 4,
+    each the previous map with one more tensor replaced, arrays shared."""
+    names = model.weight_tensor_names()
+    maps, current = [], {}
+    for bank in (quantized_bank(model, 8), quantized_bank(model, 4)):
+        for name in reversed(names):
+            current = {**current, name: bank[name]}
+            maps.append(current)
+    return maps
+
+
+class BiasReads:
+    """A layer that counts how often a pass reads its bias: once per block
+    that runs it."""
+
+    def __init__(self, layer):
+        self.layer = layer
+        self.reads = 0
+
+    def __getattr__(self, name):
+        return getattr(self.layer, name)
+
+    @property
+    def bias(self):
+        self.reads += 1
+        return self.layer.bias
+
+
+class TestChainedPass:
+    @pytest.mark.parametrize("rows", ["below-block", "one-block", "ragged-blocks"])
+    @pytest.mark.parametrize("which", ["seed7", "wide"])
+    def test_each_map_matches_its_own_forward(self, f1, which, rows):
+        model = f1[0] if which == "seed7" else build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        h = block_rows(model)
+        n = {"below-block": h // 2 + 1, "one-block": h, "ragged-blocks": 3 * h + h // 3}[rows]
+        data = random_split(model, n)
+        names = model.weight_tensor_names()
+        q4, q8 = quantized_bank(model, 4), quantized_bank(model, 8)
+        first, last = names[0], names[-1]
+        maps = [
+            {},
+            {first: q4[first]},  # differs at the first layer
+            {first: q4[first], last: q4[last]},  # at the last layer
+            {first: q4[first], last: q4[last]},  # at none
+            {first: q4[first], last: q4[last].copy()},  # equal values, another array
+            {name: q8[name] for name in names},  # at the first layer, everywhere
+            {},  # back to the stored weights
+        ]
+        expected = [forward(model, data, weights).accuracy for weights in maps]
+        assert chain_accuracies(model, data, maps) == expected
+        assert chain_accuracies(model, data, maps[::-1]) == expected[::-1]
+        # a greedy chain resumes at every layer in turn, neighbours included
+        maps = greedy_chain(model)
+        expected = [forward(model, data, weights).accuracy for weights in maps]
+        assert chain_accuracies(model, data, maps) == expected
+        assert chain_accuracies(model, data, maps[::-1]) == expected[::-1]
+
+    def test_resumes_at_the_first_changed_layer(self, f1):
+        model, _, evalset = f1
+        names = model.weight_tensor_names()
+        q4 = quantized_bank(model, 4)
+        model.layers = tuple(BiasReads(layer) for layer in model.layers)
+        try:
+            blocks = max(1, len(evalset) // block_rows(model))
+            last, third = {names[-1]: q4[names[-1]]}, {names[2]: q4[names[2]]}
+            maps = [{}, last, dict(last), third]
+            chain_accuracies(model, evalset, maps)
+            reads = [layer.reads for layer in model.layers if layer.kind == KIND_AFFINE]
+        finally:
+            model.layers = tuple(layer.layer for layer in model.layers)
+        # map 0 runs every layer, map 1 the last, map 2 none, map 3 from the third on
+        assert reads == [blocks, blocks, 2 * blocks, 2 * blocks, 2 * blocks, 3 * blocks]
+
+    def test_relu_first_model_and_read_only_features(self):
+        rng = np.random.default_rng(4)
+        model = ModelGraph(
+            [
+                Layer("r0", KIND_RELU),
+                Layer("a", KIND_AFFINE, rng.normal(size=(8, 4)), rng.normal(size=8)),
+                Layer("r1", KIND_RELU),
+                Layer("b", KIND_AFFINE, rng.normal(size=(3, 8)), rng.normal(size=3)),
+            ]
+        )
+        rows = 3 * block_rows(model) + 5
+        data = Dataset(rng.normal(size=(rows, 4)), rng.integers(0, 3, size=rows), 3)
+        before = data.features.copy()
+        wa, wb = rng.normal(size=(8, 4)), rng.normal(size=(3, 8))
+        maps = [{"b.weight": wb}, {"a.weight": wa, "b.weight": wb}, {"a.weight": wa}, {}]
+        expected = [forward(model, data, weights).accuracy for weights in maps]
+        assert chain_accuracies(model, data, maps) == expected
+        assert np.array_equal(data.features, before)
+
+    def test_every_map_is_checked(self, f1):
+        model, _, evalset = f1
+        name = model.weight_tensor_names()[0]
+        bad = np.full(model.parameter(name).shape, np.nan)
+        with pytest.raises(GraphError):
+            chain_accuracies(model, evalset, [{}, {name: bad}])
+
+    def test_working_memory_is_set_by_the_block(self):
+        model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        data = random_split(model, 8192)
+        maps = greedy_chain(model)
+        assert len(maps) == 14
+        chain_accuracies(model, data, maps)
+        tracemalloc.start()
+        try:
+            chain_accuracies(model, data, maps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Every affine layer's input over the whole split would be 44 MB;
+        # one block's (about 170 x 672 floats) is 0.9 MB.
         assert peak < 4 * 2**20
 
 

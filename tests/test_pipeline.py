@@ -132,30 +132,49 @@ class TestRunPipeline:
 
 
 class TestEvaluatorMemo:
-    def test_each_distinct_config_is_evaluated_once(self, f1, tmp_path, monkeypatch):
+    @staticmethod
+    def counted_run(f1, tmp_path, monkeypatch, algo):
+        """A run's configs evaluated by the search and by verify-target."""
         model, calib, evalset = f1
         save_model(model, tmp_path / "model.json")
         save_dataset(calib, tmp_path / "calib.json")
         save_dataset(evalset, tmp_path / "eval.json")
         build_fixture_latency_table(model).to_csv(tmp_path / "latency.csv")
-        evaluated = []
-        real = pipeline_module.evaluate_config
+        searched, verified = [], []
+        chained, single = pipeline_module.evaluate_configs, pipeline_module.evaluate_config
 
-        def counting(model, data, specs_by_bits, config):
-            evaluated.append(frozenset(config.bits.items()))
-            return real(model, data, specs_by_bits, config)
+        def counting_chain(model, data, specs_by_bits, configs):
+            searched.extend(frozenset(c.bits.items()) for c in configs)
+            return chained(model, data, specs_by_bits, configs)
 
-        monkeypatch.setattr(pipeline_module, "evaluate_config", counting)
+        def counting_single(model, data, specs_by_bits, config):
+            verified.append(frozenset(config.bits.items()))
+            return single(model, data, specs_by_bits, config)
+
+        monkeypatch.setattr(pipeline_module, "evaluate_configs", counting_chain)
+        monkeypatch.setattr(pipeline_module, "evaluate_config", counting_single)
         config = config_for(
-            tmp_path, tmp_path / "run", metric="noise", algo="bisection", bits=(2, 3, 4, 5, 6, 8)
+            tmp_path, tmp_path / "run", metric="noise", algo=algo, bits=(2, 3, 4, 5, 6, 8)
         )
         result = run_pipeline(dataclasses.replace(config, epochs=DEFAULT_EPOCHS))
-        # the search's distinct configs, plus verify-target's own evaluation
-        assert len(evaluated) == len(set(evaluated)) + 1
-        assert evaluated[-1] == frozenset(result.config.bits.items())
+        # verify-target makes its own evaluation of the config the search committed
+        committed = frozenset(result.config.bits.items())
+        assert verified == [committed] and committed in searched
+        return searched, result
+
+    def test_each_distinct_config_is_evaluated_once(self, f1, tmp_path, monkeypatch):
+        searched, result = self.counted_run(f1, tmp_path, monkeypatch, "bisection")
+        assert len(searched) == len(set(searched))
         # bisection's verification probes repeat earlier probes, and the
         # trace still records every one of them
-        assert len(result.outcome.trace) == result.outcome.evals > len(set(evaluated))
+        assert len(result.outcome.trace) == result.outcome.evals > len(searched)
+
+    def test_greedy_evaluates_each_probe_once(self, f1, tmp_path, monkeypatch):
+        searched, result = self.counted_run(f1, tmp_path, monkeypatch, "greedy")
+        assert len(searched) == len(set(searched))
+        # every probe is evaluated, some of them speculatively ahead of a rejection
+        probes = len(result.outcome.trace)
+        assert probes == result.outcome.evals <= len(searched)
 
 
 class TestPipelineValidation:
