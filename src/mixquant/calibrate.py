@@ -145,8 +145,9 @@ def _descend(
     """Advance one stacked group of banks through every epoch, in place."""
     for epoch in range(epochs + 1):
         # Overflow shows up as a non-finite loss, reported below as divergence.
+        # The last epoch only logs the loss: no step follows it.
         with np.errstate(over="ignore", invalid="ignore"):
-            losses, grads = loss_and_scale_gradients(model, data, banks)
+            losses, grads = loss_and_scale_gradients(model, data, banks, epoch < epochs)
         for bank, loss, log in zip(banks, losses, logs):
             if not math.isfinite(loss):
                 raise AdjustmentDivergedError(

@@ -8,14 +8,15 @@ across threads. The one way to evaluate altered weights is to pass
 the stored parameters stay untouched. Callers quantize or perturb the
 weights themselves, and activations always stay in float.
 
-Untaped passes (:func:`forward`, :func:`chain_accuracies`) run the rows
-through the whole chain one block of rows at a time, in place, so their
-working memory is set by the block size and not by the split. One such
-pass can evaluate a chain of weight maps: inside each block, every map
-resumes from its predecessor's activations at the first affine layer
-whose weight it replaces differently. Taped passes (gradients, scale
-gradients, Hessian traces) keep every layer's activations over
-the whole split, because the backward passes need them.
+Untaped passes (:func:`forward`, :func:`chain_accuracies`,
+:func:`chain_losses`) run the rows through the whole chain one block of
+rows at a time, in place, so their working memory is set by the block
+size and not by the split. One such pass can evaluate a chain of weight
+maps, quantized search probes or noise perturbations: inside each
+block, every map resumes from its predecessor's activations at the
+first affine layer whose weight it replaces differently. Taped passes
+(gradients, scale gradients, Hessian traces) keep every layer's
+activations over the whole split, because the backward passes need them.
 
 The taped pass and its reverse sweeps are rank-agnostic: activations may
 carry leading stack axes, such as one per bank of quantizer scales in
@@ -422,6 +423,24 @@ def chain_accuracies(
     return [c / len(data) for c in correct]
 
 
+def chain_losses(
+    model: ModelGraph, data: Dataset, maps: Sequence[Mapping[str, np.ndarray]]
+) -> list[float]:
+    """Mean loss under each map of replacement weights, in one row-blocked pass.
+
+    The pass is :func:`chain_accuracies`'s, so a chain of maps that share
+    their unchanged arrays costs one forward plus the tails below each
+    change. Every map's logits over the whole split are kept, and each
+    loss equals ``forward(model, data, map).loss`` bit for bit: the head
+    reduces each map's logits exactly as it reduces a single map's.
+    """
+    checked = [_check_compat(model, data, weights) for weights in maps]
+    logits = np.empty((len(checked), len(data), model.output_dim))
+    for k, lo, hi, block in _chained_blocks(model, data.features, checked):
+        logits[k, lo:hi] = block
+    return [_head_loss(model, map_logits, data.labels) for map_logits in logits]
+
+
 def _relu_backward(g: np.ndarray, output: np.ndarray) -> np.ndarray:
     """``np.where(output > 0, g, 0)``, written into ``g``, NaN included.
 
@@ -494,6 +513,7 @@ def loss_and_scale_gradients(
     model: ModelGraph,
     data: Dataset,
     banks: Sequence[Mapping[str, QuantSpec]],
+    gradient: bool = True,
 ) -> tuple[list[float], list[dict[str, tuple[float, float]]]]:
     """Quantized-forward loss and its straight-through gradients, per bank.
 
@@ -504,8 +524,10 @@ def loss_and_scale_gradients(
     one taped pass and one reverse sweep run over the ``(banks, rows,
     width)`` stack, and each weight's gradient is carried back through
     its quantizer. Every bank's results are bit-identical to those of a
-    call with that bank alone. Model parameters receive no updates here
-    and none are returned for them.
+    call with that bank alone. With ``gradient`` false the reverse sweep
+    is skipped and the gradient list is empty; the losses are the same.
+    Model parameters receive no updates here and none are returned for
+    them.
     """
     names = list(banks[0]) if banks else []
     if any(set(bank) != set(names) for bank in banks):
@@ -520,7 +542,9 @@ def loss_and_scale_gradients(
     }
     x = np.broadcast_to(data.features, (len(banks),) + data.features.shape)
     logits, tapes = _run_layers(model, x, {name: w for name, (w, _) in taped.items()})
-    losses, grad_logits = _head(model, logits, data.labels, gradient=True)
+    losses, grad_logits = _head(model, logits, data.labels, gradient)
+    if not gradient:
+        return losses.tolist(), []
     grads = _backward(tapes, grad_logits, taped)
     per_bank: list[dict[str, tuple[float, float]]] = [{} for _ in banks]
     for name, (_, tape) in taped.items():

@@ -11,9 +11,10 @@ activations stay in float.
 The search's evaluator memoizes accuracies by config and answers a chain
 of offered configs with one chained engine pass over the longest prefix
 whose speculative tail costs at most ``SPECULATION_FORWARDS`` forwards of
-multiply-adds; the final verification is an independent, uncached
-evaluation. An output path that is a file, or lies below one, is refused
-before any stage runs.
+multiply-adds, sending each distinct config of it to the engine once;
+the final verification is an independent, uncached evaluation. An
+output path that is a file, or lies below one, is refused before any
+stage runs.
 """
 
 from __future__ import annotations
@@ -274,10 +275,13 @@ def _evaluate_chain(
 ) -> list[float]:
     """The search evaluator, memoized by config in ``accuracies``.
 
-    Evaluates, in one chained pass, the longest prefix of ``configs`` that
-    stops before any config already evaluated and whose configs after the
-    first cost at most ``SPECULATION_FORWARDS`` forwards of multiply-adds.
-    A first config already evaluated is answered from the memo alone.
+    Answers the longest prefix of ``configs`` that stops before any config
+    already evaluated and whose configs after the first cost at most
+    ``SPECULATION_FORWARDS`` forwards of multiply-adds, and sends each
+    distinct config of it to the engine once, in one chained pass: a
+    config that repeats its predecessor, as bisection's verification
+    does, costs nothing. A first config already evaluated is answered
+    from the memo alone.
     """
     keys = [frozenset(c.bits.items()) for c in configs]
     if keys[0] in accuracies:
@@ -290,9 +294,10 @@ def _evaluate_chain(
         if spent > budget:
             break
         count += 1
-    answers = evaluate_configs(model, data, spec_bank, configs[:count])
-    accuracies.update(zip(keys, answers))
-    return answers
+    fresh = dict(zip(keys[:count], configs[:count]))
+    answers = evaluate_configs(model, data, spec_bank, list(fresh.values()))
+    accuracies.update(zip(fresh, answers))
+    return [accuracies[key] for key in keys[:count]]
 
 
 def run_pipeline(config: PipelineConfig) -> RunResult:

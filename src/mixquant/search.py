@@ -5,8 +5,9 @@ and only ever lower a tensor's width, never raise it. They are written
 against an abstract evaluator, so they can be driven by the real
 quantized engine or by a synthetic oracle in tests. The evaluator is
 offered a non-empty chain of bit-width assignments, each the previous
-one with one more change, and returns the accuracies in [0, 1] of a
-non-empty prefix of it: greedy offers the probes it would make if every
+one with more tensors lowered (or, for a bisection verification, the
+previous one again), and returns the accuracies in [0, 1] of a non-empty
+prefix of it: each search offers the evaluations it would make if every
 one were accepted, and consumes the answers up to the first rejection.
 Evaluation counts are instrumented and checked against the analytic
 budgets.
@@ -240,6 +241,31 @@ def greedy_search(
     )
 
 
+def _bisection_path(
+    config: QuantConfig, names: Sequence[str], levels: Sequence[int], low: int, high: int
+) -> list[tuple[int, int, bool, QuantConfig]]:
+    """Every evaluation bisection has left, as ``(threshold, bits,
+    verification, config)``, if each one is accepted.
+
+    ``levels[0]`` is the width being bisected, where lowering the first
+    ``low`` of ``names`` passes and the first ``high`` fails. Accepted
+    probes raise ``low`` until the bounds meet; a width that ends with
+    ``low > 0`` re-verifies its committed config, and the next width is
+    bisected below that threshold.
+    """
+    path = []
+    for bits in levels:
+        while high - low > 1:
+            low = (low + high) // 2
+            path.append((low, bits, False, config.replace(dict.fromkeys(names[:low], bits))))
+        if low == 0:
+            break
+        config = config.replace(dict.fromkeys(names[:low], bits))
+        path.append((low, bits, True, config))
+        low, high = 0, low + 1
+    return path
+
+
 def bisection_search(
     evaluator: Evaluator,
     ordering,
@@ -257,8 +283,13 @@ def bisection_search(
     passing threshold if the verification fails, which only a
     non-deterministic evaluator can trigger. Uses at most
     ``len(candidate_bits) * (ceil(log2 N) + 2)`` probe evaluations plus
-    one verification per width. The evaluator is offered one config at a
-    time.
+    one verification per width.
+
+    The evaluator is offered every remaining probe and verification as if
+    each were accepted, across widths, and its answers are consumed up to
+    the first rejection, after which the new all-accepted path is offered.
+    A verification repeats the config just before it in such a path. The
+    outcome does not depend on how many answers the evaluator gives.
     """
     names, levels = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits
@@ -267,50 +298,30 @@ def bisection_search(
     config = QuantConfig.uniform(names, baseline_bits, baseline_bits)
     achieved = baseline_accuracy
     trace: list[dict] = []
-    prefix = names
-
-    def prefix_config(base: QuantConfig, count: int, bits: int) -> QuantConfig:
-        return base.replace({name: bits for name in prefix[:count]})
-
-    for bits in levels:
-        n = len(prefix)
-        if n == 0:
-            break
-        # Invariant: thresholds <= low pass (0 is the committed config),
-        # thresholds >= high fail (n + 1 is a virtual sentinel).
-        low, high = 0, n + 1
-        while high - low > 1:
-            threshold = (low + high) // 2
-            accuracy = _answers(evaluator, [prefix_config(config, threshold, bits)])[0]
+    level = 0
+    # Invariant: thresholds <= low pass (0 is the committed config),
+    # thresholds >= high fail (the committed threshold of the width
+    # before, plus one, or len(names) + 1: a virtual sentinel).
+    low, high = 0, len(names) + 1
+    while path := _bisection_path(config, names, levels[level:], low, high):
+        answers = _answers(evaluator, [candidate for *_, candidate in path])
+        for (threshold, bits, verification, candidate), accuracy in zip(path, answers):
             ok = accuracy >= target
-            trace.append(
-                {"threshold": threshold, "bits": bits, "accuracy": accuracy, "accepted": ok}
-            )
-            if ok:
-                low = threshold
+            entry = {"threshold": threshold, "bits": bits, "accuracy": accuracy, "accepted": ok}
+            if not verification:
+                trace.append(entry)
+                low, high = (threshold, high) if ok else (low, threshold)
             else:
-                high = threshold
-        if low > 0:
-            committed = prefix_config(config, low, bits)
-            verify = _answers(evaluator, [committed])[0]
-            trace.append(
-                {
-                    "threshold": low,
-                    "bits": bits,
-                    "accuracy": verify,
-                    "accepted": verify >= target,
-                    "verification": True,
-                }
-            )
-            if verify < target:
-                # Stale pass under a non-deterministic evaluator: keep the
-                # largest threshold that held during verification, none.
-                low = 0
-                committed = config
-                verify = achieved
-            config = committed
-            achieved = verify
-        prefix = prefix[:low]
+                trace.append({**entry, "verification": True})
+                if ok:
+                    config, achieved = candidate, accuracy
+                    level, low, high = level + 1, 0, threshold + 1
+                else:
+                    # Stale pass under a non-deterministic evaluator: keep the
+                    # largest threshold that held during verification, none.
+                    low, high = 0, 1
+            if not ok:
+                break
     max_level = max(len(names), 1)
     budget = len(levels) * (math.ceil(math.log2(max_level)) + 2) + len(levels)
     if len(trace) > budget:

@@ -10,7 +10,8 @@ that serves as the comparison baseline.
 
 The noise metric draws from a private substream per tensor (stream id
 is the tensor's position in the scored list), so scores do not depend on
-evaluation order and tensors could be scored concurrently.
+evaluation order. All of its losses, the clean one and one per tensor
+per trial, come from one chained engine pass (:func:`chain_losses`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import Dataset, GraphError, ModelGraph, forward, hessian_traces
+from .graph import Dataset, GraphError, ModelGraph, chain_losses, hessian_traces
 from .modelio import DataFormatError, read_json, write_json
 from .quantize import QuantSpec, quantization_error
 from .rng import substream
@@ -100,22 +101,33 @@ def score_noise(
     ``noise_scale * max|w|``, the noisy array is passed to the engine in
     place of the stored tensor, and the score is the perturbed-minus-clean
     loss. Mean and spread are taken over ``trials`` independent draws.
+    Every loss comes from one chained pass and equals that of a
+    :func:`forward` of its own; all ``trials`` noisy copies of every
+    tensor are held at once.
     """
     if trials < 1:
         raise GraphError(f"trials must be >= 1, got {trials}")
     if not noise_scale >= 0:  # also rejects NaN
         raise GraphError(f"noise_scale must be >= 0, got {noise_scale}")
-    base = forward(model, data)
-    scores: dict[str, TensorScore] = {}
-    for index, name in enumerate(model.weight_tensor_names()):
+    names = model.weight_tensor_names()
+    # Last tensor first, so each perturbed map resumes at its own layer;
+    # every tensor draws from its own substream, so the order moves no draw.
+    perturbed: list[str] = []
+    maps: list[dict[str, np.ndarray]] = [{}]  # the clean map first
+    for index in reversed(range(len(names))):
+        name = names[index]
         w = model.parameter(name)
         sigma = noise_scale * float(np.max(np.abs(w)))
         rng = substream(seed, "noise", index)
-        samples = []
         for _ in range(trials):
             noisy = w + rng.normal(0.0, sigma, size=w.shape) if sigma > 0 else w
-            samples.append(forward(model, data, {name: noisy}).loss - base.loss)
-        scores[name] = _stat(samples)
+            perturbed.append(name)
+            maps.append({name: noisy})
+    clean, *losses = chain_losses(model, data, maps)
+    samples: dict[str, list[float]] = {name: [] for name in names}
+    for name, loss in zip(perturbed, losses):
+        samples[name].append(loss - clean)
+    scores = {name: _stat(samples[name]) for name in names}
     return _build_report(METRIC_NOISE, scores, seed=seed)
 
 

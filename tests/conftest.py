@@ -21,8 +21,10 @@ from mixquant.graph import (
     _check_compat,
     _run_layers,
     _softmax,
+    forward,
     gradients,
 )
+from mixquant.rng import substream
 
 F1_SEED = 7
 
@@ -221,6 +223,22 @@ def full_basis_trace(model, data, tensor, chunk=64):
         block = basis[start : start + chunk]
         total += float(np.sum(block * r_op_hvp(model, data, tensor, block, tape=tape)))
     return total
+
+
+def noise_samples_oracle(model, data, noise_scale, trials, seed):
+    """Per-tensor loss increases of the noise metric, one :func:`forward`
+    per perturbed tensor per trial, tensors in layer order."""
+    clean = forward(model, data).loss
+    samples = {}
+    for index, name in enumerate(model.weight_tensor_names()):
+        w = model.parameter(name)
+        sigma = noise_scale * float(np.max(np.abs(w)))
+        rng = substream(seed, "noise", index)
+        samples[name] = []
+        for _ in range(trials):
+            noisy = w + rng.normal(0.0, sigma, size=w.shape) if sigma > 0 else w
+            samples[name].append(forward(model, data, {name: noisy}).loss - clean)
+    return samples
 
 
 def reference_levenshtein(a, b):

@@ -229,9 +229,9 @@ class TestStackedBanks:
         passes = []
         real = calibrate_module.loss_and_scale_gradients
 
-        def spy(model, data, banks):
-            passes.append(len(banks))
-            return real(model, data, banks)
+        def spy(model, data, banks, gradient):
+            passes.append((len(banks), gradient))
+            return real(model, data, banks, gradient)
 
         monkeypatch.setattr(calibrate_module, "loss_and_scale_gradients", spy)
         monkeypatch.setattr(
@@ -242,7 +242,8 @@ class TestStackedBanks:
         stacked = adjust_scales(model, data, starts, epochs=4)
         assert_same_banks(stacked, single)
         groups = [1, 1, 1] if per_group == 1 else [2, 1]
-        assert passes == [size for size in groups for _ in range(5)]
+        # the last epoch of each group computes the loss alone
+        assert passes == [(size, epoch < 4) for size in groups for epoch in range(5)]
 
     def test_wide_banks_run_one_at_a_time(self):
         # A taped pass of this model over 256 rows holds about 347k floats

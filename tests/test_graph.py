@@ -34,6 +34,7 @@ from mixquant.graph import (
     _relu_backward,
     _run_layers,
     chain_accuracies,
+    chain_losses,
     forward,
     gradients,
     hessian_traces,
@@ -339,14 +340,15 @@ class TestChainedPass:
             {name: q8[name] for name in names},  # at the first layer, everywhere
             {},  # back to the stored weights
         ]
-        expected = [forward(model, data, weights).accuracy for weights in maps]
-        assert chain_accuracies(model, data, maps) == expected
-        assert chain_accuracies(model, data, maps[::-1]) == expected[::-1]
         # a greedy chain resumes at every layer in turn, neighbours included
-        maps = greedy_chain(model)
-        expected = [forward(model, data, weights).accuracy for weights in maps]
-        assert chain_accuracies(model, data, maps) == expected
-        assert chain_accuracies(model, data, maps[::-1]) == expected[::-1]
+        for chain in (maps, greedy_chain(model)):
+            results = [forward(model, data, weights) for weights in chain]
+            accuracies = [result.accuracy for result in results]
+            losses = [result.loss for result in results]
+            assert chain_accuracies(model, data, chain) == accuracies
+            assert chain_accuracies(model, data, chain[::-1]) == accuracies[::-1]
+            assert chain_losses(model, data, chain) == losses
+            assert chain_losses(model, data, chain[::-1]) == losses[::-1]
 
     def test_resumes_at_the_first_changed_layer(self, f1):
         model, _, evalset = f1
@@ -363,6 +365,19 @@ class TestChainedPass:
             model.layers = tuple(layer.layer for layer in model.layers)
         # map 0 runs every layer, map 1 the last, map 2 none, map 3 from the third on
         assert reads == [blocks, blocks, 2 * blocks, 2 * blocks, 2 * blocks, 3 * blocks]
+
+    def test_noise_maps_resume_at_their_own_layer(self, f1):
+        model, calib, _ = f1
+        model.layers = tuple(BiasReads(layer) for layer in model.layers)
+        try:
+            blocks = max(1, len(calib) // block_rows(model))
+            score_noise(model, calib, trials=3)
+            reads = [layer.reads for layer in model.layers if layer.kind == KIND_AFFINE]
+        finally:
+            model.layers = tuple(layer.layer for layer in model.layers)
+        # the clean map runs every layer, and layer i each perturbation of
+        # the tensors at or below it
+        assert reads == [blocks * (1 + 3 * (i + 1)) for i in range(len(reads))]
 
     def test_relu_first_model_and_read_only_features(self):
         rng = np.random.default_rng(4)
@@ -405,6 +420,21 @@ class TestChainedPass:
         # Every affine layer's input over the whole split would be 44 MB;
         # one block's (about 170 x 672 floats) is 0.9 MB.
         assert peak < 4 * 2**20
+
+    def test_noise_chain_memory_is_set_by_its_maps(self):
+        model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        data = random_split(model, 256)
+        score_noise(model, data, trials=5)
+        tracemalloc.start()
+        try:
+            score_noise(model, data, trials=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 35 perturbed tensors hold 5 x 84,970 floats (3.4 MB), the 36
+        # maps' logits 0.7 MB and the block's held layer inputs 1.5 MB:
+        # measured 5.3 MiB. One loss at a time peaked near 0.9 MiB.
+        assert peak < 8 * 2**20
 
 
 class TestGradients:
@@ -519,6 +549,8 @@ class TestScaleGradients:
         losses, grads = loss_and_scale_gradients(model, data, banks)
         for k, bank in enumerate(banks):
             assert loss_and_scale_gradients(model, data, [bank]) == ([losses[k]], [grads[k]])
+        # the loss alone, with no reverse sweep, is the same
+        assert loss_and_scale_gradients(model, data, banks, gradient=False) == (losses, [])
 
     def test_loss_is_the_quantized_forward_loss(self, f1):
         model, calib, _ = f1

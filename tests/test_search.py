@@ -174,6 +174,32 @@ def sequential_greedy(oracle, names, levels, target):
     return bits, trace
 
 
+def key(config):
+    return frozenset(config.bits.items())
+
+
+def sequential_bisection(oracle, names, levels, target):
+    """Bisection as a width-by-width walk, one probe per evaluation: the
+    committed bits, every config evaluated and (threshold, bits, accepted)
+    per evaluation, verifications included."""
+    bits = dict.fromkeys(names, 16)
+    evaluated, trace, prefix = [], [], list(names)
+    for b in levels:
+        low, high = 0, len(prefix) + 1
+        while high - low > 1:
+            threshold = (low + high) // 2
+            evaluated.append(QuantConfig({**bits, **dict.fromkeys(prefix[:threshold], b)}))
+            ok = oracle(evaluated[-1]) >= target
+            trace.append((threshold, b, ok))
+            low, high = (threshold, high) if ok else (low, threshold)
+        if low:
+            bits.update(dict.fromkeys(prefix[:low], b))
+            evaluated.append(QuantConfig(dict(bits)))
+            trace.append((low, b, oracle(evaluated[-1]) >= target))
+        prefix = prefix[:low]
+    return bits, evaluated, trace
+
+
 @st.composite
 def search_problems(draw):
     """An ordering, candidate widths and a deterministic oracle whose
@@ -231,15 +257,38 @@ class TestChainedEvaluation:
             if any(accuracy < outcome.target for accuracy in answered):
                 assert len(following) == 1
 
-    def test_bisection_offers_one_config_at_a_time(self):
-        offered = []
+    @settings(max_examples=150, deadline=None)
+    @given(search_problems(), st.sampled_from(["one", "all", "prefix"]), st.data())
+    def test_bisection_outcome_does_not_depend_on_how_many_answers(self, problem, answers, data):
+        names, levels, oracle, fraction = problem
+        offers = []
 
         def evaluator(configs):
-            offered.append(len(configs))
-            return [o1_accuracy(c) for c in configs]
+            count = {
+                "one": 1,
+                "all": len(configs),
+                "prefix": data.draw(st.integers(1, len(configs))),
+            }[answers]
+            offers.append((list(configs), count))
+            return [oracle(c) for c in configs[:count]]
 
-        bisection_search(evaluator, O1_NAMES, (4, 8), 0.99, 1.0)
-        assert offered and set(offered) == {1}
+        chained = bisection_search(evaluator, names, levels, fraction, 1.0)
+        assert chained == bisection_search(first_only(oracle), names, levels, fraction, 1.0)
+        bits, _, trace = sequential_bisection(oracle, names, levels, chained.target)
+        assert chained.config.bits == bits
+        assert [(e["threshold"], e["bits"], e["accepted"]) for e in chained.trace] == trace
+        # Every offer, the first and each after a rejection included, is the
+        # rest of what a sequential bisection evaluates if each config whose
+        # answer the search has not used yet is accepted.
+        used = []
+        for offer, count in offers:
+            known = {key(c): oracle(c) for c in used}
+            path = sequential_bisection(
+                lambda c: known.get(key(c), 1.0), names, levels, chained.target
+            )[1]
+            assert offer == path[len(used) :]
+            rejected = [oracle(c) < chained.target for c in offer[:count]] + [True]
+            used += offer[: min(count, rejected.index(True) + 1)]
 
     @pytest.mark.parametrize("answered", [0, 2])
     def test_evaluator_must_answer_a_prefix(self, answered):
@@ -250,8 +299,9 @@ class TestChainedEvaluation:
     @pytest.mark.parametrize("order", ["qe", "layers", "reversed"])
     def test_pipeline_prefix_rule_costs_near_sequential(self, monkeypatch, pattern, order):
         """The run's evaluator spends at most 1.2x the multiply-adds of one
-        forward per probe on the wide model, rejections wasting its
-        speculative tails included."""
+        forward per probe on the wide model, for greedy and bisection,
+        rejections wasting its speculative tails included; bisection's
+        verifications are free."""
         model = build_fixture_model(7, FixtureSpec((64, 192, 160, 128, 96, 64, 32, 10)))
         names = model.weight_tensor_names()
         ordering = {
@@ -268,10 +318,13 @@ class TestChainedEvaluation:
             return [0.0 if set(c.bits.items()) & set(rejected) else 1.0 for c in configs]
 
         monkeypatch.setattr(pipeline_module, "evaluate_configs", fake_engine)
-        evaluator = functools.partial(pipeline_module._evaluate_chain, model, None, {}, {})
-        outcome = greedy_search(evaluator, ordering, (4, 8), 0.99, 1.0)
         forward_macs = sum(model.parameter(name).size for name in names)
-        assert sum(spent) <= 1.2 * outcome.evals * forward_macs
+        for search in (greedy_search, bisection_search):
+            spent.clear()
+            evaluator = functools.partial(pipeline_module._evaluate_chain, model, None, {}, {})
+            outcome = search(evaluator, ordering, (4, 8), 0.99, 1.0)
+            made = sum(not entry.get("verification") for entry in outcome.trace)
+            assert sum(spent) <= 1.2 * made * forward_macs, search.__name__
 
 
 class TestBisectionSearch:

@@ -7,13 +7,16 @@ from conftest import (
     make_dead_relu_model,
     make_diagonal_quadratic,
     make_small_ce_model,
+    noise_samples_oracle,
     reference_levenshtein,
     with_tensor,
 )
 from mixquant.calibrate import calibrate
-from mixquant.graph import KIND_AFFINE, GraphError, Layer, ModelGraph, hessian_traces
+from mixquant.fixtures import FixtureSpec, build_fixture_model
+from mixquant.graph import KIND_AFFINE, Dataset, GraphError, Layer, ModelGraph, hessian_traces
 from mixquant.quantize import QuantSpec, quantization_error
 from mixquant.sensitivity import (
+    TensorScore,
     load_report,
     ordering_distance,
     save_report,
@@ -68,6 +71,24 @@ class TestScoreQE:
 
 
 class TestScoreNoise:
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.05])
+    @pytest.mark.parametrize("which", ["small", "seed7", "wide"])
+    def test_matches_one_forward_per_perturbation(self, f1, which, noise_scale):
+        if which == "small":
+            model, data = make_small_ce_model()
+        elif which == "seed7":
+            model, data = f1[0], f1[1]
+        else:
+            model = build_fixture_model(7, FixtureSpec((64, 192, 160, 128, 96, 64, 32, 10)))
+            rng = np.random.default_rng(1)
+            data = Dataset(rng.normal(size=(256, 64)), rng.integers(0, 10, 256), 10)
+        report = score_noise(model, data, noise_scale=noise_scale, trials=3, seed=11)
+        samples = noise_samples_oracle(model, data, noise_scale, trials=3, seed=11)
+        assert list(report.scores) == list(samples)
+        for name, values in samples.items():
+            expected = TensorScore(float(np.mean(values)), float(np.std(values)), 3)
+            assert report.scores[name] == expected, name
+
     def test_zero_scale_means_zero_scores(self):
         model, data = make_small_ce_model()
         report = score_noise(model, data, noise_scale=0.0, trials=3, seed=1)
