@@ -1,9 +1,10 @@
 """Command-line entry points: gen-fixture, run, compare.
 
 Exit codes: 0 success, 2 invalid configuration or usage (including a
-learning rate that makes scale calibration diverge, and an ``--out`` path
-that is a file or lies below one), 3 malformed or
-unreadable data files, 4 the search could not hold the accuracy target.
+learning rate that makes scale calibration diverge, an ``--out`` path
+that is a file or lies below one, and a run flag other than ``--out``
+next to ``--manifest``), 3 malformed or unreadable data files, 4 the
+committed configuration failed its re-evaluation against the target.
 Unexpected failures propagate as ordinary tracebacks with exit code 1.
 """
 
@@ -25,7 +26,6 @@ from .fixtures import (
 from .graph import GraphError
 from .modelio import DataFormatError, save_dataset, save_model, write_json
 from .pipeline import (
-    ALGO_GREEDY,
     ALGOS,
     PipelineConfig,
     PipelineConfigError,
@@ -35,14 +35,8 @@ from .pipeline import (
     run_pipeline,
 )
 from .search import TargetUnreachableError
-from .sensitivity import (
-    DEFAULT_NOISE_SCALE,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    METRIC_HESSIAN,
-    METRICS,
-)
-from .calibrate import DEFAULT_EPOCHS, DEFAULT_LEARNING_RATE, AdjustmentDivergedError
+from .sensitivity import DEFAULT_SEED, METRICS
+from .calibrate import AdjustmentDivergedError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,34 +74,32 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--eval-examples", type=int, default=DEFAULT_EVAL_EXAMPLES)
 
     run = sub.add_parser("run", help="execute one calibration + search pipeline")
-    run.add_argument("--manifest", help="re-run from a stored run manifest")
-    run.add_argument("--model")
-    run.add_argument("--calib", help="calibration dataset manifest")
-    run.add_argument("--eval", dest="eval_data", help="evaluation dataset manifest")
-    run.add_argument("--latency-table")
-    run.add_argument("--metric", choices=METRICS, default=METRIC_HESSIAN)
-    run.add_argument("--algo", choices=ALGOS, default=ALGO_GREEDY)
     run.add_argument(
-        "--bits", type=_parse_int_list, default=(4, 8), help="candidate bit widths, e.g. 4,8"
+        "--manifest", help="re-run from a stored run manifest; only --out may go with it"
     )
-    run.add_argument(
-        "--target",
-        type=float,
-        default=0.99,
-        help="required fraction of baseline accuracy, in (0, 1]",
-    )
-    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    run.add_argument(
-        "--lambda",
-        dest="noise_scale",
-        type=float,
-        default=DEFAULT_NOISE_SCALE,
-        help="noise-metric perturbation scale",
-    )
-    run.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    run.add_argument("--lr", type=float, default=DEFAULT_LEARNING_RATE)
-    run.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
-    run.add_argument("--out", dest="out_dir", help="run output directory")
+    # Each other flag sets the PipelineConfig field named by its dest; a flag
+    # left out keeps that field's default.
+    flags = [
+        run.add_argument("--model"),
+        run.add_argument("--calib", dest="calib_data", help="calibration dataset manifest"),
+        run.add_argument("--eval", dest="eval_data", help="evaluation dataset manifest"),
+        run.add_argument("--latency-table"),
+        run.add_argument("--metric", choices=METRICS),
+        run.add_argument("--algo", choices=ALGOS),
+        run.add_argument("--bits", type=_parse_int_list, help="candidate bit widths, e.g. 4,8"),
+        run.add_argument(
+            "--target", type=float, help="required fraction of baseline accuracy, in (0, 1]"
+        ),
+        run.add_argument("--seed", type=int),
+        run.add_argument(
+            "--lambda", dest="noise_scale", type=float, help="noise-metric perturbation scale"
+        ),
+        run.add_argument("--trials", type=int),
+        run.add_argument("--lr", dest="learning_rate", type=float),
+        run.add_argument("--epochs", type=int),
+        run.add_argument("--out", dest="out_dir", help="run output directory"),
+    ]
+    run.set_defaults(flags={action.dest: action.option_strings[0] for action in flags})
 
     cmp_parser = sub.add_parser("compare", help="summarize completed runs side by side")
     cmp_parser.add_argument("runs", nargs="+", help="run output directories")
@@ -139,40 +131,23 @@ def _cmd_gen_fixture(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    given = {dest: getattr(args, dest) for dest in args.flags if getattr(args, dest) is not None}
     if args.manifest:
+        others = [args.flags[dest] for dest in given if dest != "out_dir"]
+        if others:
+            raise PipelineConfigError(
+                f"--manifest reruns the stored parameters and takes only --out, "
+                f"not {', '.join(others)}"
+            )
         config = load_manifest(args.manifest)
         if args.out_dir:
             config = dataclasses.replace(config, out_dir=args.out_dir)
     else:
-        missing = [
-            flag
-            for flag, value in (
-                ("--model", args.model),
-                ("--calib", args.calib),
-                ("--eval", args.eval_data),
-                ("--latency-table", args.latency_table),
-                ("--out", args.out_dir),
-            )
-            if not value
-        ]
+        required = ("model", "calib_data", "eval_data", "latency_table", "out_dir")
+        missing = [args.flags[dest] for dest in required if not given.get(dest)]
         if missing:
             raise PipelineConfigError(f"missing required flags: {', '.join(missing)}")
-        config = PipelineConfig(
-            model=args.model,
-            calib_data=args.calib,
-            eval_data=args.eval_data,
-            latency_table=args.latency_table,
-            out_dir=args.out_dir,
-            metric=args.metric,
-            algo=args.algo,
-            bits=tuple(args.bits),
-            target=args.target,
-            seed=args.seed,
-            noise_scale=args.noise_scale,
-            trials=args.trials,
-            learning_rate=args.lr,
-            epochs=args.epochs,
-        )
+        config = PipelineConfig(**given)
     result = run_pipeline(config)
     bits_used = sorted(
         {b for b in result.outcome.config.bits.values()}

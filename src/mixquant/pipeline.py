@@ -8,11 +8,10 @@ that reproduces the run byte for byte. The search space, the final
 config and the cost report all cover the model's weight tensors only;
 activations stay in float.
 
-The search's evaluator memoizes accuracies by config and answers a chain
-of offered configs with one chained engine pass over the longest prefix
-whose speculative tail costs at most ``SPECULATION_FORWARDS`` forwards of
-multiply-adds, sending each distinct config of it to the engine once;
-the final verification is an independent, uncached evaluation. An
+The search's evaluator answers a chain of offered configs with one
+chained engine pass over the longest prefix whose speculative tail costs
+at most ``SPECULATION_FORWARDS`` forwards of multiply-adds; the final
+verification is an independent evaluation of the committed config. An
 output path that is a file, or lies below one, is refused before any
 stage runs.
 """
@@ -267,37 +266,21 @@ def _chain_macs(model: ModelGraph, configs) -> list[int]:
 
 
 def _evaluate_chain(
-    model: ModelGraph,
-    data: Dataset,
-    spec_bank: dict[int, dict],
-    accuracies: dict[frozenset, float],
-    configs,
+    model: ModelGraph, data: Dataset, spec_bank: dict[int, dict], configs
 ) -> list[float]:
-    """The search evaluator, memoized by config in ``accuracies``.
+    """The search evaluator.
 
-    Answers the longest prefix of ``configs`` that stops before any config
-    already evaluated and whose configs after the first cost at most
-    ``SPECULATION_FORWARDS`` forwards of multiply-adds, and sends each
-    distinct config of it to the engine once, in one chained pass: a
-    config that repeats its predecessor, as bisection's verification
-    does, costs nothing. A first config already evaluated is answered
-    from the memo alone.
+    Answers the longest prefix of ``configs`` whose configs after the
+    first cost at most ``SPECULATION_FORWARDS`` forwards of multiply-adds,
+    in one chained pass.
     """
-    keys = [frozenset(c.bits.items()) for c in configs]
-    if keys[0] in accuracies:
-        return [accuracies[keys[0]]]
     costs = _chain_macs(model, configs)
     budget = SPECULATION_FORWARDS * costs[0]
     count, spent = 1, 0
-    while count < len(configs) and keys[count] not in accuracies:
+    while count < len(configs) and spent + costs[count] <= budget:
         spent += costs[count]
-        if spent > budget:
-            break
         count += 1
-    fresh = dict(zip(keys[:count], configs[:count]))
-    answers = evaluate_configs(model, data, spec_bank, list(fresh.values()))
-    accuracies.update(zip(fresh, answers))
-    return [accuracies[key] for key in keys[:count]]
+    return evaluate_configs(model, data, spec_bank, configs[:count])
 
 
 def run_pipeline(config: PipelineConfig) -> RunResult:
@@ -341,11 +324,10 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         baseline_accuracy = forward(model, eval_data).accuracy
 
     with _Stage("search-bit-widths"):
-        # Evaluation is deterministic, and bisection's verification probe
-        # repeats a probe it already ran; the trace still gets every call.
+        # Evaluation is deterministic, so neither search repeats a config.
         # A partial of a module-level function forms no reference cycle, so
         # the eval split is freed as soon as the run returns.
-        evaluator = functools.partial(_evaluate_chain, model, eval_data, spec_bank, {})
+        evaluator = functools.partial(_evaluate_chain, model, eval_data, spec_bank)
         search = bisection_search if config.algo == ALGO_BISECTION else greedy_search
         outcome = search(
             evaluator,

@@ -5,10 +5,10 @@ and only ever lower a tensor's width, never raise it. They are written
 against an abstract evaluator, so they can be driven by the real
 quantized engine or by a synthetic oracle in tests. The evaluator is
 offered a non-empty chain of bit-width assignments, each the previous
-one with more tensors lowered (or, for a bisection verification, the
-previous one again), and returns the accuracies in [0, 1] of a non-empty
-prefix of it: each search offers the evaluations it would make if every
-one were accepted, and consumes the answers up to the first rejection.
+one with more tensors lowered, and returns the accuracies in [0, 1] of a
+non-empty prefix of it: each search offers the evaluations it would make
+if every one were accepted, and consumes the answers up to the first
+rejection.
 Evaluation counts are instrumented and checked against the analytic
 budgets.
 """
@@ -243,25 +243,24 @@ def greedy_search(
 
 def _bisection_path(
     config: QuantConfig, names: Sequence[str], levels: Sequence[int], low: int, high: int
-) -> list[tuple[int, int, bool, QuantConfig]]:
-    """Every evaluation bisection has left, as ``(threshold, bits,
-    verification, config)``, if each one is accepted.
+) -> list[tuple[int, int, QuantConfig]]:
+    """Every probe bisection has left, as ``(threshold, bits, config)``,
+    if each one is accepted.
 
     ``levels[0]`` is the width being bisected, where lowering the first
     ``low`` of ``names`` passes and the first ``high`` fails. Accepted
     probes raise ``low`` until the bounds meet; a width that ends with
-    ``low > 0`` re-verifies its committed config, and the next width is
-    bisected below that threshold.
+    ``low > 0`` commits that threshold, and the next width is bisected
+    below it.
     """
     path = []
     for bits in levels:
         while high - low > 1:
             low = (low + high) // 2
-            path.append((low, bits, False, config.replace(dict.fromkeys(names[:low], bits))))
+            path.append((low, bits, config.replace(dict.fromkeys(names[:low], bits))))
         if low == 0:
             break
         config = config.replace(dict.fromkeys(names[:low], bits))
-        path.append((low, bits, True, config))
         low, high = 0, low + 1
     return path
 
@@ -278,17 +277,14 @@ def bisection_search(
 
     At each width, binary-search the largest prefix of the ordering that
     can drop to that width while accuracy holds the target; commit it,
-    then restrict the next width to that prefix. The committed threshold
-    is re-verified once per width and falls back to the last confirmed
-    passing threshold if the verification fails, which only a
-    non-deterministic evaluator can trigger. Uses at most
-    ``len(candidate_bits) * (ceil(log2 N) + 2)`` probe evaluations plus
-    one verification per width.
+    then restrict the next width to that prefix. A width commits at the
+    accuracy of its accepted probe at the threshold; the evaluator is
+    deterministic, so that probe is not repeated. Uses at most
+    ``len(candidate_bits) * (ceil(log2 N) + 2)`` evaluations.
 
-    The evaluator is offered every remaining probe and verification as if
-    each were accepted, across widths, and its answers are consumed up to
-    the first rejection, after which the new all-accepted path is offered.
-    A verification repeats the config just before it in such a path. The
+    The evaluator is offered every remaining probe as if each were
+    accepted, across widths, and its answers are consumed up to the first
+    rejection, after which the new all-accepted path is offered. The
     outcome does not depend on how many answers the evaluator gives.
     """
     names, levels = _common_checks(
@@ -299,31 +295,31 @@ def bisection_search(
     achieved = baseline_accuracy
     trace: list[dict] = []
     level = 0
-    # Invariant: thresholds <= low pass (0 is the committed config),
-    # thresholds >= high fail (the committed threshold of the width
-    # before, plus one, or len(names) + 1: a virtual sentinel).
+    # Invariant: thresholds <= low pass (0 is the committed config), and
+    # ``passed`` holds the config and accuracy at low; thresholds >= high
+    # fail (the committed threshold of the width before, plus one, or
+    # len(names) + 1: a virtual sentinel).
     low, high = 0, len(names) + 1
+    passed = (config, achieved)
     while path := _bisection_path(config, names, levels[level:], low, high):
         answers = _answers(evaluator, [candidate for *_, candidate in path])
-        for (threshold, bits, verification, candidate), accuracy in zip(path, answers):
+        for (threshold, bits, candidate), accuracy in zip(path, answers):
             ok = accuracy >= target
-            entry = {"threshold": threshold, "bits": bits, "accuracy": accuracy, "accepted": ok}
-            if not verification:
-                trace.append(entry)
-                low, high = (threshold, high) if ok else (low, threshold)
+            trace.append(
+                {"threshold": threshold, "bits": bits, "accuracy": accuracy, "accepted": ok}
+            )
+            if ok:
+                low, passed = threshold, (candidate, accuracy)
             else:
-                trace.append({**entry, "verification": True})
-                if ok:
-                    config, achieved = candidate, accuracy
-                    level, low, high = level + 1, 0, threshold + 1
-                else:
-                    # Stale pass under a non-deterministic evaluator: keep the
-                    # largest threshold that held during verification, none.
-                    low, high = 0, 1
+                high = threshold
+            if high - low == 1:
+                # the width is settled: commit its threshold, which ends
+                # the search if it is 0
+                config, achieved = passed
+                level, low, high = level + 1, 0, low + 1
             if not ok:
                 break
-    max_level = max(len(names), 1)
-    budget = len(levels) * (math.ceil(math.log2(max_level)) + 2) + len(levels)
+    budget = len(levels) * (math.ceil(math.log2(max(len(names), 1))) + 2)
     if len(trace) > budget:
         raise RuntimeError(
             f"bisection search used {len(trace)} evaluations, over its budget {budget}"

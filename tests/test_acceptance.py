@@ -188,7 +188,7 @@ def test_criterion_6_evaluation_budgets():
         names = [f"t{i:02d}" for i in range(n)]
         oracles = (separable(names), lambda c: 1.0, lambda c: 0.0)
         greedy_budget = 2 * n
-        bisect_budget = 2 * (int(np.ceil(np.log2(max(n, 1)))) + 2) + 2
+        bisect_budget = 2 * (int(np.ceil(np.log2(max(n, 1)))) + 2)
         for oracle in oracles:
             greedy = greedy_search(first_only(oracle), names, (4, 8), 0.998, 1.0)
             assert greedy.evals <= greedy_budget, (n, greedy.evals)

@@ -7,7 +7,8 @@ import pytest
 
 import mixquant.pipeline as pipeline_module
 from conftest import edit_json
-from mixquant.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from mixquant.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TARGET, main
+from mixquant.pipeline import PipelineConfig, load_manifest
 
 SMALL_GEN = ["--dims", "8,12,12,8,2", "--calib-examples", "96", "--eval-examples", "256"]
 
@@ -80,6 +81,16 @@ class TestRun:
         assert "achieved" in stdout and "relative size" in stdout
         for name in ("manifest.json", "config.json", "outcome.json", "cost.json"):
             assert (out / name).exists()
+        # a flag left out takes the default of its PipelineConfig field
+        expected = PipelineConfig(
+            model=str(fixture_dir / "model.json"),
+            calib_data=str(fixture_dir / "calib.json"),
+            eval_data=str(fixture_dir / "eval.json"),
+            latency_table=str(fixture_dir / "latency.csv"),
+            out_dir=str(out),
+            epochs=2,
+        )
+        assert load_manifest(out / "manifest.json") == expected
 
     def test_rerun_with_fewer_widths_leaves_no_stale_specs(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
@@ -137,6 +148,25 @@ class TestRun:
         assert "malformed manifest parameters" in err
         # rejected while reading the manifest, before any stage ran
         assert "[stage:" not in err and not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param(["--metric", "qe", "--algo", "bisection", "--bits", "2,4"], id="search"),
+            pytest.param(["--epochs", "2"], id="same-value"),
+            pytest.param(["--model", "other.json"], id="input"),
+        ],
+    )
+    def test_manifest_refuses_other_run_flags(self, fixture_dir, tmp_path, capsys, extra):
+        first = tmp_path / "first"
+        assert main(run_args(fixture_dir, first)) == EXIT_OK
+        capsys.readouterr()
+        second = tmp_path / "second"
+        args = ["run", "--manifest", str(first / "manifest.json"), "--out", str(second)]
+        assert main([*args, *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert extra[0] in err and "--out" in err and "[stage:" not in err
+        assert not second.exists()
 
     def test_manifest_with_probes_reruns_exactly(self, fixture_dir, tmp_path, capsys):
         # manifests written while the hessian metric was sampled carry the
@@ -250,6 +280,22 @@ class TestRun:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: [stage: report-costs] no latency entry")
+
+    def test_committed_config_below_target_exit_target(
+        self, fixture_dir, tmp_path, capsys, monkeypatch
+    ):
+        # a search engine that overstates every accuracy commits every tensor
+        # at 2 bits; verify-target's own evaluation must catch it
+        monkeypatch.setattr(
+            pipeline_module,
+            "evaluate_configs",
+            lambda model, data, specs, configs: [1.0] * len(configs),
+        )
+        out = tmp_path / "run"
+        assert main(run_args(fixture_dir, out, ["--bits", "2"])) == EXIT_TARGET
+        err = capsys.readouterr().err
+        assert err.startswith("error: [stage: verify-target]") and "below target" in err
+        assert not out.exists()
 
     def test_metric_choice_enforced_by_parser(self, fixture_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -38,13 +38,13 @@ PINNED = {
         (6, 1, 4, 5, 2, 3), (4, 4, 8, 4, 4, 4), GREEDY_LAST_FAILS, "111111111110", 0
     ),
     ("qe", "bisection", (4, 8)): Pin(
-        (6, 1, 4, 5, 2, 3), (4, 4, 8, 4, 4, 4), (0, 0, 0, 0, 0, 0, 24, 0), "11111101", 0
+        (6, 1, 4, 5, 2, 3), (4, 4, 8, 4, 4, 4), (0, 0, 0, 0, 0, 24), "111110", 0
     ),
     ("noise", "greedy", (4, 8)): Pin(
         NOISE_ORDER, (4, 4, 8, 4, 4, 4), GREEDY_LAST_FAILS, "111111111110", 0
     ),
     ("noise", "bisection", (4, 8)): Pin(
-        NOISE_ORDER, (4, 4, 8, 4, 4, 4), (0, 0, 0, 0, 0, 0, 24, 0), "11111101", 0
+        NOISE_ORDER, (4, 4, 8, 4, 4, 4), (0, 0, 0, 0, 0, 24), "111110", 0
     ),
     ("hessian", "greedy", (4, 8)): Pin(
         (1, 2, 3, 4, 5, 6),
@@ -54,7 +54,7 @@ PINNED = {
         2,
     ),
     ("hessian", "bisection", (4, 8)): Pin(
-        (1, 2, 3, 4, 5, 6), (4, 4, 4, 4, 8, 8), (0, 0, 0, 0, 1, 41, 9, 9), "11111011", 9
+        (1, 2, 3, 4, 5, 6), (4, 4, 4, 4, 8, 8), (0, 0, 0, 1, 41, 9), "111101", 9
     ),
     ("random", "greedy", (4, 8)): Pin(
         (1, 6, 2, 4, 3, 5),
@@ -64,13 +64,13 @@ PINNED = {
         2,
     ),
     ("random", "bisection", (4, 8)): Pin(
-        (1, 6, 2, 4, 3, 5), (4, 4, 4, 4, 8, 4), (0, 0, 0, 0, 0, 2, 24, 2), "11111101", 2
+        (1, 6, 2, 4, 3, 5), (4, 4, 4, 4, 8, 4), (0, 0, 0, 0, 2, 24), "111110", 2
     ),
     ("noise", "bisection", (2, 3, 4, 5, 6, 8)): Pin(
         NOISE_ORDER,
         (4, 2, 5, 4, 4, 4),
-        (0,) * 14 + (24, 0, 77, 9, 26, 9, 17, 17),
-        "1111111111111101010111",
+        (0,) * 11 + (24, 77, 9, 26, 17),
+        "1111111111100101",
         17,
     ),
 }

@@ -181,7 +181,7 @@ def key(config):
 def sequential_bisection(oracle, names, levels, target):
     """Bisection as a width-by-width walk, one probe per evaluation: the
     committed bits, every config evaluated and (threshold, bits, accepted)
-    per evaluation, verifications included."""
+    per evaluation."""
     bits = dict.fromkeys(names, 16)
     evaluated, trace, prefix = [], [], list(names)
     for b in levels:
@@ -192,10 +192,7 @@ def sequential_bisection(oracle, names, levels, target):
             ok = oracle(evaluated[-1]) >= target
             trace.append((threshold, b, ok))
             low, high = (threshold, high) if ok else (low, threshold)
-        if low:
-            bits.update(dict.fromkeys(prefix[:low], b))
-            evaluated.append(QuantConfig(dict(bits)))
-            trace.append((low, b, oracle(evaluated[-1]) >= target))
+        bits.update(dict.fromkeys(prefix[:low], b))
         prefix = prefix[:low]
     return bits, evaluated, trace
 
@@ -276,6 +273,7 @@ class TestChainedEvaluation:
         assert chained == bisection_search(first_only(oracle), names, levels, fraction, 1.0)
         bits, _, trace = sequential_bisection(oracle, names, levels, chained.target)
         assert chained.config.bits == bits
+        assert chained.achieved_accuracy == oracle(chained.config)
         assert [(e["threshold"], e["bits"], e["accepted"]) for e in chained.trace] == trace
         # Every offer, the first and each after a rejection included, is the
         # rest of what a sequential bisection evaluates if each config whose
@@ -290,6 +288,27 @@ class TestChainedEvaluation:
             rejected = [oracle(c) < chained.target for c in offer[:count]] + [True]
             used += offer[: min(count, rejected.index(True) + 1)]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        search_problems(), st.sampled_from([greedy_search, bisection_search]), st.data()
+    )
+    def test_no_config_is_offered_twice(self, problem, search, data):
+        """No offered chain holds a config twice, and no config the
+        evaluator already answered in a search is offered again, however
+        many answers it gives: a deterministic engine needs no memo."""
+        names, levels, oracle, fraction = problem
+        answered = set()
+
+        def evaluator(configs):
+            keys = [key(c) for c in configs]
+            assert len(set(keys)) == len(keys)
+            assert not answered & set(keys)
+            count = data.draw(st.integers(1, len(configs)))
+            answered.update(keys[:count])
+            return [oracle(c) for c in configs[:count]]
+
+        search(evaluator, names, levels, fraction, 1.0)
+
     @pytest.mark.parametrize("answered", [0, 2])
     def test_evaluator_must_answer_a_prefix(self, answered):
         with pytest.raises(RuntimeError):
@@ -300,8 +319,7 @@ class TestChainedEvaluation:
     def test_pipeline_prefix_rule_costs_near_sequential(self, monkeypatch, pattern, order):
         """The run's evaluator spends at most 1.2x the multiply-adds of one
         forward per probe on the wide model, for greedy and bisection,
-        rejections wasting its speculative tails included; bisection's
-        verifications are free."""
+        rejections wasting its speculative tails included."""
         model = build_fixture_model(7, FixtureSpec((64, 192, 160, 128, 96, 64, 32, 10)))
         names = model.weight_tensor_names()
         ordering = {
@@ -321,9 +339,9 @@ class TestChainedEvaluation:
         forward_macs = sum(model.parameter(name).size for name in names)
         for search in (greedy_search, bisection_search):
             spent.clear()
-            evaluator = functools.partial(pipeline_module._evaluate_chain, model, None, {}, {})
+            evaluator = functools.partial(pipeline_module._evaluate_chain, model, None, {})
             outcome = search(evaluator, ordering, (4, 8), 0.99, 1.0)
-            made = sum(not entry.get("verification") for entry in outcome.trace)
+            made = len(outcome.trace)
             assert sum(spent) <= 1.2 * made * forward_macs, search.__name__
 
 
@@ -348,22 +366,8 @@ class TestBisectionSearch:
     def test_budget_on_54_tensors(self):
         names = [f"t{i:02d}" for i in range(54)]
         outcome = bisection_search(first_only(lambda c: 1.0), names, (4, 8), 0.999, 1.0)
-        assert outcome.evals <= 2 * (int(np.ceil(np.log2(54))) + 2) + 2
+        assert outcome.evals <= 2 * (int(np.ceil(np.log2(54))) + 2)
         assert outcome.config.bits == {n: 4 for n in names}
-
-    def test_verification_failure_falls_back(self):
-        # an evaluator that passes during probing and fails verification;
-        # only non-determinism can cause this, the fallback must hold
-        calls = {"n": 0}
-
-        def flaky(config):
-            calls["n"] += 1
-            return 1.0 if calls["n"] <= 2 else 0.0
-
-        outcome = bisection_search(first_only(flaky), ["a", "b"], (8,), 0.99, 1.0)
-        assert outcome.config.bits == {"a": 16, "b": 16}
-        assert outcome.achieved_accuracy == 1.0
-        assert any(e.get("verification") and not e["accepted"] for e in outcome.trace)
 
     def test_monotone_prefix_structure(self):
         outcome = bisection_search(first_only(o1_accuracy), O1_NAMES, (4, 8, 16), 0.995, 1.0)
