@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .graph import KIND_AFFINE, GraphError, ModelGraph
-from .modelio import DataFormatError
+from .modelio import DataFormatError, new_file
 from .search import QuantConfig
 
 KIND_MATMUL = "matmul"
@@ -85,7 +85,7 @@ class LatencyTable:
         return table
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as handle:
+        with new_file(path).open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(_CSV_HEADER)
             for key in sorted(self.entries):

@@ -18,6 +18,16 @@ first affine layer whose weight it replaces differently. Taped passes
 (gradients, scale gradients, Hessian traces) keep every layer's
 activations over the whole split, because the backward passes need them.
 
+The row blocks of an untaped pass are independent, so they are split
+into contiguous ranges, one per CPU in the process's affinity mask and
+at most one per block. The calling thread runs the first range and a
+process-wide thread pool, made on first need, the others; numpy releases
+the GIL inside the products. Every range writes only its own rows of the
+pass's outputs, and the call returns once every range has, so each
+result is bit-identical to a serial pass. A pass with one block, or a
+process with one CPU, starts no thread and does not import
+:mod:`concurrent.futures`; ``taskset`` limits the workers.
+
 The taped pass and its reverse sweeps are rank-agnostic: activations may
 carry leading stack axes, such as one per bank of quantizer scales in
 :func:`loss_and_scale_gradients`, and every product runs slice by slice,
@@ -28,8 +38,10 @@ computes the gradient of the input below the first affine layer.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +57,9 @@ KIND_RELU = "relu"
 # Floats in one row block of an untaped pass at the widest affine output:
 # a block of 2**15 float64 (256 KiB) stays cache-resident from layer to layer.
 FORWARD_BLOCK_FLOATS = 2**15
+
+_pool = None  # the executor of the worker ranges, made on first need
+_pool_lock = threading.Lock()
 
 
 class GraphError(ValueError):
@@ -276,10 +291,68 @@ def _run_layers(
     return a, tapes
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool's bookkeeping but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            # threads start as submissions need them, one per concurrent range
+            _pool = ThreadPoolExecutor(thread_name_prefix="mixquant-rows")
+        return _pool
+
+
+def _on_workers(count: int, work: Callable[[int, int], None]) -> None:
+    """Call ``work(start, stop)`` on contiguous ranges that cover ``range(count)``.
+
+    There is one range per CPU the process may use, and at most one per
+    index. The calling thread runs the first range and the pool the
+    others. The call returns or raises only once every range has
+    finished; the caller's own error comes first, then the first
+    worker's in range order.
+    """
+    workers = min(count, _worker_count())
+    if workers <= 1:
+        work(0, count)
+        return
+    from concurrent.futures import wait
+
+    bounds = [count * w // workers for w in range(workers + 1)]
+    pool = _executor()
+    futures = [pool.submit(work, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        work(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _chained_blocks(
-    model: ModelGraph, x: np.ndarray, maps: Sequence[Mapping[str, np.ndarray]]
-):
-    """``(map index, lo, hi, logits of rows lo:hi)`` for every map, block by block.
+    model: ModelGraph,
+    x: np.ndarray,
+    maps: Sequence[Mapping[str, np.ndarray]],
+    visit: Callable[[int, int, int, np.ndarray], None],
+) -> None:
+    """Call ``visit(map index, lo, hi, logits of rows lo:hi)`` for every map, block by block.
 
     The rows run through the chain one block at a time without a tape.
     Inside a block, each map resumes from the previous map's activations
@@ -289,7 +362,10 @@ def _chained_blocks(
     Each block is at least ``FORWARD_BLOCK_FLOATS // widest`` rows unless
     the whole split is shorter: a short trailing block could take BLAS's
     small-matrix path and round differently from the taped pass. The
-    yielded logits are the engine's own buffer; read them, never write.
+    blocks are split across workers by :func:`_on_workers`, so ``visit``
+    runs on several threads at once and may write only into rows
+    ``lo:hi`` of its outputs. The logits are the engine's own buffer;
+    read them, never write.
     """
     lead = 0  # relus below the first affine layer
     segments: list[list] = []  # [affine layer, relus after it]
@@ -309,35 +385,49 @@ def _chained_blocks(
     n = x.shape[0]
     widest = max(l.weight.shape[0] for l, _ in segments)
     blocks = max(1, n // max(1, FORWARD_BLOCK_FLOATS // widest))
-    for b in range(blocks):
-        lo, hi = n * b // blocks, n * (b + 1) // blocks
-        a = x[lo:hi]
-        for r in range(lead):
-            # never write into the caller's features
-            a = np.maximum(a, 0.0) if r == 0 else np.maximum(a, 0.0, out=a)
-        held = {0: a}  # inputs by segment, as the latest map computed them
-        for k, (weights, start) in enumerate(zip(used, starts)):
-            if start < len(segments):
-                a = held[start] if last_resume[start] > k else held.pop(start)
-            for i in range(start, len(segments)):
-                if i > start and last_resume.get(i, -1) > k:
-                    held[i] = a
-                layer, relus = segments[i]
-                a = a @ weights[i].T
-                a += layer.bias
-                for _ in range(relus):
-                    np.maximum(a, 0.0, out=a)
-            yield k, lo, hi, a
+
+    def run(first: int, stop: int) -> None:
+        for b in range(first, stop):
+            lo, hi = n * b // blocks, n * (b + 1) // blocks
+            a = x[lo:hi]
+            for r in range(lead):
+                # never write into the caller's features
+                a = np.maximum(a, 0.0) if r == 0 else np.maximum(a, 0.0, out=a)
+            held = {0: a}  # inputs by segment, as the latest map computed them
+            for k, (weights, start) in enumerate(zip(used, starts)):
+                if start < len(segments):
+                    a = held[start] if last_resume[start] > k else held.pop(start)
+                for i in range(start, len(segments)):
+                    if i > start and last_resume.get(i, -1) > k:
+                        held[i] = a
+                    layer, relus = segments[i]
+                    a = a @ weights[i].T
+                    a += layer.bias
+                    for _ in range(relus):
+                        np.maximum(a, 0.0, out=a)
+                visit(k, lo, hi, a)
+
+    _on_workers(blocks, run)
+
+
+def _chain_logits(
+    model: ModelGraph, x: np.ndarray, maps: Sequence[Mapping[str, np.ndarray]]
+) -> np.ndarray:
+    """``(maps, rows, classes)`` logits of ``x`` under each map, in one chained pass."""
+    logits = np.empty((len(maps), x.shape[0], model.output_dim))
+
+    def keep(k, lo, hi, block):
+        logits[k, lo:hi] = block
+
+    _chained_blocks(model, x, maps, keep)
+    return logits
 
 
 def _blocked_logits(
     model: ModelGraph, x: np.ndarray, weights: Mapping[str, np.ndarray]
 ) -> np.ndarray:
     """Logits of ``x`` under ``weights``, computed block of rows by block of rows."""
-    logits = np.empty((x.shape[0], model.output_dim))
-    for _, lo, hi, block in _chained_blocks(model, x, [weights]):
-        logits[lo:hi] = block
-    return logits
+    return _chain_logits(model, x, [weights])[0]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -389,9 +479,9 @@ def forward(
 
     The rows run through the chain in blocks of about
     ``FORWARD_BLOCK_FLOATS`` floats at the widest layer, so the pass
-    needs working memory for one block plus the logits, whatever the
-    size of the split. Loss and accuracy are computed over all logits at
-    once, exactly as for a whole-split pass.
+    needs working memory for one block per worker plus the logits,
+    whatever the size of the split. Loss and accuracy are computed over
+    all logits at once, exactly as for a whole-split pass.
     """
     replaced = _check_compat(model, data, weights)
     logits = _blocked_logits(model, data.features, replaced)
@@ -413,14 +503,17 @@ def chain_accuracies(
     ``k - 1``'s activations at the first affine layer whose weight array
     differs from that map's by identity, so a chain of maps that share
     their unchanged arrays costs one forward plus the tails below each
-    change. Only one block's inputs to the layers the maps resume at are
-    ever held. No loss is computed.
+    change. Only one block's inputs per worker to the layers the maps
+    resume at are ever held. No loss is computed.
     """
     checked = [_check_compat(model, data, weights) for weights in maps]
-    correct = [0] * len(checked)
-    for k, lo, hi, logits in _chained_blocks(model, data.features, checked):
-        correct[k] += int(np.count_nonzero(np.argmax(logits, axis=1) == data.labels[lo:hi]))
-    return [c / len(data) for c in correct]
+    hits = np.empty((len(checked), len(data)), dtype=bool)
+
+    def mark(k, lo, hi, logits):
+        np.equal(np.argmax(logits, axis=1), data.labels[lo:hi], out=hits[k, lo:hi])
+
+    _chained_blocks(model, data.features, checked, mark)
+    return [c / len(data) for c in np.count_nonzero(hits, axis=1).tolist()]
 
 
 def chain_losses(
@@ -435,9 +528,7 @@ def chain_losses(
     reduces each map's logits exactly as it reduces a single map's.
     """
     checked = [_check_compat(model, data, weights) for weights in maps]
-    logits = np.empty((len(checked), len(data), model.output_dim))
-    for k, lo, hi, block in _chained_blocks(model, data.features, checked):
-        logits[k, lo:hi] = block
+    logits = _chain_logits(model, data.features, checked)
     return [_head_loss(model, map_logits, data.labels) for map_logits in logits]
 
 

@@ -383,10 +383,11 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         spec_files = {f"specs-{bits}bit.json": b for bits, b in bank_outcomes.items()}
         for name, outcome_b in spec_files.items():
             save_specs(outcome_b, out_dir / name)
-        # An earlier run into the same directory may have had other widths.
+        # An earlier run into the same directory may have had other widths,
+        # and another run into it may remove a stale file first.
         for stale in out_dir.glob("specs-*bit.json"):
             if stale.name not in spec_files:
-                stale.unlink()
+                stale.unlink(missing_ok=True)
 
     return RunResult(
         out_dir=out_dir,

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +103,22 @@ class TestRun:
         assert sorted(p.name for p in out.glob("specs-*")) == ["specs-4bit.json", "specs-8bit.json"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["bits"] == [4, 8]
+
+    def test_stale_spec_removed_by_another_run_first(self, fixture_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert main(run_args(fixture_dir, out, ["--bits", "2,4,8"])) == EXIT_OK
+        listing = Path.glob
+
+        def racing_glob(self, pattern, *args, **kwargs):
+            found = list(listing(self, pattern, *args, **kwargs))
+            if pattern == "specs-*bit.json":
+                (self / "specs-2bit.json").unlink()  # another run got there first
+            return iter(found)
+
+        monkeypatch.setattr(Path, "glob", racing_glob)
+        assert main(run_args(fixture_dir, out, ["--bits", "4,8"])) == EXIT_OK
+        monkeypatch.undo()
+        assert sorted(p.name for p in out.glob("specs-*")) == ["specs-4bit.json", "specs-8bit.json"]
 
     def test_manifest_rerun_reproduces_artifacts(self, fixture_dir, tmp_path, capsys):
         first = tmp_path / "first"

@@ -1,6 +1,13 @@
 """Inference engine tests: forward, reverse mode, Hessian traces and their HVP oracle."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +22,14 @@ from conftest import (
     r_op_tape,
     with_tensor,
 )
+import mixquant.graph as graph_module
 from mixquant.calibrate import calibrate
-from mixquant.fixtures import FixtureSpec, build_fixture_model
+from mixquant.fixtures import (
+    FixtureSpec,
+    build_fixture,
+    build_fixture_latency_table,
+    build_fixture_model,
+)
 from mixquant.graph import (
     FORWARD_BLOCK_FLOATS,
     HEAD_SOFTMAX_CE,
@@ -30,7 +43,9 @@ from mixquant.graph import (
     ModelGraph,
     _accuracy,
     _blocked_logits,
+    _chained_blocks,
     _head_loss,
+    _on_workers,
     _relu_backward,
     _run_layers,
     chain_accuracies,
@@ -40,6 +55,7 @@ from mixquant.graph import (
     hessian_traces,
     loss_and_scale_gradients,
 )
+from mixquant.modelio import save_dataset, save_model
 from mixquant.quantize import QuantSpec, quantize
 from mixquant.sensitivity import score_noise
 
@@ -435,6 +451,196 @@ class TestChainedPass:
         # maps' logits 0.7 MB and the block's held layer inputs 1.5 MB:
         # measured 5.3 MiB. One loss at a time peaked near 0.9 MiB.
         assert peak < 8 * 2**20
+
+
+def use_workers(monkeypatch, workers):
+    monkeypatch.setattr(graph_module, "_worker_count", lambda: workers)
+
+
+class TestParallelBlocks:
+    @pytest.mark.parametrize(
+        "blocks, workers, ranges",
+        [(7, 1, [(0, 7)]), (7, 2, [(0, 3), (3, 7)]), (7, 3, [(0, 2), (2, 4), (4, 7)]),
+         (2, 3, [(0, 1), (1, 2)]), (1, 3, [(0, 1)])],
+    )
+    def test_contiguous_ranges_the_caller_runs_the_first(self, monkeypatch, blocks, workers, ranges):
+        use_workers(monkeypatch, workers)
+        seen = []
+        _on_workers(blocks, lambda start, stop: seen.append((start, stop, threading.get_ident())))
+        assert sorted((start, stop) for start, stop, _ in seen) == ranges
+        on_caller = [start for start, _, ident in seen if ident == threading.get_ident()]
+        assert on_caller == [0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("blocks", [2, 3, 7])
+    def test_results_do_not_depend_on_the_workers(self, monkeypatch, blocks, workers):
+        model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        h = block_rows(model)
+        data = random_split(model, blocks * h + h // 3)  # a ragged last block
+        weights = quantized_bank(model, 4)
+        chain = greedy_chain(model)
+        logits, result = whole_split_result(model, data, weights)
+        use_workers(monkeypatch, 1)
+        accuracies = chain_accuracies(model, data, chain)
+        losses = chain_losses(model, data, chain)
+        use_workers(monkeypatch, workers)
+        assert np.array_equal(_blocked_logits(model, data.features, weights), logits)
+        assert forward(model, data, weights) == result
+        assert chain_accuracies(model, data, chain) == accuracies
+        assert chain_losses(model, data, chain) == losses
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+    def test_an_error_is_raised_once_every_range_has_stopped(self, monkeypatch, failing):
+        use_workers(monkeypatch, 3)
+        writes = []
+
+        def work(start, stop):
+            if start == failing:
+                raise ValueError(f"range {start} failed")
+            for _ in range(5):
+                time.sleep(0.01)
+                writes.append(start)
+
+        with pytest.raises(ValueError, match=f"range {failing} failed"):
+            _on_workers(3, work)
+        assert len(writes) == 10  # both other ranges ran to their end
+        time.sleep(0.05)
+        assert len(writes) == 10
+
+    def test_an_error_in_a_workers_block_reaches_the_caller(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        rows = 4 * block_rows(model)
+        data = random_split(model, rows)
+
+        def visit(k, lo, hi, logits):
+            if hi == rows:
+                raise RuntimeError("last block")
+
+        with pytest.raises(RuntimeError, match="last block"):
+            _chained_blocks(model, data.features, [{}], visit)
+
+    @pytest.mark.parametrize("blocks, workers", [(1, 4), (5, 1)])
+    def test_one_block_or_one_cpu_starts_no_thread(self, monkeypatch, blocks, workers):
+        monkeypatch.setattr(graph_module, "_pool", None)
+        use_workers(monkeypatch, workers)
+        model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        data = random_split(model, blocks * block_rows(model))
+        before = threading.active_count()
+        forward(model, data)
+        chain_accuracies(model, data, greedy_chain(model))
+        assert threading.active_count() == before
+        assert graph_module._pool is None
+
+    def test_a_seed7_run_never_imports_the_pool(self, tmp_path):
+        # Fixture generation labels a pool of several blocks; the run's
+        # passes each fit one block.
+        model, calib, evalset = build_fixture(7)
+        save_model(model, tmp_path / "model.json")
+        save_dataset(calib, tmp_path / "calib.json")
+        save_dataset(evalset, tmp_path / "eval.json")
+        build_fixture_latency_table(model).to_csv(tmp_path / "latency.csv")
+        script = (
+            "import sys, threading\n"
+            "from mixquant.pipeline import PipelineConfig, run_pipeline\n"
+            "run_pipeline(PipelineConfig(model='model.json', calib_data='calib.json',\n"
+            "    eval_data='eval.json', latency_table='latency.csv', out_dir='run'))\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        )
+        src = str(Path(graph_module.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "1"]
+        assert (tmp_path / "run" / "outcome.json").is_file()
+
+    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
+        made = []
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                time.sleep(0.01)  # widens the window for a second pool
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(graph_module, "_pool", None)
+        model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        workers = (os.cpu_count() or 1) + 2  # more workers than cores
+        h = block_rows(model)
+        data = random_split(model, (workers + 1) * h + h // 2)
+        chain = greedy_chain(model)
+        use_workers(monkeypatch, 1)
+        expected = (chain_accuracies(model, data, chain), chain_losses(model, data, chain))
+        use_workers(monkeypatch, workers)
+        results = [None] * 4
+        start = threading.Barrier(len(results))
+
+        def call(i):
+            start.wait(timeout=60)
+            results[i] = (chain_accuracies(model, data, chain), chain_losses(model, data, chain))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in made:
+                pool.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * len(results)
+        assert len(made) == 1  # the callers share one pool
+
+    def test_a_forked_child_makes_its_own_pool(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        script = (
+            "import os, signal\n"
+            "import numpy as np\n"
+            "import mixquant.graph as g\n"
+            "g._worker_count = lambda: 2\n"
+            "m = g.ModelGraph([g.Layer('a', g.KIND_AFFINE, np.eye(4), np.zeros(4))])\n"
+            "x = np.ones((4 * g.FORWARD_BLOCK_FLOATS, 4))\n"
+            "g._blocked_logits(m, x, {})\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(20)  # a hung child ends itself\n"
+            "    os._exit(0 if np.array_equal(g._blocked_logits(m, x, {}), x) else 1)\n"
+            "print(os.waitpid(pid, 0)[1])\n"
+        )
+        src = str(Path(graph_module.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0"]  # the child finished, and correctly
+
+    def test_working_memory_with_two_workers(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        data = random_split(model, 8192)
+        maps = greedy_chain(model)
+        forward(model, data)
+        chain_accuracies(model, data, maps)
+        for run in (lambda: forward(model, data), lambda: chain_accuracies(model, data, maps)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one block per worker: the bounds of the serial passes hold
+            assert peak < 4 * 2**20
 
 
 class TestGradients:

@@ -1,18 +1,21 @@
 """Model and dataset file pair round trips and validation."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from conftest import edit_json, make_small_ce_model
 from mixquant.graph import HEAD_SQUARED_ERROR, KIND_AFFINE, Dataset, Layer, ModelGraph
+from mixquant.cost import LatencyTable
 from mixquant.modelio import (
     DataFormatError,
     load_dataset,
     load_model,
     save_dataset,
     save_model,
+    write_json,
 )
 
 
@@ -150,3 +153,43 @@ class TestDatasetRoundTrip:
         (tmp_path / "data.labels.bin").write_bytes(bad.tobytes())
         with pytest.raises(DataFormatError):
             load_dataset(path)
+
+
+def two_writes(tmp_path, kind):
+    """Two calls writing different contents to the same paths, and the files
+    to watch."""
+    if kind == "json":
+        path = tmp_path / "a.json"
+        return [lambda v=v: write_json(path, {"v": v}) for v in (1, 2)], [path]
+    if kind == "model":
+        path = tmp_path / "model.json"
+        models = [make_small_ce_model(seed=s)[0] for s in (1, 2)]
+        return [lambda m=m: save_model(m, path) for m in models], [path.with_suffix(".bin")]
+    if kind == "dataset":
+        path = tmp_path / "data.json"
+        rng = np.random.default_rng(0)
+        sets = [Dataset(rng.normal(size=(4, 3)), rng.integers(0, 2, size=4), 2) for _ in range(2)]
+        while np.array_equal(sets[0].labels, sets[1].labels):
+            sets[1] = Dataset(sets[1].features, rng.integers(0, 2, size=4), 2)
+        files = [tmp_path / "data.features.bin", tmp_path / "data.labels.bin"]
+        return [lambda d=d: save_dataset(d, path) for d in sets], files
+    path = tmp_path / "latency.csv"
+    tables = [LatencyTable({("matmul", 2, 1, 3, 4): us}) for us in (1.5, 2.5)]
+    return [lambda t=t: t.to_csv(path) for t in tables], [path]
+
+
+@pytest.mark.parametrize("kind", ["json", "model", "dataset", "csv"])
+def test_rewrite_makes_a_new_file(tmp_path, kind):
+    (first, second), files = two_writes(tmp_path, kind)
+    first()
+    kept = []
+    for path in files:
+        # a second link holds the old inode, so its number cannot be reused
+        old = path.with_name(path.name + ".old")
+        os.link(path, old)
+        kept.append((path, old, old.read_bytes()))
+    second()
+    for path, old, old_bytes in kept:
+        assert path.stat().st_ino != old.stat().st_ino
+        assert old.read_bytes() == old_bytes  # not truncated in place
+        assert path.read_bytes() != old_bytes
