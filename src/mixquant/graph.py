@@ -18,15 +18,18 @@ first affine layer whose weight it replaces differently. Taped passes
 (gradients, scale gradients, Hessian traces) keep every layer's
 activations over the whole split, because the backward passes need them.
 
-The row blocks of an untaped pass are independent, so they are split
-into contiguous ranges, one per CPU in the process's affinity mask and
-at most one per block. The calling thread runs the first range and a
-process-wide thread pool, made on first need, the others; numpy releases
-the GIL inside the products. Every range writes only its own rows of the
-pass's outputs, and the call returns once every range has, so each
-result is bit-identical to a serial pass. A pass with one block, or a
-process with one CPU, starts no thread and does not import
-:mod:`concurrent.futures`; ``taskset`` limits the workers.
+The row blocks of an untaped pass are independent, so when BLAS runs
+one thread they are split into contiguous ranges, one per CPU in the
+process's affinity mask and at most one per block. The calling thread
+runs the first range and one thread started for the call each of the
+others; numpy releases the GIL inside the products. Every range writes
+only its own rows of the pass's outputs, and the call returns once
+every range has, so each result is bit-identical to a serial pass. BLAS
+counts as one thread when the variables numpy's BLAS reads say so
+(``OPENBLAS_NUM_THREADS=1``, for one); otherwise BLAS already spreads
+each product over the CPUs and the blocks run serially. A pass with one
+block, or a process with one CPU, starts no thread; ``taskset`` limits
+the workers.
 
 The taped pass and its reverse sweeps are rank-agnostic: activations may
 carry leading stack axes, such as one per bank of quantizer scales in
@@ -58,8 +61,12 @@ KIND_RELU = "relu"
 # a block of 2**15 float64 (256 KiB) stays cache-resident from layer to layer.
 FORWARD_BLOCK_FLOATS = 2**15
 
-_pool = None  # the executor of the worker ranges, made on first need
-_pool_lock = threading.Lock()
+# The variables each BLAS library takes its thread count from, in the
+# order it reads them: the first positive count wins.
+_BLAS_THREAD_VARIABLES = {
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
 
 
 class GraphError(ValueError):
@@ -291,40 +298,50 @@ def _run_layers(
     return a, tapes
 
 
+def _blas_threads(blas: str, environ: Mapping[str, str]) -> int | None:
+    """The thread count ``environ`` sets for the BLAS library named ``blas``, if it sets one."""
+    for library, variables in _BLAS_THREAD_VARIABLES.items():
+        if library in blas.lower():
+            for variable in variables:
+                try:
+                    count = int(environ.get(variable, ""))
+                except ValueError:
+                    continue
+                if count > 0:
+                    return count
+    return None
+
+
+def _numpy_blas() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except Exception:  # a numpy without the build record: the serial engine
+        return ""
+
+
+# numpy has loaded its BLAS by now, and the BLAS has read these variables
+_BLAS_ONE_THREAD = _blas_threads(_numpy_blas(), os.environ) == 1
+
+
 def _worker_count() -> int:
-    """CPUs this process may run on: its affinity mask, where the OS keeps one."""
+    """Workers of an untaped pass: the CPUs this process may run on, when BLAS runs one thread.
+
+    With BLAS on several threads, or an unknown count, each product
+    already spreads over the CPUs and the pass stays on the caller.
+    """
+    if not _BLAS_ONE_THREAD:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
 
 
-def _forget_pool() -> None:
-    # a forked child inherits the pool's bookkeeping but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _executor():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # threads start as submissions need them, one per concurrent range
-            _pool = ThreadPoolExecutor(thread_name_prefix="mixquant-rows")
-        return _pool
-
-
 def _on_workers(count: int, work: Callable[[int, int], None]) -> None:
     """Call ``work(start, stop)`` on contiguous ranges that cover ``range(count)``.
 
-    There is one range per CPU the process may use, and at most one per
-    index. The calling thread runs the first range and the pool the
+    There is one range per worker, and at most one per index. The calling
+    thread runs the first range and a thread started here each of the
     others. The call returns or raises only once every range has
     finished; the caller's own error comes first, then the first
     worker's in range order.
@@ -333,17 +350,28 @@ def _on_workers(count: int, work: Callable[[int, int], None]) -> None:
     if workers <= 1:
         work(0, count)
         return
-    from concurrent.futures import wait
-
     bounds = [count * w // workers for w in range(workers + 1)]
-    pool = _executor()
-    futures = [pool.submit(work, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    errors: list[BaseException | None] = [None] * workers
+
+    def run(w: int) -> None:
+        try:
+            work(bounds[w], bounds[w + 1])
+        except BaseException as error:
+            errors[w] = error
+
+    started = []
     try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=run, args=(w,), name=f"mixquant-rows-{w}")
+            thread.start()
+            started.append(thread)
         work(bounds[0], bounds[1])
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        for thread in started:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _chained_blocks(
@@ -504,16 +532,17 @@ def chain_accuracies(
     differs from that map's by identity, so a chain of maps that share
     their unchanged arrays costs one forward plus the tails below each
     change. Only one block's inputs per worker to the layers the maps
-    resume at are ever held. No loss is computed.
+    resume at, and one hit count per map and block, are ever held. No
+    loss is computed.
     """
     checked = [_check_compat(model, data, weights) for weights in maps]
-    hits = np.empty((len(checked), len(data)), dtype=bool)
+    hits: list[list[int]] = [[] for _ in checked]  # per map, one count per block
 
-    def mark(k, lo, hi, logits):
-        np.equal(np.argmax(logits, axis=1), data.labels[lo:hi], out=hits[k, lo:hi])
+    def count(k, lo, hi, logits):
+        hits[k].append(int(np.count_nonzero(np.argmax(logits, axis=1) == data.labels[lo:hi])))
 
-    _chained_blocks(model, data.features, checked, mark)
-    return [c / len(data) for c in np.count_nonzero(hits, axis=1).tolist()]
+    _chained_blocks(model, data.features, checked, count)
+    return [sum(counts) / len(data) for counts in hits]
 
 
 def chain_losses(

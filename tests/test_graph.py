@@ -1,6 +1,5 @@
 """Inference engine tests: forward, reverse mode, Hessian traces and their HVP oracle."""
 
-import concurrent.futures
 import os
 import subprocess
 import sys
@@ -42,6 +41,7 @@ from mixquant.graph import (
     Layer,
     ModelGraph,
     _accuracy,
+    _blas_threads,
     _blocked_logits,
     _chained_blocks,
     _head_loss,
@@ -437,6 +437,23 @@ class TestChainedPass:
         # one block's (about 170 x 672 floats) is 0.9 MB.
         assert peak < 4 * 2**20
 
+    def test_no_memory_per_row_and_map(self):
+        rng = np.random.default_rng(5)
+        model = ModelGraph([Layer("a", KIND_AFFINE, rng.normal(size=(8, 4)), rng.normal(size=8))])
+        rows = 2**16
+        data = Dataset(rng.normal(size=(rows, 4)), rng.integers(0, 8, size=rows), 8)
+        maps = [{}] * 64
+        expected = chain_accuracies(model, data, maps[:1])
+        tracemalloc.start()
+        try:
+            accuracies = chain_accuracies(model, data, maps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert accuracies == expected * len(maps)
+        # A hit per row and map would be 4 MiB; one block's logits are 256 KiB.
+        assert peak < 2**20
+
     def test_noise_chain_memory_is_set_by_its_maps(self):
         model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
         data = random_split(model, 256)
@@ -455,6 +472,26 @@ class TestChainedPass:
 
 def use_workers(monkeypatch, workers):
     monkeypatch.setattr(graph_module, "_worker_count", lambda: workers)
+
+
+def cpu_count():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(script, cwd, blas_environ):
+    """Run ``script`` in a fresh interpreter with only ``blas_environ`` of the BLAS variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    src = str(Path(graph_module.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env={**env, **blas_environ},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done
 
 
 class TestParallelBlocks:
@@ -522,7 +559,6 @@ class TestParallelBlocks:
 
     @pytest.mark.parametrize("blocks, workers", [(1, 4), (5, 1)])
     def test_one_block_or_one_cpu_starts_no_thread(self, monkeypatch, blocks, workers):
-        monkeypatch.setattr(graph_module, "_pool", None)
         use_workers(monkeypatch, workers)
         model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
         data = random_split(model, blocks * block_rows(model))
@@ -530,11 +566,10 @@ class TestParallelBlocks:
         forward(model, data)
         chain_accuracies(model, data, greedy_chain(model))
         assert threading.active_count() == before
-        assert graph_module._pool is None
 
-    def test_a_seed7_run_never_imports_the_pool(self, tmp_path):
+    def test_a_seed7_run_starts_no_thread(self, tmp_path):
         # Fixture generation labels a pool of several blocks; the run's
-        # passes each fit one block.
+        # passes each fit one block, even with BLAS on one thread.
         model, calib, evalset = build_fixture(7)
         save_model(model, tmp_path / "model.json")
         save_dataset(calib, tmp_path / "calib.json")
@@ -547,83 +582,43 @@ class TestParallelBlocks:
             "    eval_data='eval.json', latency_table='latency.csv', out_dir='run'))\n"
             "print('concurrent.futures' in sys.modules, threading.active_count())\n"
         )
-        src = str(Path(graph_module.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        done = subprocess.run(
-            [sys.executable, "-c", script], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
+        done = run_python(script, tmp_path, dict.fromkeys(BLAS_VARIABLES, "1"))
         assert done.stdout.split() == ["False", "1"]
         assert (tmp_path / "run" / "outcome.json").is_file()
 
-    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
-        made = []
+    @pytest.mark.parametrize(
+        "blas, environ, threads",
+        [
+            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, 1),
+            ("openblas", {"OMP_NUM_THREADS": "1"}, 1),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 1),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
+            ("openblas", {"MKL_NUM_THREADS": "1"}, None),
+            ("openblas", {}, None),
+            ("mkl", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "8"}, 1),
+            ("mkl", {"OPENBLAS_NUM_THREADS": "1"}, None),
+            ("accelerate", dict.fromkeys(BLAS_VARIABLES, "1"), None),
+            ("", dict.fromkeys(BLAS_VARIABLES, "1"), None),
+        ],
+    )
+    def test_blas_threads_as_the_library_reads_them(self, blas, environ, threads):
+        assert _blas_threads(blas, environ) == threads
 
-        class Counted(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(self)
-                time.sleep(0.01)  # widens the window for a second pool
-                super().__init__(*args, **kwargs)
+    @pytest.mark.parametrize("one_thread", [True, False])
+    def test_workers_run_only_beside_a_one_thread_blas(self, monkeypatch, one_thread):
+        monkeypatch.setattr(graph_module, "_BLAS_ONE_THREAD", one_thread)
+        assert graph_module._worker_count() == (cpu_count() if one_thread else 1)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-        monkeypatch.setattr(graph_module, "_pool", None)
-        model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
-        workers = (os.cpu_count() or 1) + 2  # more workers than cores
-        h = block_rows(model)
-        data = random_split(model, (workers + 1) * h + h // 2)
-        chain = greedy_chain(model)
-        use_workers(monkeypatch, 1)
-        expected = (chain_accuracies(model, data, chain), chain_losses(model, data, chain))
-        use_workers(monkeypatch, workers)
-        results = [None] * 4
-        start = threading.Barrier(len(results))
-
-        def call(i):
-            start.wait(timeout=60)
-            results[i] = (chain_accuracies(model, data, chain), chain_losses(model, data, chain))
-
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(results))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-            for pool in made:
-                pool.shutdown()
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [expected] * len(results)
-        assert len(made) == 1  # the callers share one pool
-
-    def test_a_forked_child_makes_its_own_pool(self):
-        if not hasattr(os, "fork"):
-            pytest.skip("no fork on this platform")
-        script = (
-            "import os, signal\n"
-            "import numpy as np\n"
-            "import mixquant.graph as g\n"
-            "g._worker_count = lambda: 2\n"
-            "m = g.ModelGraph([g.Layer('a', g.KIND_AFFINE, np.eye(4), np.zeros(4))])\n"
-            "x = np.ones((4 * g.FORWARD_BLOCK_FLOATS, 4))\n"
-            "g._blocked_logits(m, x, {})\n"
-            "pid = os.fork()\n"
-            "if pid == 0:\n"
-            "    signal.alarm(20)  # a hung child ends itself\n"
-            "    os._exit(0 if np.array_equal(g._blocked_logits(m, x, {}), x) else 1)\n"
-            "print(os.waitpid(pid, 0)[1])\n"
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_the_blas_environment_of_the_import_picks_the_path(self, tmp_path, pinned):
+        if _blas_threads(graph_module._numpy_blas(), dict.fromkeys(BLAS_VARIABLES, "1")) != 1:
+            pytest.skip("numpy's BLAS reads none of the thread variables")
+        done = run_python(
+            "import mixquant.graph as g; print(g._BLAS_ONE_THREAD, g._worker_count())",
+            tmp_path, dict.fromkeys(BLAS_VARIABLES, "1") if pinned else {},
         )
-        src = str(Path(graph_module.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0"]  # the child finished, and correctly
+        assert done.stdout.split() == [str(pinned), str(cpu_count() if pinned else 1)]
 
     def test_working_memory_with_two_workers(self, monkeypatch):
         use_workers(monkeypatch, 2)
