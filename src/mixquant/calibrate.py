@@ -14,14 +14,14 @@ written.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .graph import KIND_AFFINE, Dataset, GraphError, ModelGraph, loss_and_scale_gradients
-from .modelio import DataFormatError, read_json, write_json
+from .modelio import read_json, write_json
 from .quantize import QuantSpec
 
 SPECS_FORMAT = "mixquant-quant-specs"
@@ -169,32 +169,18 @@ def _descend(
 
 def save_specs(outcome: CalibrationOutcome, path: str | Path) -> None:
     """Serialize an outcome as JSON with full round-trip float precision."""
-    write_json(
-        path,
-        {
-            "format": SPECS_FORMAT,
-            "version": 1,
-            "specs": {
-                name: {"alpha": spec.alpha, "gamma": spec.gamma, "bits": spec.bits}
-                for name, spec in outcome.specs.items()
-            },
-            "adjustment_log": list(outcome.adjustment_log),
+    write_json(path, SPECS_FORMAT, asdict(outcome))
+
+
+def _parse_specs(payload: dict) -> CalibrationOutcome:
+    return CalibrationOutcome(
+        specs={
+            name: QuantSpec(alpha=float(s["alpha"]), gamma=float(s["gamma"]), bits=int(s["bits"]))
+            for name, s in payload["specs"].items()
         },
+        adjustment_log=[float(v) for v in payload["adjustment_log"]],
     )
 
 
 def load_specs(path: str | Path) -> CalibrationOutcome:
-    payload = read_json(path, SPECS_FORMAT)
-    try:
-        specs = {
-            name: QuantSpec(
-                alpha=float(entry["alpha"]),
-                gamma=float(entry["gamma"]),
-                bits=int(entry["bits"]),
-            )
-            for name, entry in payload.get("specs", {}).items()
-        }
-        log = [float(v) for v in payload.get("adjustment_log", [])]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed quantizer specs in {path}") from exc
-    return CalibrationOutcome(specs=specs, adjustment_log=log)
+    return read_json(path, SPECS_FORMAT, _parse_specs)

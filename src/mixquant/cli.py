@@ -27,6 +27,7 @@ from .graph import GraphError
 from .modelio import DataFormatError, save_dataset, save_model, write_json
 from .pipeline import (
     ALGOS,
+    COMPARISON_FORMAT,
     PipelineConfig,
     PipelineConfigError,
     check_out_dir,
@@ -159,8 +160,8 @@ def _cmd_run(args) -> int:
         f"in {result.outcome.evals} evaluations"
     )
     print(
-        f"  relative size {result.cost['relative_size']:.2%}, "
-        f"relative latency {result.cost['relative_latency']:.2%}"
+        f"  relative size {result.cost.relative_size:.2%}, "
+        f"relative latency {result.cost.relative_latency:.2%}"
     )
     return EXIT_OK
 
@@ -168,7 +169,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     comparison = compare_runs(args.runs)
     if args.out_file:
-        write_json(args.out_file, comparison)
+        write_json(args.out_file, COMPARISON_FORMAT, comparison)
     _print_comparison(comparison)
     return EXIT_OK
 

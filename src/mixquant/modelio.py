@@ -8,16 +8,22 @@ name, so a pair (or triple) can be moved around together.
 
 Every JSON file the package writes or reads, model and dataset manifests
 as well as run artifacts, goes through :func:`write_json` and
-:func:`read_json`: one byte-stable layout on the way out, and on the way
-in one check that the file is a JSON object of the expected ``format``.
-Every file the package writes is a new file (:func:`new_file`), never an
-old one truncated and overwritten in place.
+:func:`read_json`, and this module alone owns their envelope and their
+parse-error policy. :func:`write_json` adds ``format`` and ``version`` to a
+body in one byte-stable layout. :func:`read_json` checks that a file is a
+JSON object of the expected ``format``, runs the caller's parser on it, and
+turns any missing key or wrongly typed value the parser trips over into one
+:class:`DataFormatError` naming the file and its format. A run artifact's
+body is its dataclass's fields (``dataclasses.asdict``). Every file the
+package writes is a new file (:func:`new_file`), never an old one truncated
+and overwritten in place.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -44,17 +50,21 @@ def new_file(path: str | Path) -> Path:
     return path
 
 
-def write_json(path: str | Path, payload: dict) -> None:
-    """Write ``payload`` as sorted-key, two-space-indented JSON plus a newline."""
+def write_json(path: str | Path, fmt: str, body: dict) -> None:
+    """Write ``body`` under a ``format``/``version`` envelope as sorted-key,
+    two-space-indented JSON plus a newline."""
+    payload = {"format": fmt, "version": 1, **body}
     # sort_keys plus fixed separators keeps re-runs byte-identical.
     new_file(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path, expected_format: str) -> dict:
-    """The JSON object in ``path``, whose ``format`` must be ``expected_format``.
+def read_json(path: str | Path, expected_format: str, parse: Callable[[dict], Any] = dict) -> Any:
+    """``parse`` of the JSON object in ``path``, whose ``format`` must be
+    ``expected_format``; by default a copy of the object.
 
     An unreadable file, invalid JSON, a non-object or another format all
-    raise :class:`DataFormatError`.
+    raise :class:`DataFormatError`, and so does any ``AttributeError``,
+    ``KeyError``, ``TypeError`` or ``ValueError`` raised by ``parse``.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -62,7 +72,11 @@ def read_json(path: str | Path, expected_format: str) -> dict:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise DataFormatError(f"{path} is not a {expected_format!r} file")
-    return payload
+    try:
+        return parse(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise DataFormatError(f"malformed {expected_format!r} file {path}: {detail}") from exc
 
 
 def _blob_path(manifest_path: Path, payload: dict, key: str) -> Path:
@@ -101,14 +115,8 @@ def save_model(model: ModelGraph, manifest_path: str | Path) -> None:
     new_file(blob_path).write_bytes(b"".join(chunks))
     write_json(
         manifest_path,
-        {
-            "format": MODEL_FORMAT,
-            "version": 1,
-            "head": model.head,
-            "blob": blob_path.name,
-            "blob_bytes": offset,
-            "layers": layers,
-        },
+        MODEL_FORMAT,
+        {"head": model.head, "blob": blob_path.name, "blob_bytes": offset, "layers": layers},
     )
 
 
@@ -182,9 +190,8 @@ def save_dataset(data: Dataset, manifest_path: str | Path) -> None:
     new_file(labels_path).write_bytes(data.labels.astype("<u4").tobytes())
     write_json(
         manifest_path,
+        DATASET_FORMAT,
         {
-            "format": DATASET_FORMAT,
-            "version": 1,
             "num_examples": len(data),
             "feature_dim": data.feature_dim,
             "num_classes": data.num_classes,
@@ -197,13 +204,11 @@ def save_dataset(data: Dataset, manifest_path: str | Path) -> None:
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load a dataset triple written by :func:`save_dataset`."""
     manifest_path = Path(manifest_path)
-    payload = read_json(manifest_path, DATASET_FORMAT)
-    try:
-        n = int(payload["num_examples"])
-        d = int(payload["feature_dim"])
-        num_classes = int(payload["num_classes"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad dataset manifest {manifest_path}") from exc
+    payload, n, d, num_classes = read_json(
+        manifest_path,
+        DATASET_FORMAT,
+        lambda p: (p, int(p["num_examples"]), int(p["feature_dim"]), int(p["num_classes"])),
+    )
     features_path = _blob_path(manifest_path, payload, "features")
     labels_path = _blob_path(manifest_path, payload, "labels")
     try:

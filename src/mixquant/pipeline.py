@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +34,9 @@ from .calibrate import (
     calibrate,
     save_specs,
 )
-from .cost import LatencyTable, cost_report
+from .cost import CostReport, LatencyTable, cost_report
 from .graph import Dataset, GraphError, ModelGraph, forward
-from .modelio import DataFormatError, load_dataset, load_model, read_json, write_json
+from .modelio import load_dataset, load_model, read_json, write_json
 from .rng import substream
 from .search import (
     DEFAULT_BASELINE_BITS,
@@ -44,7 +44,6 @@ from .search import (
     SearchOutcome,
     TargetUnreachableError,
     bisection_search,
-    evaluate_config,
     evaluate_configs,
     greedy_search,
     load_outcome,
@@ -172,7 +171,7 @@ class RunResult:
     report: SensitivityReport
     outcome: SearchOutcome
     config: QuantConfig
-    cost: dict
+    cost: CostReport
     baseline_accuracy: float
 
 
@@ -339,7 +338,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         )
 
     with _Stage("verify-target"):
-        verified = evaluate_config(model, eval_data, spec_bank, outcome.config)
+        [verified] = evaluate_configs(model, eval_data, spec_bank, [outcome.config])
         if verified < outcome.target:
             raise TargetUnreachableError(
                 f"committed configuration reaches accuracy {verified:.6f}, "
@@ -353,8 +352,6 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = {
-            "format": MANIFEST_FORMAT,
-            "version": 1,
             "tool_version": __version__,
             "parameters": asdict(config),
             "inputs": {
@@ -367,19 +364,11 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             },
             "baseline_accuracy": baseline_accuracy,
         }
-        write_json(out_dir / "manifest.json", manifest)
+        write_json(out_dir / "manifest.json", MANIFEST_FORMAT, manifest)
         save_report(report, out_dir / "sensitivity.json")
         save_config(outcome.config, out_dir / "config.json")
         save_outcome(outcome, out_dir / "outcome.json")
-        cost_payload = {
-            "format": COST_FORMAT,
-            "version": 1,
-            "size_bytes": cost.size_bytes,
-            "latency_us": cost.latency_us,
-            "relative_size": cost.relative_size,
-            "relative_latency": cost.relative_latency,
-        }
-        write_json(out_dir / "cost.json", cost_payload)
+        write_json(out_dir / "cost.json", COST_FORMAT, asdict(cost))
         spec_files = {f"specs-{bits}bit.json": b for bits, b in bank_outcomes.items()}
         for name, outcome_b in spec_files.items():
             save_specs(outcome_b, out_dir / name)
@@ -395,48 +384,45 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         report=report,
         outcome=outcome,
         config=outcome.config,
-        cost=cost_payload,
+        cost=cost,
         baseline_accuracy=baseline_accuracy,
     )
 
 
-def _manifest_config(payload: dict, path: Path) -> PipelineConfig:
-    try:
-        params = dict(payload["parameters"])
-        params.pop("probes", None)  # written by versions that sampled Hessian traces
-        params["bits"] = tuple(params["bits"])
-        config = PipelineConfig(**params)
-        config.validate()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed manifest parameters in {path}: {exc}") from exc
+def _manifest_config(payload: dict) -> PipelineConfig:
+    params = dict(payload["parameters"])
+    params.pop("probes", None)  # written by versions that sampled Hessian traces
+    params["bits"] = tuple(params["bits"])
+    config = PipelineConfig(**params)
+    config.validate()
     return config
 
 
 def load_manifest(path: str | Path) -> PipelineConfig:
     """Rebuild the PipelineConfig a manifest was written from."""
-    return _manifest_config(read_json(path, MANIFEST_FORMAT), path)
+    return read_json(path, MANIFEST_FORMAT, _manifest_config)
+
+
+def _run_manifest(payload: dict) -> tuple[PipelineConfig, str]:
+    """A run's config and the digest of the model it ran on."""
+    digest = payload["inputs"]["model_sha256"]
+    if not isinstance(digest, str):
+        raise TypeError(f"model_sha256 must be a string, got {digest!r}")
+    return _manifest_config(payload), digest
+
+
+def _parse_cost(payload: dict) -> CostReport:
+    return CostReport(*(float(payload[f.name]) for f in fields(CostReport)))
 
 
 def _load_run(run_dir: Path) -> dict:
     """Everything ``compare`` reads from a run directory, through the typed loaders."""
-    manifest_path = run_dir / "manifest.json"
-    manifest = read_json(manifest_path, MANIFEST_FORMAT)
-    cost_path = run_dir / "cost.json"
-    cost = read_json(cost_path, COST_FORMAT)
-    inputs = manifest.get("inputs", {})
-    if not isinstance(inputs, dict) or not isinstance(inputs.get("model_sha256", ""), str):
-        raise DataFormatError(f"malformed manifest inputs in {manifest_path}")
-    try:
-        relative_size = float(cost["relative_size"])
-        relative_latency = float(cost["relative_latency"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed cost report in {cost_path}") from exc
+    config, model_sha256 = read_json(run_dir / "manifest.json", MANIFEST_FORMAT, _run_manifest)
     return {
         "dir": run_dir,
-        "config": _manifest_config(manifest, manifest_path),
-        "model_sha256": inputs.get("model_sha256"),
-        "relative_size": relative_size,
-        "relative_latency": relative_latency,
+        "config": config,
+        "model_sha256": model_sha256,
+        "cost": read_json(run_dir / "cost.json", COST_FORMAT, _parse_cost),
         "outcome": load_outcome(run_dir / "outcome.json"),
         "report": load_report(run_dir / "sensitivity.json"),
     }
@@ -455,7 +441,7 @@ def compare_runs(run_dirs) -> dict:
         raise PipelineConfigError("compare needs at least two run directories")
 
     model_hashes = {r["model_sha256"] for r in runs}
-    if len(model_hashes) != 1 or None in model_hashes:
+    if len(model_hashes) != 1:
         raise PipelineConfigError("runs were produced from different models")
 
     labels = _distinct_labels([r["dir"] for r in runs])
@@ -471,8 +457,8 @@ def compare_runs(run_dirs) -> dict:
                 "target": config.target,
                 "achieved_accuracy": outcome.achieved_accuracy,
                 "evals": outcome.evals,
-                "relative_size": run["relative_size"],
-                "relative_latency": run["relative_latency"],
+                "relative_size": run["cost"].relative_size,
+                "relative_latency": run["cost"].relative_latency,
             }
         )
 
@@ -517,8 +503,6 @@ def compare_runs(run_dirs) -> dict:
             )
 
     return {
-        "format": COMPARISON_FORMAT,
-        "version": 1,
         "rows": rows,
         "aggregates": aggregates,
         "ordering_distances": distances,

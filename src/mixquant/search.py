@@ -16,12 +16,12 @@ budgets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .graph import Dataset, GraphError, ModelGraph, chain_accuracies, forward
-from .modelio import DataFormatError, read_json, write_json
+from .graph import Dataset, GraphError, ModelGraph, chain_accuracies
+from .modelio import read_json, write_json
 from .quantize import MAX_BITS, MIN_BITS, QuantSpec, quantize
 
 CONFIG_FORMAT = "mixquant-quant-config"
@@ -109,35 +109,23 @@ def _quantized_weights(
     return weights
 
 
-def evaluate_config(
-    model: ModelGraph,
-    data: Dataset,
-    specs_by_bits: Mapping[int, Mapping[str, QuantSpec]],
-    config: QuantConfig,
-) -> float:
-    """Accuracy of the model under ``config`` with pre-calibrated scales.
-
-    ``specs_by_bits[b]`` holds the calibrated ``b``-bit specs to use for
-    tensors assigned width ``b``; scales are never recalibrated here. Each
-    such tensor is fake-quantized and passed to the engine in place of the
-    stored weight; tensors at the baseline width are evaluated unquantized.
-    A missing ``b``-bit spec for an assigned (tensor, width) pair is an
-    error.
-    """
-    return forward(model, data, _quantized_weights(model, specs_by_bits, config, {})).accuracy
-
-
 def evaluate_configs(
     model: ModelGraph,
     data: Dataset,
     specs_by_bits: Mapping[int, Mapping[str, QuantSpec]],
     configs: Sequence[QuantConfig],
 ) -> list[float]:
-    """:func:`evaluate_config` of every config, as one chained engine pass.
+    """Accuracy of the model under each config, as one chained engine pass.
 
-    Each (tensor, width) pair is quantized once per call, so a tensor a
-    config leaves unchanged is the same array in its predecessor's
-    weights, and the engine resumes each config below its change.
+    ``specs_by_bits[b]`` holds the calibrated ``b``-bit specs to use for
+    tensors assigned width ``b``; scales are never recalibrated here. Each
+    such tensor is fake-quantized and passed to the engine in place of the
+    stored weight; tensors at the baseline width are evaluated unquantized.
+    A missing ``b``-bit spec for an assigned (tensor, width) pair is an
+    error. Each (tensor, width) pair is quantized once per call, so a
+    tensor a config leaves unchanged is the same array in its
+    predecessor's weights, and the engine resumes each config below its
+    change.
     """
     quantized: dict = {}
     return chain_accuracies(
@@ -333,11 +321,7 @@ def bisection_search(
     )
 
 
-def _config_payload(config: QuantConfig) -> dict:
-    return {"baseline_bits": config.baseline_bits, "bits": dict(config.bits)}
-
-
-def _config_from_payload(payload: dict) -> QuantConfig:
+def _parse_config(payload: dict) -> QuantConfig:
     return QuantConfig(
         bits={name: int(b) for name, b in payload["bits"].items()},
         baseline_bits=int(payload["baseline_bits"]),
@@ -345,41 +329,29 @@ def _config_from_payload(payload: dict) -> QuantConfig:
 
 
 def save_config(config: QuantConfig, path: str | Path) -> None:
-    write_json(path, {"format": CONFIG_FORMAT, "version": 1, **_config_payload(config)})
+    write_json(path, CONFIG_FORMAT, asdict(config))
 
 
 def load_config(path: str | Path) -> QuantConfig:
-    payload = read_json(path, CONFIG_FORMAT)
-    try:
-        return _config_from_payload(payload)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed quantization config in {path}") from exc
+    return read_json(path, CONFIG_FORMAT, _parse_config)
 
 
 def save_outcome(outcome: SearchOutcome, path: str | Path) -> None:
-    write_json(
-        path,
-        {
-            "format": OUTCOME_FORMAT,
-            "version": 1,
-            "config": _config_payload(outcome.config),
-            "evals": outcome.evals,
-            "target": outcome.target,
-            "achieved_accuracy": outcome.achieved_accuracy,
-            "trace": list(outcome.trace),
-        },
+    write_json(path, OUTCOME_FORMAT, asdict(outcome))
+
+
+def _parse_outcome(payload: dict) -> SearchOutcome:
+    trace = payload["trace"]
+    if not isinstance(trace, list) or not all(isinstance(entry, dict) for entry in trace):
+        raise TypeError("the trace must be a list of objects")
+    return SearchOutcome(
+        config=_parse_config(payload["config"]),
+        evals=int(payload["evals"]),
+        target=float(payload["target"]),
+        achieved_accuracy=float(payload["achieved_accuracy"]),
+        trace=tuple(trace),
     )
 
 
 def load_outcome(path: str | Path) -> SearchOutcome:
-    payload = read_json(path, OUTCOME_FORMAT)
-    try:
-        return SearchOutcome(
-            config=_config_from_payload(payload["config"]),
-            evals=int(payload["evals"]),
-            target=float(payload["target"]),
-            achieved_accuracy=float(payload["achieved_accuracy"]),
-            trace=tuple(payload["trace"]),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed search outcome in {path}") from exc
+    return read_json(path, OUTCOME_FORMAT, _parse_outcome)

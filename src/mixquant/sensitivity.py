@@ -16,14 +16,14 @@ per trial, come from one chained engine pass (:func:`chain_losses`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .graph import Dataset, GraphError, ModelGraph, chain_losses, hessian_traces
-from .modelio import DataFormatError, read_json, write_json
+from .modelio import read_json, write_json
 from .quantize import QuantSpec, quantization_error
 from .rng import substream
 
@@ -190,39 +190,24 @@ def ordering_distance(a: list[str], b: list[str]) -> int:
 
 
 def save_report(report: SensitivityReport, path: str | Path) -> None:
-    write_json(
-        path,
-        {
-            "format": REPORT_FORMAT,
-            "version": 1,
-            "metric": report.metric,
-            "seed": report.seed,
-            "ordering": list(report.ordering),
-            "scores": {
-                name: {"mean": s.mean, "std": s.std, "trials": s.trials}
-                for name, s in report.scores.items()
-            },
-        },
+    write_json(path, REPORT_FORMAT, asdict(report))
+
+
+def _parse_report(payload: dict) -> SensitivityReport:
+    scores = {
+        name: TensorScore(mean=float(s["mean"]), std=float(s["std"]), trials=int(s["trials"]))
+        for name, s in payload["scores"].items()
+    }
+    ordering = payload["ordering"]
+    if not isinstance(ordering, list) or sorted(ordering) != sorted(scores):
+        raise ValueError("the ordering must list every scored tensor once")
+    return SensitivityReport(
+        metric=str(payload["metric"]),
+        scores=scores,
+        ordering=tuple(ordering),
+        seed=int(payload["seed"]),
     )
 
 
 def load_report(path: str | Path) -> SensitivityReport:
-    payload = read_json(path, REPORT_FORMAT)
-    try:
-        scores = {
-            name: TensorScore(
-                mean=float(s["mean"]), std=float(s["std"]), trials=int(s["trials"])
-            )
-            for name, s in payload.get("scores", {}).items()
-        }
-        report = SensitivityReport(
-            metric=str(payload["metric"]),
-            scores=scores,
-            ordering=tuple(payload["ordering"]),
-            seed=int(payload["seed"]),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed sensitivity report in {path}") from exc
-    if not all(isinstance(name, str) for name in report.ordering):
-        raise DataFormatError(f"{path}: the ordering must list tensor names")
-    return report
+    return read_json(path, REPORT_FORMAT, _parse_report)

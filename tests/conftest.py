@@ -24,6 +24,7 @@ from mixquant.graph import (
     forward,
     gradients,
 )
+from mixquant.quantize import quantize
 from mixquant.rng import substream
 
 F1_SEED = 7
@@ -113,6 +114,17 @@ def with_tensor(model, tensor, values):
         for layer in model.layers
     ]
     return ModelGraph(layers, head=model.head)
+
+
+def quantized_accuracy(model, data, specs_by_bits, config):
+    """Accuracy of ``model`` with every tensor ``config`` lowers quantized
+    by its calibrated spec: an independent re-evaluation of a config."""
+    weights = {
+        name: quantize(model.parameter(name), specs_by_bits[bits][name])
+        for name, bits in config.bits.items()
+        if bits != config.baseline_bits
+    }
+    return forward(model, data, weights).accuracy
 
 
 def edit_json(path, keys, value):

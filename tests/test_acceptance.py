@@ -18,6 +18,7 @@ from conftest import (
     make_diagonal_quadratic,
     o1_accuracy,
     o1_size_bytes,
+    quantized_accuracy,
     r_op_hvp,
     reference_levenshtein,
     with_tensor,
@@ -40,7 +41,6 @@ from mixquant.quantize import QuantSpec, quantization_error, quantization_grid, 
 from mixquant.search import (
     QuantConfig,
     bisection_search,
-    evaluate_config,
     greedy_search,
     load_config,
     load_outcome,
@@ -228,11 +228,11 @@ def test_criterion_7_end_to_end_fixture(f1, tmp_path):
     stored_eval = load_dataset(inputs / "eval.json")
     stored_config = load_config(run_dir / "config.json")
     bank = {b: load_specs(run_dir / f"specs-{b}bit.json").specs for b in (4, 8)}
-    independent = evaluate_config(stored_model, stored_eval, bank, stored_config)
+    independent = quantized_accuracy(stored_model, stored_eval, bank, stored_config)
     stored_outcome = load_outcome(run_dir / "outcome.json")
     assert independent >= 0.99 * baseline_accuracy
     assert independent == stored_outcome.achieved_accuracy
-    assert hessian_result.cost["relative_size"] < 1.0
+    assert hessian_result.cost.relative_size < 1.0
 
     random_dirs = []
     for seed in range(1, 6):

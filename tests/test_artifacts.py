@@ -1,11 +1,13 @@
 """The one JSON layer: every artifact kind round-trips, is byte-stable and rejects foreign files."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from mixquant.calibrate import CalibrationOutcome, load_specs, save_specs
+from mixquant.cli import EXIT_DATA, main
 from mixquant.fixtures import FixtureSpec, build_fixture, build_fixture_latency_table
 from mixquant.graph import Dataset, ModelGraph
 from mixquant.modelio import (
@@ -16,7 +18,13 @@ from mixquant.modelio import (
     save_dataset,
     save_model,
 )
-from mixquant.pipeline import COST_FORMAT, PipelineConfig, load_manifest, run_pipeline
+from mixquant.pipeline import (
+    COST_FORMAT,
+    PipelineConfig,
+    _parse_cost,
+    load_manifest,
+    run_pipeline,
+)
 from mixquant.quantize import QuantSpec
 from mixquant.search import load_config, load_outcome, save_config, save_outcome
 from mixquant.sensitivity import load_report, save_report
@@ -78,7 +86,7 @@ def _written(kind, small_run, tmp_path):
     if kind == "manifest":
         return run_dir / "manifest.json", load_manifest, config
     if kind == "cost":
-        return run_dir / "cost.json", lambda p: read_json(p, COST_FORMAT), result.cost
+        return run_dir / "cost.json", lambda p: read_json(p, COST_FORMAT, _parse_cost), result.cost
     if kind == "model":
         original = load_model(config.model)
         save_model(original, path)
@@ -104,3 +112,44 @@ def test_artifact_round_trip_layout_and_rejection(kind, small_run, tmp_path):
         bad.write_text(content)
         with pytest.raises(DataFormatError):
             load(bad)
+
+
+def _drop(key):
+    return lambda payload: payload.pop(key)
+
+
+@pytest.mark.parametrize(
+    "kind, damage",
+    [
+        pytest.param("specs", _drop("specs"), id="specs-without-specs"),
+        pytest.param("specs", _drop("adjustment_log"), id="specs-without-log"),
+        pytest.param("sensitivity", _drop("scores"), id="report-without-scores"),
+        pytest.param(
+            "sensitivity",
+            lambda payload: payload["ordering"].append("ghost.weight"),
+            id="report-ordering-names-unscored-tensor",
+        ),
+        pytest.param(
+            "outcome", lambda payload: payload.update(trace="oops"), id="outcome-trace-string"
+        ),
+    ],
+)
+def test_incomplete_artifact_rejected(kind, damage, small_run, tmp_path):
+    path, load, _ = _written(kind, small_run, tmp_path)
+    payload = json.loads(path.read_text())
+    damage(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataFormatError, match=f"malformed '{payload['format']}' file"):
+        load(path)
+
+
+def test_compare_refuses_a_manifest_without_inputs(small_run, tmp_path, capsys):
+    config, _ = small_run
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        shutil.copytree(config.out_dir, run)
+    manifest = json.loads((runs[1] / "manifest.json").read_text())
+    del manifest["inputs"]
+    (runs[1] / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["compare", *map(str, runs)]) == EXIT_DATA
+    assert "manifest.json" in capsys.readouterr().err

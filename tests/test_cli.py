@@ -162,7 +162,7 @@ class TestRun:
         args = ["run", "--manifest", str(first / "manifest.json"), "--out", str(tmp_path / "x")]
         assert main(args) == EXIT_DATA
         err = capsys.readouterr().err
-        assert "malformed manifest parameters" in err
+        assert "malformed 'mixquant-run-manifest' file" in err
         # rejected while reading the manifest, before any stage ran
         assert "[stage:" not in err and not (tmp_path / "x").exists()
 
@@ -301,12 +301,12 @@ class TestRun:
     def test_committed_config_below_target_exit_target(
         self, fixture_dir, tmp_path, capsys, monkeypatch
     ):
-        # a search engine that overstates every accuracy commits every tensor
-        # at 2 bits; verify-target's own evaluation must catch it
+        # a search evaluator that overstates every accuracy commits every
+        # tensor at 2 bits; verify-target's own evaluation must catch it
         monkeypatch.setattr(
             pipeline_module,
-            "evaluate_configs",
-            lambda model, data, specs, configs: [1.0] * len(configs),
+            "_evaluate_chain",
+            lambda model, data, spec_bank, configs: [1.0] * len(configs),
         )
         out = tmp_path / "run"
         assert main(run_args(fixture_dir, out, ["--bits", "2"])) == EXIT_TARGET

@@ -160,7 +160,7 @@ def two_writes(tmp_path, kind):
     to watch."""
     if kind == "json":
         path = tmp_path / "a.json"
-        return [lambda v=v: write_json(path, {"v": v}) for v in (1, 2)], [path]
+        return [lambda v=v: write_json(path, "mixquant-test", {"v": v}) for v in (1, 2)], [path]
     if kind == "model":
         path = tmp_path / "model.json"
         models = [make_small_ce_model(seed=s)[0] for s in (1, 2)]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mixquant.pipeline as pipeline_module
+from conftest import quantized_accuracy
 from mixquant.calibrate import DEFAULT_EPOCHS, load_specs
 from mixquant.fixtures import FixtureSpec, build_fixture, build_fixture_latency_table
 from mixquant.modelio import DataFormatError, load_model, save_dataset, save_model
@@ -17,7 +18,7 @@ from mixquant.pipeline import (
     load_manifest,
     run_pipeline,
 )
-from mixquant.search import evaluate_config, load_config, load_outcome
+from mixquant.search import load_config, load_outcome
 from mixquant.sensitivity import load_report
 
 SMALL = FixtureSpec(dims=(8, 12, 12, 8, 2), calib_examples=96, eval_examples=256)
@@ -77,7 +78,7 @@ class TestRunPipeline:
         bank = {
             bits: load_specs(out / f"specs-{bits}bit.json").specs for bits in (4, 8)
         }
-        measured = evaluate_config(model, eval_data, bank, load_config(out / "config.json"))
+        measured = quantized_accuracy(model, eval_data, bank, load_config(out / "config.json"))
         assert measured >= result.outcome.target
         assert measured == result.outcome.achieved_accuracy
 
@@ -100,8 +101,8 @@ class TestRunPipeline:
 
     def test_cost_relatives_below_unity(self, hessian_run):
         result, _ = hessian_run
-        assert 0.0 < result.cost["relative_size"] < 1.0
-        assert result.cost["relative_latency"] <= 1.0
+        assert 0.0 < result.cost.relative_size < 1.0
+        assert result.cost.relative_latency <= 1.0
 
     def test_reruns_byte_identical(self, small_inputs, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -140,24 +141,21 @@ class TestEvaluatorMemo:
         save_dataset(calib, tmp_path / "calib.json")
         save_dataset(evalset, tmp_path / "eval.json")
         build_fixture_latency_table(model).to_csv(tmp_path / "latency.csv")
-        searched, verified = [], []
-        chained, single = pipeline_module.evaluate_configs, pipeline_module.evaluate_config
+        calls = []
+        chained = pipeline_module.evaluate_configs
 
         def counting_chain(model, data, specs_by_bits, configs):
-            searched.extend(frozenset(c.bits.items()) for c in configs)
+            calls.append([frozenset(c.bits.items()) for c in configs])
             return chained(model, data, specs_by_bits, configs)
 
-        def counting_single(model, data, specs_by_bits, config):
-            verified.append(frozenset(config.bits.items()))
-            return single(model, data, specs_by_bits, config)
-
         monkeypatch.setattr(pipeline_module, "evaluate_configs", counting_chain)
-        monkeypatch.setattr(pipeline_module, "evaluate_config", counting_single)
         config = config_for(
             tmp_path, tmp_path / "run", metric="noise", algo=algo, bits=(2, 3, 4, 5, 6, 8)
         )
         result = run_pipeline(dataclasses.replace(config, epochs=DEFAULT_EPOCHS))
         # verify-target makes its own evaluation of the config the search committed
+        *searches, verified = calls
+        searched = [config for chain in searches for config in chain]
         committed = frozenset(result.config.bits.items())
         assert verified == [committed] and committed in searched
         return searched, result

@@ -23,7 +23,7 @@ from mixquant.quantize import quantize
 from mixquant.search import (
     QuantConfig,
     bisection_search,
-    evaluate_config,
+    evaluate_configs,
     greedy_search,
     load_config,
     load_outcome,
@@ -79,11 +79,17 @@ class TestQuantConfig:
         assert config.bits["a"] == 32
 
 
+def evaluate_one(model, data, specs_by_bits, config):
+    return evaluate_configs(model, data, specs_by_bits, [config])[0]
+
+
 class TestEvaluateConfig:
+    """A one-config evaluation, as verify-target makes."""
+
     def test_all_baseline_equals_clean_accuracy(self):
         model, data = make_small_ce_model()
         config = QuantConfig.uniform(model.weight_tensor_names(), 16)
-        assert evaluate_config(model, data, {}, config) == forward(model, data).accuracy
+        assert evaluate_one(model, data, {}, config) == forward(model, data).accuracy
 
     def test_matches_direct_quantized_forward(self):
         model, data = make_small_ce_model()
@@ -92,7 +98,7 @@ class TestEvaluateConfig:
         config = QuantConfig.uniform(model.weight_tensor_names(), 16).replace(
             {"first.weight": 8}
         )
-        got = evaluate_config(model, data, {8: specs}, config)
+        got = evaluate_one(model, data, {8: specs}, config)
         w8 = quantize(model.parameter("first.weight"), specs["first.weight"])
         direct = forward(model, data, {"first.weight": w8}).accuracy
         assert got == direct
@@ -103,20 +109,20 @@ class TestEvaluateConfig:
             {"first.weight": 4}
         )
         with pytest.raises(GraphError):
-            evaluate_config(model, data, {8: {}}, config)
+            evaluate_one(model, data, {8: {}}, config)
         # a spec of another width is not a 4-bit spec
         specs8 = calibrate(model, {name: 8 for name in model.weight_tensor_names()}).specs
         with pytest.raises(GraphError):
-            evaluate_config(model, data, {4: specs8}, config)
+            evaluate_one(model, data, {4: specs8}, config)
 
     def test_deterministic(self):
         model, data = make_small_ce_model()
         bits = {name: 4 for name in model.weight_tensor_names()}
         specs = calibrate(model, bits).specs
         config = QuantConfig.uniform(model.weight_tensor_names(), 4)
-        first = evaluate_config(model, data, {4: specs}, config)
+        first = evaluate_one(model, data, {4: specs}, config)
         assert all(
-            evaluate_config(model, data, {4: specs}, config) == first for _ in range(3)
+            evaluate_one(model, data, {4: specs}, config) == first for _ in range(3)
         )
 
 
