@@ -4,11 +4,15 @@ Step one sets each tensor's pre-scale to 1/max|x| and post-scale to
 max|x|, so the quantizer input always lands inside the clip interval.
 Step two runs plain gradient descent on the scales alone, driven by
 straight-through gradients of the calibration loss through the quantized
-forward pass. It advances every bank of scales a run calibrates (one
-bank per candidate width) together: each epoch makes one taped pass and
-one reverse sweep over the banks stacked on a leading axis, as many at
-a time as :data:`STACK_FLOATS` allows. Model weights are read, never
-written.
+forward pass. It advances the banks of scales a run calibrates (one
+bank per candidate width) in groups: each epoch of a group makes one
+taped pass and one reverse sweep over its banks stacked on a leading
+axis, as many at a time as :data:`STACK_FLOATS` allows. The groups
+descend independently of each other, so they run on the engine's
+workers (:func:`~mixquant.graph.on_workers`), each writing only its own
+banks and logs. The taped pass holds one array per affine layer, and
+the reverse sweep reduces each weight's gradient to scale gradients as
+soon as it is computed. Model weights are read, never written.
 """
 
 from __future__ import annotations
@@ -20,8 +24,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import KIND_AFFINE, Dataset, GraphError, ModelGraph, loss_and_scale_gradients
-from .modelio import read_json, write_json
+from .graph import (
+    KIND_AFFINE,
+    Dataset,
+    GraphError,
+    ModelGraph,
+    loss_and_scale_gradients,
+    on_workers,
+)
+from .modelio import json_number, read_json, write_json
 from .quantize import QuantSpec
 
 SPECS_FORMAT = "mixquant-quant-specs"
@@ -33,11 +44,14 @@ DEFAULT_EPOCHS = 20
 _SCALE_FLOOR = 1e-12
 
 # Taped activations, in floats, that one stacked pass may hold: banks go
-# through an epoch together in groups whose tapes fit. A bank of the
-# default fixture tapes about 46k floats over 256 rows, so all of its
-# banks stack; a bank of a 64-192-160-128-96-64-32-10 model tapes about
-# 347k, so its banks run one at a time and peak memory stays that of one.
-STACK_FLOATS = 2**19
+# through an epoch together in groups whose tapes fit. Like
+# FORWARD_BLOCK_FLOATS in the engine, it bounds each pass, and each
+# worker has at most one pass in flight. A bank of the default fixture
+# tapes 23k floats over 256 rows, so all of its banks stack into one
+# pass on the caller; a bank of a 64-192-160-128-96-64-32-10 model tapes
+# about 175k, so each of its banks is a group of its own, one per
+# worker at a time.
+STACK_FLOATS = 2**18
 
 
 class AdjustmentDivergedError(RuntimeError):
@@ -74,19 +88,19 @@ def calibrate(model: ModelGraph, bits: Mapping[str, int]) -> CalibrationOutcome:
 
 
 def _taped_floats(model: ModelGraph, rows: int) -> int:
-    """Floats of the activations one bank's taped pass keeps over ``rows`` rows."""
-    width, total = model.input_dim, 0
-    for layer in model.layers:
-        if layer.kind == KIND_AFFINE:
-            width = layer.weight.shape[0]
-        total += width
-    return rows * total
+    """Floats of the activations one bank's taped pass keeps over ``rows``
+    rows: each affine layer's output, which the relus after it overwrite."""
+    return rows * sum(l.weight.shape[0] for l in model.layers if l.kind == KIND_AFFINE)
 
 
 def _stack_groups(
     model: ModelGraph, data: Dataset, banks: list[dict[str, QuantSpec]]
 ) -> list[list[int]]:
-    """Indices of the banks that share one pass: same tensors, tapes within budget."""
+    """Indices of the banks that share one pass: same tensors, tapes within budget.
+
+    The budget comes first: groups are as large as it allows, whatever
+    the number of workers, and only then spread over the workers.
+    """
     size = max(1, STACK_FLOATS // _taped_floats(model, len(data)))
     by_names: dict[frozenset, list[int]] = {}
     for i, bank in enumerate(banks):
@@ -119,8 +133,11 @@ def adjust_scales(
     untouched. Each returned log holds that bank's calibration loss
     before the first step and after each one, so it has ``epochs + 1``
     entries and a zero learning rate leaves it constant. Banks naming the
-    same tensors are stacked into shared passes, and every bank's result
-    is bit-identical to descending it alone.
+    same tensors are stacked into shared passes, the groups of banks run
+    on the engine's workers, and every bank's result is bit-identical to
+    descending it alone. When banks diverge, the error raised is that of
+    the first group, in group order, that diverged, as in a serial
+    descent.
     """
     if epochs < 0:
         raise GraphError(f"epochs must be >= 0, got {epochs}")
@@ -128,9 +145,14 @@ def adjust_scales(
         raise GraphError(f"learning rate must be >= 0, got {learning_rate}")
     banks = [dict(outcome.specs) for outcome in outcomes]
     logs: list[list[float]] = [[] for _ in banks]
-    for group in _stack_groups(model, data, banks):
-        group_banks, group_logs = [banks[i] for i in group], [logs[i] for i in group]
-        _descend(model, data, group_banks, group_logs, learning_rate, epochs)
+    groups = _stack_groups(model, data, banks)
+
+    def run(first: int, stop: int) -> None:
+        for group in groups[first:stop]:
+            group_banks, group_logs = [banks[i] for i in group], [logs[i] for i in group]
+            _descend(model, data, group_banks, group_logs, learning_rate, epochs)
+
+    on_workers(len(groups), run)
     return [CalibrationOutcome(specs=b, adjustment_log=log) for b, log in zip(banks, logs)]
 
 
@@ -175,10 +197,14 @@ def save_specs(outcome: CalibrationOutcome, path: str | Path) -> None:
 def _parse_specs(payload: dict) -> CalibrationOutcome:
     return CalibrationOutcome(
         specs={
-            name: QuantSpec(alpha=float(s["alpha"]), gamma=float(s["gamma"]), bits=int(s["bits"]))
+            name: QuantSpec(
+                alpha=json_number(s["alpha"]),
+                gamma=json_number(s["gamma"]),
+                bits=json_number(s["bits"], integer=True),
+            )
             for name, s in payload["specs"].items()
         },
-        adjustment_log=[float(v) for v in payload["adjustment_log"]],
+        adjustment_log=[json_number(v) for v in payload["adjustment_log"]],
     )
 
 

@@ -15,8 +15,11 @@ size and not by the split. One such pass can evaluate a chain of weight
 maps, quantized search probes or noise perturbations: inside each
 block, every map resumes from its predecessor's activations at the
 first affine layer whose weight it replaces differently. Taped passes
-(gradients, scale gradients, Hessian traces) keep every layer's
-activations over the whole split, because the backward passes need them.
+(gradients, scale gradients, Hessian traces) keep every affine layer's
+output over the whole split, because the backward passes need them. A
+relu overwrites the affine output it follows: no reverse sweep reads an
+affine layer's output before its relu, only the relu's, so the tape
+holds one array per affine layer.
 
 The row blocks of an untaped pass are independent, so when BLAS runs
 one thread they are split into contiguous ranges, one per CPU in the
@@ -29,13 +32,17 @@ counts as one thread when the variables numpy's BLAS reads say so
 (``OPENBLAS_NUM_THREADS=1``, for one); otherwise BLAS already spreads
 each product over the CPUs and the blocks run serially. A pass with one
 block, or a process with one CPU, starts no thread; ``taskset`` limits
-the workers.
+the workers. Scale calibration hands its independent groups of banks
+to the same workers through :func:`on_workers`.
 
 The taped pass and its reverse sweeps are rank-agnostic: activations may
 carry leading stack axes, such as one per bank of quantizer scales in
 :func:`loss_and_scale_gradients`, and every product runs slice by slice,
 so each slice is bit-identical to a pass of its own. No reverse sweep
-computes the gradient of the input below the first affine layer.
+computes the gradient of the input below the first affine layer. The
+parameter sweep yields each gradient as soon as it is computed, so
+:func:`loss_and_scale_gradients` reduces a weight's gradient to its
+scale gradients, and drops both, before the sweep moves down a layer.
 """
 
 from __future__ import annotations
@@ -183,8 +190,8 @@ class ModelGraph:
         h = hashlib.sha256()
         for layer in self.layers:
             if layer.kind == KIND_AFFINE:
-                h.update(layer.weight.tobytes())
-                h.update(layer.bias.tobytes())
+                h.update(layer.weight)  # C-contiguous: hashed in place, not copied
+                h.update(layer.bias)
         return h.hexdigest()
 
 
@@ -225,8 +232,8 @@ class Dataset:
     def digest(self) -> str:
         """SHA-256 over features, labels, and class count."""
         h = hashlib.sha256()
-        h.update(self.features.tobytes())
-        h.update(self.labels.tobytes())
+        h.update(self.features)  # C-contiguous: hashed in place, not copied
+        h.update(self.labels)
         h.update(str(self.num_classes).encode())
         return h.hexdigest()
 
@@ -241,7 +248,7 @@ class EvalResult:
 class _LayerTape:
     layer: Layer
     inputs: np.ndarray  # activations entering the layer
-    output: np.ndarray  # activations leaving the layer
+    output: np.ndarray  # activations leaving the layer; a relu after an affine overwrites them
     weight_used: np.ndarray | None = None
 
 
@@ -292,7 +299,9 @@ def _run_layers(
             z = a @ w.swapaxes(-1, -2)
             z += layer.bias
         else:
-            z = np.maximum(a, 0.0)
+            # in place unless on the caller's features: no reverse sweep reads
+            # the output of the affine layer below, only this relu's
+            z = np.maximum(a, 0.0) if a is x else np.maximum(a, 0.0, out=a)
         tapes.append(_LayerTape(layer, a, z, w))
         a = z
     return a, tapes
@@ -324,10 +333,10 @@ _BLAS_ONE_THREAD = _blas_threads(_numpy_blas(), os.environ) == 1
 
 
 def _worker_count() -> int:
-    """Workers of an untaped pass: the CPUs this process may run on, when BLAS runs one thread.
+    """Workers of :func:`on_workers`: the CPUs this process may run on, when BLAS runs one thread.
 
     With BLAS on several threads, or an unknown count, each product
-    already spreads over the CPUs and the pass stays on the caller.
+    already spreads over the CPUs and the work stays on the caller.
     """
     if not _BLAS_ONE_THREAD:
         return 1
@@ -337,7 +346,7 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _on_workers(count: int, work: Callable[[int, int], None]) -> None:
+def on_workers(count: int, work: Callable[[int, int], None]) -> None:
     """Call ``work(start, stop)`` on contiguous ranges that cover ``range(count)``.
 
     There is one range per worker, and at most one per index. The calling
@@ -362,7 +371,7 @@ def _on_workers(count: int, work: Callable[[int, int], None]) -> None:
     started = []
     try:
         for w in range(1, workers):
-            thread = threading.Thread(target=run, args=(w,), name=f"mixquant-rows-{w}")
+            thread = threading.Thread(target=run, args=(w,), name=f"mixquant-worker-{w}")
             thread.start()
             started.append(thread)
         work(bounds[0], bounds[1])
@@ -390,7 +399,7 @@ def _chained_blocks(
     Each block is at least ``FORWARD_BLOCK_FLOATS // widest`` rows unless
     the whole split is shorter: a short trailing block could take BLAS's
     small-matrix path and round differently from the taped pass. The
-    blocks are split across workers by :func:`_on_workers`, so ``visit``
+    blocks are split across workers by :func:`on_workers`, so ``visit``
     runs on several threads at once and may write only into rows
     ``lo:hi`` of its outputs. The logits are the engine's own buffer;
     read them, never write.
@@ -435,7 +444,7 @@ def _chained_blocks(
                         np.maximum(a, 0.0, out=a)
                 visit(k, lo, hi, a)
 
-    _on_workers(blocks, run)
+    on_workers(blocks, run)
 
 
 def _chain_logits(
@@ -582,15 +591,14 @@ def _down_to_first_affine(tapes: list[_LayerTape]):
         yield tapes[i], i == first
 
 
-def _backward(
-    tapes: list[_LayerTape], grad_logits: np.ndarray, wrt: Collection[str]
-) -> dict[str, np.ndarray]:
-    """Gradients of the parameters named in ``wrt``, each weight as the taped pass used it.
+def _backward(tapes: list[_LayerTape], grad_logits: np.ndarray, wrt: Collection[str]):
+    """Yield ``(name, gradient)`` for each parameter named in ``wrt``, from the last layer down.
 
+    Each weight's gradient is taken as the taped pass used the weight.
     ``grad_logits`` may carry leading stack axes like the taped pass; it
-    may be overwritten.
+    may be overwritten. A yielded gradient is the caller's to keep; the
+    sweep goes on from where it was when the caller asks for the next.
     """
-    param_grads: dict[str, np.ndarray] = {}
     g = grad_logits
     for tape, first in _down_to_first_affine(tapes):
         layer = tape.layer
@@ -599,12 +607,11 @@ def _backward(
             continue
         weight, bias = f"{layer.name}.weight", f"{layer.name}.bias"
         if weight in wrt:
-            param_grads[weight] = g.swapaxes(-1, -2) @ tape.inputs
+            yield weight, g.swapaxes(-1, -2) @ tape.inputs
         if bias in wrt:
-            param_grads[bias] = g.sum(axis=-2)
+            yield bias, g.sum(axis=-2)
         if not first:
             g = g @ tape.weight_used
-    return param_grads
 
 
 def gradients(
@@ -625,7 +632,8 @@ def gradients(
             raise GraphError(f"cannot differentiate unknown tensors: {unknown}")
     _check_compat(model, data)
     logits, tapes = _run_layers(model, data.features, {})
-    param_grads = _backward(tapes, _head(model, logits, data.labels, gradient=True)[1], wrt)
+    grad_logits = _head(model, logits, data.labels, gradient=True)[1]
+    param_grads = dict(_backward(tapes, grad_logits, wrt))
     return {name: param_grads[name] for name in wrt}
 
 
@@ -665,10 +673,10 @@ def loss_and_scale_gradients(
     losses, grad_logits = _head(model, logits, data.labels, gradient)
     if not gradient:
         return losses.tolist(), []
-    grads = _backward(tapes, grad_logits, taped)
     per_bank: list[dict[str, tuple[float, float]]] = [{} for _ in banks]
-    for name, (_, tape) in taped.items():
-        g_alpha, g_gamma = quantize_backward(tape, grads[name])
+    for name, grad in _backward(tapes, grad_logits, names):
+        # a weight's gradient and quantizer record are dropped once reduced
+        g_alpha, g_gamma = quantize_backward(taped.pop(name)[1], grad)
         for scale_grads, ga, gg in zip(per_bank, g_alpha.tolist(), g_gamma.tolist()):
             scale_grads[name] = (ga, gg)
     return losses.tolist(), per_bank

@@ -13,7 +13,9 @@ parse-error policy. :func:`write_json` adds ``format`` and ``version`` to a
 body in one byte-stable layout. :func:`read_json` checks that a file is a
 JSON object of the expected ``format``, runs the caller's parser on it, and
 turns any missing key or wrongly typed value the parser trips over into one
-:class:`DataFormatError` naming the file and its format. A run artifact's
+:class:`DataFormatError` naming the file and its format. Parsers read
+every number through :func:`json_number`, which takes no bool, string or,
+where a count or width is due, fraction. A run artifact's
 body is its dataclass's fields (``dataclasses.asdict``). Every file the
 package writes is a new file (:func:`new_file`), never an old one truncated
 and overwritten in place.
@@ -31,6 +33,7 @@ from .graph import KIND_AFFINE, KIND_RELU, Dataset, GraphError, Layer, ModelGrap
 
 MODEL_FORMAT = "mixquant-model"
 DATASET_FORMAT = "mixquant-dataset"
+_DATASET_COUNTS = ("num_examples", "feature_dim", "num_classes")
 
 
 class DataFormatError(ValueError):
@@ -77,6 +80,21 @@ def read_json(path: str | Path, expected_format: str, parse: Callable[[dict], An
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise DataFormatError(f"malformed {expected_format!r} file {path}: {detail}") from exc
+
+
+def json_number(value: Any, integer: bool = False) -> int | float:
+    """``value`` as a float, or as an int when ``integer``, if it is such a JSON number.
+
+    Anything else raises ``TypeError``, which :func:`read_json` reports as
+    a malformed file: a string, a fraction where an integer is due, and
+    true or false, which JSON loads as bools.
+    """
+    # type() rather than isinstance: JSON true/false load as bools
+    if type(value) is int:
+        return value if integer else float(value)
+    if type(value) is float and not integer:
+        return value
+    raise TypeError(f"expected {'an integer' if integer else 'a number'}, got {value!r}")
 
 
 def _blob_path(manifest_path: Path, payload: dict, key: str) -> Path:
@@ -157,15 +175,11 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
             if w_off + w_bytes > len(blob) or b_off + 4 * out_dim > len(blob):
                 raise DataFormatError(f"layer {entry.get('name')!r} points past the blob")
             extents += [(w_off, w_off + w_bytes), (b_off, b_off + 4 * out_dim)]
+            # ModelGraph makes the one float64 copy of these views of the blob
             w = np.frombuffer(blob, dtype="<f4", count=out_dim * in_dim, offset=w_off)
             b = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=b_off)
             layers.append(
-                Layer(
-                    str(entry.get("name")),
-                    KIND_AFFINE,
-                    w.astype(np.float64).reshape(out_dim, in_dim),
-                    b.astype(np.float64),
-                )
+                Layer(str(entry.get("name")), KIND_AFFINE, w.reshape(out_dim, in_dim), b)
             )
         elif kind == KIND_RELU:
             layers.append(Layer(str(entry.get("name")), KIND_RELU))
@@ -207,8 +221,10 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     payload, n, d, num_classes = read_json(
         manifest_path,
         DATASET_FORMAT,
-        lambda p: (p, int(p["num_examples"]), int(p["feature_dim"]), int(p["num_classes"])),
+        lambda p: (p, *(json_number(p[k], integer=True) for k in _DATASET_COUNTS)),
     )
+    if n < 0 or d < 0:
+        raise DataFormatError(f"{manifest_path}: {n} examples of {d} features")
     features_path = _blob_path(manifest_path, payload, "features")
     labels_path = _blob_path(manifest_path, payload, "labels")
     try:
@@ -222,8 +238,9 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         )
     if len(raw_y) != 4 * n:
         raise DataFormatError(f"{labels_path} holds {len(raw_y)} bytes, expected {4 * n}")
-    features = np.frombuffer(raw_x, dtype="<f4").astype(np.float64).reshape(n, d)
-    labels = np.frombuffer(raw_y, dtype="<u4").astype(np.int64)
+    # Dataset makes the one float64/int64 copy of these views of the blobs
+    features = np.frombuffer(raw_x, dtype="<f4").reshape(n, d)
+    labels = np.frombuffer(raw_y, dtype="<u4")
     try:
         return Dataset(features, labels, num_classes)
     except GraphError as exc:

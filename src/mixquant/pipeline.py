@@ -36,7 +36,7 @@ from .calibrate import (
 )
 from .cost import CostReport, LatencyTable, cost_report
 from .graph import Dataset, GraphError, ModelGraph, forward
-from .modelio import load_dataset, load_model, read_json, write_json
+from .modelio import json_number, load_dataset, load_model, read_json, write_json
 from .rng import substream
 from .search import (
     DEFAULT_BASELINE_BITS,
@@ -412,7 +412,7 @@ def _run_manifest(payload: dict) -> tuple[PipelineConfig, str]:
 
 
 def _parse_cost(payload: dict) -> CostReport:
-    return CostReport(*(float(payload[f.name]) for f in fields(CostReport)))
+    return CostReport(*(json_number(payload[f.name]) for f in fields(CostReport)))
 
 
 def _load_run(run_dir: Path) -> dict:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .graph import Dataset, GraphError, ModelGraph, chain_accuracies
-from .modelio import read_json, write_json
+from .modelio import json_number, read_json, write_json
 from .quantize import MAX_BITS, MIN_BITS, QuantSpec, quantize
 
 CONFIG_FORMAT = "mixquant-quant-config"
@@ -323,8 +323,8 @@ def bisection_search(
 
 def _parse_config(payload: dict) -> QuantConfig:
     return QuantConfig(
-        bits={name: int(b) for name, b in payload["bits"].items()},
-        baseline_bits=int(payload["baseline_bits"]),
+        bits={name: json_number(b, integer=True) for name, b in payload["bits"].items()},
+        baseline_bits=json_number(payload["baseline_bits"], integer=True),
     )
 
 
@@ -346,9 +346,9 @@ def _parse_outcome(payload: dict) -> SearchOutcome:
         raise TypeError("the trace must be a list of objects")
     return SearchOutcome(
         config=_parse_config(payload["config"]),
-        evals=int(payload["evals"]),
-        target=float(payload["target"]),
-        achieved_accuracy=float(payload["achieved_accuracy"]),
+        evals=json_number(payload["evals"], integer=True),
+        target=json_number(payload["target"]),
+        achieved_accuracy=json_number(payload["achieved_accuracy"]),
         trace=tuple(trace),
     )
 

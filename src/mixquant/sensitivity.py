@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .graph import Dataset, GraphError, ModelGraph, chain_losses, hessian_traces
-from .modelio import read_json, write_json
+from .modelio import json_number, read_json, write_json
 from .quantize import QuantSpec, quantization_error
 from .rng import substream
 
@@ -195,7 +195,11 @@ def save_report(report: SensitivityReport, path: str | Path) -> None:
 
 def _parse_report(payload: dict) -> SensitivityReport:
     scores = {
-        name: TensorScore(mean=float(s["mean"]), std=float(s["std"]), trials=int(s["trials"]))
+        name: TensorScore(
+            mean=json_number(s["mean"]),
+            std=json_number(s["std"]),
+            trials=json_number(s["trials"], integer=True),
+        )
         for name, s in payload["scores"].items()
     }
     ordering = payload["ordering"]
@@ -205,7 +209,7 @@ def _parse_report(payload: dict) -> SensitivityReport:
         metric=str(payload["metric"]),
         scores=scores,
         ordering=tuple(ordering),
-        seed=int(payload["seed"]),
+        seed=json_number(payload["seed"], integer=True),
     )
 
 

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+import mixquant.graph as graph_module
 from mixquant.fixtures import build_fixture
 from mixquant.graph import (
     HEAD_SOFTMAX_CE,
@@ -34,6 +35,21 @@ F1_SEED = 7
 def f1():
     """The standard 6-affine-layer, 2-class fixture with its data splits."""
     return build_fixture(F1_SEED)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(n)`` runs the engine's parallel work on ``n`` workers for the rest of the test.
+
+    The engine runs serially beside a BLAS on several threads, as in an
+    unpinned test run, so tests of the parallel paths set the count here.
+    Row blocks and calibration groups both take it from this one count.
+    """
+
+    def use(count):
+        monkeypatch.setattr(graph_module, "_worker_count", lambda: count)
+
+    return use
 
 
 def make_diagonal_quadratic(curvatures=(1.0, 2.0, 3.0)):

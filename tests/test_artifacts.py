@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import edit_json
 from mixquant.calibrate import CalibrationOutcome, load_specs, save_specs
 from mixquant.cli import EXIT_DATA, main
 from mixquant.fixtures import FixtureSpec, build_fixture, build_fixture_latency_table
@@ -17,6 +18,7 @@ from mixquant.modelio import (
     read_json,
     save_dataset,
     save_model,
+    write_json,
 )
 from mixquant.pipeline import (
     COST_FORMAT,
@@ -153,3 +155,71 @@ def test_compare_refuses_a_manifest_without_inputs(small_run, tmp_path, capsys):
     (runs[1] / "manifest.json").write_text(json.dumps(manifest))
     assert main(["compare", *map(str, runs)]) == EXIT_DATA
     assert "manifest.json" in capsys.readouterr().err
+
+
+def _compare_with(small_run, tmp_path, name, keys, value):
+    """``compare`` exit code for two copies of the small run, the second with
+    ``value`` set at ``keys`` in its ``name``."""
+    config, _ = small_run
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run in runs:
+        shutil.copytree(config.out_dir, run)
+    edit_json(runs[1] / name, keys, value)
+    return main(["compare", *map(str, runs)])
+
+
+def test_fractional_bit_width_rejected(small_run, tmp_path, capsys):
+    _, result = small_run
+    tensor = sorted(result.config.bits)[0]
+    path = tmp_path / "config.json"
+    save_config(result.config, path)
+    edit_json(path, ("bits", tensor), 4.7)
+    with pytest.raises(DataFormatError, match="expected an integer, got 4.7"):
+        load_config(path)
+    keys = ("config", "bits", tensor)
+    assert _compare_with(small_run, tmp_path, "outcome.json", keys, 4.7) == EXIT_DATA
+    assert "outcome.json" in capsys.readouterr().err
+
+
+def test_fractional_bits_and_bool_scale_rejected(tmp_path):
+    path = tmp_path / "specs.json"
+    save_specs(CalibrationOutcome(specs={"a.weight": QuantSpec(0.5, 2.0, 4)}), path)
+    edit_json(path, ("specs", "a.weight", "bits"), 4.9)
+    with pytest.raises(DataFormatError, match="expected an integer, got 4.9"):
+        load_specs(path)
+    edit_json(path, ("specs", "a.weight", "bits"), 4)
+    edit_json(path, ("specs", "a.weight", "alpha"), True)
+    with pytest.raises(DataFormatError, match="expected a number, got True"):
+        load_specs(path)
+
+
+def test_compare_refuses_a_string_eval_count(small_run, tmp_path, capsys):
+    assert _compare_with(small_run, tmp_path, "outcome.json", ("evals",), "12") == EXIT_DATA
+    assert "expected an integer, got '12'" in capsys.readouterr().err
+
+
+def test_run_refuses_a_fractional_dataset_count(small_run, tmp_path, capsys):
+    config, _ = small_run
+    source = Path(config.calib_data)
+    for blob in source.parent.glob(f"{source.stem}.*"):
+        shutil.copy(blob, tmp_path)
+    calib = tmp_path / source.name
+    count = json.loads(calib.read_text())["num_examples"]
+    edit_json(calib, ("num_examples",), float(count))
+    args = [
+        "run", "--model", config.model, "--calib", str(calib), "--eval", config.eval_data,
+        "--latency-table", config.latency_table, "--out", str(tmp_path / "run"),
+    ]
+    assert main(args) == EXIT_DATA
+    assert f"expected an integer, got {float(count)}" in capsys.readouterr().err
+
+
+def test_negative_feature_width_rejected(tmp_path):
+    # zero rows of -5 features expect empty blobs, which numpy cannot shape
+    for name in ("d.features.bin", "d.labels.bin"):
+        (tmp_path / name).write_bytes(b"")
+    body = {"num_examples": 0, "feature_dim": -5, "num_classes": 2,
+            "features": "d.features.bin", "labels": "d.labels.bin"}
+    write_json(tmp_path / "d.json", "mixquant-dataset", body)
+    with pytest.raises(DataFormatError, match="0 examples of -5 features"):
+        load_dataset(tmp_path / "d.json")

@@ -1,5 +1,7 @@
 """Calibration and scale-adjustment tests."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -166,6 +168,14 @@ def assert_same_banks(stacked, single):
         assert a.adjustment_log == b.adjustment_log
 
 
+def wide_banks(widths=(8, 6, 5, 4, 3, 2)):
+    """A 64-192-160-128-96-64-32-10 model, 256 random rows and one bank per width."""
+    model = build_fixture_model(7, FixtureSpec((64, 192, 160, 128, 96, 64, 32, 10)))
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.normal(size=(256, 64)), rng.integers(0, 10, 256), 10)
+    return model, data, [calibrate(model, bits_for(model, b)) for b in widths]
+
+
 def seed7_calibration(f1, rows=256):
     model, calib, _ = f1
     return model, calib.subset(np.arange(rows))
@@ -222,7 +232,9 @@ class TestStackedBanks:
         assert stacked[0].adjustment_log == [forward(model, data).loss] * 4
 
     @pytest.mark.parametrize("per_group", [1, 2])
-    def test_small_budget_splits_banks_into_groups(self, f1, monkeypatch, per_group):
+    def test_small_budget_splits_banks_into_groups(self, f1, monkeypatch, workers, per_group):
+        # one worker: on several, the groups' passes interleave
+        workers(1)
         model, data = seed7_calibration(f1)
         starts = [calibrate(model, bits_for(model, b)) for b in (8, 4, 3)]
         single = one_at_a_time(model, data, starts, epochs=4)
@@ -245,22 +257,80 @@ class TestStackedBanks:
         # the last epoch of each group computes the loss alone
         assert passes == [(size, epoch < 4) for size in groups for epoch in range(5)]
 
-    def test_wide_banks_run_one_at_a_time(self):
-        # A taped pass of this model over 256 rows holds about 347k floats
-        # per bank: one bank at a time peaks near 5.3 MB, three stacked
-        # near 15.8 MB and all six near 31.7 MB.
-        model = build_fixture_model(7, FixtureSpec((64, 192, 160, 128, 96, 64, 32, 10)))
-        rng = np.random.default_rng(0)
-        data = Dataset(rng.normal(size=(256, 64)), rng.integers(0, 10, 256), 10)
+    def test_budget_groups_seed7_banks_together_and_wide_banks_alone(self, f1):
+        # the budget alone sets the groups, so they are the same on any
+        # number of workers
+        model, data = seed7_calibration(f1)
         starts = [calibrate(model, bits_for(model, b)) for b in (8, 6, 5, 4, 3, 2)]
+        assert calibrate_module._taped_floats(model, len(data)) == 256 * 90
+        banks = [start.specs for start in starts]
+        assert calibrate_module._stack_groups(model, data, banks) == [list(range(6))]
+        model, data, starts = wide_banks()
+        assert calibrate_module._taped_floats(model, len(data)) == 256 * 682
+        banks = [start.specs for start in starts]
+        assert calibrate_module._stack_groups(model, data, banks) == [[i] for i in range(6)]
+
+    def test_wide_banks_run_one_at_a_time(self, workers):
+        # A taped pass of this model over 256 rows holds about 175k floats
+        # per bank, its affine outputs: one bank at a time peaks near
+        # 3.4 MiB, one bank on each of two workers near 6.7 MiB, and all
+        # six stacked in one pass near 20.3 MiB.
+        model, data, starts = wide_banks()
         adjust_scales(model, data, starts, epochs=1)
-        tracemalloc.start()
+        for count in (1, 2):
+            workers(count)
+            tracemalloc.start()
+            try:
+                adjust_scales(model, data, starts, epochs=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+
+    def test_wide_banks_do_not_depend_on_the_workers(self, monkeypatch, workers):
+        model, data, starts = wide_banks()
+        workers(1)
+        single = one_at_a_time(model, data, starts, epochs=3)
+        threads = set()
+        real = calibrate_module.loss_and_scale_gradients
+
+        def spy(model, data, banks, gradient):
+            threads.add(threading.get_ident())
+            return real(model, data, banks, gradient)
+
+        monkeypatch.setattr(calibrate_module, "loss_and_scale_gradients", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than CPUs, switching often
         try:
-            adjust_scales(model, data, starts, epochs=1)
-            peak = tracemalloc.get_traced_memory()[1]
+            for count in (1, 2, 3, 6):
+                workers(count)
+                threads.clear()
+                assert_same_banks(adjust_scales(model, data, starts, epochs=3), single)
+                assert len(threads) == count  # each wide bank is a group of its own
         finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+            sys.setswitchinterval(interval)
+
+    def test_divergence_on_workers_names_the_earliest_bank(self, monkeypatch, workers):
+        # one bank per group, and the 3- and 2-bit banks overflow: on two
+        # workers the caller runs the 4- and 3-bit banks and a worker the
+        # 5- and 2-bit ones; on three, the 3-bit bank has a worker of its own
+        model = ModelGraph(
+            [Layer("lin", KIND_AFFINE, np.array([[1.0]]), np.zeros(1))],
+            head=HEAD_SQUARED_ERROR,
+        )
+        data = Dataset(np.array([[1.0]]), np.zeros(1, dtype=int), 1)
+        starts = [
+            CalibrationOutcome(specs={"lin.weight": QuantSpec(1.0, gamma, bits)})
+            for bits, gamma in ((4, 1.0), (3, 1e300), (5, 1.0), (2, 1e300))
+        ]
+        monkeypatch.setattr(
+            calibrate_module, "STACK_FLOATS", calibrate_module._taped_floats(model, len(data))
+        )
+        for count in (1, 2, 3):
+            workers(count)
+            with np.errstate(over="ignore"), pytest.raises(AdjustmentDivergedError) as caught:
+                adjust_scales(model, data, starts, learning_rate=1e-5, epochs=8)
+            assert "3-bit bank" in str(caught.value) and "epoch 0" in str(caught.value)
 
     def test_divergence_names_the_diverging_bank(self):
         # only the 3-bit bank's post-scale overflows the squared-error loss

@@ -45,7 +45,7 @@ from mixquant.graph import (
     _blocked_logits,
     _chained_blocks,
     _head_loss,
-    _on_workers,
+    on_workers,
     _relu_backward,
     _run_layers,
     chain_accuracies,
@@ -470,10 +470,6 @@ class TestChainedPass:
         assert peak < 8 * 2**20
 
 
-def use_workers(monkeypatch, workers):
-    monkeypatch.setattr(graph_module, "_worker_count", lambda: workers)
-
-
 def cpu_count():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
@@ -496,39 +492,39 @@ def run_python(script, cwd, blas_environ):
 
 class TestParallelBlocks:
     @pytest.mark.parametrize(
-        "blocks, workers, ranges",
+        "blocks, count, ranges",
         [(7, 1, [(0, 7)]), (7, 2, [(0, 3), (3, 7)]), (7, 3, [(0, 2), (2, 4), (4, 7)]),
          (2, 3, [(0, 1), (1, 2)]), (1, 3, [(0, 1)])],
     )
-    def test_contiguous_ranges_the_caller_runs_the_first(self, monkeypatch, blocks, workers, ranges):
-        use_workers(monkeypatch, workers)
+    def test_contiguous_ranges_the_caller_runs_the_first(self, workers, blocks, count, ranges):
+        workers(count)
         seen = []
-        _on_workers(blocks, lambda start, stop: seen.append((start, stop, threading.get_ident())))
+        on_workers(blocks, lambda start, stop: seen.append((start, stop, threading.get_ident())))
         assert sorted((start, stop) for start, stop, _ in seen) == ranges
         on_caller = [start for start, _, ident in seen if ident == threading.get_ident()]
         assert on_caller == [0]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("blocks", [2, 3, 7])
-    def test_results_do_not_depend_on_the_workers(self, monkeypatch, blocks, workers):
+    def test_results_do_not_depend_on_the_workers(self, workers, blocks, count):
         model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
         h = block_rows(model)
         data = random_split(model, blocks * h + h // 3)  # a ragged last block
         weights = quantized_bank(model, 4)
         chain = greedy_chain(model)
         logits, result = whole_split_result(model, data, weights)
-        use_workers(monkeypatch, 1)
+        workers(1)
         accuracies = chain_accuracies(model, data, chain)
         losses = chain_losses(model, data, chain)
-        use_workers(monkeypatch, workers)
+        workers(count)
         assert np.array_equal(_blocked_logits(model, data.features, weights), logits)
         assert forward(model, data, weights) == result
         assert chain_accuracies(model, data, chain) == accuracies
         assert chain_losses(model, data, chain) == losses
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
-    def test_an_error_is_raised_once_every_range_has_stopped(self, monkeypatch, failing):
-        use_workers(monkeypatch, 3)
+    def test_an_error_is_raised_once_every_range_has_stopped(self, workers, failing):
+        workers(3)
         writes = []
 
         def work(start, stop):
@@ -539,13 +535,13 @@ class TestParallelBlocks:
                 writes.append(start)
 
         with pytest.raises(ValueError, match=f"range {failing} failed"):
-            _on_workers(3, work)
+            on_workers(3, work)
         assert len(writes) == 10  # both other ranges ran to their end
         time.sleep(0.05)
         assert len(writes) == 10
 
-    def test_an_error_in_a_workers_block_reaches_the_caller(self, monkeypatch):
-        use_workers(monkeypatch, 2)
+    def test_an_error_in_a_workers_block_reaches_the_caller(self, workers):
+        workers(2)
         model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
         rows = 4 * block_rows(model)
         data = random_split(model, rows)
@@ -557,9 +553,9 @@ class TestParallelBlocks:
         with pytest.raises(RuntimeError, match="last block"):
             _chained_blocks(model, data.features, [{}], visit)
 
-    @pytest.mark.parametrize("blocks, workers", [(1, 4), (5, 1)])
-    def test_one_block_or_one_cpu_starts_no_thread(self, monkeypatch, blocks, workers):
-        use_workers(monkeypatch, workers)
+    @pytest.mark.parametrize("blocks, count", [(1, 4), (5, 1)])
+    def test_one_block_or_one_cpu_starts_no_thread(self, workers, blocks, count):
+        workers(count)
         model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
         data = random_split(model, blocks * block_rows(model))
         before = threading.active_count()
@@ -620,8 +616,8 @@ class TestParallelBlocks:
         )
         assert done.stdout.split() == [str(pinned), str(cpu_count() if pinned else 1)]
 
-    def test_working_memory_with_two_workers(self, monkeypatch):
-        use_workers(monkeypatch, 2)
+    def test_working_memory_with_two_workers(self, workers):
+        workers(2)
         model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
         data = random_split(model, 8192)
         maps = greedy_chain(model)

@@ -22,17 +22,23 @@ from mixquant.search import load_config, load_outcome
 from mixquant.sensitivity import load_report
 
 SMALL = FixtureSpec(dims=(8, 12, 12, 8, 2), calib_examples=96, eval_examples=256)
+WIDE = FixtureSpec(
+    dims=(64, 192, 160, 128, 96, 64, 32, 10), calib_examples=512, eval_examples=1024
+)
 
 
-@pytest.fixture(scope="module")
-def small_inputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("inputs")
-    model, calib, evalset = build_fixture(13, SMALL)
+def write_inputs(root, seed, spec):
+    model, calib, evalset = build_fixture(seed, spec)
     save_model(model, root / "model.json")
     save_dataset(calib, root / "calib.json")
     save_dataset(evalset, root / "eval.json")
     build_fixture_latency_table(model).to_csv(root / "latency.csv")
     return root
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("inputs"), 13, SMALL)
 
 
 def config_for(inputs, out_dir, **overrides):
@@ -172,6 +178,28 @@ class TestEvaluatorMemo:
         # every probe is evaluated, some of them speculatively ahead of a rejection
         probes = len(result.outcome.trace)
         assert probes == result.outcome.evals <= len(searched)
+
+
+@pytest.mark.parametrize(
+    "metric, algo, bits",
+    [("qe", "greedy", (4, 8)), ("noise", "bisection", (2, 3, 4, 5, 6, 8))],
+    ids=["qe-greedy", "noise-bisection"],
+)
+def test_wide_runs_do_not_depend_on_the_workers(tmp_path, workers, metric, algo, bits):
+    # each wide bank is a calibration group of its own, and the eval
+    # split is several row blocks, so two workers split both
+    inputs = write_inputs(tmp_path, 7, WIDE)
+    config = config_for(
+        inputs, tmp_path / "run", metric=metric, algo=algo, bits=bits,
+        baseline_bits=16, target=0.99, epochs=DEFAULT_EPOCHS,
+    )
+    written = []
+    for count in (1, 2):
+        workers(count)
+        run_pipeline(config)
+        written.append({p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()})
+    assert written[0] == written[1]
+    assert len(written[0]) == 5 + len(bits)  # a specs file per width below 16
 
 
 class TestPipelineValidation:
