@@ -7,12 +7,13 @@ straight-through gradients of the calibration loss through the quantized
 forward pass. It advances the banks of scales a run calibrates (one
 bank per candidate width) in groups: each epoch of a group makes one
 taped pass and one reverse sweep over its banks stacked on a leading
-axis, as many at a time as :data:`STACK_FLOATS` allows. The groups
-descend independently of each other, so they run on the engine's
-workers (:func:`~mixquant.graph.on_workers`), each writing only its own
-banks and logs. The taped pass holds one array per affine layer, and
-the reverse sweep reduces each weight's gradient to scale gradients as
-soon as it is computed. Model weights are read, never written.
+axis, as many at a time as :data:`~mixquant.graph.STACK_FLOATS`
+allows. The groups descend independently of each other, so they run on
+the engine's workers (:func:`~mixquant.graph.on_workers`), each writing
+only its own banks and logs. The taped pass holds one array per affine
+layer, and the reverse sweep reduces each weight's gradient to scale
+gradients as soon as it is computed. Model weights are read, never
+written.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import graph
 from .graph import (
     KIND_AFFINE,
     Dataset,
@@ -42,16 +44,6 @@ DEFAULT_EPOCHS = 20
 
 # Scales are kept strictly positive; descent steps are clamped here.
 _SCALE_FLOOR = 1e-12
-
-# Taped activations, in floats, that one stacked pass may hold: banks go
-# through an epoch together in groups whose tapes fit. Like
-# FORWARD_BLOCK_FLOATS in the engine, it bounds each pass, and each
-# worker has at most one pass in flight. A bank of the default fixture
-# tapes 23k floats over 256 rows, so all of its banks stack into one
-# pass on the caller; a bank of a 64-192-160-128-96-64-32-10 model tapes
-# about 175k, so each of its banks is a group of its own, one per
-# worker at a time.
-STACK_FLOATS = 2**18
 
 
 class AdjustmentDivergedError(RuntimeError):
@@ -101,7 +93,7 @@ def _stack_groups(
     The budget comes first: groups are as large as it allows, whatever
     the number of workers, and only then spread over the workers.
     """
-    size = max(1, STACK_FLOATS // _taped_floats(model, len(data)))
+    size = max(1, graph.STACK_FLOATS // _taped_floats(model, len(data)))
     by_names: dict[frozenset, list[int]] = {}
     for i, bank in enumerate(banks):
         by_names.setdefault(frozenset(bank), []).append(i)

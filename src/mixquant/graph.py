@@ -68,6 +68,15 @@ KIND_RELU = "relu"
 # a block of 2**15 float64 (256 KiB) stays cache-resident from layer to layer.
 FORWARD_BLOCK_FLOATS = 2**15
 
+# Floats that one stacked pass may hold beside its row blocks: the taped
+# activations of a calibration group of banks, at most one such pass per
+# worker in flight, or the noisy weight copies of a noise-metric group.
+# A bank of the default fixture tapes 23k floats over 256 rows, so its
+# banks stack into one pass; one of a 64-192-160-128-96-64-32-10 model
+# tapes about 175k, so each is a group of its own, and that model's noise
+# metric runs in two groups at 5 trials.
+STACK_FLOATS = 2**18
+
 # The variables each BLAS library takes its thread count from, in the
 # order it reads them: the first positive count wins.
 _BLAS_THREAD_VARIABLES = {

@@ -52,14 +52,6 @@ def _round_half_away(y: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(y) + 0.5), y)
 
 
-def _apply(x: np.ndarray, alpha: float, gamma: float, bits: int) -> np.ndarray:
-    half = float(2 ** (bits - 1))
-    clipped = np.clip(alpha * x, -1.0, 1.0)
-    levels = _round_half_away(clipped * half)
-    # levels / half is exact: integer-valued numerator, power-of-two denominator.
-    return levels / half * gamma
-
-
 def quantize(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """Fake-quantize ``x`` onto the ``spec.bits``-bit grid.
 
@@ -70,7 +62,7 @@ def quantize(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("quantize requires a finite tensor")
-    return _apply(x, spec.alpha, spec.gamma, spec.bits)
+    return quantize_with_tape(x, [spec])[0][0]
 
 
 def quantization_grid(spec: QuantSpec) -> np.ndarray:
@@ -109,6 +101,7 @@ def quantize_with_tape(
     half = np.array([float(2 ** (spec.bits - 1)) for spec in specs]).reshape(shape)
     pre = alpha * x
     in_range = np.abs(pre) <= 1.0
+    # scaled is exact: integer-valued numerator, power-of-two denominator
     scaled = _round_half_away(np.clip(pre, -1.0, 1.0) * half) / half
     return scaled * gamma, QuantTape(x=x, gamma=gamma, scaled=scaled, in_range=in_range)
 

@@ -10,8 +10,10 @@ that serves as the comparison baseline.
 
 The noise metric draws from a private substream per tensor (stream id
 is the tensor's position in the scored list), so scores do not depend on
-evaluation order. All of its losses, the clean one and one per tensor
-per trial, come from one chained engine pass (:func:`chain_losses`).
+evaluation order or grouping. Its losses, one per tensor per trial, come
+from chained engine passes (:func:`chain_losses`), one per group of
+tensors whose noisy copies fit :data:`~mixquant.graph.STACK_FLOATS`,
+each pass with the clean loss first.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import graph
 from .graph import Dataset, GraphError, ModelGraph, chain_losses, hessian_traces
 from .modelio import json_number, read_json, write_json
 from .quantize import QuantSpec, quantization_error
@@ -101,9 +104,10 @@ def score_noise(
     ``noise_scale * max|w|``, the noisy array is passed to the engine in
     place of the stored tensor, and the score is the perturbed-minus-clean
     loss. Mean and spread are taken over ``trials`` independent draws.
-    Every loss comes from one chained pass and equals that of a
-    :func:`forward` of its own; all ``trials`` noisy copies of every
-    tensor are held at once.
+    Tensors go last first, in groups whose ``trials`` noisy copies fit
+    :data:`~mixquant.graph.STACK_FLOATS` (a larger tensor is a group of
+    its own). Each group's losses, its own clean one first, come from one
+    chained pass, and each equals that of a :func:`forward` of its own.
     """
     if trials < 1:
         raise GraphError(f"trials must be >= 1, got {trials}")
@@ -111,22 +115,28 @@ def score_noise(
         raise GraphError(f"noise_scale must be >= 0, got {noise_scale}")
     names = model.weight_tensor_names()
     # Last tensor first, so each perturbed map resumes at its own layer;
-    # every tensor draws from its own substream, so the order moves no draw.
-    perturbed: list[str] = []
-    maps: list[dict[str, np.ndarray]] = [{}]  # the clean map first
+    # every tensor draws from its own substream, so neither the order nor
+    # the groups move a draw.
+    floats = [trials * model.parameter(name).size for name in names]
+    groups: list[list[int]] = []
     for index in reversed(range(len(names))):
-        name = names[index]
-        w = model.parameter(name)
-        sigma = noise_scale * float(np.max(np.abs(w)))
-        rng = substream(seed, "noise", index)
-        for _ in range(trials):
-            noisy = w + rng.normal(0.0, sigma, size=w.shape) if sigma > 0 else w
-            perturbed.append(name)
-            maps.append({name: noisy})
-    clean, *losses = chain_losses(model, data, maps)
+        if not groups or sum(floats[i] for i in groups[-1]) + floats[index] > graph.STACK_FLOATS:
+            groups.append([])
+        groups[-1].append(index)
     samples: dict[str, list[float]] = {name: [] for name in names}
-    for name, loss in zip(perturbed, losses):
-        samples[name].append(loss - clean)
+    for group in groups:
+        maps: list[dict[str, np.ndarray]] = [{}]  # the clean map first
+        for index in group:
+            name = names[index]
+            w = model.parameter(name)
+            sigma = noise_scale * float(np.max(np.abs(w)))
+            rng = substream(seed, "noise", index)
+            for _ in range(trials):
+                noisy = w + rng.normal(0.0, sigma, size=w.shape) if sigma > 0 else w
+                maps.append({name: noisy})
+        clean, *losses = chain_losses(model, data, maps)
+        for [name], loss in zip(maps[1:], losses):
+            samples[name].append(loss - clean)
     scores = {name: _stat(samples[name]) for name in names}
     return _build_report(METRIC_NOISE, scores, seed=seed)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mixquant.calibrate as calibrate_module
+import mixquant.graph as graph_module
 from conftest import make_small_ce_model
 from mixquant.calibrate import (
     AdjustmentDivergedError,
@@ -247,7 +248,7 @@ class TestStackedBanks:
 
         monkeypatch.setattr(calibrate_module, "loss_and_scale_gradients", spy)
         monkeypatch.setattr(
-            calibrate_module,
+            graph_module,
             "STACK_FLOATS",
             per_group * calibrate_module._taped_floats(model, len(data)),
         )
@@ -295,7 +296,7 @@ class TestStackedBanks:
         real = calibrate_module.loss_and_scale_gradients
 
         def spy(model, data, banks, gradient):
-            threads.add(threading.get_ident())
+            threads.add(threading.current_thread())  # kept alive: an ident can be reused
             return real(model, data, banks, gradient)
 
         monkeypatch.setattr(calibrate_module, "loss_and_scale_gradients", spy)
@@ -324,7 +325,7 @@ class TestStackedBanks:
             for bits, gamma in ((4, 1.0), (3, 1e300), (5, 1.0), (2, 1e300))
         ]
         monkeypatch.setattr(
-            calibrate_module, "STACK_FLOATS", calibrate_module._taped_floats(model, len(data))
+            graph_module, "STACK_FLOATS", calibrate_module._taped_floats(model, len(data))
         )
         for count in (1, 2, 3):
             workers(count)

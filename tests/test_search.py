@@ -351,6 +351,74 @@ class TestChainedEvaluation:
             assert sum(spent) <= 1.2 * made * forward_macs, search.__name__
 
 
+# The (offered, answered) chain lengths of every evaluator call that
+# test_pipeline_prefix_rule_costs_near_sequential's fake engine sees, as
+# the searches made them when they kept their own probe queue and path.
+PINNED_OFFERS = {
+    ("greedy", "all-reject", "qe"): [(14, 3), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
+    ("bisection", "all-reject", "qe"): [(6, 1), (4, 3), (2, 2)],
+    ("greedy", "alternating", "qe"): [
+        (14, 3), (1, 1), (11, 1), (1, 1), (8, 1),
+        (1, 1), (5, 2), (1, 1), (1, 1), (1, 1),
+    ],
+    ("bisection", "alternating", "qe"): [(6, 1), (4, 3), (2, 2)],
+    ("greedy", "all-accept", "qe"): [(14, 3), (11, 2), (9, 2), (7, 3), (4, 2), (2, 2)],
+    ("bisection", "all-accept", "qe"): [(6, 1), (5, 2), (3, 1), (2, 2)],
+    ("greedy", "all-reject", "layers"): [(14, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
+    ("bisection", "all-reject", "layers"): [(6, 3), (4, 2), (2, 1)],
+    ("greedy", "alternating", "layers"): [
+        (14, 1), (1, 1), (11, 5), (1, 1), (8, 3),
+        (1, 1), (5, 1), (1, 1), (1, 1), (1, 1),
+    ],
+    ("bisection", "alternating", "layers"): [(6, 3), (4, 2), (2, 1)],
+    ("greedy", "all-accept", "layers"): [(14, 1), (13, 2), (11, 4), (7, 1), (6, 2), (4, 4)],
+    ("bisection", "all-accept", "layers"): [(6, 3), (3, 3)],
+    ("greedy", "all-reject", "reversed"): [(14, 4), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
+    ("bisection", "all-reject", "reversed"): [(6, 1), (4, 4), (2, 2)],
+    ("greedy", "alternating", "reversed"): [
+        (14, 4), (1, 1), (11, 2), (1, 1), (8, 1),
+        (1, 1), (5, 3), (1, 1), (1, 1), (1, 1),
+    ],
+    ("bisection", "alternating", "reversed"): [(6, 1), (4, 4), (2, 2)],
+    ("greedy", "all-accept", "reversed"): [
+        (14, 4), (10, 1), (9, 1), (8, 5), (3, 1), (2, 1), (1, 1),
+    ],
+    ("bisection", "all-accept", "reversed"): [(6, 1), (5, 1), (4, 2), (2, 1), (1, 1)],
+}
+
+
+@pytest.mark.parametrize("pattern", ["all-reject", "alternating", "all-accept"])
+@pytest.mark.parametrize("order", ["qe", "layers", "reversed"])
+def test_pipeline_offers_match_the_pinned_chains(monkeypatch, pattern, order):
+    model = build_fixture_model(7, FixtureSpec((64, 192, 160, 128, 96, 64, 32, 10)))
+    names = model.weight_tensor_names()
+    ordering = {
+        "qe": [names[i] for i in (5, 6, 3, 0, 4, 1, 2)],
+        "layers": names,
+        "reversed": names[::-1],
+    }[order]
+    probes = [(name, b) for b in (8, 4) for name in ordering]
+    rejected = {"all-reject": probes, "alternating": probes[::2], "all-accept": []}[pattern]
+    monkeypatch.setattr(
+        pipeline_module,
+        "evaluate_configs",
+        lambda model, data, specs_by_bits, configs: [
+            0.0 if set(c.bits.items()) & set(rejected) else 1.0 for c in configs
+        ],
+    )
+    for search in (greedy_search, bisection_search):
+        calls = []
+
+        def evaluator(configs):
+            answers = pipeline_module._evaluate_chain(model, None, {}, configs)
+            calls.append((len(configs), len(answers)))
+            return answers
+
+        search(evaluator, ordering, (4, 8), 0.99, 1.0)
+        kind = search.__name__.removesuffix("_search")
+        assert calls == PINNED_OFFERS[kind, pattern, order], kind
+
+
 class TestBisectionSearch:
     def test_oracle_matches_exhaustive_prefix_optimum(self):
         outcome = bisection_search(first_only(o1_accuracy), O1_NAMES, (4, 8, 16), 0.99, 1.0)

@@ -11,6 +11,8 @@ from conftest import (
     reference_levenshtein,
     with_tensor,
 )
+import mixquant.graph as graph_module
+import mixquant.sensitivity as sensitivity_module
 from mixquant.calibrate import calibrate
 from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import KIND_AFFINE, Dataset, GraphError, Layer, ModelGraph, hessian_traces
@@ -88,6 +90,26 @@ class TestScoreNoise:
         for name, values in samples.items():
             expected = TensorScore(float(np.mean(values)), float(np.std(values)), 3)
             assert report.scores[name] == expected, name
+
+    def test_groups_under_the_budget_move_no_score(self, monkeypatch):
+        model = build_fixture_model(7, FixtureSpec((64, 192, 160, 128, 96, 64, 32, 10)))
+        rng = np.random.default_rng(1)
+        data = Dataset(rng.normal(size=(256, 64)), rng.integers(0, 10, 256), 10)
+        real, passes = sensitivity_module.chain_losses, []
+
+        def spy(model, data, maps):
+            passes.append(len(maps))
+            return real(model, data, maps)
+
+        monkeypatch.setattr(sensitivity_module, "chain_losses", spy)
+        default = score_noise(model, data, trials=5)
+        # 5 copies of the last five tensors are 206,400 floats, of the
+        # first two 215,040: two groups, each with its clean map first
+        assert passes == [1 + 5 * 5, 1 + 5 * 2]
+        passes.clear()
+        monkeypatch.setattr(graph_module, "STACK_FLOATS", 1)
+        assert score_noise(model, data, trials=5) == default
+        assert passes == [1 + 5] * 7
 
     def test_zero_scale_means_zero_scores(self):
         model, data = make_small_ce_model()
