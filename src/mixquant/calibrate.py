@@ -2,18 +2,17 @@
 
 Step one sets each tensor's pre-scale to 1/max|x| and post-scale to
 max|x|, so the quantizer input always lands inside the clip interval.
-Step two runs plain gradient descent on the scales alone, driven by
-straight-through gradients of the calibration loss through the quantized
-forward pass. It advances the banks of scales a run calibrates (one
-bank per candidate width) in groups: each epoch of a group makes one
-taped pass and one reverse sweep over its banks stacked on a leading
-axis, as many at a time as :data:`~mixquant.graph.STACK_FLOATS`
-allows. The groups descend independently of each other, so they run on
+Step two, owned here whole, runs plain gradient descent on the scales
+alone, driven by straight-through gradients of the calibration loss
+through the quantized forward pass. The banks of scales a run calibrates
+(one per candidate width) descend in groups, as many at a time as
+:data:`~mixquant.graph.STACK_FLOATS` allows, each group's scales held as
+``(banks, tensors)`` arrays. Each epoch quantizes a group's weights onto
+a leading bank axis and takes the loss and the weight gradients from one
+taped pass (:func:`~mixquant.graph.loss_and_gradients`), reducing each
+gradient to scale gradients as the sweep yields it. The groups run on
 the engine's workers (:func:`~mixquant.graph.on_workers`), each writing
-only its own banks and logs. The taped pass holds one array per affine
-layer, and the reverse sweep reduces each weight's gradient to scale
-gradients as soon as it is computed. Model weights are read, never
-written.
+only its own banks and logs. Model weights are read, never written.
 """
 
 from __future__ import annotations
@@ -26,16 +25,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import graph
-from .graph import (
-    KIND_AFFINE,
-    Dataset,
-    GraphError,
-    ModelGraph,
-    loss_and_scale_gradients,
-    on_workers,
-)
+from .graph import KIND_AFFINE, Dataset, GraphError, ModelGraph, on_workers
 from .modelio import json_number, read_json, write_json
-from .quantize import QuantSpec
+from .quantize import QuantSpec, lattice
 
 SPECS_FORMAT = "mixquant-quant-specs"
 
@@ -148,6 +140,49 @@ def adjust_scales(
     return [CalibrationOutcome(specs=b, adjustment_log=log) for b, log in zip(banks, logs)]
 
 
+def loss_and_scale_gradients(
+    model: ModelGraph,
+    data: Dataset,
+    names: Sequence[str],
+    half: np.ndarray,
+    scales: np.ndarray,
+    gradient: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One epoch of a group: each bank's loss and, if asked, its scale gradients.
+
+    ``half`` is ``(banks, tensors)``, each bank's ``2**(bits-1)`` for
+    ``names[t]`` in column ``t``, and ``scales`` holds the pre- and
+    post-scales stacked as ``(2, banks, tensors)``. Returns the
+    ``(banks,)`` losses and, when ``gradient`` is set, the loss gradients
+    in ``scales``, shaped alike. The straight-through estimator takes
+    rounding as the identity, and clipping passes gradient only where
+    ``|alpha * x| <= 1``.
+    """
+    alpha, gamma = scales
+    banks = len(half)
+    taped, weights = {}, {}
+    for t, name in enumerate(names):
+        pre = alpha[:, t, None, None] * model.parameter(name)
+        in_range = np.abs(pre) <= 1.0
+        scaled = lattice(pre, half[:, t, None, None])
+        taped[name] = t, scaled, in_range
+        weights[name] = scaled * gamma[:, t, None, None]
+    losses, sweep = graph.loss_and_gradients(
+        model, data, weights, names if gradient else (), stack=banks
+    )
+    if not gradient:
+        return losses, None
+    grads = np.empty_like(scales)
+    for name, grad in sweep:
+        t, scaled, in_range = taped.pop(name)
+        grads[1, :, t] = (grad * scaled).reshape(banks, -1).sum(axis=1)
+        grad *= in_range
+        grad *= model.parameter(name)
+        grads[0, :, t] = grad.reshape(banks, -1).sum(axis=1) * gamma[:, t]
+        del grad, scaled, in_range  # before the sweep computes the next gradient
+    return losses, grads
+
+
 def _descend(
     model: ModelGraph,
     data: Dataset,
@@ -157,28 +192,30 @@ def _descend(
     epochs: int,
 ) -> None:
     """Advance one stacked group of banks through every epoch, in place."""
+    names = list(banks[0])
+    half = np.array([[float(2 ** (bank[n].bits - 1)) for n in names] for bank in banks])
+    scales = np.array(
+        [[[getattr(bank[n], f) for n in names] for bank in banks] for f in ("alpha", "gamma")]
+    )
     for epoch in range(epochs + 1):
         # Overflow shows up as a non-finite loss, reported below as divergence.
         # The last epoch only logs the loss: no step follows it.
         with np.errstate(over="ignore", invalid="ignore"):
-            losses, grads = loss_and_scale_gradients(model, data, banks, epoch < epochs)
-        for bank, loss, log in zip(banks, losses, logs):
+            losses, grads = loss_and_scale_gradients(
+                model, data, names, half, scales, epoch < epochs
+            )
+            if grads is not None:
+                scales = np.maximum(scales - learning_rate * grads, _SCALE_FLOOR)
+        for bank, loss, log in zip(banks, losses.tolist(), logs):
             if not math.isfinite(loss):
                 raise AdjustmentDivergedError(
                     f"calibration loss of the {_bank_label(bank)} became non-finite "
                     f"at epoch {epoch} with learning rate {learning_rate}"
                 )
             log.append(loss)
-        if epoch == epochs:
-            return
-        for bank, bank_grads in zip(banks, grads):
-            for name, (g_alpha, g_gamma) in bank_grads.items():
-                spec = bank[name]
-                bank[name] = QuantSpec(
-                    alpha=max(spec.alpha - learning_rate * g_alpha, _SCALE_FLOOR),
-                    gamma=max(spec.gamma - learning_rate * g_gamma, _SCALE_FLOOR),
-                    bits=spec.bits,
-                )
+    for bank, bank_alpha, bank_gamma in zip(banks, *scales.tolist()):
+        for name, a, g in zip(names, bank_alpha, bank_gamma):
+            bank[name] = QuantSpec(alpha=a, gamma=g, bits=bank[name].bits)
 
 
 def save_specs(outcome: CalibrationOutcome, path: str | Path) -> None:

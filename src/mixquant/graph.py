@@ -15,7 +15,7 @@ size and not by the split. One such pass can evaluate a chain of weight
 maps, quantized search probes or noise perturbations: inside each
 block, every map resumes from its predecessor's activations at the
 first affine layer whose weight it replaces differently. Taped passes
-(gradients, scale gradients, Hessian traces) keep every affine layer's
+(:func:`loss_and_gradients`, Hessian traces) keep every affine layer's
 output over the whole split, because the backward passes need them. A
 relu overwrites the affine output it follows: no reverse sweep reads an
 affine layer's output before its relu, only the relu's, so the tape
@@ -36,13 +36,14 @@ the workers. Scale calibration hands its independent groups of banks
 to the same workers through :func:`on_workers`.
 
 The taped pass and its reverse sweeps are rank-agnostic: activations may
-carry leading stack axes, such as one per bank of quantizer scales in
-:func:`loss_and_scale_gradients`, and every product runs slice by slice,
-so each slice is bit-identical to a pass of its own. No reverse sweep
+carry a leading stack axis, one per slice of stacked replacement weights
+in :func:`loss_and_gradients`, and every product runs slice by slice, so
+each slice is bit-identical to a pass of its own. No reverse sweep
 computes the gradient of the input below the first affine layer. The
-parameter sweep yields each gradient as soon as it is computed, so
-:func:`loss_and_scale_gradients` reduces a weight's gradient to its
-scale gradients, and drops both, before the sweep moves down a layer.
+parameter sweep yields each gradient as soon as it is computed, so a
+caller can reduce it, and drop it, before the sweep moves down a layer;
+scale calibration reduces each weight's gradient to its quantizer's
+scale gradients this way. The engine itself knows nothing of quantizers.
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ import hashlib
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
-
-from .quantize import QuantSpec, quantize_backward, quantize_with_tape
 
 HEAD_SOFTMAX_CE = "softmax_ce"
 HEAD_SQUARED_ERROR = "squared_error"
@@ -623,6 +622,37 @@ def _backward(tapes: list[_LayerTape], grad_logits: np.ndarray, wrt: Collection[
             g = g @ tape.weight_used
 
 
+def loss_and_gradients(
+    model: ModelGraph,
+    data: Dataset,
+    weights: Mapping[str, np.ndarray],
+    wrt: Collection[str] = (),
+    stack: int | None = None,
+) -> tuple[np.ndarray, Iterator[tuple[str, np.ndarray]]]:
+    """Mean loss under ``weights``, from one taped pass, and its reverse sweep.
+
+    ``weights`` replaces stored weights as in :func:`forward`, but only
+    their names are checked. With ``stack`` set, every replacement is a
+    stack ``(stack, out, in)`` and the losses are ``(stack,)``, each
+    bit-identical to a pass of its slice alone; without it the loss is
+    0-d. The sweep yields ``(name, gradient)`` for each parameter named
+    in ``wrt``, from the last layer down, as :func:`_backward` does; with
+    ``wrt`` empty no gradient is formed.
+    """
+    unknown = sorted(set(wrt) - set(model.parameter_names()))
+    if unknown:
+        raise GraphError(f"cannot differentiate unknown tensors: {unknown}")
+    unknown = sorted(set(weights) - set(model.weight_tensor_names()))
+    if unknown:
+        raise GraphError(f"replacement weights name unknown tensors: {unknown}")
+    _check_compat(model, data)
+    lead = () if stack is None else (stack,)
+    x = np.broadcast_to(data.features, lead + data.features.shape)
+    logits, tapes = _run_layers(model, x, weights)
+    losses, grad_logits = _head(model, logits, data.labels, bool(wrt))
+    return losses, (_backward(tapes, grad_logits, wrt) if wrt else iter(()))
+
+
 def gradients(
     model: ModelGraph, data: Dataset, wrt: list[str] | None = None
 ) -> dict[str, np.ndarray]:
@@ -632,63 +662,9 @@ def gradients(
     for a tensor the model does not have is an error rather than a silent
     zero.
     """
-    all_names = model.parameter_names()
-    if wrt is None:
-        wrt = all_names
-    else:
-        unknown = sorted(set(wrt) - set(all_names))
-        if unknown:
-            raise GraphError(f"cannot differentiate unknown tensors: {unknown}")
-    _check_compat(model, data)
-    logits, tapes = _run_layers(model, data.features, {})
-    grad_logits = _head(model, logits, data.labels, gradient=True)[1]
-    param_grads = dict(_backward(tapes, grad_logits, wrt))
-    return {name: param_grads[name] for name in wrt}
-
-
-def loss_and_scale_gradients(
-    model: ModelGraph,
-    data: Dataset,
-    banks: Sequence[Mapping[str, QuantSpec]],
-    gradient: bool = True,
-) -> tuple[list[float], list[dict[str, tuple[float, float]]]]:
-    """Quantized-forward loss and its straight-through gradients, per bank.
-
-    Each bank maps the same weight tensors to their quantizer specs. For
-    every bank, returns the mean loss under it together with ``(d loss /
-    d alpha, d loss / d gamma)`` for every tensor it names. Each named
-    weight is quantized for all banks at once onto a leading bank axis,
-    one taped pass and one reverse sweep run over the ``(banks, rows,
-    width)`` stack, and each weight's gradient is carried back through
-    its quantizer. Every bank's results are bit-identical to those of a
-    call with that bank alone. With ``gradient`` false the reverse sweep
-    is skipped and the gradient list is empty; the losses are the same.
-    Model parameters receive no updates here and none are returned for
-    them.
-    """
-    names = list(banks[0]) if banks else []
-    if any(set(bank) != set(names) for bank in banks):
-        raise GraphError("stacked banks must quantize the same tensors")
-    unknown = sorted(set(names) - set(model.weight_tensor_names()))
-    if unknown:
-        raise GraphError(f"cannot quantize unknown tensors: {unknown}")
-    _check_compat(model, data)
-    taped = {
-        name: quantize_with_tape(model.parameter(name), [bank[name] for bank in banks])
-        for name in names
-    }
-    x = np.broadcast_to(data.features, (len(banks),) + data.features.shape)
-    logits, tapes = _run_layers(model, x, {name: w for name, (w, _) in taped.items()})
-    losses, grad_logits = _head(model, logits, data.labels, gradient)
-    if not gradient:
-        return losses.tolist(), []
-    per_bank: list[dict[str, tuple[float, float]]] = [{} for _ in banks]
-    for name, grad in _backward(tapes, grad_logits, names):
-        # a weight's gradient and quantizer record are dropped once reduced
-        g_alpha, g_gamma = quantize_backward(taped.pop(name)[1], grad)
-        for scale_grads, ga, gg in zip(per_bank, g_alpha.tolist(), g_gamma.tolist()):
-            scale_grads[name] = (ga, gg)
-    return losses.tolist(), per_bank
+    wrt = model.parameter_names() if wrt is None else wrt
+    grads = dict(loss_and_gradients(model, data, {}, wrt)[1])
+    return {name: grads[name] for name in wrt}
 
 
 def hessian_traces(model: ModelGraph, data: Dataset) -> dict[str, float]:

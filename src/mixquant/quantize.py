@@ -8,14 +8,16 @@ back through a post-scale:
 
 Keeping the two scales separate lets the input normalization and the
 output magnitude be trained independently after the initial max-value
-calibration.
+calibration. :func:`lattice` is the rounding step alone, shared by
+:func:`quantize` and the scale descent in :mod:`mixquant.calibrate`,
+which quantizes a stack of banks with it and owns the straight-through
+gradients of both scales.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,9 +49,22 @@ class QuantSpec:
             )
 
 
-def _round_half_away(y: np.ndarray) -> np.ndarray:
-    # Ties round away from zero; np.round would round them to even.
-    return np.copysign(np.floor(np.abs(y) + 0.5), y)
+def lattice(pre: np.ndarray, half: float | np.ndarray) -> np.ndarray:
+    """``round(clip(pre, -1, 1) * half) / half``, with ties rounded away from zero.
+
+    ``pre`` is the pre-scaled tensor ``alpha * x``, which is overwritten;
+    ``half`` is ``2**(bits-1)``, a float or an array that broadcasts
+    against ``pre``. The result is exact: an integer numerator over a
+    power-of-two denominator.
+    """
+    y = np.minimum(np.maximum(pre, -1.0, out=pre), 1.0, out=pre)  # np.clip, less overhead
+    y *= half
+    out = np.abs(y)
+    out += 0.5
+    # np.round would round ties to even
+    np.copysign(np.floor(out, out=out), y, out=out)
+    out /= half
+    return out
 
 
 def quantize(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
@@ -62,7 +77,9 @@ def quantize(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("quantize requires a finite tensor")
-    return quantize_with_tape(x, [spec])[0][0]
+    out = lattice(spec.alpha * x, float(2 ** (spec.bits - 1)))
+    out *= spec.gamma
+    return out
 
 
 def quantization_grid(spec: QuantSpec) -> np.ndarray:
@@ -74,52 +91,6 @@ def quantization_grid(spec: QuantSpec) -> np.ndarray:
     half = float(2 ** (spec.bits - 1))
     levels = np.arange(-half, half + 1.0)
     return levels / half * spec.gamma
-
-
-@dataclass(frozen=True)
-class QuantTape:
-    """Forward-pass record needed to backpropagate through a stack of quantizers."""
-
-    x: np.ndarray
-    gamma: np.ndarray  # post-scales, one per bank, shaped to broadcast against x
-    scaled: np.ndarray  # round(clip(alpha*x)*half)/half per bank, i.e. output before gamma
-    in_range: np.ndarray  # where |alpha*x| <= 1, the pass-through region of clip
-
-
-def quantize_with_tape(
-    x: np.ndarray, specs: Sequence[QuantSpec]
-) -> tuple[np.ndarray, QuantTape]:
-    """Quantize ``x`` under each spec and keep what the straight-through pass needs.
-
-    The results are stacked on a leading bank axis, one slice per spec,
-    each bit-identical to :func:`quantize` under that spec alone.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    shape = (len(specs),) + (1,) * x.ndim
-    alpha = np.array([spec.alpha for spec in specs]).reshape(shape)
-    gamma = np.array([spec.gamma for spec in specs]).reshape(shape)
-    half = np.array([float(2 ** (spec.bits - 1)) for spec in specs]).reshape(shape)
-    pre = alpha * x
-    in_range = np.abs(pre) <= 1.0
-    # scaled is exact: integer-valued numerator, power-of-two denominator
-    scaled = _round_half_away(np.clip(pre, -1.0, 1.0) * half) / half
-    return scaled * gamma, QuantTape(x=x, gamma=gamma, scaled=scaled, in_range=in_range)
-
-
-def quantize_backward(tape: QuantTape, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale gradients of a stack of quantizer outputs under the straight-through estimator.
-
-    Rounding is treated as identity; clipping passes gradient where
-    ``|alpha*x| <= 1`` and blocks it outside. ``grad_out`` is shaped like
-    the stacked output. Returns ``(grad_alpha, grad_gamma)``, one entry
-    per bank, each summed over all of the bank's elements.
-    """
-    banks = grad_out.shape[0]
-    gated = grad_out * tape.in_range
-    gated *= tape.x
-    grad_alpha = gated.reshape(banks, -1).sum(axis=1) * tape.gamma.reshape(banks)
-    grad_gamma = (grad_out * tape.scaled).reshape(banks, -1).sum(axis=1)
-    return grad_alpha, grad_gamma
 
 
 def quantization_error(x: np.ndarray, spec: QuantSpec) -> float:

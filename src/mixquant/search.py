@@ -6,10 +6,11 @@ walk that asks a ``probe(config) -> accuracy`` callback for one config
 at a time. An evaluator, the quantized engine or a synthetic oracle in
 tests, is offered a non-empty chain of configs, each the previous one
 with more tensors lowered, and returns the accuracies in [0, 1] of a
-non-empty prefix of it. One driver builds the chains by replay: the walk
-reruns after each call, with every probe past the answered ones taken as
-accepted. The outcome does not depend on how many answers the evaluator
-gives. Evaluation counts are checked against the analytic budgets.
+non-empty prefix of it. One driver builds the chains by replay: after a
+rejection, or once the offered chain is used up, the walk reruns with
+every probe past the answered ones taken as accepted. The outcome does
+not depend on how many answers the evaluator gives. Evaluation counts
+are checked against the analytic budgets.
 """
 
 from __future__ import annotations
@@ -176,33 +177,43 @@ def _replay(
 ) -> SearchOutcome:
     """Run a sequential ``walk(probe)`` on chained evaluator calls.
 
-    The walk is replayed after each call. A probe gets the answer given at
-    its position while it asks for the same config; from the first
-    unanswered probe on, every probe is taken as accepted. The configs so
-    collected are the next offer, only its first right after a rejection
-    unless ``whole_path_after_rejection``.
+    A replayed probe gets the answer given at its position; from the first
+    unanswered probe on, every probe is taken as accepted and its config
+    joins the path, the next offer (only its first config right after a
+    rejection unless ``whole_path_after_rejection``). Answers past a
+    rejection were to other configs and drop. The rest of the path stays
+    valid while every answer accepts, so the walk is replayed only after
+    a rejection or once the path is used up.
     """
-    answers: list[tuple[QuantConfig, float]] = []  # in the walk's probe order
-    used, offer = 0, []
+    answers: list[float] = []  # in the walk's probe order
+    path: list[QuantConfig] = []
+    used = 0
 
     def probe(config: QuantConfig) -> float:
         nonlocal used
-        if not offer and used < len(answers) and answers[used][0] == config:
+        if used < len(answers):
             used += 1
-            return answers[used - 1][1]
-        offer.append(config)
+            return answers[used - 1]
+        path.append(config)
         return math.inf
 
     while True:
-        used, offer = 0, []
-        outcome = walk(probe)
-        if not offer:
-            return outcome
-        # answers past a rejection were to other configs: they drop here
-        del answers[used:]
-        if answers and not whole_path_after_rejection and not _accepts(answers[-1][1], target):
-            del offer[1:]
-        answers += zip(offer, _answers(evaluator, offer))
+        if not path:
+            used = 0
+            outcome = walk(probe)
+            if not path:
+                return outcome
+        offer = path[:]
+        if answers and not _accepts(answers[-1], target) and not whole_path_after_rejection:
+            offer = path[:1]
+        got = _answers(evaluator, offer)
+        for accuracy in got:
+            answers.append(accuracy)
+            if not _accepts(accuracy, target):
+                path.clear()
+                break
+        else:
+            del path[: len(got)]
 
 
 def greedy_search(

@@ -24,6 +24,7 @@ from mixquant.graph import (
     _softmax,
     forward,
     gradients,
+    loss_and_gradients,
 )
 from mixquant.quantize import quantize
 from mixquant.rng import substream
@@ -335,3 +336,32 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for description, verdict in sorted(lines):
             terminalreporter.write_line(f"{verdict}  {description}")
+
+
+def reference_descent(model, data, specs, learning_rate, epochs):
+    """Scale descent of one bank, one tensor at a time, with Python floats.
+
+    The oracle for ``adjust_scales``: each epoch quantizes every tensor
+    with :func:`quantize`, takes the loss and the weight gradients from
+    an unstacked taped pass, reduces each gradient to the straight-through
+    gradients of its two scales (rounding as the identity, clipping
+    passing gradient only where ``|alpha * x| <= 1``) and steps each scale
+    as a Python float, clamped at 1e-12. Returns ``(specs, log)``.
+    """
+    specs, log = dict(specs), []
+    for epoch in range(epochs + 1):
+        weights = {name: quantize(model.parameter(name), s) for name, s in specs.items()}
+        wrt = list(specs) if epoch < epochs else []
+        loss, sweep = loss_and_gradients(model, data, weights, wrt)
+        log.append(float(loss))
+        for name, grad in sweep:
+            s, x = specs[name], model.parameter(name)
+            on_grid = quantize(x, dataclasses.replace(s, gamma=1.0))
+            g_alpha = float(np.sum(grad * (np.abs(s.alpha * x) <= 1.0) * x)) * s.gamma
+            g_gamma = float(np.sum(grad * on_grid))
+            specs[name] = dataclasses.replace(
+                s,
+                alpha=max(s.alpha - learning_rate * g_alpha, 1e-12),
+                gamma=max(s.gamma - learning_rate * g_gamma, 1e-12),
+            )
+    return specs, log

@@ -9,7 +9,7 @@ import pytest
 
 import mixquant.calibrate as calibrate_module
 import mixquant.graph as graph_module
-from conftest import make_small_ce_model
+from conftest import make_small_ce_model, reference_descent
 from mixquant.calibrate import (
     AdjustmentDivergedError,
     CalibrationOutcome,
@@ -20,6 +20,7 @@ from mixquant.calibrate import (
 )
 from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import (
+    HEAD_SOFTMAX_CE,
     HEAD_SQUARED_ERROR,
     KIND_AFFINE,
     KIND_RELU,
@@ -242,9 +243,9 @@ class TestStackedBanks:
         passes = []
         real = calibrate_module.loss_and_scale_gradients
 
-        def spy(model, data, banks, gradient):
-            passes.append((len(banks), gradient))
-            return real(model, data, banks, gradient)
+        def spy(model, data, names, half, scales, gradient):
+            passes.append((len(half), gradient))
+            return real(model, data, names, half, scales, gradient)
 
         monkeypatch.setattr(calibrate_module, "loss_and_scale_gradients", spy)
         monkeypatch.setattr(
@@ -295,9 +296,9 @@ class TestStackedBanks:
         threads = set()
         real = calibrate_module.loss_and_scale_gradients
 
-        def spy(model, data, banks, gradient):
+        def spy(*args):
             threads.add(threading.current_thread())  # kept alive: an ident can be reused
-            return real(model, data, banks, gradient)
+            return real(*args)
 
         monkeypatch.setattr(calibrate_module, "loss_and_scale_gradients", spy)
         interval = sys.getswitchinterval()
@@ -350,6 +351,72 @@ class TestStackedBanks:
         message = str(caught.value)
         assert "3-bit bank" in message and "epoch 0" in message
         assert "learning rate 1e-05" in message
+
+
+class TestReferenceDescent:
+    """The array descent equals a per-bank, per-tensor descent in Python floats, bit for bit."""
+
+    def test_seed7_banks_match_the_reference(self, f1):
+        model, data = seed7_calibration(f1)
+        starts = [calibrate(model, bits_for(model, b)) for b in (8, 6, 5, 4, 3, 2)]
+        for start, adjusted in zip(starts, adjust_scales(model, data, starts)):
+            specs, log = reference_descent(model, data, start.specs, 1e-5, 20)
+            assert adjusted.specs == specs
+            assert adjusted.adjustment_log == log
+
+    @pytest.mark.parametrize("head", [HEAD_SOFTMAX_CE, HEAD_SQUARED_ERROR])
+    def test_three_layer_banks_match_the_reference(self, head):
+        # pre-scales 1.5 times the max-value ones clip weights of every
+        # tensor under softmax-CE; under squared error some scales reach the floor
+        model = ModelGraph(
+            build_fixture_model(3, FixtureSpec((5, 8, 6, 3))).layers, head=head
+        )
+        rng = np.random.default_rng(1)
+        data = Dataset(rng.normal(size=(40, 5)), rng.integers(0, 3, 40), 3)
+        mixed = {"dense1.weight": 2, "dense2.weight": 5, "dense3.weight": 3}
+        starts = [
+            CalibrationOutcome(
+                {n: QuantSpec(1.5 * s.alpha, s.gamma, s.bits) for n, s in specs.items()}
+            )
+            for specs in [calibrate(model, bits_for(model, b)).specs for b in (4, 2)]
+            + [calibrate(model, mixed).specs]
+        ]
+        for start, adjusted in zip(starts, adjust_scales(model, data, starts, 1e-2, 12)):
+            specs, log = reference_descent(model, data, start.specs, 1e-2, 12)
+            assert adjusted.specs == specs
+            assert adjusted.adjustment_log == log
+            assert specs != start.specs
+
+
+class TestDescentEdges:
+    """What the per-bank checks of the old stacked pass covered, now at ``adjust_scales``."""
+
+    def test_loss_is_the_quantized_forward_loss(self, f1):
+        model, calib, _ = f1
+        start = calibrate(model, dict.fromkeys(model.weight_tensor_names(), 3))
+        (adjusted,) = adjust_scales(model, calib, [start], epochs=0)
+        loss = forward(model, calib, quantized_weights(model, start.specs)).loss
+        assert adjusted.adjustment_log == [loss]
+        assert adjusted.specs == start.specs
+
+    def test_banks_naming_different_tensors_descend_apart(self):
+        model, data = make_small_ce_model()
+        starts = [
+            calibrate(model, {"first.weight": 4}),
+            calibrate(model, {"second.weight": 4}),
+            calibrate(model, {"second.weight": 3}),
+        ]
+        kwargs = dict(learning_rate=1e-2, epochs=3)
+        stacked = adjust_scales(model, data, starts, **kwargs)
+        assert_same_banks(stacked, one_at_a_time(model, data, starts, **kwargs))
+        banks = [start.specs for start in starts]
+        assert calibrate_module._stack_groups(model, data, banks) == [[0], [1, 2]]
+
+    def test_unknown_tensor_rejected(self):
+        model, data = make_small_ce_model()
+        start = CalibrationOutcome(specs={"first.bias": QuantSpec(1.0, 1.0, 4)})
+        with pytest.raises(GraphError, match="first.bias"):
+            adjust_scales(model, data, [start], epochs=1)
 
 
 class TestSpecsRoundTrip:

@@ -22,7 +22,7 @@ from conftest import (
     with_tensor,
 )
 import mixquant.graph as graph_module
-from mixquant.calibrate import calibrate
+from mixquant.calibrate import CalibrationOutcome, adjust_scales, calibrate
 from mixquant.fixtures import (
     FixtureSpec,
     build_fixture,
@@ -53,7 +53,7 @@ from mixquant.graph import (
     forward,
     gradients,
     hessian_traces,
-    loss_and_scale_gradients,
+    loss_and_gradients,
 )
 from mixquant.modelio import save_dataset, save_model
 from mixquant.quantize import QuantSpec, quantize
@@ -243,7 +243,7 @@ class TestWeightReplacement:
         score_noise(model, data, noise_scale=0.5, trials=2, seed=3)
         assert model.parameter_digest() == digest
         specs = {name: QuantSpec(1.0, 1.0, 2) for name in model.weight_tensor_names()}
-        loss_and_scale_gradients(model, data, [specs])
+        adjust_scales(model, data, [CalibrationOutcome(specs)], learning_rate=1e-2, epochs=2)
         assert model.parameter_digest() == digest
 
 
@@ -302,9 +302,13 @@ class TestBlockedForward:
         assert peak < 4 * 2**20
 
 
+def quantized(model, specs):
+    return {name: quantize(model.parameter(name), s) for name, s in specs.items()}
+
+
 def quantized_bank(model, bits):
     specs = calibrate(model, dict.fromkeys(model.weight_tensor_names(), bits)).specs
-    return {name: quantize(model.parameter(name), s) for name, s in specs.items()}
+    return quantized(model, specs)
 
 
 def greedy_chain(model):
@@ -729,44 +733,53 @@ class TestReverseSweep:
         for name, grad in gradients(leading, data).items():
             assert np.array_equal(grad, gradients(plain, clamped)[name]), name
         assert hessian_traces(leading, data) == hessian_traces(plain, clamped)
-        specs = {name: QuantSpec(1.3, 0.8, 3) for name in plain.weight_tensor_names()}
-        assert loss_and_scale_gradients(leading, data, [specs]) == loss_and_scale_gradients(
-            plain, clamped, [specs]
-        )
+        specs = [QuantSpec(1.3, 0.8, 3), QuantSpec(0.6, 1.1, 5)]
+        names = plain.weight_tensor_names()
+        stacked = {n: np.stack([quantize(plain.parameter(n), s) for s in specs]) for n in names}
+        loss, sweep = loss_and_gradients(leading, data, stacked, names, stack=2)
+        plain_loss, plain_sweep = loss_and_gradients(plain, clamped, stacked, names, stack=2)
+        assert np.array_equal(loss, plain_loss)
+        for (name, grad), (plain_name, plain_grad) in zip(sweep, plain_sweep):
+            assert name == plain_name and np.array_equal(grad, plain_grad), name
 
 
-class TestScaleGradients:
+class TestTapedPass:
     @pytest.mark.parametrize("head", [HEAD_SOFTMAX_CE, HEAD_SQUARED_ERROR])
-    def test_bank_stack_matches_banks_alone(self, head):
+    def test_stack_matches_slices_alone(self, head):
         model, data = make_small_ce_model()
         model = ModelGraph(model.layers, head=head)
-        banks = [
+        specs = [
             {"first.weight": QuantSpec(1.1, 0.9, 4), "second.weight": QuantSpec(0.7, 1.2, 2)},
             {"first.weight": QuantSpec(0.5, 2.0, 8), "second.weight": QuantSpec(1.9, 0.4, 3)},
         ]
-        losses, grads = loss_and_scale_gradients(model, data, banks)
-        for k, bank in enumerate(banks):
-            assert loss_and_scale_gradients(model, data, [bank]) == ([losses[k]], [grads[k]])
+        slices = [quantized(model, bank) for bank in specs]
+        stacked = {name: np.stack([w[name] for w in slices]) for name in slices[0]}
+        wrt = model.parameter_names()
+        losses, sweep = loss_and_gradients(model, data, stacked, wrt, stack=2)
+        grads = dict(sweep)
+        assert losses.shape == (2,)
+        assert list(grads) == ["second.weight", "second.bias", "first.weight", "first.bias"]
+        for k, weights in enumerate(slices):
+            loss, one_sweep = loss_and_gradients(model, data, weights, wrt)
+            assert loss.shape == () and loss == losses[k]
+            for name, grad in one_sweep:
+                assert np.array_equal(grad, grads[name][k]), name
         # the loss alone, with no reverse sweep, is the same
-        assert loss_and_scale_gradients(model, data, banks, gradient=False) == (losses, [])
+        alone, nothing = loss_and_gradients(model, data, stacked, stack=2)
+        assert np.array_equal(alone, losses) and list(nothing) == []
 
-    def test_loss_is_the_quantized_forward_loss(self, f1):
-        model, calib, _ = f1
-        specs = calibrate(model, dict.fromkeys(model.weight_tensor_names(), 3)).specs
-        (loss,), _ = loss_and_scale_gradients(model, calib, [specs])
-        weights = {name: quantize(model.parameter(name), s) for name, s in specs.items()}
-        assert loss == forward(model, calib, weights).loss
-
-    def test_banks_naming_different_tensors_rejected(self):
-        model, data = make_small_ce_model()
-        banks = [{"first.weight": QuantSpec(1.0, 1.0, 4)}, {"second.weight": QuantSpec(1.0, 1.0, 4)}]
-        with pytest.raises(GraphError, match="same tensors"):
-            loss_and_scale_gradients(model, data, banks)
-
-    def test_unknown_tensor_rejected(self):
+    def test_unknown_replacement_rejected(self):
         model, data = make_small_ce_model()
         with pytest.raises(GraphError, match="first.bias"):
-            loss_and_scale_gradients(model, data, [{"first.bias": QuantSpec(1.0, 1.0, 4)}])
+            loss_and_gradients(model, data, {"first.bias": np.zeros(6)})
+
+    def test_engine_does_not_import_the_quantizer(self):
+        code = "import sys, mixquant.graph; print('mixquant.quantize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(graph_module.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestHessianVectorProduct:
