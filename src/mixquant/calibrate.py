@@ -5,8 +5,9 @@ max|x|, so the quantizer input always lands inside the clip interval.
 Step two, owned here whole, runs plain gradient descent on the scales
 alone, driven by straight-through gradients of the calibration loss
 through the quantized forward pass. The banks of scales a run calibrates
-(one per candidate width) descend in groups, as many at a time as
-:data:`~mixquant.graph.STACK_FLOATS` allows, each group's scales held as
+(one per candidate width) descend in groups that
+:func:`~mixquant.graph.stack_groups` packs within
+:data:`~mixquant.graph.STACK_FLOATS`, each group's scales held as
 ``(banks, tensors)`` arrays. Each epoch quantizes a group's weights onto
 a leading bank axis and takes the loss and the weight gradients from one
 taped pass (:func:`~mixquant.graph.loss_and_gradients`), reducing each
@@ -82,17 +83,18 @@ def _stack_groups(
 ) -> list[list[int]]:
     """Indices of the banks that share one pass: same tensors, tapes within budget.
 
-    The budget comes first: groups are as large as it allows, whatever
-    the number of workers, and only then spread over the workers.
+    The budget comes first: each tensor set's banks are packed by
+    :func:`~mixquant.graph.stack_groups`, whatever the number of workers,
+    and only then spread over the workers.
     """
-    size = max(1, graph.STACK_FLOATS // _taped_floats(model, len(data)))
     by_names: dict[frozenset, list[int]] = {}
     for i, bank in enumerate(banks):
         by_names.setdefault(frozenset(bank), []).append(i)
+    taped = _taped_floats(model, len(data))
     return [
-        members[lo : lo + size]
+        [members[j] for j in group]
         for members in by_names.values()
-        for lo in range(0, len(members), size)
+        for group in graph.stack_groups([taped] * len(members))
     ]
 
 

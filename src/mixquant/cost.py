@@ -20,8 +20,6 @@ from .search import QuantConfig
 KIND_MATMUL = "matmul"
 _CSV_HEADER = ["kind", "m", "n", "k", "bits", "latency_us"]
 
-MB = 1e6  # decimal megabyte, matching how model sizes are usually quoted
-
 
 class MissingLatencyEntry(DataFormatError, LookupError):
     """The latency table has no measurement for a required (shape, bits) key."""

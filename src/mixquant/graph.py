@@ -6,44 +6,44 @@ are frozen read-only arrays, so a loaded model can be shared freely
 across threads. The one way to evaluate altered weights is to pass
 :func:`forward` a map of replacement arrays, one per named weight tensor;
 the stored parameters stay untouched. Callers quantize or perturb the
-weights themselves, and activations always stay in float.
+weights themselves, and activations always stay in float. The engine
+alone decides three rules its callers rely on:
 
-Untaped passes (:func:`forward`, :func:`chain_accuracies`,
-:func:`chain_losses`) run the rows through the whole chain one block of
-rows at a time, in place, so their working memory is set by the block
-size and not by the split. One such pass can evaluate a chain of weight
-maps, quantized search probes or noise perturbations: inside each
-block, every map resumes from its predecessor's activations at the
-first affine layer whose weight it replaces differently. Taped passes
-(:func:`loss_and_gradients`, Hessian traces) keep every affine layer's
-output over the whole split, because the backward passes need them. A
-relu overwrites the affine output it follows: no reverse sweep reads an
-affine layer's output before its relu, only the relu's, so the tape
-holds one array per affine layer.
+- **Where a chained map resumes.** Untaped passes (:func:`forward`,
+  :func:`chain_accuracies`, :func:`chain_losses`) run the rows one block
+  at a time, in place, so their working memory is set by the block and
+  not by the split. Inside each block, every map of a chain (search
+  probes, noise perturbations) resumes from its predecessor's
+  activations at the first affine layer whose weight it changes, and
+  :func:`chain_macs` prices a chain by that rule.
+- **How stacked work splits.** :func:`stack_groups` packs calibration
+  banks or noisy copies, in order, into groups within :data:`STACK_FLOATS`.
+- **How the reverse sweep descends.** A taped pass keeps each affine
+  layer's output over the whole split; a relu overwrites the output it
+  follows, which no sweep reads. One lazy sweep yields the gradient in
+  each affine layer's output, last layer first, and moves down only when
+  asked: :func:`loss_and_gradients` reduces it to parameter gradients,
+  which scale calibration reduces and drops in turn, and
+  :func:`hessian_traces` to row norms.
 
 The row blocks of an untaped pass are independent, so when BLAS runs
 one thread they are split into contiguous ranges, one per CPU in the
 process's affinity mask and at most one per block. The calling thread
 runs the first range and one thread started for the call each of the
 others; numpy releases the GIL inside the products. Every range writes
-only its own rows of the pass's outputs, and the call returns once
-every range has, so each result is bit-identical to a serial pass. BLAS
-counts as one thread when the variables numpy's BLAS reads say so
-(``OPENBLAS_NUM_THREADS=1``, for one); otherwise BLAS already spreads
-each product over the CPUs and the blocks run serially. A pass with one
-block, or a process with one CPU, starts no thread; ``taskset`` limits
-the workers. Scale calibration hands its independent groups of banks
-to the same workers through :func:`on_workers`.
+only its own rows of the outputs, so each result is bit-identical to a
+serial pass. BLAS counts as one thread when the variables numpy's BLAS
+reads say so (``OPENBLAS_NUM_THREADS=1``, for one); otherwise BLAS
+already spreads each product over the CPUs and the blocks run serially.
+A pass with one block, or a process with one CPU, starts no thread;
+``taskset`` limits the workers. Scale calibration hands its groups of
+banks to the same workers through :func:`on_workers`.
 
-The taped pass and its reverse sweeps are rank-agnostic: activations may
-carry a leading stack axis, one per slice of stacked replacement weights
-in :func:`loss_and_gradients`, and every product runs slice by slice, so
-each slice is bit-identical to a pass of its own. No reverse sweep
-computes the gradient of the input below the first affine layer. The
-parameter sweep yields each gradient as soon as it is computed, so a
-caller can reduce it, and drop it, before the sweep moves down a layer;
-scale calibration reduces each weight's gradient to its quantizer's
-scale gradients this way. The engine itself knows nothing of quantizers.
+The taped pass and the sweep are rank-agnostic: activations may carry a
+leading stack axis, one per slice of stacked replacement weights in
+:func:`loss_and_gradients`, and every product runs slice by slice, so
+each slice is bit-identical to a pass of its own. The engine knows
+nothing of quantizers.
 """
 
 from __future__ import annotations
@@ -391,6 +391,35 @@ def on_workers(count: int, work: Callable[[int, int], None]) -> None:
             raise error
 
 
+def _resume_starts(model: ModelGraph, changed: Sequence[Collection[str]]) -> list[int]:
+    """The affine layer, by position, each map of a chained pass starts at: the first
+    for the first map, then for map ``k`` the first whose weight ``changed[k - 1]``
+    names, or past the last when it names none."""
+    names = model.weight_tensor_names()
+    return [0] + [next((i for i, n in enumerate(names) if n in c), len(names)) for c in changed]
+
+
+def chain_macs(model: ModelGraph, changed: Sequence[Collection[str]]) -> list[int]:
+    """Multiply-adds per row of each map of a chained pass, given the weight names
+    each map after the first changes from the one before (as :func:`_resume_starts`)."""
+    macs = [model.parameter(name).size for name in model.weight_tensor_names()]
+    return [sum(macs[start:]) for start in _resume_starts(model, changed)]
+
+
+def stack_groups(floats: Sequence[int]) -> list[list[int]]:
+    """Indices of ``floats`` packed in order, greedily, into groups within
+    :data:`STACK_FLOATS`; an item over the budget is a group of its own."""
+    groups: list[list[int]] = []
+    total = 0
+    for i, size in enumerate(floats):
+        if not groups or total + size > STACK_FLOATS:
+            groups.append([])
+            total = 0
+        groups[-1].append(i)
+        total += size
+    return groups
+
+
 def _chained_blocks(
     model: ModelGraph,
     x: np.ndarray,
@@ -401,9 +430,10 @@ def _chained_blocks(
 
     The rows run through the chain one block at a time without a tape.
     Inside a block, each map resumes from the previous map's activations
-    at the first affine layer whose weight array is not the very same
-    object. Only the block's inputs to the layers that a later map resumes
-    at are held, each until the last map that resumes there.
+    (:func:`_resume_starts`), a weight counting as changed when its array
+    is not the very same object. Only the block's inputs to the layers
+    that a later map resumes at are held, each until the last map that
+    resumes there.
     Each block is at least ``FORWARD_BLOCK_FLOATS // widest`` rows unless
     the whole split is shorter: a short trailing block could take BLAS's
     small-matrix path and round differently from the taped pass. The
@@ -421,11 +451,10 @@ def _chained_blocks(
             segments[-1][1] += 1
         else:
             lead += 1
-    used = [[m.get(f"{l.name}.weight", l.weight) for l, _ in segments] for m in maps]
-    starts = [0] + [
-        next((i for i, (w, v) in enumerate(zip(cur, prev)) if w is not v), len(segments))
-        for prev, cur in zip(used, used[1:])
-    ]
+    names = model.weight_tensor_names()
+    used = [[m.get(n, l.weight) for n, (l, _) in zip(names, segments)] for m in maps]
+    changed = [{n for n, w, v in zip(names, b, a) if w is not v} for a, b in zip(used, used[1:])]
+    starts = _resume_starts(model, changed)
     last_resume = {start: k for k, start in enumerate(starts)}
     n = x.shape[0]
     widest = max(l.weight.shape[0] for l, _ in segments)
@@ -544,13 +573,11 @@ def chain_accuracies(
     Each map is checked and applied as by :func:`forward`, and each
     accuracy equals ``forward(model, data, map).accuracy`` bit for bit:
     the logits are the same, and ``correct / n`` is the same division
-    ``np.mean`` makes. Inside each row block, map ``k`` resumes from map
-    ``k - 1``'s activations at the first affine layer whose weight array
-    differs from that map's by identity, so a chain of maps that share
-    their unchanged arrays costs one forward plus the tails below each
-    change. Only one block's inputs per worker to the layers the maps
-    resume at, and one hit count per map and block, are ever held. No
-    loss is computed.
+    ``np.mean`` makes. A weight changes from one map to the next when its
+    array is not the very same object, and the chain costs
+    :func:`chain_macs` of those changes. Only one block's inputs per
+    worker to the layers the maps resume at, and one hit count per map
+    and block, are ever held. No loss is computed.
     """
     checked = [_check_compat(model, data, weights) for weights in maps]
     hits: list[list[int]] = [[] for _ in checked]  # per map, one count per block
@@ -592,34 +619,34 @@ def _relu_backward(g: np.ndarray, output: np.ndarray) -> np.ndarray:
     return g
 
 
-def _down_to_first_affine(tapes: list[_LayerTape]):
-    """``(tape, is_first_affine)`` from the last layer down to the first affine one."""
+def _sweep(tapes: list[_LayerTape], g: np.ndarray) -> Iterator[tuple[_LayerTape, np.ndarray]]:
+    """Yield ``(tape, g)`` for each affine layer from the last down to the first.
+
+    ``g`` enters as the gradient in the logits, leading stack axes and
+    all, and may be overwritten; each item's ``g`` is the gradient in
+    that layer's output, to read and never write. The sweep moves down a
+    layer only when the caller asks for the next item.
+    """
     first = next(i for i, tape in enumerate(tapes) if tape.layer.kind == KIND_AFFINE)
     for i in range(len(tapes) - 1, first - 1, -1):
-        yield tapes[i], i == first
-
-
-def _backward(tapes: list[_LayerTape], grad_logits: np.ndarray, wrt: Collection[str]):
-    """Yield ``(name, gradient)`` for each parameter named in ``wrt``, from the last layer down.
-
-    Each weight's gradient is taken as the taped pass used the weight.
-    ``grad_logits`` may carry leading stack axes like the taped pass; it
-    may be overwritten. A yielded gradient is the caller's to keep; the
-    sweep goes on from where it was when the caller asks for the next.
-    """
-    g = grad_logits
-    for tape, first in _down_to_first_affine(tapes):
-        layer = tape.layer
-        if layer.kind == KIND_RELU:
+        tape = tapes[i]
+        if tape.layer.kind == KIND_RELU:
             g = _relu_backward(g, tape.output)
             continue
-        weight, bias = f"{layer.name}.weight", f"{layer.name}.bias"
+        yield tape, g
+        if i > first:
+            g = g @ tape.weight_used
+
+
+def _gradients(tapes: list[_LayerTape], grad_logits: np.ndarray, wrt: Collection[str]):
+    """Yield ``(name, gradient)`` for each parameter named in ``wrt``, from the last layer
+    down; a yielded gradient is the caller's to keep."""
+    for tape, g in _sweep(tapes, grad_logits):
+        weight, bias = f"{tape.layer.name}.weight", f"{tape.layer.name}.bias"
         if weight in wrt:
             yield weight, g.swapaxes(-1, -2) @ tape.inputs
         if bias in wrt:
             yield bias, g.sum(axis=-2)
-        if not first:
-            g = g @ tape.weight_used
 
 
 def loss_and_gradients(
@@ -636,7 +663,7 @@ def loss_and_gradients(
     stack ``(stack, out, in)`` and the losses are ``(stack,)``, each
     bit-identical to a pass of its slice alone; without it the loss is
     0-d. The sweep yields ``(name, gradient)`` for each parameter named
-    in ``wrt``, from the last layer down, as :func:`_backward` does; with
+    in ``wrt``, from the last layer down, as :func:`_gradients` does; with
     ``wrt`` empty no gradient is formed.
     """
     unknown = sorted(set(wrt) - set(model.parameter_names()))
@@ -650,7 +677,7 @@ def loss_and_gradients(
     x = np.broadcast_to(data.features, lead + data.features.shape)
     logits, tapes = _run_layers(model, x, weights)
     losses, grad_logits = _head(model, logits, data.labels, bool(wrt))
-    return losses, (_backward(tapes, grad_logits, wrt) if wrt else iter(()))
+    return losses, (_gradients(tapes, grad_logits, wrt) if wrt else iter(()))
 
 
 def gradients(
@@ -675,8 +702,9 @@ def hessian_traces(model: ModelGraph, data: Dataset) -> dict[str, float]:
     everywhere, and its trace is ``(1/n) sum_i |a_i|^2 |B_i^T S_i|_F^2``:
     ``a_i`` is the layer's input, ``B_i`` the Jacobian of the logits with
     respect to the layer's output, and ``S_i S_i^T`` the head's Hessian in
-    the logits. One taped pass and one reverse sweep of the columns of
-    ``S_i`` yield every tensor's trace at once.
+    the logits. One taped pass and one sweep (:func:`_sweep`) of the
+    columns of ``S_i``, stacked on a leading class axis, yield every
+    tensor's trace at once.
     """
     _check_compat(model, data)
     logits, tapes = _run_layers(model, data.features, {})
@@ -688,15 +716,10 @@ def hessian_traces(model: ModelGraph, data: Dataset) -> dict[str, float]:
         r = np.sqrt(p).T[:, :, np.newaxis] * (eye - p)
     else:
         r = np.repeat(eye, n, axis=1)  # S = I
-    traces: dict[str, float] = {}
-    for tape, first in _down_to_first_affine(tapes):
-        if tape.layer.kind == KIND_RELU:
-            r = _relu_backward(r, tape.output)
-        else:
-            inputs_sq = np.einsum("ij,ij->i", tape.inputs, tape.inputs)
-            traces[f"{tape.layer.name}.weight"] = float(
-                inputs_sq @ np.einsum("cij,cij->i", r, r) / n
-            )
-            if not first:
-                r = r @ tape.weight_used
+    traces = {
+        f"{tape.layer.name}.weight": float(
+            np.einsum("ij,ij->i", tape.inputs, tape.inputs) @ np.einsum("cij,cij->i", g, g) / n
+        )
+        for tape, g in _sweep(tapes, r)
+    }
     return {name: traces[name] for name in model.weight_tensor_names()}

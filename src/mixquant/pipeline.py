@@ -8,12 +8,14 @@ that reproduces the run byte for byte. The search space, the final
 config and the cost report all cover the model's weight tensors only;
 activations stay in float.
 
-The search's evaluator answers a chain of offered configs with one
-chained engine pass over the longest prefix whose speculative tail costs
-at most ``SPECULATION_FORWARDS`` forwards of multiply-adds; the final
-verification is an independent evaluation of the committed config. An
-output path that is a file, or lies below one, is refused before any
-stage runs.
+The run's one evaluator, :func:`evaluate_configs`, answers a chain of
+configs in one chained engine pass. The search's chains go through
+:func:`_evaluate_chain`, which passes on the longest prefix whose
+speculative tail costs at most ``SPECULATION_FORWARDS`` forwards of
+multiply-adds as the engine prices them; the baseline and the final
+verification, judged by the searches' accept test, evaluate one config
+each. An output path that is a file, or lies below one, is refused
+before any stage runs.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import hashlib
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,20 +38,22 @@ from .calibrate import (
     save_specs,
 )
 from .cost import CostReport, LatencyTable, cost_report
-from .graph import Dataset, GraphError, ModelGraph, forward
+from .graph import Dataset, GraphError, ModelGraph, chain_accuracies, chain_macs
 from .modelio import json_number, load_dataset, load_model, read_json, write_json
+from .quantize import QuantSpec, quantize
 from .rng import substream
 from .search import (
     DEFAULT_BASELINE_BITS,
     QuantConfig,
     SearchOutcome,
     TargetUnreachableError,
+    accepts,
     bisection_search,
-    evaluate_configs,
     greedy_search,
     load_outcome,
     save_config,
     save_outcome,
+    search_levels,
 )
 from .sensitivity import (
     DEFAULT_NOISE_SCALE,
@@ -246,22 +251,41 @@ def _score(
     return score_random(model.weight_tensor_names(), seed=config.seed)
 
 
-def _chain_macs(model: ModelGraph, configs) -> list[int]:
-    """Multiply-adds per row of each config of a chained evaluation.
+def evaluate_configs(
+    model: ModelGraph,
+    data: Dataset,
+    specs_by_bits: Mapping[int, Mapping[str, QuantSpec]],
+    configs: Sequence[QuantConfig],
+) -> list[float]:
+    """Accuracy of the model under each config, as one chained engine pass.
 
-    The first config costs a whole forward; each later one the affine
-    layers from the first whose width differs from its predecessor's on.
+    Each tensor assigned a width ``b`` below the config's baseline is
+    fake-quantized with its calibrated spec in ``specs_by_bits[b]``, which
+    must exist; the others stay unquantized. Each (tensor, width) pair is
+    quantized once per call, so a tensor a config leaves unchanged is the
+    same array as in its predecessor's weights, and the engine resumes
+    each config below its change.
     """
-    names = model.weight_tensor_names()
-    macs = [model.parameter(name).size for name in names]
-    costs = [sum(macs)]
-    for prev, config in zip(configs, configs[1:]):
-        first = next(
-            (i for i, name in enumerate(names) if prev.bits.get(name) != config.bits.get(name)),
-            len(names),
-        )
-        costs.append(sum(macs[first:]))
-    return costs
+    quantized: dict = {}
+    maps: list[dict] = [{} for _ in configs]
+    for weights, config in zip(maps, configs):
+        for name, b in config.bits.items():
+            if b == config.baseline_bits:
+                continue
+            if (name, b) not in quantized:
+                spec = specs_by_bits.get(b, {}).get(name)
+                if spec is None or spec.bits != b:
+                    raise GraphError(f"no calibrated spec for tensor {name!r} at {b} bits")
+                quantized[name, b] = quantize(model.parameter(name), spec)
+            weights[name] = quantized[name, b]
+    return chain_accuracies(model, data, maps)
+
+
+def _chain_macs(model: ModelGraph, configs: Sequence[QuantConfig]) -> list[int]:
+    """Multiply-adds per row of each config of a chained evaluation: each
+    config changes the tensors whose widths differ from its predecessor's."""
+    changes = [a.bits.items() ^ b.bits.items() for a, b in zip(configs, configs[1:])]
+    return chain_macs(model, [{name for name, _ in change} for change in changes])
 
 
 def _evaluate_chain(
@@ -293,7 +317,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         eval_data = load_dataset(config.eval_data)
         table = LatencyTable.from_csv(config.latency_table)
 
-    levels = sorted({b for b in config.bits if b < config.baseline_bits}, reverse=True)
+    levels = search_levels(config.bits, config.baseline_bits)
     if not levels:
         raise PipelineConfigError(
             f"no candidate bit width lies below the baseline {config.baseline_bits}"
@@ -320,7 +344,8 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         report = _score(config, model, sens_data, spec_bank, levels)
 
     with _Stage("measure-baseline"):
-        baseline_accuracy = forward(model, eval_data).accuracy
+        baseline = QuantConfig.uniform(weight_names, config.baseline_bits, config.baseline_bits)
+        [baseline_accuracy] = evaluate_configs(model, eval_data, spec_bank, [baseline])
 
     with _Stage("search-bit-widths"):
         # Evaluation is deterministic, so neither search repeats a config.
@@ -339,7 +364,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 
     with _Stage("verify-target"):
         [verified] = evaluate_configs(model, eval_data, spec_bank, [outcome.config])
-        if verified < outcome.target:
+        if not accepts(verified, outcome.target):
             raise TargetUnreachableError(
                 f"committed configuration reaches accuracy {verified:.6f}, "
                 f"below target {outcome.target:.6f}"

@@ -3,10 +3,12 @@
 Both searches walk candidate bit widths from highest to lowest and only
 ever lower a tensor's width, never raise it. Each is a plain sequential
 walk that asks a ``probe(config) -> accuracy`` callback for one config
-at a time. An evaluator, the quantized engine or a synthetic oracle in
-tests, is offered a non-empty chain of configs, each the previous one
-with more tensors lowered, and returns the accuracies in [0, 1] of a
-non-empty prefix of it. One driver builds the chains by replay: after a
+at a time, and :func:`accepts` judges every answer. An evaluator (the
+run's, in :mod:`mixquant.pipeline`, or a synthetic oracle in tests) is
+offered a non-empty chain of configs, each the previous one with more
+tensors lowered, and returns the accuracies in [0, 1] of a non-empty
+prefix of it; this module knows nothing of the engine or the quantizer
+but the width bounds. One driver builds the chains by replay: after a
 rejection, or once the offered chain is used up, the walk reruns with
 every probe past the answered ones taken as accepted. The outcome does
 not depend on how many answers the evaluator gives. Evaluation counts
@@ -20,9 +22,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .graph import Dataset, GraphError, ModelGraph, chain_accuracies
+from .graph import GraphError
 from .modelio import json_number, read_json, write_json
-from .quantize import MAX_BITS, MIN_BITS, QuantSpec, quantize
+from .quantize import MAX_BITS, MIN_BITS
 
 CONFIG_FORMAT = "mixquant-quant-config"
 OUTCOME_FORMAT = "mixquant-search-outcome"
@@ -90,52 +92,14 @@ Evaluator = Callable[[Sequence[QuantConfig]], Sequence[float]]
 Probe = Callable[[QuantConfig], float]
 
 
-def _quantized_weights(
-    model: ModelGraph,
-    specs_by_bits: Mapping[int, Mapping[str, QuantSpec]],
-    config: QuantConfig,
-    quantized: dict,
-) -> dict:
-    """Replacement arrays for ``config``; each (tensor, width) pair is
-    quantized once per ``quantized`` cache and then shared by identity."""
-    weights = {}
-    for name, b in config.bits.items():
-        if b == config.baseline_bits:
-            continue
-        if (name, b) not in quantized:
-            spec = specs_by_bits.get(b, {}).get(name)
-            if spec is None or spec.bits != b:
-                raise GraphError(f"no calibrated spec for tensor {name!r} at {b} bits")
-            quantized[name, b] = quantize(model.parameter(name), spec)
-        weights[name] = quantized[name, b]
-    return weights
-
-
-def evaluate_configs(
-    model: ModelGraph,
-    data: Dataset,
-    specs_by_bits: Mapping[int, Mapping[str, QuantSpec]],
-    configs: Sequence[QuantConfig],
-) -> list[float]:
-    """Accuracy of the model under each config, as one chained engine pass.
-
-    ``specs_by_bits[b]`` holds the calibrated ``b``-bit specs to use for
-    tensors assigned width ``b``; scales are never recalibrated here. Each
-    such tensor is fake-quantized and passed to the engine in place of the
-    stored weight; tensors at the baseline width are evaluated unquantized.
-    A missing ``b``-bit spec for an assigned (tensor, width) pair is an
-    error. Each (tensor, width) pair is quantized once per call, so a
-    tensor a config leaves unchanged is the same array in its
-    predecessor's weights, and the engine resumes each config below its
-    change.
-    """
-    quantized: dict = {}
-    return chain_accuracies(
-        model, data, [_quantized_weights(model, specs_by_bits, c, quantized) for c in configs]
-    )
+def search_levels(candidate_bits, baseline_bits: int) -> list[int]:
+    """The candidate widths a search walks, highest first: those below
+    ``baseline_bits``, since a width at or above it lowers nothing."""
+    return sorted({int(b) for b in candidate_bits if int(b) < baseline_bits}, reverse=True)
 
 
 def _common_checks(ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits):
+    """The ordering's names, the widths to walk and the absolute target."""
     names = list(ordering)
     if not names:
         raise GraphError("search needs a non-empty tensor ordering")
@@ -149,23 +113,12 @@ def _common_checks(ordering, candidate_bits, target_fraction, baseline_accuracy,
         )
     if not 0.0 <= baseline_accuracy <= 1.0:
         raise GraphError(f"baseline accuracy must lie in [0, 1], got {baseline_accuracy}")
-    # Candidates at or above the baseline width are no-ops; drop them.
-    levels = sorted({int(b) for b in candidate_bits if int(b) < baseline_bits}, reverse=True)
-    return names, levels
+    levels = search_levels(candidate_bits, baseline_bits)
+    return names, levels, target_fraction * baseline_accuracy
 
 
-def _answers(evaluator: Evaluator, offered: list[QuantConfig]) -> Sequence[float]:
-    """The evaluator's accuracies for ``offered``, checked to be a non-empty prefix."""
-    answers = evaluator(offered)
-    if not 1 <= len(answers) <= len(offered):
-        raise RuntimeError(
-            f"evaluator answered {len(answers)} of {len(offered)} offered configs"
-        )
-    return answers
-
-
-def _accepts(accuracy: float, target: float) -> bool:
-    """The one accept test of both searches and their driver."""
+def accepts(accuracy: float, target: float) -> bool:
+    """The one accept test: of both searches, their driver and the run's verification."""
     return accuracy >= target
 
 
@@ -204,12 +157,14 @@ def _replay(
             if not path:
                 return outcome
         offer = path[:]
-        if answers and not _accepts(answers[-1], target) and not whole_path_after_rejection:
+        if answers and not accepts(answers[-1], target) and not whole_path_after_rejection:
             offer = path[:1]
-        got = _answers(evaluator, offer)
+        got = evaluator(offer)
+        if not 1 <= len(got) <= len(offer):
+            raise RuntimeError(f"evaluator answered {len(got)} of {len(offer)} offered configs")
         for accuracy in got:
             answers.append(accuracy)
-            if not _accepts(accuracy, target):
+            if not accepts(accuracy, target):
                 path.clear()
                 break
         else:
@@ -237,10 +192,9 @@ def greedy_search(
     path costs 8.68 forwards of multiply-adds per run against 8.19, though
     fewer on 16 of the 24 metric, width and fixture cells measured.
     """
-    names, levels = _common_checks(
+    names, levels, target = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits
     )
-    target = target_fraction * baseline_accuracy
 
     def walk(probe: Probe) -> SearchOutcome:
         config = QuantConfig.uniform(names, baseline_bits, baseline_bits)
@@ -250,7 +204,7 @@ def greedy_search(
             for name in survivors:
                 candidate = config.replace({name: bits})
                 accuracy = probe(candidate)
-                ok = _accepts(accuracy, target)
+                ok = accepts(accuracy, target)
                 trace.append({"tensor": name, "bits": bits, "accuracy": accuracy, "accepted": ok})
                 if ok:
                     config, achieved = candidate, accuracy
@@ -290,10 +244,9 @@ def bisection_search(
     only the next probe costs 9.37 forwards of multiply-adds per run
     against 9.16.
     """
-    names, levels = _common_checks(
+    names, levels, target = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits
     )
-    target = target_fraction * baseline_accuracy
 
     def walk(probe: Probe) -> SearchOutcome:
         config = QuantConfig.uniform(names, baseline_bits, baseline_bits)
@@ -306,7 +259,7 @@ def bisection_search(
                 threshold = (low + high) // 2
                 candidate = config.replace(dict.fromkeys(prefix[:threshold], bits))
                 accuracy = probe(candidate)
-                ok = _accepts(accuracy, target)
+                ok = accepts(accuracy, target)
                 trace.append(
                     {"threshold": threshold, "bits": bits, "accuracy": accuracy, "accepted": ok}
                 )

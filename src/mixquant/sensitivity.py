@@ -12,8 +12,8 @@ The noise metric draws from a private substream per tensor (stream id
 is the tensor's position in the scored list), so scores do not depend on
 evaluation order or grouping. Its losses, one per tensor per trial, come
 from chained engine passes (:func:`chain_losses`), one per group of
-tensors whose noisy copies fit :data:`~mixquant.graph.STACK_FLOATS`,
-each pass with the clean loss first.
+tensors, last tensor first, as :func:`~mixquant.graph.stack_groups`
+packs their noisy copies; each pass has the clean loss first.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def score_noise(
     place of the stored tensor, and the score is the perturbed-minus-clean
     loss. Mean and spread are taken over ``trials`` independent draws.
     Tensors go last first, in groups whose ``trials`` noisy copies fit
-    :data:`~mixquant.graph.STACK_FLOATS` (a larger tensor is a group of
-    its own). Each group's losses, its own clean one first, come from one
+    :data:`~mixquant.graph.STACK_FLOATS` (:func:`~mixquant.graph.stack_groups`).
+    Each group's losses, its own clean one first, come from one
     chained pass, and each equals that of a :func:`forward` of its own.
     """
     if trials < 1:
@@ -117,16 +117,12 @@ def score_noise(
     # Last tensor first, so each perturbed map resumes at its own layer;
     # every tensor draws from its own substream, so neither the order nor
     # the groups move a draw.
-    floats = [trials * model.parameter(name).size for name in names]
-    groups: list[list[int]] = []
-    for index in reversed(range(len(names))):
-        if not groups or sum(floats[i] for i in groups[-1]) + floats[index] > graph.STACK_FLOATS:
-            groups.append([])
-        groups[-1].append(index)
+    order = range(len(names))[::-1]
+    floats = [trials * model.parameter(names[index]).size for index in order]
     samples: dict[str, list[float]] = {name: [] for name in names}
-    for group in groups:
+    for group in graph.stack_groups(floats):
         maps: list[dict[str, np.ndarray]] = [{}]  # the clean map first
-        for index in group:
+        for index in (order[i] for i in group):
             name = names[index]
             w = model.parameter(name)
             sigma = noise_scale * float(np.max(np.abs(w)))

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     central_difference_hvp,
@@ -48,12 +50,15 @@ from mixquant.graph import (
     on_workers,
     _relu_backward,
     _run_layers,
+    STACK_FLOATS,
     chain_accuracies,
     chain_losses,
+    chain_macs,
     forward,
     gradients,
     hessian_traces,
     loss_and_gradients,
+    stack_groups,
 )
 from mixquant.modelio import save_dataset, save_model
 from mixquant.quantize import QuantSpec, quantize
@@ -386,6 +391,36 @@ class TestChainedPass:
         # map 0 runs every layer, map 1 the last, map 2 none, map 3 from the third on
         assert reads == [blocks, blocks, 2 * blocks, 2 * blocks, 2 * blocks, 3 * blocks]
 
+    @pytest.mark.parametrize("which", ["seed7", "wide"])
+    def test_chain_macs_is_the_work_the_pass_does(self, f1, workers, which):
+        workers(1)  # the bias-read counts are plain attribute increments
+        model = f1[0] if which == "seed7" else build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        data = random_split(model, 3 * block_rows(model) + 5)
+        blocks = max(1, len(data) // block_rows(model))
+        names = model.weight_tensor_names()
+        sizes = [model.parameter(name).size for name in names]
+        q4 = quantized_bank(model, 4)
+        first, middle, last = names[0], names[len(names) // 2], names[-1]
+        maps = [{}, {last: q4[last]}]  # the second differs at the last layer
+        maps.append({**maps[-1], middle: q4[middle]})  # at a middle one
+        maps.append(dict(maps[-1]))  # at none
+        maps.append({**maps[-1], first: q4[first]})  # at the first
+        changed = [{n for n in names if a.get(n) is not b.get(n)} for a, b in zip(maps, maps[1:])]
+        model.layers = tuple(BiasReads(layer) for layer in model.layers)
+        try:
+            work = []  # multiply-adds of each prefix of the chain, from its bias reads
+            for count in range(1, len(maps) + 1):
+                for layer in model.layers:
+                    layer.reads = 0
+                chain_accuracies(model, data, maps[:count])
+                reads = [layer.reads for layer in model.layers if layer.kind == KIND_AFFINE]
+                work.append(sum(r * size for r, size in zip(reads, sizes)))
+        finally:
+            model.layers = tuple(layer.layer for layer in model.layers)
+        per_map = [b - a for a, b in zip([0] + work, work)]
+        assert [blocks * macs for macs in chain_macs(model, changed)] == per_map
+        assert per_map[0] == blocks * sum(sizes) and per_map[3] == 0
+
     def test_noise_maps_resume_at_their_own_layer(self, f1):
         model, calib, _ = f1
         model.layers = tuple(BiasReads(layer) for layer in model.layers)
@@ -473,6 +508,50 @@ class TestChainedPass:
         # the block's held layer inputs: measured 3.1 MiB. All 35 copies
         # at once (3.4 MB) peaked at 5.3 MiB, one loss at a time near 0.9.
         assert peak < 4 * 2**20
+
+
+def noise_groups_before(floats, budget):
+    """The noise metric's own grouping before the engine owned the rule:
+    an item opens a group when it would take the open one past ``budget``."""
+    groups = []
+    for index in range(len(floats)):
+        if not groups or sum(floats[i] for i in groups[-1]) + floats[index] > budget:
+            groups.append([])
+        groups[-1].append(index)
+    return groups
+
+
+def bank_groups_before(count, floats, budget):
+    """Calibration's own grouping of one tensor set's ``count`` banks before
+    the engine owned the rule: runs of ``max(1, budget // floats)`` banks."""
+    size = max(1, budget // floats)
+    return [list(range(lo, min(lo + size, count))) for lo in range(0, count, size)]
+
+
+# small and large items, and fractions of the budget that fill it exactly
+SIZES = st.one_of(
+    st.integers(1, 2**15),
+    st.integers(1, 2**20),
+    st.sampled_from([STACK_FLOATS // 4, STACK_FLOATS // 2, STACK_FLOATS]),
+)
+
+
+class TestStackGroups:
+    def test_packs_in_order_and_isolates_an_item_over_the_budget(self):
+        half, quarter = STACK_FLOATS // 2, STACK_FLOATS // 4
+        floats = [2 * STACK_FLOATS, 1, STACK_FLOATS, half, quarter, quarter, 1]
+        assert stack_groups(floats) == [[0], [1], [2], [3, 4, 5], [6]]
+        assert stack_groups([]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SIZES, max_size=24))
+    def test_packs_as_the_noise_metric_did(self, floats):
+        assert stack_groups(floats) == noise_groups_before(floats, STACK_FLOATS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), SIZES)
+    def test_packs_equal_items_as_calibration_did(self, count, floats):
+        assert stack_groups([floats] * count) == bank_groups_before(count, floats, STACK_FLOATS)
 
 
 def cpu_count():

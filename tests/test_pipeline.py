@@ -159,8 +159,10 @@ class TestEvaluatorMemo:
             tmp_path, tmp_path / "run", metric="noise", algo=algo, bits=(2, 3, 4, 5, 6, 8)
         )
         result = run_pipeline(dataclasses.replace(config, epochs=DEFAULT_EPOCHS))
-        # verify-target makes its own evaluation of the config the search committed
-        *searches, verified = calls
+        # measure-baseline evaluates the all-baseline config, and verify-target
+        # makes its own evaluation of the config the search committed
+        measured, *searches, verified = calls
+        assert measured == [frozenset(dict.fromkeys(model.weight_tensor_names(), 16).items())]
         searched = [config for chain in searches for config in chain]
         committed = frozenset(result.config.bits.items())
         assert verified == [committed] and committed in searched

@@ -19,11 +19,11 @@ import mixquant.pipeline as pipeline_module
 from mixquant.calibrate import calibrate
 from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import GraphError, forward
+from mixquant.pipeline import evaluate_configs
 from mixquant.quantize import quantize
 from mixquant.search import (
     QuantConfig,
     bisection_search,
-    evaluate_configs,
     greedy_search,
     load_config,
     load_outcome,
