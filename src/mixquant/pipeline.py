@@ -10,12 +10,13 @@ activations stay in float.
 
 The run's one evaluator, :func:`evaluate_configs`, answers a chain of
 configs in one chained engine pass. The search's chains go through
-:func:`_evaluate_chain`, which passes on the longest prefix whose
-speculative tail costs at most ``SPECULATION_FORWARDS`` forwards of
-multiply-adds as the engine prices them; the baseline and the final
-verification, judged by the searches' accept test, evaluate one config
-each. An output path that is a file, or lies below one, is refused
-before any stage runs.
+:func:`_evaluate_chain`, which answers a config past the first only
+while its own tail costs at most half of the first config's forward and
+the answered tails sum to at most ``SPECULATION_FORWARDS`` forwards of
+multiply-adds, as the engine prices them; a rejection so wastes at most
+one forward per call. The baseline and the final verification, judged
+by the searches' accept test, evaluate one config each. An output path
+that is a file, or lies below one, is refused before any stage runs.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ DEFAULT_STAGE_SAMPLES = 256
 # Most multiply-adds, in forwards, that the search evaluator spends past
 # the first config of an offered chain: answers the search may discard
 # when an earlier probe is rejected.
-SPECULATION_FORWARDS = 0.5
+SPECULATION_FORWARDS = 1.0
 
 
 # PipelineConfig fields that take a path string, an int, or an int or a
@@ -293,14 +294,22 @@ def _evaluate_chain(
 ) -> list[float]:
     """The search evaluator.
 
-    Answers the longest prefix of ``configs`` whose configs after the
-    first cost at most ``SPECULATION_FORWARDS`` forwards of multiply-adds,
-    in one chained pass.
+    Answers, in one chained pass, the longest prefix of ``configs`` in
+    which each config after the first has a tail of at most half the
+    first config's forward, and the tails sum to at most
+    ``SPECULATION_FORWARDS`` forwards. Chaining a probe of tail ``t``
+    forwards saves ``1 - t`` when its answer is used and wastes ``t``
+    when an earlier probe is rejected, so at even odds it pays while
+    ``t <= 1/2``; the sum bounds a rejection's waste per call.
     """
     costs = _chain_macs(model, configs)
     budget = SPECULATION_FORWARDS * costs[0]
     count, spent = 1, 0
-    while count < len(configs) and spent + costs[count] <= budget:
+    while (
+        count < len(configs)
+        and 2 * costs[count] <= costs[0]
+        and spent + costs[count] <= budget
+    ):
         spent += costs[count]
         count += 1
     return evaluate_configs(model, data, spec_bank, configs[:count])

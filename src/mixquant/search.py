@@ -189,8 +189,8 @@ def greedy_search(
 
     Right after a rejection only the next probe is offered, not the whole
     new path: on the wide qe runs over widths 4,8 (seeds 35-39) the whole
-    path costs 8.68 forwards of multiply-adds per run against 8.19, though
-    fewer on 16 of the 24 metric, width and fixture cells measured.
+    path costs 7.71 forwards of multiply-adds per run against 7.22, though
+    fewer on 8 of the 16 metric, width and fixture cells measured.
     """
     names, levels, target = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits
@@ -242,7 +242,7 @@ def bisection_search(
     Right after a rejection the whole new path is offered, unlike greedy:
     on the wide noise runs over widths 2,3,4,5,6,8 (seeds 35-39) offering
     only the next probe costs 9.37 forwards of multiply-adds per run
-    against 9.16.
+    against 9.27.
     """
     names, levels, target = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits

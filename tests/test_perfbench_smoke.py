@@ -1,4 +1,4 @@
-"""The benchmark harness runs a short workload end to end and reports it correct.
+"""The benchmark harness runs short workloads end to end and reports them correct.
 
 ``perfbench/run.py`` exits 1 when a run raises, when an output check
 fails, or when it cannot build a run from its keywords. Seed 9 keeps this
@@ -10,13 +10,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_hessian_small_runs_clean():
+@pytest.mark.parametrize("workload", ["hessian-small", "qe-wide"])
+def test_workload_runs_clean(workload):
     done = subprocess.run(
         [
-            sys.executable, "perfbench/run.py", "--workload", "hessian-small",
+            sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", "9", "--seconds", "1", "--trace", "0",
         ],
         cwd=ROOT, capture_output=True, text=True, timeout=300,

@@ -25,6 +25,8 @@ SMALL = FixtureSpec(dims=(8, 12, 12, 8, 2), calib_examples=96, eval_examples=256
 WIDE = FixtureSpec(
     dims=(64, 192, 160, 128, 96, 64, 32, 10), calib_examples=512, eval_examples=1024
 )
+# The benchmark's wide fixture, split sizes included.
+WIDE_BENCH = dataclasses.replace(WIDE, calib_examples=2048, eval_examples=8192)
 
 
 def write_inputs(root, seed, spec):
@@ -202,6 +204,28 @@ def test_wide_runs_do_not_depend_on_the_workers(tmp_path, workers, metric, algo,
         written.append({p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()})
     assert written[0] == written[1]
     assert len(written[0]) == 5 + len(bits)  # a specs file per width below 16
+
+
+@pytest.mark.parametrize(
+    "spec, metric, forwards",
+    [(WIDE_BENCH, "qe", 7.221), (FixtureSpec(), "hessian", 6.541)],
+    ids=["wide-qe", "seed7-hessian"],
+)
+def test_search_forwards_per_greedy_run(tmp_path, eval_forwards, spec, metric, forwards):
+    """Eval-split forwards of multiply-adds the search spends per greedy
+    ``4,8`` run, mean over pipeline seeds 35-39: the qe-wide and
+    hessian-small benchmark cells, priced with no clock. Under the
+    earlier rule, with only the tails' sum bounded at half a forward,
+    they were 8.193 and 7.906."""
+    inputs = write_inputs(tmp_path, 7, spec)
+    per_run = []
+    for seed in range(35, 40):
+        eval_forwards.clear()
+        run_pipeline(
+            config_for(inputs, tmp_path / "run", metric=metric, seed=seed, epochs=DEFAULT_EPOCHS)
+        )
+        per_run.append(sum(eval_forwards[1:-1]))  # the baseline and verification are one each
+    assert np.mean(per_run) == pytest.approx(forwards, abs=5e-4)
 
 
 class TestPipelineValidation:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     O1_NAMES,
+    config_chain_macs,
     first_only,
     make_small_ce_model,
     o1_accuracy,
@@ -19,7 +20,7 @@ import mixquant.pipeline as pipeline_module
 from mixquant.calibrate import calibrate
 from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import GraphError, forward
-from mixquant.pipeline import evaluate_configs
+from mixquant.pipeline import SPECULATION_FORWARDS, evaluate_configs
 from mixquant.quantize import quantize
 from mixquant.search import (
     QuantConfig,
@@ -352,17 +353,19 @@ class TestChainedEvaluation:
 
 
 # The (offered, answered) chain lengths of every evaluator call that
-# test_pipeline_prefix_rule_costs_near_sequential's fake engine sees, as
-# the searches made them when they kept their own probe queue and path.
+# test_pipeline_prefix_rule_costs_near_sequential's fake engine sees:
+# what the searches offer, and what ``_evaluate_chain`` answers of it by
+# its per-probe rule (each tail at most half of the first config's
+# forward, the tails at most ``SPECULATION_FORWARDS`` forwards together).
 PINNED_OFFERS = {
     ("greedy", "all-reject", "qe"): [(14, 3), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
-    ("bisection", "all-reject", "qe"): [(6, 1), (4, 3), (2, 2)],
+    ("bisection", "all-reject", "qe"): [(6, 1), (4, 4), (2, 2)],
     ("greedy", "alternating", "qe"): [
         (14, 3), (1, 1), (11, 1), (1, 1), (8, 1),
         (1, 1), (5, 2), (1, 1), (1, 1), (1, 1),
     ],
-    ("bisection", "alternating", "qe"): [(6, 1), (4, 3), (2, 2)],
-    ("greedy", "all-accept", "qe"): [(14, 3), (11, 2), (9, 2), (7, 3), (4, 2), (2, 2)],
+    ("bisection", "alternating", "qe"): [(6, 1), (4, 4), (2, 2)],
+    ("greedy", "all-accept", "qe"): [(14, 3), (11, 2), (9, 5), (4, 2), (2, 2)],
     ("bisection", "all-accept", "qe"): [(6, 1), (5, 2), (3, 1), (2, 2)],
     ("greedy", "all-reject", "layers"): [(14, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
     ("bisection", "all-reject", "layers"): [(6, 3), (4, 2), (2, 1)],
@@ -371,18 +374,16 @@ PINNED_OFFERS = {
         (1, 1), (5, 1), (1, 1), (1, 1), (1, 1),
     ],
     ("bisection", "alternating", "layers"): [(6, 3), (4, 2), (2, 1)],
-    ("greedy", "all-accept", "layers"): [(14, 1), (13, 2), (11, 4), (7, 1), (6, 2), (4, 4)],
+    ("greedy", "all-accept", "layers"): [(14, 1), (13, 6), (7, 1), (6, 6)],
     ("bisection", "all-accept", "layers"): [(6, 3), (3, 3)],
-    ("greedy", "all-reject", "reversed"): [(14, 4), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
+    ("greedy", "all-reject", "reversed"): [(14, 5), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
     ("bisection", "all-reject", "reversed"): [(6, 1), (4, 4), (2, 2)],
     ("greedy", "alternating", "reversed"): [
-        (14, 4), (1, 1), (11, 2), (1, 1), (8, 1),
+        (14, 5), (1, 1), (11, 3), (1, 1), (8, 1),
         (1, 1), (5, 3), (1, 1), (1, 1), (1, 1),
     ],
     ("bisection", "alternating", "reversed"): [(6, 1), (4, 4), (2, 2)],
-    ("greedy", "all-accept", "reversed"): [
-        (14, 4), (10, 1), (9, 1), (8, 5), (3, 1), (2, 1), (1, 1),
-    ],
+    ("greedy", "all-accept", "reversed"): [(14, 5), (9, 1), (8, 6), (2, 1), (1, 1)],
     ("bisection", "all-accept", "reversed"): [(6, 1), (5, 1), (4, 2), (2, 1), (1, 1)],
 }
 
@@ -417,6 +418,56 @@ def test_pipeline_offers_match_the_pinned_chains(monkeypatch, pattern, order):
         search(evaluator, ordering, (4, 8), 0.99, 1.0)
         kind = search.__name__.removesuffix("_search")
         assert calls == PINNED_OFFERS[kind, pattern, order], kind
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    return build_fixture_model(7, FixtureSpec((64, 192, 160, 128, 96, 64, 32, 10)))
+
+
+@st.composite
+def chains(draw, names):
+    """Configs, each the one before with the tensor of a drawn layer, and
+    a random set of those after it, set to 4 or 8 bits: tails of every
+    length come up, an unchanged config's empty tail included."""
+    config = QuantConfig.uniform(names, 16)
+    chain = []
+    for _ in range(draw(st.integers(1, 10))):
+        start = draw(st.integers(0, len(names)))
+        picked = names[start : start + 1] + [n for n in names[start + 1 :] if draw(st.booleans())]
+        config = config.replace({name: draw(st.sampled_from([4, 8])) for name in picked})
+        chain.append(config)
+    return chain
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pipeline_answers_the_longest_prefix_within_both_bounds(wide_model, data):
+    """``_evaluate_chain`` answers the longest prefix of a chain in which
+    every config after the first has a tail of at most half the first's
+    forward and the tails sum to at most ``SPECULATION_FORWARDS``
+    forwards, as ``graph.chain_macs`` prices them."""
+    configs = data.draw(chains(wide_model.weight_tensor_names()))
+    forward_macs, *tails = config_chain_macs(wide_model, configs)
+
+    def within(count):
+        answered = tails[: count - 1]
+        return (
+            all(2 * tail <= forward_macs for tail in answered)
+            and sum(answered) <= SPECULATION_FORWARDS * forward_macs
+        )
+
+    expected = max(count for count in range(1, len(configs) + 1) if within(count))
+    seen = []
+
+    def fake_engine(model, data, specs_by_bits, offered):
+        seen.append(list(offered))
+        return [1.0] * len(offered)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline_module, "evaluate_configs", fake_engine)
+        answers = pipeline_module._evaluate_chain(wide_model, None, {}, configs)
+    assert seen == [configs[:expected]] and len(answers) == expected
 
 
 class TestBisectionSearch:
