@@ -78,7 +78,7 @@ class LatencyTable:
                         table.add(kind, int(m), int(n), int(k), int(bits), float(latency))
                     except ValueError as exc:
                         raise DataFormatError(f"{path}: malformed row {row!r}") from exc
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise DataFormatError(f"cannot read latency table {path}: {exc}") from exc
         return table
 

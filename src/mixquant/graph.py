@@ -26,18 +26,17 @@ alone decides three rules its callers rely on:
   which scale calibration reduces and drops in turn, and
   :func:`hessian_traces` to row norms.
 
-The row blocks of an untaped pass are independent, so when BLAS runs
-one thread they are split into contiguous ranges, one per CPU in the
-process's affinity mask and at most one per block. The calling thread
-runs the first range and one thread started for the call each of the
-others; numpy releases the GIL inside the products. Every range writes
-only its own rows of the outputs, so each result is bit-identical to a
-serial pass. BLAS counts as one thread when the variables numpy's BLAS
-reads say so (``OPENBLAS_NUM_THREADS=1``, for one); otherwise BLAS
-already spreads each product over the CPUs and the blocks run serially.
-A pass with one block, or a process with one CPU, starts no thread;
-``taskset`` limits the workers. Scale calibration hands its groups of
-banks to the same workers through :func:`on_workers`.
+The row blocks of an untaped pass are independent, so while BLAS runs
+one thread, as :func:`one_blas_thread` holds it for a run, they are
+split into contiguous ranges, one per CPU in the process's affinity mask
+and at most one per block; otherwise BLAS spreads each product over the
+CPUs and the blocks run serially. The calling thread runs the first range
+and one thread started for the call each of the others; numpy releases
+the GIL inside the products. Every range writes only its own rows of
+the outputs, so each result is bit-identical to a serial pass. A pass
+with one block, or a process with one CPU, starts no thread; ``taskset``
+limits the workers. Scale calibration hands its groups of banks to the
+same workers through :func:`on_workers`.
 
 The taped pass and the sweep are rank-agnostic: activations may carry a
 leading stack axis, one per slice of stacked replacement weights in
@@ -48,6 +47,8 @@ nothing of quantizers.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import os
 import threading
@@ -75,13 +76,6 @@ FORWARD_BLOCK_FLOATS = 2**15
 # tapes about 175k, so each is a group of its own, and that model's noise
 # metric runs in two groups at 5 trials.
 STACK_FLOATS = 2**18
-
-# The variables each BLAS library takes its thread count from, in the
-# order it reads them: the first positive count wins.
-_BLAS_THREAD_VARIABLES = {
-    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
-}
 
 
 class GraphError(ValueError):
@@ -168,12 +162,8 @@ class ModelGraph:
         raise GraphError("model has no affine layer, output width is undefined")
 
     def parameter_names(self) -> list[str]:
-        names = []
-        for layer in self.layers:
-            if layer.kind == KIND_AFFINE:
-                names.append(f"{layer.name}.weight")
-                names.append(f"{layer.name}.bias")
-        return names
+        return [f"{l.name}.{part}" for l in self.layers if l.kind == KIND_AFFINE
+                for part in ("weight", "bias")]
 
     def parameter(self, name: str) -> np.ndarray:
         layer_name, _, field = name.rpartition(".")
@@ -189,9 +179,7 @@ class ModelGraph:
         return [f"{l.name}.weight" for l in self.layers if l.kind == KIND_AFFINE]
 
     def parameter_count(self) -> int:
-        return sum(
-            l.weight.size + l.bias.size for l in self.layers if l.kind == KIND_AFFINE
-        )
+        return sum(l.weight.size + l.bias.size for l in self.layers if l.kind == KIND_AFFINE)
 
     def parameter_digest(self) -> str:
         """SHA-256 over all parameter bytes, for mutation checks."""
@@ -315,38 +303,50 @@ def _run_layers(
     return a, tapes
 
 
-def _blas_threads(blas: str, environ: Mapping[str, str]) -> int | None:
-    """The thread count ``environ`` sets for the BLAS library named ``blas``, if it sets one."""
-    for library, variables in _BLAS_THREAD_VARIABLES.items():
-        if library in blas.lower():
-            for variable in variables:
-                try:
-                    count = int(environ.get(variable, ""))
-                except ValueError:
-                    continue
-                if count > 0:
-                    return count
+def _openblas_threads():
+    """The ``(get, set)`` thread-count calls of the OpenBLAS numpy has loaded, or None."""
+    try:
+        library = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for call in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        if hasattr(library, call.format("get")):  # ctypes's default int types fit both
+            return getattr(library, call.format("get")), getattr(library, call.format("set"))
     return None
 
 
-def _numpy_blas() -> str:
+_BLAS_THREADS = _openblas_threads()
+_blas_lock = threading.Lock()
+_blas_holders, _blas_found = 0, 1  # holders in the pin, and the count the first one found
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold numpy's BLAS at one thread, so that :func:`on_workers` spreads the work.
+
+    The last holder to leave restores the count the first one found, also
+    on an error. On a BLAS other than OpenBLAS the pin does nothing."""
+    global _blas_holders, _blas_found
+    blas = _BLAS_THREADS
+    with _blas_lock:
+        if _blas_holders == 0 and blas:
+            _blas_found = blas[0]()
+            blas[1](1)
+        _blas_holders += 1
     try:
-        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except Exception:  # a numpy without the build record: the serial engine
-        return ""
-
-
-# numpy has loaded its BLAS by now, and the BLAS has read these variables
-_BLAS_ONE_THREAD = _blas_threads(_numpy_blas(), os.environ) == 1
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0 and blas:
+                blas[1](_blas_found)
 
 
 def _worker_count() -> int:
-    """Workers of :func:`on_workers`: the CPUs this process may run on, when BLAS runs one thread.
-
-    With BLAS on several threads, or an unknown count, each product
-    already spreads over the CPUs and the work stays on the caller.
-    """
-    if not _BLAS_ONE_THREAD:
+    """Workers of :func:`on_workers`: the CPUs this process may run on, while BLAS runs one
+    thread; with BLAS on several threads each product already spreads over the CPUs."""
+    if _BLAS_THREADS is None or _BLAS_THREADS[0]() != 1:
         return 1
     try:
         return len(os.sched_getaffinity(0))

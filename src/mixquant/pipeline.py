@@ -39,7 +39,7 @@ from .calibrate import (
     save_specs,
 )
 from .cost import CostReport, LatencyTable, cost_report
-from .graph import Dataset, GraphError, ModelGraph, chain_accuracies, chain_macs
+from .graph import Dataset, GraphError, ModelGraph, chain_accuracies, chain_macs, one_blas_thread
 from .modelio import json_number, load_dataset, load_model, read_json, write_json
 from .quantize import QuantSpec, quantize
 from .rng import substream
@@ -315,8 +315,11 @@ def _evaluate_chain(
     return evaluate_configs(model, data, spec_bank, configs[:count])
 
 
+@one_blas_thread()
 def run_pipeline(config: PipelineConfig) -> RunResult:
-    """Execute one full run and write its artifacts under ``config.out_dir``."""
+    """Execute one full run and write its artifacts under ``config.out_dir``.
+
+    The run holds BLAS at one thread (:func:`graph.one_blas_thread`)."""
     config.validate()
     check_out_dir(config.out_dir)
 

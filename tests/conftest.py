@@ -44,9 +44,11 @@ def f1():
 def workers(monkeypatch):
     """``workers(n)`` runs the engine's parallel work on ``n`` workers for the rest of the test.
 
-    The engine runs serially beside a BLAS on several threads, as in an
-    unpinned test run, so tests of the parallel paths set the count here.
-    Row blocks and calibration groups both take it from this one count.
+    Outside a run, the engine's count follows numpy's live BLAS thread
+    count: serial beside a BLAS on several threads, one worker per CPU
+    beside one thread. Tests of the parallel paths set the count here,
+    whatever BLAS runs. Row blocks and calibration groups both take it
+    from this one count.
     """
 
     def use(count):

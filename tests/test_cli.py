@@ -285,6 +285,15 @@ class TestRun:
         assert main(run_args(inputs, tmp_path / "x")) == EXIT_DATA
         assert message in capsys.readouterr().err
 
+    def test_undecodable_latency_table_exit_data(self, fixture_dir, tmp_path, capsys):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixture_dir, inputs)
+        with (inputs / "latency.csv").open("ab") as table:
+            table.write(b"matmul,24,1,16,4,\xff\xfe\n")
+        assert main(run_args(inputs, tmp_path / "x")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: [stage: load-inputs] cannot read latency table")
+
     def test_missing_latency_entry_exit_data(self, fixture_dir, tmp_path, capsys):
         inputs = tmp_path / "inputs"
         shutil.copytree(fixture_dir, inputs)

@@ -95,6 +95,17 @@ class TestLatencyTable:
         with pytest.raises(DataFormatError):
             LatencyTable.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [b"matmul,24,1,16,4,\xff\xfe", b"matmul,2,1,3,8," + b"1" * 2**18],
+        ids=["not-utf8", "over-field-limit"],
+    )
+    def test_csv_undecodable_or_unparsable_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"kind,m,n,k,bits,latency_us\n" + row + b"\n")
+        with pytest.raises(DataFormatError, match="cannot read latency table"):
+            LatencyTable.from_csv(path)
+
     def test_csv_duplicate_rows_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from conftest import (
     with_tensor,
 )
 import mixquant.graph as graph_module
+import mixquant.pipeline as pipeline_module
 from mixquant.calibrate import CalibrationOutcome, adjust_scales, calibrate
 from mixquant.fixtures import (
     FixtureSpec,
@@ -43,7 +45,6 @@ from mixquant.graph import (
     Layer,
     ModelGraph,
     _accuracy,
-    _blas_threads,
     _blocked_logits,
     _chained_blocks,
     _head_loss,
@@ -58,9 +59,11 @@ from mixquant.graph import (
     gradients,
     hessian_traces,
     loss_and_gradients,
+    one_blas_thread,
     stack_groups,
 )
 from mixquant.modelio import save_dataset, save_model
+from mixquant.pipeline import PipelineConfig, run_pipeline
 from mixquant.quantize import QuantSpec, quantize
 from mixquant.sensitivity import score_noise
 
@@ -574,6 +577,143 @@ def run_python(script, cwd, blas_environ):
     return done
 
 
+def save_fixture_files(root):
+    """The seed-7 fixture's model, splits and latency table, as a run reads them."""
+    model, calib, evalset = build_fixture(7)
+    save_model(model, root / "model.json")
+    save_dataset(calib, root / "calib.json")
+    save_dataset(evalset, root / "eval.json")
+    build_fixture_latency_table(model).to_csv(root / "latency.csv")
+
+
+@pytest.fixture
+def blas_threads():
+    """``blas_threads(n)`` sets numpy's live BLAS thread count; the test's
+    starting count comes back after it."""
+    if graph_module._BLAS_THREADS is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    get, put = graph_module._BLAS_THREADS
+    found = get()
+
+    def use(count):
+        put(count)
+        if get() != count:
+            pytest.skip(f"BLAS cannot run {count} threads here")
+        return get
+
+    yield use
+    put(found)
+
+
+class TestBlasPin:
+    @pytest.mark.parametrize(
+        "exported, found",
+        [
+            (("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"),
+             "scipy_openblas_{}_num_threads64_"),
+            (("openblas_{}_num_threads", "openblas_{}_num_threads64_"),
+             "openblas_{}_num_threads64_"),
+            (("openblas_{}_num_threads",), "openblas_{}_num_threads"),
+            ((), None),
+        ],
+    )
+    def test_the_lookup_takes_the_first_exported_pair(self, monkeypatch, exported, found):
+        library = types.SimpleNamespace(
+            **{call.format(verb): call.format(verb) for call in exported for verb in ("get", "set")}
+        )
+        monkeypatch.setattr(graph_module.ctypes, "CDLL", lambda path: library)
+        expected = found and (found.format("get"), found.format("set"))
+        assert graph_module._openblas_threads() == expected
+
+    def test_the_lookup_never_raises(self, monkeypatch):
+        def missing(path):
+            raise OSError(f"cannot load {path}")
+
+        monkeypatch.setattr(graph_module.ctypes, "CDLL", missing)
+        assert graph_module._openblas_threads() is None
+
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_run_gives_blas_back_its_count(
+        self, tmp_path, monkeypatch, blas_threads, count, raises
+    ):
+        get = blas_threads(count)
+        save_fixture_files(tmp_path)
+        seen = []
+        score = pipeline_module._score
+
+        def spy(*args):
+            seen.append(get())
+            if raises:
+                raise RuntimeError("scoring failed")
+            return score(*args)
+
+        monkeypatch.setattr(pipeline_module, "_score", spy)
+        config = PipelineConfig(
+            model=str(tmp_path / "model.json"), calib_data=str(tmp_path / "calib.json"),
+            eval_data=str(tmp_path / "eval.json"), latency_table=str(tmp_path / "latency.csv"),
+            out_dir=str(tmp_path / "run"), epochs=1,
+        )
+        if raises:
+            with pytest.raises(RuntimeError, match="score-sensitivity"):
+                run_pipeline(config)
+        else:
+            run_pipeline(config)
+        assert seen == [1]
+        assert get() == count
+
+    def test_nested_holders_give_back_the_first_count(self, blas_threads):
+        get = blas_threads(2)
+        with pytest.raises(ValueError, match="inner"):
+            with one_blas_thread():
+                with one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+                with one_blas_thread():
+                    raise ValueError("inner")
+        assert get() == 2
+
+    @pytest.mark.parametrize("first_out", [0, 1])
+    def test_concurrent_holders_give_back_the_first_count(self, blas_threads, first_out):
+        get = blas_threads(2)
+        inside = threading.Barrier(3, timeout=30)
+        leave = [threading.Event(), threading.Event()]
+        seen = [[], []]
+
+        def hold(i):
+            with one_blas_thread():
+                inside.wait()
+                leave[i].wait(timeout=30)
+                seen[i].append(get())
+
+        holders = [threading.Thread(target=hold, args=(i,)) for i in (0, 1)]
+        for holder in holders:
+            holder.start()
+        inside.wait()
+        assert get() == 1
+        for i in (first_out, 1 - first_out):
+            leave[i].set()
+            holders[i].join(timeout=30)
+            assert get() == (1 if i == first_out else 2)
+        assert seen == [[1], [1]]
+
+    def test_the_pin_starts_the_workers(self, blas_threads):
+        get = blas_threads(2)
+        assert graph_module._worker_count() == 1
+        with one_blas_thread():
+            assert graph_module._worker_count() == cpu_count()
+        assert get() == 2
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_without_the_calls_the_engine_stays_serial(self, monkeypatch, blas_threads, count):
+        get = blas_threads(count)
+        monkeypatch.setattr(graph_module, "_BLAS_THREADS", None)
+        with one_blas_thread():
+            assert graph_module._worker_count() == 1
+            assert get() == count
+        assert get() == count
+
+
 class TestParallelBlocks:
     @pytest.mark.parametrize(
         "blocks, count, ranges",
@@ -649,12 +789,8 @@ class TestParallelBlocks:
 
     def test_a_seed7_run_starts_no_thread(self, tmp_path):
         # Fixture generation labels a pool of several blocks; the run's
-        # passes each fit one block, even with BLAS on one thread.
-        model, calib, evalset = build_fixture(7)
-        save_model(model, tmp_path / "model.json")
-        save_dataset(calib, tmp_path / "calib.json")
-        save_dataset(evalset, tmp_path / "eval.json")
-        build_fixture_latency_table(model).to_csv(tmp_path / "latency.csv")
+        # passes each fit one block, though the run holds BLAS at one thread.
+        save_fixture_files(tmp_path)
         script = (
             "import sys, threading\n"
             "from mixquant.pipeline import PipelineConfig, run_pipeline\n"
@@ -662,43 +798,38 @@ class TestParallelBlocks:
             "    eval_data='eval.json', latency_table='latency.csv', out_dir='run'))\n"
             "print('concurrent.futures' in sys.modules, threading.active_count())\n"
         )
-        done = run_python(script, tmp_path, dict.fromkeys(BLAS_VARIABLES, "1"))
+        done = run_python(script, tmp_path, {})
         assert done.stdout.split() == ["False", "1"]
         assert (tmp_path / "run" / "outcome.json").is_file()
 
-    @pytest.mark.parametrize(
-        "blas, environ, threads",
-        [
-            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, 1),
-            ("openblas", {"OMP_NUM_THREADS": "1"}, 1),
-            ("openblas", {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
-            ("openblas", {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 1),
-            ("openblas", {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
-            ("openblas", {"MKL_NUM_THREADS": "1"}, None),
-            ("openblas", {}, None),
-            ("mkl", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "8"}, 1),
-            ("mkl", {"OPENBLAS_NUM_THREADS": "1"}, None),
-            ("accelerate", dict.fromkeys(BLAS_VARIABLES, "1"), None),
-            ("", dict.fromkeys(BLAS_VARIABLES, "1"), None),
-        ],
-    )
-    def test_blas_threads_as_the_library_reads_them(self, blas, environ, threads):
-        assert _blas_threads(blas, environ) == threads
-
-    @pytest.mark.parametrize("one_thread", [True, False])
-    def test_workers_run_only_beside_a_one_thread_blas(self, monkeypatch, one_thread):
-        monkeypatch.setattr(graph_module, "_BLAS_ONE_THREAD", one_thread)
-        assert graph_module._worker_count() == (cpu_count() if one_thread else 1)
-
-    @pytest.mark.parametrize("pinned", [True, False])
-    def test_the_blas_environment_of_the_import_picks_the_path(self, tmp_path, pinned):
-        if _blas_threads(graph_module._numpy_blas(), dict.fromkeys(BLAS_VARIABLES, "1")) != 1:
-            pytest.skip("numpy's BLAS reads none of the thread variables")
-        done = run_python(
-            "import mixquant.graph as g; print(g._BLAS_ONE_THREAD, g._worker_count())",
-            tmp_path, dict.fromkeys(BLAS_VARIABLES, "1") if pinned else {},
+    def test_a_multi_block_pass_in_the_pin_runs_on_workers(self, tmp_path):
+        if cpu_count() < 2:
+            pytest.skip("one CPU in the affinity mask: no worker to start")
+        if graph_module._BLAS_THREADS is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS: the engine stays serial")
+        blocks = 4
+        script = (
+            "import threading\n"
+            "import numpy as np\n"
+            "import mixquant.graph as g\n"
+            "from mixquant.fixtures import FixtureSpec, build_fixture_model\n"
+            f"model = build_fixture_model(7, FixtureSpec({WIDE_DIMS}))\n"
+            f"rows = {blocks} * (g.FORWARD_BLOCK_FLOATS // 192)\n"
+            "rng = np.random.default_rng(0)\n"
+            "data = g.Dataset(rng.normal(size=(rows, 64)), rng.integers(0, 10, rows), 10)\n"
+            "started, start = [], threading.Thread.start\n"
+            "threading.Thread.start = lambda t: (started.append(t.name), start(t))\n"
+            "g.forward(model, data)\n"
+            "outside, threads = len(started), g._BLAS_THREADS[0]()\n"
+            "with g.one_blas_thread():\n"
+            "    g.forward(model, data)\n"
+            "print(threads, outside, len(started) - outside, g._BLAS_THREADS[0]() == threads)\n"
         )
-        assert done.stdout.split() == [str(pinned), str(cpu_count() if pinned else 1)]
+        threads, outside, inside, restored = run_python(script, tmp_path, {}).stdout.split()
+        assert int(inside) == min(blocks, cpu_count()) - 1
+        assert restored == "True"
+        if int(threads) > 1:  # unpinned BLAS on several threads: the pass ran serially
+            assert outside == "0"
 
     def test_working_memory_with_two_workers(self, workers):
         workers(2)

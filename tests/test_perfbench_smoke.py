@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["hessian-small", "qe-wide"])
+@pytest.mark.parametrize("workload", ["hessian-small", "qe-wide", "sweep-wide"])
 def test_workload_runs_clean(workload):
     done = subprocess.run(
         [
