@@ -802,6 +802,66 @@ class TestParallelBlocks:
         assert done.stdout.split() == ["False", "1"]
         assert (tmp_path / "run" / "outcome.json").is_file()
 
+    @pytest.mark.parametrize(
+        "blas, environ, threads",
+        [
+            ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, 1),
+            ("openblas", {"OMP_NUM_THREADS": "1"}, 1),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 1),
+            ("openblas", {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
+            ("openblas", {"MKL_NUM_THREADS": "1"}, None),
+            ("openblas", {}, None),
+            ("mkl", {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "8"}, 1),
+            ("mkl", {"OPENBLAS_NUM_THREADS": "1"}, None),
+            ("accelerate", dict.fromkeys(BLAS_VARIABLES, "1"), None),
+            ("", dict.fromkeys(BLAS_VARIABLES, "1"), None),
+        ],
+    )
+    def test_blas_threads_as_the_library_reads_them(
+        self, tmp_path, monkeypatch, blas, environ, threads
+    ):
+        # ``threads``: the count ``blas`` reads from ``environ`` as it loads, None
+        # where it reads none of them and picks its own. The engine asks OpenBLAS
+        # for that count live; any other library it cannot ask, so, whatever that
+        # library read, the engine stays serial, also inside the pin.
+        if "openblas" not in blas:
+            for name, value in environ.items():
+                monkeypatch.setenv(name, value)
+            monkeypatch.setattr(graph_module.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+            monkeypatch.setattr(graph_module, "_BLAS_THREADS", graph_module._openblas_threads())
+            assert graph_module._BLAS_THREADS is None
+            with one_blas_thread():
+                assert graph_module._worker_count() == 1
+            return
+        if graph_module._BLAS_THREADS is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        done = run_python(
+            "import mixquant.graph as g; print(g._BLAS_THREADS[0](), g._worker_count())",
+            tmp_path, environ,
+        )
+        count = min(threads or cpu_count(), cpu_count())  # OpenBLAS runs at most one per CPU
+        assert done.stdout.split() == [str(count), str(cpu_count() if count == 1 else 1)]
+
+    @pytest.mark.parametrize("one_thread", [True, False])
+    def test_workers_run_only_beside_a_one_thread_blas(self, monkeypatch, one_thread):
+        monkeypatch.setattr(graph_module, "_BLAS_THREADS", (lambda: 1 if one_thread else 2, None))
+        assert graph_module._worker_count() == (cpu_count() if one_thread else 1)
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_the_blas_environment_of_the_import_picks_the_path(self, tmp_path, pinned):
+        # Outside a run only: inside the pin both take one worker per CPU.
+        if graph_module._BLAS_THREADS is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        done = run_python(
+            "import mixquant.graph as g\n"
+            "outside = g._worker_count()\n"
+            "with g.one_blas_thread():\n"
+            "    print(outside, g._worker_count())\n",
+            tmp_path, dict.fromkeys(BLAS_VARIABLES, "1") if pinned else {},
+        )
+        assert done.stdout.split() == [str(cpu_count() if pinned else 1), str(cpu_count())]
+
     def test_a_multi_block_pass_in_the_pin_runs_on_workers(self, tmp_path):
         if cpu_count() < 2:
             pytest.skip("one CPU in the affinity mask: no worker to start")
