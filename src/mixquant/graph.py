@@ -38,11 +38,11 @@ with one block, or a process with one CPU, starts no thread; ``taskset``
 limits the workers. Scale calibration hands its groups of banks to the
 same workers through :func:`on_workers`.
 
-The taped pass and the sweep are rank-agnostic: activations may carry a
-leading stack axis, one per slice of stacked replacement weights in
-:func:`loss_and_gradients`, and every product runs slice by slice, so
-each slice is bit-identical to a pass of its own. The engine knows
-nothing of quantizers.
+The taped pass and the sweep are rank-agnostic: stacked replacement
+weights in :func:`loss_and_gradients` broadcast the features against
+their leading stack axis, which the activations then carry, and every
+product runs slice by slice, so each slice is bit-identical to a pass of
+its own. The engine knows nothing of quantizers.
 """
 
 from __future__ import annotations
@@ -654,17 +654,16 @@ def loss_and_gradients(
     data: Dataset,
     weights: Mapping[str, np.ndarray],
     wrt: Collection[str] = (),
-    stack: int | None = None,
 ) -> tuple[np.ndarray, Iterator[tuple[str, np.ndarray]]]:
     """Mean loss under ``weights``, from one taped pass, and its reverse sweep.
 
     ``weights`` replaces stored weights as in :func:`forward`, but only
-    their names are checked. With ``stack`` set, every replacement is a
-    stack ``(stack, out, in)`` and the losses are ``(stack,)``, each
-    bit-identical to a pass of its slice alone; without it the loss is
-    0-d. The sweep yields ``(name, gradient)`` for each parameter named
-    in ``wrt``, from the last layer down, as :func:`_gradients` does; with
-    ``wrt`` empty no gradient is formed.
+    their names are checked. Replacements stacked as ``(stack, out, in)``
+    make the losses ``(stack,)``, each bit-identical to a pass of its
+    slice alone; unstacked ones make the loss 0-d. The sweep yields
+    ``(name, gradient)`` for each parameter named in ``wrt``, from the
+    last layer down, as :func:`_gradients` does; with ``wrt`` empty no
+    gradient is formed.
     """
     unknown = sorted(set(wrt) - set(model.parameter_names()))
     if unknown:
@@ -673,9 +672,7 @@ def loss_and_gradients(
     if unknown:
         raise GraphError(f"replacement weights name unknown tensors: {unknown}")
     _check_compat(model, data)
-    lead = () if stack is None else (stack,)
-    x = np.broadcast_to(data.features, lead + data.features.shape)
-    logits, tapes = _run_layers(model, x, weights)
+    logits, tapes = _run_layers(model, data.features, weights)
     losses, grad_logits = _head(model, logits, data.labels, bool(wrt))
     return losses, (_gradients(tapes, grad_logits, wrt) if wrt else iter(()))
 

@@ -34,6 +34,7 @@ from .graph import KIND_AFFINE, KIND_RELU, Dataset, GraphError, Layer, ModelGrap
 MODEL_FORMAT = "mixquant-model"
 DATASET_FORMAT = "mixquant-dataset"
 _DATASET_COUNTS = ("num_examples", "feature_dim", "num_classes")
+_AFFINE_FIELDS = ("out_dim", "in_dim", "weight_offset", "bias_offset")
 
 
 class DataFormatError(ValueError):
@@ -71,7 +72,7 @@ def read_json(path: str | Path, expected_format: str, parse: Callable[[dict], An
     """
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a NUL in the path, bad UTF-8, bad JSON
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise DataFormatError(f"{path} is not a {expected_format!r} file")
@@ -148,7 +149,7 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
         raise DataFormatError(f"{manifest_path}: 'layers' must be a list of layer objects")
     try:
         blob = blob_path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read parameter blob {blob_path}: {exc}") from exc
     if len(blob) != payload.get("blob_bytes"):
         raise DataFormatError(
@@ -157,32 +158,32 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
     layers = []
     extents: list[tuple[int, int]] = []  # (start, end) byte range of every tensor
     for entry in entries:
-        kind = entry.get("kind")
+        name, kind = entry.get("name"), entry.get("kind")
+        if not isinstance(name, str):
+            raise DataFormatError(f"{manifest_path}: a layer name must be a string, got {name!r}")
         if kind == KIND_AFFINE:
-            fields = [entry.get(k) for k in ("out_dim", "in_dim", "weight_offset", "bias_offset")]
-            # type() rather than isinstance: JSON true/false load as bools
-            if not all(type(v) is int for v in fields):
+            try:
+                fields = [json_number(entry[k], integer=True) for k in _AFFINE_FIELDS]
+            except (KeyError, TypeError) as exc:
                 raise DataFormatError(
-                    f"layer {entry.get('name')!r}: widths and offsets must be JSON integers"
-                )
+                    f"layer {name!r}: widths and offsets must be JSON integers"
+                ) from exc
             out_dim, in_dim, w_off, b_off = fields
             if out_dim < 1 or in_dim < 1 or w_off < 0 or b_off < 0 or w_off % 4 or b_off % 4:
                 raise DataFormatError(
-                    f"layer {entry.get('name')!r} needs positive widths and "
+                    f"layer {name!r} needs positive widths and "
                     "non-negative offsets that are multiples of 4"
                 )
             w_bytes = 4 * out_dim * in_dim
             if w_off + w_bytes > len(blob) or b_off + 4 * out_dim > len(blob):
-                raise DataFormatError(f"layer {entry.get('name')!r} points past the blob")
+                raise DataFormatError(f"layer {name!r} points past the blob")
             extents += [(w_off, w_off + w_bytes), (b_off, b_off + 4 * out_dim)]
             # ModelGraph makes the one float64 copy of these views of the blob
             w = np.frombuffer(blob, dtype="<f4", count=out_dim * in_dim, offset=w_off)
             b = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=b_off)
-            layers.append(
-                Layer(str(entry.get("name")), KIND_AFFINE, w.reshape(out_dim, in_dim), b)
-            )
+            layers.append(Layer(name, KIND_AFFINE, w.reshape(out_dim, in_dim), b))
         elif kind == KIND_RELU:
-            layers.append(Layer(str(entry.get("name")), KIND_RELU))
+            layers.append(Layer(name, KIND_RELU))
         else:
             raise DataFormatError(f"unknown layer kind {kind!r} in {manifest_path}")
     extents.sort()
@@ -230,7 +231,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     try:
         raw_x = features_path.read_bytes()
         raw_y = labels_path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read dataset blobs: {exc}") from exc
     if len(raw_x) != 4 * n * d:
         raise DataFormatError(

@@ -41,7 +41,7 @@ from .calibrate import (
 from .cost import CostReport, LatencyTable, cost_report
 from .graph import Dataset, GraphError, ModelGraph, chain_accuracies, chain_macs, one_blas_thread
 from .modelio import json_number, load_dataset, load_model, read_json, write_json
-from .quantize import QuantSpec, quantize
+from .quantize import MAX_BITS, MIN_BITS, QuantSpec, quantize
 from .rng import substream
 from .search import (
     DEFAULT_BASELINE_BITS,
@@ -151,11 +151,10 @@ class PipelineConfig:
             raise PipelineConfigError(f"unknown algo {self.algo!r}; choose from {ALGOS}")
         if not self.bits:
             raise PipelineConfigError("at least one candidate bit width is required")
+        top = min(MAX_BITS, self.baseline_bits)
         for b in self.bits:
-            if not 2 <= b <= self.baseline_bits:
-                raise PipelineConfigError(
-                    f"candidate bit width {b} outside [2, {self.baseline_bits}]"
-                )
+            if not MIN_BITS <= b <= top:
+                raise PipelineConfigError(f"candidate bit width {b} outside [{MIN_BITS}, {top}]")
         if not 0.0 < self.target <= 1.0:
             raise PipelineConfigError(f"target must lie in (0, 1], got {self.target}")
         if self.trials < 1:
@@ -342,14 +341,13 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         sens_data, cal_data = _split_subsets(calib_data, config)
 
     with _Stage("calibrate-scales"):
-        adjusted = adjust_scales(
+        bank_outcomes = adjust_scales(
             model,
             cal_data,
-            [calibrate(model, {name: bits for name in weight_names}) for bits in levels],
+            {bits: calibrate(model, bits) for bits in levels},
             learning_rate=config.learning_rate,
             epochs=config.epochs,
         )
-        bank_outcomes = dict(zip(levels, adjusted))
         spec_bank = {bits: outcome.specs for bits, outcome in bank_outcomes.items()}
 
     with _Stage("score-sensitivity"):

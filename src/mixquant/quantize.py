@@ -49,14 +49,15 @@ class QuantSpec:
             )
 
 
-def lattice(pre: np.ndarray, half: float | np.ndarray) -> np.ndarray:
-    """``round(clip(pre, -1, 1) * half) / half``, with ties rounded away from zero.
+def lattice(pre: np.ndarray, bits: int | np.ndarray) -> np.ndarray:
+    """``round(clip(pre, -1, 1) * 2**(bits-1)) / 2**(bits-1)``, ties rounded away from zero.
 
     ``pre`` is the pre-scaled tensor ``alpha * x``, which is overwritten;
-    ``half`` is ``2**(bits-1)``, a float or an array that broadcasts
+    ``bits`` is the width, an int or an integer array that broadcasts
     against ``pre``. The result is exact: an integer numerator over a
     power-of-two denominator.
     """
+    half = 2.0 ** (bits - 1)
     y = np.minimum(np.maximum(pre, -1.0, out=pre), 1.0, out=pre)  # np.clip, less overhead
     y *= half
     out = np.abs(y)
@@ -77,7 +78,7 @@ def quantize(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("quantize requires a finite tensor")
-    out = lattice(spec.alpha * x, float(2 ** (spec.bits - 1)))
+    out = lattice(spec.alpha * x, spec.bits)
     out *= spec.gamma
     return out
 

@@ -28,6 +28,7 @@ from mixquant.graph import (
     gradients,
     loss_and_gradients,
 )
+from mixquant.modelio import new_file
 from mixquant.quantize import quantize
 from mixquant.rng import substream
 
@@ -178,15 +179,23 @@ def quantized_accuracy(model, data, specs_by_bits, config):
     return forward(model, data, weights).accuracy
 
 
+# The value that makes edit_json delete the key instead of setting it.
+MISSING = object()
+
+
 def edit_json(path, keys, value):
-    """Set ``value`` at ``keys`` (object keys and list indices) in the JSON file ``path``."""
+    """Set ``value`` at ``keys`` (object keys and list indices) in the JSON file
+    ``path``, or delete that key when ``value`` is :data:`MISSING`."""
     payload = json.loads(path.read_text())
     *parents, last = keys
     node = payload
     for key in parents:
         node = node[key]
-    node[last] = value
-    path.write_text(json.dumps(payload))
+    if value is MISSING:
+        del node[last]
+    else:
+        node[last] = value
+    new_file(path).write_text(json.dumps(payload))
 
 
 def central_difference_hvp(model, data, tensor, v, eps=1e-6):

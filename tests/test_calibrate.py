@@ -33,10 +33,6 @@ from mixquant.graph import (
 from mixquant.quantize import QuantSpec, quantize
 
 
-def bits_for(model, bits=4):
-    return {name: bits for name in model.weight_tensor_names()}
-
-
 def quantized_weights(model, specs):
     return {name: quantize(model.parameter(name), spec) for name, spec in specs.items()}
 
@@ -45,88 +41,72 @@ class TestCalibrate:
     def test_weight_scales_follow_max_abs(self):
         w = np.array([[-0.5, 0.25, 2.0]])
         model = ModelGraph([Layer("lin", KIND_AFFINE, w, np.zeros(1))])
-        out = calibrate(model, {"lin.weight": 4})
-        spec = out.specs["lin.weight"]
+        spec = calibrate(model, 4)["lin.weight"]
         assert spec.alpha == 0.5
         assert spec.gamma == 2.0
         assert spec.bits == 4
 
     def test_all_zero_tensor_gets_unit_scales(self):
         model = ModelGraph([Layer("lin", KIND_AFFINE, np.zeros((2, 2)), np.zeros(2))])
-        out = calibrate(model, {"lin.weight": 8})
-        assert out.specs["lin.weight"].alpha == 1.0
-        assert out.specs["lin.weight"].gamma == 1.0
+        specs = calibrate(model, 8)
+        assert specs["lin.weight"].alpha == 1.0
+        assert specs["lin.weight"].gamma == 1.0
 
     def test_data_order_invariance(self):
         # data enters calibration only through the full-batch mean loss of
         # the descent step, so row order moves the scales by round-off only
         model, data = make_small_ce_model()
         shuffled = data.subset(np.random.default_rng(9).permutation(len(data)))
-        start = calibrate(model, bits_for(model, 3))
-        (a,) = adjust_scales(model, data, [start], learning_rate=1e-2, epochs=5)
-        (b,) = adjust_scales(model, shuffled, [start], learning_rate=1e-2, epochs=5)
-        assert a.specs != start.specs
+        start = calibrate(model, 3)
+        a = adjust_scales(model, data, {3: start}, learning_rate=1e-2, epochs=5)[3]
+        b = adjust_scales(model, shuffled, {3: start}, learning_rate=1e-2, epochs=5)[3]
+        assert a.specs != start
         for name, spec in a.specs.items():
             assert b.specs[name].alpha == pytest.approx(spec.alpha, rel=1e-12)
             assert b.specs[name].gamma == pytest.approx(spec.gamma, rel=1e-12)
 
-    def test_unknown_tensor_name_rejected(self):
-        model, _ = make_small_ce_model()
-        with pytest.raises(GraphError):
-            calibrate(model, {"phantom.weight": 4})
-
     def test_activation_name_rejected(self):
-        model, _ = make_small_ce_model()
+        model, data = make_small_ce_model()
+        bank = {**calibrate(model, 4), "first.out": QuantSpec(1.0, 1.0, 4)}
         with pytest.raises(GraphError, match="first.out"):
-            calibrate(model, {"first.out": 4})
+            adjust_scales(model, data, {4: bank}, epochs=1)
 
 
 class TestAdjustScales:
     def test_zero_learning_rate_is_identity(self):
         model, data = make_small_ce_model()
-        out = calibrate(model, bits_for(model))
-        (adjusted,) = adjust_scales(model, data, [out], learning_rate=0.0, epochs=5)
-        assert adjusted.specs == out.specs
+        start = calibrate(model, 4)
+        adjusted = adjust_scales(model, data, {4: start}, learning_rate=0.0, epochs=5)[4]
+        assert adjusted.specs == start
         assert len(adjusted.adjustment_log) == 6
         assert len(set(adjusted.adjustment_log)) == 1
 
     def test_log_has_epochs_plus_one_entries(self):
         model, data = make_small_ce_model()
-        out = calibrate(model, bits_for(model))
-        (adjusted,) = adjust_scales(model, data, [out], epochs=3)
+        adjusted = adjust_scales(model, data, {4: calibrate(model, 4)}, epochs=3)[4]
         assert len(adjusted.adjustment_log) == 4
 
     def test_recovers_from_deliberately_doubled_alpha(self):
         model, data = make_small_ce_model()
-        out = calibrate(model, bits_for(model, 3))
         broken = {
             name: QuantSpec(spec.alpha * 2.0, spec.gamma, spec.bits)
-            for name, spec in out.specs.items()
+            for name, spec in calibrate(model, 3).items()
         }
-        start = CalibrationOutcome(specs=broken)
-        (adjusted,) = adjust_scales(model, data, [start], learning_rate=1e-2, epochs=40)
+        adjusted = adjust_scales(model, data, {3: broken}, learning_rate=1e-2, epochs=40)[3]
         assert adjusted.adjustment_log[-1] <= adjusted.adjustment_log[0]
 
     def test_model_weights_bit_identical_after_adjustment(self):
         model, data = make_small_ce_model()
         before = model.parameter_digest()
-        out = calibrate(model, bits_for(model))
-        adjust_scales(model, data, [out], learning_rate=1e-3, epochs=10)
+        adjust_scales(model, data, {4: calibrate(model, 4)}, learning_rate=1e-3, epochs=10)
         assert model.parameter_digest() == before
-
-    def test_empty_spec_map_passes_through(self):
-        model, data = make_small_ce_model()
-        (adjusted,) = adjust_scales(model, data, [CalibrationOutcome(specs={})], epochs=2)
-        assert adjusted.specs == {}
-        assert len(adjusted.adjustment_log) == 3
 
     def test_input_outcome_not_mutated(self):
         model, data = make_small_ce_model()
-        out = calibrate(model, bits_for(model, 2))
-        frozen = dict(out.specs)
-        adjust_scales(model, data, [out], learning_rate=1e-2, epochs=5)
-        assert out.specs == frozen
-        assert out.adjustment_log == []
+        start = calibrate(model, 2)
+        frozen = dict(start)
+        adjust_scales(model, data, {2: start}, learning_rate=1e-2, epochs=5)
+        assert start == frozen
 
     def test_divergence_reports_epoch(self):
         # a gamma near the float ceiling overflows the squared-error loss
@@ -136,38 +116,36 @@ class TestAdjustScales:
             head=HEAD_SQUARED_ERROR,
         )
         data = Dataset(np.array([[1.0]]), np.zeros(1, dtype=int), 1)
-        start = CalibrationOutcome(
-            specs={"lin.weight": QuantSpec(alpha=1.0, gamma=1e300, bits=4)}
-        )
+        start = {"lin.weight": QuantSpec(alpha=1.0, gamma=1e300, bits=4)}
         with np.errstate(over="ignore"), pytest.raises(AdjustmentDivergedError, match="epoch 0"):
-            adjust_scales(model, data, [start], learning_rate=1e-5, epochs=8)
+            adjust_scales(model, data, {4: start}, learning_rate=1e-5, epochs=8)
 
     def test_negative_learning_rate_rejected(self):
         model, data = make_small_ce_model()
-        out = calibrate(model, bits_for(model))
         with pytest.raises(GraphError):
-            adjust_scales(model, data, [out], learning_rate=-1e-5, epochs=1)
+            adjust_scales(model, data, {4: calibrate(model, 4)}, learning_rate=-1e-5, epochs=1)
 
     def test_adjustment_changes_quantized_loss_not_clean_loss(self):
         model, data = make_small_ce_model()
-        out = calibrate(model, bits_for(model, 2))
-        (adjusted,) = adjust_scales(model, data, [out], learning_rate=1e-2, epochs=20)
+        start = calibrate(model, 2)
+        adjusted = adjust_scales(model, data, {2: start}, learning_rate=1e-2, epochs=20)[2]
         clean = forward(model, data).loss
         assert forward(model, data).loss == clean
-        q_before = forward(model, data, quantized_weights(model, out.specs)).loss
+        q_before = forward(model, data, quantized_weights(model, start)).loss
         q_after = forward(model, data, quantized_weights(model, adjusted.specs)).loss
         assert q_after != q_before
 
 
-def one_at_a_time(model, data, outcomes, **kwargs):
-    return [adjust_scales(model, data, [outcome], **kwargs)[0] for outcome in outcomes]
+def one_at_a_time(model, data, banks, **kwargs):
+    return {bits: adjust_scales(model, data, {bits: bank}, **kwargs)[bits]
+            for bits, bank in banks.items()}
 
 
 def assert_same_banks(stacked, single):
-    assert len(stacked) == len(single)
-    for a, b in zip(stacked, single):
-        assert a.specs == b.specs
-        assert a.adjustment_log == b.adjustment_log
+    assert list(stacked) == list(single)
+    for bits, outcome in stacked.items():
+        assert outcome.specs == single[bits].specs
+        assert outcome.adjustment_log == single[bits].adjustment_log
 
 
 def wide_banks(widths=(8, 6, 5, 4, 3, 2)):
@@ -175,7 +153,7 @@ def wide_banks(widths=(8, 6, 5, 4, 3, 2)):
     model = build_fixture_model(7, FixtureSpec((64, 192, 160, 128, 96, 64, 32, 10)))
     rng = np.random.default_rng(0)
     data = Dataset(rng.normal(size=(256, 64)), rng.integers(0, 10, 256), 10)
-    return model, data, [calibrate(model, bits_for(model, b)) for b in widths]
+    return model, data, {b: calibrate(model, b) for b in widths}
 
 
 def seed7_calibration(f1, rows=256):
@@ -197,55 +175,47 @@ def squared_error_model(seed=2, examples=48):
     return model, data
 
 
+def one_weight_banks(gammas):
+    """A one-weight squared-error model, one row, and a bank per ``(bits, gamma)``."""
+    model = ModelGraph(
+        [Layer("lin", KIND_AFFINE, np.array([[1.0]]), np.zeros(1))],
+        head=HEAD_SQUARED_ERROR,
+    )
+    data = Dataset(np.array([[1.0]]), np.zeros(1, dtype=int), 1)
+    return model, data, {b: {"lin.weight": QuantSpec(1.0, g, b)} for b, g in gammas}
+
+
 class TestStackedBanks:
     """Banks advanced together in one pass equal banks descended alone, bit for bit."""
 
     @pytest.mark.parametrize("widths", [(8, 4), (8, 6, 5, 4, 3, 2)], ids=["8-4", "8-to-2"])
     def test_seed7_banks_match_one_at_a_time(self, f1, widths):
         model, data = seed7_calibration(f1)
-        starts = [calibrate(model, bits_for(model, b)) for b in widths]
+        starts = {b: calibrate(model, b) for b in widths}
         stacked = adjust_scales(model, data, starts)
         assert_same_banks(stacked, one_at_a_time(model, data, starts))
-        assert all(a.specs != s.specs for a, s in zip(stacked, starts))
+        assert all(stacked[b].specs != start for b, start in starts.items())
 
     def test_squared_error_head_matches_one_at_a_time(self):
         model, data = squared_error_model()
-        starts = [calibrate(model, bits_for(model, b)) for b in (6, 3, 2)]
+        starts = {b: calibrate(model, b) for b in (6, 3, 2)}
         kwargs = dict(learning_rate=1e-2, epochs=6)
         stacked = adjust_scales(model, data, starts, **kwargs)
         assert_same_banks(stacked, one_at_a_time(model, data, starts, **kwargs))
-
-    def test_mixed_width_bank_matches_one_at_a_time(self):
-        model, data = make_small_ce_model()
-        mixed = calibrate(model, {"first.weight": 2, "second.weight": 7})
-        starts = [mixed, calibrate(model, bits_for(model, 3)), mixed]
-        kwargs = dict(learning_rate=1e-2, epochs=5)
-        stacked = adjust_scales(model, data, starts, **kwargs)
-        assert_same_banks(stacked, one_at_a_time(model, data, starts, **kwargs))
-        assert stacked[0].specs["second.weight"].bits == 7
-
-    def test_empty_spec_map_matches_one_at_a_time(self):
-        model, data = make_small_ce_model()
-        starts = [CalibrationOutcome(specs={}), calibrate(model, bits_for(model, 4))]
-        starts.append(CalibrationOutcome(specs={}))
-        kwargs = dict(learning_rate=1e-2, epochs=3)
-        stacked = adjust_scales(model, data, starts, **kwargs)
-        assert_same_banks(stacked, one_at_a_time(model, data, starts, **kwargs))
-        assert stacked[0].adjustment_log == [forward(model, data).loss] * 4
 
     @pytest.mark.parametrize("per_group", [1, 2])
     def test_small_budget_splits_banks_into_groups(self, f1, monkeypatch, workers, per_group):
         # one worker: on several, the groups' passes interleave
         workers(1)
         model, data = seed7_calibration(f1)
-        starts = [calibrate(model, bits_for(model, b)) for b in (8, 4, 3)]
+        starts = {b: calibrate(model, b) for b in (8, 4, 3)}
         single = one_at_a_time(model, data, starts, epochs=4)
         passes = []
         real = calibrate_module.loss_and_scale_gradients
 
-        def spy(model, data, names, half, scales, gradient):
-            passes.append((len(half), gradient))
-            return real(model, data, names, half, scales, gradient)
+        def spy(model, data, names, bits, scales, gradient):
+            passes.append((bits.tolist(), gradient))
+            return real(model, data, names, bits, scales, gradient)
 
         monkeypatch.setattr(calibrate_module, "loss_and_scale_gradients", spy)
         monkeypatch.setattr(
@@ -255,22 +225,36 @@ class TestStackedBanks:
         )
         stacked = adjust_scales(model, data, starts, epochs=4)
         assert_same_banks(stacked, single)
-        groups = [1, 1, 1] if per_group == 1 else [2, 1]
+        groups = [[8], [4], [3]] if per_group == 1 else [[8, 4], [3]]
         # the last epoch of each group computes the loss alone
-        assert passes == [(size, epoch < 4) for size in groups for epoch in range(5)]
+        assert passes == [(group, epoch < 4) for group in groups for epoch in range(5)]
 
-    def test_budget_groups_seed7_banks_together_and_wide_banks_alone(self, f1):
+    def test_budget_groups_seed7_banks_together_and_wide_banks_alone(
+        self, f1, monkeypatch, workers
+    ):
         # the budget alone sets the groups, so they are the same on any
         # number of workers
-        model, data = seed7_calibration(f1)
-        starts = [calibrate(model, bits_for(model, b)) for b in (8, 6, 5, 4, 3, 2)]
-        assert calibrate_module._taped_floats(model, len(data)) == 256 * 90
-        banks = [start.specs for start in starts]
-        assert calibrate_module._stack_groups(model, data, banks) == [list(range(6))]
-        model, data, starts = wide_banks()
-        assert calibrate_module._taped_floats(model, len(data)) == 256 * 682
-        banks = [start.specs for start in starts]
-        assert calibrate_module._stack_groups(model, data, banks) == [[i] for i in range(6)]
+        seed7, seed7_data = seed7_calibration(f1)
+        wide, wide_data, wide_starts = wide_banks()
+        assert calibrate_module._taped_floats(seed7, len(seed7_data)) == 256 * 90
+        assert calibrate_module._taped_floats(wide, len(wide_data)) == 256 * 682
+        seed7_starts = {b: calibrate(seed7, b) for b in (8, 6, 5, 4, 3, 2)}
+        groups = []
+        real = calibrate_module.loss_and_scale_gradients
+
+        def spy(model, data, names, bits, scales, gradient):
+            groups.append(bits.tolist())
+            return real(model, data, names, bits, scales, gradient)
+
+        monkeypatch.setattr(calibrate_module, "loss_and_scale_gradients", spy)
+        for count in (1, 2):
+            workers(count)
+            groups.clear()
+            adjust_scales(seed7, seed7_data, seed7_starts, epochs=0)
+            assert groups == [[8, 6, 5, 4, 3, 2]]
+            groups.clear()
+            adjust_scales(wide, wide_data, wide_starts, epochs=0)
+            assert sorted(groups) == [[2], [3], [4], [5], [6], [8]]
 
     def test_wide_banks_run_one_at_a_time(self, workers):
         # A taped pass of this model over 256 rows holds about 175k floats
@@ -316,15 +300,7 @@ class TestStackedBanks:
         # one bank per group, and the 3- and 2-bit banks overflow: on two
         # workers the caller runs the 4- and 3-bit banks and a worker the
         # 5- and 2-bit ones; on three, the 3-bit bank has a worker of its own
-        model = ModelGraph(
-            [Layer("lin", KIND_AFFINE, np.array([[1.0]]), np.zeros(1))],
-            head=HEAD_SQUARED_ERROR,
-        )
-        data = Dataset(np.array([[1.0]]), np.zeros(1, dtype=int), 1)
-        starts = [
-            CalibrationOutcome(specs={"lin.weight": QuantSpec(1.0, gamma, bits)})
-            for bits, gamma in ((4, 1.0), (3, 1e300), (5, 1.0), (2, 1e300))
-        ]
+        model, data, starts = one_weight_banks(((4, 1.0), (3, 1e300), (5, 1.0), (2, 1e300)))
         monkeypatch.setattr(
             graph_module, "STACK_FLOATS", calibrate_module._taped_floats(model, len(data))
         )
@@ -336,16 +312,7 @@ class TestStackedBanks:
 
     def test_divergence_names_the_diverging_bank(self):
         # only the 3-bit bank's post-scale overflows the squared-error loss
-        model = ModelGraph(
-            [Layer("lin", KIND_AFFINE, np.array([[1.0]]), np.zeros(1))],
-            head=HEAD_SQUARED_ERROR,
-        )
-        data = Dataset(np.array([[1.0]]), np.zeros(1, dtype=int), 1)
-        starts = [
-            CalibrationOutcome(specs={"lin.weight": QuantSpec(alpha=1.0, gamma=1.0, bits=4)}),
-            CalibrationOutcome(specs={"lin.weight": QuantSpec(alpha=1.0, gamma=1e300, bits=3)}),
-            CalibrationOutcome(specs={"lin.weight": QuantSpec(alpha=1.0, gamma=1.0, bits=2)}),
-        ]
+        model, data, starts = one_weight_banks(((4, 1.0), (3, 1e300), (2, 1.0)))
         with np.errstate(over="ignore"), pytest.raises(AdjustmentDivergedError) as caught:
             adjust_scales(model, data, starts, learning_rate=1e-5, epochs=8)
         message = str(caught.value)
@@ -358,9 +325,9 @@ class TestReferenceDescent:
 
     def test_seed7_banks_match_the_reference(self, f1):
         model, data = seed7_calibration(f1)
-        starts = [calibrate(model, bits_for(model, b)) for b in (8, 6, 5, 4, 3, 2)]
-        for start, adjusted in zip(starts, adjust_scales(model, data, starts)):
-            specs, log = reference_descent(model, data, start.specs, 1e-5, 20)
+        starts = {b: calibrate(model, b) for b in (8, 6, 5, 4, 3, 2)}
+        for bits, adjusted in adjust_scales(model, data, starts).items():
+            specs, log = reference_descent(model, data, starts[bits], 1e-5, 20)
             assert adjusted.specs == specs
             assert adjusted.adjustment_log == log
 
@@ -373,19 +340,15 @@ class TestReferenceDescent:
         )
         rng = np.random.default_rng(1)
         data = Dataset(rng.normal(size=(40, 5)), rng.integers(0, 3, 40), 3)
-        mixed = {"dense1.weight": 2, "dense2.weight": 5, "dense3.weight": 3}
-        starts = [
-            CalibrationOutcome(
-                {n: QuantSpec(1.5 * s.alpha, s.gamma, s.bits) for n, s in specs.items()}
-            )
-            for specs in [calibrate(model, bits_for(model, b)).specs for b in (4, 2)]
-            + [calibrate(model, mixed).specs]
-        ]
-        for start, adjusted in zip(starts, adjust_scales(model, data, starts, 1e-2, 12)):
-            specs, log = reference_descent(model, data, start.specs, 1e-2, 12)
+        starts = {
+            b: {n: QuantSpec(1.5 * s.alpha, s.gamma, s.bits) for n, s in calibrate(model, b).items()}
+            for b in (4, 2, 5)
+        }
+        for bits, adjusted in adjust_scales(model, data, starts, 1e-2, 12).items():
+            specs, log = reference_descent(model, data, starts[bits], 1e-2, 12)
             assert adjusted.specs == specs
             assert adjusted.adjustment_log == log
-            assert specs != start.specs
+            assert specs != starts[bits]
 
 
 class TestDescentEdges:
@@ -393,30 +356,31 @@ class TestDescentEdges:
 
     def test_loss_is_the_quantized_forward_loss(self, f1):
         model, calib, _ = f1
-        start = calibrate(model, dict.fromkeys(model.weight_tensor_names(), 3))
-        (adjusted,) = adjust_scales(model, calib, [start], epochs=0)
-        loss = forward(model, calib, quantized_weights(model, start.specs)).loss
+        start = calibrate(model, 3)
+        adjusted = adjust_scales(model, calib, {3: start}, epochs=0)[3]
+        loss = forward(model, calib, quantized_weights(model, start)).loss
         assert adjusted.adjustment_log == [loss]
-        assert adjusted.specs == start.specs
-
-    def test_banks_naming_different_tensors_descend_apart(self):
-        model, data = make_small_ce_model()
-        starts = [
-            calibrate(model, {"first.weight": 4}),
-            calibrate(model, {"second.weight": 4}),
-            calibrate(model, {"second.weight": 3}),
-        ]
-        kwargs = dict(learning_rate=1e-2, epochs=3)
-        stacked = adjust_scales(model, data, starts, **kwargs)
-        assert_same_banks(stacked, one_at_a_time(model, data, starts, **kwargs))
-        banks = [start.specs for start in starts]
-        assert calibrate_module._stack_groups(model, data, banks) == [[0], [1, 2]]
+        assert adjusted.specs == start
 
     def test_unknown_tensor_rejected(self):
         model, data = make_small_ce_model()
-        start = CalibrationOutcome(specs={"first.bias": QuantSpec(1.0, 1.0, 4)})
+        bank = {"first.bias": QuantSpec(1.0, 1.0, 4)}
         with pytest.raises(GraphError, match="first.bias"):
-            adjust_scales(model, data, [start], epochs=1)
+            adjust_scales(model, data, {4: bank}, epochs=1)
+
+    @pytest.mark.parametrize("fault", ["missing-tensor", "empty", "mixed-widths", "other-width"])
+    def test_bank_not_one_width_over_every_tensor_rejected(self, fault):
+        model, data = make_small_ce_model()
+        bank = calibrate(model, 4)
+        if fault == "missing-tensor":
+            del bank["second.weight"]
+        elif fault == "empty":
+            bank.clear()
+        elif fault == "mixed-widths":
+            bank["second.weight"] = calibrate(model, 7)["second.weight"]
+        banks = {8: calibrate(model, 8), (3 if fault == "other-width" else 4): bank}
+        with pytest.raises(GraphError, match="-bit bank must hold every weight tensor"):
+            adjust_scales(model, data, banks, epochs=1)
 
 
 class TestSpecsRoundTrip:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mixquant.pipeline as pipeline_module
-from conftest import edit_json
+from conftest import MISSING, edit_json
 from mixquant.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TARGET, main
 from mixquant.pipeline import PipelineConfig, load_manifest
 
@@ -166,6 +166,19 @@ class TestRun:
         # rejected while reading the manifest, before any stage ran
         assert "[stage:" not in err and not (tmp_path / "x").exists()
 
+    def test_manifest_width_above_the_grid_exit_data(self, fixture_dir, tmp_path, capsys):
+        # a baseline above the quantizer's widest grid admits no wider candidate
+        first = tmp_path / "first"
+        assert main(run_args(fixture_dir, first)) == EXIT_OK
+        edit_json(first / "manifest.json", ("parameters", "baseline_bits"), 32)
+        edit_json(first / "manifest.json", ("parameters", "bits"), [20])
+        args = ["run", "--manifest", str(first / "manifest.json"), "--out", str(tmp_path / "x")]
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "malformed 'mixquant-run-manifest' file" in err
+        assert "candidate bit width 20 outside [2, 16]" in err
+        assert "[stage:" not in err and not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -271,6 +284,10 @@ class TestRun:
                          id="layers-object"),
             pytest.param("model.json", ("layers", 1), "relu", "'layers'", id="layer-string"),
             pytest.param("model.json", ("blob",), 7, "'blob'", id="blob-number"),
+            pytest.param("model.json", ("layers", 0, "name"), MISSING, "layer name",
+                         id="name-missing"),
+            pytest.param("model.json", ("layers", 1, "name"), 3, "layer name",
+                         id="name-number"),
             pytest.param("calib.json", ("features",), 7, "'features'", id="features-number"),
             pytest.param("eval.json", ("labels",), ["eval.labels.bin"], "'labels'",
                          id="labels-list"),

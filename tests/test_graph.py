@@ -26,7 +26,7 @@ from conftest import (
 )
 import mixquant.graph as graph_module
 import mixquant.pipeline as pipeline_module
-from mixquant.calibrate import CalibrationOutcome, adjust_scales, calibrate
+from mixquant.calibrate import adjust_scales, calibrate
 from mixquant.fixtures import (
     FixtureSpec,
     build_fixture,
@@ -251,7 +251,7 @@ class TestWeightReplacement:
         score_noise(model, data, noise_scale=0.5, trials=2, seed=3)
         assert model.parameter_digest() == digest
         specs = {name: QuantSpec(1.0, 1.0, 2) for name in model.weight_tensor_names()}
-        adjust_scales(model, data, [CalibrationOutcome(specs)], learning_rate=1e-2, epochs=2)
+        adjust_scales(model, data, {2: specs}, learning_rate=1e-2, epochs=2)
         assert model.parameter_digest() == digest
 
 
@@ -266,7 +266,7 @@ class TestBlockedForward:
         data = random_split(model, n)
         weights = {}
         if replaced:
-            specs = calibrate(model, dict.fromkeys(model.weight_tensor_names(), 4)).specs
+            specs = calibrate(model, 4)
             weights = {name: quantize(model.parameter(name), s) for name, s in specs.items()}
         logits, result = whole_split_result(model, data, weights)
         assert np.array_equal(_blocked_logits(model, data.features, weights), logits)
@@ -315,8 +315,7 @@ def quantized(model, specs):
 
 
 def quantized_bank(model, bits):
-    specs = calibrate(model, dict.fromkeys(model.weight_tensor_names(), bits)).specs
-    return quantized(model, specs)
+    return quantized(model, calibrate(model, bits))
 
 
 def greedy_chain(model):
@@ -1006,8 +1005,8 @@ class TestReverseSweep:
         specs = [QuantSpec(1.3, 0.8, 3), QuantSpec(0.6, 1.1, 5)]
         names = plain.weight_tensor_names()
         stacked = {n: np.stack([quantize(plain.parameter(n), s) for s in specs]) for n in names}
-        loss, sweep = loss_and_gradients(leading, data, stacked, names, stack=2)
-        plain_loss, plain_sweep = loss_and_gradients(plain, clamped, stacked, names, stack=2)
+        loss, sweep = loss_and_gradients(leading, data, stacked, names)
+        plain_loss, plain_sweep = loss_and_gradients(plain, clamped, stacked, names)
         assert np.array_equal(loss, plain_loss)
         for (name, grad), (plain_name, plain_grad) in zip(sweep, plain_sweep):
             assert name == plain_name and np.array_equal(grad, plain_grad), name
@@ -1025,7 +1024,7 @@ class TestTapedPass:
         slices = [quantized(model, bank) for bank in specs]
         stacked = {name: np.stack([w[name] for w in slices]) for name in slices[0]}
         wrt = model.parameter_names()
-        losses, sweep = loss_and_gradients(model, data, stacked, wrt, stack=2)
+        losses, sweep = loss_and_gradients(model, data, stacked, wrt)
         grads = dict(sweep)
         assert losses.shape == (2,)
         assert list(grads) == ["second.weight", "second.bias", "first.weight", "first.bias"]
@@ -1035,7 +1034,7 @@ class TestTapedPass:
             for name, grad in one_sweep:
                 assert np.array_equal(grad, grads[name][k]), name
         # the loss alone, with no reverse sweep, is the same
-        alone, nothing = loss_and_gradients(model, data, stacked, stack=2)
+        alone, nothing = loss_and_gradients(model, data, stacked)
         assert np.array_equal(alone, losses) and list(nothing) == []
 
     def test_unknown_replacement_rejected(self):

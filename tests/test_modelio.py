@@ -5,14 +5,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import edit_json, make_small_ce_model
+from conftest import MISSING, edit_json, make_small_ce_model
 from mixquant.graph import HEAD_SQUARED_ERROR, KIND_AFFINE, Dataset, Layer, ModelGraph
 from mixquant.cost import LatencyTable
 from mixquant.modelio import (
     DataFormatError,
     load_dataset,
     load_model,
+    new_file,
     save_dataset,
     save_model,
     write_json,
@@ -153,6 +156,76 @@ class TestDatasetRoundTrip:
         (tmp_path / "data.labels.bin").write_bytes(bad.tobytes())
         with pytest.raises(DataFormatError):
             load_dataset(path)
+
+
+def key_paths(node, path=()):
+    """The path to every object key in the JSON value ``node``, nested ones included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from key_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from key_paths(value, path + (index,))
+
+
+@pytest.fixture(scope="module")
+def seed7_manifests(f1, tmp_path_factory):
+    """The seed-7 model and calibration files, and each manifest's text and key paths."""
+    directory = tmp_path_factory.mktemp("seed7")
+    model, calib, _ = f1
+    save_model(model, directory / "model.json")
+    save_dataset(calib, directory / "calib.json")
+    manifests = {}
+    for name in ("model.json", "calib.json"):
+        text = (directory / name).read_text()
+        manifests[name] = text, list(key_paths(json.loads(text)))
+    return directory, manifests
+
+
+# A stand-in for a JSON value of the wrong type, or the key deleted.
+WRONG_VALUES = st.one_of(
+    st.just(MISSING),
+    st.booleans(),
+    st.text(max_size=6),
+    st.lists(st.integers(-2, 9), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 9), max_size=2),
+    st.floats(-1e3, 1e3).filter(lambda v: not v.is_integer()),
+    st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_one_key_deleted_or_retyped_loads_or_is_a_format_error(seed7_manifests, data):
+    directory, manifests = seed7_manifests
+    name = data.draw(st.sampled_from(sorted(manifests)))
+    text, paths = manifests[name]
+    mutant = directory / f"mutant-{name}"  # next to the blobs it names
+    new_file(mutant).write_text(text)
+    edit_json(mutant, data.draw(st.sampled_from(paths)), data.draw(WRONG_VALUES))
+    try:
+        (load_model if name == "model.json" else load_dataset)(mutant)
+    except DataFormatError:
+        pass
+
+
+@pytest.mark.parametrize("where", ["manifest", "model-blob", "dataset-blob"])
+def test_nul_in_a_file_name_is_a_format_error(tmp_path, where):
+    model, data = make_small_ce_model()
+    save_model(model, tmp_path / "model.json")
+    save_dataset(data, tmp_path / "data.json")
+    if where == "manifest":
+        with pytest.raises(DataFormatError, match="cannot read"):
+            load_model(tmp_path / "model\x00.json")
+    elif where == "model-blob":
+        edit_json(tmp_path / "model.json", ("blob",), "model\x00.bin")
+        with pytest.raises(DataFormatError, match="cannot read"):
+            load_model(tmp_path / "model.json")
+    else:
+        edit_json(tmp_path / "data.json", ("labels",), "data\x00.labels.bin")
+        with pytest.raises(DataFormatError, match="cannot read"):
+            load_dataset(tmp_path / "data.json")
 
 
 def two_writes(tmp_path, kind):

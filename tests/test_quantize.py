@@ -172,10 +172,10 @@ def one_weight_model(x, head=HEAD_SQUARED_ERROR):
 
 def scale_gradients(model, data, specs, gradient=True):
     """``(losses, (2, banks) scale gradients)`` of ``lin.weight`` under each spec, stacked."""
-    half = np.array([[float(2 ** (s.bits - 1))] for s in specs])
+    bits = np.array([s.bits for s in specs])
     scales = np.array([[[s.alpha] for s in specs], [[s.gamma] for s in specs]])
     losses, grads = calibrate_module.loss_and_scale_gradients(
-        model, data, ["lin.weight"], half, scales, gradient
+        model, data, ["lin.weight"], bits, scales, gradient
     )
     return losses, None if grads is None else grads[:, :, 0]
 
@@ -255,10 +255,8 @@ class TestLattice:
         rng = np.random.default_rng(2)
         x = rng.normal(0, 0.5, size=(7, 5))
         specs = [QuantSpec(0.9, 1.4, 8), QuantSpec(1.7, 0.3, 2), QuantSpec(0.4, 2.2, 5)]
-        alpha, gamma, half = np.array(
-            [[s.alpha, s.gamma, float(2 ** (s.bits - 1))] for s in specs]
-        ).T.reshape(3, 3, 1, 1)
-        out = lattice(alpha * x, half)
+        alpha, gamma = np.array([[s.alpha, s.gamma] for s in specs]).T.reshape(2, 3, 1, 1)
+        out = lattice(alpha * x, np.array([s.bits for s in specs]).reshape(3, 1, 1))
         out *= gamma
         assert out.shape == (3, 7, 5)
         for k, s in enumerate(specs):

@@ -94,8 +94,7 @@ class TestEvaluateConfig:
 
     def test_matches_direct_quantized_forward(self):
         model, data = make_small_ce_model()
-        bits = {name: 8 for name in model.weight_tensor_names()}
-        specs = calibrate(model, bits).specs
+        specs = calibrate(model, 8)
         config = QuantConfig.uniform(model.weight_tensor_names(), 16).replace(
             {"first.weight": 8}
         )
@@ -112,14 +111,13 @@ class TestEvaluateConfig:
         with pytest.raises(GraphError):
             evaluate_one(model, data, {8: {}}, config)
         # a spec of another width is not a 4-bit spec
-        specs8 = calibrate(model, {name: 8 for name in model.weight_tensor_names()}).specs
+        specs8 = calibrate(model, 8)
         with pytest.raises(GraphError):
             evaluate_one(model, data, {4: specs8}, config)
 
     def test_deterministic(self):
         model, data = make_small_ce_model()
-        bits = {name: 4 for name in model.weight_tensor_names()}
-        specs = calibrate(model, bits).specs
+        specs = calibrate(model, 4)
         config = QuantConfig.uniform(model.weight_tensor_names(), 4)
         first = evaluate_one(model, data, {4: specs}, config)
         assert all(

@@ -32,8 +32,7 @@ from mixquant.sensitivity import (
 class TestScoreQE:
     def test_matches_direct_recomputation(self):
         model, _ = make_small_ce_model()
-        bits = {name: 4 for name in model.weight_tensor_names()}
-        specs = calibrate(model, bits).specs
+        specs = calibrate(model, 4)
         report = score_qe(model, specs)
         for name, spec in specs.items():
             expected = quantization_error(model.parameter(name), spec)
@@ -60,10 +59,9 @@ class TestScoreQE:
     def test_invariant_to_power_of_two_rescaling(self):
         model, _ = make_small_ce_model()
         name = "first.weight"
-        bits = {name: 3}
-        base = score_qe(model, calibrate(model, bits).specs).scores[name].mean
+        base = score_qe(model, calibrate(model, 3)).scores[name].mean
         doubled = with_tensor(model, name, 2.0 * model.parameter(name))
-        redone = score_qe(doubled, calibrate(doubled, bits).specs).scores[name].mean
+        redone = score_qe(doubled, calibrate(doubled, 3)).scores[name].mean
         assert redone == base
 
     def test_activation_name_rejected(self):
