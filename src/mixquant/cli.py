@@ -141,7 +141,7 @@ def _cmd_run(args) -> int:
                 f"not {', '.join(others)}"
             )
         config = load_manifest(args.manifest)
-        if args.out_dir:
+        if "out_dir" in given:
             config = dataclasses.replace(config, out_dir=args.out_dir)
     else:
         required = ("model", "calib_data", "eval_data", "latency_table", "out_dir")

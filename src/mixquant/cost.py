@@ -61,7 +61,11 @@ class LatencyTable:
         path = Path(path)
         table = cls()
         try:
-            with path.open(newline="") as handle:
+            handle = path.open(newline="")
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise DataFormatError(f"cannot read latency table {path}: {exc}") from exc
+        try:
+            with handle:
                 reader = csv.reader(handle)
                 header = next(reader, None)
                 if header != _CSV_HEADER:

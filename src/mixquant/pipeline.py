@@ -10,13 +10,12 @@ activations stay in float.
 
 The run's one evaluator, :func:`evaluate_configs`, answers a chain of
 configs in one chained engine pass. The search's chains go through
-:func:`_evaluate_chain`, which answers a config past the first only
-while its own tail costs at most half of the first config's forward and
-the answered tails sum to at most ``SPECULATION_FORWARDS`` forwards of
-multiply-adds, as the engine prices them; a rejection so wastes at most
-one forward per call. The baseline and the final verification, judged
-by the searches' accept test, evaluate one config each. An output path
-that is a file, or lies below one, is refused before any stage runs.
+:func:`_evaluate_chain`, which answers the longest prefix in which each
+config past the first has a tail of at most half of the first config's
+forward, in multiply-adds as the engine prices them. The baseline and
+the final verification, judged by the searches' accept test, evaluate
+one config each. An output path that is a file, or lies below one, is
+refused before any stage runs.
 """
 
 from __future__ import annotations
@@ -86,14 +85,10 @@ ALGOS = (ALGO_BISECTION, ALGO_GREEDY)
 # Per-stage sample counts for the two disjoint calibration-file subsets.
 DEFAULT_STAGE_SAMPLES = 256
 
-# Most multiply-adds, in forwards, that the search evaluator spends past
-# the first config of an offered chain: answers the search may discard
-# when an earlier probe is rejected.
-SPECULATION_FORWARDS = 1.0
-
 
 # PipelineConfig fields that take a path string, an int, or an int or a
 # float; a bool is neither number, although Python counts it as an int.
+# Paths are checked in ``validate`` only, so a placeholder may be replaced.
 _PATH_FIELDS = ("model", "calib_data", "eval_data", "latency_table", "out_dir")
 _INTEGER_FIELDS = (
     "seed",
@@ -135,8 +130,10 @@ class PipelineConfig:
     def validate(self) -> None:
         for name in _PATH_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, str):
-                raise PipelineConfigError(f"{name} must be a path string, got {value!r}")
+            if not isinstance(value, str) or not value or "\x00" in value:
+                raise PipelineConfigError(
+                    f"{name} must be a non-empty path string with no NUL, got {value!r}"
+                )
         integers = [(name, getattr(self, name)) for name in _INTEGER_FIELDS]
         for name, value in integers + [("bit width", b) for b in self.bits]:
             if not isinstance(value, int) or isinstance(value, bool):
@@ -295,21 +292,13 @@ def _evaluate_chain(
 
     Answers, in one chained pass, the longest prefix of ``configs`` in
     which each config after the first has a tail of at most half the
-    first config's forward, and the tails sum to at most
-    ``SPECULATION_FORWARDS`` forwards. Chaining a probe of tail ``t``
-    forwards saves ``1 - t`` when its answer is used and wastes ``t``
-    when an earlier probe is rejected, so at even odds it pays while
-    ``t <= 1/2``; the sum bounds a rejection's waste per call.
+    first config's forward. Chaining a probe of tail ``t`` forwards saves
+    ``1 - t`` when its answer is used and wastes ``t`` when an earlier
+    probe is rejected, so at even odds it pays while ``t <= 1/2``.
     """
     costs = _chain_macs(model, configs)
-    budget = SPECULATION_FORWARDS * costs[0]
-    count, spent = 1, 0
-    while (
-        count < len(configs)
-        and 2 * costs[count] <= costs[0]
-        and spent + costs[count] <= budget
-    ):
-        spent += costs[count]
+    count = 1
+    while count < len(configs) and 2 * costs[count] <= costs[0]:
         count += 1
     return evaluate_configs(model, data, spec_bank, configs[:count])
 

@@ -8,11 +8,12 @@ run's, in :mod:`mixquant.pipeline`, or a synthetic oracle in tests) is
 offered a non-empty chain of configs, each the previous one with more
 tensors lowered, and returns the accuracies in [0, 1] of a non-empty
 prefix of it; this module knows nothing of the engine or the quantizer
-but the width bounds. One driver builds the chains by replay: after a
-rejection, or once the offered chain is used up, the walk reruns with
-every probe past the answered ones taken as accepted. The outcome does
-not depend on how many answers the evaluator gives. Evaluation counts
-are checked against the analytic budgets.
+but the width bounds. One function builds the chains by replay for both
+searches: after a rejection, or once the offered chain is used up, the
+walk reruns with every probe past the answered ones taken as accepted.
+It offers that whole path, or only its first config right after a
+rejection, and checks the walk's evaluation count against its budget.
+The outcome does not depend on how many answers the evaluator gives.
 """
 
 from __future__ import annotations
@@ -123,20 +124,18 @@ def accepts(accuracy: float, target: float) -> bool:
 
 
 def _replay(
-    evaluator: Evaluator,
-    walk: Callable[[Probe], SearchOutcome],
-    target: float,
-    whole_path_after_rejection: bool,
+    evaluator: Evaluator, walk: Callable[[Probe], SearchOutcome], target: float, budget: int
 ) -> SearchOutcome:
     """Run a sequential ``walk(probe)`` on chained evaluator calls.
 
     A replayed probe gets the answer given at its position; from the first
     unanswered probe on, every probe is taken as accepted and its config
-    joins the path, the next offer (only its first config right after a
-    rejection unless ``whole_path_after_rejection``). Answers past a
-    rejection were to other configs and drop. The rest of the path stays
-    valid while every answer accepts, so the walk is replayed only after
-    a rejection or once the path is used up.
+    joins the path. The next offer is the whole path, or only its first
+    config right after a rejection. Answers past a rejection were to
+    other configs and drop. The rest of the path stays valid while every
+    answer accepts, so the walk is replayed only after a rejection or
+    once the path is used up. A walk that makes more than ``budget``
+    evaluations is an error.
     """
     answers: list[float] = []  # in the walk's probe order
     path: list[QuantConfig] = []
@@ -155,10 +154,12 @@ def _replay(
             used = 0
             outcome = walk(probe)
             if not path:
+                if outcome.evals > budget:
+                    raise RuntimeError(
+                        f"search used {outcome.evals} evaluations, over its budget {budget}"
+                    )
                 return outcome
-        offer = path[:]
-        if answers and not accepts(answers[-1], target) and not whole_path_after_rejection:
-            offer = path[:1]
+        offer = path[:1] if answers and not accepts(answers[-1], target) else path[:]
         got = evaluator(offer)
         if not 1 <= len(got) <= len(offer):
             raise RuntimeError(f"evaluator answered {len(got)} of {len(offer)} offered configs")
@@ -186,11 +187,6 @@ def greedy_search(
     above the target. Tensors that survive a width are the only ones
     considered at the next, lower width. Uses at most ``len(candidate_bits)
     * len(ordering)`` evaluations.
-
-    Right after a rejection only the next probe is offered, not the whole
-    new path: on the wide qe runs over widths 4,8 (seeds 35-39) the whole
-    path costs 7.71 forwards of multiply-adds per run against 7.22, though
-    fewer on 8 of the 16 metric, width and fixture cells measured.
     """
     names, levels, target = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits
@@ -213,13 +209,7 @@ def greedy_search(
             survivors = kept
         return SearchOutcome(config, len(trace), target, achieved, tuple(trace))
 
-    outcome = _replay(evaluator, walk, target, whole_path_after_rejection=False)
-    budget = len(levels) * len(names)
-    if outcome.evals > budget:
-        raise RuntimeError(
-            f"greedy search used {outcome.evals} evaluations, over its budget {budget}"
-        )
-    return outcome
+    return _replay(evaluator, walk, target, len(levels) * len(names))
 
 
 def bisection_search(
@@ -238,11 +228,6 @@ def bisection_search(
     accuracy of its accepted probe at the threshold; the evaluator is
     deterministic, so that probe is not repeated. Uses at most
     ``len(candidate_bits) * (ceil(log2 N) + 2)`` evaluations.
-
-    Right after a rejection the whole new path is offered, unlike greedy:
-    on the wide noise runs over widths 2,3,4,5,6,8 (seeds 35-39) offering
-    only the next probe costs 9.37 forwards of multiply-adds per run
-    against 9.27.
     """
     names, levels, target = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits
@@ -271,13 +256,8 @@ def bisection_search(
             prefix = prefix[:low]
         return SearchOutcome(config, len(trace), target, achieved, tuple(trace))
 
-    outcome = _replay(evaluator, walk, target, whole_path_after_rejection=True)
     budget = len(levels) * (math.ceil(math.log2(max(len(names), 1))) + 2)
-    if outcome.evals > budget:
-        raise RuntimeError(
-            f"bisection search used {outcome.evals} evaluations, over its budget {budget}"
-        )
-    return outcome
+    return _replay(evaluator, walk, target, budget)
 
 
 def _parse_config(payload: dict) -> QuantConfig:

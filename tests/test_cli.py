@@ -1,15 +1,20 @@
 """Command-line interface tests, driven in process through main()."""
 
+import dataclasses
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mixquant.cli as cli_module
 import mixquant.pipeline as pipeline_module
 from conftest import MISSING, edit_json
 from mixquant.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TARGET, main
-from mixquant.pipeline import PipelineConfig, load_manifest
+from mixquant.pipeline import PipelineConfig, PipelineConfigError, load_manifest
 
 SMALL_GEN = ["--dims", "8,12,12,8,2", "--calib-examples", "96", "--eval-examples", "256"]
 
@@ -165,6 +170,38 @@ class TestRun:
         assert "malformed 'mixquant-run-manifest' file" in err
         # rejected while reading the manifest, before any stage ran
         assert "[stage:" not in err and not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("latency_table", "latency\x00.csv"), ("out_dir", "run\x00"), ("out_dir", "")],
+        ids=["latency_table-nul", "out_dir-nul", "out_dir-empty"],
+    )
+    def test_manifest_path_field_exit_data(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, field, value
+    ):
+        # without --out the manifest's out_dir is the run's, and an empty
+        # one would name the working directory
+        first = tmp_path / "first"
+        assert main(run_args(fixture_dir, first)) == EXIT_OK
+        edit_json(first / "manifest.json", ("parameters", field), value)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        (cwd / "specs-4bit.json").write_text("kept")
+        monkeypatch.chdir(cwd)
+        assert main(["run", "--manifest", str(first / "manifest.json")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed 'mixquant-run-manifest' file")
+        assert f"{field} must be a non-empty path string with no NUL" in err
+        assert [p.name for p in cwd.iterdir()] == ["specs-4bit.json"]
+        assert (cwd / "specs-4bit.json").read_text() == "kept"
+
+    def test_manifest_with_an_empty_out_exit_config(self, fixture_dir, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert main(run_args(fixture_dir, first)) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in first.iterdir()}
+        assert main(["run", "--manifest", str(first / "manifest.json"), "--out", ""]) == EXIT_CONFIG
+        assert "out_dir must be a non-empty path string" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in first.iterdir()} == before
 
     def test_manifest_width_above_the_grid_exit_data(self, fixture_dir, tmp_path, capsys):
         # a baseline above the quantizer's widest grid admits no wider candidate
@@ -345,6 +382,98 @@ class TestRun:
             main(run_args(fixture_dir, tmp_path / "x", ["--metric", "entropy"]))
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+
+# Every PipelineConfig field, in order: a new run knob is an edit here.
+PIPELINE_FIELDS = [
+    "model", "calib_data", "eval_data", "latency_table", "out_dir", "metric", "algo", "bits",
+    "target", "seed", "noise_scale", "trials", "learning_rate", "epochs", "baseline_bits",
+    "sensitivity_samples", "calibration_samples",
+]
+# Each run flag other than --manifest: (flag, the field it sets, an argument, its value).
+RUN_FLAGS = [
+    ("--model", "model", "m.json", "m.json"),
+    ("--calib", "calib_data", "c.json", "c.json"),
+    ("--eval", "eval_data", "e.json", "e.json"),
+    ("--latency-table", "latency_table", "l.csv", "l.csv"),
+    ("--metric", "metric", "qe", "qe"),
+    ("--algo", "algo", "bisection", "bisection"),
+    ("--bits", "bits", "2,3", (2, 3)),
+    ("--target", "target", "0.5", 0.5),
+    ("--seed", "seed", "11", 11),
+    ("--lambda", "noise_scale", "0.25", 0.25),
+    ("--trials", "trials", "3", 3),
+    ("--lr", "learning_rate", "0.002", 0.002),
+    ("--epochs", "epochs", "5", 5),
+    ("--out", "out_dir", "o", "o"),
+]
+
+
+def test_each_run_flag_sets_the_pipeline_field_of_its_name(monkeypatch, capsys):
+    assert [f.name for f in dataclasses.fields(PipelineConfig)] == PIPELINE_FIELDS
+    assert cli_module._build_parser().parse_args(["run"]).flags == {
+        field: flag for flag, field, _, _ in RUN_FLAGS
+    }
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise PipelineConfigError("captured")
+
+    monkeypatch.setattr(cli_module, "run_pipeline", capture)
+    args = [item for flag, _, argument, _ in RUN_FLAGS for item in (flag, argument)]
+    assert main(["run", *args]) == EXIT_CONFIG
+    capsys.readouterr()
+    [config] = seen
+    assert {field: getattr(config, field) for _, field, _, _ in RUN_FLAGS} == {
+        field: value for _, field, _, value in RUN_FLAGS
+    }
+
+
+@pytest.fixture(scope="module")
+def seed7_run(tmp_path_factory):
+    """The seed-7 fixture and a finished run over it."""
+    root = tmp_path_factory.mktemp("seed7-run")
+    assert main(["gen-fixture", "--seed", "7", "--out", str(root / "inputs")]) == EXIT_OK
+    assert main(run_args(root / "inputs", root / "run")) == EXIT_OK
+    return root
+
+
+# A manifest parameter deleted or set to another type or range. The only
+# positive integers are list items below 10, so no value asks for
+# unbounded work.
+PARAMETER_VALUES = st.one_of(
+    st.just(MISSING),
+    st.booleans(),
+    st.text(max_size=6),
+    st.text(max_size=3).map(lambda text: text + "\x00"),
+    st.lists(st.integers(-2, 9), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 9), max_size=2),
+    st.floats(-1e3, 1e3).filter(lambda v: not v.is_integer()),
+    st.integers(-(2**70), -1),
+    st.just(float("nan")),
+)
+
+
+@pytest.mark.parametrize("key", PIPELINE_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(value=PARAMETER_VALUES)
+def test_one_manifest_parameter_changed_exits_cleanly(seed7_run, key, value):
+    """A rerun of a manifest with one parameter deleted or retyped runs,
+    or ends in exit 2 or 3, and writes nothing outside its ``--out``."""
+    text = (seed7_run / "run" / "manifest.json").read_text()
+    with tempfile.TemporaryDirectory(dir=seed7_run) as tmp, pytest.MonkeyPatch.context() as patch:
+        tmp = Path(tmp)
+        manifest, cwd, out = tmp / "manifest.json", tmp / "cwd", tmp / "out"
+        manifest.write_text(text)
+        edit_json(manifest, ("parameters", key), value)
+        cwd.mkdir()
+        patch.chdir(cwd)
+        code = main(["run", "--manifest", str(manifest), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+        assert not any(cwd.iterdir())
+        assert {p.name for p in tmp.iterdir()} <= {"manifest.json", "cwd", "out"}
 
 
 @pytest.fixture(scope="module")

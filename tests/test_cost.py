@@ -106,6 +106,11 @@ class TestLatencyTable:
         with pytest.raises(DataFormatError, match="cannot read latency table"):
             LatencyTable.from_csv(path)
 
+    @pytest.mark.parametrize("name", ["missing.csv", "lat\x00ency.csv"], ids=["missing", "nul"])
+    def test_csv_path_that_cannot_open_rejected(self, tmp_path, name):
+        with pytest.raises(DataFormatError, match="cannot read latency table"):
+            LatencyTable.from_csv(tmp_path / name)
+
     def test_csv_duplicate_rows_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(

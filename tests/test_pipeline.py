@@ -228,6 +228,25 @@ def test_search_forwards_per_greedy_run(tmp_path, eval_forwards, spec, metric, f
     assert np.mean(per_run) == pytest.approx(forwards, abs=5e-4)
 
 
+def test_search_forwards_per_bisection_run(tmp_path, eval_forwards):
+    """The sweep-wide benchmark cell, priced as the greedy cells above:
+    wide noise/bisection over ``2,3,4,5,6,8``, mean over pipeline seeds
+    35-39. Offering the whole new path right after a rejection, and
+    bounding the tails' sum at one forward, it was 9.274."""
+    inputs = write_inputs(tmp_path, 7, WIDE_BENCH)
+    per_run = []
+    for seed in range(35, 40):
+        eval_forwards.clear()
+        run_pipeline(
+            config_for(
+                inputs, tmp_path / "run", metric="noise", algo="bisection",
+                bits=(2, 3, 4, 5, 6, 8), seed=seed, epochs=DEFAULT_EPOCHS,
+            )
+        )
+        per_run.append(sum(eval_forwards[1:-1]))
+    assert np.mean(per_run) == pytest.approx(9.368, abs=5e-4)
+
+
 class TestPipelineValidation:
     def test_unknown_metric_rejected(self, small_inputs, tmp_path):
         with pytest.raises(PipelineConfigError):

@@ -20,10 +20,12 @@ import mixquant.pipeline as pipeline_module
 from mixquant.calibrate import calibrate
 from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import GraphError, forward
-from mixquant.pipeline import SPECULATION_FORWARDS, evaluate_configs
+from mixquant.pipeline import evaluate_configs
 from mixquant.quantize import quantize
 from mixquant.search import (
     QuantConfig,
+    SearchOutcome,
+    _replay,
     bisection_search,
     greedy_search,
     load_config,
@@ -243,8 +245,8 @@ class TestChainedEvaluation:
         assert [(e["tensor"], e["bits"], e["accepted"]) for e in chained.trace] == trace
 
     @settings(max_examples=100, deadline=None)
-    @given(problem=search_problems())
-    def test_offers_one_config_right_after_a_rejection(self, problem):
+    @given(search_problems(), st.sampled_from([greedy_search, bisection_search]))
+    def test_offers_one_config_right_after_a_rejection(self, problem, search):
         names, levels, oracle, fraction = problem
         offers = []
 
@@ -252,9 +254,10 @@ class TestChainedEvaluation:
             offers.append([oracle(c) for c in configs])
             return offers[-1]
 
-        outcome = greedy_search(evaluator, names, levels, fraction, 1.0)
+        outcome = search(evaluator, names, levels, fraction, 1.0)
         # the first offer is every probe, across widths, as if all were accepted
-        assert len(offers[0]) == len(names) * len(levels)
+        all_accepted = search(first_only(lambda c: 1.0), names, levels, fraction, 1.0)
+        assert len(offers[0]) == all_accepted.evals
         for answered, following in zip(offers, offers[1:]):
             if any(accuracy < outcome.target for accuracy in answered):
                 assert len(following) == 1
@@ -280,18 +283,19 @@ class TestChainedEvaluation:
         assert chained.config.bits == bits
         assert chained.achieved_accuracy == oracle(chained.config)
         assert [(e["threshold"], e["bits"], e["accepted"]) for e in chained.trace] == trace
-        # Every offer, the first and each after a rejection included, is the
-        # rest of what a sequential bisection evaluates if each config whose
-        # answer the search has not used yet is accepted.
-        used = []
+        # Every offer is the rest of what a sequential bisection evaluates
+        # if each config whose answer the search has not used yet is
+        # accepted, or only its first config right after a rejection.
+        used, after_rejection = [], False
         for offer, count in offers:
             known = {key(c): oracle(c) for c in used}
             path = sequential_bisection(
                 lambda c: known.get(key(c), 1.0), names, levels, chained.target
-            )[1]
-            assert offer == path[len(used) :]
+            )[1][len(used) :]
+            assert offer == (path[:1] if after_rejection else path)
             rejected = [oracle(c) < chained.target for c in offer[:count]] + [True]
             used += offer[: min(count, rejected.index(True) + 1)]
+            after_rejection = rejected.index(True) < count
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -318,6 +322,17 @@ class TestChainedEvaluation:
     def test_evaluator_must_answer_a_prefix(self, answered):
         with pytest.raises(RuntimeError):
             greedy_search(lambda configs: [1.0] * answered, ["a"], (8,), 0.99, 1.0)
+
+    def test_a_walk_over_its_budget_is_an_error(self):
+        config = QuantConfig({"a": 8})
+
+        def walk(probe):
+            trace = [probe(config.replace({"a": b})) for b in (8, 6, 4)]
+            return SearchOutcome(config, len(trace), 0.5, min(trace))
+
+        with pytest.raises(RuntimeError, match="used 3 evaluations, over its budget 2"):
+            _replay(first_only(lambda c: 1.0), walk, 0.5, 2)
+        assert _replay(first_only(lambda c: 1.0), walk, 0.5, 3).evals == 3
 
     @pytest.mark.parametrize("pattern", ["all-reject", "alternating", "all-accept"])
     @pytest.mark.parametrize("order", ["qe", "layers", "reversed"])
@@ -354,33 +369,33 @@ class TestChainedEvaluation:
 # test_pipeline_prefix_rule_costs_near_sequential's fake engine sees:
 # what the searches offer, and what ``_evaluate_chain`` answers of it by
 # its per-probe rule (each tail at most half of the first config's
-# forward, the tails at most ``SPECULATION_FORWARDS`` forwards together).
+# forward).
 PINNED_OFFERS = {
     ("greedy", "all-reject", "qe"): [(14, 3), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
-    ("bisection", "all-reject", "qe"): [(6, 1), (4, 4), (2, 2)],
+    ("bisection", "all-reject", "qe"): [(6, 1), (1, 1), (1, 1)],
     ("greedy", "alternating", "qe"): [
         (14, 3), (1, 1), (11, 1), (1, 1), (8, 1),
         (1, 1), (5, 2), (1, 1), (1, 1), (1, 1),
     ],
-    ("bisection", "alternating", "qe"): [(6, 1), (4, 4), (2, 2)],
+    ("bisection", "alternating", "qe"): [(6, 1), (1, 1), (1, 1)],
     ("greedy", "all-accept", "qe"): [(14, 3), (11, 2), (9, 5), (4, 2), (2, 2)],
     ("bisection", "all-accept", "qe"): [(6, 1), (5, 2), (3, 1), (2, 2)],
     ("greedy", "all-reject", "layers"): [(14, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
-    ("bisection", "all-reject", "layers"): [(6, 3), (4, 2), (2, 1)],
+    ("bisection", "all-reject", "layers"): [(6, 3), (1, 1), (1, 1)],
     ("greedy", "alternating", "layers"): [
         (14, 1), (1, 1), (11, 5), (1, 1), (8, 3),
         (1, 1), (5, 1), (1, 1), (1, 1), (1, 1),
     ],
-    ("bisection", "alternating", "layers"): [(6, 3), (4, 2), (2, 1)],
+    ("bisection", "alternating", "layers"): [(6, 3), (1, 1), (1, 1)],
     ("greedy", "all-accept", "layers"): [(14, 1), (13, 6), (7, 1), (6, 6)],
     ("bisection", "all-accept", "layers"): [(6, 3), (3, 3)],
     ("greedy", "all-reject", "reversed"): [(14, 5), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
-    ("bisection", "all-reject", "reversed"): [(6, 1), (4, 4), (2, 2)],
+    ("bisection", "all-reject", "reversed"): [(6, 1), (1, 1), (1, 1)],
     ("greedy", "alternating", "reversed"): [
         (14, 5), (1, 1), (11, 3), (1, 1), (8, 1),
         (1, 1), (5, 3), (1, 1), (1, 1), (1, 1),
     ],
-    ("bisection", "alternating", "reversed"): [(6, 1), (4, 4), (2, 2)],
+    ("bisection", "alternating", "reversed"): [(6, 1), (1, 1), (1, 1)],
     ("greedy", "all-accept", "reversed"): [(14, 5), (9, 1), (8, 6), (2, 1), (1, 1)],
     ("bisection", "all-accept", "reversed"): [(6, 1), (5, 1), (4, 2), (2, 1), (1, 1)],
 }
@@ -440,20 +455,15 @@ def chains(draw, names):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_pipeline_answers_the_longest_prefix_within_both_bounds(wide_model, data):
+def test_pipeline_answers_the_longest_prefix_within_the_tail_bound(wide_model, data):
     """``_evaluate_chain`` answers the longest prefix of a chain in which
     every config after the first has a tail of at most half the first's
-    forward and the tails sum to at most ``SPECULATION_FORWARDS``
-    forwards, as ``graph.chain_macs`` prices them."""
+    forward, as ``graph.chain_macs`` prices them."""
     configs = data.draw(chains(wide_model.weight_tensor_names()))
     forward_macs, *tails = config_chain_macs(wide_model, configs)
 
     def within(count):
-        answered = tails[: count - 1]
-        return (
-            all(2 * tail <= forward_macs for tail in answered)
-            and sum(answered) <= SPECULATION_FORWARDS * forward_macs
-        )
+        return all(2 * tail <= forward_macs for tail in tails[: count - 1])
 
     expected = max(count for count in range(1, len(configs) + 1) if within(count))
     seen = []
