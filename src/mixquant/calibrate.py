@@ -20,18 +20,14 @@ written.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
 from . import graph
 from .graph import KIND_AFFINE, Dataset, GraphError, ModelGraph, on_workers
-from .modelio import json_number, read_json, write_json
 from .quantize import QuantSpec, lattice
-
-SPECS_FORMAT = "mixquant-quant-specs"
 
 DEFAULT_LEARNING_RATE = 1e-5
 DEFAULT_EPOCHS = 20
@@ -47,6 +43,8 @@ class AdjustmentDivergedError(RuntimeError):
 @dataclass
 class CalibrationOutcome:
     """Calibrated specs per tensor plus the loss trace of any adjustment run."""
+
+    FORMAT: ClassVar[str] = "mixquant-quant-specs"
 
     specs: dict[str, QuantSpec]
     adjustment_log: list[float] = field(default_factory=list)
@@ -191,26 +189,3 @@ def _descend(
         )
         for (width, log), alphas, gammas in zip(logs.items(), *scales.tolist())
     }
-
-
-def save_specs(outcome: CalibrationOutcome, path: str | Path) -> None:
-    """Serialize an outcome as JSON with full round-trip float precision."""
-    write_json(path, SPECS_FORMAT, asdict(outcome))
-
-
-def _parse_specs(payload: dict) -> CalibrationOutcome:
-    return CalibrationOutcome(
-        specs={
-            name: QuantSpec(
-                alpha=json_number(s["alpha"]),
-                gamma=json_number(s["gamma"]),
-                bits=json_number(s["bits"], integer=True),
-            )
-            for name, s in payload["specs"].items()
-        },
-        adjustment_log=[json_number(v) for v in payload["adjustment_log"]],
-    )
-
-
-def load_specs(path: str | Path) -> CalibrationOutcome:
-    return read_json(path, SPECS_FORMAT, _parse_specs)

@@ -1,10 +1,12 @@
 """Command-line entry points: gen-fixture, run, compare.
 
 Exit codes: 0 success, 2 invalid configuration or usage (including a
-learning rate that makes scale calibration diverge, an ``--out`` path
-that is a file or lies below one, and a run flag other than ``--out``
-next to ``--manifest``), 3 malformed or unreadable data files, 4 the
-committed configuration failed its re-evaluation against the target.
+learning rate that makes scale calibration diverge, an empty ``--out``,
+an ``--out`` directory that is a file or lies below one, a ``compare
+--out`` file that is a directory or lies below a file, and a run flag
+other than ``--out`` next to ``--manifest``), 3 malformed or unreadable
+data files, 4 the committed configuration failed its re-evaluation
+against the target.
 Unexpected failures propagate as ordinary tracebacks with exit code 1.
 """
 
@@ -140,7 +142,7 @@ def _cmd_run(args) -> int:
                 f"--manifest reruns the stored parameters and takes only --out, "
                 f"not {', '.join(others)}"
             )
-        config = load_manifest(args.manifest)
+        config = load_manifest(args.manifest).parameters
         if "out_dir" in given:
             config = dataclasses.replace(config, out_dir=args.out_dir)
     else:
@@ -166,10 +168,22 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _check_out_file(out: str) -> None:
+    """Refuse a ``compare --out`` that is empty, holds a NUL, is a
+    directory or lies below a file."""
+    if not out or "\x00" in out or Path(out).is_dir():
+        raise PipelineConfigError(f"--out must name a file, got {out!r}")
+    check_out_dir(Path(out).parent)
+
+
 def _cmd_compare(args) -> int:
+    out = args.out_file
+    if out is not None:
+        _check_out_file(out)
     comparison = compare_runs(args.runs)
-    if args.out_file:
-        write_json(args.out_file, COMPARISON_FORMAT, comparison)
+    if out is not None:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        write_json(out, COMPARISON_FORMAT, comparison)
     _print_comparison(comparison)
     return EXIT_OK
 

@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from .graph import KIND_AFFINE, GraphError, ModelGraph
 from .modelio import DataFormatError, new_file
@@ -96,6 +97,8 @@ class LatencyTable:
 
 @dataclass(frozen=True)
 class CostReport:
+    FORMAT: ClassVar[str] = "mixquant-cost-report"
+
     size_bytes: float
     latency_us: float
     relative_size: float

@@ -11,19 +11,23 @@ as well as run artifacts, goes through :func:`write_json` and
 :func:`read_json`, and this module alone owns their envelope and their
 parse-error policy. :func:`write_json` adds ``format`` and ``version`` to a
 body in one byte-stable layout. :func:`read_json` checks that a file is a
-JSON object of the expected ``format``, runs the caller's parser on it, and
-turns any missing key or wrongly typed value the parser trips over into one
-:class:`DataFormatError` naming the file and its format. Parsers read
-every number through :func:`json_number`, which takes no bool, string or,
-where a count or width is due, fraction. A run artifact's
-body is its dataclass's fields (``dataclasses.asdict``). Every file the
-package writes is a new file (:func:`new_file`), never an old one truncated
-and overwritten in place.
+JSON object of the expected ``format``, runs the caller's parser on its
+body, and turns any missing key or wrongly typed value the parser trips
+over into one :class:`DataFormatError` naming the file and its format.
+Numbers are read through :func:`json_number`, which takes no bool, string
+or, where a count or width is due, fraction. A run record is a dataclass
+with a ``FORMAT``, and its fields are its schema: :func:`write_record`
+writes them, and :func:`read_record` reads them back through :func:`decode`.
+Every file the package writes is a new file (:func:`new_file`), never an
+old one truncated and overwritten in place.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import typing
 from pathlib import Path
 from typing import Any, Callable
 
@@ -63,8 +67,9 @@ def write_json(path: str | Path, fmt: str, body: dict) -> None:
 
 
 def read_json(path: str | Path, expected_format: str, parse: Callable[[dict], Any] = dict) -> Any:
-    """``parse`` of the JSON object in ``path``, whose ``format`` must be
-    ``expected_format``; by default a copy of the object.
+    """``parse`` of the body of the JSON object in ``path``, whose ``format``
+    must be ``expected_format``; by default the body itself. The body is
+    the object without its ``format`` and ``version`` keys.
 
     An unreadable file, invalid JSON, a non-object or another format all
     raise :class:`DataFormatError`, and so does any ``AttributeError``,
@@ -76,8 +81,9 @@ def read_json(path: str | Path, expected_format: str, parse: Callable[[dict], An
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise DataFormatError(f"{path} is not a {expected_format!r} file")
+    body = {key: value for key, value in payload.items() if key not in ("format", "version")}
     try:
-        return parse(payload)
+        return parse(body)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise DataFormatError(f"malformed {expected_format!r} file {path}: {detail}") from exc
@@ -96,6 +102,56 @@ def json_number(value: Any, integer: bool = False) -> int | float:
     if type(value) is float and not integer:
         return value
     raise TypeError(f"expected {'an integer' if integer else 'a number'}, got {value!r}")
+
+
+@functools.cache
+def _field_types(kind: type) -> dict[str, Any]:
+    """Each field of the dataclass ``kind`` and its resolved annotation."""
+    hints = typing.get_type_hints(kind)
+    return {field.name: hints[field.name] for field in dataclasses.fields(kind)}
+
+
+def decode(value: Any, kind: Any) -> Any:
+    """The loaded JSON ``value`` as ``kind``: a dataclass, from an object
+    holding exactly its fields' keys, each decoded by its annotation;
+    ``dict[str, T]``; ``list[T]`` or ``tuple[T, ...]``, from a list;
+    ``int`` or ``float``, through :func:`json_number`; ``str``; or a bare
+    ``dict``, kept as it is. Any other value raises ``TypeError`` or
+    ``ValueError``, prefixed with the dataclass fields it lies under.
+    """
+    if kind in (int, float):
+        return json_number(value, integer=kind is int)
+    origin = typing.get_origin(kind) or (dict if dataclasses.is_dataclass(kind) else kind)
+    if not isinstance(value, (list, tuple) if origin in (list, tuple) else origin):
+        raise TypeError(f"expected a {kind.__name__}, got {value!r}")
+    if dataclasses.is_dataclass(kind):
+        types = _field_types(kind)
+        for problem, keys in ("missing", types.keys() - value), ("unknown", value.keys() - types):
+            if keys:
+                raise ValueError(f"{problem} key {min(keys)!r}")
+        decoded = {}
+        for name, field_kind in types.items():
+            try:
+                decoded[name] = decode(value[name], field_kind)
+            except (TypeError, ValueError) as exc:
+                raise type(exc)(f"{name}: {exc}") from exc
+        return kind(**decoded)
+    args = typing.get_args(kind)
+    if origin is dict and args:
+        return {key: decode(item, args[1]) for key, item in value.items()}
+    if origin in (list, tuple) and args:
+        return origin(decode(item, args[0]) for item in value)
+    return value
+
+
+def write_record(path: str | Path, record: Any) -> None:
+    """Write the dataclass ``record``'s fields under its ``FORMAT``."""
+    write_json(path, record.FORMAT, dataclasses.asdict(record))
+
+
+def read_record(path: str | Path, kind: type) -> Any:
+    """The ``kind`` record in ``path``, as :func:`write_record` wrote it."""
+    return read_json(path, kind.FORMAT, lambda body: decode(body, kind))
 
 
 def _blob_path(manifest_path: Path, payload: dict, key: str) -> Path:

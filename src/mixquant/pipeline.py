@@ -23,9 +23,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -35,11 +35,10 @@ from .calibrate import (
     DEFAULT_LEARNING_RATE,
     adjust_scales,
     calibrate,
-    save_specs,
 )
 from .cost import CostReport, LatencyTable, cost_report
 from .graph import Dataset, GraphError, ModelGraph, chain_accuracies, chain_macs, one_blas_thread
-from .modelio import json_number, load_dataset, load_model, read_json, write_json
+from .modelio import decode, load_dataset, load_model, read_json, read_record, write_record
 from .quantize import MAX_BITS, MIN_BITS, QuantSpec, quantize
 from .rng import substream
 from .search import (
@@ -50,9 +49,6 @@ from .search import (
     accepts,
     bisection_search,
     greedy_search,
-    load_outcome,
-    save_config,
-    save_outcome,
     search_levels,
 )
 from .sensitivity import (
@@ -65,17 +61,13 @@ from .sensitivity import (
     METRIC_RANDOM,
     METRICS,
     SensitivityReport,
-    load_report,
     ordering_distance,
-    save_report,
     score_hessian,
     score_noise,
     score_qe,
     score_random,
 )
 
-MANIFEST_FORMAT = "mixquant-run-manifest"
-COST_FORMAT = "mixquant-cost-report"
 COMPARISON_FORMAT = "mixquant-comparison"
 
 ALGO_BISECTION = "bisection"
@@ -84,21 +76,6 @@ ALGOS = (ALGO_BISECTION, ALGO_GREEDY)
 
 # Per-stage sample counts for the two disjoint calibration-file subsets.
 DEFAULT_STAGE_SAMPLES = 256
-
-
-# PipelineConfig fields that take a path string, an int, or an int or a
-# float; a bool is neither number, although Python counts it as an int.
-# Paths are checked in ``validate`` only, so a placeholder may be replaced.
-_PATH_FIELDS = ("model", "calib_data", "eval_data", "latency_table", "out_dir")
-_INTEGER_FIELDS = (
-    "seed",
-    "trials",
-    "epochs",
-    "baseline_bits",
-    "sensitivity_samples",
-    "calibration_samples",
-)
-_NUMBER_FIELDS = ("target", "noise_scale", "learning_rate")
 
 
 class PipelineConfigError(ValueError):
@@ -128,24 +105,22 @@ class PipelineConfig:
     calibration_samples: int = DEFAULT_STAGE_SAMPLES
 
     def validate(self) -> None:
-        for name in _PATH_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value or "\x00" in value:
-                raise PipelineConfigError(
-                    f"{name} must be a non-empty path string with no NUL, got {value!r}"
-                )
-        integers = [(name, getattr(self, name)) for name in _INTEGER_FIELDS]
-        for name, value in integers + [("bit width", b) for b in self.bits]:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise PipelineConfigError(f"{name} must be an integer, got {value!r}")
-        for name in _NUMBER_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise PipelineConfigError(f"{name} must be a number, got {value!r}")
+        """Refuse a field of another type than :func:`modelio.decode` reads, or out of range."""
+        values = vars(self)
+        try:
+            decode(values, PipelineConfig)
+        except (TypeError, ValueError) as exc:
+            raise PipelineConfigError(str(exc)) from exc
         if self.metric not in METRICS:
             raise PipelineConfigError(f"unknown metric {self.metric!r}; choose from {METRICS}")
         if self.algo not in ALGOS:
             raise PipelineConfigError(f"unknown algo {self.algo!r}; choose from {ALGOS}")
+        # every other string field is a path
+        for name, value in values.items():
+            if isinstance(value, str) and (not value or "\x00" in value):
+                raise PipelineConfigError(
+                    f"{name} must be a non-empty path string with no NUL, got {value!r}"
+                )
         if not self.bits:
             raise PipelineConfigError("at least one candidate bit width is required")
         top = min(MAX_BITS, self.baseline_bits)
@@ -166,10 +141,33 @@ class PipelineConfig:
             raise PipelineConfigError("subset sample counts must be >= 1")
 
 
+@dataclass(frozen=True)
+class RunInputs:
+    """Content digests of a run's inputs, not file hashes: the manifest
+    JSON of two same-shaped models is identical, the parameters are not."""
+
+    model_sha256: str
+    calib_data_sha256: str
+    eval_data_sha256: str
+    latency_table_sha256: str
+
+
+@dataclass(frozen=True)
+class RunManifest:
+    """What a run ran with and on: ``run --manifest`` reruns it byte for byte."""
+
+    FORMAT: ClassVar[str] = "mixquant-run-manifest"
+
+    tool_version: str
+    parameters: PipelineConfig
+    inputs: RunInputs
+    baseline_accuracy: float
+
+
 @dataclass
 class RunResult:
     out_dir: Path
-    manifest: dict
+    manifest: RunManifest
     report: SensitivityReport
     outcome: SearchOutcome
     config: QuantConfig
@@ -193,11 +191,14 @@ class _Stage:
 
 
 def check_out_dir(path: str | Path) -> None:
-    """Refuse an output directory that is a file or lies below one.
+    """Refuse an output directory that is empty or holds a NUL, is a file,
+    or lies below one.
 
     Called before any work, so such a path fails fast instead of after a
     whole run. A directory that does not exist yet is fine.
     """
+    if not str(path) or "\x00" in str(path):
+        raise PipelineConfigError(f"output path {str(path)!r} must be non-empty with no NUL")
     path = Path(path)
     for existing in (path, *path.parents):
         if existing.exists():
@@ -375,27 +376,24 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     with _Stage("write-artifacts"):
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "tool_version": __version__,
-            "parameters": asdict(config),
-            "inputs": {
-                # content digests, not file hashes: the manifest JSON of two
-                # same-shaped models is identical, the parameters are not
-                "model_sha256": model.parameter_digest(),
-                "calib_data_sha256": calib_data.digest(),
-                "eval_data_sha256": eval_data.digest(),
-                "latency_table_sha256": _sha256(Path(config.latency_table)),
-            },
-            "baseline_accuracy": baseline_accuracy,
-        }
-        write_json(out_dir / "manifest.json", MANIFEST_FORMAT, manifest)
-        save_report(report, out_dir / "sensitivity.json")
-        save_config(outcome.config, out_dir / "config.json")
-        save_outcome(outcome, out_dir / "outcome.json")
-        write_json(out_dir / "cost.json", COST_FORMAT, asdict(cost))
+        inputs = RunInputs(
+            model_sha256=model.parameter_digest(),
+            calib_data_sha256=calib_data.digest(),
+            eval_data_sha256=eval_data.digest(),
+            latency_table_sha256=_sha256(Path(config.latency_table)),
+        )
+        manifest = RunManifest(__version__, config, inputs, baseline_accuracy)
         spec_files = {f"specs-{bits}bit.json": b for bits, b in bank_outcomes.items()}
-        for name, outcome_b in spec_files.items():
-            save_specs(outcome_b, out_dir / name)
+        records = {
+            "manifest.json": manifest,
+            "sensitivity.json": report,
+            "config.json": outcome.config,
+            "outcome.json": outcome,
+            "cost.json": cost,
+            **spec_files,
+        }
+        for name, record in records.items():
+            write_record(out_dir / name, record)
         # An earlier run into the same directory may have had other widths,
         # and another run into it may remove a stale file first.
         for stale in out_dir.glob("specs-*bit.json"):
@@ -413,42 +411,26 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     )
 
 
-def _manifest_config(payload: dict) -> PipelineConfig:
-    params = dict(payload["parameters"])
-    params.pop("probes", None)  # written by versions that sampled Hessian traces
-    params["bits"] = tuple(params["bits"])
-    config = PipelineConfig(**params)
-    config.validate()
-    return config
+def load_manifest(path: str | Path) -> RunManifest:
+    """The run manifest in ``path``, whose parameters must validate."""
 
+    def parse(body: dict) -> RunManifest:
+        body["parameters"].pop("probes", None)  # written by versions that sampled Hessian traces
+        manifest = decode(body, RunManifest)
+        manifest.parameters.validate()
+        return manifest
 
-def load_manifest(path: str | Path) -> PipelineConfig:
-    """Rebuild the PipelineConfig a manifest was written from."""
-    return read_json(path, MANIFEST_FORMAT, _manifest_config)
-
-
-def _run_manifest(payload: dict) -> tuple[PipelineConfig, str]:
-    """A run's config and the digest of the model it ran on."""
-    digest = payload["inputs"]["model_sha256"]
-    if not isinstance(digest, str):
-        raise TypeError(f"model_sha256 must be a string, got {digest!r}")
-    return _manifest_config(payload), digest
-
-
-def _parse_cost(payload: dict) -> CostReport:
-    return CostReport(*(json_number(payload[f.name]) for f in fields(CostReport)))
+    return read_json(path, RunManifest.FORMAT, parse)
 
 
 def _load_run(run_dir: Path) -> dict:
-    """Everything ``compare`` reads from a run directory, through the typed loaders."""
-    config, model_sha256 = read_json(run_dir / "manifest.json", MANIFEST_FORMAT, _run_manifest)
+    """Every record ``compare`` reads from a run directory."""
     return {
         "dir": run_dir,
-        "config": config,
-        "model_sha256": model_sha256,
-        "cost": read_json(run_dir / "cost.json", COST_FORMAT, _parse_cost),
-        "outcome": load_outcome(run_dir / "outcome.json"),
-        "report": load_report(run_dir / "sensitivity.json"),
+        "manifest": load_manifest(run_dir / "manifest.json"),
+        "cost": read_record(run_dir / "cost.json", CostReport),
+        "outcome": read_record(run_dir / "outcome.json", SearchOutcome),
+        "report": read_record(run_dir / "sensitivity.json", SensitivityReport),
     }
 
 
@@ -464,14 +446,14 @@ def compare_runs(run_dirs) -> dict:
     if len(runs) < 2:
         raise PipelineConfigError("compare needs at least two run directories")
 
-    model_hashes = {r["model_sha256"] for r in runs}
+    model_hashes = {r["manifest"].inputs.model_sha256 for r in runs}
     if len(model_hashes) != 1:
         raise PipelineConfigError("runs were produced from different models")
 
     labels = _distinct_labels([r["dir"] for r in runs])
     rows = []
     for label, run in zip(labels, runs):
-        config, outcome = run["config"], run["outcome"]
+        config, outcome = run["manifest"].parameters, run["outcome"]
         rows.append(
             {
                 "run": label,

@@ -19,16 +19,11 @@ The outcome does not depend on how many answers the evaluator gives.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from .graph import GraphError
-from .modelio import json_number, read_json, write_json
 from .quantize import MAX_BITS, MIN_BITS
-
-CONFIG_FORMAT = "mixquant-quant-config"
-OUTCOME_FORMAT = "mixquant-search-outcome"
 
 DEFAULT_BASELINE_BITS = 16
 
@@ -44,6 +39,8 @@ class QuantConfig:
     ``baseline_bits`` is the precision standing in for "not quantized";
     tensors left at it bypass the quantizer entirely.
     """
+
+    FORMAT: ClassVar[str] = "mixquant-quant-config"
 
     bits: dict[str, int]
     baseline_bits: int = DEFAULT_BASELINE_BITS
@@ -78,6 +75,8 @@ class SearchOutcome:
     baseline accuracy), ``trace`` one entry per probe whose answer the
     search used.
     """
+
+    FORMAT: ClassVar[str] = "mixquant-search-outcome"
 
     config: QuantConfig
     evals: int
@@ -258,39 +257,3 @@ def bisection_search(
 
     budget = len(levels) * (math.ceil(math.log2(max(len(names), 1))) + 2)
     return _replay(evaluator, walk, target, budget)
-
-
-def _parse_config(payload: dict) -> QuantConfig:
-    return QuantConfig(
-        bits={name: json_number(b, integer=True) for name, b in payload["bits"].items()},
-        baseline_bits=json_number(payload["baseline_bits"], integer=True),
-    )
-
-
-def save_config(config: QuantConfig, path: str | Path) -> None:
-    write_json(path, CONFIG_FORMAT, asdict(config))
-
-
-def load_config(path: str | Path) -> QuantConfig:
-    return read_json(path, CONFIG_FORMAT, _parse_config)
-
-
-def save_outcome(outcome: SearchOutcome, path: str | Path) -> None:
-    write_json(path, OUTCOME_FORMAT, asdict(outcome))
-
-
-def _parse_outcome(payload: dict) -> SearchOutcome:
-    trace = payload["trace"]
-    if not isinstance(trace, list) or not all(isinstance(entry, dict) for entry in trace):
-        raise TypeError("the trace must be a list of objects")
-    return SearchOutcome(
-        config=_parse_config(payload["config"]),
-        evals=json_number(payload["evals"], integer=True),
-        target=json_number(payload["target"]),
-        achieved_accuracy=json_number(payload["achieved_accuracy"]),
-        trace=tuple(trace),
-    )
-
-
-def load_outcome(path: str | Path) -> SearchOutcome:
-    return read_json(path, OUTCOME_FORMAT, _parse_outcome)

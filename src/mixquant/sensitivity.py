@@ -18,19 +18,15 @@ packs their noisy copies; each pass has the clean loss first.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Mapping
+from dataclasses import dataclass
+from typing import ClassVar, Mapping
 
 import numpy as np
 
 from . import graph
 from .graph import Dataset, GraphError, ModelGraph, chain_losses, hessian_traces
-from .modelio import json_number, read_json, write_json
 from .quantize import QuantSpec, quantization_error
 from .rng import substream
-
-REPORT_FORMAT = "mixquant-sensitivity"
 
 METRIC_QE = "qe"
 METRIC_NOISE = "noise"
@@ -54,10 +50,16 @@ class TensorScore:
 class SensitivityReport:
     """Scores per tensor plus the ascending ordering they induce."""
 
+    FORMAT: ClassVar[str] = "mixquant-sensitivity"
+
     metric: str
     scores: dict[str, TensorScore]
     ordering: tuple[str, ...]
     seed: int
+
+    def __post_init__(self) -> None:
+        if sorted(self.ordering) != sorted(self.scores):
+            raise ValueError("the ordering must list every scored tensor once")
 
 
 def _build_report(metric: str, scores: dict[str, TensorScore], seed: int) -> SensitivityReport:
@@ -78,7 +80,8 @@ def score_qe(model: ModelGraph, specs: Mapping[str, QuantSpec]) -> SensitivityRe
     """Normalized RMS quantization error per weight tensor in ``specs``.
 
     Each tensor is probed at its spec's own width; the pipeline passes the
-    bank of the lowest candidate width, the most discriminative one.
+    bank of the lowest candidate width, the most discriminative one. An
+    all-zero tensor scores 0.0: any scales quantize it exactly.
     """
     if not specs:
         raise GraphError("score_qe needs at least one tensor spec")
@@ -87,7 +90,8 @@ def score_qe(model: ModelGraph, specs: Mapping[str, QuantSpec]) -> SensitivityRe
         raise GraphError(f"specs name unknown tensors: {unknown}")
     scores: dict[str, TensorScore] = {}
     for name, spec in specs.items():
-        scores[name] = _stat([quantization_error(model.parameter(name), spec)])
+        w = model.parameter(name)
+        scores[name] = _stat([quantization_error(w, spec) if np.any(w) else 0.0])
     return _build_report(METRIC_QE, scores, seed=0)
 
 
@@ -193,31 +197,3 @@ def ordering_distance(a: list[str], b: list[str]) -> int:
             )
         previous = current
     return previous[len(a)]
-
-
-def save_report(report: SensitivityReport, path: str | Path) -> None:
-    write_json(path, REPORT_FORMAT, asdict(report))
-
-
-def _parse_report(payload: dict) -> SensitivityReport:
-    scores = {
-        name: TensorScore(
-            mean=json_number(s["mean"]),
-            std=json_number(s["std"]),
-            trials=json_number(s["trials"], integer=True),
-        )
-        for name, s in payload["scores"].items()
-    }
-    ordering = payload["ordering"]
-    if not isinstance(ordering, list) or sorted(ordering) != sorted(scores):
-        raise ValueError("the ordering must list every scored tensor once")
-    return SensitivityReport(
-        metric=str(payload["metric"]),
-        scores=scores,
-        ordering=tuple(ordering),
-        seed=json_number(payload["seed"], integer=True),
-    )
-
-
-def load_report(path: str | Path) -> SensitivityReport:
-    return read_json(path, REPORT_FORMAT, _parse_report)

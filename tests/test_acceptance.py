@@ -23,7 +23,7 @@ from conftest import (
     reference_levenshtein,
     with_tensor,
 )
-from mixquant.calibrate import load_specs
+from mixquant.calibrate import CalibrationOutcome
 from mixquant.cost import model_size
 from mixquant.fixtures import build_fixture_latency_table
 from mixquant.graph import (
@@ -35,15 +35,14 @@ from mixquant.graph import (
     gradients,
     hessian_traces,
 )
-from mixquant.modelio import load_dataset, load_model, save_dataset, save_model
+from mixquant.modelio import load_dataset, load_model, read_record, save_dataset, save_model
 from mixquant.pipeline import PipelineConfig, compare_runs, run_pipeline
 from mixquant.quantize import QuantSpec, quantization_error, quantization_grid, quantize
 from mixquant.search import (
     QuantConfig,
+    SearchOutcome,
     bisection_search,
     greedy_search,
-    load_config,
-    load_outcome,
 )
 from mixquant.sensitivity import ordering_distance, score_noise
 
@@ -226,10 +225,12 @@ def test_criterion_7_end_to_end_fixture(f1, tmp_path):
     run_dir = tmp_path / "hessian"
     stored_model = load_model(inputs / "model.json")
     stored_eval = load_dataset(inputs / "eval.json")
-    stored_config = load_config(run_dir / "config.json")
-    bank = {b: load_specs(run_dir / f"specs-{b}bit.json").specs for b in (4, 8)}
+    stored_config = read_record(run_dir / "config.json", QuantConfig)
+    bank = {
+        b: read_record(run_dir / f"specs-{b}bit.json", CalibrationOutcome).specs for b in (4, 8)
+    }
     independent = quantized_accuracy(stored_model, stored_eval, bank, stored_config)
-    stored_outcome = load_outcome(run_dir / "outcome.json")
+    stored_outcome = read_record(run_dir / "outcome.json", SearchOutcome)
     assert independent >= 0.99 * baseline_accuracy
     assert independent == stored_outcome.achieved_accuracy
     assert hessian_result.cost.relative_size < 1.0

@@ -1,5 +1,6 @@
 """The one JSON layer: every artifact kind round-trips, is byte-stable and rejects foreign files."""
 
+import functools
 import json
 import shutil
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import edit_json
-from mixquant.calibrate import CalibrationOutcome, load_specs, save_specs
+from mixquant.calibrate import CalibrationOutcome
 from mixquant.cli import EXIT_DATA, main
 from mixquant.fixtures import FixtureSpec, build_fixture, build_fixture_latency_table
 from mixquant.graph import Dataset, ModelGraph
@@ -15,21 +16,15 @@ from mixquant.modelio import (
     DataFormatError,
     load_dataset,
     load_model,
-    read_json,
+    read_record,
     save_dataset,
     save_model,
     write_json,
+    write_record,
 )
-from mixquant.pipeline import (
-    COST_FORMAT,
-    PipelineConfig,
-    _parse_cost,
-    load_manifest,
-    run_pipeline,
-)
+from mixquant.pipeline import PipelineConfig, load_manifest, run_pipeline
 from mixquant.quantize import QuantSpec
-from mixquant.search import load_config, load_outcome, save_config, save_outcome
-from mixquant.sensitivity import load_report, save_report
+from mixquant.search import QuantConfig
 
 
 @pytest.fixture(scope="module")
@@ -67,28 +62,24 @@ def _written(kind, small_run, tmp_path):
     """``(path, load, original)``: a file of ``kind`` as the package writes
     it, its loader, and the object it must load back as."""
     config, result = small_run
-    run_dir = Path(config.out_dir)
     path = tmp_path / f"{kind}.json"
-    if kind == "specs":
-        original = CalibrationOutcome(
+    if kind == "manifest":
+        shutil.copy(Path(config.out_dir) / "manifest.json", path)
+        return path, load_manifest, result.manifest
+    records = {
+        "specs": CalibrationOutcome(
             specs={"a.weight": QuantSpec(alpha=1 / 3, gamma=2.718281828459045, bits=5)},
             adjustment_log=[0.9, 0.30000000000000004],
-        )
-        save_specs(original, path)
-        return path, load_specs, original
-    if kind == "sensitivity":
-        save_report(result.report, path)
-        return path, load_report, result.report
-    if kind == "config":
-        save_config(result.config, path)
-        return path, load_config, result.config
-    if kind == "outcome":
-        save_outcome(result.outcome, path)
-        return path, load_outcome, result.outcome
-    if kind == "manifest":
-        return run_dir / "manifest.json", load_manifest, config
-    if kind == "cost":
-        return run_dir / "cost.json", lambda p: read_json(p, COST_FORMAT, _parse_cost), result.cost
+        ),
+        "sensitivity": result.report,
+        "config": result.config,
+        "outcome": result.outcome,
+        "cost": result.cost,
+    }
+    if kind in records:
+        original = records[kind]
+        write_record(path, original)
+        return path, functools.partial(read_record, kind=type(original)), original
     if kind == "model":
         original = load_model(config.model)
         save_model(original, path)
@@ -134,6 +125,12 @@ def _drop(key):
         pytest.param(
             "outcome", lambda payload: payload.update(trace="oops"), id="outcome-trace-string"
         ),
+        pytest.param("cost", lambda payload: payload.update(extra=1), id="cost-unknown-key"),
+        pytest.param(
+            "manifest",
+            lambda payload: payload["parameters"].pop("seed"),
+            id="manifest-without-a-parameter",
+        ),
     ],
 )
 def test_incomplete_artifact_rejected(kind, damage, small_run, tmp_path):
@@ -172,10 +169,10 @@ def test_fractional_bit_width_rejected(small_run, tmp_path, capsys):
     _, result = small_run
     tensor = sorted(result.config.bits)[0]
     path = tmp_path / "config.json"
-    save_config(result.config, path)
+    write_record(path, result.config)
     edit_json(path, ("bits", tensor), 4.7)
     with pytest.raises(DataFormatError, match="expected an integer, got 4.7"):
-        load_config(path)
+        read_record(path, QuantConfig)
     keys = ("config", "bits", tensor)
     assert _compare_with(small_run, tmp_path, "outcome.json", keys, 4.7) == EXIT_DATA
     assert "outcome.json" in capsys.readouterr().err
@@ -183,14 +180,14 @@ def test_fractional_bit_width_rejected(small_run, tmp_path, capsys):
 
 def test_fractional_bits_and_bool_scale_rejected(tmp_path):
     path = tmp_path / "specs.json"
-    save_specs(CalibrationOutcome(specs={"a.weight": QuantSpec(0.5, 2.0, 4)}), path)
+    write_record(path, CalibrationOutcome(specs={"a.weight": QuantSpec(0.5, 2.0, 4)}))
     edit_json(path, ("specs", "a.weight", "bits"), 4.9)
     with pytest.raises(DataFormatError, match="expected an integer, got 4.9"):
-        load_specs(path)
+        read_record(path, CalibrationOutcome)
     edit_json(path, ("specs", "a.weight", "bits"), 4)
     edit_json(path, ("specs", "a.weight", "alpha"), True)
     with pytest.raises(DataFormatError, match="expected a number, got True"):
-        load_specs(path)
+        read_record(path, CalibrationOutcome)
 
 
 def test_compare_refuses_a_string_eval_count(small_run, tmp_path, capsys):

@@ -15,8 +15,6 @@ from mixquant.calibrate import (
     CalibrationOutcome,
     adjust_scales,
     calibrate,
-    load_specs,
-    save_specs,
 )
 from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import (
@@ -30,6 +28,7 @@ from mixquant.graph import (
     ModelGraph,
     forward,
 )
+from mixquant.modelio import read_record, write_record
 from mixquant.quantize import QuantSpec, quantize
 
 
@@ -393,8 +392,8 @@ class TestSpecsRoundTrip:
             adjustment_log=[0.9, 0.30000000000000004],
         )
         path = tmp_path / "specs.json"
-        save_specs(outcome, path)
-        loaded = load_specs(path)
+        write_record(path, outcome)
+        loaded = read_record(path, CalibrationOutcome)
         assert loaded.specs == outcome.specs
         assert loaded.adjustment_log == outcome.adjustment_log
 
@@ -402,4 +401,4 @@ class TestSpecsRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else", "specs": {}}')
         with pytest.raises(ValueError):
-            load_specs(path)
+            read_record(path, CalibrationOutcome)

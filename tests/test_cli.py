@@ -6,15 +6,21 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixquant.cli as cli_module
 import mixquant.pipeline as pipeline_module
-from conftest import MISSING, edit_json
+from conftest import MISSING, edit_json, with_tensor
+from mixquant.calibrate import CalibrationOutcome
 from mixquant.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TARGET, main
-from mixquant.pipeline import PipelineConfig, PipelineConfigError, load_manifest
+from mixquant.cost import CostReport
+from mixquant.modelio import DataFormatError, load_model, new_file, read_record, save_model
+from mixquant.pipeline import PipelineConfig, PipelineConfigError, RunManifest, load_manifest
+from mixquant.search import QuantConfig, SearchOutcome
+from mixquant.sensitivity import SensitivityReport
 
 SMALL_GEN = ["--dims", "8,12,12,8,2", "--calib-examples", "96", "--eval-examples", "256"]
 
@@ -71,6 +77,13 @@ class TestGenFixture:
         assert "is a file" in capsys.readouterr().err
         assert taken.read_text() == "kept"
 
+    @pytest.mark.parametrize("out", ["", "fixture\x00"], ids=["empty", "nul"])
+    def test_empty_or_nul_out_exit_config(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-fixture", "--seed", "5", "--out", out, *SMALL_GEN]) == EXIT_CONFIG
+        assert "must be non-empty with no NUL" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_reports_summary(self, tmp_path, capsys):
         out = tmp_path / "f"
         main(["gen-fixture", "--seed", "5", "--out", str(out), *SMALL_GEN])
@@ -96,7 +109,7 @@ class TestRun:
             out_dir=str(out),
             epochs=2,
         )
-        assert load_manifest(out / "manifest.json") == expected
+        assert load_manifest(out / "manifest.json").parameters == expected
 
     def test_rerun_with_fewer_widths_leaves_no_stale_specs(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
@@ -476,6 +489,85 @@ def test_one_manifest_parameter_changed_exits_cleanly(seed7_run, key, value):
         assert {p.name for p in tmp.iterdir()} <= {"manifest.json", "cwd", "out"}
 
 
+def test_qe_scores_an_all_zero_tensor_first(seed7_run, tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(seed7_run / "inputs", inputs)
+    model = load_model(inputs / "model.json")
+    zero = np.zeros_like(model.parameter("dense3.weight"))
+    save_model(with_tensor(model, "dense3.weight", zero), inputs / "model.json")
+    out = tmp_path / "run"
+    assert main(run_args(inputs, out, ["--metric", "qe"])) == EXIT_OK
+    capsys.readouterr()
+    report = read_record(out / "sensitivity.json", SensitivityReport)
+    assert report.ordering[0] == "dense3.weight"
+    assert report.scores["dense3.weight"].mean == 0.0
+
+
+# Each record file of a run, and the record it holds.
+RECORDS = {
+    "manifest.json": RunManifest,
+    "sensitivity.json": SensitivityReport,
+    "config.json": QuantConfig,
+    "outcome.json": SearchOutcome,
+    "cost.json": CostReport,
+    "specs-4bit.json": CalibrationOutcome,
+    "specs-8bit.json": CalibrationOutcome,
+}
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 20),
+    st.floats(allow_nan=True),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 20), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 20), max_size=2),
+)
+
+
+def _containers(node):
+    """Every object and list in a JSON tree, the root first."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_record_key_changed_reads_or_is_refused(seed7_run, name, data):
+    """A record file with one key, at any depth, deleted, added or set to a
+    value of another type is read or refused as malformed, and ``compare``
+    of its run exits 0 or 3."""
+    run = seed7_run / "run"
+    payload = json.loads((run / name).read_text())
+    node = data.draw(st.sampled_from(list(_containers(payload))))
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    change = data.draw(st.sampled_from(["add", "delete", "retype"] if keys else ["add"]))
+    if change == "add":
+        value = data.draw(JSON_VALUES)
+        if isinstance(node, dict):
+            node[data.draw(st.text(max_size=4).filter(lambda key: key not in node))] = value
+        else:
+            node.append(value)
+    else:
+        key = data.draw(st.sampled_from(keys))
+        if change == "delete":
+            del node[key]
+        else:
+            old = type(node[key])
+            node[key] = data.draw(JSON_VALUES.filter(lambda value: type(value) is not old))
+    with tempfile.TemporaryDirectory(dir=seed7_run) as tmp:
+        broken = Path(tmp) / "run"
+        shutil.copytree(run, broken)
+        new_file(broken / name).write_text(json.dumps(payload))
+        try:
+            read_record(broken / name, RECORDS[name])
+        except DataFormatError:
+            pass
+        assert main(["compare", str(run), str(broken)]) in (EXIT_OK, EXIT_DATA)
+
+
 @pytest.fixture(scope="module")
 def two_runs(fixture_dir, tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-cmp")
@@ -497,6 +589,27 @@ class TestCompare:
         assert "ordering edit distances" in stdout
         payload = json.loads(summary_path.read_text())
         assert len(payload["rows"]) == 2
+
+    @pytest.mark.parametrize("where", ["empty", "directory", "below-file"])
+    def test_out_that_is_no_file_exit_config(self, two_runs, tmp_path, capsys, monkeypatch, where):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = {"empty": "", "directory": str(tmp_path), "below-file": str(taken / "x.json")}
+
+        def no_run_may_be_read(run_dirs):
+            raise AssertionError("a run directory was read before --out was checked")
+
+        monkeypatch.setattr(cli_module, "compare_runs", no_run_may_be_read)
+        assert main(["compare", *map(str, two_runs), "--out", out[where]]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert taken.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_out_below_missing_directories_creates_them(self, two_runs, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "summary.json"
+        assert main(["compare", *map(str, two_runs), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert json.loads(out.read_text())["format"] == "mixquant-comparison"
 
     def test_single_run_exit_config(self, two_runs, capsys):
         assert main(["compare", str(two_runs[0])]) == EXIT_CONFIG

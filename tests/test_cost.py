@@ -1,7 +1,13 @@
 """Cost model tests: sizes, latency table, relatives."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixquant.cost import (
     LatencyTable,
@@ -10,6 +16,7 @@ from mixquant.cost import (
     model_latency,
     model_size,
 )
+from mixquant.fixtures import build_fixture_latency_table
 from mixquant.graph import KIND_AFFINE, KIND_RELU, GraphError, Layer, ModelGraph
 from mixquant.modelio import DataFormatError
 from mixquant.search import QuantConfig
@@ -120,6 +127,38 @@ class TestLatencyTable:
         )
         with pytest.raises(ValueError):
             LatencyTable.from_csv(path)
+
+
+# A CSV cell: any text, or one that parses as an integer or a float.
+CELLS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_latency_row_changed_loads_or_is_refused(f1, data):
+    """The seed-7 table with one cell replaced, or a row of arbitrary cells
+    appended, loads or is refused as malformed."""
+    model, _, _ = f1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "latency.csv"
+        build_fixture_latency_table(model).to_csv(path)
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        if data.draw(st.booleans()):
+            row = data.draw(st.sampled_from(rows))
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(CELLS)
+        else:
+            rows.append(data.draw(st.lists(CELLS, max_size=8)))
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(rows)
+        try:
+            LatencyTable.from_csv(path)
+        except DataFormatError:
+            pass
 
 
 class TestModelSize:

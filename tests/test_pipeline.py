@@ -8,9 +8,9 @@ import pytest
 
 import mixquant.pipeline as pipeline_module
 from conftest import quantized_accuracy
-from mixquant.calibrate import DEFAULT_EPOCHS, load_specs
+from mixquant.calibrate import DEFAULT_EPOCHS, CalibrationOutcome
 from mixquant.fixtures import FixtureSpec, build_fixture, build_fixture_latency_table
-from mixquant.modelio import DataFormatError, load_model, save_dataset, save_model
+from mixquant.modelio import DataFormatError, load_model, read_record, save_dataset, save_model
 from mixquant.pipeline import (
     PipelineConfig,
     PipelineConfigError,
@@ -18,8 +18,8 @@ from mixquant.pipeline import (
     load_manifest,
     run_pipeline,
 )
-from mixquant.search import load_config, load_outcome
-from mixquant.sensitivity import load_report
+from mixquant.search import QuantConfig, SearchOutcome
+from mixquant.sensitivity import SensitivityReport
 
 SMALL = FixtureSpec(dims=(8, 12, 12, 8, 2), calib_examples=96, eval_examples=256)
 WIDE = FixtureSpec(
@@ -84,27 +84,30 @@ class TestRunPipeline:
 
         eval_data = load_dataset(small_inputs / "eval.json")
         bank = {
-            bits: load_specs(out / f"specs-{bits}bit.json").specs for bits in (4, 8)
+            bits: read_record(out / f"specs-{bits}bit.json", CalibrationOutcome).specs
+            for bits in (4, 8)
         }
-        measured = quantized_accuracy(model, eval_data, bank, load_config(out / "config.json"))
+        config = read_record(out / "config.json", QuantConfig)
+        measured = quantized_accuracy(model, eval_data, bank, config)
         assert measured >= result.outcome.target
         assert measured == result.outcome.achieved_accuracy
 
     def test_saved_config_covers_all_quantizable_tensors(self, hessian_run, small_inputs):
         _, out = hessian_run
         model = load_model(small_inputs / "model.json")
-        config = load_config(out / "config.json")
+        config = read_record(out / "config.json", QuantConfig)
         assert list(config.bits) == sorted(model.weight_tensor_names())
 
     def test_manifest_round_trips_parameters(self, hessian_run, small_inputs):
         result, out = hessian_run
         rebuilt = load_manifest(out / "manifest.json")
-        assert rebuilt == config_for(small_inputs, out)
-        assert result.manifest["baseline_accuracy"] == result.baseline_accuracy
+        assert rebuilt.parameters == config_for(small_inputs, out)
+        assert rebuilt == result.manifest
+        assert result.manifest.baseline_accuracy == result.baseline_accuracy
 
     def test_search_trace_in_outcome_file(self, hessian_run):
         result, out = hessian_run
-        outcome = load_outcome(out / "outcome.json")
+        outcome = read_record(out / "outcome.json", SearchOutcome)
         assert outcome.evals == len(outcome.trace) == result.outcome.evals
 
     def test_cost_relatives_below_unity(self, hessian_run):
@@ -136,7 +139,7 @@ class TestRunPipeline:
     def test_sensitivity_ordering_drives_search_space(self, hessian_run, small_inputs):
         result, out = hessian_run
         model = load_model(small_inputs / "model.json")
-        report = load_report(out / "sensitivity.json")
+        report = read_record(out / "sensitivity.json", SensitivityReport)
         assert sorted(report.ordering) == sorted(model.weight_tensor_names())
 
 

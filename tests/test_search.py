@@ -20,6 +20,7 @@ import mixquant.pipeline as pipeline_module
 from mixquant.calibrate import calibrate
 from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import GraphError, forward
+from mixquant.modelio import read_record, write_record
 from mixquant.pipeline import evaluate_configs
 from mixquant.quantize import quantize
 from mixquant.search import (
@@ -28,10 +29,6 @@ from mixquant.search import (
     _replay,
     bisection_search,
     greedy_search,
-    load_config,
-    load_outcome,
-    save_config,
-    save_outcome,
 )
 
 
@@ -548,14 +545,14 @@ class TestPersistence:
     def test_config_round_trip(self, tmp_path):
         config = QuantConfig(bits={"a": 4, "b": 16, "c": 8})
         path = tmp_path / "config.json"
-        save_config(config, path)
-        assert load_config(path) == config
+        write_record(path, config)
+        assert read_record(path, QuantConfig) == config
 
     def test_outcome_round_trip(self, tmp_path):
         outcome = greedy_search(first_only(o1_accuracy), O1_NAMES, (4, 8), 0.99, 1.0)
         path = tmp_path / "outcome.json"
-        save_outcome(outcome, path)
-        loaded = load_outcome(path)
+        write_record(path, outcome)
+        loaded = read_record(path, SearchOutcome)
         assert loaded.config == outcome.config
         assert loaded.evals == outcome.evals
         assert loaded.target == outcome.target
@@ -568,6 +565,6 @@ class TestPersistence:
         path = tmp_path / "nope.json"
         path.write_text('{"format": "other"}')
         with pytest.raises(DataFormatError):
-            load_config(path)
+            read_record(path, QuantConfig)
         with pytest.raises(DataFormatError):
-            load_outcome(path)
+            read_record(path, SearchOutcome)

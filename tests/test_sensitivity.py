@@ -16,12 +16,12 @@ import mixquant.sensitivity as sensitivity_module
 from mixquant.calibrate import calibrate
 from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import KIND_AFFINE, Dataset, GraphError, Layer, ModelGraph, hessian_traces
+from mixquant.modelio import read_record, write_record
 from mixquant.quantize import QuantSpec, quantization_error
 from mixquant.sensitivity import (
+    SensitivityReport,
     TensorScore,
-    load_report,
     ordering_distance,
-    save_report,
     score_hessian,
     score_noise,
     score_qe,
@@ -247,14 +247,14 @@ class TestReportRoundTrip:
         model, data = make_small_ce_model()
         report = score_noise(model, data, noise_scale=0.2, trials=3, seed=9)
         path = tmp_path / "report.json"
-        save_report(report, path)
-        assert load_report(path) == report
+        write_record(path, report)
+        assert read_record(path, SensitivityReport) == report
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("{}")
         with pytest.raises(ValueError):
-            load_report(path)
+            read_record(path, SensitivityReport)
 
     def test_ordering_ascending_with_name_tiebreak(self):
         model, data = make_small_ce_model()
