@@ -26,7 +26,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from . import graph
-from .graph import KIND_AFFINE, Dataset, GraphError, ModelGraph, on_workers
+from .graph import Dataset, GraphError, ModelGraph, on_workers
 from .quantize import QuantSpec, lattice
 
 DEFAULT_LEARNING_RATE = 1e-5
@@ -67,7 +67,7 @@ def calibrate(model: ModelGraph, bits: int) -> dict[str, QuantSpec]:
 def _taped_floats(model: ModelGraph, rows: int) -> int:
     """Floats of the activations one bank's taped pass keeps over ``rows``
     rows: each affine layer's output, which the relus after it overwrite."""
-    return rows * sum(l.weight.shape[0] for l in model.layers if l.kind == KIND_AFFINE)
+    return rows * sum(l.weight.shape[0] for l in model.affine_layers)
 
 
 def adjust_scales(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-from .graph import KIND_AFFINE, GraphError, ModelGraph
+from .graph import GraphError, ModelGraph
 from .modelio import DataFormatError, new_file
 from .search import QuantConfig
 
@@ -120,12 +120,10 @@ def model_size(model: ModelGraph, config: QuantConfig) -> float:
     travels at the same precision as its weights. Activation tensors
     occupy no model storage and are excluded.
     """
-    total_bits = 0
-    for layer in model.layers:
-        if layer.kind != KIND_AFFINE:
-            continue
-        numel = layer.weight.size + layer.bias.size
-        total_bits += numel * _layer_bits(layer, config)
+    total_bits = sum(
+        (layer.weight.size + layer.bias.size) * _layer_bits(layer, config)
+        for layer in model.affine_layers
+    )
     return total_bits / 8
 
 
@@ -137,13 +135,9 @@ def model_latency(model: ModelGraph, config: QuantConfig, table: LatencyTable) -
     bit width. Relu layers are treated as free.
     """
     total = 0.0
-    for layer in model.layers:
-        if layer.kind != KIND_AFFINE:
-            continue
+    for layer in model.affine_layers:
         out_dim, in_dim = layer.weight.shape
-        total += table.lookup(
-            KIND_MATMUL, out_dim, 1, in_dim, _layer_bits(layer, config)
-        )
+        total += table.lookup(KIND_MATMUL, out_dim, 1, in_dim, _layer_bits(layer, config))
     return total
 
 

@@ -23,7 +23,7 @@ from .graph import (
     GraphError,
     Layer,
     ModelGraph,
-    _blocked_logits,
+    _chain_logits,
     forward,
 )
 from .rng import substream
@@ -91,7 +91,7 @@ def build_fixture(
     rng = substream(seed, "fixture", "examples")
     features = _f32(rng.normal(0.0, 1.0, size=(pool_n, spec.dims[0])))
 
-    logits = _blocked_logits(model, features, {})
+    [logits] = _chain_logits(model, features, [{}])
     top2 = np.sort(logits, axis=1)[:, -2:]
     margin = top2[:, 1] - top2[:, 0]
     cutoff = np.quantile(margin, 1.0 - spec.margin_keep)
@@ -133,9 +133,7 @@ def build_fixture_latency_table(
     share their rows.
     """
     table = LatencyTable()
-    for layer in model.layers:
-        if layer.kind != KIND_AFFINE:
-            continue
+    for layer in model.affine_layers:
         out_dim, in_dim = layer.weight.shape
         for bits in bit_widths:
             if (KIND_MATMUL, out_dim, 1, in_dim, int(bits)) in table.entries:

@@ -6,8 +6,11 @@ are frozen read-only arrays, so a loaded model can be shared freely
 across threads. The one way to evaluate altered weights is to pass
 :func:`forward` a map of replacement arrays, one per named weight tensor;
 the stored parameters stay untouched. Callers quantize or perturb the
-weights themselves, and activations always stay in float. The engine
-alone decides three rules its callers rely on:
+weights themselves, and activations always stay in float. A
+:class:`ModelGraph` lists its affine layers and maps its parameter
+tensors by name once, when it is built; every caller that needs the
+weight layers or a tensor reads them there. The engine alone decides
+three rules its callers rely on:
 
 - **Where a chained map resumes.** Untaped passes (:func:`forward`,
   :func:`chain_accuracies`, :func:`chain_losses`) run the rows one block
@@ -146,48 +149,42 @@ class ModelGraph:
             else:
                 raise GraphError(f"layer {layer.name!r} has unknown kind {layer.kind!r}")
         self.layers: tuple[Layer, ...] = tuple(checked)
+        self.affine_layers: tuple[Layer, ...] = tuple(l for l in checked if l.kind == KIND_AFFINE)
+        self._parameters = {f"{l.name}.{part}": getattr(l, part)
+                            for l in self.affine_layers for part in ("weight", "bias")}
 
     @property
     def input_dim(self) -> int:
-        for layer in self.layers:
-            if layer.kind == KIND_AFFINE:
-                return layer.weight.shape[1]
-        raise GraphError("model has no affine layer, input width is undefined")
+        if not self.affine_layers:
+            raise GraphError("model has no affine layer, input width is undefined")
+        return self.affine_layers[0].weight.shape[1]
 
     @property
     def output_dim(self) -> int:
-        for layer in reversed(self.layers):
-            if layer.kind == KIND_AFFINE:
-                return layer.weight.shape[0]
-        raise GraphError("model has no affine layer, output width is undefined")
+        if not self.affine_layers:
+            raise GraphError("model has no affine layer, output width is undefined")
+        return self.affine_layers[-1].weight.shape[0]
 
     def parameter_names(self) -> list[str]:
-        return [f"{l.name}.{part}" for l in self.layers if l.kind == KIND_AFFINE
-                for part in ("weight", "bias")]
+        return list(self._parameters)
 
     def parameter(self, name: str) -> np.ndarray:
-        layer_name, _, field = name.rpartition(".")
-        for layer in self.layers:
-            if layer.name == layer_name and layer.kind == KIND_AFFINE:
-                if field == "weight":
-                    return layer.weight
-                if field == "bias":
-                    return layer.bias
-        raise GraphError(f"unknown parameter tensor {name!r}")
+        try:
+            return self._parameters[name]
+        except KeyError:
+            raise GraphError(f"unknown parameter tensor {name!r}") from None
 
     def weight_tensor_names(self) -> list[str]:
-        return [f"{l.name}.weight" for l in self.layers if l.kind == KIND_AFFINE]
+        return [f"{l.name}.weight" for l in self.affine_layers]
 
     def parameter_count(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers if l.kind == KIND_AFFINE)
+        return sum(p.size for p in self._parameters.values())
 
     def parameter_digest(self) -> str:
         """SHA-256 over all parameter bytes, for mutation checks."""
         h = hashlib.sha256()
-        for layer in self.layers:
-            if layer.kind == KIND_AFFINE:
-                h.update(layer.weight)  # C-contiguous: hashed in place, not copied
-                h.update(layer.bias)
+        for values in self._parameters.values():
+            h.update(values)  # C-contiguous: hashed in place, not copied
         return h.hexdigest()
 
 
@@ -402,7 +399,7 @@ def _resume_starts(model: ModelGraph, changed: Sequence[Collection[str]]) -> lis
 def chain_macs(model: ModelGraph, changed: Sequence[Collection[str]]) -> list[int]:
     """Multiply-adds per row of each map of a chained pass, given the weight names
     each map after the first changes from the one before (as :func:`_resume_starts`)."""
-    macs = [model.parameter(name).size for name in model.weight_tensor_names()]
+    macs = [layer.weight.size for layer in model.affine_layers]
     return [sum(macs[start:]) for start in _resume_starts(model, changed)]
 
 
@@ -497,13 +494,6 @@ def _chain_logits(
     return logits
 
 
-def _blocked_logits(
-    model: ModelGraph, x: np.ndarray, weights: Mapping[str, np.ndarray]
-) -> np.ndarray:
-    """Logits of ``x`` under ``weights``, computed block of rows by block of rows."""
-    return _chain_logits(model, x, [weights])[0]
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -530,10 +520,6 @@ def _head(
     return losses, ((logits - targets) / n if gradient else None)
 
 
-def _head_loss(model: ModelGraph, logits: np.ndarray, labels: np.ndarray) -> float:
-    return float(_head(model, logits, labels, gradient=False)[0])
-
-
 def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     # argmax takes the lowest index on ties, so the result is deterministic.
     return float(np.mean(np.argmax(logits, axis=1) == labels))
@@ -558,11 +544,9 @@ def forward(
     all logits at once, exactly as for a whole-split pass.
     """
     replaced = _check_compat(model, data, weights)
-    logits = _blocked_logits(model, data.features, replaced)
-    return EvalResult(
-        loss=_head_loss(model, logits, data.labels),
-        accuracy=_accuracy(logits, data.labels),
-    )
+    [logits] = _chain_logits(model, data.features, [replaced])
+    loss, _ = _head(model, logits, data.labels, gradient=False)
+    return EvalResult(loss=float(loss), accuracy=_accuracy(logits, data.labels))
 
 
 def chain_accuracies(
@@ -602,7 +586,7 @@ def chain_losses(
     """
     checked = [_check_compat(model, data, weights) for weights in maps]
     logits = _chain_logits(model, data.features, checked)
-    return [_head_loss(model, map_logits, data.labels) for map_logits in logits]
+    return [float(_head(model, map_logits, data.labels, False)[0]) for map_logits in logits]
 
 
 def _relu_backward(g: np.ndarray, output: np.ndarray) -> np.ndarray:

@@ -11,15 +11,17 @@ as well as run artifacts, goes through :func:`write_json` and
 :func:`read_json`, and this module alone owns their envelope and their
 parse-error policy. :func:`write_json` adds ``format`` and ``version`` to a
 body in one byte-stable layout. :func:`read_json` checks that a file is a
-JSON object of the expected ``format``, runs the caller's parser on its
-body, and turns any missing key or wrongly typed value the parser trips
-over into one :class:`DataFormatError` naming the file and its format.
+JSON object of the expected ``format`` at version 1, runs the caller's
+parser on its body, and turns any missing key or wrongly typed value the
+parser trips over into one :class:`DataFormatError` naming the file and
+its format.
 Numbers are read through :func:`json_number`, which takes no bool, string
 or, where a count or width is due, fraction. A run record is a dataclass
 with a ``FORMAT``, and its fields are its schema: :func:`write_record`
 writes them, and :func:`read_record` reads them back through :func:`decode`.
-Every file the package writes is a new file (:func:`new_file`), never an
-old one truncated and overwritten in place.
+A blob named by a manifest is read and length-checked by
+:func:`_read_blob` alone. Every file the package writes is a new file
+(:func:`new_file`), never an old one truncated and overwritten in place.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ def read_json(path: str | Path, expected_format: str, parse: Callable[[dict], An
     must be ``expected_format``; by default the body itself. The body is
     the object without its ``format`` and ``version`` keys.
 
-    An unreadable file, invalid JSON, a non-object or another format all
-    raise :class:`DataFormatError`, and so does any ``AttributeError``,
+    An unreadable file, invalid JSON, a non-object, another format or a
+    ``version`` other than the JSON integer 1 all raise
+    :class:`DataFormatError`, and so does any ``AttributeError``,
     ``KeyError``, ``TypeError`` or ``ValueError`` raised by ``parse``.
     """
     try:
@@ -81,6 +84,8 @@ def read_json(path: str | Path, expected_format: str, parse: Callable[[dict], An
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise DataFormatError(f"{path} is not a {expected_format!r} file")
+    if type(payload.get("version")) is not int or payload["version"] != 1:  # JSON true == 1
+        raise DataFormatError(f"{path} is version {payload.get('version')!r}, not 1")
     body = {key: value for key, value in payload.items() if key not in ("format", "version")}
     try:
         return parse(body)
@@ -154,12 +159,20 @@ def read_record(path: str | Path, kind: type) -> Any:
     return read_json(path, kind.FORMAT, lambda body: decode(body, kind))
 
 
-def _blob_path(manifest_path: Path, payload: dict, key: str) -> Path:
-    """The file ``payload[key]`` names, next to the manifest."""
+def _read_blob(manifest_path: Path, payload: dict, key: str, size: Any) -> bytes:
+    """The bytes of the file ``payload[key]`` names next to the manifest,
+    which must be exactly ``size`` of them."""
     name = payload.get(key)
     if not isinstance(name, str):
         raise DataFormatError(f"{manifest_path}: {key!r} must be a file name, got {name!r}")
-    return manifest_path.parent / name
+    path = manifest_path.parent / name
+    try:
+        blob = path.read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        raise DataFormatError(f"cannot read {key} blob {path}: {exc}") from exc
+    if len(blob) != size:
+        raise DataFormatError(f"{path} holds {len(blob)} bytes, manifest says {size}")
+    return blob
 
 
 def save_model(model: ModelGraph, manifest_path: str | Path) -> None:
@@ -199,18 +212,10 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
     """Load a model file pair written by :func:`save_model`."""
     manifest_path = Path(manifest_path)
     payload = read_json(manifest_path, MODEL_FORMAT)
-    blob_path = _blob_path(manifest_path, payload, "blob")
     entries = payload.get("layers")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise DataFormatError(f"{manifest_path}: 'layers' must be a list of layer objects")
-    try:
-        blob = blob_path.read_bytes()
-    except (OSError, ValueError) as exc:
-        raise DataFormatError(f"cannot read parameter blob {blob_path}: {exc}") from exc
-    if len(blob) != payload.get("blob_bytes"):
-        raise DataFormatError(
-            f"{blob_path} holds {len(blob)} bytes, manifest says {payload.get('blob_bytes')}"
-        )
+    blob = _read_blob(manifest_path, payload, "blob", payload.get("blob_bytes"))
     layers = []
     extents: list[tuple[int, int]] = []  # (start, end) byte range of every tensor
     for entry in entries:
@@ -282,19 +287,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     )
     if n < 0 or d < 0:
         raise DataFormatError(f"{manifest_path}: {n} examples of {d} features")
-    features_path = _blob_path(manifest_path, payload, "features")
-    labels_path = _blob_path(manifest_path, payload, "labels")
-    try:
-        raw_x = features_path.read_bytes()
-        raw_y = labels_path.read_bytes()
-    except (OSError, ValueError) as exc:
-        raise DataFormatError(f"cannot read dataset blobs: {exc}") from exc
-    if len(raw_x) != 4 * n * d:
-        raise DataFormatError(
-            f"{features_path} holds {len(raw_x)} bytes, expected {4 * n * d}"
-        )
-    if len(raw_y) != 4 * n:
-        raise DataFormatError(f"{labels_path} holds {len(raw_y)} bytes, expected {4 * n}")
+    raw_x = _read_blob(manifest_path, payload, "features", 4 * n * d)
+    raw_y = _read_blob(manifest_path, payload, "labels", 4 * n)
     # Dataset makes the one float64/int64 copy of these views of the blobs
     features = np.frombuffer(raw_x, dtype="<f4").reshape(n, d)
     labels = np.frombuffer(raw_y, dtype="<u4")

@@ -33,6 +33,7 @@ from . import __version__
 from .calibrate import (
     DEFAULT_EPOCHS,
     DEFAULT_LEARNING_RATE,
+    CalibrationOutcome,
     adjust_scales,
     calibrate,
 )
@@ -383,21 +384,15 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             latency_table_sha256=_sha256(Path(config.latency_table)),
         )
         manifest = RunManifest(__version__, config, inputs, baseline_accuracy)
-        spec_files = {f"specs-{bits}bit.json": b for bits, b in bank_outcomes.items()}
-        records = {
-            "manifest.json": manifest,
-            "sensitivity.json": report,
-            "config.json": outcome.config,
-            "outcome.json": outcome,
-            "cost.json": cost,
-            **spec_files,
-        }
-        for name, record in records.items():
+        files = _record_files(levels)
+        specs = [bank_outcomes[bits] for bits in levels]
+        records = [manifest, report, outcome.config, outcome, cost, *specs]
+        for name, record in zip(files, records, strict=True):
             write_record(out_dir / name, record)
         # An earlier run into the same directory may have had other widths,
         # and another run into it may remove a stale file first.
         for stale in out_dir.glob("specs-*bit.json"):
-            if stale.name not in spec_files:
+            if stale.name not in files:
                 stale.unlink(missing_ok=True)
 
     return RunResult(
@@ -423,15 +418,30 @@ def load_manifest(path: str | Path) -> RunManifest:
     return read_json(path, RunManifest.FORMAT, parse)
 
 
-def _load_run(run_dir: Path) -> dict:
-    """Every record ``compare`` reads from a run directory."""
+def _record_files(levels: Sequence[int]) -> dict[str, type]:
+    """The record of a run searching ``levels`` by file name, in the order the run
+    writes them, and its type: the manifest, the report, the config, the outcome,
+    the cost and one specs file per width."""
     return {
-        "dir": run_dir,
-        "manifest": load_manifest(run_dir / "manifest.json"),
-        "cost": read_record(run_dir / "cost.json", CostReport),
-        "outcome": read_record(run_dir / "outcome.json", SearchOutcome),
-        "report": read_record(run_dir / "sensitivity.json", SensitivityReport),
+        "manifest.json": RunManifest,
+        "sensitivity.json": SensitivityReport,
+        "config.json": QuantConfig,
+        "outcome.json": SearchOutcome,
+        "cost.json": CostReport,
+        **{f"specs-{bits}bit.json": CalibrationOutcome for bits in levels},
     }
+
+
+def _load_run(run_dir: Path) -> dict:
+    """Every record of a run directory by file name, and the directory under ``"dir"``."""
+    manifest = load_manifest(run_dir / "manifest.json")
+    levels = search_levels(manifest.parameters.bits, manifest.parameters.baseline_bits)
+    records = {
+        name: read_record(run_dir / name, kind)
+        for name, kind in _record_files(levels).items()
+        if kind is not RunManifest
+    }
+    return {"dir": run_dir, "manifest.json": manifest, **records}
 
 
 def compare_runs(run_dirs) -> dict:
@@ -446,14 +456,14 @@ def compare_runs(run_dirs) -> dict:
     if len(runs) < 2:
         raise PipelineConfigError("compare needs at least two run directories")
 
-    model_hashes = {r["manifest"].inputs.model_sha256 for r in runs}
+    model_hashes = {r["manifest.json"].inputs.model_sha256 for r in runs}
     if len(model_hashes) != 1:
         raise PipelineConfigError("runs were produced from different models")
 
     labels = _distinct_labels([r["dir"] for r in runs])
     rows = []
     for label, run in zip(labels, runs):
-        config, outcome = run["manifest"].parameters, run["outcome"]
+        config, outcome = run["manifest.json"].parameters, run["outcome.json"]
         rows.append(
             {
                 "run": label,
@@ -463,8 +473,8 @@ def compare_runs(run_dirs) -> dict:
                 "target": config.target,
                 "achieved_accuracy": outcome.achieved_accuracy,
                 "evals": outcome.evals,
-                "relative_size": run["cost"].relative_size,
-                "relative_latency": run["cost"].relative_latency,
+                "relative_size": run["cost.json"].relative_size,
+                "relative_latency": run["cost.json"].relative_latency,
             }
         )
 
@@ -489,24 +499,17 @@ def compare_runs(run_dirs) -> dict:
             }
         )
 
-    name_sets = {frozenset(r["report"].ordering) for r in runs}
+    orderings = [list(r["sensitivity.json"].ordering) for r in runs]
+    name_sets = {frozenset(ordering) for ordering in orderings}
     if len(name_sets) != 1:
         raise PipelineConfigError(
             "sensitivity orderings cover different tensor sets; cannot compare"
         )
     distances = []
-    for i, run_a in enumerate(runs):
+    for i in range(len(runs)):
         for j in range(i + 1, len(runs)):
-            run_b = runs[j]
-            distances.append(
-                {
-                    "a": labels[i],
-                    "b": labels[j],
-                    "distance": ordering_distance(
-                        list(run_a["report"].ordering), list(run_b["report"].ordering)
-                    ),
-                }
-            )
+            distance = ordering_distance(orderings[i], orderings[j])
+            distances.append({"a": labels[i], "b": labels[j], "distance": distance})
 
     return {
         "rows": rows,

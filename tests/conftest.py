@@ -23,7 +23,6 @@ from mixquant.graph import (
     _check_compat,
     _run_layers,
     _softmax,
-    chain_macs,
     forward,
     gradients,
     loss_and_gradients,
@@ -58,20 +57,13 @@ def workers(monkeypatch):
     return use
 
 
-def config_chain_macs(model, configs):
-    """``graph.chain_macs`` of a chain of configs, each changing the tensors
-    whose widths differ from its predecessor's; the first is a whole forward."""
-    names = model.weight_tensor_names()
-    changed = [{n for n in names if a.bits[n] != b.bits[n]} for a, b in zip(configs, configs[1:])]
-    return chain_macs(model, changed)
-
-
 @pytest.fixture
 def eval_forwards(monkeypatch):
     """Forwards of multiply-adds of each ``pipeline.evaluate_configs`` call, in call order.
 
     A spy: every call still runs, and adds the multiply-adds of the
-    configs it answers, by :func:`config_chain_macs`, over one forward's.
+    configs it answers, priced by the evaluator's own ``pipeline._chain_macs``,
+    over one forward's.
     It prices evaluation with no clock. A run's first call is its baseline
     and its last the verification, one forward each; the search's lie
     between.
@@ -80,7 +72,7 @@ def eval_forwards(monkeypatch):
     evaluate = pipeline_module.evaluate_configs
 
     def spy(model, data, specs_by_bits, configs):
-        macs = config_chain_macs(model, configs)
+        macs = pipeline_module._chain_macs(model, configs)
         calls.append(sum(macs) / macs[0])
         return evaluate(model, data, specs_by_bits, configs)
 

@@ -568,6 +568,49 @@ def test_one_record_key_changed_reads_or_is_refused(seed7_run, name, data):
         assert main(["compare", str(run), str(broken)]) in (EXIT_OK, EXIT_DATA)
 
 
+@pytest.mark.parametrize("version", [7, [], True], ids=["seven", "list", "true"])
+def test_compare_refuses_a_record_of_another_version(seed7_run, tmp_path, capsys, version):
+    broken = tmp_path / "broken"
+    shutil.copytree(seed7_run / "run", broken)
+    edit_json(broken / "cost.json", ("version",), version)
+    assert main(["compare", str(seed7_run / "run"), str(broken)]) == EXIT_DATA
+    assert "cost.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest", ["model", "run"])
+def test_run_refuses_a_manifest_of_another_version(seed7_run, tmp_path, capsys, manifest):
+    inputs, rerun, out = tmp_path / "inputs", tmp_path / "rerun.json", tmp_path / "out"
+    shutil.copytree(seed7_run / "inputs", inputs)
+    shutil.copy(seed7_run / "run" / "manifest.json", rerun)
+    if manifest == "model":
+        edit_json(inputs / "model.json", ("version",), 2)
+        args = run_args(inputs, out)
+    else:
+        edit_json(rerun, ("version",), 2)
+        args = ["run", "--manifest", str(rerun), "--out", str(out)]
+    assert main(args) == EXIT_DATA
+    assert "version 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["config-not-json", "specs-missing", "untouched"])
+def test_compare_reads_every_record_a_run_writes(seed7_run, tmp_path, capsys, damage):
+    run, copy = seed7_run / "run", tmp_path / "copy"
+    shutil.copytree(run, copy)
+    if damage == "config-not-json":
+        (copy / "config.json").write_text("{nope")
+    elif damage == "specs-missing":
+        (copy / "specs-4bit.json").unlink()
+    expected = EXIT_OK if damage == "untouched" else EXIT_DATA
+    assert main(["compare", str(run), str(copy)]) == expected
+    capsys.readouterr()
+
+
+def test_a_run_writes_exactly_the_records_compare_reads(seed7_run):
+    written = sorted(p.name for p in (seed7_run / "run").iterdir())
+    assert written == sorted(pipeline_module._record_files([8, 4]))  # the default widths
+
+
 @pytest.fixture(scope="module")
 def two_runs(fixture_dir, tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-cmp")
@@ -634,9 +677,10 @@ class TestCompare:
         elif damage == "format":
             path.write_text('{"format": "mixquant-something-else"}')
         elif damage == "body":
-            # right format, but every other top-level field is a list
+            # right format and version, but every other top-level field is a list
             payload = json.loads(path.read_text())
-            path.write_text(json.dumps({k: v if k == "format" else [] for k, v in payload.items()}))
+            envelope = ("format", "version")
+            path.write_text(json.dumps({k: v if k in envelope else [] for k, v in payload.items()}))
         else:
             # one field the comparison table prints or hashes gets a wrong type
             payload = json.loads(path.read_text())

@@ -45,9 +45,9 @@ from mixquant.graph import (
     Layer,
     ModelGraph,
     _accuracy,
-    _blocked_logits,
+    _chain_logits,
     _chained_blocks,
-    _head_loss,
+    _head,
     on_workers,
     _relu_backward,
     _run_layers,
@@ -90,7 +90,8 @@ def random_split(model, rows, seed=0):
 def whole_split_result(model, data, weights):
     """Logits and result of the taped pass, which runs all rows at once."""
     logits, _ = _run_layers(model, data.features, weights)
-    return logits, EvalResult(_head_loss(model, logits, data.labels), _accuracy(logits, data.labels))
+    loss = float(_head(model, logits, data.labels, gradient=False)[0])
+    return logits, EvalResult(loss, _accuracy(logits, data.labels))
 
 
 class TestModelValidation:
@@ -140,6 +141,35 @@ class TestModelValidation:
         for name in ("d1.out", "r1.out"):
             with pytest.raises(GraphError, match="unknown tensors"):
                 forward(model, data, {name: np.ones((1, 3))})
+
+    @pytest.mark.parametrize("name", ["relu1.weight", "dense1.gamma", "dense1", "dense9.weight"])
+    def test_parameter_refuses_a_name_it_does_not_hold(self, f1, name):
+        with pytest.raises(GraphError, match=f"unknown parameter tensor '{name}'"):
+            f1[0].parameter(name)
+
+    def test_parameter_names_list_weight_then_bias_in_layer_order(self):
+        model = ModelGraph(
+            [
+                Layer("r0", KIND_RELU),
+                Layer("z", KIND_AFFINE, np.ones((3, 2)), np.zeros(3)),
+                Layer("r1", KIND_RELU),
+                Layer("a", KIND_AFFINE, np.ones((2, 3)), np.full(2, 0.5)),
+            ]
+        )
+        assert model.parameter_names() == ["z.weight", "z.bias", "a.weight", "a.bias"]
+        assert model.parameter("a.bias").tolist() == [0.5, 0.5]
+        assert model.parameter_count() == 6 + 3 + 6 + 2
+
+    @pytest.mark.parametrize(
+        "which, digest",
+        [
+            ("seed7", "6d31c0e0fcc68e21411355737e1a6378ae5843a16c56733a5705c9dc0d21f970"),
+            ("wide", "8b20062e6f41d2d60203a4ce23c56f73a4b002a7fa23437347371393fccb5a0b"),
+        ],
+    )
+    def test_parameter_digest_is_pinned(self, f1, which, digest):
+        model = f1[0] if which == "seed7" else build_fixture_model(7, FixtureSpec(WIDE_DIMS))
+        assert model.parameter_digest() == digest
 
 
 class TestDatasetValidation:
@@ -269,7 +299,7 @@ class TestBlockedForward:
             specs = calibrate(model, 4)
             weights = {name: quantize(model.parameter(name), s) for name, s in specs.items()}
         logits, result = whole_split_result(model, data, weights)
-        assert np.array_equal(_blocked_logits(model, data.features, weights), logits)
+        assert np.array_equal(_chain_logits(model, data.features, [weights])[0], logits)
         assert forward(model, data, weights) == result
 
     def test_relu_first_model_leaves_features_untouched(self):
@@ -285,7 +315,7 @@ class TestBlockedForward:
         rows = 3 * block_rows(model) + 5
         x = rng.normal(size=(rows, 4))
         before = x.copy()
-        blocked = _blocked_logits(model, x, {})
+        blocked = _chain_logits(model, x, [{}])[0]
         assert np.array_equal(x, before)  # a writable caller array is not clamped either
         # Dataset features are read-only, so an in-place relu on them would raise.
         data = Dataset(x, rng.integers(0, 3, size=rows), 3)
@@ -740,7 +770,7 @@ class TestParallelBlocks:
         accuracies = chain_accuracies(model, data, chain)
         losses = chain_losses(model, data, chain)
         workers(count)
-        assert np.array_equal(_blocked_logits(model, data.features, weights), logits)
+        assert np.array_equal(_chain_logits(model, data.features, [weights])[0], logits)
         assert forward(model, data, weights) == result
         assert chain_accuracies(model, data, chain) == accuracies
         assert chain_losses(model, data, chain) == losses

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     O1_NAMES,
-    config_chain_macs,
     first_only,
     make_small_ce_model,
     o1_accuracy,
@@ -457,7 +456,7 @@ def test_pipeline_answers_the_longest_prefix_within_the_tail_bound(wide_model, d
     every config after the first has a tail of at most half the first's
     forward, as ``graph.chain_macs`` prices them."""
     configs = data.draw(chains(wide_model.weight_tensor_names()))
-    forward_macs, *tails = config_chain_macs(wide_model, configs)
+    forward_macs, *tails = pipeline_module._chain_macs(wide_model, configs)
 
     def within(count):
         return all(2 * tail <= forward_macs for tail in tails[: count - 1])
