@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 invalid configuration or usage (including a
 learning rate that makes scale calibration diverge, an empty ``--out``,
-an ``--out`` directory that is a file or lies below one, a ``compare
+an ``--out`` directory that is a file or a symlink to no directory, or
+lies below one, a ``compare
 --out`` file that is a directory or lies below a file, and a run flag
 other than ``--out`` next to ``--manifest``), 3 malformed or unreadable
 data files, 4 the committed configuration failed its re-evaluation

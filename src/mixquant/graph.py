@@ -7,10 +7,12 @@ across threads. The one way to evaluate altered weights is to pass
 :func:`forward` a map of replacement arrays, one per named weight tensor;
 the stored parameters stay untouched. Callers quantize or perturb the
 weights themselves, and activations always stay in float. A
-:class:`ModelGraph` lists its affine layers and maps its parameter
-tensors by name once, when it is built; every caller that needs the
-weight layers or a tensor reads them there. The engine alone decides
-three rules its callers rely on:
+:class:`ModelGraph` builds, once, its affine layers, its parameter tensors
+by name and the normal form of its chain that every pass walks: whether a
+relu acts on the features and whether one follows each affine layer (a
+run of relus acts as one, relu being idempotent). ``layers`` keeps the
+chain as listed, for saving. The engine alone decides three rules its
+callers rely on:
 
 - **Where a chained map resumes.** Untaped passes (:func:`forward`,
   :func:`chain_accuracies`, :func:`chain_losses`) run the rows one block
@@ -21,13 +23,13 @@ three rules its callers rely on:
   :func:`chain_macs` prices a chain by that rule.
 - **How stacked work splits.** :func:`stack_groups` packs calibration
   banks or noisy copies, in order, into groups within :data:`STACK_FLOATS`.
-- **How the reverse sweep descends.** A taped pass keeps each affine
-  layer's output over the whole split; a relu overwrites the output it
-  follows, which no sweep reads. One lazy sweep yields the gradient in
-  each affine layer's output, last layer first, and moves down only when
-  asked: :func:`loss_and_gradients` reduces it to parameter gradients,
-  which scale calibration reduces and drops in turn, and
-  :func:`hessian_traces` to row norms.
+- **How the reverse sweep descends.** A taped pass keeps one tape per
+  affine layer over the whole split: its input, and its output, which
+  the relu after it, if any, overwrites in place. One lazy sweep yields
+  the gradient in each affine layer's output, last layer first, and
+  moves down only when asked: :func:`loss_and_gradients` reduces it to
+  parameter gradients, which scale calibration reduces and drops in
+  turn, and :func:`hessian_traces` to row norms.
 
 The row blocks of an untaped pass are independent, so while BLAS runs
 one thread, as :func:`one_blas_thread` holds it for a run, they are
@@ -118,6 +120,7 @@ class ModelGraph:
         checked: list[Layer] = []
         names: set[str] = set()
         dim: int | None = None
+        relus = [False]  # a relu on the features, then one after each affine layer
         for layer in layers:
             if layer.name in names:
                 raise GraphError(f"duplicate layer name {layer.name!r}")
@@ -142,14 +145,18 @@ class ModelGraph:
                     )
                 dim = w.shape[0]
                 checked.append(Layer(layer.name, KIND_AFFINE, w, b))
+                relus.append(False)
             elif layer.kind == KIND_RELU:
                 if layer.weight is not None or layer.bias is not None:
                     raise GraphError(f"relu layer {layer.name!r} takes no parameters")
                 checked.append(Layer(layer.name, KIND_RELU))
+                relus[-1] = True
             else:
                 raise GraphError(f"layer {layer.name!r} has unknown kind {layer.kind!r}")
         self.layers: tuple[Layer, ...] = tuple(checked)
         self.affine_layers: tuple[Layer, ...] = tuple(l for l in checked if l.kind == KIND_AFFINE)
+        self.relu_first: bool = relus[0]
+        self.relu_after: tuple[bool, ...] = tuple(relus[1:])
         self._parameters = {f"{l.name}.{part}": getattr(l, part)
                             for l in self.affine_layers for part in ("weight", "bias")}
 
@@ -239,10 +246,11 @@ class EvalResult:
 
 @dataclass
 class _LayerTape:
-    layer: Layer
+    layer: Layer  # an affine layer
     inputs: np.ndarray  # activations entering the layer
-    output: np.ndarray  # activations leaving the layer; a relu after an affine overwrites them
-    weight_used: np.ndarray | None = None
+    output: np.ndarray  # activations leaving it, after its relu if it has one
+    weight_used: np.ndarray
+    relu: bool
 
 
 def _check_compat(
@@ -275,27 +283,30 @@ def _check_compat(
     return checked
 
 
+def _affine(a: np.ndarray, weight: np.ndarray, layer: Layer, relu: bool) -> np.ndarray:
+    """``a @ weight.T + bias`` as a new array, and the relu after it in place when
+    ``relu`` is set: the one step of both the taped and the chained pass."""
+    z = a @ weight.swapaxes(-1, -2)
+    z += layer.bias
+    if relu:
+        np.maximum(z, 0.0, out=z)
+    return z
+
+
 def _run_layers(
     model: ModelGraph, x: np.ndarray, weights: Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, list[_LayerTape]]:
-    """Logits of ``x`` and the tape of every layer, over all rows at once.
+    """Logits of ``x`` and the tape of every affine layer, over all rows at once.
 
     ``x`` is ``(..., rows, features)`` and a weight ``(..., out, in)``;
     leading axes broadcast, and the product is taken slice by slice.
     """
     tapes: list[_LayerTape] = []
-    a = x
-    for layer in model.layers:
-        w = None
-        if layer.kind == KIND_AFFINE:
-            w = weights.get(f"{layer.name}.weight", layer.weight)
-            z = a @ w.swapaxes(-1, -2)
-            z += layer.bias
-        else:
-            # in place unless on the caller's features: no reverse sweep reads
-            # the output of the affine layer below, only this relu's
-            z = np.maximum(a, 0.0) if a is x else np.maximum(a, 0.0, out=a)
-        tapes.append(_LayerTape(layer, a, z, w))
+    a = np.maximum(x, 0.0) if model.relu_first else x  # never write into the caller's features
+    for layer, relu in zip(model.affine_layers, model.relu_after):
+        w = weights.get(f"{layer.name}.weight", layer.weight)
+        z = _affine(a, w, layer, relu)
+        tapes.append(_LayerTape(layer, a, z, w, relu))
         a = z
     return a, tapes
 
@@ -439,43 +450,27 @@ def _chained_blocks(
     ``lo:hi`` of its outputs. The logits are the engine's own buffer;
     read them, never write.
     """
-    lead = 0  # relus below the first affine layer
-    segments: list[list] = []  # [affine layer, relus after it]
-    for layer in model.layers:
-        if layer.kind == KIND_AFFINE:
-            segments.append([layer, 0])
-        elif segments:
-            segments[-1][1] += 1
-        else:
-            lead += 1
-    names = model.weight_tensor_names()
-    used = [[m.get(n, l.weight) for n, (l, _) in zip(names, segments)] for m in maps]
+    layers, names = model.affine_layers, model.weight_tensor_names()
+    used = [[m.get(n, l.weight) for n, l in zip(names, layers)] for m in maps]
     changed = [{n for n, w, v in zip(names, b, a) if w is not v} for a, b in zip(used, used[1:])]
     starts = _resume_starts(model, changed)
     last_resume = {start: k for k, start in enumerate(starts)}
     n = x.shape[0]
-    widest = max(l.weight.shape[0] for l, _ in segments)
+    widest = max(l.weight.shape[0] for l in layers)
     blocks = max(1, n // max(1, FORWARD_BLOCK_FLOATS // widest))
 
     def run(first: int, stop: int) -> None:
         for b in range(first, stop):
             lo, hi = n * b // blocks, n * (b + 1) // blocks
-            a = x[lo:hi]
-            for r in range(lead):
-                # never write into the caller's features
-                a = np.maximum(a, 0.0) if r == 0 else np.maximum(a, 0.0, out=a)
-            held = {0: a}  # inputs by segment, as the latest map computed them
+            a = np.maximum(x[lo:hi], 0.0) if model.relu_first else x[lo:hi]
+            held = {0: a}  # inputs by affine layer, as the latest map computed them
             for k, (weights, start) in enumerate(zip(used, starts)):
-                if start < len(segments):
+                if start < len(layers):
                     a = held[start] if last_resume[start] > k else held.pop(start)
-                for i in range(start, len(segments)):
+                for i in range(start, len(layers)):
                     if i > start and last_resume.get(i, -1) > k:
                         held[i] = a
-                    layer, relus = segments[i]
-                    a = a @ weights[i].T
-                    a += layer.bias
-                    for _ in range(relus):
-                        np.maximum(a, 0.0, out=a)
+                    a = _affine(a, weights[i], layers[i], model.relu_after[i])
                 visit(k, lo, hi, a)
 
     on_workers(blocks, run)
@@ -611,14 +606,11 @@ def _sweep(tapes: list[_LayerTape], g: np.ndarray) -> Iterator[tuple[_LayerTape,
     that layer's output, to read and never write. The sweep moves down a
     layer only when the caller asks for the next item.
     """
-    first = next(i for i, tape in enumerate(tapes) if tape.layer.kind == KIND_AFFINE)
-    for i in range(len(tapes) - 1, first - 1, -1):
-        tape = tapes[i]
-        if tape.layer.kind == KIND_RELU:
+    for tape in reversed(tapes):
+        if tape.relu:
             g = _relu_backward(g, tape.output)
-            continue
         yield tape, g
-        if i > first:
+        if tape is not tapes[0]:
             g = g @ tape.weight_used
 
 

@@ -14,8 +14,8 @@ configs in one chained engine pass. The search's chains go through
 config past the first has a tail of at most half of the first config's
 forward, in multiply-adds as the engine prices them. The baseline and
 the final verification, judged by the searches' accept test, evaluate
-one config each. An output path that is a file, or lies below one, is
-refused before any stage runs.
+one config each. An output path that is a file or a symlink that leads to
+no directory, or lies below one, is refused before any stage runs.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Mapping, Sequence
@@ -192,8 +193,9 @@ class _Stage:
 
 
 def check_out_dir(path: str | Path) -> None:
-    """Refuse an output directory that is empty or holds a NUL, is a file,
-    or lies below one.
+    """Refuse an output directory that is empty or holds a NUL, or whose
+    path holds an existing name that is not a directory: a file, or a
+    symlink that dangles, loops or leads to a file.
 
     Called before any work, so such a path fails fast instead of after a
     whole run. A directory that does not exist yet is fine.
@@ -202,11 +204,11 @@ def check_out_dir(path: str | Path) -> None:
         raise PipelineConfigError(f"output path {str(path)!r} must be non-empty with no NUL")
     path = Path(path)
     for existing in (path, *path.parents):
-        if existing.exists():
+        if os.path.lexists(existing):  # a symlink counts even when it leads nowhere
             if not existing.is_dir():
                 raise PipelineConfigError(
                     f"output directory {str(path)!r} is not a directory: "
-                    f"{str(existing)!r} is a file"
+                    f"{str(existing)!r} is a file or a link to no directory"
                 )
             return
 

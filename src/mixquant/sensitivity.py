@@ -12,8 +12,9 @@ The noise metric draws from a private substream per tensor (stream id
 is the tensor's position in the scored list), so scores do not depend on
 evaluation order or grouping. Its losses, one per tensor per trial, come
 from chained engine passes (:func:`chain_losses`), one per group of
-tensors, last tensor first, as :func:`~mixquant.graph.stack_groups`
-packs their noisy copies; each pass has the clean loss first.
+perturbations, last tensor first, as :func:`~mixquant.graph.stack_groups`
+packs their noisy copies one (tensor, trial) at a time; each pass has the
+clean loss first.
 """
 
 from __future__ import annotations
@@ -108,32 +109,32 @@ def score_noise(
     ``noise_scale * max|w|``, the noisy array is passed to the engine in
     place of the stored tensor, and the score is the perturbed-minus-clean
     loss. Mean and spread are taken over ``trials`` independent draws.
-    Tensors go last first, in groups whose ``trials`` noisy copies fit
-    :data:`~mixquant.graph.STACK_FLOATS` (:func:`~mixquant.graph.stack_groups`).
-    Each group's losses, its own clean one first, come from one
-    chained pass, and each equals that of a :func:`forward` of its own.
+    Tensors go last first, and their noisy copies, one per tensor and
+    trial, in groups that fit :data:`~mixquant.graph.STACK_FLOATS`
+    (:func:`~mixquant.graph.stack_groups`), so a group may end inside one
+    tensor's trials. Each group's losses, its own clean one first, come
+    from one chained pass, and each equals that of a :func:`forward` of
+    its own.
     """
     if trials < 1:
         raise GraphError(f"trials must be >= 1, got {trials}")
     if not noise_scale >= 0:  # also rejects NaN
         raise GraphError(f"noise_scale must be >= 0, got {noise_scale}")
     names = model.weight_tensor_names()
+    tensors = [model.parameter(name) for name in names]
+    sigmas = [noise_scale * float(np.max(np.abs(w))) for w in tensors]
     # Last tensor first, so each perturbed map resumes at its own layer;
     # every tensor draws from its own substream, so neither the order nor
     # the groups move a draw.
-    order = range(len(names))[::-1]
-    floats = [trials * model.parameter(names[index]).size for index in order]
+    rngs = [substream(seed, "noise", index) for index in range(len(names))]
+    order = [index for index in range(len(names))[::-1] for _ in range(trials)]
     samples: dict[str, list[float]] = {name: [] for name in names}
-    for group in graph.stack_groups(floats):
+    for group in graph.stack_groups([tensors[index].size for index in order]):
         maps: list[dict[str, np.ndarray]] = [{}]  # the clean map first
         for index in (order[i] for i in group):
-            name = names[index]
-            w = model.parameter(name)
-            sigma = noise_scale * float(np.max(np.abs(w)))
-            rng = substream(seed, "noise", index)
-            for _ in range(trials):
-                noisy = w + rng.normal(0.0, sigma, size=w.shape) if sigma > 0 else w
-                maps.append({name: noisy})
+            w, sigma = tensors[index], sigmas[index]
+            noisy = w + rngs[index].normal(0.0, sigma, size=w.shape) if sigma > 0 else w
+            maps.append({names[index]: noisy})
         clean, *losses = chain_losses(model, data, maps)
         for [name], loss in zip(maps[1:], losses):
             samples[name].append(loss - clean)

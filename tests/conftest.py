@@ -21,7 +21,6 @@ from mixquant.graph import (
     Layer,
     ModelGraph,
     _check_compat,
-    _run_layers,
     _softmax,
     forward,
     gradients,
@@ -207,21 +206,38 @@ def central_difference_hvp(model, data, tensor, v, eps=1e-6):
 
 
 @dataclasses.dataclass(frozen=True)
+class ROpStep:
+    """One layer of an :func:`r_op_tape` forward, relu or affine, as listed."""
+
+    layer: Layer
+    inputs: np.ndarray
+    output: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
 class ROpTape:
     """One taped forward pass, reused by any number of :func:`r_op_hvp` calls."""
 
     model: ModelGraph
     data: Dataset
-    layers: tuple
+    layers: tuple[ROpStep, ...]
     probs: np.ndarray | None  # softmax of the logits; None for squared error
 
 
 def r_op_tape(model, data):
-    """Record the activations that :func:`r_op_hvp` needs."""
+    """Record the activations that :func:`r_op_hvp` needs.
+
+    A numpy forward of its own over ``model.layers``, every relu applied
+    as listed, so the oracle does not share the engine's normal form.
+    """
     _check_compat(model, data)
-    logits, tapes = _run_layers(model, data.features, {})
-    probs = _softmax(logits) if model.head == HEAD_SOFTMAX_CE else None
-    return ROpTape(model, data, tuple(tapes), probs)
+    steps, a = [], data.features
+    for layer in model.layers:
+        z = a @ layer.weight.T + layer.bias if layer.kind == KIND_AFFINE else np.maximum(a, 0.0)
+        steps.append(ROpStep(layer, a, z))
+        a = z
+    probs = _softmax(a) if model.head == HEAD_SOFTMAX_CE else None
+    return ROpTape(model, data, tuple(steps), probs)
 
 
 def r_op_hvp(model, data, tensor, v, tape=None):

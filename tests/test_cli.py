@@ -33,6 +33,26 @@ def fixture_dir(tmp_path_factory):
     return out
 
 
+# --out layouts that name, or lie below, an existing name that is not a directory
+NOT_A_DIRECTORY = ["file", "below-file", "dangling-link", "below-loop"]
+
+
+def not_a_directory(tmp_path, layout):
+    """An ``--out`` path of ``layout`` under ``tmp_path``, and the name it trips on."""
+    taken = tmp_path / "taken"
+    if layout.endswith("file"):
+        taken.write_text("kept")
+    else:
+        taken.symlink_to(tmp_path / "nowhere" if layout == "dangling-link" else taken)
+    return (taken / "out" if layout.startswith("below") else taken), taken
+
+
+def left_as_it_was(taken, layout):
+    if layout.endswith("file"):
+        return taken.read_text() == "kept"
+    return taken.is_symlink() and sorted(p.name for p in taken.parent.iterdir()) == ["taken"]
+
+
 def run_args(fixture_dir, out, extra=()):
     return [
         "run",
@@ -68,14 +88,12 @@ class TestGenFixture:
         # three shapes (12x8, 12x12, 2x12) at widths 2..16
         assert len(rows) == len(set(rows)) == 3 * 15
 
-    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
-    def test_out_that_is_a_file_exit_config(self, tmp_path, capsys, below):
-        taken = tmp_path / "taken"
-        taken.write_text("kept")
-        out = taken / "fixture" if below else taken
+    @pytest.mark.parametrize("layout", NOT_A_DIRECTORY)
+    def test_out_that_is_a_file_exit_config(self, tmp_path, capsys, layout):
+        out, taken = not_a_directory(tmp_path, layout)
         assert main(["gen-fixture", "--seed", "5", "--out", str(out), *SMALL_GEN]) == EXIT_CONFIG
         assert "is a file" in capsys.readouterr().err
-        assert taken.read_text() == "kept"
+        assert left_as_it_was(taken, layout)
 
     @pytest.mark.parametrize("out", ["", "fixture\x00"], ids=["empty", "nul"])
     def test_empty_or_nul_out_exit_config(self, tmp_path, capsys, monkeypatch, out):
@@ -286,22 +304,20 @@ class TestRun:
         # rejected while validating the parameters, before any stage ran
         assert "[stage:" not in err and not out.exists()
 
-    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("layout", NOT_A_DIRECTORY)
     def test_out_that_is_a_file_exit_config(
-        self, fixture_dir, tmp_path, capsys, monkeypatch, below
+        self, fixture_dir, tmp_path, capsys, monkeypatch, layout
     ):
-        taken = tmp_path / "taken"
-        taken.write_text("kept")
+        out, taken = not_a_directory(tmp_path, layout)
 
         def no_stage_may_run(path):
             raise AssertionError("a stage ran before the output path was checked")
 
         monkeypatch.setattr(pipeline_module, "load_model", no_stage_may_run)
-        out = taken / "run" if below else taken
         assert main(run_args(fixture_dir, out)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "is a file" in err and "[stage:" not in err
-        assert taken.read_text() == "kept"
+        assert left_as_it_was(taken, layout)
 
     def test_diverging_calibration_exit_config(self, fixture_dir, tmp_path, capsys):
         code = main(run_args(fixture_dir, tmp_path / "x", ["--lr", "1e308"]))

@@ -1,5 +1,6 @@
 """Inference engine tests: forward, reverse mode, Hessian traces and their HVP oracle."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -377,6 +378,18 @@ class BiasReads:
         return self.layer.bias
 
 
+@contextlib.contextmanager
+def bias_reads(model):
+    """Yield one :class:`BiasReads` per affine layer of ``model``, standing in for
+    its layers until the block exits."""
+    spies = tuple(BiasReads(layer) for layer in model.affine_layers)
+    model.affine_layers = spies
+    try:
+        yield spies
+    finally:
+        model.affine_layers = tuple(spy.layer for spy in spies)
+
+
 class TestChainedPass:
     @pytest.mark.parametrize("rows", ["below-block", "one-block", "ragged-blocks"])
     @pytest.mark.parametrize("which", ["seed7", "wide"])
@@ -411,15 +424,11 @@ class TestChainedPass:
         model, _, evalset = f1
         names = model.weight_tensor_names()
         q4 = quantized_bank(model, 4)
-        model.layers = tuple(BiasReads(layer) for layer in model.layers)
-        try:
-            blocks = max(1, len(evalset) // block_rows(model))
-            last, third = {names[-1]: q4[names[-1]]}, {names[2]: q4[names[2]]}
-            maps = [{}, last, dict(last), third]
-            chain_accuracies(model, evalset, maps)
-            reads = [layer.reads for layer in model.layers if layer.kind == KIND_AFFINE]
-        finally:
-            model.layers = tuple(layer.layer for layer in model.layers)
+        blocks = max(1, len(evalset) // block_rows(model))
+        last, third = {names[-1]: q4[names[-1]]}, {names[2]: q4[names[2]]}
+        with bias_reads(model) as spies:
+            chain_accuracies(model, evalset, [{}, last, dict(last), third])
+        reads = [spy.reads for spy in spies]
         # map 0 runs every layer, map 1 the last, map 2 none, map 3 from the third on
         assert reads == [blocks, blocks, 2 * blocks, 2 * blocks, 2 * blocks, 3 * blocks]
 
@@ -438,30 +447,21 @@ class TestChainedPass:
         maps.append(dict(maps[-1]))  # at none
         maps.append({**maps[-1], first: q4[first]})  # at the first
         changed = [{n for n in names if a.get(n) is not b.get(n)} for a, b in zip(maps, maps[1:])]
-        model.layers = tuple(BiasReads(layer) for layer in model.layers)
-        try:
-            work = []  # multiply-adds of each prefix of the chain, from its bias reads
-            for count in range(1, len(maps) + 1):
-                for layer in model.layers:
-                    layer.reads = 0
+        work = []  # multiply-adds of each prefix of the chain, from its bias reads
+        for count in range(1, len(maps) + 1):
+            with bias_reads(model) as spies:
                 chain_accuracies(model, data, maps[:count])
-                reads = [layer.reads for layer in model.layers if layer.kind == KIND_AFFINE]
-                work.append(sum(r * size for r, size in zip(reads, sizes)))
-        finally:
-            model.layers = tuple(layer.layer for layer in model.layers)
+            work.append(sum(spy.reads * size for spy, size in zip(spies, sizes)))
         per_map = [b - a for a, b in zip([0] + work, work)]
         assert [blocks * macs for macs in chain_macs(model, changed)] == per_map
         assert per_map[0] == blocks * sum(sizes) and per_map[3] == 0
 
     def test_noise_maps_resume_at_their_own_layer(self, f1):
         model, calib, _ = f1
-        model.layers = tuple(BiasReads(layer) for layer in model.layers)
-        try:
-            blocks = max(1, len(calib) // block_rows(model))
+        blocks = max(1, len(calib) // block_rows(model))
+        with bias_reads(model) as spies:
             score_noise(model, calib, trials=3)
-            reads = [layer.reads for layer in model.layers if layer.kind == KIND_AFFINE]
-        finally:
-            model.layers = tuple(layer.layer for layer in model.layers)
+        reads = [spy.reads for spy in spies]
         # the clean map runs every layer, and layer i each perturbation of
         # the tensors at or below it
         assert reads == [blocks * (1 + 3 * (i + 1)) for i in range(len(reads))]
@@ -1040,6 +1040,32 @@ class TestReverseSweep:
         assert np.array_equal(loss, plain_loss)
         for (name, grad), (plain_name, plain_grad) in zip(sweep, plain_sweep):
             assert name == plain_name and np.array_equal(grad, plain_grad), name
+
+    @pytest.mark.parametrize(
+        "layout",
+        [("r0", "r0+", "a", "r1", "b"), ("a", "r1", "r1+", "b"), ("a", "r1", "b", "r2", "r2+")],
+        ids=["leading", "two-in-a-row", "trailing"],
+    )
+    def test_a_run_of_relus_acts_as_one(self, layout):
+        rng = np.random.default_rng(8)
+        affine = {
+            "a": Layer("a", KIND_AFFINE, rng.normal(size=(6, 4)), rng.normal(size=6)),
+            "b": Layer("b", KIND_AFFINE, rng.normal(size=(3, 6)), rng.normal(size=3)),
+        }
+        layers = [affine.get(name, Layer(name, KIND_RELU)) for name in layout]
+        listed = ModelGraph(layers)
+        collapsed = ModelGraph([l for l in layers if not l.name.endswith("+")])
+        data = Dataset(rng.normal(size=(64, 4)), rng.integers(0, 3, size=64), 3)
+        grads, collapsed_grads = gradients(listed, data), gradients(collapsed, data)
+        assert list(grads) == list(collapsed_grads)
+        for name, grad in grads.items():
+            assert np.array_equal(grad, collapsed_grads[name]), name
+        assert hessian_traces(listed, data) == hessian_traces(collapsed, data)
+        spec = QuantSpec(1.2, 0.9, 3)
+        q = {n: quantize(listed.parameter(n), spec) for n in listed.weight_tensor_names()}
+        maps = [{}, {"b.weight": q["b.weight"]}, q, {"a.weight": q["a.weight"]}]
+        assert chain_accuracies(listed, data, maps) == chain_accuracies(collapsed, data, maps)
+        assert chain_losses(listed, data, maps) == chain_losses(collapsed, data, maps)
 
 
 class TestTapedPass:

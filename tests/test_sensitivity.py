@@ -1,5 +1,7 @@
 """Sensitivity metric tests: QE, noise, Hessian trace, random, distances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from mixquant.graph import KIND_AFFINE, Dataset, GraphError, Layer, ModelGraph, 
 from mixquant.modelio import read_record, write_record
 from mixquant.quantize import QuantSpec, quantization_error
 from mixquant.sensitivity import (
+    DEFAULT_NOISE_SCALE,
     SensitivityReport,
     TensorScore,
     ordering_distance,
@@ -101,13 +104,33 @@ class TestScoreNoise:
 
         monkeypatch.setattr(sensitivity_module, "chain_losses", spy)
         default = score_noise(model, data, trials=5)
-        # 5 copies of the last five tensors are 206,400 floats, of the
-        # first two 215,040: two groups, each with its clean map first
-        assert passes == [1 + 5 * 5, 1 + 5 * 2]
+        # 5 copies of the last five tensors are 206,400 floats, and one of
+        # the sixth 30,720 more: the sixth tensor's other 4 copies start
+        # the second group, each group with its clean map first
+        assert passes == [1 + 5 * 5 + 1, 1 + 4 + 5]
         passes.clear()
         monkeypatch.setattr(graph_module, "STACK_FLOATS", 1)
         assert score_noise(model, data, trials=5) == default
-        assert passes == [1 + 5] * 7
+        assert passes == [1 + 1] * 35
+
+    def test_noisy_copies_stay_under_the_budget_at_many_trials(self):
+        model = build_fixture_model(7, FixtureSpec((64, 192, 160, 128, 96, 64, 32, 10)))
+        rng = np.random.default_rng(1)
+        data = Dataset(rng.normal(size=(256, 64)), rng.integers(0, 10, 256), 10)
+        score_noise(model, data, trials=1)
+        tracemalloc.start()
+        try:
+            report = score_noise(model, data, trials=200, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 200 noisy copies of the 160x192 tensor alone are 47 MiB; a group
+        # holds at most STACK_FLOATS (2 MiB) of copies plus its maps' logits
+        assert peak < 12 * 2**20
+        samples = noise_samples_oracle(model, data, DEFAULT_NOISE_SCALE, trials=200, seed=3)
+        for name, values in samples.items():
+            expected = TensorScore(float(np.mean(values)), float(np.std(values)), 200)
+            assert report.scores[name] == expected, name
 
     def test_zero_scale_means_zero_scores(self):
         model, data = make_small_ce_model()
