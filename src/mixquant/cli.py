@@ -1,13 +1,8 @@
 """Command-line entry points: gen-fixture, run, compare.
 
-Exit codes: 0 success, 2 invalid configuration or usage (including a
-learning rate that makes scale calibration diverge, an empty ``--out``,
-an ``--out`` directory that is a file or a symlink to no directory, or
-lies below one, a ``compare
---out`` file that is a directory or lies below a file, and a run flag
-other than ``--out`` next to ``--manifest``), 3 malformed or unreadable
-data files, 4 the committed configuration failed its re-evaluation
-against the target.
+Exit codes: 0 success, 2 invalid configuration or usage, 3 malformed or
+unreadable data files, 4 the committed configuration failed its
+re-evaluation against the target; README "Exit codes" lists each case.
 Unexpected failures propagate as ordinary tracebacks with exit code 1.
 """
 
@@ -153,9 +148,7 @@ def _cmd_run(args) -> int:
             raise PipelineConfigError(f"missing required flags: {', '.join(missing)}")
         config = PipelineConfig(**given)
     result = run_pipeline(config)
-    bits_used = sorted(
-        {b for b in result.outcome.config.bits.values()}
-    )
+    bits_used = sorted(set(result.outcome.config.bits.values()))
     print(f"run written to {result.out_dir}")
     print(f"  baseline accuracy {result.baseline_accuracy:.4f}, target {result.outcome.target:.4f}")
     print(

@@ -30,6 +30,8 @@ from .rng import substream
 
 # Float accuracy the generated fixture must reach on its own eval split.
 MIN_FIXTURE_ACCURACY = 0.95
+# Share of the example pool kept, widest top-two logit gaps first.
+MARGIN_KEEP = 0.85
 
 DEFAULT_DIMS = (16, 24, 24, 16, 16, 8, 2)
 DEFAULT_CALIB_EXAMPLES = 512
@@ -43,7 +45,6 @@ class FixtureSpec:
     dims: tuple[int, ...] = DEFAULT_DIMS
     calib_examples: int = DEFAULT_CALIB_EXAMPLES
     eval_examples: int = DEFAULT_EVAL_EXAMPLES
-    margin_keep: float = 0.85
 
     def __post_init__(self) -> None:
         if len(self.dims) < 2 or any(d < 1 for d in self.dims):
@@ -52,8 +53,6 @@ class FixtureSpec:
             raise GraphError("the last width is the class count and must be >= 2")
         if self.calib_examples < 1 or self.eval_examples < 1:
             raise GraphError("example counts must be >= 1")
-        if not 0.0 < self.margin_keep <= 1.0:
-            raise GraphError(f"margin_keep must lie in (0, 1], got {self.margin_keep}")
 
 
 def _f32(values: np.ndarray) -> np.ndarray:
@@ -87,20 +86,17 @@ def build_fixture(
     model = build_fixture_model(seed, spec)
     num_classes = spec.dims[-1]
     wanted = spec.calib_examples + spec.eval_examples
-    pool_n = int(math.ceil(wanted / spec.margin_keep * 1.1)) + 8
+    pool_n = int(math.ceil(wanted / MARGIN_KEEP * 1.1)) + 8
     rng = substream(seed, "fixture", "examples")
     features = _f32(rng.normal(0.0, 1.0, size=(pool_n, spec.dims[0])))
 
     [logits] = _chain_logits(model, features, [{}])
     top2 = np.sort(logits, axis=1)[:, -2:]
     margin = top2[:, 1] - top2[:, 0]
-    cutoff = np.quantile(margin, 1.0 - spec.margin_keep)
+    cutoff = np.quantile(margin, 1.0 - MARGIN_KEEP)
     kept = np.flatnonzero(margin >= cutoff)
     if kept.size < wanted:
-        raise GraphError(
-            f"margin filter kept {kept.size} of {pool_n} examples, need {wanted}; "
-            "lower margin_keep or the split sizes"
-        )
+        raise GraphError(f"margin filter kept {kept.size} of {pool_n} examples, need {wanted}")
     kept = kept[:wanted]
     labels = np.argmax(logits[kept], axis=1)
 

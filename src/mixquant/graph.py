@@ -498,20 +498,19 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def _head(
     model: ModelGraph, logits: np.ndarray, labels: np.ndarray, gradient: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Mean loss of each ``(rows, classes)`` slice of ``logits``, and, when
-    ``gradient`` is set, the gradient of each slice's loss in its logits."""
+    """The loss of each row of each ``(rows, classes)`` slice of ``logits``, and, when
+    ``gradient`` is set, the gradient of each slice's mean loss in its logits."""
     n, classes = logits.shape[-2:]
     if model.head == HEAD_SOFTMAX_CE:
         shifted = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         norm = e.sum(axis=-1, keepdims=True)
-        picked = shifted[..., np.arange(n), labels]
-        losses = np.mean(np.log(norm[..., 0]) - picked, axis=-1)
+        losses = np.log(norm[..., 0]) - shifted[..., np.arange(n), labels]
         if not gradient:
             return losses, None
         return losses, (e / norm - np.eye(classes)[labels]) / n
     targets = np.eye(classes)[labels]
-    losses = np.mean(0.5 * np.sum(np.square(logits - targets), axis=-1), axis=-1)
+    losses = 0.5 * np.sum(np.square(logits - targets), axis=-1)
     return losses, ((logits - targets) / n if gradient else None)
 
 
@@ -540,8 +539,8 @@ def forward(
     """
     replaced = _check_compat(model, data, weights)
     [logits] = _chain_logits(model, data.features, [replaced])
-    loss, _ = _head(model, logits, data.labels, gradient=False)
-    return EvalResult(loss=float(loss), accuracy=_accuracy(logits, data.labels))
+    losses, _ = _head(model, logits, data.labels, gradient=False)
+    return EvalResult(loss=float(np.mean(losses)), accuracy=_accuracy(logits, data.labels))
 
 
 def chain_accuracies(
@@ -575,13 +574,18 @@ def chain_losses(
 
     The pass is :func:`chain_accuracies`'s, so a chain of maps that share
     their unchanged arrays costs one forward plus the tails below each
-    change. Every map's logits over the whole split are kept, and each
-    loss equals ``forward(model, data, map).loss`` bit for bit: the head
-    reduces each map's logits exactly as it reduces a single map's.
+    change. Only each map's row losses are kept, and each loss equals
+    ``forward(model, data, map).loss`` bit for bit: a row's loss depends
+    on its own logits alone, and the mean is taken over the same array.
     """
     checked = [_check_compat(model, data, weights) for weights in maps]
-    logits = _chain_logits(model, data.features, checked)
-    return [float(_head(model, map_logits, data.labels, False)[0]) for map_logits in logits]
+    losses = np.empty((len(checked), len(data)))
+
+    def keep(k, lo, hi, logits):
+        losses[k, lo:hi] = _head(model, logits, data.labels[lo:hi], False)[0]
+
+    _chained_blocks(model, data.features, checked, keep)
+    return [float(np.mean(row)) for row in losses]
 
 
 def _relu_backward(g: np.ndarray, output: np.ndarray) -> np.ndarray:
@@ -650,7 +654,7 @@ def loss_and_gradients(
     _check_compat(model, data)
     logits, tapes = _run_layers(model, data.features, weights)
     losses, grad_logits = _head(model, logits, data.labels, bool(wrt))
-    return losses, (_gradients(tapes, grad_logits, wrt) if wrt else iter(()))
+    return np.mean(losses, axis=-1), (_gradients(tapes, grad_logits, wrt) if wrt else iter(()))
 
 
 def gradients(

@@ -6,22 +6,17 @@ into the blob. A dataset is a JSON manifest next to a float32 feature
 blob and a uint32 label blob. Manifests reference their blobs by file
 name, so a pair (or triple) can be moved around together.
 
-Every JSON file the package writes or reads, model and dataset manifests
-as well as run artifacts, goes through :func:`write_json` and
-:func:`read_json`, and this module alone owns their envelope and their
-parse-error policy. :func:`write_json` adds ``format`` and ``version`` to a
-body in one byte-stable layout. :func:`read_json` checks that a file is a
-JSON object of the expected ``format`` at version 1, runs the caller's
-parser on its body, and turns any missing key or wrongly typed value the
-parser trips over into one :class:`DataFormatError` naming the file and
-its format.
-Numbers are read through :func:`json_number`, which takes no bool, string
-or, where a count or width is due, fraction. A run record is a dataclass
-with a ``FORMAT``, and its fields are its schema: :func:`write_record`
-writes them, and :func:`read_record` reads them back through :func:`decode`.
-A blob named by a manifest is read and length-checked by
-:func:`_read_blob` alone. Every file the package writes is a new file
-(:func:`new_file`), never an old one truncated and overwritten in place.
+Every JSON file the package writes or reads goes through :func:`write_json`
+and :func:`read_json`, which own its ``format``/``version`` envelope, its
+byte-stable layout and its parse-error policy: any missing key or wrongly
+typed value the caller's parser trips over becomes one
+:class:`DataFormatError` naming the file and its format. A record is a
+dataclass with a ``FORMAT`` whose fields are its schema, written by
+:func:`write_record` and read back through :func:`decode`. Model and
+dataset manifests are records too (:class:`ModelManifest`,
+:class:`DatasetManifest`); the blob checks (offsets, alignment, bounds,
+overlap, byte counts) follow their decoding. Every file the package
+writes is a new file (:func:`new_file`), never an old one truncated in place.
 """
 
 from __future__ import annotations
@@ -31,20 +26,58 @@ import functools
 import json
 import typing
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
 from .graph import KIND_AFFINE, KIND_RELU, Dataset, GraphError, Layer, ModelGraph
 
-MODEL_FORMAT = "mixquant-model"
-DATASET_FORMAT = "mixquant-dataset"
-_DATASET_COUNTS = ("num_examples", "feature_dim", "num_classes")
-_AFFINE_FIELDS = ("out_dim", "in_dim", "weight_offset", "bias_offset")
-
 
 class DataFormatError(ValueError):
     """A manifest or blob does not match the documented layout."""
+
+
+@dataclasses.dataclass(frozen=True)
+class ModelManifest:
+    """A model's head, its blob's file name and size, and one entry per layer."""
+
+    FORMAT: ClassVar[str] = "mixquant-model"
+
+    head: str
+    blob: str
+    blob_bytes: int
+    layers: list[dict]
+
+
+@dataclasses.dataclass(frozen=True)
+class AffineEntry:
+    """An affine layer's widths and its tensors' byte offsets in the blob."""
+
+    name: str
+    kind: str
+    out_dim: int
+    in_dim: int
+    weight_offset: int
+    bias_offset: int
+
+
+@dataclasses.dataclass(frozen=True)
+class ReluEntry:
+    name: str
+    kind: str
+
+
+@dataclasses.dataclass(frozen=True)
+class DatasetManifest:
+    """A dataset's manifest: its counts and its two blobs' file names."""
+
+    FORMAT: ClassVar[str] = "mixquant-dataset"
+
+    num_examples: int
+    feature_dim: int
+    num_classes: int
+    features: str
+    labels: str
 
 
 def new_file(path: str | Path) -> Path:
@@ -68,10 +101,10 @@ def write_json(path: str | Path, fmt: str, body: dict) -> None:
     new_file(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path, expected_format: str, parse: Callable[[dict], Any] = dict) -> Any:
+def read_json(path: str | Path, expected_format: str, parse: Callable[[dict], Any]) -> Any:
     """``parse`` of the body of the JSON object in ``path``, whose ``format``
-    must be ``expected_format``; by default the body itself. The body is
-    the object without its ``format`` and ``version`` keys.
+    must be ``expected_format``. The body is the object without its
+    ``format`` and ``version`` keys.
 
     An unreadable file, invalid JSON, a non-object, another format or a
     ``version`` other than the JSON integer 1 all raise
@@ -94,21 +127,6 @@ def read_json(path: str | Path, expected_format: str, parse: Callable[[dict], An
         raise DataFormatError(f"malformed {expected_format!r} file {path}: {detail}") from exc
 
 
-def json_number(value: Any, integer: bool = False) -> int | float:
-    """``value`` as a float, or as an int when ``integer``, if it is such a JSON number.
-
-    Anything else raises ``TypeError``, which :func:`read_json` reports as
-    a malformed file: a string, a fraction where an integer is due, and
-    true or false, which JSON loads as bools.
-    """
-    # type() rather than isinstance: JSON true/false load as bools
-    if type(value) is int:
-        return value if integer else float(value)
-    if type(value) is float and not integer:
-        return value
-    raise TypeError(f"expected {'an integer' if integer else 'a number'}, got {value!r}")
-
-
 @functools.cache
 def _field_types(kind: type) -> dict[str, Any]:
     """Each field of the dataclass ``kind`` and its resolved annotation."""
@@ -119,34 +137,40 @@ def _field_types(kind: type) -> dict[str, Any]:
 def decode(value: Any, kind: Any) -> Any:
     """The loaded JSON ``value`` as ``kind``: a dataclass, from an object
     holding exactly its fields' keys, each decoded by its annotation;
-    ``dict[str, T]``; ``list[T]`` or ``tuple[T, ...]``, from a list;
-    ``int`` or ``float``, through :func:`json_number`; ``str``; or a bare
-    ``dict``, kept as it is. Any other value raises ``TypeError`` or
-    ``ValueError``, prefixed with the dataclass fields it lies under.
+    ``dict[str, T]``; ``list[T]`` or ``tuple[T, ...]``, from a list; ``int``,
+    from an integer; ``float``, from any number; ``str``; or a bare ``dict``,
+    kept as it is. Anything else, a bool included, raises ``TypeError`` or
+    ``ValueError`` prefixed with the keys and list indices it lies under.
     """
     if kind in (int, float):
-        return json_number(value, integer=kind is int)
-    origin = typing.get_origin(kind) or (dict if dataclasses.is_dataclass(kind) else kind)
+        # type() rather than isinstance: JSON true/false load as bools
+        if type(value) is int or type(value) is kind:
+            return kind(value)
+        raise TypeError(f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+    record = dataclasses.is_dataclass(kind)
+    origin = typing.get_origin(kind) or (dict if record else kind)
     if not isinstance(value, (list, tuple) if origin in (list, tuple) else origin):
         raise TypeError(f"expected a {kind.__name__}, got {value!r}")
-    if dataclasses.is_dataclass(kind):
+    if record:
         types = _field_types(kind)
         for problem, keys in ("missing", types.keys() - value), ("unknown", value.keys() - types):
             if keys:
                 raise ValueError(f"{problem} key {min(keys)!r}")
-        decoded = {}
-        for name, field_kind in types.items():
-            try:
-                decoded[name] = decode(value[name], field_kind)
-            except (TypeError, ValueError) as exc:
-                raise type(exc)(f"{name}: {exc}") from exc
-        return kind(**decoded)
+        return kind(**{name: _decode_at(name, value[name], types[name]) for name in types})
     args = typing.get_args(kind)
     if origin is dict and args:
-        return {key: decode(item, args[1]) for key, item in value.items()}
+        return {key: _decode_at(key, item, args[1]) for key, item in value.items()}
     if origin in (list, tuple) and args:
-        return origin(decode(item, args[0]) for item in value)
+        return origin(_decode_at(index, item, args[0]) for index, item in enumerate(value))
     return value
+
+
+def _decode_at(key: Any, value: Any, kind: Any) -> Any:
+    """:func:`decode` of ``value``, found under ``key``, with ``key`` leading its errors."""
+    try:
+        return decode(value, kind)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{key}: {exc}") from exc
 
 
 def write_record(path: str | Path, record: Any) -> None:
@@ -159,17 +183,12 @@ def read_record(path: str | Path, kind: type) -> Any:
     return read_json(path, kind.FORMAT, lambda body: decode(body, kind))
 
 
-def _read_blob(manifest_path: Path, payload: dict, key: str, size: Any) -> bytes:
-    """The bytes of the file ``payload[key]`` names next to the manifest,
-    which must be exactly ``size`` of them."""
-    name = payload.get(key)
-    if not isinstance(name, str):
-        raise DataFormatError(f"{manifest_path}: {key!r} must be a file name, got {name!r}")
-    path = manifest_path.parent / name
+def _read_blob(path: Path, size: int) -> bytes:
+    """The bytes of the blob ``path``, which must be exactly ``size`` of them."""
     try:
         blob = path.read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
-        raise DataFormatError(f"cannot read {key} blob {path}: {exc}") from exc
+        raise DataFormatError(f"cannot read blob {path}: {exc}") from exc
     if len(blob) != size:
         raise DataFormatError(f"{path} holds {len(blob)} bytes, manifest says {size}")
     return blob
@@ -188,70 +207,62 @@ def save_model(model: ModelGraph, manifest_path: str | Path) -> None:
     offset = 0
     layers = []
     for layer in model.layers:
-        entry: dict = {"name": layer.name, "kind": layer.kind}
+        entry = ReluEntry(layer.name, layer.kind)
         if layer.kind == KIND_AFFINE:
             w = layer.weight.astype("<f4")
             b = layer.bias.astype("<f4")
-            entry["out_dim"], entry["in_dim"] = layer.weight.shape
-            entry["weight_offset"] = offset
-            offset += w.nbytes
-            entry["bias_offset"] = offset
-            offset += b.nbytes
-            chunks.append(w.tobytes())
-            chunks.append(b.tobytes())
-        layers.append(entry)
+            entry = AffineEntry(layer.name, layer.kind, *w.shape, offset, offset + w.nbytes)
+            offset += w.nbytes + b.nbytes
+            chunks += [w.tobytes(), b.tobytes()]
+        layers.append(dataclasses.asdict(entry))
     new_file(blob_path).write_bytes(b"".join(chunks))
-    write_json(
-        manifest_path,
-        MODEL_FORMAT,
-        {"head": model.head, "blob": blob_path.name, "blob_bytes": offset, "layers": layers},
-    )
+    write_record(manifest_path, ModelManifest(model.head, blob_path.name, offset, layers))
+
+
+def _decode_model(body: dict) -> tuple[ModelManifest, list[AffineEntry | ReluEntry]]:
+    """The model manifest ``body``, and its layer entries, each decoded as its ``kind`` says."""
+    manifest = decode(body, ModelManifest)
+    kinds = {KIND_AFFINE: AffineEntry, KIND_RELU: ReluEntry}
+    entries = []
+    for index, entry in enumerate(manifest.layers):
+        kind = entry.get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            detail = f"kind: unknown layer kind {kind!r}" if "kind" in entry else "missing key 'kind'"
+            raise ValueError(f"layers: {index}: {detail}")
+        entries.append(_decode_at(f"layers: {index}", entry, kinds[kind]))
+    return manifest, entries
 
 
 def load_model(manifest_path: str | Path) -> ModelGraph:
     """Load a model file pair written by :func:`save_model`."""
     manifest_path = Path(manifest_path)
-    payload = read_json(manifest_path, MODEL_FORMAT)
-    entries = payload.get("layers")
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise DataFormatError(f"{manifest_path}: 'layers' must be a list of layer objects")
-    blob = _read_blob(manifest_path, payload, "blob", payload.get("blob_bytes"))
-    layers = []
-    extents: list[tuple[int, int]] = []  # (start, end) byte range of every tensor
+    manifest, entries = read_json(manifest_path, ModelManifest.FORMAT, _decode_model)
+    blob = _read_blob(manifest_path.parent / manifest.blob, manifest.blob_bytes)
+    layers, extents = [], []  # extents: the (start, end) byte range of every tensor
     for entry in entries:
-        name, kind = entry.get("name"), entry.get("kind")
-        if not isinstance(name, str):
-            raise DataFormatError(f"{manifest_path}: a layer name must be a string, got {name!r}")
-        if kind == KIND_AFFINE:
-            try:
-                fields = [json_number(entry[k], integer=True) for k in _AFFINE_FIELDS]
-            except (KeyError, TypeError) as exc:
-                raise DataFormatError(
-                    f"layer {name!r}: widths and offsets must be JSON integers"
-                ) from exc
-            out_dim, in_dim, w_off, b_off = fields
-            if out_dim < 1 or in_dim < 1 or w_off < 0 or b_off < 0 or w_off % 4 or b_off % 4:
-                raise DataFormatError(
-                    f"layer {name!r} needs positive widths and "
-                    "non-negative offsets that are multiples of 4"
-                )
-            w_bytes = 4 * out_dim * in_dim
-            if w_off + w_bytes > len(blob) or b_off + 4 * out_dim > len(blob):
-                raise DataFormatError(f"layer {name!r} points past the blob")
-            extents += [(w_off, w_off + w_bytes), (b_off, b_off + 4 * out_dim)]
-            # ModelGraph makes the one float64 copy of these views of the blob
-            w = np.frombuffer(blob, dtype="<f4", count=out_dim * in_dim, offset=w_off)
-            b = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=b_off)
-            layers.append(Layer(name, KIND_AFFINE, w.reshape(out_dim, in_dim), b))
-        elif kind == KIND_RELU:
-            layers.append(Layer(name, KIND_RELU))
-        else:
-            raise DataFormatError(f"unknown layer kind {kind!r} in {manifest_path}")
+        if isinstance(entry, ReluEntry):
+            layers.append(Layer(entry.name, KIND_RELU))
+            continue
+        out_dim, in_dim = entry.out_dim, entry.in_dim
+        w_off, b_off = entry.weight_offset, entry.bias_offset
+        if out_dim < 1 or in_dim < 1 or w_off < 0 or b_off < 0 or w_off % 4 or b_off % 4:
+            raise DataFormatError(
+                f"layer {entry.name!r} needs positive widths and "
+                "non-negative offsets that are multiples of 4"
+            )
+        w_bytes = 4 * out_dim * in_dim
+        if w_off + w_bytes > len(blob) or b_off + 4 * out_dim > len(blob):
+            raise DataFormatError(f"layer {entry.name!r} points past the blob")
+        extents += [(w_off, w_off + w_bytes), (b_off, b_off + 4 * out_dim)]
+        # ModelGraph makes the one float64 copy of these views of the blob
+        w = np.frombuffer(blob, dtype="<f4", count=out_dim * in_dim, offset=w_off)
+        b = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=b_off)
+        layers.append(Layer(entry.name, KIND_AFFINE, w.reshape(out_dim, in_dim), b))
     extents.sort()
     if any(start < end for (_, end), (start, _) in zip(extents, extents[1:])):
         raise DataFormatError(f"{manifest_path}: tensor byte offsets overlap in the blob")
     try:
-        return ModelGraph(layers, head=payload.get("head", "softmax_ce"))
+        return ModelGraph(layers, head=manifest.head)
     except GraphError as exc:
         raise DataFormatError(f"{manifest_path}: {exc}") from exc
 
@@ -264,35 +275,23 @@ def save_dataset(data: Dataset, manifest_path: str | Path) -> None:
     labels_path = stem.with_suffix(".labels.bin")
     new_file(features_path).write_bytes(data.features.astype("<f4").tobytes())
     new_file(labels_path).write_bytes(data.labels.astype("<u4").tobytes())
-    write_json(
-        manifest_path,
-        DATASET_FORMAT,
-        {
-            "num_examples": len(data),
-            "feature_dim": data.feature_dim,
-            "num_classes": data.num_classes,
-            "features": features_path.name,
-            "labels": labels_path.name,
-        },
-    )
+    names = features_path.name, labels_path.name
+    write_record(manifest_path, DatasetManifest(*data.features.shape, data.num_classes, *names))
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load a dataset triple written by :func:`save_dataset`."""
     manifest_path = Path(manifest_path)
-    payload, n, d, num_classes = read_json(
-        manifest_path,
-        DATASET_FORMAT,
-        lambda p: (p, *(json_number(p[k], integer=True) for k in _DATASET_COUNTS)),
-    )
+    manifest = read_record(manifest_path, DatasetManifest)
+    n, d = manifest.num_examples, manifest.feature_dim
     if n < 0 or d < 0:
         raise DataFormatError(f"{manifest_path}: {n} examples of {d} features")
-    raw_x = _read_blob(manifest_path, payload, "features", 4 * n * d)
-    raw_y = _read_blob(manifest_path, payload, "labels", 4 * n)
+    raw_x = _read_blob(manifest_path.parent / manifest.features, 4 * n * d)
+    raw_y = _read_blob(manifest_path.parent / manifest.labels, 4 * n)
     # Dataset makes the one float64/int64 copy of these views of the blobs
     features = np.frombuffer(raw_x, dtype="<f4").reshape(n, d)
     labels = np.frombuffer(raw_y, dtype="<u4")
     try:
-        return Dataset(features, labels, num_classes)
+        return Dataset(features, labels, manifest.num_classes)
     except GraphError as exc:
         raise DataFormatError(f"{manifest_path}: {exc}") from exc

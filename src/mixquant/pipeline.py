@@ -38,8 +38,9 @@ from .calibrate import (
     adjust_scales,
     calibrate,
 )
-from .cost import CostReport, LatencyTable, cost_report
+from .cost import CostReport, LatencyTable, cost_report, model_latency
 from .graph import Dataset, GraphError, ModelGraph, chain_accuracies, chain_macs, one_blas_thread
+from .graph import _check_compat
 from .modelio import decode, load_dataset, load_model, read_json, read_record, write_record
 from .quantize import MAX_BITS, MIN_BITS, QuantSpec, quantize
 from .rng import substream
@@ -315,18 +316,24 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
     config.validate()
     check_out_dir(config.out_dir)
 
-    with _Stage("load-inputs"):
-        model = load_model(config.model)
-        calib_data = load_dataset(config.calib_data)
-        eval_data = load_dataset(config.eval_data)
-        table = LatencyTable.from_csv(config.latency_table)
-
     levels = search_levels(config.bits, config.baseline_bits)
     if not levels:
         raise PipelineConfigError(
             f"no candidate bit width lies below the baseline {config.baseline_bits}"
         )
-    weight_names = model.weight_tensor_names()
+
+    with _Stage("load-inputs"):
+        model = load_model(config.model)
+        calib_data = load_dataset(config.calib_data)
+        eval_data = load_dataset(config.eval_data)
+        table = LatencyTable.from_csv(config.latency_table)
+        # Inputs that do not fit together fail here rather than after calibration.
+        for data in (calib_data, eval_data):
+            _check_compat(model, data)
+        weight_names = model.weight_tensor_names()
+        for bits in (*levels, config.baseline_bits):
+            model_latency(model, QuantConfig.uniform(weight_names, bits, bits), table)
+
     if not weight_names:
         raise PipelineConfigError("model has no weight tensors to quantize")
 

@@ -53,6 +53,24 @@ def left_as_it_was(taken, layout):
     return taken.is_symlink() and sorted(p.name for p in taken.parent.iterdir()) == ["taken"]
 
 
+@pytest.fixture(scope="module")
+def seed7_dir(tmp_path_factory):
+    """The default seed-7 fixture."""
+    out = tmp_path_factory.mktemp("seed7-fixture")
+    assert main(["gen-fixture", "--seed", "7", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.fixture
+def no_calibration(monkeypatch):
+    """A stage spy: calibrating scales fails the test."""
+
+    def spy(*args, **kwargs):
+        raise AssertionError("scales were calibrated before the inputs were checked")
+
+    monkeypatch.setattr(pipeline_module, "adjust_scales", spy)
+
+
 def run_args(fixture_dir, out, extra=()):
     return [
         "run",
@@ -342,21 +360,26 @@ class TestRun:
                          id="bias_offset"),
             pytest.param("model.json", ("layers", 0, "bias_offset"), 3, "offsets",
                          id="bias_offset-unaligned"),
-            pytest.param("model.json", ("layers", 0, "weight_offset"), 0.9, "offsets",
+            pytest.param("model.json", ("layers", 0, "weight_offset"), 0.9,
+                         "layers: 0: weight_offset: expected an integer, got 0.9",
                          id="weight_offset-fraction"),
-            pytest.param("model.json", ("layers", 0, "bias_offset"), "8", "offsets",
+            pytest.param("model.json", ("layers", 0, "bias_offset"), "8",
+                         "layers: 0: bias_offset: expected an integer, got '8'",
                          id="bias_offset-string"),
-            pytest.param("model.json", ("layers",), {"dense1": {}}, "'layers'",
-                         id="layers-object"),
-            pytest.param("model.json", ("layers", 1), "relu", "'layers'", id="layer-string"),
-            pytest.param("model.json", ("blob",), 7, "'blob'", id="blob-number"),
-            pytest.param("model.json", ("layers", 0, "name"), MISSING, "layer name",
-                         id="name-missing"),
-            pytest.param("model.json", ("layers", 1, "name"), 3, "layer name",
-                         id="name-number"),
-            pytest.param("calib.json", ("features",), 7, "'features'", id="features-number"),
-            pytest.param("eval.json", ("labels",), ["eval.labels.bin"], "'labels'",
-                         id="labels-list"),
+            pytest.param("model.json", ("layers",), {"dense1": {}},
+                         "layers: expected a list, got {'dense1': {}}", id="layers-object"),
+            pytest.param("model.json", ("layers", 1), "relu",
+                         "layers: 1: expected a dict, got 'relu'", id="layer-string"),
+            pytest.param("model.json", ("blob",), 7, "blob: expected a str, got 7",
+                         id="blob-number"),
+            pytest.param("model.json", ("layers", 0, "name"), MISSING,
+                         "layers: 0: missing key 'name'", id="name-missing"),
+            pytest.param("model.json", ("layers", 1, "name"), 3,
+                         "layers: 1: name: expected a str, got 3", id="name-number"),
+            pytest.param("calib.json", ("features",), 7, "features: expected a str, got 7",
+                         id="features-number"),
+            pytest.param("eval.json", ("labels",), ["eval.labels.bin"],
+                         "labels: expected a str, got ['eval.labels.bin']", id="labels-list"),
         ],
     )
     def test_negative_model_offset_exit_data(
@@ -388,7 +411,39 @@ class TestRun:
         code = main(run_args(inputs, tmp_path / "x", ["--metric", "qe"]))
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("error: [stage: report-costs] no latency entry")
+        assert err.startswith("error: [stage: load-inputs] no latency entry")
+
+    @pytest.mark.parametrize(
+        "m,k", [pytest.param(24, 16, id="dense1"), pytest.param(8, 16, id="dense5")]
+    )
+    def test_latency_gap_at_a_searched_width_fails_before_calibration(
+        self, seed7_dir, tmp_path, capsys, no_calibration, m, k
+    ):
+        # the seed-7 run commits dense1 at 4 bits and dense5 at 8; either gap fails early
+        inputs = tmp_path / "inputs"
+        shutil.copytree(seed7_dir, inputs)
+        table = inputs / "latency.csv"
+        rows = table.read_text().splitlines()
+        gap = f"matmul,{m},1,{k},4,"
+        assert sum(row.startswith(gap) for row in rows) == 1
+        table.write_text("\n".join(row for row in rows if not row.startswith(gap)) + "\n")
+        assert main(run_args(inputs, tmp_path / "x")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [stage: load-inputs] no latency entry for kind=matmul m={m}")
+        assert not (tmp_path / "x").exists()
+
+    def test_eval_split_of_another_class_count_fails_before_calibration(
+        self, seed7_dir, tmp_path, capsys, no_calibration
+    ):
+        other = tmp_path / "three-classes"
+        assert main(["gen-fixture", "--seed", "7", "--dims", "16,8,3", "--out", str(other)]) == 0
+        args = run_args(seed7_dir, tmp_path / "x")
+        args[args.index("--eval") + 1] = str(other / "eval.json")
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: [stage: load-inputs] dataset has 3 classes but the model emits 2"
+        )
 
     def test_committed_config_below_target_exit_target(
         self, fixture_dir, tmp_path, capsys, monkeypatch

@@ -27,8 +27,6 @@ class TestFixtureSpec:
             {"dims": (4, 0, 2)},
             {"calib_examples": 0},
             {"eval_examples": -1},
-            {"margin_keep": 0.0},
-            {"margin_keep": 1.5},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):

@@ -91,7 +91,7 @@ def random_split(model, rows, seed=0):
 def whole_split_result(model, data, weights):
     """Logits and result of the taped pass, which runs all rows at once."""
     logits, _ = _run_layers(model, data.features, weights)
-    loss = float(_head(model, logits, data.labels, gradient=False)[0])
+    loss = float(np.mean(_head(model, logits, data.labels, gradient=False)[0]))
     return logits, EvalResult(loss, _accuracy(logits, data.labels))
 
 

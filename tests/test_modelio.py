@@ -195,19 +195,54 @@ WRONG_VALUES = st.one_of(
 )
 
 
+def mutant_of(seed7_manifests, name, path, value):
+    """The manifest ``name`` with ``value`` at ``path``, next to the blobs it
+    names, and the loader that reads it."""
+    directory, manifests = seed7_manifests
+    mutant = directory / f"mutant-{name}"
+    new_file(mutant).write_text(manifests[name][0])
+    edit_json(mutant, path, value)
+    return mutant, (load_model if name == "model.json" else load_dataset)
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_one_key_deleted_or_retyped_loads_or_is_a_format_error(seed7_manifests, data):
-    directory, manifests = seed7_manifests
+    _, manifests = seed7_manifests
     name = data.draw(st.sampled_from(sorted(manifests)))
-    text, paths = manifests[name]
-    mutant = directory / f"mutant-{name}"  # next to the blobs it names
-    new_file(mutant).write_text(text)
-    edit_json(mutant, data.draw(st.sampled_from(paths)), data.draw(WRONG_VALUES))
+    path = data.draw(st.sampled_from(manifests[name][1]))
+    value = data.draw(WRONG_VALUES)
+    mutant, load = mutant_of(seed7_manifests, name, path, value)
     try:
-        (load_model if name == "model.json" else load_dataset)(mutant)
+        load(mutant)
     except DataFormatError:
         pass
+    else:
+        assert value is not MISSING, f"{name} loads without {path}"
+
+
+def test_every_key_deleted_is_a_format_error(seed7_manifests):
+    _, manifests = seed7_manifests
+    for name, (_, paths) in manifests.items():
+        for path in paths:
+            mutant, load = mutant_of(seed7_manifests, name, path, MISSING)
+            with pytest.raises(DataFormatError, match="missing key|not a|version"):
+                load(mutant)
+
+
+@pytest.mark.parametrize(
+    "name,path",
+    [
+        pytest.param("model.json", (), id="model"),
+        pytest.param("model.json", ("layers", 0), id="affine-entry"),
+        pytest.param("model.json", ("layers", 1), id="relu-entry"),
+        pytest.param("calib.json", (), id="dataset"),
+    ],
+)
+def test_an_unknown_key_at_any_depth_is_a_format_error(seed7_manifests, name, path):
+    mutant, load = mutant_of(seed7_manifests, name, (*path, "extra"), 0)
+    with pytest.raises(DataFormatError, match="unknown key 'extra'"):
+        load(mutant)
 
 
 @pytest.mark.parametrize("where", ["manifest", "model-blob", "dataset-blob"])
