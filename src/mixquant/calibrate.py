@@ -13,8 +13,8 @@ weights onto a leading bank axis and takes the loss and the weight
 gradients from one taped pass (:func:`~mixquant.graph.loss_and_gradients`),
 reducing each gradient to scale gradients as the sweep yields it. The
 groups run on the engine's workers (:func:`~mixquant.graph.on_workers`),
-each writing only its own banks and logs. Model weights are read, never
-written.
+each returning its own banks' outcomes, which are merged in group order.
+Model weights are read, never written.
 """
 
 from __future__ import annotations
@@ -103,15 +103,12 @@ def adjust_scales(
             )
     widths = list(banks)
     groups = graph.stack_groups([_taped_floats(model, len(data))] * len(widths))
-    outcomes = dict.fromkeys(widths)
 
-    def run(first: int, stop: int) -> None:
-        for group in groups[first:stop]:
-            group_banks = {widths[i]: banks[widths[i]] for i in group}
-            outcomes.update(_descend(model, data, names, group_banks, learning_rate, epochs))
+    def descend(g: int) -> dict[int, CalibrationOutcome]:
+        group_banks = {widths[i]: banks[widths[i]] for i in groups[g]}
+        return _descend(model, data, names, group_banks, learning_rate, epochs)
 
-    on_workers(len(groups), run)
-    return outcomes
+    return {w: o for outcomes in on_workers(len(groups), descend) for w, o in outcomes.items()}
 
 
 def loss_and_scale_gradients(

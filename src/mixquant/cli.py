@@ -112,13 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gen_fixture(args) -> int:
     check_out_dir(args.out_dir)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     spec = FixtureSpec(
         dims=tuple(args.dims),
         calib_examples=args.calib_examples,
         eval_examples=args.eval_examples,
     )
     model, calib, evalset = build_fixture(args.seed, spec)
+    out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     save_dataset(calib, out / "calib.json")
     save_dataset(evalset, out / "eval.json")

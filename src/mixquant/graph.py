@@ -15,12 +15,14 @@ chain as listed, for saving. The engine alone decides three rules its
 callers rely on:
 
 - **Where a chained map resumes.** Untaped passes (:func:`forward`,
-  :func:`chain_accuracies`, :func:`chain_losses`) run the rows one block
-  at a time, in place, so their working memory is set by the block and
-  not by the split. Inside each block, every map of a chain (search
-  probes, noise perturbations) resumes from its predecessor's
-  activations at the first affine layer whose weight it changes, and
-  :func:`chain_macs` prices a chain by that rule.
+  :func:`chain_accuracies`, :func:`chain_losses`, fixture labelling) run
+  the rows one block at a time and keep of each block only what they
+  reduce it to (hit counts, row losses, margins and labels), so their
+  working memory is set by the block and not by the split. Inside each
+  block, every map of a chain (search probes, noise perturbations)
+  resumes from its predecessor's activations at the first affine layer
+  whose weight it changes, and :func:`chain_macs` prices a chain by that
+  rule.
 - **How stacked work splits.** :func:`stack_groups` packs calibration
   banks or noisy copies, in order, into groups within :data:`STACK_FLOATS`.
 - **How the reverse sweep descends.** A taped pass keeps one tape per
@@ -37,11 +39,12 @@ split into contiguous ranges, one per CPU in the process's affinity mask
 and at most one per block; otherwise BLAS spreads each product over the
 CPUs and the blocks run serially. The calling thread runs the first range
 and one thread started for the call each of the others; numpy releases
-the GIL inside the products. Every range writes only its own rows of
-the outputs, so each result is bit-identical to a serial pass. A pass
-with one block, or a process with one CPU, starts no thread; ``taskset``
-limits the workers. Scale calibration hands its groups of banks to the
-same workers through :func:`on_workers`.
+the GIL inside the products. :func:`on_workers` runs every such split:
+each task returns its value, and the call hands them back in index
+order, so no caller shares a buffer with a worker and each result is
+bit-identical to a serial pass. A pass with one block, or a process
+with one CPU, starts no thread; ``taskset`` limits the workers. Scale
+calibration hands its groups of banks to the same workers.
 
 The taped pass and the sweep are rank-agnostic: stacked replacement
 weights in :func:`loss_and_gradients` broadcast the features against
@@ -55,6 +58,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -362,25 +366,26 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def on_workers(count: int, work: Callable[[int, int], None]) -> None:
-    """Call ``work(start, stop)`` on contiguous ranges that cover ``range(count)``.
+def on_workers(count: int, task: Callable[[int], object]) -> list:
+    """``[task(i) for i in range(count)]``, computed on contiguous ranges of indices.
 
     There is one range per worker, and at most one per index. The calling
     thread runs the first range and a thread started here each of the
     others. The call returns or raises only once every range has
     finished; the caller's own error comes first, then the first
-    worker's in range order.
+    worker's in range order. Values come back only through the returned
+    list, so no caller shares a buffer with a worker.
     """
     workers = min(count, _worker_count())
     if workers <= 1:
-        work(0, count)
-        return
+        return [task(i) for i in range(count)]
     bounds = [count * w // workers for w in range(workers + 1)]
+    values: list[list] = [[] for _ in range(workers)]
     errors: list[BaseException | None] = [None] * workers
 
     def run(w: int) -> None:
         try:
-            work(bounds[w], bounds[w + 1])
+            values[w] = [task(i) for i in range(bounds[w], bounds[w + 1])]
         except BaseException as error:
             errors[w] = error
 
@@ -390,13 +395,14 @@ def on_workers(count: int, work: Callable[[int, int], None]) -> None:
             thread = threading.Thread(target=run, args=(w,), name=f"mixquant-worker-{w}")
             thread.start()
             started.append(thread)
-        work(bounds[0], bounds[1])
+        run(0)
     finally:
         for thread in started:
             thread.join()
     for error in errors:
         if error is not None:
             raise error
+    return [value for part in values for value in part]
 
 
 def _resume_starts(model: ModelGraph, changed: Sequence[Collection[str]]) -> list[int]:
@@ -432,9 +438,9 @@ def _chained_blocks(
     model: ModelGraph,
     x: np.ndarray,
     maps: Sequence[Mapping[str, np.ndarray]],
-    visit: Callable[[int, int, int, np.ndarray], None],
-) -> None:
-    """Call ``visit(map index, lo, hi, logits of rows lo:hi)`` for every map, block by block.
+    value: Callable[[np.ndarray, int, int], object],
+) -> list[tuple]:
+    """For each map, ``value(logits of rows lo:hi, lo, hi)`` of each block in row order.
 
     The rows run through the chain one block at a time without a tape.
     Inside a block, each map resumes from the previous map's activations
@@ -445,10 +451,9 @@ def _chained_blocks(
     Each block is at least ``FORWARD_BLOCK_FLOATS // widest`` rows unless
     the whole split is shorter: a short trailing block could take BLAS's
     small-matrix path and round differently from the taped pass. The
-    blocks are split across workers by :func:`on_workers`, so ``visit``
-    runs on several threads at once and may write only into rows
-    ``lo:hi`` of its outputs. The logits are the engine's own buffer;
-    read them, never write.
+    blocks are split across workers by :func:`on_workers`, so ``value``
+    runs on several threads at once and returns what it keeps. The logits
+    are the engine's own buffer: read them, never write or keep them.
     """
     layers, names = model.affine_layers, model.weight_tensor_names()
     used = [[m.get(n, l.weight) for n, l in zip(names, layers)] for m in maps]
@@ -459,34 +464,22 @@ def _chained_blocks(
     widest = max(l.weight.shape[0] for l in layers)
     blocks = max(1, n // max(1, FORWARD_BLOCK_FLOATS // widest))
 
-    def run(first: int, stop: int) -> None:
-        for b in range(first, stop):
-            lo, hi = n * b // blocks, n * (b + 1) // blocks
-            a = np.maximum(x[lo:hi], 0.0) if model.relu_first else x[lo:hi]
-            held = {0: a}  # inputs by affine layer, as the latest map computed them
-            for k, (weights, start) in enumerate(zip(used, starts)):
-                if start < len(layers):
-                    a = held[start] if last_resume[start] > k else held.pop(start)
-                for i in range(start, len(layers)):
-                    if i > start and last_resume.get(i, -1) > k:
-                        held[i] = a
-                    a = _affine(a, weights[i], layers[i], model.relu_after[i])
-                visit(k, lo, hi, a)
+    def run(b: int) -> list:
+        lo, hi = n * b // blocks, n * (b + 1) // blocks
+        a = np.maximum(x[lo:hi], 0.0) if model.relu_first else x[lo:hi]
+        held = {0: a}  # inputs by affine layer, as the latest map computed them
+        values = []
+        for k, (weights, start) in enumerate(zip(used, starts)):
+            if start < len(layers):
+                a = held[start] if last_resume[start] > k else held.pop(start)
+            for i in range(start, len(layers)):
+                if i > start and last_resume.get(i, -1) > k:
+                    held[i] = a
+                a = _affine(a, weights[i], layers[i], model.relu_after[i])
+            values.append(value(a, lo, hi))
+        return values
 
-    on_workers(blocks, run)
-
-
-def _chain_logits(
-    model: ModelGraph, x: np.ndarray, maps: Sequence[Mapping[str, np.ndarray]]
-) -> np.ndarray:
-    """``(maps, rows, classes)`` logits of ``x`` under each map, in one chained pass."""
-    logits = np.empty((len(maps), x.shape[0], model.output_dim))
-
-    def keep(k, lo, hi, block):
-        logits[k, lo:hi] = block
-
-    _chained_blocks(model, x, maps, keep)
-    return logits
+    return list(zip(*on_workers(blocks, run)))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -514,9 +507,9 @@ def _head(
     return losses, ((logits - targets) / n if gradient else None)
 
 
-def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    # argmax takes the lowest index on ties, so the result is deterministic.
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+def _hits(logits: np.ndarray, labels: np.ndarray) -> int:
+    # argmax takes the lowest index on ties, so the count is deterministic.
+    return int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
 
 
 def forward(
@@ -531,16 +524,21 @@ def forward(
     or non-weight name, a wrong shape or a non-finite array is a
     :class:`GraphError`. An empty map behaves exactly like no map at all.
 
-    The rows run through the chain in blocks of about
-    ``FORWARD_BLOCK_FLOATS`` floats at the widest layer, so the pass
-    needs working memory for one block per worker plus the logits,
-    whatever the size of the split. Loss and accuracy are computed over
-    all logits at once, exactly as for a whole-split pass.
+    This is :func:`chain_accuracies` and :func:`chain_losses` of one map,
+    taken from one pass: the rows run through the chain in blocks of
+    about ``FORWARD_BLOCK_FLOATS`` floats at the widest layer, so the
+    pass needs working memory for one block per worker plus one loss per
+    row, whatever the size of the split.
     """
     replaced = _check_compat(model, data, weights)
-    [logits] = _chain_logits(model, data.features, [replaced])
-    losses, _ = _head(model, logits, data.labels, gradient=False)
-    return EvalResult(loss=float(np.mean(losses)), accuracy=_accuracy(logits, data.labels))
+
+    def hits_and_losses(logits, lo, hi):
+        labels = data.labels[lo:hi]
+        return _hits(logits, labels), _head(model, logits, labels, gradient=False)[0]
+
+    [blocks] = _chained_blocks(model, data.features, [replaced], hits_and_losses)
+    hits, losses = zip(*blocks)
+    return EvalResult(loss=float(np.mean(np.concatenate(losses))), accuracy=sum(hits) / len(data))
 
 
 def chain_accuracies(
@@ -549,21 +547,17 @@ def chain_accuracies(
     """Accuracy under each map of replacement weights, in one row-blocked pass.
 
     Each map is checked and applied as by :func:`forward`, and each
-    accuracy equals ``forward(model, data, map).accuracy`` bit for bit:
-    the logits are the same, and ``correct / n`` is the same division
-    ``np.mean`` makes. A weight changes from one map to the next when its
-    array is not the very same object, and the chain costs
-    :func:`chain_macs` of those changes. Only one block's inputs per
-    worker to the layers the maps resume at, and one hit count per map
-    and block, are ever held. No loss is computed.
+    accuracy is the one :func:`forward` gives: the blocks' hit counts
+    summed and divided by ``n``. A weight changes from one map to the
+    next when its array is not the very same object, and the chain costs
+    :func:`chain_macs` of those changes. Only one block's
+    inputs per worker to the layers the maps resume at, and one hit count
+    per map and block, are ever held. No loss is computed.
     """
     checked = [_check_compat(model, data, weights) for weights in maps]
-    hits: list[list[int]] = [[] for _ in checked]  # per map, one count per block
-
-    def count(k, lo, hi, logits):
-        hits[k].append(int(np.count_nonzero(np.argmax(logits, axis=1) == data.labels[lo:hi])))
-
-    _chained_blocks(model, data.features, checked, count)
+    hits = _chained_blocks(
+        model, data.features, checked, lambda logits, lo, hi: _hits(logits, data.labels[lo:hi])
+    )
     return [sum(counts) / len(data) for counts in hits]
 
 
@@ -574,18 +568,16 @@ def chain_losses(
 
     The pass is :func:`chain_accuracies`'s, so a chain of maps that share
     their unchanged arrays costs one forward plus the tails below each
-    change. Only each map's row losses are kept, and each loss equals
-    ``forward(model, data, map).loss`` bit for bit: a row's loss depends
-    on its own logits alone, and the mean is taken over the same array.
+    change. Only each map's row losses are kept, and each mean is taken
+    over them concatenated in row order, as :func:`forward` takes it: a
+    row's loss depends on its own logits alone.
     """
     checked = [_check_compat(model, data, weights) for weights in maps]
-    losses = np.empty((len(checked), len(data)))
-
-    def keep(k, lo, hi, logits):
-        losses[k, lo:hi] = _head(model, logits, data.labels[lo:hi], False)[0]
-
-    _chained_blocks(model, data.features, checked, keep)
-    return [float(np.mean(row)) for row in losses]
+    losses = _chained_blocks(
+        model, data.features, checked,
+        lambda logits, lo, hi: _head(model, logits, data.labels[lo:hi], gradient=False)[0],
+    )
+    return [float(np.mean(np.concatenate(rows))) for rows in losses]
 
 
 def _relu_backward(g: np.ndarray, output: np.ndarray) -> np.ndarray:
@@ -681,7 +673,8 @@ def hessian_traces(model: ModelGraph, data: Dataset) -> dict[str, float]:
     respect to the layer's output, and ``S_i S_i^T`` the head's Hessian in
     the logits. One taped pass and one sweep (:func:`_sweep`) of the
     columns of ``S_i``, stacked on a leading class axis, yield every
-    tensor's trace at once.
+    tensor's trace at once. The sum over rows is ``math.fsum``, correctly
+    rounded, so no BLAS kernel's summation order reaches the scores.
     """
     _check_compat(model, data)
     logits, tapes = _run_layers(model, data.features, {})
@@ -694,9 +687,9 @@ def hessian_traces(model: ModelGraph, data: Dataset) -> dict[str, float]:
     else:
         r = np.repeat(eye, n, axis=1)  # S = I
     traces = {
-        f"{tape.layer.name}.weight": float(
-            np.einsum("ij,ij->i", tape.inputs, tape.inputs) @ np.einsum("cij,cij->i", g, g) / n
-        )
+        f"{tape.layer.name}.weight": math.fsum(
+            np.einsum("ij,ij->i", tape.inputs, tape.inputs) * np.einsum("cij,cij->i", g, g)
+        ) / n
         for tape, g in _sweep(tapes, r)
     }
     return {name: traces[name] for name in model.weight_tensor_names()}

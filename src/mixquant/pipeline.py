@@ -134,6 +134,8 @@ class PipelineConfig:
             raise PipelineConfigError(f"target must lie in (0, 1], got {self.target}")
         if self.trials < 1:
             raise PipelineConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise PipelineConfigError(f"seed must be >= 0, got {self.seed}")
         rates = {"noise_scale": self.noise_scale, "learning_rate": self.learning_rate}
         for name, value in rates.items():
             if not math.isfinite(value):

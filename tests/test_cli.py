@@ -120,6 +120,13 @@ class TestGenFixture:
         assert "must be non-empty with no NUL" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("seed", ["-1", str(-(2**32) + 7)])
+    def test_negative_seed_exit_config(self, tmp_path, capsys, seed):
+        out = tmp_path / "f"
+        assert main(["gen-fixture", "--seed", seed, "--out", str(out), *SMALL_GEN]) == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reports_summary(self, tmp_path, capsys):
         out = tmp_path / "f"
         main(["gen-fixture", "--seed", "5", "--out", str(out), *SMALL_GEN])
@@ -146,6 +153,17 @@ class TestRun:
             epochs=2,
         )
         assert load_manifest(out / "manifest.json").parameters == expected
+
+    def test_seeds_equal_modulo_2_to_the_32_write_different_runs(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        first, second = (tmp_path / str(seed) for seed in (7, 2**32 + 7))
+        for out in (first, second):
+            args = run_args(fixture_dir, out, ["--seed", out.name, "--metric", "noise"])
+            assert main(args) == EXIT_OK
+        capsys.readouterr()
+        differ = {p.name for p in first.iterdir() if p.read_bytes() != (second / p.name).read_bytes()}
+        assert {"manifest.json", "sensitivity.json"} <= differ
 
     def test_rerun_with_fewer_widths_leaves_no_stale_specs(self, fixture_dir, tmp_path):
         out = tmp_path / "run"
@@ -201,6 +219,7 @@ class TestRun:
             pytest.param("seed", "x", id="seed-string"),
             pytest.param("baseline_bits", 16.5, id="baseline_bits-fraction"),
             pytest.param("seed", 1.5, id="seed-fraction"),
+            pytest.param("seed", -1, id="seed-negative"),
             pytest.param("bits", [4.7, 8], id="bits-fraction"),
             pytest.param("target", True, id="target-bool"),
             pytest.param("model", 5, id="model-number"),
@@ -311,6 +330,7 @@ class TestRun:
             pytest.param("--lr", "inf", "learning_rate must be finite", id="lr-inf"),
             pytest.param("--lambda", "nan", "noise_scale must be finite", id="lambda-nan"),
             pytest.param("--lambda", "inf", "noise_scale must be finite", id="lambda-inf"),
+            pytest.param("--seed", "-1", "seed must be >= 0", id="seed-negative"),
         ],
     )
     def test_bad_target_exit_config(self, fixture_dir, tmp_path, capsys, flag, value, message):

@@ -8,12 +8,21 @@ change to an artifact's bytes, its name or the set of files shows here.
 The pins were recorded with OpenBLAS on x86-64 and are as specific to
 the float arithmetic of the machine as the accuracies pinned in
 ``test_decisions.py``; every pass of the seed-7 fixture is one row
-block, so no worker thread runs.
+block, so no worker thread runs. They hold on OpenBLAS's FMA kernels:
+the session is rerun under the Haswell and Zen kernels, besides the one
+the machine picks. On a kernel without FMA, such as Prescott, 23 of
+the 72 files differ (every specs file and the hessian and noise
+scores), though no config, outcome or cost does.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mixquant.cli import EXIT_OK, main
@@ -130,3 +139,36 @@ def test_seed7_session_is_byte_identical(tmp_path, monkeypatch, capsys):
     for name, digest in digests.items():
         if name.startswith("runs/rerun/") and not name.endswith("manifest.json"):
             assert digest == digests[name.replace("rerun", "hessian-greedy")], name
+
+
+def fma_kernels_unavailable() -> str | None:
+    """Why the session cannot be rerun on other OpenBLAS kernels here, or None."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return "numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS: OPENBLAS_CORETYPE picks no kernel"
+    cpuinfo = Path("/proc/cpuinfo")
+    flags = cpuinfo.read_text().split() if cpuinfo.is_file() else []
+    if not {"avx2", "fma"} <= set(flags):
+        return "the CPU lacks AVX2 or FMA, which the Haswell and Zen kernels run on"
+    return None
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
+def test_seed7_session_is_byte_identical_on_other_fma_kernels(tmp_path, coretype):
+    reason = fma_kernels_unavailable()
+    if reason:
+        pytest.skip(reason)
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    script = (
+        "import json, pathlib, test_golden\n"
+        "print(json.dumps(test_golden.write_session(pathlib.Path.cwd())))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN

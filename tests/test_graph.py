@@ -45,8 +45,6 @@ from mixquant.graph import (
     GraphError,
     Layer,
     ModelGraph,
-    _accuracy,
-    _chain_logits,
     _chained_blocks,
     _head,
     on_workers,
@@ -92,7 +90,13 @@ def whole_split_result(model, data, weights):
     """Logits and result of the taped pass, which runs all rows at once."""
     logits, _ = _run_layers(model, data.features, weights)
     loss = float(np.mean(_head(model, logits, data.labels, gradient=False)[0]))
-    return logits, EvalResult(loss, _accuracy(logits, data.labels))
+    return logits, EvalResult(loss, float(np.mean(np.argmax(logits, axis=1) == data.labels)))
+
+
+def blocked_logits(model, x, weights):
+    """Logits of ``x`` under ``weights`` from the row-blocked pass, blocks joined in row order."""
+    [blocks] = _chained_blocks(model, x, [weights], lambda logits, lo, hi: logits.copy())
+    return np.concatenate(blocks)
 
 
 class TestModelValidation:
@@ -300,7 +304,7 @@ class TestBlockedForward:
             specs = calibrate(model, 4)
             weights = {name: quantize(model.parameter(name), s) for name, s in specs.items()}
         logits, result = whole_split_result(model, data, weights)
-        assert np.array_equal(_chain_logits(model, data.features, [weights])[0], logits)
+        assert np.array_equal(blocked_logits(model, data.features, weights), logits)
         assert forward(model, data, weights) == result
 
     def test_relu_first_model_leaves_features_untouched(self):
@@ -316,7 +320,7 @@ class TestBlockedForward:
         rows = 3 * block_rows(model) + 5
         x = rng.normal(size=(rows, 4))
         before = x.copy()
-        blocked = _chain_logits(model, x, [{}])[0]
+        blocked = blocked_logits(model, x, {})
         assert np.array_equal(x, before)  # a writable caller array is not clamped either
         # Dataset features are read-only, so an in-place relu on them would raise.
         data = Dataset(x, rng.integers(0, 3, size=rows), 3)
@@ -337,7 +341,7 @@ class TestBlockedForward:
             tracemalloc.stop()
         # One 8192 x 192 float64 layer output alone is 12.6 MB, and a
         # whole-split pass peaks near 34 MB; a blocked one holds a 256 KiB
-        # block plus logits-sized (0.66 MB) loss and accuracy temporaries.
+        # block plus one loss per row (64 KiB): measured 0.6 MiB.
         assert peak < 4 * 2**20
 
 
@@ -751,11 +755,17 @@ class TestParallelBlocks:
     )
     def test_contiguous_ranges_the_caller_runs_the_first(self, workers, blocks, count, ranges):
         workers(count)
-        seen = []
-        on_workers(blocks, lambda start, stop: seen.append((start, stop, threading.get_ident())))
-        assert sorted((start, stop) for start, stop, _ in seen) == ranges
-        on_caller = [start for start, _, ident in seen if ident == threading.get_ident()]
-        assert on_caller == [0]
+        # keyed by thread name: an ident may be reused by a thread started later
+        caller = threading.current_thread().name
+        expected = [caller if w == 0 else f"mixquant-worker-{w}"
+                    for w, (start, stop) in enumerate(ranges) for _ in range(start, stop)]
+        assert on_workers(blocks, lambda i: threading.current_thread().name) == expected
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("indices", range(1, 8))
+    def test_values_come_back_in_index_order(self, workers, indices, count):
+        workers(count)
+        assert on_workers(indices, lambda i: (i, i * i)) == [(i, i * i) for i in range(indices)]
 
     @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("blocks", [2, 3, 7])
@@ -770,7 +780,7 @@ class TestParallelBlocks:
         accuracies = chain_accuracies(model, data, chain)
         losses = chain_losses(model, data, chain)
         workers(count)
-        assert np.array_equal(_chain_logits(model, data.features, [weights])[0], logits)
+        assert np.array_equal(blocked_logits(model, data.features, weights), logits)
         assert forward(model, data, weights) == result
         assert chain_accuracies(model, data, chain) == accuracies
         assert chain_losses(model, data, chain) == losses
@@ -778,20 +788,20 @@ class TestParallelBlocks:
     @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
     def test_an_error_is_raised_once_every_range_has_stopped(self, workers, failing):
         workers(3)
-        writes = []
+        steps = [0, 0, 0]  # each range counts only its own steps
 
-        def work(start, stop):
-            if start == failing:
-                raise ValueError(f"range {start} failed")
+        def work(i):
+            if i == failing:
+                raise ValueError(f"range {i} failed")
             for _ in range(5):
                 time.sleep(0.01)
-                writes.append(start)
+                steps[i] += 1
 
         with pytest.raises(ValueError, match=f"range {failing} failed"):
             on_workers(3, work)
-        assert len(writes) == 10  # both other ranges ran to their end
+        assert sorted(steps) == [0, 5, 5]  # both other ranges ran to their end
         time.sleep(0.05)
-        assert len(writes) == 10
+        assert sorted(steps) == [0, 5, 5]
 
     def test_an_error_in_a_workers_block_reaches_the_caller(self, workers):
         workers(2)
@@ -799,12 +809,12 @@ class TestParallelBlocks:
         rows = 4 * block_rows(model)
         data = random_split(model, rows)
 
-        def visit(k, lo, hi, logits):
+        def value(logits, lo, hi):
             if hi == rows:
                 raise RuntimeError("last block")
 
         with pytest.raises(RuntimeError, match="last block"):
-            _chained_blocks(model, data.features, [{}], visit)
+            _chained_blocks(model, data.features, [{}], value)
 
     @pytest.mark.parametrize("blocks, count", [(1, 4), (5, 1)])
     def test_one_block_or_one_cpu_starts_no_thread(self, workers, blocks, count):

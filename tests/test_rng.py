@@ -1,5 +1,7 @@
 """Seeded substream derivation tests."""
 
+import pytest
+
 from mixquant.rng import substream
 
 
@@ -25,5 +27,22 @@ def test_label_order_matters():
 
 
 def test_large_seeds_accepted():
-    # seeds beyond 32 bits fold rather than fail
+    # seeds beyond 32 bits are folded in whole rather than fail
     assert draw(2**40 + 3, "x") == draw(2**40 + 3, "x")
+
+
+def test_seeds_below_2_to_the_32_keep_their_streams():
+    assert draw(0, "data-split") == (170243, 505498, 771767, 332865, 151629, 26770)
+    assert draw(7, "data-split") == (152670, 986366, 816645, 816291, 84973, 842953)
+    assert draw(2**32 - 1, "data-split") == (414320, 601743, 175554, 973730, 458729, 844145)
+
+
+def test_seeds_do_not_alias_modulo_2_to_the_32():
+    assert draw(2**32 + 7, "data-split") != draw(7, "data-split")
+    assert draw(2**40 + 3, "x") != draw(3, "x")
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**32) + 7])
+def test_negative_seed_refused(seed):
+    with pytest.raises(ValueError):
+        substream(seed, "x")
