@@ -28,7 +28,7 @@ from .pipeline import (
     COMPARISON_FORMAT,
     PipelineConfig,
     PipelineConfigError,
-    check_out_dir,
+    check_out_path,
     compare_runs,
     load_manifest,
     run_pipeline,
@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_fixture(args) -> int:
-    check_out_dir(args.out_dir)
+    check_out_path(args.out_dir)
     out = Path(args.out_dir)
     spec = FixtureSpec(
         dims=tuple(args.dims),
@@ -162,18 +162,10 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _check_out_file(out: str) -> None:
-    """Refuse a ``compare --out`` that is empty, holds a NUL, is a
-    directory or lies below a file."""
-    if not out or "\x00" in out or Path(out).is_dir():
-        raise PipelineConfigError(f"--out must name a file, got {out!r}")
-    check_out_dir(Path(out).parent)
-
-
 def _cmd_compare(args) -> int:
     out = args.out_file
     if out is not None:
-        _check_out_file(out)
+        check_out_path(out, file=True)
     comparison = compare_runs(args.runs)
     if out is not None:
         Path(out).parent.mkdir(parents=True, exist_ok=True)

@@ -3,9 +3,10 @@
 The graph is a straight chain of affine and relu layers with a
 classification head. Everything is computed in float64 numpy; parameters
 are frozen read-only arrays, so a loaded model can be shared freely
-across threads. The one way to evaluate altered weights is to pass
-:func:`forward` a map of replacement arrays, one per named weight tensor;
-the stored parameters stay untouched. Callers quantize or perturb the
+across threads. Altered weights are evaluated by the chained passes,
+:func:`chain_accuracies` and :func:`chain_losses`, each given a chain of
+maps of replacement arrays, one array per named weight tensor; the
+stored parameters stay untouched. Callers quantize or perturb the
 weights themselves, and activations always stay in float. A
 :class:`ModelGraph` builds, once, its affine layers, its parameter tensors
 by name and the normal form of its chain that every pass walks: whether a
@@ -14,15 +15,14 @@ run of relus acts as one, relu being idempotent). ``layers`` keeps the
 chain as listed, for saving. The engine alone decides three rules its
 callers rely on:
 
-- **Where a chained map resumes.** Untaped passes (:func:`forward`,
-  :func:`chain_accuracies`, :func:`chain_losses`, fixture labelling) run
-  the rows one block at a time and keep of each block only what they
-  reduce it to (hit counts, row losses, margins and labels), so their
-  working memory is set by the block and not by the split. Inside each
-  block, every map of a chain (search probes, noise perturbations)
-  resumes from its predecessor's activations at the first affine layer
-  whose weight it changes, and :func:`chain_macs` prices a chain by that
-  rule.
+- **Where a chained map resumes.** Untaped passes (:func:`chain_accuracies`,
+  :func:`chain_losses`, fixture labelling) run the rows one block at a
+  time and keep of each block only what they reduce it to (hit counts,
+  row losses, margins and labels), so their working memory is set by the
+  block and not by the split. Inside each block, every map of a chain
+  (search probes, noise perturbations) resumes from its predecessor's
+  activations at the first affine layer whose weight it changes, and
+  :func:`chain_macs` prices a chain by that rule.
 - **How stacked work splits.** :func:`stack_groups` packs calibration
   banks or noisy copies, in order, into groups within :data:`STACK_FLOATS`.
 - **How the reverse sweep descends.** A taped pass keeps one tape per
@@ -240,12 +240,6 @@ class Dataset:
         h.update(self.labels)
         h.update(str(self.num_classes).encode())
         return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    loss: float
-    accuracy: float
 
 
 @dataclass
@@ -507,58 +501,29 @@ def _head(
     return losses, ((logits - targets) / n if gradient else None)
 
 
-def _hits(logits: np.ndarray, labels: np.ndarray) -> int:
-    # argmax takes the lowest index on ties, so the count is deterministic.
-    return int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
-
-
-def forward(
-    model: ModelGraph,
-    data: Dataset,
-    weights: Mapping[str, np.ndarray] | None = None,
-) -> EvalResult:
-    """Evaluate mean loss and accuracy over the whole dataset.
-
-    ``weights`` maps weight tensor names to arrays used in place of the
-    stored tensors; the stored parameters are never modified. An unknown
-    or non-weight name, a wrong shape or a non-finite array is a
-    :class:`GraphError`. An empty map behaves exactly like no map at all.
-
-    This is :func:`chain_accuracies` and :func:`chain_losses` of one map,
-    taken from one pass: the rows run through the chain in blocks of
-    about ``FORWARD_BLOCK_FLOATS`` floats at the widest layer, so the
-    pass needs working memory for one block per worker plus one loss per
-    row, whatever the size of the split.
-    """
-    replaced = _check_compat(model, data, weights)
-
-    def hits_and_losses(logits, lo, hi):
-        labels = data.labels[lo:hi]
-        return _hits(logits, labels), _head(model, logits, labels, gradient=False)[0]
-
-    [blocks] = _chained_blocks(model, data.features, [replaced], hits_and_losses)
-    hits, losses = zip(*blocks)
-    return EvalResult(loss=float(np.mean(np.concatenate(losses))), accuracy=sum(hits) / len(data))
-
-
 def chain_accuracies(
     model: ModelGraph, data: Dataset, maps: Sequence[Mapping[str, np.ndarray]]
 ) -> list[float]:
     """Accuracy under each map of replacement weights, in one row-blocked pass.
 
-    Each map is checked and applied as by :func:`forward`, and each
-    accuracy is the one :func:`forward` gives: the blocks' hit counts
-    summed and divided by ``n``. A weight changes from one map to the
-    next when its array is not the very same object, and the chain costs
-    :func:`chain_macs` of those changes. Only one block's
-    inputs per worker to the layers the maps resume at, and one hit count
-    per map and block, are ever held. No loss is computed.
+    A map's arrays stand in for the weight tensors it names; the stored
+    parameters are never modified, and an empty map runs them. An unknown
+    or non-weight name, a wrong shape or a non-finite array is a
+    :class:`GraphError`. Each accuracy is the blocks' hit counts summed
+    and divided by ``n``; argmax takes the lowest index on ties, so the
+    count is deterministic. A weight changes from one map to the next
+    when its array is not the very same object, and the chain costs
+    :func:`chain_macs` of those changes. Only one block's inputs per
+    worker to the layers the maps resume at, and one hit count per map
+    and block, are ever held. No loss is computed.
     """
     checked = [_check_compat(model, data, weights) for weights in maps]
-    hits = _chained_blocks(
-        model, data.features, checked, lambda logits, lo, hi: _hits(logits, data.labels[lo:hi])
-    )
-    return [sum(counts) / len(data) for counts in hits]
+
+    def hits(logits, lo, hi):
+        return int(np.count_nonzero(np.argmax(logits, axis=1) == data.labels[lo:hi]))
+
+    counts = _chained_blocks(model, data.features, checked, hits)
+    return [sum(blocks) / len(data) for blocks in counts]
 
 
 def chain_losses(
@@ -566,11 +531,12 @@ def chain_losses(
 ) -> list[float]:
     """Mean loss under each map of replacement weights, in one row-blocked pass.
 
-    The pass is :func:`chain_accuracies`'s, so a chain of maps that share
-    their unchanged arrays costs one forward plus the tails below each
-    change. Only each map's row losses are kept, and each mean is taken
-    over them concatenated in row order, as :func:`forward` takes it: a
-    row's loss depends on its own logits alone.
+    The maps are checked and the pass run as by :func:`chain_accuracies`,
+    so a chain of maps that share their unchanged arrays costs one forward
+    plus the tails below each change. Only each map's row losses are kept,
+    and each mean is taken over them concatenated in row order: a row's
+    loss depends on its own logits alone, so the mean is the same whatever
+    the blocks.
     """
     checked = [_check_compat(model, data, weights) for weights in maps]
     losses = _chained_blocks(
@@ -629,10 +595,10 @@ def loss_and_gradients(
 ) -> tuple[np.ndarray, Iterator[tuple[str, np.ndarray]]]:
     """Mean loss under ``weights``, from one taped pass, and its reverse sweep.
 
-    ``weights`` replaces stored weights as in :func:`forward`, but only
-    their names are checked. Replacements stacked as ``(stack, out, in)``
-    make the losses ``(stack,)``, each bit-identical to a pass of its
-    slice alone; unstacked ones make the loss 0-d. The sweep yields
+    ``weights`` replaces stored weights as a map of :func:`chain_accuracies`
+    does, but only their names are checked. Replacements stacked as
+    ``(stack, out, in)`` make the losses ``(stack,)``, each bit-identical
+    to a pass of its slice alone; unstacked ones make the loss 0-d. The sweep yields
     ``(name, gradient)`` for each parameter named in ``wrt``, from the
     last layer down, as :func:`_gradients` does; with ``wrt`` empty no
     gradient is formed.
@@ -647,20 +613,6 @@ def loss_and_gradients(
     logits, tapes = _run_layers(model, data.features, weights)
     losses, grad_logits = _head(model, logits, data.labels, bool(wrt))
     return np.mean(losses, axis=-1), (_gradients(tapes, grad_logits, wrt) if wrt else iter(()))
-
-
-def gradients(
-    model: ModelGraph, data: Dataset, wrt: list[str] | None = None
-) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients of the mean loss for parameter tensors.
-
-    ``wrt`` selects parameter tensor names; None means all of them. Asking
-    for a tensor the model does not have is an error rather than a silent
-    zero.
-    """
-    wrt = model.parameter_names() if wrt is None else wrt
-    grads = dict(loss_and_gradients(model, data, {}, wrt)[1])
-    return {name: grads[name] for name in wrt}
 
 
 def hessian_traces(model: ModelGraph, data: Dataset) -> dict[str, float]:

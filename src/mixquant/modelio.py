@@ -127,13 +127,6 @@ def read_json(path: str | Path, expected_format: str, parse: Callable[[dict], An
         raise DataFormatError(f"malformed {expected_format!r} file {path}: {detail}") from exc
 
 
-@functools.cache
-def _field_types(kind: type) -> dict[str, Any]:
-    """Each field of the dataclass ``kind`` and its resolved annotation."""
-    hints = typing.get_type_hints(kind)
-    return {field.name: hints[field.name] for field in dataclasses.fields(kind)}
-
-
 def decode(value: Any, kind: Any) -> Any:
     """The loaded JSON ``value`` as ``kind``: a dataclass, from an object
     holding exactly its fields' keys, each decoded by its annotation;
@@ -142,33 +135,54 @@ def decode(value: Any, kind: Any) -> Any:
     kept as it is. Anything else, a bool included, raises ``TypeError`` or
     ``ValueError`` prefixed with the keys and list indices it lies under.
     """
+    return _decoder(kind)(value)
+
+
+@functools.cache
+def _decoder(kind: Any) -> Callable[[Any], Any]:
+    """The function that :func:`decode` applies for ``kind``, built once per kind:
+    the annotations behind it are resolved here, not at every value."""
     if kind in (int, float):
-        # type() rather than isinstance: JSON true/false load as bools
-        if type(value) is int or type(value) is kind:
-            return kind(value)
-        raise TypeError(f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+        expected = "an integer" if kind is int else "a number"
+
+        def number(value):
+            # type() rather than isinstance: JSON true/false load as bools
+            if type(value) is int or type(value) is kind:
+                return kind(value)
+            raise TypeError(f"expected {expected}, got {value!r}")
+
+        return number
     record = dataclasses.is_dataclass(kind)
     origin = typing.get_origin(kind) or (dict if record else kind)
-    if not isinstance(value, (list, tuple) if origin in (list, tuple) else origin):
-        raise TypeError(f"expected a {kind.__name__}, got {value!r}")
-    if record:
-        types = _field_types(kind)
-        for problem, keys in ("missing", types.keys() - value), ("unknown", value.keys() - types):
-            if keys:
-                raise ValueError(f"{problem} key {min(keys)!r}")
-        return kind(**{name: _decode_at(name, value[name], types[name]) for name in types})
+    accepted = (list, tuple) if origin in (list, tuple) else origin
     args = typing.get_args(kind)
-    if origin is dict and args:
-        return {key: _decode_at(key, item, args[1]) for key, item in value.items()}
-    if origin in (list, tuple) and args:
-        return origin(_decode_at(index, item, args[0]) for index, item in enumerate(value))
-    return value
+    if record:
+        hints = typing.get_type_hints(kind)
+        reads = {field.name: _decoder(hints[field.name]) for field in dataclasses.fields(kind)}
+    elif args:
+        read = _decoder(args[1] if origin is dict else args[0])  # of each value or item
+
+    def decoded(value):
+        if not isinstance(value, accepted):
+            raise TypeError(f"expected a {kind.__name__}, got {value!r}")
+        if record:
+            for problem, keys in ("missing", reads.keys() - value), ("unknown", value.keys() - reads):
+                if keys:
+                    raise ValueError(f"{problem} key {min(keys)!r}")
+            return kind(**{name: _read_at(name, value[name], read) for name, read in reads.items()})
+        if not args:
+            return value
+        if origin is dict:
+            return {key: _read_at(key, item, read) for key, item in value.items()}
+        return origin(_read_at(index, item, read) for index, item in enumerate(value))
+
+    return decoded
 
 
-def _decode_at(key: Any, value: Any, kind: Any) -> Any:
-    """:func:`decode` of ``value``, found under ``key``, with ``key`` leading its errors."""
+def _read_at(key: Any, value: Any, read: Callable[[Any], Any]) -> Any:
+    """``read(value)`` of ``value``, found under ``key``, with ``key`` leading its errors."""
     try:
-        return decode(value, kind)
+        return read(value)
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"{key}: {exc}") from exc
 
@@ -222,14 +236,14 @@ def save_model(model: ModelGraph, manifest_path: str | Path) -> None:
 def _decode_model(body: dict) -> tuple[ModelManifest, list[AffineEntry | ReluEntry]]:
     """The model manifest ``body``, and its layer entries, each decoded as its ``kind`` says."""
     manifest = decode(body, ModelManifest)
-    kinds = {KIND_AFFINE: AffineEntry, KIND_RELU: ReluEntry}
+    kinds = {KIND_AFFINE: _decoder(AffineEntry), KIND_RELU: _decoder(ReluEntry)}
     entries = []
     for index, entry in enumerate(manifest.layers):
         kind = entry.get("kind")
         if not isinstance(kind, str) or kind not in kinds:
             detail = f"kind: unknown layer kind {kind!r}" if "kind" in entry else "missing key 'kind'"
             raise ValueError(f"layers: {index}: {detail}")
-        entries.append(_decode_at(f"layers: {index}", entry, kinds[kind]))
+        entries.append(_read_at(f"layers: {index}", entry, kinds[kind]))
     return manifest, entries
 
 

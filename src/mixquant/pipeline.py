@@ -15,11 +15,13 @@ config past the first has a tail of at most half of the first config's
 forward, in multiply-adds as the engine prices them. The baseline and
 the final verification, judged by the searches' accept test, evaluate
 one config each. An output path that is a file or a symlink that leads to
-no directory, or lies below one, is refused before any stage runs.
+no directory, or lies below one, or that the system cannot look up, is
+refused before any stage runs.
 """
 
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import math
@@ -195,25 +197,36 @@ class _Stage:
         return False
 
 
-def check_out_dir(path: str | Path) -> None:
-    """Refuse an output directory that is empty or holds a NUL, or whose
-    path holds an existing name that is not a directory: a file, or a
-    symlink that dangles, loops or leads to a file.
+def check_out_path(path: str | Path, file: bool = False) -> None:
+    """Refuse an output path that is empty or holds a NUL, that the system
+    cannot look up (one holding a name too long, say), or whose nearest
+    existing name is not a directory: a file, or a symlink that dangles,
+    loops or leads to a file. With ``file`` set the path names a file to
+    write, which may exist, but not as a directory.
 
     Called before any work, so such a path fails fast instead of after a
     whole run. A directory that does not exist yet is fine.
     """
-    if not str(path) or "\x00" in str(path):
-        raise PipelineConfigError(f"output path {str(path)!r} must be non-empty with no NUL")
+    text = str(path)
+    if not text or "\x00" in text:
+        raise PipelineConfigError(f"output path {text!r} must be non-empty with no NUL")
     path = Path(path)
     for existing in (path, *path.parents):
-        if os.path.lexists(existing):  # a symlink counts even when it leads nowhere
-            if not existing.is_dir():
-                raise PipelineConfigError(
-                    f"output directory {str(path)!r} is not a directory: "
-                    f"{str(existing)!r} is a file or a link to no directory"
-                )
-            return
+        try:
+            os.lstat(existing)  # a symlink counts even when it leads nowhere
+        except OSError as exc:
+            if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
+                continue  # missing, or below a name that is no directory: look there
+            raise PipelineConfigError(f"output path {text!r} is unusable: {exc.strerror}") from exc
+        if file and existing == path:
+            if path.is_dir():
+                raise PipelineConfigError(f"output path {text!r} must name a file, not a directory")
+        elif not existing.is_dir():
+            raise PipelineConfigError(
+                f"output path {text!r} is unusable: "
+                f"{str(existing)!r} is a file or a link to no directory"
+            )
+        return
 
 
 def _sha256(path: Path) -> str:
@@ -316,7 +329,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 
     The run holds BLAS at one thread (:func:`graph.one_blas_thread`)."""
     config.validate()
-    check_out_dir(config.out_dir)
+    check_out_path(config.out_dir)
 
     levels = search_levels(config.bits, config.baseline_bits)
     if not levels:

@@ -113,8 +113,8 @@ def score_noise(
     trial, in groups that fit :data:`~mixquant.graph.STACK_FLOATS`
     (:func:`~mixquant.graph.stack_groups`), so a group may end inside one
     tensor's trials. Each group's losses, its own clean one first, come
-    from one chained pass, and each equals that of a :func:`forward` of
-    its own.
+    from one chained pass, and each equals the loss of a pass over its map
+    alone (:func:`~mixquant.graph.chain_losses` of a one-map chain).
     """
     if trials < 1:
         raise GraphError(f"trials must be >= 1, got {trials}")

@@ -22,8 +22,8 @@ from mixquant.graph import (
     ModelGraph,
     _check_compat,
     _softmax,
-    forward,
-    gradients,
+    chain_accuracies,
+    chain_losses,
     loss_and_gradients,
 )
 from mixquant.modelio import new_file
@@ -167,7 +167,7 @@ def quantized_accuracy(model, data, specs_by_bits, config):
         for name, bits in config.bits.items()
         if bits != config.baseline_bits
     }
-    return forward(model, data, weights).accuracy
+    return chain_accuracies(model, data, [weights])[0]
 
 
 # The value that makes edit_json delete the key instead of setting it.
@@ -200,9 +200,11 @@ def central_difference_hvp(model, data, tensor, v, eps=1e-6):
     1e-3 crosses kinks there and gets whole layers wrong.
     """
     w = model.parameter(tensor)
-    plus = gradients(with_tensor(model, tensor, w + eps * v), data, [tensor])[tensor]
-    minus = gradients(with_tensor(model, tensor, w - eps * v), data, [tensor])[tensor]
-    return (plus - minus) / (2.0 * eps)
+    plus = with_tensor(model, tensor, w + eps * v)
+    minus = with_tensor(model, tensor, w - eps * v)
+    [(_, g_plus)] = loss_and_gradients(plus, data, {}, [tensor])[1]
+    [(_, g_minus)] = loss_and_gradients(minus, data, {}, [tensor])[1]
+    return (g_plus - g_minus) / (2.0 * eps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,9 +308,9 @@ def full_basis_trace(model, data, tensor, chunk=64):
 
 
 def noise_samples_oracle(model, data, noise_scale, trials, seed):
-    """Per-tensor loss increases of the noise metric, one :func:`forward`
+    """Per-tensor loss increases of the noise metric, one one-map pass
     per perturbed tensor per trial, tensors in layer order."""
-    clean = forward(model, data).loss
+    [clean] = chain_losses(model, data, [{}])
     samples = {}
     for index, name in enumerate(model.weight_tensor_names()):
         w = model.parameter(name)
@@ -317,7 +319,7 @@ def noise_samples_oracle(model, data, noise_scale, trials, seed):
         samples[name] = []
         for _ in range(trials):
             noisy = w + rng.normal(0.0, sigma, size=w.shape) if sigma > 0 else w
-            samples[name].append(forward(model, data, {name: noisy}).loss - clean)
+            samples[name].append(chain_losses(model, data, [{name: noisy}])[0] - clean)
     return samples
 
 

@@ -31,9 +31,10 @@ from mixquant.graph import (
     KIND_RELU,
     Layer,
     ModelGraph,
-    forward,
-    gradients,
+    chain_accuracies,
+    chain_losses,
     hessian_traces,
+    loss_and_gradients,
 )
 from mixquant.modelio import load_dataset, load_model, read_record, save_dataset, save_model
 from mixquant.pipeline import PipelineConfig, compare_runs, run_pipeline
@@ -94,7 +95,7 @@ def test_criterion_2_gradient_fidelity(f1):
     keep = np.flatnonzero(_kink_clearance(model, full_calib) > 1e-2)
     assert keep.size >= 100
     calib = full_calib.subset(keep)
-    grads = gradients(model, calib)
+    grads = dict(loss_and_gradients(model, calib, {}, model.parameter_names())[1])
     step = 1e-4
     for name in model.parameter_names():
         base = model.parameter(name)
@@ -104,9 +105,9 @@ def test_criterion_2_gradient_fidelity(f1):
             idx = it.multi_index
             bumped = base.copy()
             bumped[idx] += step
-            up = forward(with_tensor(model, name, bumped), calib).loss
+            [up] = chain_losses(with_tensor(model, name, bumped), calib, [{}])
             bumped[idx] -= 2.0 * step
-            down = forward(with_tensor(model, name, bumped), calib).loss
+            [down] = chain_losses(with_tensor(model, name, bumped), calib, [{}])
             fd[idx] = (up - down) / (2.0 * step)
         rel = np.linalg.norm(grads[name] - fd) / np.linalg.norm(fd)
         assert rel <= 1e-3, f"{name}: relative gradient error {rel:.3e}"
@@ -216,7 +217,7 @@ def test_criterion_7_end_to_end_fixture(f1, tmp_path):
         algo="greedy",
         target=0.99,
     )
-    baseline_accuracy = forward(model, evalset).accuracy
+    [baseline_accuracy] = chain_accuracies(model, evalset, [{}])
     assert baseline_accuracy >= 0.95
 
     hessian_result = run_pipeline(base)

@@ -26,7 +26,7 @@ from mixquant.graph import (
     GraphError,
     Layer,
     ModelGraph,
-    forward,
+    chain_losses,
 )
 from mixquant.modelio import read_record, write_record
 from mixquant.quantize import QuantSpec, quantize
@@ -128,10 +128,10 @@ class TestAdjustScales:
         model, data = make_small_ce_model()
         start = calibrate(model, 2)
         adjusted = adjust_scales(model, data, {2: start}, learning_rate=1e-2, epochs=20)[2]
-        clean = forward(model, data).loss
-        assert forward(model, data).loss == clean
-        q_before = forward(model, data, quantized_weights(model, start)).loss
-        q_after = forward(model, data, quantized_weights(model, adjusted.specs)).loss
+        [clean] = chain_losses(model, data, [{}])
+        assert chain_losses(model, data, [{}])[0] == clean
+        [q_before] = chain_losses(model, data, [quantized_weights(model, start)])
+        [q_after] = chain_losses(model, data, [quantized_weights(model, adjusted.specs)])
         assert q_after != q_before
 
 
@@ -357,7 +357,7 @@ class TestDescentEdges:
         model, calib, _ = f1
         start = calibrate(model, 3)
         adjusted = adjust_scales(model, calib, {3: start}, epochs=0)[3]
-        loss = forward(model, calib, quantized_weights(model, start)).loss
+        [loss] = chain_losses(model, calib, [quantized_weights(model, start)])
         assert adjusted.adjustment_log == [loss]
         assert adjusted.specs == start
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -45,6 +46,13 @@ def not_a_directory(tmp_path, layout):
     else:
         taken.symlink_to(tmp_path / "nowhere" if layout == "dangling-link" else taken)
     return (taken / "out" if layout.startswith("below") else taken), taken
+
+
+def too_long(tmp_path, where, suffix=""):
+    """An ``--out`` path under ``tmp_path`` holding a name one byte over the
+    longest the filesystem takes: as its last name, or as a parent's."""
+    name = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
+    return tmp_path / name / f"out{suffix}" if where == "below" else tmp_path / f"{name}{suffix}"
 
 
 def left_as_it_was(taken, layout):
@@ -118,6 +126,17 @@ class TestGenFixture:
         monkeypatch.chdir(tmp_path)
         assert main(["gen-fixture", "--seed", "5", "--out", out, *SMALL_GEN]) == EXIT_CONFIG
         assert "must be non-empty with no NUL" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("where", ["name", "below"])
+    def test_out_with_a_name_too_long_exit_config(self, tmp_path, capsys, monkeypatch, where):
+        def no_fixture_may_be_built(*args):
+            raise AssertionError("the fixture was built before the output path was checked")
+
+        monkeypatch.setattr(cli_module, "build_fixture", no_fixture_may_be_built)
+        out = too_long(tmp_path, where)
+        assert main(["gen-fixture", "--seed", "5", "--out", str(out), *SMALL_GEN]) == EXIT_CONFIG
+        assert "is unusable: File name too long" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("seed", ["-1", str(-(2**32) + 7)])
@@ -356,6 +375,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert "is a file" in err and "[stage:" not in err
         assert left_as_it_was(taken, layout)
+
+    @pytest.mark.parametrize("where", ["name", "below"])
+    def test_out_with_a_name_too_long_exit_config(
+        self, fixture_dir, tmp_path, capsys, monkeypatch, where
+    ):
+        def no_stage_may_run(path):
+            raise AssertionError("a stage ran before the output path was checked")
+
+        monkeypatch.setattr(pipeline_module, "load_model", no_stage_may_run)
+        assert main(run_args(fixture_dir, too_long(tmp_path, where))) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "is unusable: File name too long" in err and "[stage:" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_diverging_calibration_exit_config(self, fixture_dir, tmp_path, capsys):
         code = main(run_args(fixture_dir, tmp_path / "x", ["--lr", "1e308"]))
@@ -738,6 +770,19 @@ class TestCompare:
         assert "error:" in capsys.readouterr().err
         assert taken.read_text() == "kept"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    @pytest.mark.parametrize("where", ["name", "below"])
+    def test_out_with_a_name_too_long_exit_config(
+        self, two_runs, tmp_path, capsys, monkeypatch, where
+    ):
+        def no_run_may_be_read(run_dirs):
+            raise AssertionError("a run directory was read before --out was checked")
+
+        monkeypatch.setattr(cli_module, "compare_runs", no_run_may_be_read)
+        out = too_long(tmp_path, where, ".json")
+        assert main(["compare", *map(str, two_runs), "--out", str(out)]) == EXIT_CONFIG
+        assert "is unusable: File name too long" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_out_below_missing_directories_creates_them(self, two_runs, tmp_path, capsys):
         out = tmp_path / "missing" / "dir" / "summary.json"

@@ -11,7 +11,7 @@ from mixquant.fixtures import (
     build_fixture_latency_table,
     build_fixture_model,
 )
-from mixquant.graph import GraphError, forward
+from mixquant.graph import GraphError, chain_accuracies
 from mixquant.modelio import load_dataset, load_model, save_dataset, save_model
 
 
@@ -51,7 +51,8 @@ class TestBuildFixture:
     def test_meets_accuracy_floor(self, f1):
         # labels are the model's own argmax: correct by construction
         model, calib, evalset = f1
-        assert forward(model, calib).accuracy == forward(model, evalset).accuracy == 1.0
+        [calib_accuracy] = chain_accuracies(model, calib, [{}])
+        assert calib_accuracy == chain_accuracies(model, evalset, [{}])[0] == 1.0
 
     def test_wide_fixture_bytes_do_not_depend_on_the_workers(self, workers, tmp_path, capsys):
         # the wide pool of 3321 rows labels in 19 row blocks

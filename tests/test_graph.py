@@ -41,7 +41,6 @@ from mixquant.graph import (
     KIND_AFFINE,
     KIND_RELU,
     Dataset,
-    EvalResult,
     GraphError,
     Layer,
     ModelGraph,
@@ -54,8 +53,6 @@ from mixquant.graph import (
     chain_accuracies,
     chain_losses,
     chain_macs,
-    forward,
-    gradients,
     hessian_traces,
     loss_and_gradients,
     one_blas_thread,
@@ -87,10 +84,16 @@ def random_split(model, rows, seed=0):
 
 
 def whole_split_result(model, data, weights):
-    """Logits and result of the taped pass, which runs all rows at once."""
+    """Logits, and mean loss and accuracy, of the taped pass, which runs all rows at once."""
     logits, _ = _run_layers(model, data.features, weights)
     loss = float(np.mean(_head(model, logits, data.labels, gradient=False)[0]))
-    return logits, EvalResult(loss, float(np.mean(np.argmax(logits, axis=1) == data.labels)))
+    return logits, (loss, float(np.mean(np.argmax(logits, axis=1) == data.labels)))
+
+
+def one_map_result(model, data, weights=None):
+    """Mean loss and accuracy of the row-blocked pass over ``weights`` alone."""
+    maps = [weights or {}]
+    return chain_losses(model, data, maps)[0], chain_accuracies(model, data, maps)[0]
 
 
 def blocked_logits(model, x, weights):
@@ -145,7 +148,7 @@ class TestModelValidation:
         data = Dataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
         for name in ("d1.out", "r1.out"):
             with pytest.raises(GraphError, match="unknown tensors"):
-                forward(model, data, {name: np.ones((1, 3))})
+                chain_accuracies(model, data, [{name: np.ones((1, 3))}])
 
     @pytest.mark.parametrize("name", ["relu1.weight", "dense1.gamma", "dense1", "dense9.weight"])
     def test_parameter_refuses_a_name_it_does_not_hold(self, f1, name):
@@ -197,19 +200,19 @@ class TestForward:
     def test_single_layer_crossentropy_by_hand(self):
         model = identity_model()
         data = Dataset(np.array([[2.0, 0.0]]), np.array([0]), 2)
-        result = forward(model, data)
-        assert result.loss == pytest.approx(np.log1p(np.exp(-2.0)), rel=1e-14)
-        assert result.accuracy == 1.0
+        loss, accuracy = one_map_result(model, data)
+        assert loss == pytest.approx(np.log1p(np.exp(-2.0)), rel=1e-14)
+        assert accuracy == 1.0
 
     def test_uniform_logits_loss_is_log_num_classes(self):
         model = ModelGraph([Layer("z", KIND_AFFINE, np.zeros((5, 3)), np.zeros(5))])
         data = Dataset(np.random.default_rng(0).normal(size=(7, 3)), np.zeros(7, dtype=int), 5)
-        assert forward(model, data).loss == pytest.approx(np.log(5.0), abs=1e-15)
+        assert chain_losses(model, data, [{}])[0] == pytest.approx(np.log(5.0), abs=1e-15)
 
     def test_argmax_tie_goes_to_lowest_index(self):
         model = identity_model()
         data = Dataset(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([0, 1]), 2)
-        assert forward(model, data).accuracy == 0.5
+        assert chain_accuracies(model, data, [{}])[0] == 0.5
 
     def test_relu_clamps_negative_preactivations(self):
         model = ModelGraph(
@@ -221,7 +224,7 @@ class TestForward:
         )
         data = Dataset(np.array([[3.0, 3.0]]), np.array([1]), 2)
         # preactivations are (-3, -3); relu kills them, bias decides
-        assert forward(model, data).accuracy == 1.0
+        assert chain_accuracies(model, data, [{}])[0] == 1.0
 
     def test_squared_error_head_by_hand(self):
         model = ModelGraph(
@@ -230,21 +233,21 @@ class TestForward:
         )
         data = Dataset(np.array([[0.4, 9.9]]), np.array([0]), 1)
         # target is 1.0, prediction 0.4: loss = 0.5 * 0.36
-        assert forward(model, data).loss == pytest.approx(0.18, rel=1e-14)
+        assert chain_losses(model, data, [{}])[0] == pytest.approx(0.18, rel=1e-14)
 
     def test_feature_dim_mismatch_rejected(self):
         model = identity_model(2)
         data = Dataset(np.zeros((1, 3)), np.array([0]), 2)
         with pytest.raises(GraphError):
-            forward(model, data)
+            chain_accuracies(model, data, [{}])
 
     def test_quantized_forward_uses_weight_spec(self):
         # at 2 bits the 0.7 diagonal snaps to 0.5, shifting the logit gap
         model = ModelGraph([Layer("lin", KIND_AFFINE, 0.7 * np.eye(2), np.zeros(2))])
         data = Dataset(np.array([[1.0, 0.0]]), np.array([0]), 2)
         w2 = quantize(model.parameter("lin.weight"), QuantSpec(alpha=1.0, gamma=1.0, bits=2))
-        clean = forward(model, data).loss
-        quantized = forward(model, data, {"lin.weight": w2}).loss
+        [clean] = chain_losses(model, data, [{}])
+        [quantized] = chain_losses(model, data, [{"lin.weight": w2}])
         assert clean == pytest.approx(np.log1p(np.exp(-0.7)), rel=1e-14)
         assert quantized == pytest.approx(np.log1p(np.exp(-0.5)), rel=1e-14)
 
@@ -252,7 +255,7 @@ class TestForward:
         model = identity_model()
         data = Dataset(np.array([[1.0, 0.0]]), np.array([0]), 2)
         with pytest.raises(GraphError):
-            forward(model, data, {"nope.weight": np.eye(2)})
+            chain_accuracies(model, data, [{"nope.weight": np.eye(2)}])
 
 
 class TestWeightReplacement:
@@ -262,7 +265,7 @@ class TestWeightReplacement:
         for name in model.weight_tensor_names():
             w = model.parameter(name)
             w2 = w + rng.normal(0.0, 0.05, size=w.shape)
-            assert forward(model, calib, {name: w2}) == forward(
+            assert one_map_result(model, calib, {name: w2}) == one_map_result(
                 with_tensor(model, name, w2), calib
             ), name
 
@@ -278,7 +281,7 @@ class TestWeightReplacement:
     def test_invalid_replacement_rejected(self, name, values):
         model, data = make_small_ce_model()
         with pytest.raises(GraphError):
-            forward(model, data, {name: values})
+            chain_accuracies(model, data, [{name: values}])
 
     def test_stored_parameters_unchanged_by_substitution(self):
         model, data = make_small_ce_model()
@@ -305,7 +308,7 @@ class TestBlockedForward:
             weights = {name: quantize(model.parameter(name), s) for name, s in specs.items()}
         logits, result = whole_split_result(model, data, weights)
         assert np.array_equal(blocked_logits(model, data.features, weights), logits)
-        assert forward(model, data, weights) == result
+        assert one_map_result(model, data, weights) == result
 
     def test_relu_first_model_leaves_features_untouched(self):
         rng = np.random.default_rng(2)
@@ -326,16 +329,16 @@ class TestBlockedForward:
         data = Dataset(x, rng.integers(0, 3, size=rows), 3)
         logits, result = whole_split_result(model, data, {})
         assert np.array_equal(blocked, logits)
-        assert forward(model, data) == result
+        assert one_map_result(model, data) == result
 
     def test_working_memory_is_set_by_the_block(self):
         model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
         data = random_split(model, 8192)
         assert len(data) // block_rows(model) > 1
-        forward(model, data)
+        chain_losses(model, data, [{}])
         tracemalloc.start()
         try:
-            forward(model, data)
+            chain_losses(model, data, [{}])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -416,9 +419,8 @@ class TestChainedPass:
         ]
         # a greedy chain resumes at every layer in turn, neighbours included
         for chain in (maps, greedy_chain(model)):
-            results = [forward(model, data, weights) for weights in chain]
-            accuracies = [result.accuracy for result in results]
-            losses = [result.loss for result in results]
+            accuracies = [chain_accuracies(model, data, [weights])[0] for weights in chain]
+            losses = [chain_losses(model, data, [weights])[0] for weights in chain]
             assert chain_accuracies(model, data, chain) == accuracies
             assert chain_accuracies(model, data, chain[::-1]) == accuracies[::-1]
             assert chain_losses(model, data, chain) == losses
@@ -485,7 +487,7 @@ class TestChainedPass:
         before = data.features.copy()
         wa, wb = rng.normal(size=(8, 4)), rng.normal(size=(3, 8))
         maps = [{"b.weight": wb}, {"a.weight": wa, "b.weight": wb}, {"a.weight": wa}, {}]
-        expected = [forward(model, data, weights).accuracy for weights in maps]
+        expected = [chain_accuracies(model, data, [weights])[0] for weights in maps]
         assert chain_accuracies(model, data, maps) == expected
         assert np.array_equal(data.features, before)
 
@@ -781,7 +783,7 @@ class TestParallelBlocks:
         losses = chain_losses(model, data, chain)
         workers(count)
         assert np.array_equal(blocked_logits(model, data.features, weights), logits)
-        assert forward(model, data, weights) == result
+        assert one_map_result(model, data, weights) == result
         assert chain_accuracies(model, data, chain) == accuracies
         assert chain_losses(model, data, chain) == losses
 
@@ -822,7 +824,7 @@ class TestParallelBlocks:
         model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
         data = random_split(model, blocks * block_rows(model))
         before = threading.active_count()
-        forward(model, data)
+        chain_losses(model, data, [{}])
         chain_accuracies(model, data, greedy_chain(model))
         assert threading.active_count() == before
 
@@ -918,10 +920,10 @@ class TestParallelBlocks:
             "data = g.Dataset(rng.normal(size=(rows, 64)), rng.integers(0, 10, rows), 10)\n"
             "started, start = [], threading.Thread.start\n"
             "threading.Thread.start = lambda t: (started.append(t.name), start(t))\n"
-            "g.forward(model, data)\n"
+            "g.chain_accuracies(model, data, [{}])\n"
             "outside, threads = len(started), g._BLAS_THREADS[0]()\n"
             "with g.one_blas_thread():\n"
-            "    g.forward(model, data)\n"
+            "    g.chain_accuracies(model, data, [{}])\n"
             "print(threads, outside, len(started) - outside, g._BLAS_THREADS[0]() == threads)\n"
         )
         threads, outside, inside, restored = run_python(script, tmp_path, {}).stdout.split()
@@ -935,9 +937,11 @@ class TestParallelBlocks:
         model = build_fixture_model(7, FixtureSpec(WIDE_DIMS))
         data = random_split(model, 8192)
         maps = greedy_chain(model)
-        forward(model, data)
+        chain_losses(model, data, [{}])
         chain_accuracies(model, data, maps)
-        for run in (lambda: forward(model, data), lambda: chain_accuracies(model, data, maps)):
+        for run in (
+            lambda: chain_losses(model, data, [{}]), lambda: chain_accuracies(model, data, maps)
+        ):
             tracemalloc.start()
             try:
                 run()
@@ -959,7 +963,7 @@ class TestGradients:
         labels = rng.integers(0, 3, 16)
         data = Dataset(x, labels, 3)
 
-        grads = gradients(model, data)
+        grads = dict(loss_and_gradients(model, data, {}, model.parameter_names())[1])
         z = x @ w.T + b
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
@@ -969,7 +973,7 @@ class TestGradients:
 
     def test_matches_central_differences_on_deep_model(self):
         model, data = make_small_ce_model()
-        grads = gradients(model, data)
+        grads = dict(loss_and_gradients(model, data, {}, model.parameter_names())[1])
         step = 1e-6
         for name in model.parameter_names():
             base = model.parameter(name)
@@ -979,19 +983,19 @@ class TestGradients:
                 idx = it.multi_index
                 bumped = base.copy()
                 bumped[idx] += step
-                up = forward(with_tensor(model, name, bumped), data).loss
+                [up] = chain_losses(with_tensor(model, name, bumped), data, [{}])
                 bumped[idx] -= 2 * step
-                down = forward(with_tensor(model, name, bumped), data).loss
+                [down] = chain_losses(with_tensor(model, name, bumped), data, [{}])
                 fd[idx] = (up - down) / (2 * step)
             rel = np.linalg.norm(grads[name] - fd) / np.linalg.norm(fd)
             assert rel < 1e-8, f"{name}: normwise rel err {rel:.3e}"
 
     def test_wrt_subset_and_unknown_name(self):
         model, data = make_small_ce_model()
-        only = gradients(model, data, wrt=["second.weight"])
+        only = dict(loss_and_gradients(model, data, {}, ["second.weight"])[1])
         assert set(only) == {"second.weight"}
         with pytest.raises(GraphError):
-            gradients(model, data, wrt=["ghost.weight"])
+            dict(loss_and_gradients(model, data, {}, ["ghost.weight"])[1])
 
     def test_relu_gradient_is_zero_at_exact_zero(self):
         # input 0 with zero bias lands exactly on the relu kink; the
@@ -1004,7 +1008,7 @@ class TestGradients:
             ]
         )
         data = Dataset(np.ones((4, 2)), np.array([0, 1, 0, 1]), 2)
-        grads = gradients(model, data)
+        grads = dict(loss_and_gradients(model, data, {}, model.parameter_names())[1])
         np.testing.assert_array_equal(grads["in.weight"], np.zeros((2, 2)))
 
 
@@ -1039,8 +1043,10 @@ class TestReverseSweep:
         labels = rng.integers(0, 3, size=32)
         data = Dataset(x, labels, 3)
         clamped = Dataset(np.maximum(x, 0.0), labels, 3)
-        for name, grad in gradients(leading, data).items():
-            assert np.array_equal(grad, gradients(plain, clamped)[name]), name
+        wrt = plain.parameter_names()
+        plain_grads = dict(loss_and_gradients(plain, clamped, {}, wrt)[1])
+        for name, grad in loss_and_gradients(leading, data, {}, wrt)[1]:
+            assert np.array_equal(grad, plain_grads[name]), name
         assert hessian_traces(leading, data) == hessian_traces(plain, clamped)
         specs = [QuantSpec(1.3, 0.8, 3), QuantSpec(0.6, 1.1, 5)]
         names = plain.weight_tensor_names()
@@ -1066,7 +1072,9 @@ class TestReverseSweep:
         listed = ModelGraph(layers)
         collapsed = ModelGraph([l for l in layers if not l.name.endswith("+")])
         data = Dataset(rng.normal(size=(64, 4)), rng.integers(0, 3, size=64), 3)
-        grads, collapsed_grads = gradients(listed, data), gradients(collapsed, data)
+        wrt = listed.parameter_names()
+        grads = dict(loss_and_gradients(listed, data, {}, wrt)[1])
+        collapsed_grads = dict(loss_and_gradients(collapsed, data, {}, wrt)[1])
         assert list(grads) == list(collapsed_grads)
         for name, grad in grads.items():
             assert np.array_equal(grad, collapsed_grads[name]), name

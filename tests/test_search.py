@@ -15,10 +15,11 @@ from conftest import (
     o1_accuracy,
     o1_size_bytes,
 )
+import mixquant.graph as graph_module
 import mixquant.pipeline as pipeline_module
 from mixquant.calibrate import calibrate
 from mixquant.fixtures import FixtureSpec, build_fixture_model
-from mixquant.graph import GraphError, forward
+from mixquant.graph import Dataset, GraphError, chain_accuracies
 from mixquant.modelio import read_record, write_record
 from mixquant.pipeline import evaluate_configs
 from mixquant.quantize import quantize
@@ -88,7 +89,7 @@ class TestEvaluateConfig:
     def test_all_baseline_equals_clean_accuracy(self):
         model, data = make_small_ce_model()
         config = QuantConfig.uniform(model.weight_tensor_names(), 16)
-        assert evaluate_one(model, data, {}, config) == forward(model, data).accuracy
+        assert evaluate_one(model, data, {}, config) == chain_accuracies(model, data, [{}])[0]
 
     def test_matches_direct_quantized_forward(self):
         model, data = make_small_ce_model()
@@ -98,7 +99,7 @@ class TestEvaluateConfig:
         )
         got = evaluate_one(model, data, {8: specs}, config)
         w8 = quantize(model.parameter("first.weight"), specs["first.weight"])
-        direct = forward(model, data, {"first.weight": w8}).accuracy
+        [direct] = chain_accuracies(model, data, [{"first.weight": w8}])
         assert got == direct
 
     def test_missing_spec_is_an_error(self):
@@ -472,6 +473,48 @@ def test_pipeline_answers_the_longest_prefix_within_the_tail_bound(wide_model, d
         patch.setattr(pipeline_module, "evaluate_configs", fake_engine)
         answers = pipeline_module._evaluate_chain(wide_model, None, {}, configs)
     assert seen == [configs[:expected]] and len(answers) == expected
+
+
+@pytest.mark.parametrize("order", ["layers", "reversed", "interleaved"])
+@pytest.mark.parametrize("which", ["seed7", "wide"])
+def test_pipeline_chains_run_the_work_they_are_priced_at(
+    f1, wide_model, monkeypatch, which, order
+):
+    """The multiply-adds the engine runs for ``_evaluate_chain`` are the rows
+    times ``_chain_macs`` of the configs it answers: each (tensor, width)
+    pair is quantized once per call, so a tensor that a config leaves
+    unchanged is the same array as in the config before it, and the engine
+    resumes that config below its change."""
+    if which == "seed7":
+        model, _, data = f1
+    else:
+        model, rng = wide_model, np.random.default_rng(3)
+        labels = rng.integers(0, model.output_dim, size=1000)
+        data = Dataset(rng.normal(size=(1000, model.input_dim)), labels, model.output_dim)
+    names = model.weight_tensor_names()
+    ordering = {"layers": names, "reversed": names[::-1], "interleaved": names[1::2] + names[::2]}
+    spec_bank = {bits: calibrate(model, bits) for bits in (4, 8)}
+    config, path = QuantConfig.uniform(names, 16), []  # an all-accepted greedy walk's probes
+    for bits in (8, 4):
+        for name in ordering[order]:
+            config = config.replace({name: bits})
+            path.append(config)
+    ran = []
+    affine = graph_module._affine
+
+    def spy(a, weight, layer, relu):
+        ran.append(a.shape[0] * weight.size)
+        return affine(a, weight, layer, relu)
+
+    monkeypatch.setattr(graph_module, "_affine", spy)
+    longest = 0
+    for start in range(len(path)):
+        ran.clear()
+        answers = pipeline_module._evaluate_chain(model, data, spec_bank, path[start:])
+        answered = path[start : start + len(answers)]
+        assert sum(ran) == len(data) * sum(pipeline_module._chain_macs(model, answered)), start
+        longest = max(longest, len(answered))
+    assert longest > 1  # some call chained configs
 
 
 class TestBisectionSearch:
