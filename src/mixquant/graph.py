@@ -4,9 +4,10 @@ The graph is a straight chain of affine and relu layers with a
 classification head. Everything is computed in float64 numpy; parameters
 are frozen read-only arrays, so a loaded model can be shared freely
 across threads. Altered weights are evaluated by the chained passes,
-:func:`chain_accuracies` and :func:`chain_losses`, each given a chain of
-maps of replacement arrays, one array per named weight tensor; the
-stored parameters stay untouched. Callers quantize or perturb the
+:func:`chain_accuracies` (exact: correct rows over all rows, as a
+:class:`~fractions.Fraction`) and :func:`chain_losses`, each given a
+chain of maps of replacement arrays, one array per named weight tensor;
+the stored parameters stay untouched. Callers quantize or perturb the
 weights themselves, and activations always stay in float. A
 :class:`ModelGraph` builds, once, its affine layers, its parameter tensors
 by name and the normal form of its chain that every pass walks: whether a
@@ -62,6 +63,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -503,15 +505,16 @@ def _head(
 
 def chain_accuracies(
     model: ModelGraph, data: Dataset, maps: Sequence[Mapping[str, np.ndarray]]
-) -> list[float]:
-    """Accuracy under each map of replacement weights, in one row-blocked pass.
+) -> list[Fraction]:
+    """Exact accuracy under each map of replacement weights, in one row-blocked pass.
 
     A map's arrays stand in for the weight tensors it names; the stored
     parameters are never modified, and an empty map runs them. An unknown
     or non-weight name, a wrong shape or a non-finite array is a
     :class:`GraphError`. Each accuracy is the blocks' hit counts summed
-    and divided by ``n``; argmax takes the lowest index on ties, so the
-    count is deterministic. A weight changes from one map to the next
+    over ``n``, kept an exact :class:`~fractions.Fraction` so that callers
+    compare it without round-off; argmax takes the lowest index on ties,
+    so the count is deterministic. A weight changes from one map to the next
     when its array is not the very same object, and the chain costs
     :func:`chain_macs` of those changes. Only one block's inputs per
     worker to the layers the maps resume at, and one hit count per map
@@ -523,7 +526,7 @@ def chain_accuracies(
         return int(np.count_nonzero(np.argmax(logits, axis=1) == data.labels[lo:hi]))
 
     counts = _chained_blocks(model, data.features, checked, hits)
-    return [sum(blocks) / len(data) for blocks in counts]
+    return [Fraction(sum(blocks), len(data)) for blocks in counts]
 
 
 def chain_losses(

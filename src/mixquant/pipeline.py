@@ -13,10 +13,12 @@ configs in one chained engine pass. The search's chains go through
 :func:`_evaluate_chain`, which answers the longest prefix in which each
 config past the first has a tail of at most half of the first config's
 forward, in multiply-adds as the engine prices them. The baseline and
-the final verification, judged by the searches' accept test, evaluate
-one config each. An output path that is a file or a symlink that leads to
-no directory, or lies below one, or that the system cannot look up, is
-refused before any stage runs.
+the final verification evaluate one config each; the verification
+decides exactly as the searches do, by :func:`search.accepts` against
+the bar of :func:`search.accuracy_bar`, and a float appears only where a
+record is written. An output path that is a file or a symlink that leads
+to no directory, or lies below one, or that the system cannot look up,
+is refused before any stage runs.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import ClassVar, Mapping, Sequence
 
@@ -52,6 +55,7 @@ from .search import (
     SearchOutcome,
     TargetUnreachableError,
     accepts,
+    accuracy_bar,
     bisection_search,
     greedy_search,
     search_levels,
@@ -183,7 +187,10 @@ class RunResult:
 
 
 class _Stage:
-    """Context wrapper that prefixes errors with the failing stage name."""
+    """Context wrapper that prefixes errors with the failing stage name.
+
+    An :class:`OSError` with a ``strerror`` takes the prefix there: its
+    ``str()`` reads errno, strerror and file, not ``args``."""
 
     def __init__(self, name: str):
         self.name = name
@@ -192,7 +199,9 @@ class _Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, Exception):
+        if isinstance(exc, OSError) and exc.strerror is not None:
+            exc.strerror = f"[stage: {self.name}] {exc.strerror}"
+        elif isinstance(exc, Exception):
             exc.args = (f"[stage: {self.name}] {exc}",) + exc.args[1:]
         return False
 
@@ -273,8 +282,8 @@ def evaluate_configs(
     data: Dataset,
     specs_by_bits: Mapping[int, Mapping[str, QuantSpec]],
     configs: Sequence[QuantConfig],
-) -> list[float]:
-    """Accuracy of the model under each config, as one chained engine pass.
+) -> list[Fraction]:
+    """Exact accuracy of the model under each config, as one chained engine pass.
 
     Each tensor assigned a width ``b`` below the config's baseline is
     fake-quantized with its calibrated spec in ``specs_by_bits[b]``, which
@@ -307,7 +316,7 @@ def _chain_macs(model: ModelGraph, configs: Sequence[QuantConfig]) -> list[int]:
 
 def _evaluate_chain(
     model: ModelGraph, data: Dataset, spec_bank: dict[int, dict], configs
-) -> list[float]:
+) -> list[Fraction]:
     """The search evaluator.
 
     Answers, in one chained pass, the longest prefix of ``configs`` in
@@ -349,9 +358,6 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         for bits in (*levels, config.baseline_bits):
             model_latency(model, QuantConfig.uniform(weight_names, bits, bits), table)
 
-    if not weight_names:
-        raise PipelineConfigError("model has no weight tensors to quantize")
-
     with _Stage("split-calibration-data"):
         sens_data, cal_data = _split_subsets(calib_data, config)
 
@@ -389,10 +395,11 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
 
     with _Stage("verify-target"):
         [verified] = evaluate_configs(model, eval_data, spec_bank, [outcome.config])
-        if not accepts(verified, outcome.target):
+        bar = accuracy_bar(config.target, baseline_accuracy)
+        if not accepts(verified, bar):
             raise TargetUnreachableError(
-                f"committed configuration reaches accuracy {verified:.6f}, "
-                f"below target {outcome.target:.6f}"
+                f"committed configuration reaches accuracy {float(verified):.6f}, "
+                f"below target {float(bar):.6f}"
             )
 
     with _Stage("report-costs"):
@@ -407,7 +414,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             eval_data_sha256=eval_data.digest(),
             latency_table_sha256=_sha256(Path(config.latency_table)),
         )
-        manifest = RunManifest(__version__, config, inputs, baseline_accuracy)
+        manifest = RunManifest(__version__, config, inputs, float(baseline_accuracy))
         files = _record_files(levels)
         specs = [bank_outcomes[bits] for bits in levels]
         records = [manifest, report, outcome.config, outcome, cost, *specs]
@@ -426,7 +433,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         outcome=outcome,
         config=outcome.config,
         cost=cost,
-        baseline_accuracy=baseline_accuracy,
+        baseline_accuracy=manifest.baseline_accuracy,
     )
 
 

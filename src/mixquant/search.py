@@ -3,7 +3,10 @@
 Both searches walk candidate bit widths from highest to lowest and only
 ever lower a tensor's width, never raise it. Each is a plain sequential
 walk that asks a ``probe(config) -> accuracy`` callback for one config
-at a time, and :func:`accepts` judges every answer. An evaluator (the
+at a time, and :func:`accepts` judges every answer against the exact bar
+of :func:`accuracy_bar`. Accuracies are exact too, each a
+:class:`~fractions.Fraction` of correct rows, so a probe on the bar is
+accepted; only the outcome rounds them to floats. An evaluator (the
 run's, in :mod:`mixquant.pipeline`, or a synthetic oracle in tests) is
 offered a non-empty chain of configs, each the previous one with more
 tensors lowered, and returns the accuracies in [0, 1] of a non-empty
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from .graph import GraphError
@@ -71,9 +75,10 @@ class QuantConfig:
 class SearchOutcome:
     """What a search returned and how it got there.
 
-    ``target`` is the absolute accuracy bar (target fraction times
-    baseline accuracy), ``trace`` one entry per probe whose answer the
-    search used.
+    ``target`` is the exact bar of :func:`accuracy_bar` and each accuracy
+    an exact answer, each rounded once to a float; rounding is monotone,
+    so an accepted ``trace`` entry still reads ``accuracy >= target``.
+    ``trace`` holds one entry per probe whose answer the search used.
     """
 
     FORMAT: ClassVar[str] = "mixquant-search-outcome"
@@ -85,11 +90,11 @@ class SearchOutcome:
     trace: tuple[dict, ...] = field(default_factory=tuple)
 
 
-# Offered a non-empty chain of configs, returns the accuracies of a
+# Offered a non-empty chain of configs, returns the exact accuracies of a
 # non-empty prefix of it.
-Evaluator = Callable[[Sequence[QuantConfig]], Sequence[float]]
-# A search's question for one config, answered with its accuracy.
-Probe = Callable[[QuantConfig], float]
+Evaluator = Callable[[Sequence[QuantConfig]], Sequence[Fraction]]
+# A search's question for one config, answered with its exact accuracy.
+Probe = Callable[[QuantConfig], Fraction]
 
 
 def search_levels(candidate_bits, baseline_bits: int) -> list[int]:
@@ -99,7 +104,7 @@ def search_levels(candidate_bits, baseline_bits: int) -> list[int]:
 
 
 def _common_checks(ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits):
-    """The ordering's names, the widths to walk and the absolute target."""
+    """The ordering's names, the widths to walk and the accuracy bar."""
     names = list(ordering)
     if not names:
         raise GraphError("search needs a non-empty tensor ordering")
@@ -114,16 +119,23 @@ def _common_checks(ordering, candidate_bits, target_fraction, baseline_accuracy,
     if not 0.0 <= baseline_accuracy <= 1.0:
         raise GraphError(f"baseline accuracy must lie in [0, 1], got {baseline_accuracy}")
     levels = search_levels(candidate_bits, baseline_bits)
-    return names, levels, target_fraction * baseline_accuracy
+    return names, levels, accuracy_bar(target_fraction, baseline_accuracy)
 
 
-def accepts(accuracy: float, target: float) -> bool:
+def accuracy_bar(target_fraction: float, baseline_accuracy: Fraction) -> Fraction:
+    """The exact accuracy a config must reach: ``target_fraction`` as the
+    decimal it was written as (0.9 is 9/10, not the float nearest it) times
+    the exact ``baseline_accuracy``."""
+    return Fraction(repr(float(target_fraction))) * Fraction(baseline_accuracy)
+
+
+def accepts(accuracy: Fraction, bar: Fraction) -> bool:
     """The one accept test: of both searches, their driver and the run's verification."""
-    return accuracy >= target
+    return accuracy >= bar
 
 
 def _replay(
-    evaluator: Evaluator, walk: Callable[[Probe], SearchOutcome], target: float, budget: int
+    evaluator: Evaluator, walk: Callable[[Probe], SearchOutcome], bar: Fraction, budget: int
 ) -> SearchOutcome:
     """Run a sequential ``walk(probe)`` on chained evaluator calls.
 
@@ -136,11 +148,11 @@ def _replay(
     once the path is used up. A walk that makes more than ``budget``
     evaluations is an error.
     """
-    answers: list[float] = []  # in the walk's probe order
+    answers: list[Fraction] = []  # in the walk's probe order
     path: list[QuantConfig] = []
     used = 0
 
-    def probe(config: QuantConfig) -> float:
+    def probe(config: QuantConfig) -> Fraction:
         nonlocal used
         if used < len(answers):
             used += 1
@@ -158,13 +170,13 @@ def _replay(
                         f"search used {outcome.evals} evaluations, over its budget {budget}"
                     )
                 return outcome
-        offer = path[:1] if answers and not accepts(answers[-1], target) else path[:]
+        offer = path[:1] if answers and not accepts(answers[-1], bar) else path[:]
         got = evaluator(offer)
         if not 1 <= len(got) <= len(offer):
             raise RuntimeError(f"evaluator answered {len(got)} of {len(offer)} offered configs")
         for accuracy in got:
             answers.append(accuracy)
-            if not accepts(accuracy, target):
+            if not accepts(accuracy, bar):
                 path.clear()
                 break
         else:
@@ -176,7 +188,7 @@ def greedy_search(
     ordering,
     candidate_bits,
     target_fraction: float,
-    baseline_accuracy: float,
+    baseline_accuracy: Fraction,
     baseline_bits: int = DEFAULT_BASELINE_BITS,
 ) -> SearchOutcome:
     """Per-tensor greedy descent through the candidate bit widths.
@@ -187,7 +199,7 @@ def greedy_search(
     considered at the next, lower width. Uses at most ``len(candidate_bits)
     * len(ordering)`` evaluations.
     """
-    names, levels, target = _common_checks(
+    names, levels, bar = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits
     )
 
@@ -199,16 +211,18 @@ def greedy_search(
             for name in survivors:
                 candidate = config.replace({name: bits})
                 accuracy = probe(candidate)
-                ok = accepts(accuracy, target)
-                trace.append({"tensor": name, "bits": bits, "accuracy": accuracy, "accepted": ok})
+                ok = accepts(accuracy, bar)
+                trace.append(
+                    {"tensor": name, "bits": bits, "accuracy": float(accuracy), "accepted": ok}
+                )
                 if ok:
                     config, achieved = candidate, accuracy
                     kept.append(name)
             # a tensor rejected at one width is not tried at the lower ones
             survivors = kept
-        return SearchOutcome(config, len(trace), target, achieved, tuple(trace))
+        return SearchOutcome(config, len(trace), float(bar), float(achieved), tuple(trace))
 
-    return _replay(evaluator, walk, target, len(levels) * len(names))
+    return _replay(evaluator, walk, bar, len(levels) * len(names))
 
 
 def bisection_search(
@@ -216,7 +230,7 @@ def bisection_search(
     ordering,
     candidate_bits,
     target_fraction: float,
-    baseline_accuracy: float,
+    baseline_accuracy: Fraction,
     baseline_bits: int = DEFAULT_BASELINE_BITS,
 ) -> SearchOutcome:
     """Prefix-threshold bisection through the candidate bit widths.
@@ -228,7 +242,7 @@ def bisection_search(
     deterministic, so that probe is not repeated. Uses at most
     ``len(candidate_bits) * (ceil(log2 N) + 2)`` evaluations.
     """
-    names, levels, target = _common_checks(
+    names, levels, bar = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits
     )
 
@@ -243,9 +257,10 @@ def bisection_search(
                 threshold = (low + high) // 2
                 candidate = config.replace(dict.fromkeys(prefix[:threshold], bits))
                 accuracy = probe(candidate)
-                ok = accepts(accuracy, target)
+                ok = accepts(accuracy, bar)
                 trace.append(
-                    {"threshold": threshold, "bits": bits, "accuracy": accuracy, "accepted": ok}
+                    {"threshold": threshold, "bits": bits, "accuracy": float(accuracy),
+                     "accepted": ok}
                 )
                 if ok:
                     low, passed = threshold, (candidate, accuracy)
@@ -253,7 +268,7 @@ def bisection_search(
                     high = threshold
             config, achieved = passed
             prefix = prefix[:low]
-        return SearchOutcome(config, len(trace), target, achieved, tuple(trace))
+        return SearchOutcome(config, len(trace), float(bar), float(achieved), tuple(trace))
 
     budget = len(levels) * (math.ceil(math.log2(max(len(names), 1))) + 2)
-    return _replay(evaluator, walk, target, budget)
+    return _replay(evaluator, walk, bar, budget)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,14 +344,16 @@ def reference_levenshtein(a, b):
 # Synthetic separable search oracle: four tensors whose accuracy penalty
 # is linear in a per-tensor weight and a per-width cost. Monotone and
 # separable, so exhaustive enumeration is tractable and greedy is optimal.
+# Its accuracies are exact, as the engine's are: in floats, L1 alone at 4
+# bits scores 1.0 - 0.01, which lies below the bar 99/100 it sits on.
 O1_NAMES = ("L1", "L2", "L3", "L4")
 O1_WEIGHTS = {"L1": 1, "L2": 2, "L3": 3, "L4": 4}
-O1_PENALTY = {16: 0.0, 8: 0.002, 4: 0.01}
+O1_PENALTY = {16: Fraction(0), 8: Fraction("0.002"), 4: Fraction("0.01")}
 O1_NUMEL = 8
 
 
 def o1_accuracy(config):
-    return 1.0 - sum(O1_WEIGHTS[n] * O1_PENALTY[b] for n, b in config.bits.items())
+    return 1 - sum(O1_WEIGHTS[n] * O1_PENALTY[b] for n, b in config.bits.items())
 
 
 def first_only(oracle):

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,17 @@ class TestRun:
             "error: [stage: load-inputs] dataset has 3 classes but the model emits 2"
         )
 
+    def test_model_without_an_affine_layer_fails_before_calibration(
+        self, fixture_dir, tmp_path, capsys, no_calibration
+    ):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixture_dir, inputs)
+        edit_json(inputs / "model.json", ("layers",), [{"name": "r", "kind": "relu"}])
+        assert main(run_args(inputs, tmp_path / "x")) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: [stage: load-inputs] model has no affine layer, input width is undefined\n"
+        )
+
     def test_committed_config_below_target_exit_target(
         self, fixture_dir, tmp_path, capsys, monkeypatch
     ):
@@ -512,6 +524,29 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: [stage: verify-target]") and "below target" in err
         assert not out.exists()
+
+    def test_committed_config_on_the_bar_exit_ok(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        # The search accepts every probe, so every tensor is committed at 2
+        # bits, where the engine scores 72 of 100 rows against a baseline of
+        # 80 at target 0.9: exactly the bar, which the float product
+        # 0.9 * 0.8 = 0.7200000000000001 put out of reach.
+        monkeypatch.setattr(
+            pipeline_module,
+            "_evaluate_chain",
+            lambda model, data, spec_bank, configs: [Fraction(1)] * len(configs),
+        )
+
+        def engine(model, data, specs_by_bits, configs):
+            return [Fraction(80 if set(c.bits.values()) == {16} else 72, 100) for c in configs]
+
+        monkeypatch.setattr(pipeline_module, "evaluate_configs", engine)
+        out = tmp_path / "run"
+        assert main(run_args(fixture_dir, out, ["--bits", "2", "--target", "0.9"])) == EXIT_OK
+        assert "baseline accuracy 0.8000, target 0.7200" in capsys.readouterr().out
+        outcome = read_record(out / "outcome.json", SearchOutcome)
+        assert set(outcome.config.bits.values()) == {2}
+        assert outcome.target == 0.72
+        assert load_manifest(out / "manifest.json").baseline_accuracy == 0.8
 
     def test_metric_choice_enforced_by_parser(self, fixture_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

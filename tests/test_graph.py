@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -84,10 +85,11 @@ def random_split(model, rows, seed=0):
 
 
 def whole_split_result(model, data, weights):
-    """Logits, and mean loss and accuracy, of the taped pass, which runs all rows at once."""
+    """Logits, mean loss and exact accuracy of the taped pass, which runs all rows at once."""
     logits, _ = _run_layers(model, data.features, weights)
     loss = float(np.mean(_head(model, logits, data.labels, gradient=False)[0]))
-    return logits, (loss, float(np.mean(np.argmax(logits, axis=1) == data.labels)))
+    hits = int(np.count_nonzero(np.argmax(logits, axis=1) == data.labels))
+    return logits, (loss, Fraction(hits, len(data)))
 
 
 def one_map_result(model, data, weights=None):

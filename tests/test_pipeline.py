@@ -1,7 +1,9 @@
 """End-to-end pipeline tests on a compact generated fixture."""
 
 import dataclasses
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -231,12 +233,17 @@ def test_search_forwards_per_greedy_run(tmp_path, eval_forwards, spec, metric, f
     assert np.mean(per_run) == pytest.approx(forwards, abs=5e-4)
 
 
-def test_search_forwards_per_bisection_run(tmp_path, eval_forwards):
+@pytest.fixture(scope="module")
+def wide_bench_inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("wide-bench"), 7, WIDE_BENCH)
+
+
+def test_search_forwards_per_bisection_run(tmp_path, eval_forwards, wide_bench_inputs):
     """The sweep-wide benchmark cell, priced as the greedy cells above:
     wide noise/bisection over ``2,3,4,5,6,8``, mean over pipeline seeds
     35-39. Offering the whole new path right after a rejection, and
     bounding the tails' sum at one forward, it was 9.274."""
-    inputs = write_inputs(tmp_path, 7, WIDE_BENCH)
+    inputs = wide_bench_inputs
     per_run = []
     for seed in range(35, 40):
         eval_forwards.clear()
@@ -248,6 +255,45 @@ def test_search_forwards_per_bisection_run(tmp_path, eval_forwards):
         )
         per_run.append(sum(eval_forwards[1:-1]))
     assert np.mean(per_run) == pytest.approx(9.368, abs=5e-4)
+
+
+WIDE_EVAL_ROWS = 8192
+# The benchmark's qe-wide and sweep-wide cells at pipeline seed 35: the
+# committed bits of dense1..dense7, every probe's mistakes on the eval
+# split in trace order, which probes were accepted ("1") and the
+# committed configuration's mistakes.
+WIDE_PINS = {
+    ("qe", "greedy", (4, 8)): (
+        (4, 8, 8, 4, 8, 4, 4),
+        (0, 0, 0, 0, 0, 0, 0, 1, 11, 17, 58, 127, 96, 84),
+        "11111111111000",
+        58,
+    ),
+    ("noise", "bisection", (2, 3, 4, 5, 6, 8)): (
+        (5, 4, 4, 4, 5, 4, 5),
+        (0, 0, 0, 0, 2, 2, 18, 29, 23, 73, 83, 86, 199, 142),
+        "11111111110000",
+        73,
+    ),
+}
+
+
+@pytest.mark.parametrize("metric, algo, bits", list(WIDE_PINS), ids=["qe-wide", "sweep-wide"])
+def test_wide_benchmark_decisions_pinned(tmp_path, wide_bench_inputs, metric, algo, bits):
+    widths, mistakes, accepted, achieved_mistakes = WIDE_PINS[metric, algo, bits]
+    result = run_pipeline(
+        config_for(
+            wide_bench_inputs, tmp_path / "run", metric=metric, algo=algo, bits=bits,
+            seed=35, epochs=DEFAULT_EPOCHS,
+        )
+    )
+    assert result.config.bits == {f"dense{i}.weight": b for i, b in enumerate(widths, 1)}
+    trace = result.outcome.trace
+    # 8192 is a power of two, so each accuracy is exactly (rows - mistakes) / rows.
+    rows = WIDE_EVAL_ROWS
+    assert [t["accuracy"] for t in trace] == [(rows - m) / rows for m in mistakes]
+    assert "".join("1" if t["accepted"] else "0" for t in trace) == accepted
+    assert result.outcome.achieved_accuracy == (rows - achieved_mistakes) / rows
 
 
 class TestPipelineValidation:
@@ -271,6 +317,24 @@ class TestPipelineValidation:
         config = config_for(small_inputs, tmp_path, model=str(tmp_path / "ghost.json"))
         with pytest.raises(DataFormatError, match=r"\[stage: load-inputs\]"):
             run_pipeline(config)
+
+    def test_an_os_error_names_its_stage_and_keeps_errno_and_file(
+        self, small_inputs, tmp_path, monkeypatch
+    ):
+        # str() of an OSError with an errno reads its strerror and file, not its args
+        target = str(tmp_path / "run" / "manifest.json")
+
+        def disk_full(path, record):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), target)
+
+        monkeypatch.setattr(pipeline_module, "write_record", disk_full)
+        with pytest.raises(OSError) as raised:
+            run_pipeline(config_for(small_inputs, tmp_path / "run"))
+        assert (raised.value.errno, raised.value.filename) == (errno.ENOSPC, target)
+        assert str(raised.value) == (
+            f"[Errno {errno.ENOSPC}] [stage: write-artifacts] "
+            f"{os.strerror(errno.ENOSPC)}: {target!r}"
+        )
 
     def test_tiny_calibration_file_rejected(self, small_inputs, tmp_path):
         from mixquant.graph import Dataset

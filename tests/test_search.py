@@ -2,6 +2,8 @@
 
 import functools
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,9 +29,13 @@ from mixquant.search import (
     QuantConfig,
     SearchOutcome,
     _replay,
+    accepts,
+    accuracy_bar,
     bisection_search,
     greedy_search,
 )
+
+BAR_99 = Fraction(99, 100)  # the bar of target 0.99 over a baseline of 1
 
 
 def exhaustive_optimum(names, levels, target):
@@ -127,7 +133,7 @@ class TestEvaluateConfig:
 class TestGreedySearch:
     def test_oracle_matches_exhaustive_minimum(self):
         outcome = greedy_search(first_only(o1_accuracy), O1_NAMES, (4, 8, 16), 0.99, 1.0)
-        best_size, _ = exhaustive_optimum(O1_NAMES, (4, 8, 16), outcome.target)
+        best_size, _ = exhaustive_optimum(O1_NAMES, (4, 8, 16), BAR_99)
         assert o1_size_bytes(outcome.config) == best_size
         assert outcome.config.bits == {"L1": 8, "L2": 8, "L3": 16, "L4": 16}
         assert outcome.achieved_accuracy >= outcome.target
@@ -137,7 +143,7 @@ class TestGreedySearch:
             first_only(o1_accuracy), tuple(reversed(O1_NAMES)), (4, 8, 16), 0.99, 1.0
         )
         assert outcome.achieved_accuracy >= outcome.target
-        assert o1_accuracy(outcome.config) >= outcome.target
+        assert o1_accuracy(outcome.config) >= BAR_99
 
     def test_all_rejections_return_baseline(self):
         outcome = greedy_search(first_only(lambda c: 0.0), O1_NAMES, (4, 8), 0.99, 1.0)
@@ -162,16 +168,17 @@ class TestGreedySearch:
         assert a == b
 
 
-def sequential_greedy(oracle, names, levels, target):
-    """Greedy as a width-by-width walk, one probe per evaluation."""
+def sequential_greedy(oracle, names, levels, bar):
+    """Greedy as a width-by-width walk, one probe per evaluation, the
+    oracle's exact answers against the exact ``bar``."""
     bits = dict.fromkeys(names, 16)
     trace, survivors = [], list(names)
     for b in levels:
         kept = []
         for name in survivors:
             accuracy = oracle(QuantConfig({**bits, name: b}))
-            trace.append((name, b, accuracy >= target))
-            if accuracy >= target:
+            trace.append((name, b, accuracy >= bar))
+            if accuracy >= bar:
                 bits[name] = b
                 kept.append(name)
         survivors = kept
@@ -182,7 +189,7 @@ def key(config):
     return frozenset(config.bits.items())
 
 
-def sequential_bisection(oracle, names, levels, target):
+def sequential_bisection(oracle, names, levels, bar):
     """Bisection as a width-by-width walk, one probe per evaluation: the
     committed bits, every config evaluated and (threshold, bits, accepted)
     per evaluation."""
@@ -193,7 +200,7 @@ def sequential_bisection(oracle, names, levels, target):
         while high - low > 1:
             threshold = (low + high) // 2
             evaluated.append(QuantConfig({**bits, **dict.fromkeys(prefix[:threshold], b)}))
-            ok = oracle(evaluated[-1]) >= target
+            ok = oracle(evaluated[-1]) >= bar
             trace.append((threshold, b, ok))
             low, high = (threshold, high) if ok else (low, threshold)
         bits.update(dict.fromkeys(prefix[:low], b))
@@ -204,18 +211,20 @@ def sequential_bisection(oracle, names, levels, target):
 @st.composite
 def search_problems(draw):
     """An ordering, candidate widths and a deterministic oracle whose
-    accept pattern hypothesis picks through per-(tensor, width) penalties."""
+    accept pattern hypothesis picks through per-(tensor, width) penalties.
+    Its answers are exact, as the engine's are: in floats, two penalties
+    of 0.005 would score ``1.0 - 0.005 - 0.005``, below the bar 99/100."""
     names = draw(st.permutations([f"t{i}" for i in range(draw(st.integers(1, 6)))]))
     widths = st.sampled_from([2, 3, 4, 5, 6, 8])
     levels = draw(st.lists(widths, min_size=1, max_size=4, unique=True))
     penalty = {
-        (name, b): draw(st.sampled_from([0.0, 0.001, 0.002, 0.005, 0.02]))
+        (name, b): Fraction(draw(st.sampled_from(["0", "0.001", "0.002", "0.005", "0.02"])))
         for name in names
         for b in levels
     }
 
     def oracle(config):
-        return 1.0 - sum(penalty.get(item, 0.0) for item in config.bits.items())
+        return 1 - sum(penalty.get(item, 0) for item in config.bits.items())
 
     fraction = draw(st.sampled_from([0.99, 0.995, 1.0]))
     return list(names), sorted(levels, reverse=True), oracle, fraction
@@ -237,7 +246,7 @@ class TestChainedEvaluation:
 
         chained = greedy_search(evaluator, names, levels, fraction, 1.0)
         assert chained == greedy_search(first_only(oracle), names, levels, fraction, 1.0)
-        bits, trace = sequential_greedy(oracle, names, levels, chained.target)
+        bits, trace = sequential_greedy(oracle, names, levels, accuracy_bar(fraction, 1))
         assert chained.config.bits == bits
         assert [(e["tensor"], e["bits"], e["accepted"]) for e in chained.trace] == trace
 
@@ -251,12 +260,13 @@ class TestChainedEvaluation:
             offers.append([oracle(c) for c in configs])
             return offers[-1]
 
-        outcome = search(evaluator, names, levels, fraction, 1.0)
+        search(evaluator, names, levels, fraction, 1.0)
+        bar = accuracy_bar(fraction, 1)
         # the first offer is every probe, across widths, as if all were accepted
         all_accepted = search(first_only(lambda c: 1.0), names, levels, fraction, 1.0)
         assert len(offers[0]) == all_accepted.evals
         for answered, following in zip(offers, offers[1:]):
-            if any(accuracy < outcome.target for accuracy in answered):
+            if any(accuracy < bar for accuracy in answered):
                 assert len(following) == 1
 
     @settings(max_examples=150, deadline=None)
@@ -276,9 +286,10 @@ class TestChainedEvaluation:
 
         chained = bisection_search(evaluator, names, levels, fraction, 1.0)
         assert chained == bisection_search(first_only(oracle), names, levels, fraction, 1.0)
-        bits, _, trace = sequential_bisection(oracle, names, levels, chained.target)
+        bar = accuracy_bar(fraction, 1)
+        bits, _, trace = sequential_bisection(oracle, names, levels, bar)
         assert chained.config.bits == bits
-        assert chained.achieved_accuracy == oracle(chained.config)
+        assert chained.achieved_accuracy == float(oracle(chained.config))
         assert [(e["threshold"], e["bits"], e["accepted"]) for e in chained.trace] == trace
         # Every offer is the rest of what a sequential bisection evaluates
         # if each config whose answer the search has not used yet is
@@ -287,10 +298,10 @@ class TestChainedEvaluation:
         for offer, count in offers:
             known = {key(c): oracle(c) for c in used}
             path = sequential_bisection(
-                lambda c: known.get(key(c), 1.0), names, levels, chained.target
+                lambda c: known.get(key(c), 1.0), names, levels, bar
             )[1][len(used) :]
             assert offer == (path[:1] if after_rejection else path)
-            rejected = [oracle(c) < chained.target for c in offer[:count]] + [True]
+            rejected = [oracle(c) < bar for c in offer[:count]] + [True]
             used += offer[: min(count, rejected.index(True) + 1)]
             after_rejection = rejected.index(True) < count
 
@@ -520,7 +531,7 @@ def test_pipeline_chains_run_the_work_they_are_priced_at(
 class TestBisectionSearch:
     def test_oracle_matches_exhaustive_prefix_optimum(self):
         outcome = bisection_search(first_only(o1_accuracy), O1_NAMES, (4, 8, 16), 0.99, 1.0)
-        best_size, best_config = exhaustive_prefix_optimum(O1_NAMES, outcome.target)
+        best_size, best_config = exhaustive_prefix_optimum(O1_NAMES, BAR_99)
         assert o1_size_bytes(outcome.config) == best_size
         assert outcome.config.bits == best_config.bits
         assert outcome.achieved_accuracy >= outcome.target
@@ -551,6 +562,71 @@ class TestBisectionSearch:
         a = bisection_search(first_only(o1_accuracy), O1_NAMES, (4, 8), 0.99, 1.0)
         b = bisection_search(first_only(o1_accuracy), O1_NAMES, (4, 8), 0.99, 1.0)
         assert a == b
+
+
+def float_rule_ties():
+    """Every (rows, target, baseline hits, hits) with ``hits / rows`` exactly
+    on the bar, the decimal target times ``baseline / rows``, that the float
+    rule ``hits / rows >= target * (baseline / rows)`` rejected, over the
+    split sizes and targets a run commonly has."""
+    ties = []
+    for rows in (100, 1000, 2048):
+        for target in (0.9, 0.95, 0.98, 0.99, 0.995, 0.999):
+            for baseline in range(rows + 1):
+                on_bar = Fraction(str(target)) * baseline
+                hits = int(on_bar)
+                if hits == on_bar and not hits / rows >= target * (baseline / rows):
+                    ties.append((rows, target, baseline, hits))
+    return ties
+
+
+TIES = float_rule_ties()
+
+
+class TestExactAcceptance:
+    def test_the_float_rule_rejected_42_ties(self):
+        assert len(TIES) == 42
+        assert (100, 0.9, 80, 72) in TIES
+        assert not [tie for tie in TIES if tie[0] == 2048]
+
+    @pytest.mark.parametrize(
+        "rows, target, baseline, hits", TIES, ids=[f"n{n}-t{t}-b{b}" for n, t, b, _ in TIES]
+    )
+    def test_a_tie_is_on_the_bar_and_accepted(self, rows, target, baseline, hits):
+        bar = accuracy_bar(target, Fraction(baseline, rows))
+        assert bar == Fraction(hits, rows)
+        assert accepts(Fraction(hits, rows), bar)
+        assert not accepts(Fraction(hits - 1, rows), bar)
+
+    def test_the_bar_reads_the_decimal_of_a_numpy_target(self):
+        assert accuracy_bar(np.float64(0.9), Fraction(4, 5)) == Fraction(18, 25)
+        assert accuracy_bar(0.99, 1.0) == BAR_99
+
+    @pytest.mark.parametrize("search", [greedy_search, bisection_search])
+    def test_a_probe_on_the_bar_is_committed(self, search):
+        outcome = search(
+            first_only(lambda c: Fraction(72, 100)), ["a"], (8,), 0.9, Fraction(80, 100)
+        )
+        assert outcome.config.bits == {"a": 8}
+        assert [e["accepted"] for e in outcome.trace] == [True]
+        assert outcome.trace[0]["accuracy"] == outcome.achieved_accuracy == outcome.target == 0.72
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10_000), st.integers(1, 1000), st.data())
+    def test_rounding_once_keeps_every_decision(self, rows, permille, data):
+        """A record rounds each accuracy and the bar once; rounding is
+        monotone, so an accepted accuracy reads at or above its bar in
+        floats and a rejected one at or below it, and an accuracy rounds
+        to ``hits / rows``, bit for bit."""
+        baseline = data.draw(st.integers(0, rows))
+        bar = accuracy_bar(permille / 1000, Fraction(baseline, rows))
+        hits = min(rows, max(0, math.floor(bar * rows) + data.draw(st.integers(-1, 1))))
+        accuracy = Fraction(hits, rows)
+        assert float(accuracy) == hits / rows
+        if accepts(accuracy, bar):
+            assert float(accuracy) >= float(bar)
+        else:
+            assert float(accuracy) <= float(bar)
 
 
 class TestArgumentChecks:
