@@ -64,12 +64,6 @@ def calibrate(model: ModelGraph, bits: int) -> dict[str, QuantSpec]:
     return specs
 
 
-def _taped_floats(model: ModelGraph, rows: int) -> int:
-    """Floats of the activations one bank's taped pass keeps over ``rows``
-    rows: each affine layer's output, which the relus after it overwrite."""
-    return rows * sum(l.weight.shape[0] for l in model.affine_layers)
-
-
 def adjust_scales(
     model: ModelGraph,
     data: Dataset,
@@ -102,7 +96,7 @@ def adjust_scales(
                 f"the {bits}-bit bank must hold every weight tensor at {bits} bits, got {held}"
             )
     widths = list(banks)
-    groups = graph.stack_groups([_taped_floats(model, len(data))] * len(widths))
+    groups = graph.stack_groups([graph.taped_floats(model, len(data))] * len(widths))
 
     def descend(g: int) -> dict[int, CalibrationOutcome]:
         group_banks = {widths[i]: banks[widths[i]] for i in groups[g]}

@@ -1,9 +1,11 @@
 """Command-line entry points: gen-fixture, run, compare.
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 malformed or
-unreadable data files, 4 the committed configuration failed its
-re-evaluation against the target; README "Exit codes" lists each case.
-Unexpected failures propagate as ordinary tracebacks with exit code 1.
+unreadable data files, or a file that could not be written (any
+``OSError``, such as a full disk), 4 the committed configuration failed
+its re-evaluation against the target; README "Exit codes" lists each
+case. Unexpected failures propagate as ordinary tracebacks with exit
+code 1.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def main(argv=None) -> int:
     except (PipelineConfigError, GraphError, AdjustmentDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataFormatError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TargetUnreachableError as exc:

@@ -29,10 +29,8 @@ class MissingLatencyEntry(DataFormatError, LookupError):
 class LatencyTable:
     """Measured kernel latencies keyed by (kind, m, n, k, bits)."""
 
-    def __init__(self, entries: dict[tuple[str, int, int, int, int], float] | None = None):
+    def __init__(self):
         self.entries: dict[tuple[str, int, int, int, int], float] = {}
-        for key, value in (entries or {}).items():
-            self.add(*key, value)
 
     def add(self, kind: str, m: int, n: int, k: int, bits: int, latency_us: float) -> None:
         if kind != KIND_MATMUL:
@@ -53,9 +51,6 @@ class LatencyTable:
                 f"no latency entry for kind={kind} m={m} n={n} k={k} bits={bits}"
             )
         return self.entries[key]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "LatencyTable":

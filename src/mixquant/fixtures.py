@@ -113,10 +113,8 @@ def build_fixture(
     return model, calib, evalset
 
 
-def build_fixture_latency_table(
-    model: ModelGraph, bit_widths=range(2, 17)
-) -> LatencyTable:
-    """A synthetic timing table covering every affine layer at every width.
+def build_fixture_latency_table(model: ModelGraph) -> LatencyTable:
+    """A synthetic timing table covering every affine layer at every width, 2 to 16.
 
     Latencies grow affinely with the multiply count and proportionally
     with bit width, so narrower configs are always faster and the table
@@ -126,9 +124,9 @@ def build_fixture_latency_table(
     table = LatencyTable()
     for layer in model.affine_layers:
         out_dim, in_dim = layer.weight.shape
-        for bits in bit_widths:
-            if (KIND_MATMUL, out_dim, 1, in_dim, int(bits)) in table.entries:
+        for bits in range(2, 17):
+            if (KIND_MATMUL, out_dim, 1, in_dim, bits) in table.entries:
                 continue
             latency = (0.05 + 2e-4 * out_dim * in_dim) * bits / 16.0
-            table.add(KIND_MATMUL, out_dim, 1, in_dim, int(bits), round(latency, 6))
+            table.add(KIND_MATMUL, out_dim, 1, in_dim, bits, round(latency, 6))
     return table

@@ -21,18 +21,18 @@ callers rely on:
   time and keep of each block only what they reduce it to (hit counts,
   row losses, margins and labels), so their working memory is set by the
   block and not by the split. Inside each block, every map of a chain
-  (search probes, noise perturbations) resumes from its predecessor's
-  activations at the first affine layer whose weight it changes, and
-  :func:`chain_macs` prices a chain by that rule.
+  (search probes, noise perturbations) resumes at the first affine layer
+  whose weight it changes, from the input there that an earlier map kept
+  for it, and :func:`chain_macs` prices a chain by that rule.
 - **How stacked work splits.** :func:`stack_groups` packs calibration
   banks or noisy copies, in order, into groups within :data:`STACK_FLOATS`.
-- **How the reverse sweep descends.** A taped pass keeps one tape per
-  affine layer over the whole split: its input, and its output, which
-  the relu after it, if any, overwrites in place. One lazy sweep yields
-  the gradient in each affine layer's output, last layer first, and
-  moves down only when asked: :func:`loss_and_gradients` reduces it to
-  parameter gradients, which scale calibration reduces and drops in
-  turn, and :func:`hessian_traces` to row norms.
+- **How the reverse sweep descends.** One loop computes every affine
+  layer of every pass into a list of layer inputs (:func:`_run_layers`);
+  a taped pass keeps the whole list, over the whole split, as its tape.
+  One lazy sweep yields the gradient in each affine layer's output, last
+  layer first, and moves down only when asked: :func:`loss_and_gradients`
+  reduces it to parameter gradients, which scale calibration reduces and
+  drops in turn, and :func:`hessian_traces` to row norms.
 
 The row blocks of an untaped pass are independent, so while BLAS runs
 one thread, as :func:`one_blas_thread` holds it for a run, they are
@@ -244,15 +244,6 @@ class Dataset:
         return h.hexdigest()
 
 
-@dataclass
-class _LayerTape:
-    layer: Layer  # an affine layer
-    inputs: np.ndarray  # activations entering the layer
-    output: np.ndarray  # activations leaving it, after its relu if it has one
-    weight_used: np.ndarray
-    relu: bool
-
-
 def _check_compat(
     model: ModelGraph, data: Dataset, weights: Mapping[str, np.ndarray] | None = None
 ) -> dict[str, np.ndarray]:
@@ -283,32 +274,33 @@ def _check_compat(
     return checked
 
 
-def _affine(a: np.ndarray, weight: np.ndarray, layer: Layer, relu: bool) -> np.ndarray:
-    """``a @ weight.T + bias`` as a new array, and the relu after it in place when
-    ``relu`` is set: the one step of both the taped and the chained pass."""
-    z = a @ weight.swapaxes(-1, -2)
-    z += layer.bias
-    if relu:
-        np.maximum(z, 0.0, out=z)
-    return z
+def _inputs(model: ModelGraph, x: np.ndarray) -> list:
+    """A list for :func:`_run_layers`: layer 0's input over rows ``x``, then empty slots."""
+    return [np.maximum(x, 0.0) if model.relu_first else x] + [None] * len(model.affine_layers)
 
 
-def _run_layers(
-    model: ModelGraph, x: np.ndarray, weights: Mapping[str, np.ndarray]
-) -> tuple[np.ndarray, list[_LayerTape]]:
-    """Logits of ``x`` and the tape of every affine layer, over all rows at once.
+def _run_layers(model: ModelGraph, acts: list, weights: list, start: int = 0, keep=None) -> None:
+    """Recompute ``acts[start + 1:]``, the one place an affine layer's output is formed.
 
-    ``x`` is ``(..., rows, features)`` and a weight ``(..., out, in)``;
-    leading axes broadcast, and the product is taken slice by slice.
+    ``acts[i]`` is affine layer ``i``'s input, ``acts[-1]`` the logits and
+    ``weights[i]`` layer ``i``'s weight; leading stack axes broadcast, the
+    product taken slice by slice. Each output is a new array, and the relu
+    after its layer acts on it in place. With ``keep`` given, each input
+    whose layer ``keep`` does not name is dropped once used.
     """
-    tapes: list[_LayerTape] = []
-    a = np.maximum(x, 0.0) if model.relu_first else x  # never write into the caller's features
-    for layer, relu in zip(model.affine_layers, model.relu_after):
-        w = weights.get(f"{layer.name}.weight", layer.weight)
-        z = _affine(a, w, layer, relu)
-        tapes.append(_LayerTape(layer, a, z, w, relu))
-        a = z
-    return a, tapes
+    for i in range(start, len(weights)):
+        z = acts[i] @ weights[i].swapaxes(-1, -2)
+        z += model.affine_layers[i].bias
+        if model.relu_after[i]:
+            np.maximum(z, 0.0, out=z)
+        if keep is not None and i not in keep:
+            acts[i] = None
+        acts[i + 1] = z
+
+
+def taped_floats(model: ModelGraph, rows: int) -> int:
+    """Floats a taped pass over ``rows`` rows adds to its features: each affine output."""
+    return rows * sum(l.weight.shape[0] for l in model.affine_layers)
 
 
 def _openblas_threads():
@@ -441,9 +433,8 @@ def _chained_blocks(
     The rows run through the chain one block at a time without a tape.
     Inside a block, each map resumes from the previous map's activations
     (:func:`_resume_starts`), a weight counting as changed when its array
-    is not the very same object. Only the block's inputs to the layers
-    that a later map resumes at are held, each until the last map that
-    resumes there.
+    is not the very same object. Of the block's layer inputs, only those
+    of the layers a later map resumes at are kept (:func:`_run_layers`).
     Each block is at least ``FORWARD_BLOCK_FLOATS // widest`` rows unless
     the whole split is shorter: a short trailing block could take BLAS's
     small-matrix path and round differently from the taped pass. The
@@ -455,24 +446,16 @@ def _chained_blocks(
     used = [[m.get(n, l.weight) for n, l in zip(names, layers)] for m in maps]
     changed = [{n for n, w, v in zip(names, b, a) if w is not v} for a, b in zip(used, used[1:])]
     starts = _resume_starts(model, changed)
-    last_resume = {start: k for k, start in enumerate(starts)}
     n = x.shape[0]
     widest = max(l.weight.shape[0] for l in layers)
     blocks = max(1, n // max(1, FORWARD_BLOCK_FLOATS // widest))
 
     def run(b: int) -> list:
         lo, hi = n * b // blocks, n * (b + 1) // blocks
-        a = np.maximum(x[lo:hi], 0.0) if model.relu_first else x[lo:hi]
-        held = {0: a}  # inputs by affine layer, as the latest map computed them
-        values = []
+        acts, values = _inputs(model, x[lo:hi]), []
         for k, (weights, start) in enumerate(zip(used, starts)):
-            if start < len(layers):
-                a = held[start] if last_resume[start] > k else held.pop(start)
-            for i in range(start, len(layers)):
-                if i > start and last_resume.get(i, -1) > k:
-                    held[i] = a
-                a = _affine(a, weights[i], layers[i], model.relu_after[i])
-            values.append(value(a, lo, hi))
+            _run_layers(model, acts, weights, start, keep=starts[k + 1 :])
+            values.append(value(acts[-1], lo, hi))
         return values
 
     return list(zip(*on_workers(blocks, run)))
@@ -563,31 +546,31 @@ def _relu_backward(g: np.ndarray, output: np.ndarray) -> np.ndarray:
     return g
 
 
-def _sweep(tapes: list[_LayerTape], g: np.ndarray) -> Iterator[tuple[_LayerTape, np.ndarray]]:
-    """Yield ``(tape, g)`` for each affine layer from the last down to the first.
+def _sweep(model: ModelGraph, acts: list, weights: list, g: np.ndarray) -> Iterator[tuple]:
+    """Yield ``(i, g)`` for each affine layer ``i`` of the tape ``acts`` and ``weights``
+    (:func:`_run_layers`), last layer first, moving down only when the caller asks.
 
-    ``g`` enters as the gradient in the logits, leading stack axes and
-    all, and may be overwritten; each item's ``g`` is the gradient in
-    that layer's output, to read and never write. The sweep moves down a
-    layer only when the caller asks for the next item.
+    ``g`` enters as the gradient in the logits, leading stack axes and all,
+    and may be overwritten; each item's ``g`` is the gradient in layer
+    ``i``'s output, to read and never write.
     """
-    for tape in reversed(tapes):
-        if tape.relu:
-            g = _relu_backward(g, tape.output)
-        yield tape, g
-        if tape is not tapes[0]:
-            g = g @ tape.weight_used
+    for i in reversed(range(len(weights))):
+        if model.relu_after[i]:
+            g = _relu_backward(g, acts[i + 1])
+        yield i, g
+        if i:
+            g = g @ weights[i]
 
 
-def _gradients(tapes: list[_LayerTape], grad_logits: np.ndarray, wrt: Collection[str]):
+def _gradients(model: ModelGraph, acts: list, weights: list, g: np.ndarray, wrt: Collection[str]):
     """Yield ``(name, gradient)`` for each parameter named in ``wrt``, from the last layer
-    down; a yielded gradient is the caller's to keep."""
-    for tape, g in _sweep(tapes, grad_logits):
-        weight, bias = f"{tape.layer.name}.weight", f"{tape.layer.name}.bias"
-        if weight in wrt:
-            yield weight, g.swapaxes(-1, -2) @ tape.inputs
-        if bias in wrt:
-            yield bias, g.sum(axis=-2)
+    down, as :func:`_sweep` from ``g``; a yielded gradient is the caller's to keep."""
+    for i, g in _sweep(model, acts, weights, g):
+        name = model.affine_layers[i].name
+        if f"{name}.weight" in wrt:
+            yield f"{name}.weight", g.swapaxes(-1, -2) @ acts[i]
+        if f"{name}.bias" in wrt:
+            yield f"{name}.bias", g.sum(axis=-2)
 
 
 def loss_and_gradients(
@@ -613,9 +596,12 @@ def loss_and_gradients(
     if unknown:
         raise GraphError(f"replacement weights name unknown tensors: {unknown}")
     _check_compat(model, data)
-    logits, tapes = _run_layers(model, data.features, weights)
-    losses, grad_logits = _head(model, logits, data.labels, bool(wrt))
-    return np.mean(losses, axis=-1), (_gradients(tapes, grad_logits, wrt) if wrt else iter(()))
+    acts = _inputs(model, data.features)
+    used = [weights.get(f"{l.name}.weight", l.weight) for l in model.affine_layers]
+    _run_layers(model, acts, used)
+    losses, grad_logits = _head(model, acts[-1], data.labels, bool(wrt))
+    sweep = _gradients(model, acts, used, grad_logits, wrt) if wrt else iter(())
+    return np.mean(losses, axis=-1), sweep
 
 
 def hessian_traces(model: ModelGraph, data: Dataset) -> dict[str, float]:
@@ -632,19 +618,18 @@ def hessian_traces(model: ModelGraph, data: Dataset) -> dict[str, float]:
     rounded, so no BLAS kernel's summation order reaches the scores.
     """
     _check_compat(model, data)
-    logits, tapes = _run_layers(model, data.features, {})
-    n, classes = logits.shape
+    acts, used = _inputs(model, data.features), [l.weight for l in model.affine_layers]
+    _run_layers(model, acts, used)
+    n, classes = acts[-1].shape
     eye = np.eye(classes)[:, np.newaxis, :]
     if model.head == HEAD_SOFTMAX_CE:
         # column c of S = diag(sqrt p) - p sqrt(p)^T is sqrt(p_c) (e_c - p)
-        p = _softmax(logits)
+        p = _softmax(acts[-1])
         r = np.sqrt(p).T[:, :, np.newaxis] * (eye - p)
     else:
         r = np.repeat(eye, n, axis=1)  # S = I
     traces = {
-        f"{tape.layer.name}.weight": math.fsum(
-            np.einsum("ij,ij->i", tape.inputs, tape.inputs) * np.einsum("cij,cij->i", g, g)
-        ) / n
-        for tape, g in _sweep(tapes, r)
+        i: math.fsum(np.einsum("ij,ij->i", acts[i], acts[i]) * np.einsum("cij,cij->i", g, g)) / n
+        for i, g in _sweep(model, acts, used, r)
     }
-    return {name: traces[name] for name in model.weight_tensor_names()}
+    return {name: traces[i] for i, name in enumerate(model.weight_tensor_names())}

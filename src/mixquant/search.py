@@ -4,14 +4,15 @@ Both searches walk candidate bit widths from highest to lowest and only
 ever lower a tensor's width, never raise it. Each is a plain sequential
 walk that asks a ``probe(config) -> accuracy`` callback for one config
 at a time, and :func:`accepts` judges every answer against the exact bar
-of :func:`accuracy_bar`. Accuracies are exact too, each a
-:class:`~fractions.Fraction` of correct rows, so a probe on the bar is
-accepted; only the outcome rounds them to floats. An evaluator (the
-run's, in :mod:`mixquant.pipeline`, or a synthetic oracle in tests) is
-offered a non-empty chain of configs, each the previous one with more
-tensors lowered, and returns the accuracies in [0, 1] of a non-empty
-prefix of it; this module knows nothing of the engine or the quantizer
-but the width bounds. One function builds the chains by replay for both
+of :func:`accuracy_bar`, which reads a float target or baseline accuracy
+as the decimal it prints (a baseline of 0.8 is 4/5). Accuracies are
+exact too, each a :class:`~fractions.Fraction` of correct rows, so a
+probe on the bar is accepted; only the outcome rounds them to floats.
+An evaluator (the run's, in :mod:`mixquant.pipeline`, or a synthetic
+oracle in tests) is offered a non-empty chain of configs, each the
+previous one with more tensors lowered, and returns the accuracies in
+[0, 1] of a non-empty prefix of it; this module knows nothing of the
+engine or the quantizer but the width bounds. One function builds the chains by replay for both
 searches: after a rejection, or once the offered chain is used up, the
 walk reruns with every probe past the answered ones taken as accepted.
 It offers that whole path, or only its first config right after a
@@ -22,6 +23,7 @@ The outcome does not depend on how many answers the evaluator gives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, ClassVar, Mapping, Sequence
@@ -122,11 +124,19 @@ def _common_checks(ordering, candidate_bits, target_fraction, baseline_accuracy,
     return names, levels, accuracy_bar(target_fraction, baseline_accuracy)
 
 
-def accuracy_bar(target_fraction: float, baseline_accuracy: Fraction) -> Fraction:
-    """The exact accuracy a config must reach: ``target_fraction`` as the
-    decimal it was written as (0.9 is 9/10, not the float nearest it) times
-    the exact ``baseline_accuracy``."""
-    return Fraction(repr(float(target_fraction))) * Fraction(baseline_accuracy)
+def _exact(value) -> Fraction:
+    """``value`` as an exact fraction: a float as the decimal it prints (0.9 is
+    9/10, not the float nearest it), a ``Fraction`` or an ``int`` as it is."""
+    if isinstance(value, numbers.Rational):
+        return Fraction(value)
+    return Fraction(repr(float(value)))  # numpy 2 reprs a scalar as np.float64(0.9)
+
+
+def accuracy_bar(target_fraction: float, baseline_accuracy: Fraction | float) -> Fraction:
+    """The exact accuracy a config must reach: ``target_fraction`` times
+    ``baseline_accuracy``, each read exactly by :func:`_exact`, so a float
+    baseline counts as the decimal it prints, as the target does."""
+    return _exact(target_fraction) * _exact(baseline_accuracy)
 
 
 def accepts(accuracy: Fraction, bar: Fraction) -> bool:
@@ -188,7 +198,7 @@ def greedy_search(
     ordering,
     candidate_bits,
     target_fraction: float,
-    baseline_accuracy: Fraction,
+    baseline_accuracy: Fraction | float,
     baseline_bits: int = DEFAULT_BASELINE_BITS,
 ) -> SearchOutcome:
     """Per-tensor greedy descent through the candidate bit widths.
@@ -197,7 +207,9 @@ def greedy_search(
     lowering each one, and keep the change only when accuracy stays at or
     above the target. Tensors that survive a width are the only ones
     considered at the next, lower width. Uses at most ``len(candidate_bits)
-    * len(ordering)`` evaluations.
+    * len(ordering)`` evaluations. ``baseline_accuracy`` is the unquantized
+    model's: a ``Fraction`` or an ``int`` is taken as it is, a float as the
+    decimal it prints (:func:`accuracy_bar`).
     """
     names, levels, bar = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits
@@ -230,7 +242,7 @@ def bisection_search(
     ordering,
     candidate_bits,
     target_fraction: float,
-    baseline_accuracy: Fraction,
+    baseline_accuracy: Fraction | float,
     baseline_bits: int = DEFAULT_BASELINE_BITS,
 ) -> SearchOutcome:
     """Prefix-threshold bisection through the candidate bit widths.
@@ -240,7 +252,8 @@ def bisection_search(
     then restrict the next width to that prefix. A width commits at the
     accuracy of its accepted probe at the threshold; the evaluator is
     deterministic, so that probe is not repeated. Uses at most
-    ``len(candidate_bits) * (ceil(log2 N) + 2)`` evaluations.
+    ``len(candidate_bits) * (ceil(log2 N) + 2)`` evaluations. The baseline
+    accuracy is read as by :func:`greedy_search`.
     """
     names, levels, bar = _common_checks(
         ordering, candidate_bits, target_fraction, baseline_accuracy, baseline_bits

@@ -220,7 +220,7 @@ class TestStackedBanks:
         monkeypatch.setattr(
             graph_module,
             "STACK_FLOATS",
-            per_group * calibrate_module._taped_floats(model, len(data)),
+            per_group * graph_module.taped_floats(model, len(data)),
         )
         stacked = adjust_scales(model, data, starts, epochs=4)
         assert_same_banks(stacked, single)
@@ -235,8 +235,8 @@ class TestStackedBanks:
         # number of workers
         seed7, seed7_data = seed7_calibration(f1)
         wide, wide_data, wide_starts = wide_banks()
-        assert calibrate_module._taped_floats(seed7, len(seed7_data)) == 256 * 90
-        assert calibrate_module._taped_floats(wide, len(wide_data)) == 256 * 682
+        assert graph_module.taped_floats(seed7, len(seed7_data)) == 256 * 90
+        assert graph_module.taped_floats(wide, len(wide_data)) == 256 * 682
         seed7_starts = {b: calibrate(seed7, b) for b in (8, 6, 5, 4, 3, 2)}
         groups = []
         real = calibrate_module.loss_and_scale_gradients
@@ -301,7 +301,7 @@ class TestStackedBanks:
         # 5- and 2-bit ones; on three, the 3-bit bank has a worker of its own
         model, data, starts = one_weight_banks(((4, 1.0), (3, 1e300), (5, 1.0), (2, 1e300)))
         monkeypatch.setattr(
-            graph_module, "STACK_FLOATS", calibrate_module._taped_floats(model, len(data))
+            graph_module, "STACK_FLOATS", graph_module.taped_floats(model, len(data))
         )
         for count in (1, 2, 3):
             workers(count)

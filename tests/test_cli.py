@@ -1,6 +1,7 @@
 """Command-line interface tests, driven in process through main()."""
 
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -778,6 +779,28 @@ def two_runs(fixture_dir, tmp_path_factory):
         assert main(run_args(fixture_dir, out, ["--metric", metric])) == EXIT_OK
         dirs.append(out)
     return dirs
+
+
+@pytest.mark.parametrize("command", ["run", "gen-fixture", "compare"])
+def test_a_failed_write_exit_data(fixture_dir, two_runs, tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "out"
+
+    def disk_full(path, *args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    if command == "run":
+        monkeypatch.setattr(pipeline_module, "write_record", disk_full)
+        args = run_args(fixture_dir, out)
+    elif command == "gen-fixture":
+        monkeypatch.setattr(cli_module, "save_model", lambda model, path: disk_full(path))
+        args = ["gen-fixture", "--out", str(out), *SMALL_GEN]
+    else:
+        monkeypatch.setattr(cli_module, "write_json", disk_full)
+        args = ["compare", *map(str, two_runs), "--out", str(out / "summary.json")]
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No space left on device" in err and str(out) in err
 
 
 class TestCompare:

@@ -48,7 +48,7 @@ class TestLatencyTable:
         table = LatencyTable()
         table.add("matmul", 8, 1, 4, 8, 12.5)
         assert table.lookup("matmul", 8, 1, 4, 8) == 12.5
-        assert len(table) == 1
+        assert len(table.entries) == 1
 
     def test_duplicate_entry_rejected(self):
         table = LatencyTable()
@@ -87,7 +87,7 @@ class TestLatencyTable:
         loaded = LatencyTable.from_csv(path)
         assert loaded.lookup("matmul", 8, 1, 4, 8) == 12.5
         assert loaded.lookup("matmul", 2, 1, 4, 4) == 0.125
-        assert len(loaded) == 2
+        assert len(loaded.entries) == 2
 
     def test_csv_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -124,9 +124,9 @@ class TestFixtureLatencyTable:
 
     def test_repeated_layer_shapes_share_rows(self):
         model = build_fixture_model(1, FixtureSpec(dims=(4, 6, 6, 6, 2)))
-        table = build_fixture_latency_table(model, bit_widths=(4, 8))
+        table = build_fixture_latency_table(model)
         assert sorted(table.entries) == [
-            ("matmul", m, 1, k, b) for m, k in ((2, 6), (6, 4), (6, 6)) for b in (4, 8)
+            ("matmul", m, 1, k, b) for m, k in ((2, 6), (6, 4), (6, 6)) for b in range(2, 17)
         ]
 
     def test_unlisted_shape_still_errors(self, f1):

@@ -282,7 +282,9 @@ def two_writes(tmp_path, kind):
         files = [tmp_path / "data.features.bin", tmp_path / "data.labels.bin"]
         return [lambda d=d: save_dataset(d, path) for d in sets], files
     path = tmp_path / "latency.csv"
-    tables = [LatencyTable({("matmul", 2, 1, 3, 4): us}) for us in (1.5, 2.5)]
+    tables = [LatencyTable() for _ in range(2)]
+    for table, us in zip(tables, (1.5, 2.5)):
+        table.add("matmul", 2, 1, 3, 4, us)
     return [lambda t=t: t.to_csv(path) for t in tables], [path]
 
 

@@ -511,13 +511,13 @@ def test_pipeline_chains_run_the_work_they_are_priced_at(
             config = config.replace({name: bits})
             path.append(config)
     ran = []
-    affine = graph_module._affine
+    run_layers = graph_module._run_layers
 
-    def spy(a, weight, layer, relu):
-        ran.append(a.shape[0] * weight.size)
-        return affine(a, weight, layer, relu)
+    def spy(model, acts, weights, start=0, keep=None):
+        ran.append(acts[start].shape[0] * sum(weight.size for weight in weights[start:]))
+        return run_layers(model, acts, weights, start, keep)
 
-    monkeypatch.setattr(graph_module, "_affine", spy)
+    monkeypatch.setattr(graph_module, "_run_layers", spy)
     longest = 0
     for start in range(len(path)):
         ran.clear()
@@ -610,6 +610,14 @@ class TestExactAcceptance:
         assert outcome.config.bits == {"a": 8}
         assert [e["accepted"] for e in outcome.trace] == [True]
         assert outcome.trace[0]["accuracy"] == outcome.achieved_accuracy == outcome.target == 0.72
+
+    @pytest.mark.parametrize("search", [greedy_search, bisection_search])
+    def test_a_float_baseline_counts_as_the_decimal_it_prints(self, search):
+        for baseline in (0.8, np.float64(0.8)):
+            assert accuracy_bar(0.9, baseline) == Fraction(18, 25)
+            outcome = search(first_only(lambda c: Fraction(72, 100)), ["a"], (8,), 0.9, baseline)
+            assert outcome.config.bits == {"a": 8}
+            assert [e["accepted"] for e in outcome.trace] == [True]
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 10_000), st.integers(1, 1000), st.data())
