@@ -284,11 +284,13 @@ def _run_layers(model: ModelGraph, acts: list, weights: list, start: int = 0, ke
 
     ``acts[i]`` is affine layer ``i``'s input, ``acts[-1]`` the logits and
     ``weights[i]`` layer ``i``'s weight; leading stack axes broadcast, the
-    product taken slice by slice. Each output is a new array, and the relu
-    after its layer acts on it in place. With ``keep`` given, each input
-    whose layer ``keep`` does not name is dropped once used.
+    product taken slice by slice. Each output is a new array, formed after
+    the output it replaces is dropped, and the relu after its layer acts on
+    it in place. With ``keep`` given, each input whose layer ``keep`` does
+    not name is dropped once used.
     """
     for i in range(start, len(weights)):
+        acts[i + 1] = None
         z = acts[i] @ weights[i].swapaxes(-1, -2)
         z += model.affine_layers[i].bias
         if model.relu_after[i]:
@@ -582,7 +584,8 @@ def loss_and_gradients(
     """Mean loss under ``weights``, from one taped pass, and its reverse sweep.
 
     ``weights`` replaces stored weights as a map of :func:`chain_accuracies`
-    does, but only their names are checked. Replacements stacked as
+    does, but only their names and the last two axes of their shapes are
+    checked, each a :class:`GraphError`. Replacements stacked as
     ``(stack, out, in)`` make the losses ``(stack,)``, each bit-identical
     to a pass of its slice alone; unstacked ones make the loss 0-d. The sweep yields
     ``(name, gradient)`` for each parameter named in ``wrt``, from the
@@ -595,6 +598,12 @@ def loss_and_gradients(
     unknown = sorted(set(weights) - set(model.weight_tensor_names()))
     if unknown:
         raise GraphError(f"replacement weights name unknown tensors: {unknown}")
+    for name, values in weights.items():
+        if values.shape[-2:] != model.parameter(name).shape:
+            raise GraphError(
+                f"replacement for {name!r} has shape {values.shape}, "
+                f"expected {model.parameter(name).shape} in its last two axes"
+            )
     _check_compat(model, data)
     acts = _inputs(model, data.features)
     used = [weights.get(f"{l.name}.weight", l.weight) for l in model.affine_layers]

@@ -1,10 +1,11 @@
 """On-disk formats for models and datasets, and the JSON layer every artifact uses.
 
 A model is a JSON manifest next to one raw blob of little-endian float32
-parameter values; the manifest records layer structure and byte offsets
-into the blob. A dataset is a JSON manifest next to a float32 feature
-blob and a uint32 label blob. Manifests reference their blobs by file
-name, so a pair (or triple) can be moved around together.
+parameter values; the manifest records the layer structure, and the blob
+holds each affine layer's weight (row-major) and then its bias, in layer
+order. A dataset is a JSON manifest next to a float32 feature blob and a
+uint32 label blob. Manifests reference their blobs by file name, so a
+pair (or triple) can be moved around together.
 
 Every JSON file the package writes or reads goes through :func:`write_json`
 and :func:`read_json`, which own its ``format``/``version`` envelope, its
@@ -14,9 +15,11 @@ typed value the caller's parser trips over becomes one
 dataclass with a ``FORMAT`` whose fields are its schema, written by
 :func:`write_record` and read back through :func:`decode`. Model and
 dataset manifests are records too (:class:`ModelManifest`,
-:class:`DatasetManifest`); the blob checks (offsets, alignment, bounds,
-overlap, byte counts) follow their decoding. Every file the package
-writes is a new file (:func:`new_file`), never an old one truncated in place.
+:class:`DatasetManifest`). A blob's layout follows from its manifest, a
+model's from its layer shapes and a dataset's from its counts, so a blob's
+one check is that it holds exactly the bytes its layout implies. Every
+file the package writes is a new file (:func:`new_file`), never an old
+one truncated in place.
 """
 
 from __future__ import annotations
@@ -39,26 +42,23 @@ class DataFormatError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class ModelManifest:
-    """A model's head, its blob's file name and size, and one entry per layer."""
+    """A model's head, its blob's file name, and one entry per layer."""
 
     FORMAT: ClassVar[str] = "mixquant-model"
 
     head: str
     blob: str
-    blob_bytes: int
     layers: list[dict]
 
 
 @dataclasses.dataclass(frozen=True)
 class AffineEntry:
-    """An affine layer's widths and its tensors' byte offsets in the blob."""
+    """An affine layer's widths, which also fix its tensors' place in the blob."""
 
     name: str
     kind: str
     out_dim: int
     in_dim: int
-    weight_offset: int
-    bias_offset: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -204,7 +204,7 @@ def _read_blob(path: Path, size: int) -> bytes:
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
         raise DataFormatError(f"cannot read blob {path}: {exc}") from exc
     if len(blob) != size:
-        raise DataFormatError(f"{path} holds {len(blob)} bytes, manifest says {size}")
+        raise DataFormatError(f"{path} holds {len(blob)} bytes, its manifest implies {size}")
     return blob
 
 
@@ -218,19 +218,15 @@ def save_model(model: ModelGraph, manifest_path: str | Path) -> None:
     manifest_path = Path(manifest_path)
     blob_path = manifest_path.with_suffix(".bin")
     chunks: list[bytes] = []
-    offset = 0
     layers = []
     for layer in model.layers:
         entry = ReluEntry(layer.name, layer.kind)
         if layer.kind == KIND_AFFINE:
-            w = layer.weight.astype("<f4")
-            b = layer.bias.astype("<f4")
-            entry = AffineEntry(layer.name, layer.kind, *w.shape, offset, offset + w.nbytes)
-            offset += w.nbytes + b.nbytes
-            chunks += [w.tobytes(), b.tobytes()]
+            entry = AffineEntry(layer.name, layer.kind, *layer.weight.shape)
+            chunks += [layer.weight.astype("<f4").tobytes(), layer.bias.astype("<f4").tobytes()]
         layers.append(dataclasses.asdict(entry))
     new_file(blob_path).write_bytes(b"".join(chunks))
-    write_record(manifest_path, ModelManifest(model.head, blob_path.name, offset, layers))
+    write_record(manifest_path, ModelManifest(model.head, blob_path.name, layers))
 
 
 def _decode_model(body: dict) -> tuple[ModelManifest, list[AffineEntry | ReluEntry]]:
@@ -251,30 +247,23 @@ def load_model(manifest_path: str | Path) -> ModelGraph:
     """Load a model file pair written by :func:`save_model`."""
     manifest_path = Path(manifest_path)
     manifest, entries = read_json(manifest_path, ModelManifest.FORMAT, _decode_model)
-    blob = _read_blob(manifest_path.parent / manifest.blob, manifest.blob_bytes)
-    layers, extents = [], []  # extents: the (start, end) byte range of every tensor
+    affine = [entry for entry in entries if isinstance(entry, AffineEntry)]
+    for entry in affine:
+        if entry.out_dim < 1 or entry.in_dim < 1:
+            raise DataFormatError(f"layer {entry.name!r} needs positive widths")
+    size = 4 * sum(entry.out_dim * (entry.in_dim + 1) for entry in affine)
+    blob = _read_blob(manifest_path.parent / manifest.blob, size)
+    layers, offset = [], 0
     for entry in entries:
         if isinstance(entry, ReluEntry):
             layers.append(Layer(entry.name, KIND_RELU))
             continue
         out_dim, in_dim = entry.out_dim, entry.in_dim
-        w_off, b_off = entry.weight_offset, entry.bias_offset
-        if out_dim < 1 or in_dim < 1 or w_off < 0 or b_off < 0 or w_off % 4 or b_off % 4:
-            raise DataFormatError(
-                f"layer {entry.name!r} needs positive widths and "
-                "non-negative offsets that are multiples of 4"
-            )
-        w_bytes = 4 * out_dim * in_dim
-        if w_off + w_bytes > len(blob) or b_off + 4 * out_dim > len(blob):
-            raise DataFormatError(f"layer {entry.name!r} points past the blob")
-        extents += [(w_off, w_off + w_bytes), (b_off, b_off + 4 * out_dim)]
         # ModelGraph makes the one float64 copy of these views of the blob
-        w = np.frombuffer(blob, dtype="<f4", count=out_dim * in_dim, offset=w_off)
-        b = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=b_off)
+        w = np.frombuffer(blob, dtype="<f4", count=out_dim * in_dim, offset=offset)
+        b = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=offset + w.nbytes)
+        offset += w.nbytes + b.nbytes
         layers.append(Layer(entry.name, KIND_AFFINE, w.reshape(out_dim, in_dim), b))
-    extents.sort()
-    if any(start < end for (_, end), (start, _) in zip(extents, extents[1:])):
-        raise DataFormatError(f"{manifest_path}: tensor byte offsets overlap in the blob")
     try:
         return ModelGraph(layers, head=manifest.head)
     except GraphError as exc:

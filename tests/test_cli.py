@@ -408,18 +408,14 @@ class TestRun:
     @pytest.mark.parametrize(
         "name,path,value,message",
         [
-            pytest.param("model.json", ("layers", 0, "weight_offset"), -4, "offsets",
-                         id="weight_offset"),
-            pytest.param("model.json", ("layers", 0, "bias_offset"), -4, "offsets",
-                         id="bias_offset"),
-            pytest.param("model.json", ("layers", 0, "bias_offset"), 3, "offsets",
-                         id="bias_offset-unaligned"),
-            pytest.param("model.json", ("layers", 0, "weight_offset"), 0.9,
-                         "layers: 0: weight_offset: expected an integer, got 0.9",
-                         id="weight_offset-fraction"),
-            pytest.param("model.json", ("layers", 0, "bias_offset"), "8",
-                         "layers: 0: bias_offset: expected an integer, got '8'",
-                         id="bias_offset-string"),
+            # a model file of the old format, which stored its blob's layout
+            pytest.param("model.json", ("blob_bytes",), 4, "unknown key 'blob_bytes'",
+                         id="blob_bytes"),
+            pytest.param("model.json", ("layers", 0, "weight_offset"), 0,
+                         "layers: 0: unknown key 'weight_offset'", id="weight_offset"),
+            pytest.param("model.json", ("layers", 0, "out_dim"), 0.9,
+                         "layers: 0: out_dim: expected an integer, got 0.9",
+                         id="out_dim-fraction"),
             pytest.param("model.json", ("layers",), {"dense1": {}},
                          "layers: expected a list, got {'dense1': {}}", id="layers-object"),
             pytest.param("model.json", ("layers", 1), "relu",
@@ -505,6 +501,7 @@ class TestRun:
         inputs = tmp_path / "inputs"
         shutil.copytree(fixture_dir, inputs)
         edit_json(inputs / "model.json", ("layers",), [{"name": "r", "kind": "relu"}])
+        (inputs / "model.bin").write_bytes(b"")  # no affine layer, so no parameter
         assert main(run_args(inputs, tmp_path / "x")) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "error: [stage: load-inputs] model has no affine layer, input width is undefined\n"

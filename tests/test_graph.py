@@ -520,10 +520,13 @@ class TestChainedPass:
         # one block's (about 170 x 672 floats) is 0.9 MB.
         assert peak < 4 * 2**20
 
-    def test_a_block_keeps_only_the_inputs_later_maps_resume_at(self, f1):
+    @pytest.mark.parametrize(
+        "widths", [pytest.param((4,), id="one-width"), pytest.param((8, 4), id="two-widths")]
+    )
+    def test_a_block_keeps_only_the_inputs_later_maps_resume_at(self, f1, widths):
         model, _, evalset = f1
         assert len(evalset) < 2 * block_rows(model)  # one block, on the calling thread
-        maps = greedy_chain(model, widths=(4,))
+        maps = greedy_chain(model, widths)
         chain_accuracies(model, evalset, maps)
         tracemalloc.start()
         try:
@@ -531,11 +534,13 @@ class TestChainedPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Each map resumes one layer below the one before. A map keeps an
-        # input only while a later map resumes there, so the last map
-        # recomputes the inputs with none of the old ones held: measured
-        # 1.47 MiB. Keeping every input, it recomputes them beside the old
-        # ones: measured 1.85 MiB, over the block's summed layer inputs.
+        # Each map resumes one layer below the one before, and with two
+        # widths the chain climbs back to layer 0. A map keeps an input only
+        # while a later map resumes there, and a layer's old output goes
+        # before its new one is formed, so no old input is held beside its
+        # replacement: measured 1.47-1.48 MiB. Keeping every input, or an
+        # old output until its replacement is formed, measured 1.85 MiB,
+        # over the block's summed layer inputs.
         inputs = sum(model.parameter(name).shape[1] for name in model.weight_tensor_names())
         assert peak < len(evalset) * inputs * 8
 
@@ -1140,6 +1145,20 @@ class TestTapedPass:
         model, data = make_small_ce_model()
         with pytest.raises(GraphError, match="first.bias"):
             loss_and_gradients(model, data, {"first.bias": np.zeros(6)})
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            pytest.param((3, 3), id="square"),
+            pytest.param((2, 3, 3), id="stacked-square"),
+            pytest.param((2, 4, 6), id="stacked-transposed"),
+            pytest.param((6,), id="vector"),
+        ],
+    )
+    def test_wrong_shaped_replacement_rejected(self, shape):
+        model, data = make_small_ce_model()  # first.weight is (6, 4)
+        with pytest.raises(GraphError, match=r"'first\.weight' has shape"):
+            loss_and_gradients(model, data, {"first.weight": np.zeros(shape)})
 
     def test_engine_does_not_import_the_quantizer(self):
         code = "import sys, mixquant.graph; print('mixquant.quantize' in sys.modules)"

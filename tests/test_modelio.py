@@ -79,31 +79,26 @@ class TestModelRoundTrip:
         with pytest.raises(DataFormatError):
             load_model(path)
 
-    def test_offsets_past_blob_rejected(self, tmp_path):
-        model = ModelGraph([Layer("a", KIND_AFFINE, np.eye(2), np.zeros(2))])
+    def test_blob_longer_than_its_layers_rejected(self, tmp_path):
+        model, _ = make_small_ce_model()
         path = tmp_path / "model.json"
         save_model(model, path)
-        payload = json.loads(path.read_text())
-        payload["layers"][0]["weight_offset"] = 10_000
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataFormatError):
+        blob = tmp_path / "model.bin"
+        blob.write_bytes(blob.read_bytes() + bytes(4))
+        with pytest.raises(DataFormatError, match="holds 208 bytes, its manifest implies 204"):
             load_model(path)
 
     @pytest.mark.parametrize(
         "path,value",
         [
-            pytest.param(("layers", 0, "weight_offset"), -4, id="weight_offset--4"),
-            pytest.param(("layers", 0, "bias_offset"), -1, id="bias_offset--1"),
             pytest.param(("layers", 0, "out_dim"), -2, id="out_dim--2"),
             pytest.param(("layers", 0, "in_dim"), 0, id="in_dim-0"),
-            # unaligned, fractional, string and boolean offsets
-            pytest.param(("layers", 0, "bias_offset"), 3, id="bias_offset-3"),
-            pytest.param(("layers", 0, "weight_offset"), 0.9, id="weight_offset-0.9"),
-            pytest.param(("layers", 0, "bias_offset"), "8", id="bias_offset-8"),
-            pytest.param(("layers", 0, "weight_offset"), True, id="weight_offset-True"),
             pytest.param(("layers", 0, "out_dim"), 2.0, id="out_dim-2.0"),
-            # the bias would be read from the weight's bytes
-            pytest.param(("layers", 0, "bias_offset"), 0, id="bias_offset-0"),
+            # widths whose implied size is the blob's 24 bytes
+            pytest.param(("layers", 0), {"name": "a", "kind": "affine", "out_dim": 6,
+                                         "in_dim": 0}, id="in_dim-0-fits-the-blob"),
+            pytest.param(("layers", 0), {"name": "a", "kind": "affine", "out_dim": -6,
+                                         "in_dim": -2}, id="negative-widths-fit-the-blob"),
             # manifest structure: layers not a list of objects, blob not a name
             pytest.param(("layers",), {"a": {"kind": "affine"}}, id="layers-object"),
             pytest.param(("layers", 0), "relu", id="layer-string"),
@@ -231,17 +226,20 @@ def test_every_key_deleted_is_a_format_error(seed7_manifests):
 
 
 @pytest.mark.parametrize(
-    "name,path",
+    "name,path,key",
     [
-        pytest.param("model.json", (), id="model"),
-        pytest.param("model.json", ("layers", 0), id="affine-entry"),
-        pytest.param("model.json", ("layers", 1), id="relu-entry"),
-        pytest.param("calib.json", (), id="dataset"),
+        pytest.param("model.json", (), "extra", id="model"),
+        pytest.param("model.json", ("layers", 0), "extra", id="affine-entry"),
+        pytest.param("model.json", ("layers", 1), "extra", id="relu-entry"),
+        pytest.param("calib.json", (), "extra", id="dataset"),
+        # the old model format stored the blob layout that the layer shapes imply
+        pytest.param("model.json", (), "blob_bytes", id="model-blob_bytes"),
+        pytest.param("model.json", ("layers", 0), "weight_offset", id="affine-weight_offset"),
     ],
 )
-def test_an_unknown_key_at_any_depth_is_a_format_error(seed7_manifests, name, path):
-    mutant, load = mutant_of(seed7_manifests, name, (*path, "extra"), 0)
-    with pytest.raises(DataFormatError, match="unknown key 'extra'"):
+def test_an_unknown_key_at_any_depth_is_a_format_error(seed7_manifests, name, path, key):
+    mutant, load = mutant_of(seed7_manifests, name, (*path, key), 0)
+    with pytest.raises(DataFormatError, match=f"unknown key '{key}'"):
         load(mutant)
 
 
