@@ -152,7 +152,8 @@ def _cmd_run(args) -> int:
     result = run_pipeline(config)
     bits_used = sorted(set(result.outcome.config.bits.values()))
     print(f"run written to {result.out_dir}")
-    print(f"  baseline accuracy {result.baseline_accuracy:.4f}, target {result.outcome.target:.4f}")
+    baseline, target = result.manifest.baseline_accuracy, result.outcome.target
+    print(f"  baseline accuracy {baseline:.4f}, target {target:.4f}")
     print(
         f"  achieved {result.outcome.achieved_accuracy:.4f} with bit widths {bits_used} "
         f"in {result.outcome.evals} evaluations"

@@ -117,7 +117,7 @@ def model_size(model: ModelGraph, config: QuantConfig) -> float:
     """
     total_bits = sum(
         (layer.weight.size + layer.bias.size) * _layer_bits(layer, config)
-        for layer in model.affine_layers
+        for layer in model.layers
     )
     return total_bits / 8
 
@@ -127,10 +127,10 @@ def model_latency(model: ModelGraph, config: QuantConfig, table: LatencyTable) -
 
     Every affine layer maps to one matmul lookup with m = output width,
     n = 1 (inference batch), k = input width, at the layer's configured
-    bit width. Relu layers are treated as free.
+    bit width. Relus are treated as free.
     """
     total = 0.0
-    for layer in model.affine_layers:
+    for layer in model.layers:
         out_dim, in_dim = layer.weight.shape
         total += table.lookup(KIND_MATMUL, out_dim, 1, in_dim, _layer_bits(layer, config))
     return total

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import KIND_MATMUL, LatencyTable
-from .graph import (
-    KIND_AFFINE,
-    KIND_RELU,
-    Dataset,
-    GraphError,
-    Layer,
-    ModelGraph,
-    _chained_blocks,
-)
+from .graph import Dataset, GraphError, Layer, ModelGraph, _chained_blocks
 from .rng import substream
 
 # Share of the example pool kept, widest top-two logit gaps first.
@@ -59,7 +51,8 @@ def _f32(values: np.ndarray) -> np.ndarray:
 
 
 def build_fixture_model(seed: int, spec: FixtureSpec = FixtureSpec()) -> ModelGraph:
-    """A He-initialized relu chain with ``len(dims) - 1`` affine layers, for ``seed`` >= 0."""
+    """A He-initialized chain of ``len(dims) - 1`` affine layers, each but the last
+    followed by a relu, for ``seed`` >= 0."""
     if seed < 0:
         raise GraphError(f"seed must be >= 0, got {seed}")
     layers: list[Layer] = []
@@ -69,9 +62,7 @@ def build_fixture_model(seed: int, spec: FixtureSpec = FixtureSpec()) -> ModelGr
         rng = substream(seed, "fixture", "layer", i)
         weight = _f32(rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_out, fan_in)))
         bias = _f32(rng.normal(0.0, 0.05, size=fan_out))
-        layers.append(Layer(f"dense{i + 1}", KIND_AFFINE, weight, bias))
-        if i < n_affine - 1:
-            layers.append(Layer(f"relu{i + 1}", KIND_RELU))
+        layers.append(Layer(f"dense{i + 1}", weight, bias, relu=i < n_affine - 1))
     return ModelGraph(layers)
 
 
@@ -122,7 +113,7 @@ def build_fixture_latency_table(model: ModelGraph) -> LatencyTable:
     share their rows.
     """
     table = LatencyTable()
-    for layer in model.affine_layers:
+    for layer in model.layers:
         out_dim, in_dim = layer.weight.shape
         for bits in range(2, 17):
             if (KIND_MATMUL, out_dim, 1, in_dim, bits) in table.entries:

@@ -1,20 +1,18 @@
 """Dense feed-forward inference engine with hand-written reverse-mode gradients.
 
-The graph is a straight chain of affine and relu layers with a
-classification head. Everything is computed in float64 numpy; parameters
-are frozen read-only arrays, so a loaded model can be shared freely
-across threads. Altered weights are evaluated by the chained passes,
+The graph is a straight chain of affine layers, each optionally followed
+by a relu, with a classification head. Everything is computed in float64
+numpy; parameters are frozen read-only arrays, so a loaded model can be
+shared freely across threads. Altered weights are evaluated by the chained passes,
 :func:`chain_accuracies` (exact: correct rows over all rows, as a
 :class:`~fractions.Fraction`) and :func:`chain_losses`, each given a
 chain of maps of replacement arrays, one array per named weight tensor;
 the stored parameters stay untouched. Callers quantize or perturb the
 weights themselves, and activations always stay in float. A
-:class:`ModelGraph` builds, once, its affine layers, its parameter tensors
-by name and the normal form of its chain that every pass walks: whether a
-relu acts on the features and whether one follows each affine layer (a
-run of relus acts as one, relu being idempotent). ``layers`` keeps the
-chain as listed, for saving. The engine alone decides three rules its
-callers rely on:
+:class:`ModelGraph` checks its layers and builds, once, its parameter
+tensors by name; its ``layers`` are the one form of the chain that every
+pass walks and that a model file saves. The engine alone decides three
+rules its callers rely on:
 
 - **Where a chained map resumes.** Untaped passes (:func:`chain_accuracies`,
   :func:`chain_losses`, fixture labelling) run the rows one block at a
@@ -72,9 +70,6 @@ HEAD_SOFTMAX_CE = "softmax_ce"
 HEAD_SQUARED_ERROR = "squared_error"
 _HEADS = (HEAD_SOFTMAX_CE, HEAD_SQUARED_ERROR)
 
-KIND_AFFINE = "affine"
-KIND_RELU = "relu"
-
 # Floats in one row block of an untaped pass at the widest affine output:
 # a block of 2**15 float64 (256 KiB) stays cache-resident from layer to layer.
 FORWARD_BLOCK_FLOATS = 2**15
@@ -102,16 +97,16 @@ def _frozen(a: np.ndarray, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Layer:
-    """One node of the chain: an affine map ``x @ W.T + b`` or an elementwise relu."""
+    """One affine map of the chain, ``x @ W.T + b``, and whether a relu follows it."""
 
     name: str
-    kind: str
-    weight: np.ndarray | None = None
-    bias: np.ndarray | None = None
+    weight: np.ndarray
+    bias: np.ndarray
+    relu: bool = False
 
 
 class ModelGraph:
-    """An ordered chain of layers plus a loss head.
+    """An ordered chain of affine layers plus a loss head.
 
     The default head is softmax cross-entropy over the final affine
     outputs. A squared-error head (half SSE against one-hot targets) is
@@ -126,57 +121,41 @@ class ModelGraph:
         checked: list[Layer] = []
         names: set[str] = set()
         dim: int | None = None
-        relus = [False]  # a relu on the features, then one after each affine layer
         for layer in layers:
             if layer.name in names:
                 raise GraphError(f"duplicate layer name {layer.name!r}")
             names.add(layer.name)
-            if layer.kind == KIND_AFFINE:
-                w, b = layer.weight, layer.bias
-                if w is None or b is None:
-                    raise GraphError(f"affine layer {layer.name!r} needs weight and bias")
-                w = _frozen(w, np.float64)
-                b = _frozen(b, np.float64)
-                if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
-                    raise GraphError(
-                        f"layer {layer.name!r}: weight must be (out, in) and bias (out,), "
-                        f"got {w.shape} and {b.shape}"
-                    )
-                if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                    raise GraphError(f"layer {layer.name!r} has non-finite parameters")
-                if dim is not None and w.shape[1] != dim:
-                    raise GraphError(
-                        f"layer {layer.name!r} expects {w.shape[1]} inputs but the "
-                        f"preceding layer produces {dim}"
-                    )
-                dim = w.shape[0]
-                checked.append(Layer(layer.name, KIND_AFFINE, w, b))
-                relus.append(False)
-            elif layer.kind == KIND_RELU:
-                if layer.weight is not None or layer.bias is not None:
-                    raise GraphError(f"relu layer {layer.name!r} takes no parameters")
-                checked.append(Layer(layer.name, KIND_RELU))
-                relus[-1] = True
-            else:
-                raise GraphError(f"layer {layer.name!r} has unknown kind {layer.kind!r}")
+            w = _frozen(layer.weight, np.float64)
+            b = _frozen(layer.bias, np.float64)
+            if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
+                raise GraphError(
+                    f"layer {layer.name!r}: weight must be (out, in) and bias (out,), "
+                    f"got {w.shape} and {b.shape}"
+                )
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise GraphError(f"layer {layer.name!r} has non-finite parameters")
+            if dim is not None and w.shape[1] != dim:
+                raise GraphError(
+                    f"layer {layer.name!r} expects {w.shape[1]} inputs but the "
+                    f"preceding layer produces {dim}"
+                )
+            dim = w.shape[0]
+            checked.append(Layer(layer.name, w, b, bool(layer.relu)))
         self.layers: tuple[Layer, ...] = tuple(checked)
-        self.affine_layers: tuple[Layer, ...] = tuple(l for l in checked if l.kind == KIND_AFFINE)
-        self.relu_first: bool = relus[0]
-        self.relu_after: tuple[bool, ...] = tuple(relus[1:])
         self._parameters = {f"{l.name}.{part}": getattr(l, part)
-                            for l in self.affine_layers for part in ("weight", "bias")}
+                            for l in self.layers for part in ("weight", "bias")}
 
     @property
     def input_dim(self) -> int:
-        if not self.affine_layers:
+        if not self.layers:
             raise GraphError("model has no affine layer, input width is undefined")
-        return self.affine_layers[0].weight.shape[1]
+        return self.layers[0].weight.shape[1]
 
     @property
     def output_dim(self) -> int:
-        if not self.affine_layers:
+        if not self.layers:
             raise GraphError("model has no affine layer, output width is undefined")
-        return self.affine_layers[-1].weight.shape[0]
+        return self.layers[-1].weight.shape[0]
 
     def parameter_names(self) -> list[str]:
         return list(self._parameters)
@@ -188,7 +167,7 @@ class ModelGraph:
             raise GraphError(f"unknown parameter tensor {name!r}") from None
 
     def weight_tensor_names(self) -> list[str]:
-        return [f"{l.name}.weight" for l in self.affine_layers]
+        return [f"{l.name}.weight" for l in self.layers]
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self._parameters.values())
@@ -275,8 +254,8 @@ def _check_compat(
 
 
 def _inputs(model: ModelGraph, x: np.ndarray) -> list:
-    """A list for :func:`_run_layers`: layer 0's input over rows ``x``, then empty slots."""
-    return [np.maximum(x, 0.0) if model.relu_first else x] + [None] * len(model.affine_layers)
+    """A list for :func:`_run_layers`: the rows ``x``, layer 0's input, then empty slots."""
+    return [x] + [None] * len(model.layers)
 
 
 def _run_layers(model: ModelGraph, acts: list, weights: list, start: int = 0, keep=None) -> None:
@@ -285,15 +264,15 @@ def _run_layers(model: ModelGraph, acts: list, weights: list, start: int = 0, ke
     ``acts[i]`` is affine layer ``i``'s input, ``acts[-1]`` the logits and
     ``weights[i]`` layer ``i``'s weight; leading stack axes broadcast, the
     product taken slice by slice. Each output is a new array, formed after
-    the output it replaces is dropped, and the relu after its layer acts on
-    it in place. With ``keep`` given, each input whose layer ``keep`` does
-    not name is dropped once used.
+    the output it replaces is dropped, and the layer's relu, if it has one,
+    acts on it in place. With ``keep`` given, each input whose layer
+    ``keep`` does not name is dropped once used.
     """
     for i in range(start, len(weights)):
         acts[i + 1] = None
         z = acts[i] @ weights[i].swapaxes(-1, -2)
-        z += model.affine_layers[i].bias
-        if model.relu_after[i]:
+        z += model.layers[i].bias
+        if model.layers[i].relu:
             np.maximum(z, 0.0, out=z)
         if keep is not None and i not in keep:
             acts[i] = None
@@ -302,7 +281,7 @@ def _run_layers(model: ModelGraph, acts: list, weights: list, start: int = 0, ke
 
 def taped_floats(model: ModelGraph, rows: int) -> int:
     """Floats a taped pass over ``rows`` rows adds to its features: each affine output."""
-    return rows * sum(l.weight.shape[0] for l in model.affine_layers)
+    return rows * sum(l.weight.shape[0] for l in model.layers)
 
 
 def _openblas_threads():
@@ -406,7 +385,7 @@ def _resume_starts(model: ModelGraph, changed: Sequence[Collection[str]]) -> lis
 def chain_macs(model: ModelGraph, changed: Sequence[Collection[str]]) -> list[int]:
     """Multiply-adds per row of each map of a chained pass, given the weight names
     each map after the first changes from the one before (as :func:`_resume_starts`)."""
-    macs = [layer.weight.size for layer in model.affine_layers]
+    macs = [layer.weight.size for layer in model.layers]
     return [sum(macs[start:]) for start in _resume_starts(model, changed)]
 
 
@@ -444,7 +423,7 @@ def _chained_blocks(
     runs on several threads at once and returns what it keeps. The logits
     are the engine's own buffer: read them, never write or keep them.
     """
-    layers, names = model.affine_layers, model.weight_tensor_names()
+    layers, names = model.layers, model.weight_tensor_names()
     used = [[m.get(n, l.weight) for n, l in zip(names, layers)] for m in maps]
     changed = [{n for n, w, v in zip(names, b, a) if w is not v} for a, b in zip(used, used[1:])]
     starts = _resume_starts(model, changed)
@@ -557,7 +536,7 @@ def _sweep(model: ModelGraph, acts: list, weights: list, g: np.ndarray) -> Itera
     ``i``'s output, to read and never write.
     """
     for i in reversed(range(len(weights))):
-        if model.relu_after[i]:
+        if model.layers[i].relu:
             g = _relu_backward(g, acts[i + 1])
         yield i, g
         if i:
@@ -568,7 +547,7 @@ def _gradients(model: ModelGraph, acts: list, weights: list, g: np.ndarray, wrt:
     """Yield ``(name, gradient)`` for each parameter named in ``wrt``, from the last layer
     down, as :func:`_sweep` from ``g``; a yielded gradient is the caller's to keep."""
     for i, g in _sweep(model, acts, weights, g):
-        name = model.affine_layers[i].name
+        name = model.layers[i].name
         if f"{name}.weight" in wrt:
             yield f"{name}.weight", g.swapaxes(-1, -2) @ acts[i]
         if f"{name}.bias" in wrt:
@@ -606,7 +585,7 @@ def loss_and_gradients(
             )
     _check_compat(model, data)
     acts = _inputs(model, data.features)
-    used = [weights.get(f"{l.name}.weight", l.weight) for l in model.affine_layers]
+    used = [weights.get(f"{l.name}.weight", l.weight) for l in model.layers]
     _run_layers(model, acts, used)
     losses, grad_logits = _head(model, acts[-1], data.labels, bool(wrt))
     sweep = _gradients(model, acts, used, grad_logits, wrt) if wrt else iter(())
@@ -627,7 +606,7 @@ def hessian_traces(model: ModelGraph, data: Dataset) -> dict[str, float]:
     rounded, so no BLAS kernel's summation order reaches the scores.
     """
     _check_compat(model, data)
-    acts, used = _inputs(model, data.features), [l.weight for l in model.affine_layers]
+    acts, used = _inputs(model, data.features), [l.weight for l in model.layers]
     _run_layers(model, acts, used)
     n, classes = acts[-1].shape
     eye = np.eye(classes)[:, np.newaxis, :]

@@ -33,7 +33,7 @@ from typing import Any, Callable, ClassVar
 
 import numpy as np
 
-from .graph import KIND_AFFINE, KIND_RELU, Dataset, GraphError, Layer, ModelGraph
+from .graph import Dataset, GraphError, Layer, ModelGraph
 
 
 class DataFormatError(ValueError):
@@ -48,23 +48,19 @@ class ModelManifest:
 
     head: str
     blob: str
-    layers: list[dict]
+    layers: list[AffineEntry]
 
 
 @dataclasses.dataclass(frozen=True)
 class AffineEntry:
-    """An affine layer's widths, which also fix its tensors' place in the blob."""
+    """An affine layer's widths, which also fix its tensors' place in the blob,
+    and whether a relu follows it. ``kind`` is always ``"affine"``."""
 
     name: str
     kind: str
     out_dim: int
     in_dim: int
-
-
-@dataclasses.dataclass(frozen=True)
-class ReluEntry:
-    name: str
-    kind: str
+    relu: bool
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,9 +127,10 @@ def decode(value: Any, kind: Any) -> Any:
     """The loaded JSON ``value`` as ``kind``: a dataclass, from an object
     holding exactly its fields' keys, each decoded by its annotation;
     ``dict[str, T]``; ``list[T]`` or ``tuple[T, ...]``, from a list; ``int``,
-    from an integer; ``float``, from any number; ``str``; or a bare ``dict``,
-    kept as it is. Anything else, a bool included, raises ``TypeError`` or
-    ``ValueError`` prefixed with the keys and list indices it lies under.
+    from an integer; ``float``, from any number; ``bool``; ``str``; or a bare
+    ``dict``, kept as it is. Anything else, a bool where a number belongs
+    included, raises ``TypeError`` or ``ValueError`` prefixed with the keys
+    and list indices it lies under.
     """
     return _decoder(kind)(value)
 
@@ -164,7 +161,7 @@ def _decoder(kind: Any) -> Callable[[Any], Any]:
 
     def decoded(value):
         if not isinstance(value, accepted):
-            raise TypeError(f"expected a {kind.__name__}, got {value!r}")
+            raise TypeError(f"expected a {origin.__name__}, got {value!r}")
         if record:
             for problem, keys in ("missing", reads.keys() - value), ("unknown", value.keys() - reads):
                 if keys:
@@ -217,53 +214,31 @@ def save_model(model: ModelGraph, manifest_path: str | Path) -> None:
     """
     manifest_path = Path(manifest_path)
     blob_path = manifest_path.with_suffix(".bin")
-    chunks: list[bytes] = []
-    layers = []
-    for layer in model.layers:
-        entry = ReluEntry(layer.name, layer.kind)
-        if layer.kind == KIND_AFFINE:
-            entry = AffineEntry(layer.name, layer.kind, *layer.weight.shape)
-            chunks += [layer.weight.astype("<f4").tobytes(), layer.bias.astype("<f4").tobytes()]
-        layers.append(dataclasses.asdict(entry))
+    chunks = [p.astype("<f4").tobytes() for l in model.layers for p in (l.weight, l.bias)]
     new_file(blob_path).write_bytes(b"".join(chunks))
-    write_record(manifest_path, ModelManifest(model.head, blob_path.name, layers))
-
-
-def _decode_model(body: dict) -> tuple[ModelManifest, list[AffineEntry | ReluEntry]]:
-    """The model manifest ``body``, and its layer entries, each decoded as its ``kind`` says."""
-    manifest = decode(body, ModelManifest)
-    kinds = {KIND_AFFINE: _decoder(AffineEntry), KIND_RELU: _decoder(ReluEntry)}
-    entries = []
-    for index, entry in enumerate(manifest.layers):
-        kind = entry.get("kind")
-        if not isinstance(kind, str) or kind not in kinds:
-            detail = f"kind: unknown layer kind {kind!r}" if "kind" in entry else "missing key 'kind'"
-            raise ValueError(f"layers: {index}: {detail}")
-        entries.append(_read_at(f"layers: {index}", entry, kinds[kind]))
-    return manifest, entries
+    entries = [AffineEntry(l.name, "affine", *l.weight.shape, l.relu) for l in model.layers]
+    write_record(manifest_path, ModelManifest(model.head, blob_path.name, entries))
 
 
 def load_model(manifest_path: str | Path) -> ModelGraph:
     """Load a model file pair written by :func:`save_model`."""
     manifest_path = Path(manifest_path)
-    manifest, entries = read_json(manifest_path, ModelManifest.FORMAT, _decode_model)
-    affine = [entry for entry in entries if isinstance(entry, AffineEntry)]
-    for entry in affine:
+    manifest = read_record(manifest_path, ModelManifest)
+    for entry in manifest.layers:
+        if entry.kind != "affine":
+            raise DataFormatError(f"{manifest_path}: layer {entry.name!r} has kind {entry.kind!r}")
         if entry.out_dim < 1 or entry.in_dim < 1:
-            raise DataFormatError(f"layer {entry.name!r} needs positive widths")
-    size = 4 * sum(entry.out_dim * (entry.in_dim + 1) for entry in affine)
+            raise DataFormatError(f"{manifest_path}: layer {entry.name!r} needs positive widths")
+    size = 4 * sum(entry.out_dim * (entry.in_dim + 1) for entry in manifest.layers)
     blob = _read_blob(manifest_path.parent / manifest.blob, size)
     layers, offset = [], 0
-    for entry in entries:
-        if isinstance(entry, ReluEntry):
-            layers.append(Layer(entry.name, KIND_RELU))
-            continue
+    for entry in manifest.layers:
         out_dim, in_dim = entry.out_dim, entry.in_dim
         # ModelGraph makes the one float64 copy of these views of the blob
         w = np.frombuffer(blob, dtype="<f4", count=out_dim * in_dim, offset=offset)
         b = np.frombuffer(blob, dtype="<f4", count=out_dim, offset=offset + w.nbytes)
         offset += w.nbytes + b.nbytes
-        layers.append(Layer(entry.name, KIND_AFFINE, w.reshape(out_dim, in_dim), b))
+        layers.append(Layer(entry.name, w.reshape(out_dim, in_dim), b, entry.relu))
     try:
         return ModelGraph(layers, head=manifest.head)
     except GraphError as exc:

@@ -181,9 +181,12 @@ class RunResult:
     manifest: RunManifest
     report: SensitivityReport
     outcome: SearchOutcome
-    config: QuantConfig
     cost: CostReport
-    baseline_accuracy: float
+
+    @property
+    def config(self) -> QuantConfig:
+        """The committed config, ``outcome.config``."""
+        return self.outcome.config
 
 
 class _Stage:
@@ -431,9 +434,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         manifest=manifest,
         report=report,
         outcome=outcome,
-        config=outcome.config,
         cost=cost,
-        baseline_accuracy=manifest.baseline_accuracy,
     )
 
 
@@ -441,7 +442,6 @@ def load_manifest(path: str | Path) -> RunManifest:
     """The run manifest in ``path``, whose parameters must validate."""
 
     def parse(body: dict) -> RunManifest:
-        body["parameters"].pop("probes", None)  # written by versions that sampled Hessian traces
         manifest = decode(body, RunManifest)
         manifest.parameters.validate()
         return manifest

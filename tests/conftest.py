@@ -15,8 +15,6 @@ from mixquant.fixtures import build_fixture
 from mixquant.graph import (
     HEAD_SOFTMAX_CE,
     HEAD_SQUARED_ERROR,
-    KIND_AFFINE,
-    KIND_RELU,
     Dataset,
     GraphError,
     Layer,
@@ -95,7 +93,7 @@ def make_diagonal_quadratic(curvatures=(1.0, 2.0, 3.0)):
         features[i, i] = np.sqrt(n * c)
     weight = np.linspace(0.2, -0.15, n).reshape(1, n)
     model = ModelGraph(
-        [Layer("probe", KIND_AFFINE, weight, np.zeros(1))], head=HEAD_SQUARED_ERROR
+        [Layer("probe", weight, np.zeros(1))], head=HEAD_SQUARED_ERROR
     )
     data = Dataset(features, np.zeros(n, dtype=np.int64), 1)
     return model, data, d
@@ -113,13 +111,7 @@ def make_dead_relu_model(seed=3, examples=32):
     b1 = np.full(4, -10.0)
     w2 = rng.normal(0, 0.3, size=(2, 4))
     b2 = np.array([0.3, -0.2])
-    model = ModelGraph(
-        [
-            Layer("inner", KIND_AFFINE, w1, b1),
-            Layer("gate", KIND_RELU),
-            Layer("outer", KIND_AFFINE, w2, b2),
-        ]
-    )
+    model = ModelGraph([Layer("inner", w1, b1, relu=True), Layer("outer", w2, b2)])
     features = rng.normal(0, 1, size=(examples, 3))
     data = Dataset(features, rng.integers(0, 2, examples), 2)
     return model, data
@@ -132,13 +124,7 @@ def make_small_ce_model(seed=5, examples=64):
     b1 = rng.normal(0, 0.1, size=6)
     w2 = rng.normal(0, 0.6, size=(3, 6))
     b2 = rng.normal(0, 0.1, size=3)
-    model = ModelGraph(
-        [
-            Layer("first", KIND_AFFINE, w1, b1),
-            Layer("act", KIND_RELU),
-            Layer("second", KIND_AFFINE, w2, b2),
-        ]
-    )
+    model = ModelGraph([Layer("first", w1, b1, relu=True), Layer("second", w2, b2)])
     features = rng.normal(0, 1, size=(examples, 4))
     data = Dataset(features, rng.integers(0, 3, examples), 3)
     return model, data
@@ -190,6 +176,19 @@ def edit_json(path, keys, value):
     new_file(path).write_text(json.dumps(payload))
 
 
+def write_old_model_format(path):
+    """Rewrite the model manifest ``path`` in the format that listed each relu
+    as an entry of its own, ``{"name": ..., "kind": "relu"}``, after its layer."""
+    payload = json.loads(path.read_text())
+    layers = []
+    for index, entry in enumerate(payload["layers"], 1):
+        layers.append(entry)
+        if entry.pop("relu"):
+            layers.append({"name": f"relu{index}", "kind": "relu"})
+    payload["layers"] = layers
+    new_file(path).write_text(json.dumps(payload))
+
+
 def central_difference_hvp(model, data, tensor, v, eps=1e-6):
     """Finite-difference oracle for a Hessian-vector product.
 
@@ -210,7 +209,8 @@ def central_difference_hvp(model, data, tensor, v, eps=1e-6):
 
 @dataclasses.dataclass(frozen=True)
 class ROpStep:
-    """One layer of an :func:`r_op_tape` forward, relu or affine, as listed."""
+    """One layer of an :func:`r_op_tape` forward: its input and its output,
+    after its relu where it has one."""
 
     layer: Layer
     inputs: np.ndarray
@@ -230,13 +230,15 @@ class ROpTape:
 def r_op_tape(model, data):
     """Record the activations that :func:`r_op_hvp` needs.
 
-    A numpy forward of its own over ``model.layers``, every relu applied
-    as listed, so the oracle does not share the engine's normal form.
+    A numpy forward of its own over ``model.layers``, each layer's relu
+    applied where its flag is set, so the oracle shares no code with the
+    engine's passes.
     """
     _check_compat(model, data)
     steps, a = [], data.features
     for layer in model.layers:
-        z = a @ layer.weight.T + layer.bias if layer.kind == KIND_AFFINE else np.maximum(a, 0.0)
+        z = a @ layer.weight.T + layer.bias
+        z = np.maximum(z, 0.0) if layer.relu else z
         steps.append(ROpStep(layer, a, z))
         a = z
     probs = _softmax(a) if model.head == HEAD_SOFTMAX_CE else None
@@ -276,11 +278,11 @@ def r_op_hvp(model, data, tensor, v, tape=None):
         r = scored.inputs @ v.transpose(0, 2, 1)
     else:
         r = np.broadcast_to(v[:, np.newaxis, :], (v.shape[0], n, v.shape[1]))
+    if scored.layer.relu:
+        r = np.where(scored.output > 0.0, r, 0.0)
     for t in above:
-        if t.layer.kind == KIND_RELU:
-            r = np.where(t.output > 0.0, r, 0.0)
-        else:
-            r = r @ t.layer.weight.T
+        r = r @ t.layer.weight.T
+        r = np.where(t.output > 0.0, r, 0.0) if t.layer.relu else r
     if tape.probs is not None:
         # R-op of softmax-CE's gradient (p - y)/n: (diag p - p p^T) r / n
         pr = tape.probs * r
@@ -288,10 +290,10 @@ def r_op_hvp(model, data, tensor, v, tape=None):
     else:
         r = r / n
     for t in reversed(above):
-        if t.layer.kind == KIND_RELU:
-            r = np.where(t.output > 0.0, r, 0.0)
-        else:
-            r = r @ t.layer.weight
+        r = np.where(t.output > 0.0, r, 0.0) if t.layer.relu else r
+        r = r @ t.layer.weight
+    if scored.layer.relu:
+        r = np.where(scored.output > 0.0, r, 0.0)
     hv = r.transpose(0, 2, 1) @ scored.inputs if field == "weight" else r.sum(axis=1)
     return hv[0] if single else hv
 

@@ -28,8 +28,6 @@ from mixquant.calibrate import CalibrationOutcome
 from mixquant.cost import model_size
 from mixquant.fixtures import build_fixture_latency_table
 from mixquant.graph import (
-    KIND_AFFINE,
-    KIND_RELU,
     Layer,
     ModelGraph,
     chain_accuracies,
@@ -77,9 +75,8 @@ def _kink_clearance(model, data):
     x = data.features
     clearance = np.full(x.shape[0], np.inf)
     for layer in model.layers:
-        if layer.kind == KIND_AFFINE:
-            x = x @ layer.weight.T + layer.bias
-        elif layer.kind == KIND_RELU:
+        x = x @ layer.weight.T + layer.bias
+        if layer.relu:
             clearance = np.minimum(clearance, np.abs(x).min(axis=1))
             x = np.maximum(x, 0.0)
     return clearance
@@ -270,7 +267,7 @@ def test_criterion_8_ordering_distance():
 def test_criterion_9_size_arithmetic():
     # 1000 x 25499 weight plus 1000 bias: exactly 25.5e6 parameters
     model = ModelGraph(
-        [Layer("big", KIND_AFFINE, np.zeros((1000, 25499)), np.zeros(1000))]
+        [Layer("big", np.zeros((1000, 25499)), np.zeros(1000))]
     )
     assert model.parameter_count() == 25_500_000
 

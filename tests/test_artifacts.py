@@ -52,7 +52,7 @@ def small_run(tmp_path_factory):
 def _comparable(obj):
     """Models and datasets define no equality: compare their structure and digests."""
     if isinstance(obj, ModelGraph):
-        return obj.head, obj.parameter_digest(), [(l.name, l.kind) for l in obj.layers]
+        return obj.head, obj.parameter_digest(), [(l.name, l.relu) for l in obj.layers]
     if isinstance(obj, Dataset):
         return obj.digest()
     return obj
@@ -72,7 +72,7 @@ def _written(kind, small_run, tmp_path):
             adjustment_log=[0.9, 0.30000000000000004],
         ),
         "sensitivity": result.report,
-        "config": result.config,
+        "config": result.outcome.config,
         "outcome": result.outcome,
         "cost": result.cost,
     }
@@ -167,9 +167,9 @@ def _compare_with(small_run, tmp_path, name, keys, value):
 
 def test_fractional_bit_width_rejected(small_run, tmp_path, capsys):
     _, result = small_run
-    tensor = sorted(result.config.bits)[0]
+    tensor = sorted(result.outcome.config.bits)[0]
     path = tmp_path / "config.json"
-    write_record(path, result.config)
+    write_record(path, result.outcome.config)
     edit_json(path, ("bits", tensor), 4.7)
     with pytest.raises(DataFormatError, match="expected an integer, got 4.7"):
         read_record(path, QuantConfig)

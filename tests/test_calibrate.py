@@ -20,8 +20,6 @@ from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import (
     HEAD_SOFTMAX_CE,
     HEAD_SQUARED_ERROR,
-    KIND_AFFINE,
-    KIND_RELU,
     Dataset,
     GraphError,
     Layer,
@@ -39,14 +37,14 @@ def quantized_weights(model, specs):
 class TestCalibrate:
     def test_weight_scales_follow_max_abs(self):
         w = np.array([[-0.5, 0.25, 2.0]])
-        model = ModelGraph([Layer("lin", KIND_AFFINE, w, np.zeros(1))])
+        model = ModelGraph([Layer("lin", w, np.zeros(1))])
         spec = calibrate(model, 4)["lin.weight"]
         assert spec.alpha == 0.5
         assert spec.gamma == 2.0
         assert spec.bits == 4
 
     def test_all_zero_tensor_gets_unit_scales(self):
-        model = ModelGraph([Layer("lin", KIND_AFFINE, np.zeros((2, 2)), np.zeros(2))])
+        model = ModelGraph([Layer("lin", np.zeros((2, 2)), np.zeros(2))])
         specs = calibrate(model, 8)
         assert specs["lin.weight"].alpha == 1.0
         assert specs["lin.weight"].gamma == 1.0
@@ -111,7 +109,7 @@ class TestAdjustScales:
         # a gamma near the float ceiling overflows the squared-error loss
         # on the very first evaluation
         model = ModelGraph(
-            [Layer("lin", KIND_AFFINE, np.array([[1.0]]), np.zeros(1))],
+            [Layer("lin", np.array([[1.0]]), np.zeros(1))],
             head=HEAD_SQUARED_ERROR,
         )
         data = Dataset(np.array([[1.0]]), np.zeros(1, dtype=int), 1)
@@ -164,9 +162,8 @@ def squared_error_model(seed=2, examples=48):
     rng = np.random.default_rng(seed)
     model = ModelGraph(
         [
-            Layer("first", KIND_AFFINE, rng.normal(0, 0.6, (5, 3)), rng.normal(0, 0.1, 5)),
-            Layer("act", KIND_RELU),
-            Layer("second", KIND_AFFINE, rng.normal(0, 0.6, (2, 5)), rng.normal(0, 0.1, 2)),
+            Layer("first", rng.normal(0, 0.6, (5, 3)), rng.normal(0, 0.1, 5), relu=True),
+            Layer("second", rng.normal(0, 0.6, (2, 5)), rng.normal(0, 0.1, 2)),
         ],
         head=HEAD_SQUARED_ERROR,
     )
@@ -177,7 +174,7 @@ def squared_error_model(seed=2, examples=48):
 def one_weight_banks(gammas):
     """A one-weight squared-error model, one row, and a bank per ``(bits, gamma)``."""
     model = ModelGraph(
-        [Layer("lin", KIND_AFFINE, np.array([[1.0]]), np.zeros(1))],
+        [Layer("lin", np.array([[1.0]]), np.zeros(1))],
         head=HEAD_SQUARED_ERROR,
     )
     data = Dataset(np.array([[1.0]]), np.zeros(1, dtype=int), 1)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import mixquant.cli as cli_module
 import mixquant.pipeline as pipeline_module
-from conftest import MISSING, edit_json, with_tensor
+from conftest import MISSING, edit_json, with_tensor, write_old_model_format
 from mixquant.calibrate import CalibrationOutcome
 from mixquant.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TARGET, main
 from mixquant.cost import CostReport
@@ -324,19 +324,18 @@ class TestRun:
         assert extra[0] in err and "--out" in err and "[stage:" not in err
         assert not second.exists()
 
-    def test_manifest_with_probes_reruns_exactly(self, fixture_dir, tmp_path, capsys):
+    def test_manifest_with_probes_is_refused(self, fixture_dir, tmp_path, capsys):
         # manifests written while the hessian metric was sampled carry the
-        # probe count; it is ignored, and the rerun scores exact traces
+        # probe count; like any old format, they are not read
         first = tmp_path / "first"
         assert main(run_args(fixture_dir, first)) == EXIT_OK
+        capsys.readouterr()
         edit_json(first / "manifest.json", ("parameters", "probes"), 16)
         second = tmp_path / "second"
         code = main(["run", "--manifest", str(first / "manifest.json"), "--out", str(second)])
-        assert code == EXIT_OK
-        capsys.readouterr()
-        for name in ("config.json", "outcome.json", "cost.json", "sensitivity.json"):
-            assert (first / name).read_bytes() == (second / name).read_bytes(), name
-        assert "probes" not in json.loads((second / "manifest.json").read_text())["parameters"]
+        assert code == EXIT_DATA
+        assert "parameters: unknown key 'probes'" in capsys.readouterr().err
+        assert not second.exists()
 
     def test_missing_flags_exit_config(self, fixture_dir, capsys):
         code = main(["run", "--model", str(fixture_dir / "model.json")])
@@ -441,6 +440,13 @@ class TestRun:
         assert main(run_args(inputs, tmp_path / "x")) == EXIT_DATA
         assert message in capsys.readouterr().err
 
+    def test_old_format_model_exit_data(self, fixture_dir, tmp_path, capsys):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixture_dir, inputs)
+        write_old_model_format(inputs / "model.json")
+        assert main(run_args(inputs, tmp_path / "x")) == EXIT_DATA
+        assert "layers: 0: missing key 'relu'" in capsys.readouterr().err
+
     def test_undecodable_latency_table_exit_data(self, fixture_dir, tmp_path, capsys):
         inputs = tmp_path / "inputs"
         shutil.copytree(fixture_dir, inputs)
@@ -500,8 +506,8 @@ class TestRun:
     ):
         inputs = tmp_path / "inputs"
         shutil.copytree(fixture_dir, inputs)
-        edit_json(inputs / "model.json", ("layers",), [{"name": "r", "kind": "relu"}])
-        (inputs / "model.bin").write_bytes(b"")  # no affine layer, so no parameter
+        edit_json(inputs / "model.json", ("layers",), [])
+        (inputs / "model.bin").write_bytes(b"")  # no layer, so no parameter
         assert main(run_args(inputs, tmp_path / "x")) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "error: [stage: load-inputs] model has no affine layer, input width is undefined\n"

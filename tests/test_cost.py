@@ -17,7 +17,7 @@ from mixquant.cost import (
     model_size,
 )
 from mixquant.fixtures import build_fixture_latency_table
-from mixquant.graph import KIND_AFFINE, KIND_RELU, GraphError, Layer, ModelGraph
+from mixquant.graph import GraphError, Layer, ModelGraph
 from mixquant.modelio import DataFormatError
 from mixquant.search import QuantConfig
 
@@ -25,9 +25,8 @@ from mixquant.search import QuantConfig
 def two_layer_model():
     return ModelGraph(
         [
-            Layer("dense1", KIND_AFFINE, np.zeros((4, 3)), np.zeros(4)),
-            Layer("relu1", KIND_RELU),
-            Layer("dense2", KIND_AFFINE, np.zeros((2, 4)), np.zeros(2)),
+            Layer("dense1", np.zeros((4, 3)), np.zeros(4), relu=True),
+            Layer("dense2", np.zeros((2, 4)), np.zeros(2)),
         ]
     )
 
@@ -35,8 +34,6 @@ def two_layer_model():
 def filled_table(model, bits_list=(2, 4, 8, 16), value=1.0):
     table = LatencyTable()
     for layer in model.layers:
-        if layer.kind != KIND_AFFINE:
-            continue
         out_dim, in_dim = layer.weight.shape
         for b in bits_list:
             table.add("matmul", out_dim, 1, in_dim, b, value * b)

@@ -107,8 +107,6 @@ class TestFixtureLatencyTable:
         model, _, _ = f1
         table = build_fixture_latency_table(model)
         for layer in model.layers:
-            if layer.weight is None:
-                continue
             out_dim, in_dim = layer.weight.shape
             for bits in range(2, 17):
                 assert table.lookup("matmul", out_dim, 1, in_dim, bits) > 0.0

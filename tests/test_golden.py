@@ -63,7 +63,7 @@ GOLDEN = {
     "fixture/eval.labels.bin": "9e387b97e2fcd8e19af96a9cfff64c32bac0ee8ff6c26b4e7742d9ec0c09b2ed",
     "fixture/latency.csv": "59816fe0e51ed0f31e293d0295766528e1e614d9af2fa344065585381a46e671",
     "fixture/model.bin": "f25429a836e285e52f3ab25e9b76c0bd837f76c6b3c3e00ab92b7293d8c38519",
-    "fixture/model.json": "8621091f6b5ca404cafe946e88618eeb2cb10815608e2f0485125b8ea6caedae",
+    "fixture/model.json": "394b128fbbbddb6c8df5cc500d48a3eb907f11a9f1b61d5405c51c0416b6b1ee",
     "runs/hessian-bisection/config.json": "2b466f6c4b9f2be1e3cc2278e80d4a53a2461cd320e5da0d494226684e441dbf",
     "runs/hessian-bisection/cost.json": "ca09251bd94bb943a8cb00d379141986fba18945aa3aedb77af2e8d8ff179b11",
     "runs/hessian-bisection/manifest.json": "5b29d73a3d1c985da9a16784f0315742f2d1a82d80b6e273a5c0c395aad367b7",

@@ -39,8 +39,6 @@ from mixquant.graph import (
     FORWARD_BLOCK_FLOATS,
     HEAD_SOFTMAX_CE,
     HEAD_SQUARED_ERROR,
-    KIND_AFFINE,
-    KIND_RELU,
     Dataset,
     GraphError,
     Layer,
@@ -70,7 +68,7 @@ WIDE_DIMS = (64, 192, 160, 128, 96, 64, 32, 10)
 
 
 def identity_model(dim=2):
-    return ModelGraph([Layer("lin", KIND_AFFINE, np.eye(dim), np.zeros(dim))])
+    return ModelGraph([Layer("lin", np.eye(dim), np.zeros(dim))])
 
 
 def block_rows(model):
@@ -113,8 +111,8 @@ class TestModelValidation:
         with pytest.raises(GraphError):
             ModelGraph(
                 [
-                    Layer("a", KIND_AFFINE, np.eye(2), np.zeros(2)),
-                    Layer("a", KIND_AFFINE, np.eye(2), np.zeros(2)),
+                    Layer("a", np.eye(2), np.zeros(2)),
+                    Layer("a", np.eye(2), np.zeros(2)),
                 ]
             )
 
@@ -122,8 +120,8 @@ class TestModelValidation:
         with pytest.raises(GraphError):
             ModelGraph(
                 [
-                    Layer("a", KIND_AFFINE, np.ones((3, 2)), np.zeros(3)),
-                    Layer("b", KIND_AFFINE, np.ones((2, 4)), np.zeros(2)),
+                    Layer("a", np.ones((3, 2)), np.zeros(3)),
+                    Layer("b", np.ones((2, 4)), np.zeros(2)),
                 ]
             )
 
@@ -131,11 +129,11 @@ class TestModelValidation:
         w = np.eye(2)
         w[0, 0] = np.inf
         with pytest.raises(GraphError):
-            ModelGraph([Layer("a", KIND_AFFINE, w, np.zeros(2))])
+            ModelGraph([Layer("a", w, np.zeros(2))])
 
     def test_unknown_head_rejected(self):
         with pytest.raises(GraphError):
-            ModelGraph([Layer("a", KIND_AFFINE, np.eye(2), np.zeros(2))], head="hinge")
+            ModelGraph([Layer("a", np.eye(2), np.zeros(2))], head="hinge")
 
     def test_parameters_are_read_only(self):
         model = identity_model()
@@ -145,14 +143,13 @@ class TestModelValidation:
     def test_weight_names_are_the_quantizable_tensors(self):
         model = ModelGraph(
             [
-                Layer("d1", KIND_AFFINE, np.ones((3, 2)), np.zeros(3)),
-                Layer("r1", KIND_RELU),
-                Layer("d2", KIND_AFFINE, np.ones((2, 3)), np.zeros(2)),
+                Layer("d1", np.ones((3, 2)), np.zeros(3), relu=True),
+                Layer("d2", np.ones((2, 3)), np.zeros(2)),
             ]
         )
         assert model.weight_tensor_names() == ["d1.weight", "d2.weight"]
         data = Dataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
-        for name in ("d1.out", "r1.out"):
+        for name in ("d1.out", "d1.relu"):
             with pytest.raises(GraphError, match="unknown tensors"):
                 chain_accuracies(model, data, [{name: np.ones((1, 3))}])
 
@@ -164,10 +161,8 @@ class TestModelValidation:
     def test_parameter_names_list_weight_then_bias_in_layer_order(self):
         model = ModelGraph(
             [
-                Layer("r0", KIND_RELU),
-                Layer("z", KIND_AFFINE, np.ones((3, 2)), np.zeros(3)),
-                Layer("r1", KIND_RELU),
-                Layer("a", KIND_AFFINE, np.ones((2, 3)), np.full(2, 0.5)),
+                Layer("z", np.ones((3, 2)), np.zeros(3), relu=True),
+                Layer("a", np.ones((2, 3)), np.full(2, 0.5)),
             ]
         )
         assert model.parameter_names() == ["z.weight", "z.bias", "a.weight", "a.bias"]
@@ -211,7 +206,7 @@ class TestForward:
         assert accuracy == 1.0
 
     def test_uniform_logits_loss_is_log_num_classes(self):
-        model = ModelGraph([Layer("z", KIND_AFFINE, np.zeros((5, 3)), np.zeros(5))])
+        model = ModelGraph([Layer("z", np.zeros((5, 3)), np.zeros(5))])
         data = Dataset(np.random.default_rng(0).normal(size=(7, 3)), np.zeros(7, dtype=int), 5)
         assert chain_losses(model, data, [{}])[0] == pytest.approx(np.log(5.0), abs=1e-15)
 
@@ -223,9 +218,8 @@ class TestForward:
     def test_relu_clamps_negative_preactivations(self):
         model = ModelGraph(
             [
-                Layer("neg", KIND_AFFINE, -np.eye(2), np.zeros(2)),
-                Layer("r", KIND_RELU),
-                Layer("out", KIND_AFFINE, np.eye(2), np.array([0.0, 1.0])),
+                Layer("neg", -np.eye(2), np.zeros(2), relu=True),
+                Layer("out", np.eye(2), np.array([0.0, 1.0])),
             ]
         )
         data = Dataset(np.array([[3.0, 3.0]]), np.array([1]), 2)
@@ -234,7 +228,7 @@ class TestForward:
 
     def test_squared_error_head_by_hand(self):
         model = ModelGraph(
-            [Layer("lin", KIND_AFFINE, np.array([[1.0, 0.0]]), np.zeros(1))],
+            [Layer("lin", np.array([[1.0, 0.0]]), np.zeros(1))],
             head=HEAD_SQUARED_ERROR,
         )
         data = Dataset(np.array([[0.4, 9.9]]), np.array([0]), 1)
@@ -249,7 +243,7 @@ class TestForward:
 
     def test_quantized_forward_uses_weight_spec(self):
         # at 2 bits the 0.7 diagonal snaps to 0.5, shifting the logit gap
-        model = ModelGraph([Layer("lin", KIND_AFFINE, 0.7 * np.eye(2), np.zeros(2))])
+        model = ModelGraph([Layer("lin", 0.7 * np.eye(2), np.zeros(2))])
         data = Dataset(np.array([[1.0, 0.0]]), np.array([0]), 2)
         w2 = quantize(model.parameter("lin.weight"), QuantSpec(alpha=1.0, gamma=1.0, bits=2))
         [clean] = chain_losses(model, data, [{}])
@@ -316,22 +310,20 @@ class TestBlockedForward:
         assert np.array_equal(blocked_logits(model, data.features, weights), logits)
         assert one_map_result(model, data, weights) == result
 
-    def test_relu_first_model_leaves_features_untouched(self):
+    def test_caller_features_are_left_untouched(self):
         rng = np.random.default_rng(2)
         model = ModelGraph(
             [
-                Layer("r0", KIND_RELU),
-                Layer("a", KIND_AFFINE, rng.normal(size=(8, 4)), rng.normal(size=8)),
-                Layer("r1", KIND_RELU),
-                Layer("b", KIND_AFFINE, rng.normal(size=(3, 8)), rng.normal(size=3)),
+                Layer("a", rng.normal(size=(8, 4)), rng.normal(size=8), relu=True),
+                Layer("b", rng.normal(size=(3, 8)), rng.normal(size=3)),
             ]
         )
         rows = 3 * block_rows(model) + 5
         x = rng.normal(size=(rows, 4))
         before = x.copy()
         blocked = blocked_logits(model, x, {})
-        assert np.array_equal(x, before)  # a writable caller array is not clamped either
-        # Dataset features are read-only, so an in-place relu on them would raise.
+        assert np.array_equal(x, before)  # a writable caller array is not written
+        # Dataset features are read-only, so an in-place write to them would raise.
         data = Dataset(x, rng.integers(0, 3, size=rows), 3)
         logits, result = whole_split_result(model, data, {})
         assert np.array_equal(blocked, logits)
@@ -395,12 +387,12 @@ class BiasReads:
 def bias_reads(model):
     """Yield one :class:`BiasReads` per affine layer of ``model``, standing in for
     its layers until the block exits."""
-    spies = tuple(BiasReads(layer) for layer in model.affine_layers)
-    model.affine_layers = spies
+    spies = tuple(BiasReads(layer) for layer in model.layers)
+    model.layers = spies
     try:
         yield spies
     finally:
-        model.affine_layers = tuple(spy.layer for spy in spies)
+        model.layers = tuple(spy.layer for spy in spies)
 
 
 class TestChainedPass:
@@ -478,14 +470,12 @@ class TestChainedPass:
         # the tensors at or below it
         assert reads == [blocks * (1 + 3 * (i + 1)) for i in range(len(reads))]
 
-    def test_relu_first_model_and_read_only_features(self):
+    def test_mixed_maps_over_read_only_features(self):
         rng = np.random.default_rng(4)
         model = ModelGraph(
             [
-                Layer("r0", KIND_RELU),
-                Layer("a", KIND_AFFINE, rng.normal(size=(8, 4)), rng.normal(size=8)),
-                Layer("r1", KIND_RELU),
-                Layer("b", KIND_AFFINE, rng.normal(size=(3, 8)), rng.normal(size=3)),
+                Layer("a", rng.normal(size=(8, 4)), rng.normal(size=8), relu=True),
+                Layer("b", rng.normal(size=(3, 8)), rng.normal(size=3)),
             ]
         )
         rows = 3 * block_rows(model) + 5
@@ -546,7 +536,7 @@ class TestChainedPass:
 
     def test_no_memory_per_row_and_map(self):
         rng = np.random.default_rng(5)
-        model = ModelGraph([Layer("a", KIND_AFFINE, rng.normal(size=(8, 4)), rng.normal(size=8))])
+        model = ModelGraph([Layer("a", rng.normal(size=(8, 4)), rng.normal(size=8))])
         rows = 2**16
         data = Dataset(rng.normal(size=(rows, 4)), rng.integers(0, 8, size=rows), 8)
         maps = [{}] * 64
@@ -988,7 +978,7 @@ class TestGradients:
         rng = np.random.default_rng(11)
         w = rng.normal(size=(3, 4))
         b = rng.normal(size=3)
-        model = ModelGraph([Layer("lin", KIND_AFFINE, w, b)])
+        model = ModelGraph([Layer("lin", w, b)])
         x = rng.normal(size=(16, 4))
         labels = rng.integers(0, 3, 16)
         data = Dataset(x, labels, 3)
@@ -1032,9 +1022,8 @@ class TestGradients:
         # convention here is zero gradient, so the weight grad vanishes
         model = ModelGraph(
             [
-                Layer("in", KIND_AFFINE, np.zeros((2, 2)), np.zeros(2)),
-                Layer("r", KIND_RELU),
-                Layer("out", KIND_AFFINE, np.ones((2, 2)), np.array([1.0, -1.0])),
+                Layer("in", np.zeros((2, 2)), np.zeros(2), relu=True),
+                Layer("out", np.ones((2, 2)), np.array([1.0, -1.0])),
             ]
         )
         data = Dataset(np.ones((4, 2)), np.array([0, 1, 0, 1]), 2)
@@ -1057,63 +1046,6 @@ class TestReverseSweep:
         g = rng.normal(size=(2, 5, 3))
         expected = np.where(output > 0.0, g, 0.0)
         assert np.array_equal(_relu_backward(g, output), expected)
-
-    def test_relu_below_first_affine_changes_nothing_upstream(self):
-        # the sweeps stop at the first affine layer, so a leading relu
-        # acts only through the features it clamps
-        rng = np.random.default_rng(6)
-        affine = [
-            Layer("a", KIND_AFFINE, rng.normal(size=(5, 4)), rng.normal(size=5)),
-            Layer("r1", KIND_RELU),
-            Layer("b", KIND_AFFINE, rng.normal(size=(3, 5)), rng.normal(size=3)),
-        ]
-        leading = ModelGraph([Layer("r0", KIND_RELU)] + affine)
-        plain = ModelGraph(affine)
-        x = rng.normal(size=(32, 4))
-        labels = rng.integers(0, 3, size=32)
-        data = Dataset(x, labels, 3)
-        clamped = Dataset(np.maximum(x, 0.0), labels, 3)
-        wrt = plain.parameter_names()
-        plain_grads = dict(loss_and_gradients(plain, clamped, {}, wrt)[1])
-        for name, grad in loss_and_gradients(leading, data, {}, wrt)[1]:
-            assert np.array_equal(grad, plain_grads[name]), name
-        assert hessian_traces(leading, data) == hessian_traces(plain, clamped)
-        specs = [QuantSpec(1.3, 0.8, 3), QuantSpec(0.6, 1.1, 5)]
-        names = plain.weight_tensor_names()
-        stacked = {n: np.stack([quantize(plain.parameter(n), s) for s in specs]) for n in names}
-        loss, sweep = loss_and_gradients(leading, data, stacked, names)
-        plain_loss, plain_sweep = loss_and_gradients(plain, clamped, stacked, names)
-        assert np.array_equal(loss, plain_loss)
-        for (name, grad), (plain_name, plain_grad) in zip(sweep, plain_sweep):
-            assert name == plain_name and np.array_equal(grad, plain_grad), name
-
-    @pytest.mark.parametrize(
-        "layout",
-        [("r0", "r0+", "a", "r1", "b"), ("a", "r1", "r1+", "b"), ("a", "r1", "b", "r2", "r2+")],
-        ids=["leading", "two-in-a-row", "trailing"],
-    )
-    def test_a_run_of_relus_acts_as_one(self, layout):
-        rng = np.random.default_rng(8)
-        affine = {
-            "a": Layer("a", KIND_AFFINE, rng.normal(size=(6, 4)), rng.normal(size=6)),
-            "b": Layer("b", KIND_AFFINE, rng.normal(size=(3, 6)), rng.normal(size=3)),
-        }
-        layers = [affine.get(name, Layer(name, KIND_RELU)) for name in layout]
-        listed = ModelGraph(layers)
-        collapsed = ModelGraph([l for l in layers if not l.name.endswith("+")])
-        data = Dataset(rng.normal(size=(64, 4)), rng.integers(0, 3, size=64), 3)
-        wrt = listed.parameter_names()
-        grads = dict(loss_and_gradients(listed, data, {}, wrt)[1])
-        collapsed_grads = dict(loss_and_gradients(collapsed, data, {}, wrt)[1])
-        assert list(grads) == list(collapsed_grads)
-        for name, grad in grads.items():
-            assert np.array_equal(grad, collapsed_grads[name]), name
-        assert hessian_traces(listed, data) == hessian_traces(collapsed, data)
-        spec = QuantSpec(1.2, 0.9, 3)
-        q = {n: quantize(listed.parameter(n), spec) for n in listed.weight_tensor_names()}
-        maps = [{}, {"b.weight": q["b.weight"]}, q, {"a.weight": q["a.weight"]}]
-        assert chain_accuracies(listed, data, maps) == chain_accuracies(collapsed, data, maps)
-        assert chain_losses(listed, data, maps) == chain_losses(collapsed, data, maps)
 
 
 class TestTapedPass:

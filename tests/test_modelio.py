@@ -2,14 +2,15 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MISSING, edit_json, make_small_ce_model
-from mixquant.graph import HEAD_SQUARED_ERROR, KIND_AFFINE, Dataset, Layer, ModelGraph
+from conftest import MISSING, edit_json, make_small_ce_model, write_old_model_format
+from mixquant.graph import HEAD_SQUARED_ERROR, Dataset, Layer, ModelGraph
 from mixquant.cost import LatencyTable
 from mixquant.modelio import (
     DataFormatError,
@@ -31,8 +32,8 @@ class TestModelRoundTrip:
         rng = np.random.default_rng(4)
         model = ModelGraph(
             [
-                Layer("a", KIND_AFFINE, f32(rng.normal(size=(5, 3))), f32(rng.normal(size=5))),
-                Layer("b", KIND_AFFINE, f32(rng.normal(size=(2, 5))), f32(rng.normal(size=2))),
+                Layer("a", f32(rng.normal(size=(5, 3))), f32(rng.normal(size=5))),
+                Layer("b", f32(rng.normal(size=(2, 5))), f32(rng.normal(size=2))),
             ]
         )
         path = tmp_path / "model.json"
@@ -42,17 +43,20 @@ class TestModelRoundTrip:
         assert loaded.head == model.head
 
     def test_relu_layers_and_head_preserved(self, tmp_path):
-        model, _ = make_small_ce_model()
+        relus = np.array([False, True, True])  # numpy bools, as a mask would give
+        model = ModelGraph(
+            [Layer(f"l{i}", np.eye(2), np.zeros(2), relu) for i, relu in enumerate(relus)]
+        )
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert [(l.name, l.kind) for l in loaded.layers] == [
-            (l.name, l.kind) for l in model.layers
-        ]
+        flags = [(l.name, l.relu) for l in loaded.layers]
+        assert flags == [(f"l{i}", relu) for i, relu in enumerate(relus)]
+        assert loaded.head == model.head
 
     def test_squared_error_head_round_trips(self, tmp_path):
         model = ModelGraph(
-            [Layer("z", KIND_AFFINE, np.eye(2), np.zeros(2))], head=HEAD_SQUARED_ERROR
+            [Layer("z", np.eye(2), np.zeros(2))], head=HEAD_SQUARED_ERROR
         )
         path = tmp_path / "m.json"
         save_model(model, path)
@@ -106,11 +110,45 @@ class TestModelRoundTrip:
         ],
     )
     def test_negative_offsets_and_widths_rejected(self, tmp_path, path, value):
-        model = ModelGraph([Layer("a", KIND_AFFINE, np.eye(2), np.zeros(2))])
+        model = ModelGraph([Layer("a", np.eye(2), np.zeros(2))])
         manifest = tmp_path / "model.json"
         save_model(model, manifest)
         edit_json(manifest, path, value)
         with pytest.raises(DataFormatError):
+            load_model(manifest)
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            pytest.param(("layers", 0, "kind"), "relu", "layer 'a' has kind 'relu'",
+                         id="kind-relu"),
+            pytest.param(("layers", 0, "in_dim"), 0, "layer 'a' needs positive widths",
+                         id="in_dim-0"),
+        ],
+    )
+    def test_layer_errors_name_the_manifest(self, tmp_path, path, value, message):
+        model = ModelGraph([Layer("a", np.eye(2), np.zeros(2))])
+        manifest = tmp_path / "model.json"
+        save_model(model, manifest)
+        edit_json(manifest, path, value)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(manifest))}: {message}$"):
+            load_model(manifest)
+
+    def test_relu_flag_must_be_a_bool(self, tmp_path):
+        model = ModelGraph([Layer("a", np.eye(2), np.zeros(2))])
+        manifest = tmp_path / "model.json"
+        save_model(model, manifest)
+        edit_json(manifest, ("layers", 0, "relu"), 1)
+        with pytest.raises(DataFormatError, match="layers: 0: relu: expected a bool, got 1"):
+            load_model(manifest)
+
+    def test_old_format_with_relu_entries_rejected(self, tmp_path):
+        model, _ = make_small_ce_model()
+        manifest = tmp_path / "model.json"
+        save_model(model, manifest)
+        write_old_model_format(manifest)
+        assert json.loads(manifest.read_text())["layers"][1] == {"name": "relu1", "kind": "relu"}
+        with pytest.raises(DataFormatError, match="layers: 0: missing key 'relu'"):
             load_model(manifest)
 
     def test_manifest_is_deterministic(self, tmp_path):

@@ -105,7 +105,6 @@ class TestRunPipeline:
         rebuilt = load_manifest(out / "manifest.json")
         assert rebuilt.parameters == config_for(small_inputs, out)
         assert rebuilt == result.manifest
-        assert result.manifest.baseline_accuracy == result.baseline_accuracy
 
     def test_search_trace_in_outcome_file(self, hessian_run):
         result, out = hessian_run
@@ -171,7 +170,7 @@ class TestEvaluatorMemo:
         measured, *searches, verified = calls
         assert measured == [frozenset(dict.fromkeys(model.weight_tensor_names(), 16).items())]
         searched = [config for chain in searches for config in chain]
-        committed = frozenset(result.config.bits.items())
+        committed = frozenset(result.outcome.config.bits.items())
         assert verified == [committed] and committed in searched
         return searched, result
 
@@ -287,7 +286,7 @@ def test_wide_benchmark_decisions_pinned(tmp_path, wide_bench_inputs, metric, al
             seed=35, epochs=DEFAULT_EPOCHS,
         )
     )
-    assert result.config.bits == {f"dense{i}.weight": b for i, b in enumerate(widths, 1)}
+    assert result.outcome.config.bits == {f"dense{i}.weight": b for i, b in enumerate(widths, 1)}
     trace = result.outcome.trace
     # 8192 is a power of two, so each accuracy is exactly (rows - mistakes) / rows.
     rows = WIDE_EVAL_ROWS

@@ -10,7 +10,6 @@ import mixquant.calibrate as calibrate_module
 from mixquant.graph import (
     HEAD_SOFTMAX_CE,
     HEAD_SQUARED_ERROR,
-    KIND_AFFINE,
     Dataset,
     Layer,
     ModelGraph,
@@ -163,7 +162,7 @@ def one_weight_model(x, head=HEAD_SQUARED_ERROR):
     """A one-affine model whose single weight column is ``x``, over three rows."""
     x = np.asarray(x, dtype=np.float64)
     model = ModelGraph(
-        [Layer("lin", KIND_AFFINE, x.reshape(-1, 1), np.linspace(-0.3, 0.2, x.size))],
+        [Layer("lin", x.reshape(-1, 1), np.linspace(-0.3, 0.2, x.size))],
         head=head,
     )
     data = Dataset(np.array([[1.0], [-0.5], [2.0]]), np.array([0, 1, 0]) % x.size, x.size)

@@ -17,7 +17,7 @@ import mixquant.graph as graph_module
 import mixquant.sensitivity as sensitivity_module
 from mixquant.calibrate import calibrate
 from mixquant.fixtures import FixtureSpec, build_fixture_model
-from mixquant.graph import KIND_AFFINE, Dataset, GraphError, Layer, ModelGraph, hessian_traces
+from mixquant.graph import Dataset, GraphError, Layer, ModelGraph, hessian_traces
 from mixquant.modelio import read_record, write_record
 from mixquant.quantize import QuantSpec, quantization_error
 from mixquant.sensitivity import (
@@ -47,8 +47,8 @@ class TestScoreQE:
         # weights already on the 2-bit grid with unit scales
         model = ModelGraph(
             [
-                Layer("beta", KIND_AFFINE, np.full((2, 2), 0.5), np.zeros(2)),
-                Layer("alpha", KIND_AFFINE, -0.5 * np.eye(2), np.zeros(2)),
+                Layer("beta", np.full((2, 2), 0.5), np.zeros(2)),
+                Layer("alpha", -0.5 * np.eye(2), np.zeros(2)),
             ]
         )
         specs = {
