@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 malformed or
 unreadable data files, or a file that could not be written (any
-``OSError``, such as a full disk), 4 the committed configuration failed
-its re-evaluation against the target; README "Exit codes" lists each
-case. Unexpected failures propagate as ordinary tracebacks with exit
+``OSError``, such as a full disk; ``run`` then removes the ``--out`` it
+created), 4 the committed configuration failed its re-evaluation
+against the target; README "Exit codes" lists each case. Unexpected failures propagate as ordinary tracebacks with exit
 code 1.
 """
 
@@ -37,7 +37,6 @@ from .pipeline import (
 )
 from .search import TargetUnreachableError
 from .sensitivity import DEFAULT_SEED, METRICS
-from .calibrate import AdjustmentDivergedError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,8 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--lambda", dest="noise_scale", type=float, help="noise-metric perturbation scale"
         ),
         run.add_argument("--trials", type=int),
-        run.add_argument("--lr", dest="learning_rate", type=float),
-        run.add_argument("--epochs", type=int),
         run.add_argument("--out", dest="out_dir", help="run output directory"),
     ]
     run.set_defaults(flags={action.dest: action.option_strings[0] for action in flags})
@@ -207,7 +204,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PipelineConfigError, GraphError, AdjustmentDivergedError) as exc:
+    except (PipelineConfigError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataFormatError, OSError) as exc:

@@ -1,4 +1,4 @@
-"""Dense feed-forward inference engine with hand-written reverse-mode gradients.
+"""Dense feed-forward inference engine with an exact per-tensor Hessian trace.
 
 The graph is a straight chain of affine layers, each optionally followed
 by a relu, with a classification head. Everything is computed in float64
@@ -22,15 +22,15 @@ rules its callers rely on:
   (search probes, noise perturbations) resumes at the first affine layer
   whose weight it changes, from the input there that an earlier map kept
   for it, and :func:`chain_macs` prices a chain by that rule.
-- **How stacked work splits.** :func:`stack_groups` packs calibration
-  banks or noisy copies, in order, into groups within :data:`STACK_FLOATS`.
+- **How stacked work splits.** :func:`stack_groups` packs the noise
+  metric's noisy weight copies, in order, into groups within
+  :data:`STACK_FLOATS`.
 - **How the reverse sweep descends.** One loop computes every affine
   layer of every pass into a list of layer inputs (:func:`_run_layers`);
-  a taped pass keeps the whole list, over the whole split, as its tape.
-  One lazy sweep yields the gradient in each affine layer's output, last
-  layer first, and moves down only when asked: :func:`loss_and_gradients`
-  reduces it to parameter gradients, which scale calibration reduces and
-  drops in turn, and :func:`hessian_traces` to row norms.
+  the one taped pass, :func:`hessian_traces`, keeps the whole list, over
+  the whole split, as its tape. One lazy sweep (:func:`_sweep`) yields
+  the gradient in each affine layer's output, last layer first, and
+  :func:`hessian_traces` reduces each to row norms before it moves down.
 
 The row blocks of an untaped pass are independent, so while BLAS runs
 one thread, as :func:`one_blas_thread` holds it for a run, they are
@@ -42,14 +42,11 @@ the GIL inside the products. :func:`on_workers` runs every such split:
 each task returns its value, and the call hands them back in index
 order, so no caller shares a buffer with a worker and each result is
 bit-identical to a serial pass. A pass with one block, or a process
-with one CPU, starts no thread; ``taskset`` limits the workers. Scale
-calibration hands its groups of banks to the same workers.
+with one CPU, starts no thread; ``taskset`` limits the workers.
 
-The taped pass and the sweep are rank-agnostic: stacked replacement
-weights in :func:`loss_and_gradients` broadcast the features against
-their leading stack axis, which the activations then carry, and every
-product runs slice by slice, so each slice is bit-identical to a pass of
-its own. The engine knows nothing of quantizers.
+The sweep carries a leading stack axis, the columns of the head's
+Hessian factor, against the unstacked tape, and every product runs
+slice by slice. The engine knows nothing of quantizers.
 """
 
 from __future__ import annotations
@@ -74,13 +71,9 @@ _HEADS = (HEAD_SOFTMAX_CE, HEAD_SQUARED_ERROR)
 # a block of 2**15 float64 (256 KiB) stays cache-resident from layer to layer.
 FORWARD_BLOCK_FLOATS = 2**15
 
-# Floats that one stacked pass may hold beside its row blocks: the taped
-# activations of a calibration group of banks, at most one such pass per
-# worker in flight, or the noisy weight copies of a noise-metric group.
-# A bank of the default fixture tapes 23k floats over 256 rows, so its
-# banks stack into one pass; one of a 64-192-160-128-96-64-32-10 model
-# tapes about 175k, so each is a group of its own, and that model's noise
-# metric runs in two groups at 5 trials.
+# Floats of noisy weight copies that one noise-metric group may hold beside
+# its row blocks: a 64-192-160-128-96-64-32-10 model's noise metric runs
+# in two groups at 5 trials.
 STACK_FLOATS = 2**18
 
 
@@ -262,26 +255,20 @@ def _run_layers(model: ModelGraph, acts: list, weights: list, start: int = 0, ke
     """Recompute ``acts[start + 1:]``, the one place an affine layer's output is formed.
 
     ``acts[i]`` is affine layer ``i``'s input, ``acts[-1]`` the logits and
-    ``weights[i]`` layer ``i``'s weight; leading stack axes broadcast, the
-    product taken slice by slice. Each output is a new array, formed after
+    ``weights[i]`` layer ``i``'s weight. Each output is a new array, formed after
     the output it replaces is dropped, and the layer's relu, if it has one,
     acts on it in place. With ``keep`` given, each input whose layer
     ``keep`` does not name is dropped once used.
     """
     for i in range(start, len(weights)):
         acts[i + 1] = None
-        z = acts[i] @ weights[i].swapaxes(-1, -2)
+        z = acts[i] @ weights[i].T
         z += model.layers[i].bias
         if model.layers[i].relu:
             np.maximum(z, 0.0, out=z)
         if keep is not None and i not in keep:
             acts[i] = None
         acts[i + 1] = z
-
-
-def taped_floats(model: ModelGraph, rows: int) -> int:
-    """Floats a taped pass over ``rows`` rows adds to its features: each affine output."""
-    return rows * sum(l.weight.shape[0] for l in model.layers)
 
 
 def _openblas_threads():
@@ -448,23 +435,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _head(
-    model: ModelGraph, logits: np.ndarray, labels: np.ndarray, gradient: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The loss of each row of each ``(rows, classes)`` slice of ``logits``, and, when
-    ``gradient`` is set, the gradient of each slice's mean loss in its logits."""
-    n, classes = logits.shape[-2:]
+def _head(model: ModelGraph, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The loss of each row of the ``(rows, classes)`` ``logits``."""
+    n, classes = logits.shape
     if model.head == HEAD_SOFTMAX_CE:
         shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        norm = e.sum(axis=-1, keepdims=True)
-        losses = np.log(norm[..., 0]) - shifted[..., np.arange(n), labels]
-        if not gradient:
-            return losses, None
-        return losses, (e / norm - np.eye(classes)[labels]) / n
-    targets = np.eye(classes)[labels]
-    losses = 0.5 * np.sum(np.square(logits - targets), axis=-1)
-    return losses, ((logits - targets) / n if gradient else None)
+        norm = np.exp(shifted).sum(axis=-1)
+        return np.log(norm) - shifted[np.arange(n), labels]
+    return 0.5 * np.sum(np.square(logits - np.eye(classes)[labels]), axis=-1)
 
 
 def chain_accuracies(
@@ -508,7 +486,7 @@ def chain_losses(
     checked = [_check_compat(model, data, weights) for weights in maps]
     losses = _chained_blocks(
         model, data.features, checked,
-        lambda logits, lo, hi: _head(model, logits, data.labels[lo:hi], gradient=False)[0],
+        lambda logits, lo, hi: _head(model, logits, data.labels[lo:hi]),
     )
     return [float(np.mean(np.concatenate(rows))) for rows in losses]
 
@@ -531,8 +509,8 @@ def _sweep(model: ModelGraph, acts: list, weights: list, g: np.ndarray) -> Itera
     """Yield ``(i, g)`` for each affine layer ``i`` of the tape ``acts`` and ``weights``
     (:func:`_run_layers`), last layer first, moving down only when the caller asks.
 
-    ``g`` enters as the gradient in the logits, leading stack axes and all,
-    and may be overwritten; each item's ``g`` is the gradient in layer
+    ``g`` enters as the gradient in the logits, a leading stack axis and
+    all, and may be overwritten; each item's ``g`` is the gradient in layer
     ``i``'s output, to read and never write.
     """
     for i in reversed(range(len(weights))):
@@ -541,55 +519,6 @@ def _sweep(model: ModelGraph, acts: list, weights: list, g: np.ndarray) -> Itera
         yield i, g
         if i:
             g = g @ weights[i]
-
-
-def _gradients(model: ModelGraph, acts: list, weights: list, g: np.ndarray, wrt: Collection[str]):
-    """Yield ``(name, gradient)`` for each parameter named in ``wrt``, from the last layer
-    down, as :func:`_sweep` from ``g``; a yielded gradient is the caller's to keep."""
-    for i, g in _sweep(model, acts, weights, g):
-        name = model.layers[i].name
-        if f"{name}.weight" in wrt:
-            yield f"{name}.weight", g.swapaxes(-1, -2) @ acts[i]
-        if f"{name}.bias" in wrt:
-            yield f"{name}.bias", g.sum(axis=-2)
-
-
-def loss_and_gradients(
-    model: ModelGraph,
-    data: Dataset,
-    weights: Mapping[str, np.ndarray],
-    wrt: Collection[str] = (),
-) -> tuple[np.ndarray, Iterator[tuple[str, np.ndarray]]]:
-    """Mean loss under ``weights``, from one taped pass, and its reverse sweep.
-
-    ``weights`` replaces stored weights as a map of :func:`chain_accuracies`
-    does, but only their names and the last two axes of their shapes are
-    checked, each a :class:`GraphError`. Replacements stacked as
-    ``(stack, out, in)`` make the losses ``(stack,)``, each bit-identical
-    to a pass of its slice alone; unstacked ones make the loss 0-d. The sweep yields
-    ``(name, gradient)`` for each parameter named in ``wrt``, from the
-    last layer down, as :func:`_gradients` does; with ``wrt`` empty no
-    gradient is formed.
-    """
-    unknown = sorted(set(wrt) - set(model.parameter_names()))
-    if unknown:
-        raise GraphError(f"cannot differentiate unknown tensors: {unknown}")
-    unknown = sorted(set(weights) - set(model.weight_tensor_names()))
-    if unknown:
-        raise GraphError(f"replacement weights name unknown tensors: {unknown}")
-    for name, values in weights.items():
-        if values.shape[-2:] != model.parameter(name).shape:
-            raise GraphError(
-                f"replacement for {name!r} has shape {values.shape}, "
-                f"expected {model.parameter(name).shape} in its last two axes"
-            )
-    _check_compat(model, data)
-    acts = _inputs(model, data.features)
-    used = [weights.get(f"{l.name}.weight", l.weight) for l in model.layers]
-    _run_layers(model, acts, used)
-    losses, grad_logits = _head(model, acts[-1], data.labels, bool(wrt))
-    sweep = _gradients(model, acts, used, grad_logits, wrt) if wrt else iter(())
-    return np.mean(losses, axis=-1), sweep
 
 
 def hessian_traces(model: ModelGraph, data: Dataset) -> dict[str, float]:

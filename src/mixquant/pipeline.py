@@ -1,8 +1,9 @@
 """End-to-end run orchestration: calibrate, score, search, report.
 
-A run loads a model with calibration and eval splits, calibrates and
-adjusts one bank of quantizer scales per candidate bit width, scores tensor
-sensitivity with the chosen metric, searches bit widths over the induced
+A run loads a model with calibration and eval splits, calibrates one bank
+of max-value quantizer scales per candidate bit width from the weights
+alone, scores tensor sensitivity with the chosen metric on a seeded
+subset of the calibration split, searches bit widths over the induced
 ordering against the eval split, and writes every report plus a manifest
 that reproduces the run byte for byte. The search space, the final
 config and the cost report all cover the model's weight tensors only;
@@ -28,6 +29,7 @@ import functools
 import hashlib
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -36,13 +38,7 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .calibrate import (
-    DEFAULT_EPOCHS,
-    DEFAULT_LEARNING_RATE,
-    CalibrationOutcome,
-    adjust_scales,
-    calibrate,
-)
+from .calibrate import CalibrationOutcome, calibrate
 from .cost import CostReport, LatencyTable, cost_report, model_latency
 from .graph import Dataset, GraphError, ModelGraph, chain_accuracies, chain_macs, one_blas_thread
 from .graph import _check_compat
@@ -83,8 +79,8 @@ ALGO_BISECTION = "bisection"
 ALGO_GREEDY = "greedy"
 ALGOS = (ALGO_BISECTION, ALGO_GREEDY)
 
-# Per-stage sample counts for the two disjoint calibration-file subsets.
-DEFAULT_STAGE_SAMPLES = 256
+# Rows of the calibration split, at most, that score sensitivity.
+SENSITIVITY_SAMPLES = 256
 
 
 class PipelineConfigError(ValueError):
@@ -107,11 +103,7 @@ class PipelineConfig:
     seed: int = DEFAULT_SEED
     noise_scale: float = DEFAULT_NOISE_SCALE
     trials: int = DEFAULT_TRIALS
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    epochs: int = DEFAULT_EPOCHS
     baseline_bits: int = DEFAULT_BASELINE_BITS
-    sensitivity_samples: int = DEFAULT_STAGE_SAMPLES
-    calibration_samples: int = DEFAULT_STAGE_SAMPLES
 
     def validate(self) -> None:
         """Refuse a field of another type than :func:`modelio.decode` reads, or out of range."""
@@ -142,14 +134,10 @@ class PipelineConfig:
             raise PipelineConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise PipelineConfigError(f"seed must be >= 0, got {self.seed}")
-        rates = {"noise_scale": self.noise_scale, "learning_rate": self.learning_rate}
-        for name, value in rates.items():
-            if not math.isfinite(value):
-                raise PipelineConfigError(f"{name} must be finite, got {value}")
-        if self.noise_scale < 0 or self.learning_rate < 0 or self.epochs < 0:
-            raise PipelineConfigError("noise_scale, learning_rate and epochs must be >= 0")
-        if self.sensitivity_samples < 1 or self.calibration_samples < 1:
-            raise PipelineConfigError("subset sample counts must be >= 1")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise PipelineConfigError(
+                f"noise_scale must be finite and >= 0, got {self.noise_scale}"
+            )
 
 
 @dataclass(frozen=True)
@@ -182,11 +170,6 @@ class RunResult:
     report: SensitivityReport
     outcome: SearchOutcome
     cost: CostReport
-
-    @property
-    def config(self) -> QuantConfig:
-        """The committed config, ``outcome.config``."""
-        return self.outcome.config
 
 
 class _Stage:
@@ -243,19 +226,6 @@ def check_out_path(path: str | Path, file: bool = False) -> None:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _split_subsets(data: Dataset, config: PipelineConfig) -> tuple[Dataset, Dataset]:
-    """Two disjoint seeded samples: one scores sensitivity, one calibrates."""
-    n = len(data)
-    n_sens = min(config.sensitivity_samples, n // 2)
-    n_cal = min(config.calibration_samples, n - n_sens)
-    if n_sens < 1 or n_cal < 1:
-        raise PipelineConfigError(
-            f"calibration file with {n} examples cannot fill two disjoint subsets"
-        )
-    perm = substream(config.seed, "data-split").permutation(n)
-    return data.subset(perm[:n_sens]), data.subset(perm[n_sens : n_sens + n_cal])
 
 
 def _score(
@@ -362,17 +332,11 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
             model_latency(model, QuantConfig.uniform(weight_names, bits, bits), table)
 
     with _Stage("split-calibration-data"):
-        sens_data, cal_data = _split_subsets(calib_data, config)
+        perm = substream(config.seed, "data-split").permutation(len(calib_data))
+        sens_data = calib_data.subset(perm[:SENSITIVITY_SAMPLES])
 
     with _Stage("calibrate-scales"):
-        bank_outcomes = adjust_scales(
-            model,
-            cal_data,
-            {bits: calibrate(model, bits) for bits in levels},
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-        )
-        spec_bank = {bits: outcome.specs for bits, outcome in bank_outcomes.items()}
+        spec_bank = {bits: calibrate(model, bits) for bits in levels}
 
     with _Stage("score-sensitivity"):
         report = _score(config, model, sens_data, spec_bank, levels)
@@ -409,8 +373,6 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         cost = cost_report(model, outcome.config, table)
 
     with _Stage("write-artifacts"):
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         inputs = RunInputs(
             model_sha256=model.parameter_digest(),
             calib_data_sha256=calib_data.digest(),
@@ -419,10 +381,19 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         )
         manifest = RunManifest(__version__, config, inputs, float(baseline_accuracy))
         files = _record_files(levels)
-        specs = [bank_outcomes[bits] for bits in levels]
+        specs = [CalibrationOutcome(spec_bank[bits]) for bits in levels]
         records = [manifest, report, outcome.config, outcome, cost, *specs]
-        for name, record in zip(files, records, strict=True):
-            write_record(out_dir / name, record)
+        out_dir = Path(config.out_dir)
+        # The directories this run creates, nearest first: a failed write removes them.
+        created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, record in zip(files, records, strict=True):
+                write_record(out_dir / name, record)
+        except BaseException:
+            if created:
+                shutil.rmtree(created[-1], ignore_errors=True)
+            raise
         # An earlier run into the same directory may have had other widths,
         # and another run into it may remove a stale file first.
         for stale in out_dir.glob("specs-*bit.json"):

@@ -6,12 +6,9 @@ back through a post-scale:
 
     q(x) = round(clip(alpha * x, -1, 1) * 2**(bits-1)) / 2**(bits-1) * gamma
 
-Keeping the two scales separate lets the input normalization and the
-output magnitude be trained independently after the initial max-value
-calibration. :func:`lattice` is the rounding step alone, shared by
-:func:`quantize` and the scale descent in :mod:`mixquant.calibrate`,
-which quantizes a stack of banks with it and owns the straight-through
-gradients of both scales.
+The pre-scale sets where the input clips and the post-scale the output
+magnitude. :func:`mixquant.calibrate.calibrate` sets both from the
+tensor's largest magnitude, so nothing clips and the grid spans it.
 """
 
 from __future__ import annotations
@@ -49,36 +46,25 @@ class QuantSpec:
             )
 
 
-def lattice(pre: np.ndarray, bits: int | np.ndarray) -> np.ndarray:
-    """``round(clip(pre, -1, 1) * 2**(bits-1)) / 2**(bits-1)``, ties rounded away from zero.
+def quantize(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    """Fake-quantize ``x`` onto the ``spec.bits``-bit grid.
 
-    ``pre`` is the pre-scaled tensor ``alpha * x``, which is overwritten;
-    ``bits`` is the width, an int or an integer array that broadcasts
-    against ``pre``. The result is exact: an integer numerator over a
-    power-of-two denominator.
+    Returns a new float array whose every element lies on the grid
+    ``{k / 2**(bits-1) * gamma : k integer, |k| <= 2**(bits-1)}``; ties
+    round away from zero. The input is never modified.
     """
-    half = 2.0 ** (bits - 1)
-    y = np.minimum(np.maximum(pre, -1.0, out=pre), 1.0, out=pre)  # np.clip, less overhead
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("quantize requires a finite tensor")
+    half = 2.0 ** (spec.bits - 1)
+    y = spec.alpha * x
+    np.minimum(np.maximum(y, -1.0, out=y), 1.0, out=y)  # np.clip, less overhead
     y *= half
     out = np.abs(y)
     out += 0.5
     # np.round would round ties to even
     np.copysign(np.floor(out, out=out), y, out=out)
     out /= half
-    return out
-
-
-def quantize(x: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """Fake-quantize ``x`` onto the ``spec.bits``-bit grid.
-
-    Returns a new float array whose every element lies on the grid
-    ``{k / 2**(bits-1) * gamma : k integer, |k| <= 2**(bits-1)}``. The
-    input is never modified.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("quantize requires a finite tensor")
-    out = lattice(spec.alpha * x, spec.bits)
     out *= spec.gamma
     return out
 

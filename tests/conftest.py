@@ -20,10 +20,12 @@ from mixquant.graph import (
     Layer,
     ModelGraph,
     _check_compat,
+    _inputs,
+    _run_layers,
     _softmax,
+    _sweep,
     chain_accuracies,
     chain_losses,
-    loss_and_gradients,
 )
 from mixquant.modelio import new_file
 from mixquant.quantize import quantize
@@ -45,8 +47,7 @@ def workers(monkeypatch):
     Outside a run, the engine's count follows numpy's live BLAS thread
     count: serial beside a BLAS on several threads, one worker per CPU
     beside one thread. Tests of the parallel paths set the count here,
-    whatever BLAS runs. Row blocks and calibration groups both take it
-    from this one count.
+    whatever BLAS runs.
     """
 
     def use(count):
@@ -202,9 +203,37 @@ def central_difference_hvp(model, data, tensor, v, eps=1e-6):
     w = model.parameter(tensor)
     plus = with_tensor(model, tensor, w + eps * v)
     minus = with_tensor(model, tensor, w - eps * v)
-    [(_, g_plus)] = loss_and_gradients(plus, data, {}, [tensor])[1]
-    [(_, g_minus)] = loss_and_gradients(minus, data, {}, [tensor])[1]
+    g_plus = parameter_gradients(plus, data, [tensor])[tensor]
+    g_minus = parameter_gradients(minus, data, [tensor])[tensor]
     return (g_plus - g_minus) / (2.0 * eps)
+
+
+def parameter_gradients(model, data, wrt=None):
+    """Gradient of the mean loss in each parameter ``wrt`` names (all by default), by name.
+
+    The tape and the sweep are the engine's own (:func:`graph._run_layers`,
+    :func:`graph._sweep`), the ones its Hessian traces walk; the head's
+    gradient in the logits, ``(softmax(z) - onehot) / n`` under softmax
+    cross-entropy and ``(z - onehot) / n`` under squared error, is formed
+    here. A name the model does not hold is a :class:`GraphError`.
+    """
+    names = model.parameter_names() if wrt is None else list(wrt)
+    for name in names:
+        model.parameter(name)
+    _check_compat(model, data)
+    weights = [layer.weight for layer in model.layers]
+    acts = _inputs(model, data.features)
+    _run_layers(model, acts, weights)
+    logits = acts[-1]
+    onehot = np.eye(logits.shape[1])[data.labels]
+    g = (_softmax(logits) if model.head == HEAD_SOFTMAX_CE else logits) - onehot
+    g /= len(data)
+    grads = {}
+    for i, g in _sweep(model, acts, weights, g):
+        name = model.layers[i].name
+        grads[f"{name}.weight"] = g.T @ acts[i]
+        grads[f"{name}.bias"] = g.sum(axis=0)
+    return {name: grads[name] for name in names}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -395,31 +424,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for description, verdict in sorted(lines):
             terminalreporter.write_line(f"{verdict}  {description}")
 
-
-def reference_descent(model, data, specs, learning_rate, epochs):
-    """Scale descent of one bank, one tensor at a time, with Python floats.
-
-    The oracle for ``adjust_scales``: each epoch quantizes every tensor
-    with :func:`quantize`, takes the loss and the weight gradients from
-    an unstacked taped pass, reduces each gradient to the straight-through
-    gradients of its two scales (rounding as the identity, clipping
-    passing gradient only where ``|alpha * x| <= 1``) and steps each scale
-    as a Python float, clamped at 1e-12. Returns ``(specs, log)``.
-    """
-    specs, log = dict(specs), []
-    for epoch in range(epochs + 1):
-        weights = {name: quantize(model.parameter(name), s) for name, s in specs.items()}
-        wrt = list(specs) if epoch < epochs else []
-        loss, sweep = loss_and_gradients(model, data, weights, wrt)
-        log.append(float(loss))
-        for name, grad in sweep:
-            s, x = specs[name], model.parameter(name)
-            on_grid = quantize(x, dataclasses.replace(s, gamma=1.0))
-            g_alpha = float(np.sum(grad * (np.abs(s.alpha * x) <= 1.0) * x)) * s.gamma
-            g_gamma = float(np.sum(grad * on_grid))
-            specs[name] = dataclasses.replace(
-                s,
-                alpha=max(s.alpha - learning_rate * g_alpha, 1e-12),
-                gamma=max(s.gamma - learning_rate * g_gamma, 1e-12),
-            )
-    return specs, log

@@ -19,6 +19,7 @@ from conftest import (
     make_diagonal_quadratic,
     o1_accuracy,
     o1_size_bytes,
+    parameter_gradients,
     quantized_accuracy,
     r_op_hvp,
     reference_levenshtein,
@@ -33,7 +34,6 @@ from mixquant.graph import (
     chain_accuracies,
     chain_losses,
     hessian_traces,
-    loss_and_gradients,
 )
 from mixquant.modelio import load_dataset, load_model, read_record, save_dataset, save_model
 from mixquant.pipeline import PipelineConfig, compare_runs, run_pipeline
@@ -93,7 +93,7 @@ def test_criterion_2_gradient_fidelity(f1):
     keep = np.flatnonzero(_kink_clearance(model, full_calib) > 1e-2)
     assert keep.size >= 100
     calib = full_calib.subset(keep)
-    grads = dict(loss_and_gradients(model, calib, {}, model.parameter_names())[1])
+    grads = parameter_gradients(model, calib)
     step = 1e-4
     for name in model.parameter_names():
         base = model.parameter(name)

@@ -44,7 +44,6 @@ def small_run(tmp_path_factory):
         latency_table=str(root / "latency.csv"),
         out_dir=str(root / "run"),
         metric="qe",
-        epochs=3,
     )
     return config, run_pipeline(config)
 
@@ -69,7 +68,6 @@ def _written(kind, small_run, tmp_path):
     records = {
         "specs": CalibrationOutcome(
             specs={"a.weight": QuantSpec(alpha=1 / 3, gamma=2.718281828459045, bits=5)},
-            adjustment_log=[0.9, 0.30000000000000004],
         ),
         "sensitivity": result.report,
         "config": result.outcome.config,
@@ -115,7 +113,9 @@ def _drop(key):
     "kind, damage",
     [
         pytest.param("specs", _drop("specs"), id="specs-without-specs"),
-        pytest.param("specs", _drop("adjustment_log"), id="specs-without-log"),
+        pytest.param(
+            "specs", lambda payload: payload.update(adjustment_log=[0.9]), id="specs-with-a-log"
+        ),
         pytest.param("sensitivity", _drop("scores"), id="report-without-scores"),
         pytest.param(
             "sensitivity",

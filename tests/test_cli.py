@@ -78,7 +78,7 @@ def no_calibration(monkeypatch):
     def spy(*args, **kwargs):
         raise AssertionError("scales were calibrated before the inputs were checked")
 
-    monkeypatch.setattr(pipeline_module, "adjust_scales", spy)
+    monkeypatch.setattr(pipeline_module, "calibrate", spy)
 
 
 def run_args(fixture_dir, out, extra=()):
@@ -89,7 +89,6 @@ def run_args(fixture_dir, out, extra=()):
         "--eval", str(fixture_dir / "eval.json"),
         "--latency-table", str(fixture_dir / "latency.csv"),
         "--out", str(out),
-        "--epochs", "2",
         *extra,
     ]
 
@@ -171,7 +170,6 @@ class TestRun:
             eval_data=str(fixture_dir / "eval.json"),
             latency_table=str(fixture_dir / "latency.csv"),
             out_dir=str(out),
-            epochs=2,
         )
         assert load_manifest(out / "manifest.json").parameters == expected
 
@@ -231,12 +229,11 @@ class TestRun:
             ("target", "x"),
             ("bits", 4),
             ("metric", ["qe"]),
-            ("learning_rate", float("nan")),
+            ("noise_scale", float("nan")),
             ("noise_scale", float("inf")),
             # wrongly typed, including a bool where a number belongs
             pytest.param("trials", 2.5, id="trials-fraction"),
-            pytest.param("epochs", 1.5, id="epochs-fraction"),
-            pytest.param("sensitivity_samples", 2.5, id="sensitivity_samples-fraction"),
+            pytest.param("trials", True, id="trials-bool"),
             pytest.param("seed", "x", id="seed-string"),
             pytest.param("baseline_bits", 16.5, id="baseline_bits-fraction"),
             pytest.param("seed", 1.5, id="seed-fraction"),
@@ -309,7 +306,7 @@ class TestRun:
         "extra",
         [
             pytest.param(["--metric", "qe", "--algo", "bisection", "--bits", "2,4"], id="search"),
-            pytest.param(["--epochs", "2"], id="same-value"),
+            pytest.param(["--target", "0.99"], id="same-value"),
             pytest.param(["--model", "other.json"], id="input"),
         ],
     )
@@ -337,6 +334,45 @@ class TestRun:
         assert "parameters: unknown key 'probes'" in capsys.readouterr().err
         assert not second.exists()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("learning_rate", 1e-5),
+            ("epochs", 20),
+            ("sensitivity_samples", 256),
+            ("calibration_samples", 256),
+        ],
+        ids=["learning_rate", "epochs", "sensitivity_samples", "calibration_samples"],
+    )
+    def test_manifest_with_a_removed_parameter_is_refused(
+        self, fixture_dir, tmp_path, capsys, key, value
+    ):
+        # manifests written while calibration ran a scale descent on a
+        # subset of its own carry these settings; like any old format,
+        # they are not read
+        first = tmp_path / "first"
+        assert main(run_args(fixture_dir, first)) == EXIT_OK
+        capsys.readouterr()
+        edit_json(first / "manifest.json", ("parameters", key), value)
+        second = tmp_path / "second"
+        code = main(["run", "--manifest", str(first / "manifest.json"), "--out", str(second)])
+        assert code == EXIT_DATA
+        assert f"parameters: unknown key '{key}'" in capsys.readouterr().err
+        assert not second.exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--lr", "nan"), ("--lr", "inf"), ("--epochs", "2")],
+        ids=["lr-nan", "lr-inf", "epochs"],
+    )
+    def test_removed_calibration_flag_exit_config(self, fixture_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as excinfo:
+            main(run_args(fixture_dir, out, [flag, value]))
+        assert excinfo.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_flags_exit_config(self, fixture_dir, capsys):
         code = main(["run", "--model", str(fixture_dir / "model.json")])
         assert code == EXIT_CONFIG
@@ -346,8 +382,6 @@ class TestRun:
         "flag,value,message",
         [
             pytest.param("--target", "1.5", "target", id="target"),
-            pytest.param("--lr", "nan", "learning_rate must be finite", id="lr-nan"),
-            pytest.param("--lr", "inf", "learning_rate must be finite", id="lr-inf"),
             pytest.param("--lambda", "nan", "noise_scale must be finite", id="lambda-nan"),
             pytest.param("--lambda", "inf", "noise_scale must be finite", id="lambda-inf"),
             pytest.param("--seed", "-1", "seed must be >= 0", id="seed-negative"),
@@ -389,14 +423,6 @@ class TestRun:
         err = capsys.readouterr().err
         assert "is unusable: File name too long" in err and "[stage:" not in err
         assert not any(tmp_path.iterdir())
-
-    def test_diverging_calibration_exit_config(self, fixture_dir, tmp_path, capsys):
-        code = main(run_args(fixture_dir, tmp_path / "x", ["--lr", "1e308"]))
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: [stage: calibrate-scales]")
-        assert "non-finite" in err and "learning rate 1e+308" in err
-        assert "-bit bank" in err
 
     def test_unreadable_model_exit_data(self, fixture_dir, tmp_path, capsys):
         args = run_args(fixture_dir, tmp_path / "x")
@@ -563,8 +589,7 @@ class TestRun:
 # Every PipelineConfig field, in order: a new run knob is an edit here.
 PIPELINE_FIELDS = [
     "model", "calib_data", "eval_data", "latency_table", "out_dir", "metric", "algo", "bits",
-    "target", "seed", "noise_scale", "trials", "learning_rate", "epochs", "baseline_bits",
-    "sensitivity_samples", "calibration_samples",
+    "target", "seed", "noise_scale", "trials", "baseline_bits",
 ]
 # Each run flag other than --manifest: (flag, the field it sets, an argument, its value).
 RUN_FLAGS = [
@@ -579,8 +604,6 @@ RUN_FLAGS = [
     ("--seed", "seed", "11", 11),
     ("--lambda", "noise_scale", "0.25", 0.25),
     ("--trials", "trials", "3", 3),
-    ("--lr", "learning_rate", "0.002", 0.002),
-    ("--epochs", "epochs", "5", 5),
     ("--out", "out_dir", "o", "o"),
 ]
 
@@ -755,6 +778,17 @@ def test_run_refuses_a_manifest_of_another_version(seed7_run, tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_compare_refuses_a_specs_file_with_an_adjustment_log(seed7_run, tmp_path, capsys):
+    # specs files written while calibration ran a scale descent carry its
+    # loss log; like any old format, they are not read
+    old = tmp_path / "old"
+    shutil.copytree(seed7_run / "run", old)
+    edit_json(old / "specs-4bit.json", ("adjustment_log",), [0.25, 0.125])
+    assert main(["compare", str(seed7_run / "run"), str(old)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "specs-4bit.json" in err and "unknown key 'adjustment_log'" in err
+
+
 @pytest.mark.parametrize("damage", ["config-not-json", "specs-missing", "untouched"])
 def test_compare_reads_every_record_a_run_writes(seed7_run, tmp_path, capsys, damage):
     run, copy = seed7_run / "run", tmp_path / "copy"
@@ -804,6 +838,8 @@ def test_a_failed_write_exit_data(fixture_dir, two_runs, tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "No space left on device" in err and str(out) in err
+    if command == "run":
+        assert not out.exists()  # the run created it, and removes it again
 
 
 class TestCompare:

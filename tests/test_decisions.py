@@ -103,7 +103,7 @@ def test_seed7_run_decisions_pinned(seed7_fixture, tmp_path, metric, algo, bits)
     )
     pin = PINNED[(metric, algo, bits)]
     assert result.report.ordering == tuple(f"dense{i}.weight" for i in pin.ordering)
-    assert result.config.bits == {f"dense{i}.weight": b for i, b in enumerate(pin.widths, 1)}
+    assert result.outcome.config.bits == {f"dense{i}.weight": b for i, b in enumerate(pin.widths, 1)}
     trace = result.outcome.trace
     # EVAL_ROWS is a power of two, so each accuracy is exactly (rows - mistakes) / rows.
     assert [t["accuracy"] for t in trace] == [(EVAL_ROWS - m) / EVAL_ROWS for m in pin.mistakes]

@@ -10,9 +10,10 @@ the float arithmetic of the machine as the accuracies pinned in
 ``test_decisions.py``; every pass of the seed-7 fixture is one row
 block, so no worker thread runs. They hold on OpenBLAS's FMA kernels:
 the session is rerun under the Haswell and Zen kernels, besides the one
-the machine picks. On a kernel without FMA, such as Prescott, 23 of
-the 72 files differ (every specs file and the hessian and noise
-scores), though no config, outcome or cost does.
+the machine picks. It is also rerun under Prescott, a kernel without
+FMA, where 5 of the 72 files differ, the hessian and noise scores, and
+every other file must hash to its pin: the specs files hold max-value
+scales, which no BLAS product computes.
 """
 
 import hashlib
@@ -66,67 +67,67 @@ GOLDEN = {
     "fixture/model.json": "394b128fbbbddb6c8df5cc500d48a3eb907f11a9f1b61d5405c51c0416b6b1ee",
     "runs/hessian-bisection/config.json": "2b466f6c4b9f2be1e3cc2278e80d4a53a2461cd320e5da0d494226684e441dbf",
     "runs/hessian-bisection/cost.json": "ca09251bd94bb943a8cb00d379141986fba18945aa3aedb77af2e8d8ff179b11",
-    "runs/hessian-bisection/manifest.json": "5b29d73a3d1c985da9a16784f0315742f2d1a82d80b6e273a5c0c395aad367b7",
+    "runs/hessian-bisection/manifest.json": "1747daf932390a2f77cf8d7cf9b05aae8918ddf03fa2a47002664d2c488f827f",
     "runs/hessian-bisection/outcome.json": "641bf88e072d0c4e11afa6daedd6dc7787f044be41e5ef3fa95c553ea7d41103",
     "runs/hessian-bisection/sensitivity.json": "15b864bddcc7149a838decf294492775cc34ad33bf715c088f563a2282397061",
-    "runs/hessian-bisection/specs-4bit.json": "4ddc09e7a3f9448d3404e173792008f2ef08fbeceeeea316c7ca5fdd1fecd113",
-    "runs/hessian-bisection/specs-8bit.json": "bce7e83fc6bd9a52fbc3c0d5a4099719158517e3b9d7837bed50c2d9aad17806",
+    "runs/hessian-bisection/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
+    "runs/hessian-bisection/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
     "runs/hessian-greedy/config.json": "c44b95e4056d2b6098e4d0f2625533bd1c73de9178369ef278ab27a67ae3641d",
     "runs/hessian-greedy/cost.json": "4b4faa5ebabbf3e04331320fe872fac2798fb044bade3a0d7ace4ffe4198670f",
-    "runs/hessian-greedy/manifest.json": "f55c171a0dbf21190517281b1e8624300dc55147e6000d7361ea65887d11712c",
+    "runs/hessian-greedy/manifest.json": "a883cbede442f2a3db93b1cb92b8523c58c50ce78fefd81a2475354b636e25c3",
     "runs/hessian-greedy/outcome.json": "02b7791de14caccbd0c0eebbd66b33835a463650e3f0c675234795f90cbe408f",
     "runs/hessian-greedy/sensitivity.json": "15b864bddcc7149a838decf294492775cc34ad33bf715c088f563a2282397061",
-    "runs/hessian-greedy/specs-4bit.json": "4ddc09e7a3f9448d3404e173792008f2ef08fbeceeeea316c7ca5fdd1fecd113",
-    "runs/hessian-greedy/specs-8bit.json": "bce7e83fc6bd9a52fbc3c0d5a4099719158517e3b9d7837bed50c2d9aad17806",
+    "runs/hessian-greedy/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
+    "runs/hessian-greedy/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
     "runs/noise-bisection/config.json": "14176e00ea319db67d452146c8c77749bc3158d39214d919e860b517bd42dba5",
     "runs/noise-bisection/cost.json": "b3bc84bcbc9c588169da1d08a1cfbf6ff647760615e4ba20347cb00d0762a352",
-    "runs/noise-bisection/manifest.json": "a1ebe480ec445edee855dad2460963951500e7e7a5dbadd69c9852eb8e17fe00",
+    "runs/noise-bisection/manifest.json": "8bb38856230244282df7de0953587121ac7d1d134100e9f81e288a5118fccd1c",
     "runs/noise-bisection/outcome.json": "c9335fff5b4c45a36209583167562286e19919418dac833d09d24f3d7faadff8",
     "runs/noise-bisection/sensitivity.json": "16de45cacd9d726bee390a4b87df77a15017e8102a94c78c1792fa8465917307",
-    "runs/noise-bisection/specs-4bit.json": "4ddc09e7a3f9448d3404e173792008f2ef08fbeceeeea316c7ca5fdd1fecd113",
-    "runs/noise-bisection/specs-8bit.json": "bce7e83fc6bd9a52fbc3c0d5a4099719158517e3b9d7837bed50c2d9aad17806",
+    "runs/noise-bisection/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
+    "runs/noise-bisection/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
     "runs/noise-greedy/config.json": "14176e00ea319db67d452146c8c77749bc3158d39214d919e860b517bd42dba5",
     "runs/noise-greedy/cost.json": "b3bc84bcbc9c588169da1d08a1cfbf6ff647760615e4ba20347cb00d0762a352",
-    "runs/noise-greedy/manifest.json": "1b338d240a81e349af8a61d195b3b46d1ce5723f54dd68448e20497dbf7d7014",
+    "runs/noise-greedy/manifest.json": "5c41df4adf94ca461b342b50e56873b70bab2480a3172049240b3e1ebc610bc0",
     "runs/noise-greedy/outcome.json": "5483337940ed7dfc8c8b7867d92bf41874c3bf6ccf6b0b09016c66da6b852984",
     "runs/noise-greedy/sensitivity.json": "16de45cacd9d726bee390a4b87df77a15017e8102a94c78c1792fa8465917307",
-    "runs/noise-greedy/specs-4bit.json": "4ddc09e7a3f9448d3404e173792008f2ef08fbeceeeea316c7ca5fdd1fecd113",
-    "runs/noise-greedy/specs-8bit.json": "bce7e83fc6bd9a52fbc3c0d5a4099719158517e3b9d7837bed50c2d9aad17806",
+    "runs/noise-greedy/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
+    "runs/noise-greedy/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
     "runs/qe-bisection/config.json": "14176e00ea319db67d452146c8c77749bc3158d39214d919e860b517bd42dba5",
     "runs/qe-bisection/cost.json": "b3bc84bcbc9c588169da1d08a1cfbf6ff647760615e4ba20347cb00d0762a352",
-    "runs/qe-bisection/manifest.json": "edf5acd83514d439a41c96deb370a5b59803e57e8ecea13a077511a25aa15680",
+    "runs/qe-bisection/manifest.json": "af8a80606b2d7cddabd21ab17c72591c96dc1119f2eb41c2fbb756109c8149d3",
     "runs/qe-bisection/outcome.json": "c9335fff5b4c45a36209583167562286e19919418dac833d09d24f3d7faadff8",
-    "runs/qe-bisection/sensitivity.json": "973c382747bc08e208ecf8d3cc22038ba2d05036a0f3d719155e9dc21a43fde1",
-    "runs/qe-bisection/specs-4bit.json": "4ddc09e7a3f9448d3404e173792008f2ef08fbeceeeea316c7ca5fdd1fecd113",
-    "runs/qe-bisection/specs-8bit.json": "bce7e83fc6bd9a52fbc3c0d5a4099719158517e3b9d7837bed50c2d9aad17806",
+    "runs/qe-bisection/sensitivity.json": "9a430704c2553e714dbaa5803057a932d64ca1e3131f8b44e4ce4bdcc3fd3ee2",
+    "runs/qe-bisection/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
+    "runs/qe-bisection/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
     "runs/qe-greedy/config.json": "14176e00ea319db67d452146c8c77749bc3158d39214d919e860b517bd42dba5",
     "runs/qe-greedy/cost.json": "b3bc84bcbc9c588169da1d08a1cfbf6ff647760615e4ba20347cb00d0762a352",
-    "runs/qe-greedy/manifest.json": "80e6f2377608c219ff45e42ffd8b9a52bbdb4d16c7b74b37205bdc799471d78b",
+    "runs/qe-greedy/manifest.json": "a1e06fe253e4035501bdfd2ff7588c85028f92173857d17d6f7d65fb0a64e9e7",
     "runs/qe-greedy/outcome.json": "247d2ebfdf18a650785665ed8f8ddd993216bc2994e16d96bf24871561bef8a6",
-    "runs/qe-greedy/sensitivity.json": "973c382747bc08e208ecf8d3cc22038ba2d05036a0f3d719155e9dc21a43fde1",
-    "runs/qe-greedy/specs-4bit.json": "4ddc09e7a3f9448d3404e173792008f2ef08fbeceeeea316c7ca5fdd1fecd113",
-    "runs/qe-greedy/specs-8bit.json": "bce7e83fc6bd9a52fbc3c0d5a4099719158517e3b9d7837bed50c2d9aad17806",
+    "runs/qe-greedy/sensitivity.json": "9a430704c2553e714dbaa5803057a932d64ca1e3131f8b44e4ce4bdcc3fd3ee2",
+    "runs/qe-greedy/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
+    "runs/qe-greedy/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
     "runs/random-bisection/config.json": "c44b95e4056d2b6098e4d0f2625533bd1c73de9178369ef278ab27a67ae3641d",
     "runs/random-bisection/cost.json": "4b4faa5ebabbf3e04331320fe872fac2798fb044bade3a0d7ace4ffe4198670f",
-    "runs/random-bisection/manifest.json": "7eac623fe9a0f7a869a8fc36e217990694dbd4d9ae0032defe0810c36f804bec",
+    "runs/random-bisection/manifest.json": "61b9bc51da2e29f48cf4af7239e643516b24a5883b029a2f5023f36cfc5e5fa1",
     "runs/random-bisection/outcome.json": "9d611695183de7a9475edd54f04f9ef0d11b6f599fecad8b8978085b61d439c9",
     "runs/random-bisection/sensitivity.json": "365efb57d0d1025b5fc9e1f92ddfacd5694a10d12d6a03b53a482cf70aa039e4",
-    "runs/random-bisection/specs-4bit.json": "4ddc09e7a3f9448d3404e173792008f2ef08fbeceeeea316c7ca5fdd1fecd113",
-    "runs/random-bisection/specs-8bit.json": "bce7e83fc6bd9a52fbc3c0d5a4099719158517e3b9d7837bed50c2d9aad17806",
+    "runs/random-bisection/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
+    "runs/random-bisection/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
     "runs/random-greedy/config.json": "c44b95e4056d2b6098e4d0f2625533bd1c73de9178369ef278ab27a67ae3641d",
     "runs/random-greedy/cost.json": "4b4faa5ebabbf3e04331320fe872fac2798fb044bade3a0d7ace4ffe4198670f",
-    "runs/random-greedy/manifest.json": "e60e85d683c3b0138b9ccb78da494d95aeeb37f603afaa03b4be84f9776c8638",
+    "runs/random-greedy/manifest.json": "8ee67c773d5b5acec1198c66328c54769367056ee0da70c6b9e6002e36552fa3",
     "runs/random-greedy/outcome.json": "89cd174bef0f58c324b093681f58fef48b755cfb521e77e6144406328ca84896",
     "runs/random-greedy/sensitivity.json": "365efb57d0d1025b5fc9e1f92ddfacd5694a10d12d6a03b53a482cf70aa039e4",
-    "runs/random-greedy/specs-4bit.json": "4ddc09e7a3f9448d3404e173792008f2ef08fbeceeeea316c7ca5fdd1fecd113",
-    "runs/random-greedy/specs-8bit.json": "bce7e83fc6bd9a52fbc3c0d5a4099719158517e3b9d7837bed50c2d9aad17806",
+    "runs/random-greedy/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
+    "runs/random-greedy/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
     "runs/rerun/config.json": "c44b95e4056d2b6098e4d0f2625533bd1c73de9178369ef278ab27a67ae3641d",
     "runs/rerun/cost.json": "4b4faa5ebabbf3e04331320fe872fac2798fb044bade3a0d7ace4ffe4198670f",
-    "runs/rerun/manifest.json": "ecc23879e6f62698283ab8cbc0dc964cbf7cb4fa84b1a42b92c781fd52132d85",
+    "runs/rerun/manifest.json": "4ee4aeadb597e82c6646212aa4a73fbc65b434d6f201de6d4f61f059d8cd5f9d",
     "runs/rerun/outcome.json": "02b7791de14caccbd0c0eebbd66b33835a463650e3f0c675234795f90cbe408f",
     "runs/rerun/sensitivity.json": "15b864bddcc7149a838decf294492775cc34ad33bf715c088f563a2282397061",
-    "runs/rerun/specs-4bit.json": "4ddc09e7a3f9448d3404e173792008f2ef08fbeceeeea316c7ca5fdd1fecd113",
-    "runs/rerun/specs-8bit.json": "bce7e83fc6bd9a52fbc3c0d5a4099719158517e3b9d7837bed50c2d9aad17806",
+    "runs/rerun/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
+    "runs/rerun/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
 }
 
 
@@ -141,21 +142,28 @@ def test_seed7_session_is_byte_identical(tmp_path, monkeypatch, capsys):
             assert digest == digests[name.replace("rerun", "hessian-greedy")], name
 
 
-def fma_kernels_unavailable() -> str | None:
-    """Why the session cannot be rerun on other OpenBLAS kernels here, or None."""
+# The files that differ under a kernel without FMA: their scores sum BLAS products.
+NON_FMA_SCORES = {
+    f"runs/{run}/sensitivity.json"
+    for run in ("hessian-bisection", "hessian-greedy", "noise-bisection", "noise-greedy", "rerun")
+}
+
+
+def kernel_unavailable(coretype: str) -> str | None:
+    """Why the session cannot be rerun on the OpenBLAS kernel ``coretype`` here, or None."""
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
         return "numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS: OPENBLAS_CORETYPE picks no kernel"
     cpuinfo = Path("/proc/cpuinfo")
     flags = cpuinfo.read_text().split() if cpuinfo.is_file() else []
-    if not {"avx2", "fma"} <= set(flags):
+    if coretype != "Prescott" and not {"avx2", "fma"} <= set(flags):
         return "the CPU lacks AVX2 or FMA, which the Haswell and Zen kernels run on"
     return None
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
-def test_seed7_session_is_byte_identical_on_other_fma_kernels(tmp_path, coretype):
-    reason = fma_kernels_unavailable()
+def session_on_kernel(tmp_path: Path, coretype: str) -> dict[str, str]:
+    """The session's ``{path: sha256}``, written in a fresh process under ``coretype``."""
+    reason = kernel_unavailable(coretype)
     if reason:
         pytest.skip(reason)
     here = Path(__file__).resolve().parent
@@ -171,4 +179,17 @@ def test_seed7_session_is_byte_identical_on_other_fma_kernels(tmp_path, coretype
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
+def test_seed7_session_is_byte_identical_on_other_fma_kernels(tmp_path, coretype):
+    assert session_on_kernel(tmp_path, coretype) == GOLDEN
+
+
+def test_seed7_session_without_fma_differs_only_in_the_scores(tmp_path):
+    digests = session_on_kernel(tmp_path, "Prescott")
+    assert digests.keys() == GOLDEN.keys()
+    assert {name: digest for name, digest in digests.items() if name not in NON_FMA_SCORES} == {
+        name: digest for name, digest in GOLDEN.items() if name not in NON_FMA_SCORES
+    }

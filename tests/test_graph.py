@@ -22,13 +22,14 @@ from conftest import (
     make_dead_relu_model,
     make_diagonal_quadratic,
     make_small_ce_model,
+    parameter_gradients,
     r_op_hvp,
     r_op_tape,
     with_tensor,
 )
 import mixquant.graph as graph_module
 import mixquant.pipeline as pipeline_module
-from mixquant.calibrate import adjust_scales, calibrate
+from mixquant.calibrate import calibrate
 from mixquant.fixtures import (
     FixtureSpec,
     build_fixture,
@@ -54,7 +55,6 @@ from mixquant.graph import (
     chain_losses,
     chain_macs,
     hessian_traces,
-    loss_and_gradients,
     one_blas_thread,
     stack_groups,
 )
@@ -89,7 +89,7 @@ def whole_split_result(model, data, weights):
     acts = _inputs(model, data.features)
     _run_layers(model, acts, used)
     logits = acts[-1]
-    loss = float(np.mean(_head(model, logits, data.labels, gradient=False)[0]))
+    loss = float(np.mean(_head(model, logits, data.labels)))
     hits = int(np.count_nonzero(np.argmax(logits, axis=1) == data.labels))
     return logits, (loss, Fraction(hits, len(data)))
 
@@ -289,7 +289,7 @@ class TestWeightReplacement:
         score_noise(model, data, noise_scale=0.5, trials=2, seed=3)
         assert model.parameter_digest() == digest
         specs = {name: QuantSpec(1.0, 1.0, 2) for name in model.weight_tensor_names()}
-        adjust_scales(model, data, {2: specs}, learning_rate=1e-2, epochs=2)
+        chain_accuracies(model, data, [quantized(model, specs)])
         assert model.parameter_digest() == digest
 
 
@@ -707,7 +707,7 @@ class TestBlasPin:
         config = PipelineConfig(
             model=str(tmp_path / "model.json"), calib_data=str(tmp_path / "calib.json"),
             eval_data=str(tmp_path / "eval.json"), latency_table=str(tmp_path / "latency.csv"),
-            out_dir=str(tmp_path / "run"), epochs=1,
+            out_dir=str(tmp_path / "run"),
         )
         if raises:
             with pytest.raises(RuntimeError, match="score-sensitivity"):
@@ -983,7 +983,7 @@ class TestGradients:
         labels = rng.integers(0, 3, 16)
         data = Dataset(x, labels, 3)
 
-        grads = dict(loss_and_gradients(model, data, {}, model.parameter_names())[1])
+        grads = parameter_gradients(model, data)
         z = x @ w.T + b
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
@@ -993,7 +993,7 @@ class TestGradients:
 
     def test_matches_central_differences_on_deep_model(self):
         model, data = make_small_ce_model()
-        grads = dict(loss_and_gradients(model, data, {}, model.parameter_names())[1])
+        grads = parameter_gradients(model, data)
         step = 1e-6
         for name in model.parameter_names():
             base = model.parameter(name)
@@ -1012,10 +1012,10 @@ class TestGradients:
 
     def test_wrt_subset_and_unknown_name(self):
         model, data = make_small_ce_model()
-        only = dict(loss_and_gradients(model, data, {}, ["second.weight"])[1])
+        only = parameter_gradients(model, data, ["second.weight"])
         assert set(only) == {"second.weight"}
         with pytest.raises(GraphError):
-            dict(loss_and_gradients(model, data, {}, ["ghost.weight"])[1])
+            parameter_gradients(model, data, ["ghost.weight"])
 
     def test_relu_gradient_is_zero_at_exact_zero(self):
         # input 0 with zero bias lands exactly on the relu kink; the
@@ -1027,7 +1027,7 @@ class TestGradients:
             ]
         )
         data = Dataset(np.ones((4, 2)), np.array([0, 1, 0, 1]), 2)
-        grads = dict(loss_and_gradients(model, data, {}, model.parameter_names())[1])
+        grads = parameter_gradients(model, data)
         np.testing.assert_array_equal(grads["in.weight"], np.zeros((2, 2)))
 
 
@@ -1049,49 +1049,6 @@ class TestReverseSweep:
 
 
 class TestTapedPass:
-    @pytest.mark.parametrize("head", [HEAD_SOFTMAX_CE, HEAD_SQUARED_ERROR])
-    def test_stack_matches_slices_alone(self, head):
-        model, data = make_small_ce_model()
-        model = ModelGraph(model.layers, head=head)
-        specs = [
-            {"first.weight": QuantSpec(1.1, 0.9, 4), "second.weight": QuantSpec(0.7, 1.2, 2)},
-            {"first.weight": QuantSpec(0.5, 2.0, 8), "second.weight": QuantSpec(1.9, 0.4, 3)},
-        ]
-        slices = [quantized(model, bank) for bank in specs]
-        stacked = {name: np.stack([w[name] for w in slices]) for name in slices[0]}
-        wrt = model.parameter_names()
-        losses, sweep = loss_and_gradients(model, data, stacked, wrt)
-        grads = dict(sweep)
-        assert losses.shape == (2,)
-        assert list(grads) == ["second.weight", "second.bias", "first.weight", "first.bias"]
-        for k, weights in enumerate(slices):
-            loss, one_sweep = loss_and_gradients(model, data, weights, wrt)
-            assert loss.shape == () and loss == losses[k]
-            for name, grad in one_sweep:
-                assert np.array_equal(grad, grads[name][k]), name
-        # the loss alone, with no reverse sweep, is the same
-        alone, nothing = loss_and_gradients(model, data, stacked)
-        assert np.array_equal(alone, losses) and list(nothing) == []
-
-    def test_unknown_replacement_rejected(self):
-        model, data = make_small_ce_model()
-        with pytest.raises(GraphError, match="first.bias"):
-            loss_and_gradients(model, data, {"first.bias": np.zeros(6)})
-
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            pytest.param((3, 3), id="square"),
-            pytest.param((2, 3, 3), id="stacked-square"),
-            pytest.param((2, 4, 6), id="stacked-transposed"),
-            pytest.param((6,), id="vector"),
-        ],
-    )
-    def test_wrong_shaped_replacement_rejected(self, shape):
-        model, data = make_small_ce_model()  # first.weight is (6, 4)
-        with pytest.raises(GraphError, match=r"'first\.weight' has shape"):
-            loss_and_gradients(model, data, {"first.weight": np.zeros(shape)})
-
     def test_engine_does_not_import_the_quantizer(self):
         code = "import sys, mixquant.graph; print('mixquant.quantize' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(graph_module.__file__).parents[1])}

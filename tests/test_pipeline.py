@@ -10,7 +10,7 @@ import pytest
 
 import mixquant.pipeline as pipeline_module
 from conftest import quantized_accuracy
-from mixquant.calibrate import DEFAULT_EPOCHS, CalibrationOutcome
+from mixquant.calibrate import CalibrationOutcome
 from mixquant.fixtures import FixtureSpec, build_fixture, build_fixture_latency_table
 from mixquant.modelio import DataFormatError, load_model, read_record, save_dataset, save_model
 from mixquant.pipeline import (
@@ -52,7 +52,6 @@ def config_for(inputs, out_dir, **overrides):
         eval_data=str(inputs / "eval.json"),
         latency_table=str(inputs / "latency.csv"),
         out_dir=str(out_dir),
-        epochs=4,
     )
     return dataclasses.replace(base, **overrides)
 
@@ -118,22 +117,22 @@ class TestRunPipeline:
 
     def test_reruns_byte_identical(self, small_inputs, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_pipeline(config_for(small_inputs, out_a, metric="qe", epochs=2))
-        run_pipeline(config_for(small_inputs, out_b, metric="qe", epochs=2))
+        run_pipeline(config_for(small_inputs, out_a, metric="qe"))
+        run_pipeline(config_for(small_inputs, out_b, metric="qe"))
         for name in ("sensitivity.json", "config.json", "outcome.json", "cost.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     @pytest.mark.parametrize("metric", ["qe", "noise", "random"])
     def test_other_metrics_complete(self, small_inputs, tmp_path, metric):
         result = run_pipeline(
-            config_for(small_inputs, tmp_path / metric, metric=metric, trials=2, epochs=2)
+            config_for(small_inputs, tmp_path / metric, metric=metric, trials=2)
         )
         assert result.report.metric == metric
         assert result.outcome.achieved_accuracy >= result.outcome.target
 
     def test_bisection_algo_completes(self, small_inputs, tmp_path):
         result = run_pipeline(
-            config_for(small_inputs, tmp_path / "bis", algo="bisection", epochs=2)
+            config_for(small_inputs, tmp_path / "bis", algo="bisection")
         )
         assert any("threshold" in entry for entry in result.outcome.trace)
 
@@ -164,7 +163,7 @@ class TestEvaluatorMemo:
         config = config_for(
             tmp_path, tmp_path / "run", metric="noise", algo=algo, bits=(2, 3, 4, 5, 6, 8)
         )
-        result = run_pipeline(dataclasses.replace(config, epochs=DEFAULT_EPOCHS))
+        result = run_pipeline(config)
         # measure-baseline evaluates the all-baseline config, and verify-target
         # makes its own evaluation of the config the search committed
         measured, *searches, verified = calls
@@ -194,12 +193,11 @@ class TestEvaluatorMemo:
     ids=["qe-greedy", "noise-bisection"],
 )
 def test_wide_runs_do_not_depend_on_the_workers(tmp_path, workers, metric, algo, bits):
-    # each wide bank is a calibration group of its own, and the eval
-    # split is several row blocks, so two workers split both
+    # the eval split is several row blocks, so two workers split them
     inputs = write_inputs(tmp_path, 7, WIDE)
     config = config_for(
         inputs, tmp_path / "run", metric=metric, algo=algo, bits=bits,
-        baseline_bits=16, target=0.99, epochs=DEFAULT_EPOCHS,
+        baseline_bits=16, target=0.99,
     )
     written = []
     for count in (1, 2):
@@ -212,7 +210,7 @@ def test_wide_runs_do_not_depend_on_the_workers(tmp_path, workers, metric, algo,
 
 @pytest.mark.parametrize(
     "spec, metric, forwards",
-    [(WIDE_BENCH, "qe", 7.221), (FixtureSpec(), "hessian", 6.541)],
+    [(WIDE_BENCH, "qe", 8.711), (FixtureSpec(), "hessian", 6.541)],
     ids=["wide-qe", "seed7-hessian"],
 )
 def test_search_forwards_per_greedy_run(tmp_path, eval_forwards, spec, metric, forwards):
@@ -220,13 +218,13 @@ def test_search_forwards_per_greedy_run(tmp_path, eval_forwards, spec, metric, f
     ``4,8`` run, mean over pipeline seeds 35-39: the qe-wide and
     hessian-small benchmark cells, priced with no clock. Under the
     earlier rule, with only the tails' sum bounded at half a forward,
-    they were 8.193 and 7.906."""
+    hessian-small took 7.906."""
     inputs = write_inputs(tmp_path, 7, spec)
     per_run = []
     for seed in range(35, 40):
         eval_forwards.clear()
         run_pipeline(
-            config_for(inputs, tmp_path / "run", metric=metric, seed=seed, epochs=DEFAULT_EPOCHS)
+            config_for(inputs, tmp_path / "run", metric=metric, seed=seed)
         )
         per_run.append(sum(eval_forwards[1:-1]))  # the baseline and verification are one each
     assert np.mean(per_run) == pytest.approx(forwards, abs=5e-4)
@@ -249,7 +247,7 @@ def test_search_forwards_per_bisection_run(tmp_path, eval_forwards, wide_bench_i
         run_pipeline(
             config_for(
                 inputs, tmp_path / "run", metric="noise", algo="bisection",
-                bits=(2, 3, 4, 5, 6, 8), seed=seed, epochs=DEFAULT_EPOCHS,
+                bits=(2, 3, 4, 5, 6, 8), seed=seed,
             )
         )
         per_run.append(sum(eval_forwards[1:-1]))
@@ -263,16 +261,16 @@ WIDE_EVAL_ROWS = 8192
 # committed configuration's mistakes.
 WIDE_PINS = {
     ("qe", "greedy", (4, 8)): (
-        (4, 8, 8, 4, 8, 4, 4),
-        (0, 0, 0, 0, 0, 0, 0, 1, 11, 17, 58, 127, 96, 84),
-        "11111111111000",
-        58,
+        (8, 4, 4, 4, 8, 4, 4),
+        (0, 0, 0, 0, 0, 0, 0, 2, 11, 17, 54, 96, 132, 73),
+        "11111111111001",
+        73,
     ),
     ("noise", "bisection", (2, 3, 4, 5, 6, 8)): (
         (5, 4, 4, 4, 5, 4, 5),
-        (0, 0, 0, 0, 2, 2, 18, 29, 23, 73, 83, 86, 199, 142),
+        (0, 0, 0, 0, 2, 2, 20, 33, 25, 76, 87, 84, 201, 144),
         "11111111110000",
-        73,
+        76,
     ),
 }
 
@@ -283,7 +281,7 @@ def test_wide_benchmark_decisions_pinned(tmp_path, wide_bench_inputs, metric, al
     result = run_pipeline(
         config_for(
             wide_bench_inputs, tmp_path / "run", metric=metric, algo=algo, bits=bits,
-            seed=35, epochs=DEFAULT_EPOCHS,
+            seed=35,
         )
     )
     assert result.outcome.config.bits == {f"dense{i}.weight": b for i, b in enumerate(widths, 1)}
@@ -334,14 +332,28 @@ class TestPipelineValidation:
             f"[Errno {errno.ENOSPC}] [stage: write-artifacts] "
             f"{os.strerror(errno.ENOSPC)}: {target!r}"
         )
+        # the run removes the --out it created, parents included, and
+        # leaves one that existed before as it found it
+        assert not (tmp_path / "run").exists()
+        with pytest.raises(OSError):
+            run_pipeline(config_for(small_inputs, tmp_path / "new" / "run"))
+        assert not (tmp_path / "new").exists()
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        (existing / "kept.txt").write_text("kept")
+        with pytest.raises(OSError):
+            run_pipeline(config_for(small_inputs, existing))
+        assert [p.name for p in existing.iterdir()] == ["kept.txt"]
 
-    def test_tiny_calibration_file_rejected(self, small_inputs, tmp_path):
+    @pytest.mark.parametrize("metric", ["hessian", "noise"])
+    def test_a_one_row_calibration_file_scores_that_row(self, small_inputs, tmp_path, metric):
         from mixquant.graph import Dataset
 
         path = tmp_path / "one.json"
-        save_dataset(Dataset(np.zeros((1, 8), dtype=np.float32), np.zeros(1, dtype=int), 2), path)
-        with pytest.raises(PipelineConfigError, match="disjoint"):
-            run_pipeline(config_for(small_inputs, tmp_path, calib_data=str(path)))
+        save_dataset(Dataset(np.ones((1, 8), dtype=np.float32), np.zeros(1, dtype=int), 2), path)
+        config = config_for(small_inputs, tmp_path / "run", calib_data=str(path), metric=metric)
+        result = run_pipeline(config)
+        assert sorted(result.report.ordering) == sorted(load_model(config.model).weight_tensor_names())
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +362,7 @@ def three_runs(small_inputs, tmp_path_factory):
     dirs = []
     for metric, seed in (("hessian", 42), ("random", 1), ("random", 2)):
         out = root / f"{metric}-{seed}"
-        run_pipeline(config_for(small_inputs, out, metric=metric, seed=seed, epochs=2))
+        run_pipeline(config_for(small_inputs, out, metric=metric, seed=seed))
         dirs.append(out)
     return dirs
 
@@ -369,7 +381,7 @@ class TestCompareRuns:
     def test_identical_runs_have_zero_distance(self, small_inputs, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            run_pipeline(config_for(small_inputs, out, metric="qe", epochs=2))
+            run_pipeline(config_for(small_inputs, out, metric="qe"))
         summary = compare_runs([a, b])
         assert summary["ordering_distances"][0]["distance"] == 0
 
@@ -386,7 +398,7 @@ class TestCompareRuns:
         save_dataset(evalset, other_root / "eval.json")
         build_fixture_latency_table(model).to_csv(other_root / "latency.csv")
         foreign = tmp_path / "foreign-run"
-        run_pipeline(config_for(other_root, foreign, epochs=2))
+        run_pipeline(config_for(other_root, foreign))
         with pytest.raises(PipelineConfigError, match="different models"):
             compare_runs([three_runs[0], foreign])
 

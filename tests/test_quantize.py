@@ -6,20 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import mixquant.calibrate as calibrate_module
-from mixquant.graph import (
-    HEAD_SOFTMAX_CE,
-    HEAD_SQUARED_ERROR,
-    Dataset,
-    Layer,
-    ModelGraph,
-    loss_and_gradients,
-)
 from mixquant.quantize import (
     MAX_BITS,
     MIN_BITS,
     QuantSpec,
-    lattice,
     quantization_error,
     quantization_grid,
     quantize,
@@ -157,106 +147,3 @@ class TestQuantizationError:
         s8 = QuantSpec(alpha=1 / m, gamma=m, bits=8)
         assert quantization_error(x, s8) < quantization_error(x, s4)
 
-
-def one_weight_model(x, head=HEAD_SQUARED_ERROR):
-    """A one-affine model whose single weight column is ``x``, over three rows."""
-    x = np.asarray(x, dtype=np.float64)
-    model = ModelGraph(
-        [Layer("lin", x.reshape(-1, 1), np.linspace(-0.3, 0.2, x.size))],
-        head=head,
-    )
-    data = Dataset(np.array([[1.0], [-0.5], [2.0]]), np.array([0, 1, 0]) % x.size, x.size)
-    return model, data
-
-
-def scale_gradients(model, data, specs, gradient=True):
-    """``(losses, (2, banks) scale gradients)`` of ``lin.weight`` under each spec, stacked."""
-    bits = np.array([s.bits for s in specs])
-    scales = np.array([[[s.alpha] for s in specs], [[s.gamma] for s in specs]])
-    losses, grads = calibrate_module.loss_and_scale_gradients(
-        model, data, ["lin.weight"], bits, scales, gradient
-    )
-    return losses, None if grads is None else grads[:, :, 0]
-
-
-def weight_gradient(model, data, spec):
-    """The engine's gradient in the quantized ``lin.weight``, flattened."""
-    weights = {"lin.weight": quantize(model.parameter("lin.weight"), spec)}
-    return dict(loss_and_gradients(model, data, weights, ["lin.weight"])[1])["lin.weight"][:, 0]
-
-
-class TestQuantizeBackward:
-    """The straight-through scale gradients, which scale calibration computes."""
-
-    def test_alpha_gradient_passes_inside_clip_range(self):
-        x = np.array([0.1, -0.2, 0.3])
-        model, data = one_weight_model(x)
-        s = QuantSpec(alpha=1.0, gamma=2.0, bits=4)
-        _, grads = scale_gradients(model, data, [s])
-        g = weight_gradient(model, data, s)
-        assert grads[0, 0] == pytest.approx(float(np.sum(g * x)) * s.gamma, rel=1e-15)
-
-    def test_clipped_elements_add_nothing_to_alpha_gradient(self):
-        x = np.array([5.0, -5.0, 0.2])
-        model, data = one_weight_model(x)
-        s = QuantSpec(alpha=1.0, gamma=1.0, bits=4)
-        _, grads = scale_gradients(model, data, [s])
-        g = weight_gradient(model, data, s)
-        assert g[0] != 0.0 and g[1] != 0.0  # the clipped elements do carry gradient
-        assert grads[0, 0] == pytest.approx(g[2] * 0.2, rel=1e-15)
-
-    def test_alpha_gradient_matches_straight_through_surrogate(self):
-        # with round treated as identity, q depends on alpha only through
-        # clip(alpha*x)*gamma; FD of that surrogate must match
-        x = np.random.default_rng(0).normal(0, 0.5, size=24)
-        model, data = one_weight_model(x, HEAD_SOFTMAX_CE)
-        a, gm = 0.9, 1.4
-        s = QuantSpec(alpha=a, gamma=gm, bits=6)
-        _, grads = scale_gradients(model, data, [s])
-        g = weight_gradient(model, data, s)
-
-        def surrogate(alpha):
-            return float(np.sum(g * np.clip(alpha * x, -1, 1) * gm))
-
-        eps = 1e-6
-        fd = (surrogate(a + eps) - surrogate(a - eps)) / (2 * eps)
-        assert grads[0, 0] == pytest.approx(fd, rel=1e-6)
-
-    def test_gamma_gradient_is_rounded_pregamma_value(self):
-        # the backward pass sees the forward activation, so the gamma grad
-        # uses the rounded grid value, not the unrounded clip output
-        x = np.random.default_rng(1).normal(0, 0.5, size=24)
-        model, data = one_weight_model(x, HEAD_SOFTMAX_CE)
-        s = QuantSpec(alpha=0.9, gamma=1.4, bits=4)
-        _, grads = scale_gradients(model, data, [s])
-        g = weight_gradient(model, data, s)
-        out = quantize(x, s)
-        assert grads[1, 0] == pytest.approx(float(np.sum(g * out / s.gamma)), rel=1e-12)
-
-    def test_bank_stack_matches_banks_alone(self):
-        x = np.random.default_rng(2).normal(0, 0.5, size=35)
-        model, data = one_weight_model(x, HEAD_SOFTMAX_CE)
-        specs = [QuantSpec(0.9, 1.4, 8), QuantSpec(1.7, 0.3, 2), QuantSpec(0.4, 2.2, 5)]
-        losses, grads = scale_gradients(model, data, specs)
-        assert losses.shape == (3,) and grads.shape == (2, 3)
-        for k, s in enumerate(specs):
-            one_loss, one_grads = scale_gradients(model, data, [s])
-            assert one_loss[0] == losses[k]
-            assert np.array_equal(one_grads[:, 0], grads[:, k])
-        # the loss alone, with no reverse sweep, is the same
-        alone, none = scale_gradients(model, data, specs, gradient=False)
-        assert np.array_equal(alone, losses) and none is None
-
-
-class TestLattice:
-    def test_bank_stack_matches_banks_alone(self):
-        # calibration quantizes a stack of banks at once, each with its own scales
-        rng = np.random.default_rng(2)
-        x = rng.normal(0, 0.5, size=(7, 5))
-        specs = [QuantSpec(0.9, 1.4, 8), QuantSpec(1.7, 0.3, 2), QuantSpec(0.4, 2.2, 5)]
-        alpha, gamma = np.array([[s.alpha, s.gamma] for s in specs]).T.reshape(2, 3, 1, 1)
-        out = lattice(alpha * x, np.array([s.bits for s in specs]).reshape(3, 1, 1))
-        out *= gamma
-        assert out.shape == (3, 7, 5)
-        for k, s in enumerate(specs):
-            assert np.array_equal(out[k], quantize(x, s))
