@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 invalid configuration or usage, 3 malformed or
 unreadable data files, or a file that could not be written (any
 ``OSError``, such as a full disk; ``run`` then removes the ``--out`` it
 created), 4 the committed configuration failed its re-evaluation
-against the target; README "Exit codes" lists each case. Unexpected failures propagate as ordinary tracebacks with exit
-code 1.
+against the target; README "Exit codes" lists each case. Unexpected
+failures propagate as ordinary tracebacks with exit code 1.
 """
 
 from __future__ import annotations

@@ -38,12 +38,11 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .calibrate import CalibrationOutcome, calibrate
 from .cost import CostReport, LatencyTable, cost_report, model_latency
 from .graph import Dataset, GraphError, ModelGraph, chain_accuracies, chain_macs, one_blas_thread
 from .graph import _check_compat
 from .modelio import decode, load_dataset, load_model, read_json, read_record, write_record
-from .quantize import MAX_BITS, MIN_BITS, QuantSpec, quantize
+from .quantize import MAX_BITS, MIN_BITS, CalibrationOutcome, calibrate, quantize
 from .rng import substream
 from .search import (
     DEFAULT_BASELINE_BITS,
@@ -232,11 +231,10 @@ def _score(
     config: PipelineConfig,
     model: ModelGraph,
     sens_data: Dataset,
-    spec_bank: dict[int, dict],
-    levels: list[int],
+    banks: dict[int, CalibrationOutcome],
 ) -> SensitivityReport:
     if config.metric == METRIC_QE:
-        return score_qe(model, spec_bank[min(levels)])
+        return score_qe(model, banks[min(banks)])
     if config.metric == METRIC_NOISE:
         return score_noise(
             model,
@@ -253,17 +251,17 @@ def _score(
 def evaluate_configs(
     model: ModelGraph,
     data: Dataset,
-    specs_by_bits: Mapping[int, Mapping[str, QuantSpec]],
+    banks: Mapping[int, CalibrationOutcome],
     configs: Sequence[QuantConfig],
 ) -> list[Fraction]:
     """Exact accuracy of the model under each config, as one chained engine pass.
 
     Each tensor assigned a width ``b`` below the config's baseline is
-    fake-quantized with its calibrated spec in ``specs_by_bits[b]``, which
-    must exist; the others stay unquantized. Each (tensor, width) pair is
-    quantized once per call, so a tensor a config leaves unchanged is the
-    same array as in its predecessor's weights, and the engine resumes
-    each config below its change.
+    fake-quantized at ``b`` bits with its scale in the bank ``banks[b]``,
+    which must hold it; the others stay unquantized. Each (tensor, width)
+    pair is quantized once per call, so a tensor a config leaves unchanged
+    is the same array as in its predecessor's weights, and the engine
+    resumes each config below its change.
     """
     quantized: dict = {}
     maps: list[dict] = [{} for _ in configs]
@@ -272,10 +270,10 @@ def evaluate_configs(
             if b == config.baseline_bits:
                 continue
             if (name, b) not in quantized:
-                spec = specs_by_bits.get(b, {}).get(name)
-                if spec is None or spec.bits != b:
-                    raise GraphError(f"no calibrated spec for tensor {name!r} at {b} bits")
-                quantized[name, b] = quantize(model.parameter(name), spec)
+                bank = banks.get(b)
+                if bank is None or name not in bank.scales:
+                    raise GraphError(f"no calibrated scale for tensor {name!r} at {b} bits")
+                quantized[name, b] = quantize(model.parameter(name), bank.scales[name], b)
             weights[name] = quantized[name, b]
     return chain_accuracies(model, data, maps)
 
@@ -288,7 +286,7 @@ def _chain_macs(model: ModelGraph, configs: Sequence[QuantConfig]) -> list[int]:
 
 
 def _evaluate_chain(
-    model: ModelGraph, data: Dataset, spec_bank: dict[int, dict], configs
+    model: ModelGraph, data: Dataset, banks: dict[int, CalibrationOutcome], configs
 ) -> list[Fraction]:
     """The search evaluator.
 
@@ -302,7 +300,7 @@ def _evaluate_chain(
     count = 1
     while count < len(configs) and 2 * costs[count] <= costs[0]:
         count += 1
-    return evaluate_configs(model, data, spec_bank, configs[:count])
+    return evaluate_configs(model, data, banks, configs[:count])
 
 
 @one_blas_thread()
@@ -336,20 +334,20 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         sens_data = calib_data.subset(perm[:SENSITIVITY_SAMPLES])
 
     with _Stage("calibrate-scales"):
-        spec_bank = {bits: calibrate(model, bits) for bits in levels}
+        banks = {bits: calibrate(model, bits) for bits in levels}
 
     with _Stage("score-sensitivity"):
-        report = _score(config, model, sens_data, spec_bank, levels)
+        report = _score(config, model, sens_data, banks)
 
     with _Stage("measure-baseline"):
         baseline = QuantConfig.uniform(weight_names, config.baseline_bits, config.baseline_bits)
-        [baseline_accuracy] = evaluate_configs(model, eval_data, spec_bank, [baseline])
+        [baseline_accuracy] = evaluate_configs(model, eval_data, banks, [baseline])
 
     with _Stage("search-bit-widths"):
         # Evaluation is deterministic, so neither search repeats a config.
         # A partial of a module-level function forms no reference cycle, so
         # the eval split is freed as soon as the run returns.
-        evaluator = functools.partial(_evaluate_chain, model, eval_data, spec_bank)
+        evaluator = functools.partial(_evaluate_chain, model, eval_data, banks)
         search = bisection_search if config.algo == ALGO_BISECTION else greedy_search
         outcome = search(
             evaluator,
@@ -361,7 +359,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         )
 
     with _Stage("verify-target"):
-        [verified] = evaluate_configs(model, eval_data, spec_bank, [outcome.config])
+        [verified] = evaluate_configs(model, eval_data, banks, [outcome.config])
         bar = accuracy_bar(config.target, baseline_accuracy)
         if not accepts(verified, bar):
             raise TargetUnreachableError(
@@ -381,8 +379,7 @@ def run_pipeline(config: PipelineConfig) -> RunResult:
         )
         manifest = RunManifest(__version__, config, inputs, float(baseline_accuracy))
         files = _record_files(levels)
-        specs = [CalibrationOutcome(spec_bank[bits]) for bits in levels]
-        records = [manifest, report, outcome.config, outcome, cost, *specs]
+        records = [manifest, report, outcome.config, outcome, cost, *banks.values()]
         out_dir = Path(config.out_dir)
         # The directories this run creates, nearest first: a failed write removes them.
         created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]

@@ -20,13 +20,13 @@ clean loss first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Mapping
+from typing import ClassVar
 
 import numpy as np
 
 from . import graph
 from .graph import Dataset, GraphError, ModelGraph, chain_losses, hessian_traces
-from .quantize import QuantSpec, quantization_error
+from .quantize import CalibrationOutcome, quantization_error
 from .rng import substream
 
 METRIC_QE = "qe"
@@ -77,22 +77,22 @@ def _stat(samples: list[float]) -> TensorScore:
     )
 
 
-def score_qe(model: ModelGraph, specs: Mapping[str, QuantSpec]) -> SensitivityReport:
-    """Normalized RMS quantization error per weight tensor in ``specs``.
+def score_qe(model: ModelGraph, bank: CalibrationOutcome) -> SensitivityReport:
+    """Normalized RMS quantization error per weight tensor of ``bank``.
 
-    Each tensor is probed at its spec's own width; the pipeline passes the
-    bank of the lowest candidate width, the most discriminative one. An
-    all-zero tensor scores 0.0: any scales quantize it exactly.
+    Each tensor is probed at the bank's width with its scale; the pipeline
+    passes the bank of the lowest candidate width, the most discriminative
+    one. An all-zero tensor scores 0.0: any scale quantizes it exactly.
     """
-    if not specs:
-        raise GraphError("score_qe needs at least one tensor spec")
-    unknown = sorted(set(specs) - set(model.weight_tensor_names()))
+    if not bank.scales:
+        raise GraphError("score_qe needs at least one tensor scale")
+    unknown = sorted(set(bank.scales) - set(model.weight_tensor_names()))
     if unknown:
-        raise GraphError(f"specs name unknown tensors: {unknown}")
-    scores: dict[str, TensorScore] = {}
-    for name, spec in specs.items():
-        w = model.parameter(name)
-        scores[name] = _stat([quantization_error(w, spec) if np.any(w) else 0.0])
+        raise GraphError(f"the bank names unknown tensors: {unknown}")
+    scores = {
+        name: _stat([quantization_error(model.parameter(name), scale, bank.bits)])
+        for name, scale in bank.scales.items()
+    }
     return _build_report(METRIC_QE, scores, seed=0)
 
 

@@ -70,10 +70,10 @@ def eval_forwards(monkeypatch):
     calls = []
     evaluate = pipeline_module.evaluate_configs
 
-    def spy(model, data, specs_by_bits, configs):
+    def spy(model, data, banks, configs):
         macs = pipeline_module._chain_macs(model, configs)
         calls.append(sum(macs) / macs[0])
-        return evaluate(model, data, specs_by_bits, configs)
+        return evaluate(model, data, banks, configs)
 
     monkeypatch.setattr(pipeline_module, "evaluate_configs", spy)
     return calls
@@ -147,11 +147,11 @@ def with_tensor(model, tensor, values):
     return ModelGraph(layers, head=model.head)
 
 
-def quantized_accuracy(model, data, specs_by_bits, config):
+def quantized_accuracy(model, data, banks, config):
     """Accuracy of ``model`` with every tensor ``config`` lowers quantized
-    by its calibrated spec: an independent re-evaluation of a config."""
+    by its calibrated scale: an independent re-evaluation of a config."""
     weights = {
-        name: quantize(model.parameter(name), specs_by_bits[bits][name])
+        name: quantize(model.parameter(name), banks[bits].scales[name], bits)
         for name, bits in config.bits.items()
         if bits != config.baseline_bits
     }

@@ -25,7 +25,6 @@ from conftest import (
     reference_levenshtein,
     with_tensor,
 )
-from mixquant.calibrate import CalibrationOutcome
 from mixquant.cost import model_size
 from mixquant.fixtures import build_fixture_latency_table
 from mixquant.graph import (
@@ -37,7 +36,7 @@ from mixquant.graph import (
 )
 from mixquant.modelio import load_dataset, load_model, read_record, save_dataset, save_model
 from mixquant.pipeline import PipelineConfig, compare_runs, run_pipeline
-from mixquant.quantize import QuantSpec, quantization_error, quantization_grid, quantize
+from mixquant.quantize import CalibrationOutcome, quantization_error, quantization_grid, quantize
 from mixquant.search import (
     QuantConfig,
     SearchOutcome,
@@ -56,17 +55,12 @@ def test_criterion_1_grid_and_error_bound():
         if not np.abs(x).max():
             x[0] = 1.0
         for bits in (2, 4, 8):
-            free = QuantSpec(
-                alpha=float(rng.uniform(0.05, 20.0)),
-                gamma=float(rng.uniform(0.05, 20.0)),
-                bits=bits,
-            )
-            assert np.isin(quantize(x, free), quantization_grid(free)).all()
+            free = float(rng.uniform(0.05, 20.0))
+            assert np.isin(quantize(x, free, bits), quantization_grid(free, bits)).all()
 
             peak = float(np.abs(x).max())
-            calibrated = QuantSpec(alpha=1.0 / peak, gamma=peak, bits=bits)
-            assert np.isin(quantize(x, calibrated), quantization_grid(calibrated)).all()
-            assert quantization_error(x, calibrated) <= 2.0 ** (-bits)
+            assert np.isin(quantize(x, peak, bits), quantization_grid(peak, bits)).all()
+            assert quantization_error(x, peak, bits) <= 2.0 ** (-bits)
     assert time.monotonic() - started < 5.0
 
 
@@ -226,10 +220,8 @@ def test_criterion_7_end_to_end_fixture(f1, tmp_path):
     stored_model = load_model(inputs / "model.json")
     stored_eval = load_dataset(inputs / "eval.json")
     stored_config = read_record(run_dir / "config.json", QuantConfig)
-    bank = {
-        b: read_record(run_dir / f"specs-{b}bit.json", CalibrationOutcome).specs for b in (4, 8)
-    }
-    independent = quantized_accuracy(stored_model, stored_eval, bank, stored_config)
+    banks = {b: read_record(run_dir / f"specs-{b}bit.json", CalibrationOutcome) for b in (4, 8)}
+    independent = quantized_accuracy(stored_model, stored_eval, banks, stored_config)
     stored_outcome = read_record(run_dir / "outcome.json", SearchOutcome)
     assert independent >= 0.99 * baseline_accuracy
     assert independent == stored_outcome.achieved_accuracy

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from conftest import edit_json
-from mixquant.calibrate import CalibrationOutcome
 from mixquant.cli import EXIT_DATA, main
 from mixquant.fixtures import FixtureSpec, build_fixture, build_fixture_latency_table
 from mixquant.graph import Dataset, ModelGraph
@@ -23,7 +22,7 @@ from mixquant.modelio import (
     write_record,
 )
 from mixquant.pipeline import PipelineConfig, load_manifest, run_pipeline
-from mixquant.quantize import QuantSpec
+from mixquant.quantize import CalibrationOutcome
 from mixquant.search import QuantConfig
 
 
@@ -66,9 +65,7 @@ def _written(kind, small_run, tmp_path):
         shutil.copy(Path(config.out_dir) / "manifest.json", path)
         return path, load_manifest, result.manifest
     records = {
-        "specs": CalibrationOutcome(
-            specs={"a.weight": QuantSpec(alpha=1 / 3, gamma=2.718281828459045, bits=5)},
-        ),
+        "specs": CalibrationOutcome(bits=5, scales={"a.weight": 2.718281828459045}),
         "sensitivity": result.report,
         "config": result.outcome.config,
         "outcome": result.outcome,
@@ -112,7 +109,7 @@ def _drop(key):
 @pytest.mark.parametrize(
     "kind, damage",
     [
-        pytest.param("specs", _drop("specs"), id="specs-without-specs"),
+        pytest.param("specs", _drop("scales"), id="specs-without-specs"),
         pytest.param(
             "specs", lambda payload: payload.update(adjustment_log=[0.9]), id="specs-with-a-log"
         ),
@@ -157,11 +154,17 @@ def test_compare_refuses_a_manifest_without_inputs(small_run, tmp_path, capsys):
 def _compare_with(small_run, tmp_path, name, keys, value):
     """``compare`` exit code for two copies of the small run, the second with
     ``value`` set at ``keys`` in its ``name``."""
+    return _compare_edited(small_run, tmp_path, lambda run: edit_json(run / name, keys, value))
+
+
+def _compare_edited(small_run, tmp_path, edit):
+    """``compare`` exit code for two copies of the small run, the second
+    changed by ``edit`` of its directory."""
     config, _ = small_run
     runs = [tmp_path / "a", tmp_path / "b"]
     for run in runs:
         shutil.copytree(config.out_dir, run)
-    edit_json(runs[1] / name, keys, value)
+    edit(runs[1])
     return main(["compare", *map(str, runs)])
 
 
@@ -180,14 +183,56 @@ def test_fractional_bit_width_rejected(small_run, tmp_path, capsys):
 
 def test_fractional_bits_and_bool_scale_rejected(tmp_path):
     path = tmp_path / "specs.json"
-    write_record(path, CalibrationOutcome(specs={"a.weight": QuantSpec(0.5, 2.0, 4)}))
-    edit_json(path, ("specs", "a.weight", "bits"), 4.9)
-    with pytest.raises(DataFormatError, match="expected an integer, got 4.9"):
+    write_record(path, CalibrationOutcome(bits=4, scales={"a.weight": 2.0}))
+    edit_json(path, ("bits",), 4.9)
+    with pytest.raises(DataFormatError, match="bits: expected an integer, got 4.9"):
         read_record(path, CalibrationOutcome)
-    edit_json(path, ("specs", "a.weight", "bits"), 4)
-    edit_json(path, ("specs", "a.weight", "alpha"), True)
-    with pytest.raises(DataFormatError, match="expected a number, got True"):
+    edit_json(path, ("bits",), 4)
+    edit_json(path, ("scales", "a.weight"), True)
+    with pytest.raises(DataFormatError, match="scales: a.weight: expected a number, got True"):
         read_record(path, CalibrationOutcome)
+
+
+@pytest.mark.parametrize(
+    "key, token, error",
+    [
+        ("bits", "4.9", "bits: expected an integer, got 4.9"),
+        ("bits", "true", "bits: expected an integer, got True"),
+        ("bits", "1", "bits must be an integer in [2, 16], got 1"),
+        ("bits", "17", "bits must be an integer in [2, 16], got 17"),
+        ("scale", "true", "scales: {}: expected a number, got True"),
+        ("scale", "0", "scales: {}: scale must be finite and > 0"),
+        ("scale", "-1", "scales: {}: scale must be finite and > 0"),
+        ("scale", "1e999", "scales: {}: scale must be finite and > 0"),  # JSON reads inf
+        ("scale", "5e-324", "scales: {}: scale must be finite and > 0"),  # 1/scale overflows
+    ],
+)
+def test_compare_refuses_a_bad_specs_value(key, token, error, small_run, tmp_path, capsys):
+    config, result = small_run
+    tensor = sorted(result.outcome.config.bits)[0]
+    body = json.loads((Path(config.out_dir) / "specs-4bit.json").read_text())
+    if key == "bits":
+        body["bits"] = "TOKEN"
+    else:
+        body["scales"][tensor] = "TOKEN"
+    text = json.dumps(body).replace('"TOKEN"', token)  # 1e999 as written, not as inf
+    assert _compare_edited(small_run, tmp_path, _as_specs(text)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "specs-4bit.json" in err and error.format(tensor) in err, err
+
+
+def test_compare_refuses_a_dual_scale_specs_file(small_run, tmp_path, capsys):
+    _, result = small_run
+    specs = {name: {"alpha": 0.5, "gamma": 2.0, "bits": 4} for name in result.outcome.config.bits}
+    text = json.dumps({"format": "mixquant-quant-specs", "version": 1, "specs": specs})
+    assert _compare_edited(small_run, tmp_path, _as_specs(text)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "malformed 'mixquant-quant-specs' file" in err and "missing key 'bits'" in err, err
+
+
+def _as_specs(text):
+    """The edit of a run directory that makes ``text`` its ``specs-4bit.json``."""
+    return lambda run: (run / "specs-4bit.json").write_text(text)
 
 
 def test_compare_refuses_a_string_eval_count(small_run, tmp_path, capsys):

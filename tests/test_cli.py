@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 import mixquant.cli as cli_module
 import mixquant.pipeline as pipeline_module
 from conftest import MISSING, edit_json, with_tensor, write_old_model_format
-from mixquant.calibrate import CalibrationOutcome
 from mixquant.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_TARGET, main
 from mixquant.cost import CostReport
 from mixquant.modelio import DataFormatError, load_model, new_file, read_record, save_model
 from mixquant.pipeline import PipelineConfig, PipelineConfigError, RunManifest, load_manifest
+from mixquant.quantize import CalibrationOutcome
 from mixquant.search import QuantConfig, SearchOutcome
 from mixquant.sensitivity import SensitivityReport
 
@@ -547,7 +547,7 @@ class TestRun:
         monkeypatch.setattr(
             pipeline_module,
             "_evaluate_chain",
-            lambda model, data, spec_bank, configs: [1.0] * len(configs),
+            lambda model, data, banks, configs: [1.0] * len(configs),
         )
         out = tmp_path / "run"
         assert main(run_args(fixture_dir, out, ["--bits", "2"])) == EXIT_TARGET
@@ -563,10 +563,10 @@ class TestRun:
         monkeypatch.setattr(
             pipeline_module,
             "_evaluate_chain",
-            lambda model, data, spec_bank, configs: [Fraction(1)] * len(configs),
+            lambda model, data, banks, configs: [Fraction(1)] * len(configs),
         )
 
-        def engine(model, data, specs_by_bits, configs):
+        def engine(model, data, banks, configs):
             return [Fraction(80 if set(c.bits.values()) == {16} else 72, 100) for c in configs]
 
         monkeypatch.setattr(pipeline_module, "evaluate_configs", engine)

@@ -70,64 +70,64 @@ GOLDEN = {
     "runs/hessian-bisection/manifest.json": "1747daf932390a2f77cf8d7cf9b05aae8918ddf03fa2a47002664d2c488f827f",
     "runs/hessian-bisection/outcome.json": "641bf88e072d0c4e11afa6daedd6dc7787f044be41e5ef3fa95c553ea7d41103",
     "runs/hessian-bisection/sensitivity.json": "15b864bddcc7149a838decf294492775cc34ad33bf715c088f563a2282397061",
-    "runs/hessian-bisection/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
-    "runs/hessian-bisection/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
+    "runs/hessian-bisection/specs-4bit.json": "d23fde8cf159f936cd45b824393a0e1fa0435229698dc390509837037866a8b3",
+    "runs/hessian-bisection/specs-8bit.json": "b6d49caff00948fcec96bb419d77246b29fcb9f1789e65872c8ae0211f8aff49",
     "runs/hessian-greedy/config.json": "c44b95e4056d2b6098e4d0f2625533bd1c73de9178369ef278ab27a67ae3641d",
     "runs/hessian-greedy/cost.json": "4b4faa5ebabbf3e04331320fe872fac2798fb044bade3a0d7ace4ffe4198670f",
     "runs/hessian-greedy/manifest.json": "a883cbede442f2a3db93b1cb92b8523c58c50ce78fefd81a2475354b636e25c3",
     "runs/hessian-greedy/outcome.json": "02b7791de14caccbd0c0eebbd66b33835a463650e3f0c675234795f90cbe408f",
     "runs/hessian-greedy/sensitivity.json": "15b864bddcc7149a838decf294492775cc34ad33bf715c088f563a2282397061",
-    "runs/hessian-greedy/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
-    "runs/hessian-greedy/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
+    "runs/hessian-greedy/specs-4bit.json": "d23fde8cf159f936cd45b824393a0e1fa0435229698dc390509837037866a8b3",
+    "runs/hessian-greedy/specs-8bit.json": "b6d49caff00948fcec96bb419d77246b29fcb9f1789e65872c8ae0211f8aff49",
     "runs/noise-bisection/config.json": "14176e00ea319db67d452146c8c77749bc3158d39214d919e860b517bd42dba5",
     "runs/noise-bisection/cost.json": "b3bc84bcbc9c588169da1d08a1cfbf6ff647760615e4ba20347cb00d0762a352",
     "runs/noise-bisection/manifest.json": "8bb38856230244282df7de0953587121ac7d1d134100e9f81e288a5118fccd1c",
     "runs/noise-bisection/outcome.json": "c9335fff5b4c45a36209583167562286e19919418dac833d09d24f3d7faadff8",
     "runs/noise-bisection/sensitivity.json": "16de45cacd9d726bee390a4b87df77a15017e8102a94c78c1792fa8465917307",
-    "runs/noise-bisection/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
-    "runs/noise-bisection/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
+    "runs/noise-bisection/specs-4bit.json": "d23fde8cf159f936cd45b824393a0e1fa0435229698dc390509837037866a8b3",
+    "runs/noise-bisection/specs-8bit.json": "b6d49caff00948fcec96bb419d77246b29fcb9f1789e65872c8ae0211f8aff49",
     "runs/noise-greedy/config.json": "14176e00ea319db67d452146c8c77749bc3158d39214d919e860b517bd42dba5",
     "runs/noise-greedy/cost.json": "b3bc84bcbc9c588169da1d08a1cfbf6ff647760615e4ba20347cb00d0762a352",
     "runs/noise-greedy/manifest.json": "5c41df4adf94ca461b342b50e56873b70bab2480a3172049240b3e1ebc610bc0",
     "runs/noise-greedy/outcome.json": "5483337940ed7dfc8c8b7867d92bf41874c3bf6ccf6b0b09016c66da6b852984",
     "runs/noise-greedy/sensitivity.json": "16de45cacd9d726bee390a4b87df77a15017e8102a94c78c1792fa8465917307",
-    "runs/noise-greedy/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
-    "runs/noise-greedy/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
+    "runs/noise-greedy/specs-4bit.json": "d23fde8cf159f936cd45b824393a0e1fa0435229698dc390509837037866a8b3",
+    "runs/noise-greedy/specs-8bit.json": "b6d49caff00948fcec96bb419d77246b29fcb9f1789e65872c8ae0211f8aff49",
     "runs/qe-bisection/config.json": "14176e00ea319db67d452146c8c77749bc3158d39214d919e860b517bd42dba5",
     "runs/qe-bisection/cost.json": "b3bc84bcbc9c588169da1d08a1cfbf6ff647760615e4ba20347cb00d0762a352",
     "runs/qe-bisection/manifest.json": "af8a80606b2d7cddabd21ab17c72591c96dc1119f2eb41c2fbb756109c8149d3",
     "runs/qe-bisection/outcome.json": "c9335fff5b4c45a36209583167562286e19919418dac833d09d24f3d7faadff8",
     "runs/qe-bisection/sensitivity.json": "9a430704c2553e714dbaa5803057a932d64ca1e3131f8b44e4ce4bdcc3fd3ee2",
-    "runs/qe-bisection/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
-    "runs/qe-bisection/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
+    "runs/qe-bisection/specs-4bit.json": "d23fde8cf159f936cd45b824393a0e1fa0435229698dc390509837037866a8b3",
+    "runs/qe-bisection/specs-8bit.json": "b6d49caff00948fcec96bb419d77246b29fcb9f1789e65872c8ae0211f8aff49",
     "runs/qe-greedy/config.json": "14176e00ea319db67d452146c8c77749bc3158d39214d919e860b517bd42dba5",
     "runs/qe-greedy/cost.json": "b3bc84bcbc9c588169da1d08a1cfbf6ff647760615e4ba20347cb00d0762a352",
     "runs/qe-greedy/manifest.json": "a1e06fe253e4035501bdfd2ff7588c85028f92173857d17d6f7d65fb0a64e9e7",
     "runs/qe-greedy/outcome.json": "247d2ebfdf18a650785665ed8f8ddd993216bc2994e16d96bf24871561bef8a6",
     "runs/qe-greedy/sensitivity.json": "9a430704c2553e714dbaa5803057a932d64ca1e3131f8b44e4ce4bdcc3fd3ee2",
-    "runs/qe-greedy/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
-    "runs/qe-greedy/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
+    "runs/qe-greedy/specs-4bit.json": "d23fde8cf159f936cd45b824393a0e1fa0435229698dc390509837037866a8b3",
+    "runs/qe-greedy/specs-8bit.json": "b6d49caff00948fcec96bb419d77246b29fcb9f1789e65872c8ae0211f8aff49",
     "runs/random-bisection/config.json": "c44b95e4056d2b6098e4d0f2625533bd1c73de9178369ef278ab27a67ae3641d",
     "runs/random-bisection/cost.json": "4b4faa5ebabbf3e04331320fe872fac2798fb044bade3a0d7ace4ffe4198670f",
     "runs/random-bisection/manifest.json": "61b9bc51da2e29f48cf4af7239e643516b24a5883b029a2f5023f36cfc5e5fa1",
     "runs/random-bisection/outcome.json": "9d611695183de7a9475edd54f04f9ef0d11b6f599fecad8b8978085b61d439c9",
     "runs/random-bisection/sensitivity.json": "365efb57d0d1025b5fc9e1f92ddfacd5694a10d12d6a03b53a482cf70aa039e4",
-    "runs/random-bisection/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
-    "runs/random-bisection/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
+    "runs/random-bisection/specs-4bit.json": "d23fde8cf159f936cd45b824393a0e1fa0435229698dc390509837037866a8b3",
+    "runs/random-bisection/specs-8bit.json": "b6d49caff00948fcec96bb419d77246b29fcb9f1789e65872c8ae0211f8aff49",
     "runs/random-greedy/config.json": "c44b95e4056d2b6098e4d0f2625533bd1c73de9178369ef278ab27a67ae3641d",
     "runs/random-greedy/cost.json": "4b4faa5ebabbf3e04331320fe872fac2798fb044bade3a0d7ace4ffe4198670f",
     "runs/random-greedy/manifest.json": "8ee67c773d5b5acec1198c66328c54769367056ee0da70c6b9e6002e36552fa3",
     "runs/random-greedy/outcome.json": "89cd174bef0f58c324b093681f58fef48b755cfb521e77e6144406328ca84896",
     "runs/random-greedy/sensitivity.json": "365efb57d0d1025b5fc9e1f92ddfacd5694a10d12d6a03b53a482cf70aa039e4",
-    "runs/random-greedy/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
-    "runs/random-greedy/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
+    "runs/random-greedy/specs-4bit.json": "d23fde8cf159f936cd45b824393a0e1fa0435229698dc390509837037866a8b3",
+    "runs/random-greedy/specs-8bit.json": "b6d49caff00948fcec96bb419d77246b29fcb9f1789e65872c8ae0211f8aff49",
     "runs/rerun/config.json": "c44b95e4056d2b6098e4d0f2625533bd1c73de9178369ef278ab27a67ae3641d",
     "runs/rerun/cost.json": "4b4faa5ebabbf3e04331320fe872fac2798fb044bade3a0d7ace4ffe4198670f",
     "runs/rerun/manifest.json": "4ee4aeadb597e82c6646212aa4a73fbc65b434d6f201de6d4f61f059d8cd5f9d",
     "runs/rerun/outcome.json": "02b7791de14caccbd0c0eebbd66b33835a463650e3f0c675234795f90cbe408f",
     "runs/rerun/sensitivity.json": "15b864bddcc7149a838decf294492775cc34ad33bf715c088f563a2282397061",
-    "runs/rerun/specs-4bit.json": "a0938c0b581cb0ff99a1bac78567972f6c229d3093a0bad26c3236e930d14c7a",
-    "runs/rerun/specs-8bit.json": "26e11d1591818c46baf80b49c7e292ef3eebb37ae39e2c9dc66d8883cd2259cb",
+    "runs/rerun/specs-4bit.json": "d23fde8cf159f936cd45b824393a0e1fa0435229698dc390509837037866a8b3",
+    "runs/rerun/specs-8bit.json": "b6d49caff00948fcec96bb419d77246b29fcb9f1789e65872c8ae0211f8aff49",
 }
 
 

@@ -29,7 +29,6 @@ from conftest import (
 )
 import mixquant.graph as graph_module
 import mixquant.pipeline as pipeline_module
-from mixquant.calibrate import calibrate
 from mixquant.fixtures import (
     FixtureSpec,
     build_fixture,
@@ -60,7 +59,7 @@ from mixquant.graph import (
 )
 from mixquant.modelio import save_dataset, save_model
 from mixquant.pipeline import PipelineConfig, run_pipeline
-from mixquant.quantize import QuantSpec, quantize
+from mixquant.quantize import CalibrationOutcome, calibrate, quantize
 from mixquant.sensitivity import score_noise
 
 
@@ -245,7 +244,7 @@ class TestForward:
         # at 2 bits the 0.7 diagonal snaps to 0.5, shifting the logit gap
         model = ModelGraph([Layer("lin", 0.7 * np.eye(2), np.zeros(2))])
         data = Dataset(np.array([[1.0, 0.0]]), np.array([0]), 2)
-        w2 = quantize(model.parameter("lin.weight"), QuantSpec(alpha=1.0, gamma=1.0, bits=2))
+        w2 = quantize(model.parameter("lin.weight"), 1.0, 2)
         [clean] = chain_losses(model, data, [{}])
         [quantized] = chain_losses(model, data, [{"lin.weight": w2}])
         assert clean == pytest.approx(np.log1p(np.exp(-0.7)), rel=1e-14)
@@ -288,8 +287,8 @@ class TestWeightReplacement:
         digest = model.parameter_digest()
         score_noise(model, data, noise_scale=0.5, trials=2, seed=3)
         assert model.parameter_digest() == digest
-        specs = {name: QuantSpec(1.0, 1.0, 2) for name in model.weight_tensor_names()}
-        chain_accuracies(model, data, [quantized(model, specs)])
+        bank = CalibrationOutcome(2, {name: 1.0 for name in model.weight_tensor_names()})
+        chain_accuracies(model, data, [quantized(model, bank)])
         assert model.parameter_digest() == digest
 
 
@@ -304,8 +303,7 @@ class TestBlockedForward:
         data = random_split(model, n)
         weights = {}
         if replaced:
-            specs = calibrate(model, 4)
-            weights = {name: quantize(model.parameter(name), s) for name, s in specs.items()}
+            weights = quantized_bank(model, 4)
         logits, result = whole_split_result(model, data, weights)
         assert np.array_equal(blocked_logits(model, data.features, weights), logits)
         assert one_map_result(model, data, weights) == result
@@ -346,8 +344,8 @@ class TestBlockedForward:
         assert peak < 4 * 2**20
 
 
-def quantized(model, specs):
-    return {name: quantize(model.parameter(name), s) for name, s in specs.items()}
+def quantized(model, bank):
+    return {name: quantize(model.parameter(name), s, bank.bits) for name, s in bank.scales.items()}
 
 
 def quantized_bank(model, bits):

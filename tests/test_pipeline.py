@@ -10,7 +10,6 @@ import pytest
 
 import mixquant.pipeline as pipeline_module
 from conftest import quantized_accuracy
-from mixquant.calibrate import CalibrationOutcome
 from mixquant.fixtures import FixtureSpec, build_fixture, build_fixture_latency_table
 from mixquant.modelio import DataFormatError, load_model, read_record, save_dataset, save_model
 from mixquant.pipeline import (
@@ -20,6 +19,7 @@ from mixquant.pipeline import (
     load_manifest,
     run_pipeline,
 )
+from mixquant.quantize import CalibrationOutcome
 from mixquant.search import QuantConfig, SearchOutcome
 from mixquant.sensitivity import SensitivityReport
 
@@ -84,12 +84,9 @@ class TestRunPipeline:
         from mixquant.modelio import load_dataset
 
         eval_data = load_dataset(small_inputs / "eval.json")
-        bank = {
-            bits: read_record(out / f"specs-{bits}bit.json", CalibrationOutcome).specs
-            for bits in (4, 8)
-        }
+        banks = {b: read_record(out / f"specs-{b}bit.json", CalibrationOutcome) for b in (4, 8)}
         config = read_record(out / "config.json", QuantConfig)
-        measured = quantized_accuracy(model, eval_data, bank, config)
+        measured = quantized_accuracy(model, eval_data, banks, config)
         assert measured >= result.outcome.target
         assert measured == result.outcome.achieved_accuracy
 
@@ -155,9 +152,9 @@ class TestEvaluatorMemo:
         calls = []
         chained = pipeline_module.evaluate_configs
 
-        def counting_chain(model, data, specs_by_bits, configs):
+        def counting_chain(model, data, banks, configs):
             calls.append([frozenset(c.bits.items()) for c in configs])
-            return chained(model, data, specs_by_bits, configs)
+            return chained(model, data, banks, configs)
 
         monkeypatch.setattr(pipeline_module, "evaluate_configs", counting_chain)
         config = config_for(

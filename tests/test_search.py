@@ -19,12 +19,11 @@ from conftest import (
 )
 import mixquant.graph as graph_module
 import mixquant.pipeline as pipeline_module
-from mixquant.calibrate import calibrate
 from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import Dataset, GraphError, chain_accuracies
 from mixquant.modelio import read_record, write_record
 from mixquant.pipeline import evaluate_configs
-from mixquant.quantize import quantize
+from mixquant.quantize import CalibrationOutcome, calibrate, quantize
 from mixquant.search import (
     QuantConfig,
     SearchOutcome,
@@ -85,8 +84,8 @@ class TestQuantConfig:
         assert config.bits["a"] == 32
 
 
-def evaluate_one(model, data, specs_by_bits, config):
-    return evaluate_configs(model, data, specs_by_bits, [config])[0]
+def evaluate_one(model, data, banks, config):
+    return evaluate_configs(model, data, banks, [config])[0]
 
 
 class TestEvaluateConfig:
@@ -99,12 +98,12 @@ class TestEvaluateConfig:
 
     def test_matches_direct_quantized_forward(self):
         model, data = make_small_ce_model()
-        specs = calibrate(model, 8)
+        bank = calibrate(model, 8)
         config = QuantConfig.uniform(model.weight_tensor_names(), 16).replace(
             {"first.weight": 8}
         )
-        got = evaluate_one(model, data, {8: specs}, config)
-        w8 = quantize(model.parameter("first.weight"), specs["first.weight"])
+        got = evaluate_one(model, data, {8: bank}, config)
+        w8 = quantize(model.parameter("first.weight"), bank.scales["first.weight"], 8)
         [direct] = chain_accuracies(model, data, [{"first.weight": w8}])
         assert got == direct
 
@@ -113,20 +112,21 @@ class TestEvaluateConfig:
         config = QuantConfig.uniform(model.weight_tensor_names(), 16).replace(
             {"first.weight": 4}
         )
-        with pytest.raises(GraphError):
-            evaluate_one(model, data, {8: {}}, config)
-        # a spec of another width is not a 4-bit spec
-        specs8 = calibrate(model, 8)
-        with pytest.raises(GraphError):
-            evaluate_one(model, data, {4: specs8}, config)
+        missing = "no calibrated scale for tensor 'first.weight' at 4 bits"
+        # no bank at the width
+        with pytest.raises(GraphError, match=missing):
+            evaluate_one(model, data, {8: calibrate(model, 8)}, config)
+        # a bank at the width without the tensor
+        with pytest.raises(GraphError, match=missing):
+            evaluate_one(model, data, {4: CalibrationOutcome(4, {})}, config)
 
     def test_deterministic(self):
         model, data = make_small_ce_model()
-        specs = calibrate(model, 4)
+        banks = {4: calibrate(model, 4)}
         config = QuantConfig.uniform(model.weight_tensor_names(), 4)
-        first = evaluate_one(model, data, {4: specs}, config)
+        first = evaluate_one(model, data, banks, config)
         assert all(
-            evaluate_one(model, data, {4: specs}, config) == first for _ in range(3)
+            evaluate_one(model, data, banks, config) == first for _ in range(3)
         )
 
 
@@ -359,7 +359,7 @@ class TestChainedEvaluation:
         rejected = {"all-reject": probes, "alternating": probes[::2], "all-accept": []}[pattern]
         spent = []
 
-        def fake_engine(model, data, specs_by_bits, configs):
+        def fake_engine(model, data, banks, configs):
             spent.append(sum(pipeline_module._chain_macs(model, configs)))
             return [0.0 if set(c.bits.items()) & set(rejected) else 1.0 for c in configs]
 
@@ -424,7 +424,7 @@ def test_pipeline_offers_match_the_pinned_chains(monkeypatch, pattern, order):
     monkeypatch.setattr(
         pipeline_module,
         "evaluate_configs",
-        lambda model, data, specs_by_bits, configs: [
+        lambda model, data, banks, configs: [
             0.0 if set(c.bits.items()) & set(rejected) else 1.0 for c in configs
         ],
     )
@@ -476,7 +476,7 @@ def test_pipeline_answers_the_longest_prefix_within_the_tail_bound(wide_model, d
     expected = max(count for count in range(1, len(configs) + 1) if within(count))
     seen = []
 
-    def fake_engine(model, data, specs_by_bits, offered):
+    def fake_engine(model, data, banks, offered):
         seen.append(list(offered))
         return [1.0] * len(offered)
 
@@ -504,7 +504,7 @@ def test_pipeline_chains_run_the_work_they_are_priced_at(
         data = Dataset(rng.normal(size=(1000, model.input_dim)), labels, model.output_dim)
     names = model.weight_tensor_names()
     ordering = {"layers": names, "reversed": names[::-1], "interleaved": names[1::2] + names[::2]}
-    spec_bank = {bits: calibrate(model, bits) for bits in (4, 8)}
+    banks = {bits: calibrate(model, bits) for bits in (4, 8)}
     config, path = QuantConfig.uniform(names, 16), []  # an all-accepted greedy walk's probes
     for bits in (8, 4):
         for name in ordering[order]:
@@ -521,7 +521,7 @@ def test_pipeline_chains_run_the_work_they_are_priced_at(
     longest = 0
     for start in range(len(path)):
         ran.clear()
-        answers = pipeline_module._evaluate_chain(model, data, spec_bank, path[start:])
+        answers = pipeline_module._evaluate_chain(model, data, banks, path[start:])
         answered = path[start : start + len(answers)]
         assert sum(ran) == len(data) * sum(pipeline_module._chain_macs(model, answered)), start
         longest = max(longest, len(answered))

@@ -15,11 +15,10 @@ from conftest import (
 )
 import mixquant.graph as graph_module
 import mixquant.sensitivity as sensitivity_module
-from mixquant.calibrate import calibrate
 from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import Dataset, GraphError, Layer, ModelGraph, hessian_traces
 from mixquant.modelio import read_record, write_record
-from mixquant.quantize import QuantSpec, quantization_error
+from mixquant.quantize import CalibrationOutcome, calibrate, quantization_error
 from mixquant.sensitivity import (
     DEFAULT_NOISE_SCALE,
     SensitivityReport,
@@ -35,10 +34,10 @@ from mixquant.sensitivity import (
 class TestScoreQE:
     def test_matches_direct_recomputation(self):
         model, _ = make_small_ce_model()
-        specs = calibrate(model, 4)
-        report = score_qe(model, specs)
-        for name, spec in specs.items():
-            expected = quantization_error(model.parameter(name), spec)
+        bank = calibrate(model, 4)
+        report = score_qe(model, bank)
+        for name, scale in bank.scales.items():
+            expected = quantization_error(model.parameter(name), scale, 4)
             assert report.scores[name].mean == expected
             assert report.scores[name].trials == 1
             assert report.scores[name].std == 0.0
@@ -51,11 +50,7 @@ class TestScoreQE:
                 Layer("alpha", -0.5 * np.eye(2), np.zeros(2)),
             ]
         )
-        specs = {
-            "beta.weight": QuantSpec(1.0, 1.0, 2),
-            "alpha.weight": QuantSpec(1.0, 1.0, 2),
-        }
-        report = score_qe(model, specs)
+        report = score_qe(model, CalibrationOutcome(2, {"beta.weight": 1.0, "alpha.weight": 1.0}))
         assert all(s.mean == 0.0 for s in report.scores.values())
         assert list(report.ordering) == ["alpha.weight", "beta.weight"]
 
@@ -70,7 +65,20 @@ class TestScoreQE:
     def test_activation_name_rejected(self):
         model, _ = make_small_ce_model()
         with pytest.raises(GraphError, match="first.out"):
-            score_qe(model, {"first.out": QuantSpec(1.0, 1.0, 4)})
+            score_qe(model, CalibrationOutcome(4, {"first.out": 1.0}))
+
+    def test_all_zero_tensor_scores_zero(self):
+        # an all-zero tensor quantizes exactly: its error is 0.0, not undefined
+        model = ModelGraph(
+            [
+                Layer("zero", np.zeros((2, 3)), np.zeros(2)),
+                Layer("last", np.array([[0.3, -0.7], [0.9, 0.1]]), np.zeros(2)),
+            ]
+        )
+        report = score_qe(model, calibrate(model, 2))
+        assert report.scores["zero.weight"].mean == 0.0
+        assert report.scores["last.weight"].mean > 0.0
+        assert report.ordering == ("zero.weight", "last.weight")
 
 
 class TestScoreNoise:
