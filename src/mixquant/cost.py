@@ -72,12 +72,14 @@ class LatencyTable:
                     if not row:
                         continue
                     if len(row) != 6:
-                        raise DataFormatError(f"{path}: malformed row {row!r}")
+                        raise DataFormatError(
+                            f"{path}: malformed row {row!r}: {len(row)} fields, expected 6"
+                        )
                     kind, m, n, k, bits, latency = row
                     try:
                         table.add(kind, int(m), int(n), int(k), int(bits), float(latency))
                     except ValueError as exc:
-                        raise DataFormatError(f"{path}: malformed row {row!r}") from exc
+                        raise DataFormatError(f"{path}: malformed row {row!r}: {exc}") from exc
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise DataFormatError(f"cannot read latency table {path}: {exc}") from exc
         return table

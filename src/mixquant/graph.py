@@ -11,7 +11,7 @@ the stored parameters stay untouched. Callers quantize or perturb the
 weights themselves, and activations always stay in float. A
 :class:`ModelGraph` checks its layers and builds, once, its parameter
 tensors by name; its ``layers`` are the one form of the chain that every
-pass walks and that a model file saves. The engine alone decides three
+pass walks and that a model file saves. The engine alone decides two
 rules its callers rely on:
 
 - **Where a chained map resumes.** Untaped passes (:func:`chain_accuracies`,
@@ -22,9 +22,6 @@ rules its callers rely on:
   (search probes, noise perturbations) resumes at the first affine layer
   whose weight it changes, from the input there that an earlier map kept
   for it, and :func:`chain_macs` prices a chain by that rule.
-- **How stacked work splits.** :func:`stack_groups` packs the noise
-  metric's noisy weight copies, in order, into groups within
-  :data:`STACK_FLOATS`.
 - **How the reverse sweep descends.** One loop computes every affine
   layer of every pass into a list of layer inputs (:func:`_run_layers`);
   the one taped pass, :func:`hessian_traces`, keeps the whole list, over
@@ -70,11 +67,6 @@ _HEADS = (HEAD_SOFTMAX_CE, HEAD_SQUARED_ERROR)
 # Floats in one row block of an untaped pass at the widest affine output:
 # a block of 2**15 float64 (256 KiB) stays cache-resident from layer to layer.
 FORWARD_BLOCK_FLOATS = 2**15
-
-# Floats of noisy weight copies that one noise-metric group may hold beside
-# its row blocks: a 64-192-160-128-96-64-32-10 model's noise metric runs
-# in two groups at 5 trials.
-STACK_FLOATS = 2**18
 
 
 class GraphError(ValueError):
@@ -134,20 +126,18 @@ class ModelGraph:
                 )
             dim = w.shape[0]
             checked.append(Layer(layer.name, w, b, bool(layer.relu)))
+        if not checked:
+            raise GraphError("model has no affine layer")
         self.layers: tuple[Layer, ...] = tuple(checked)
         self._parameters = {f"{l.name}.{part}": getattr(l, part)
                             for l in self.layers for part in ("weight", "bias")}
 
     @property
     def input_dim(self) -> int:
-        if not self.layers:
-            raise GraphError("model has no affine layer, input width is undefined")
         return self.layers[0].weight.shape[1]
 
     @property
     def output_dim(self) -> int:
-        if not self.layers:
-            raise GraphError("model has no affine layer, output width is undefined")
         return self.layers[-1].weight.shape[0]
 
     def parameter_names(self) -> list[str]:
@@ -374,20 +364,6 @@ def chain_macs(model: ModelGraph, changed: Sequence[Collection[str]]) -> list[in
     each map after the first changes from the one before (as :func:`_resume_starts`)."""
     macs = [layer.weight.size for layer in model.layers]
     return [sum(macs[start:]) for start in _resume_starts(model, changed)]
-
-
-def stack_groups(floats: Sequence[int]) -> list[list[int]]:
-    """Indices of ``floats`` packed in order, greedily, into groups within
-    :data:`STACK_FLOATS`; an item over the budget is a group of its own."""
-    groups: list[list[int]] = []
-    total = 0
-    for i, size in enumerate(floats):
-        if not groups or total + size > STACK_FLOATS:
-            groups.append([])
-            total = 0
-        groups[-1].append(i)
-        total += size
-    return groups
 
 
 def _chained_blocks(

@@ -449,11 +449,21 @@ def compare_runs(run_dirs) -> dict:
     Collects per-run cost and accuracy rows, aggregates mean and spread
     for repeated (metric, algo) groups, and reports pairwise edit
     distances between the runs' sensitivity orderings. Runs over
-    different models are refused.
+    different models are refused. Fewer than two directories, or one
+    named twice, are refused before any record is read.
     """
-    runs = [_load_run(Path(d)) for d in run_dirs]
-    if len(runs) < 2:
+    run_dirs = [Path(d) for d in run_dirs]
+    if len(run_dirs) < 2:
         raise PipelineConfigError("compare needs at least two run directories")
+    seen: dict[Path, Path] = {}
+    for d in run_dirs:
+        resolved = d.resolve()
+        if resolved in seen:
+            raise PipelineConfigError(
+                f"run directory {d} names the same directory as {seen[resolved]}"
+            )
+        seen[resolved] = d
+    runs = [_load_run(d) for d in run_dirs]
 
     model_hashes = {r["manifest.json"].inputs.model_sha256 for r in runs}
     if len(model_hashes) != 1:

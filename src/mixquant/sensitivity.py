@@ -10,11 +10,11 @@ that serves as the comparison baseline.
 
 The noise metric draws from a private substream per tensor (stream id
 is the tensor's position in the scored list), so scores do not depend on
-evaluation order or grouping. Its losses, one per tensor per trial, come
-from chained engine passes (:func:`chain_losses`), one per group of
-perturbations, last tensor first, as :func:`~mixquant.graph.stack_groups`
-packs their noisy copies one (tensor, trial) at a time; each pass has the
-clean loss first.
+evaluation order or on how the trials split into passes. Its losses, one
+per tensor per trial, come from chained engine passes
+(:func:`chain_losses`), each over a run of whole trials: the clean map
+first, then each tensor's noisy copies for those trials side by side,
+last tensor first. :data:`STACK_FLOATS` sets how many trials a pass runs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import graph
 from .graph import Dataset, GraphError, ModelGraph, chain_losses, hessian_traces
 from .quantize import CalibrationOutcome, quantization_error
 from .rng import substream
@@ -38,6 +37,11 @@ METRICS = (METRIC_QE, METRIC_NOISE, METRIC_HESSIAN, METRIC_RANDOM)
 DEFAULT_NOISE_SCALE = 0.05
 DEFAULT_TRIALS = 5
 DEFAULT_SEED = 42
+
+# Floats of noisy weight copies that one noise-metric pass may hold beside
+# its row blocks, unless one copy of every weight tensor is more: a
+# 64-192-160-128-96-64-32-10 model's noise metric runs 3 trials, then 2.
+STACK_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -109,12 +113,13 @@ def score_noise(
     ``noise_scale * max|w|``, the noisy array is passed to the engine in
     place of the stored tensor, and the score is the perturbed-minus-clean
     loss. Mean and spread are taken over ``trials`` independent draws.
-    Tensors go last first, and their noisy copies, one per tensor and
-    trial, in groups that fit :data:`~mixquant.graph.STACK_FLOATS`
-    (:func:`~mixquant.graph.stack_groups`), so a group may end inside one
-    tensor's trials. Each group's losses, its own clean one first, come
-    from one chained pass, and each equals the loss of a pass over its map
-    alone (:func:`~mixquant.graph.chain_losses` of a one-map chain).
+    The trials run in passes of ``max(1, STACK_FLOATS // n)`` whole
+    trials, ``n`` being the element count of all weight tensors, so a pass
+    holds at most :data:`STACK_FLOATS` floats of noisy copies, or one copy
+    of every tensor when that is more. Each pass's losses, its own clean
+    one first, come from one chained pass, and each equals the loss of a
+    pass over its map alone (:func:`~mixquant.graph.chain_losses` of a
+    one-map chain).
     """
     if trials < 1:
         raise GraphError(f"trials must be >= 1, got {trials}")
@@ -123,18 +128,19 @@ def score_noise(
     names = model.weight_tensor_names()
     tensors = [model.parameter(name) for name in names]
     sigmas = [noise_scale * float(np.max(np.abs(w))) for w in tensors]
-    # Last tensor first, so each perturbed map resumes at its own layer;
-    # every tensor draws from its own substream, so neither the order nor
-    # the groups move a draw.
+    # Every tensor draws from its own substream in trial order, so neither
+    # the order within a pass nor the split into passes moves a draw.
     rngs = [substream(seed, "noise", index) for index in range(len(names))]
-    order = [index for index in range(len(names))[::-1] for _ in range(trials)]
+    per_pass = max(1, STACK_FLOATS // sum(w.size for w in tensors))
     samples: dict[str, list[float]] = {name: [] for name in names}
-    for group in graph.stack_groups([tensors[index].size for index in order]):
+    for first in range(0, trials, per_pass):
         maps: list[dict[str, np.ndarray]] = [{}]  # the clean map first
-        for index in (order[i] for i in group):
+        # Last tensor first, so each perturbed map resumes at its own layer.
+        for index in reversed(range(len(names))):
             w, sigma = tensors[index], sigmas[index]
-            noisy = w + rngs[index].normal(0.0, sigma, size=w.shape) if sigma > 0 else w
-            maps.append({names[index]: noisy})
+            for _ in range(min(per_pass, trials - first)):
+                noisy = w + rngs[index].normal(0.0, sigma, size=w.shape) if sigma > 0 else w
+                maps.append({names[index]: noisy})
         clean, *losses = chain_losses(model, data, maps)
         for [name], loss in zip(maps[1:], losses):
             samples[name].append(loss - clean)

@@ -534,9 +534,9 @@ class TestRun:
         shutil.copytree(fixture_dir, inputs)
         edit_json(inputs / "model.json", ("layers",), [])
         (inputs / "model.bin").write_bytes(b"")  # no layer, so no parameter
-        assert main(run_args(inputs, tmp_path / "x")) == EXIT_CONFIG
+        assert main(run_args(inputs, tmp_path / "x")) == EXIT_DATA
         assert capsys.readouterr().err == (
-            "error: [stage: load-inputs] model has no affine layer, input width is undefined\n"
+            f"error: [stage: load-inputs] {inputs / 'model.json'}: model has no affine layer\n"
         )
 
     def test_committed_config_below_target_exit_target(
@@ -887,9 +887,26 @@ class TestCompare:
         capsys.readouterr()
         assert json.loads(out.read_text())["format"] == "mixquant-comparison"
 
-    def test_single_run_exit_config(self, two_runs, capsys):
+    def test_single_run_exit_config(self, two_runs, tmp_path, capsys):
         assert main(["compare", str(two_runs[0])]) == EXIT_CONFIG
         assert "two" in capsys.readouterr().err
+        # refused before the missing directory is read
+        assert main(["compare", str(tmp_path / "void")]) == EXIT_CONFIG
+        assert "two" in capsys.readouterr().err
+
+    def test_run_dir_named_twice_exit_config(self, two_runs, capsys, monkeypatch):
+        # one run under three names would be averaged as three, with no spread
+        run = two_runs[0]
+        again = run.parent / ".." / run.parent.name / run.name
+
+        def no_record_may_be_read(path, kind):
+            raise AssertionError("a run record was read before the names were checked")
+
+        monkeypatch.setattr(pipeline_module, "read_record", no_record_may_be_read)
+        assert main(["compare", str(run), str(run), str(again)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: run directory {run} names the same directory as {run}\n"
+        )
 
     def test_missing_run_dir_exit_data(self, two_runs, tmp_path, capsys):
         assert main(["compare", str(two_runs[0]), str(tmp_path / "void")]) == EXIT_DATA

@@ -125,6 +125,25 @@ class TestLatencyTable:
         with pytest.raises(ValueError):
             LatencyTable.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "row,reason",
+        [
+            ("matmul,2,1,3,8,2.0", "duplicate latency entry for ('matmul', 2, 1, 3, 8)"),
+            ("matmul,2,1,4,8,-1.0",
+             "latency for ('matmul', 2, 1, 4, 8) must be finite and > 0, got -1.0"),
+            ("matmul,2,1,4,4.5,1.0", "invalid literal for int() with base 10: '4.5'"),
+            ("matmul,2,1,4,8", "5 fields, expected 6"),
+        ],
+        ids=["duplicate", "negative-latency", "non-integer-width", "short"],
+    )
+    def test_csv_refused_row_names_its_reason(self, tmp_path, row, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"kind,m,n,k,bits,latency_us\nmatmul,2,1,3,8,1.0\n{row}\n")
+        message = f"{path}: malformed row {row.split(',')!r}: {reason}"
+        with pytest.raises(DataFormatError) as refused:
+            LatencyTable.from_csv(path)
+        assert str(refused.value) == message
+
 
 # A CSV cell: any text, or one that parses as an integer or a float.
 CELLS = st.one_of(

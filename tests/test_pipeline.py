@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -381,6 +382,20 @@ class TestCompareRuns:
             run_pipeline(config_for(small_inputs, out, metric="qe"))
         summary = compare_runs([a, b])
         assert summary["ordering_distances"][0]["distance"] == 0
+
+    def test_a_directory_named_twice_rejected_before_any_record_is_read(
+        self, three_runs, monkeypatch
+    ):
+        run = three_runs[0]
+        again = run.parent / ".." / run.parent.name / run.name
+
+        def no_record_may_be_read(run_dir):
+            raise AssertionError("a run record was read before the names were checked")
+
+        monkeypatch.setattr(pipeline_module, "_load_run", no_record_may_be_read)
+        message = f"run directory {again} names the same directory as {run}"
+        with pytest.raises(PipelineConfigError, match=re.escape(message)):
+            compare_runs([run, three_runs[1], again])
 
     def test_fewer_than_two_rejected(self, three_runs):
         with pytest.raises(PipelineConfigError):

@@ -13,7 +13,6 @@ from conftest import (
     reference_levenshtein,
     with_tensor,
 )
-import mixquant.graph as graph_module
 import mixquant.sensitivity as sensitivity_module
 from mixquant.fixtures import FixtureSpec, build_fixture_model
 from mixquant.graph import Dataset, GraphError, Layer, ModelGraph, hessian_traces
@@ -112,14 +111,34 @@ class TestScoreNoise:
 
         monkeypatch.setattr(sensitivity_module, "chain_losses", spy)
         default = score_noise(model, data, trials=5)
-        # 5 copies of the last five tensors are 206,400 floats, and one of
-        # the sixth 30,720 more: the sixth tensor's other 4 copies start
-        # the second group, each group with its clean map first
-        assert passes == [1 + 5 * 5 + 1, 1 + 4 + 5]
+        # One noisy copy of all seven tensors is 84,288 floats, so 3 whole
+        # trials fit in 2^18 and the other 2 make the second pass, each
+        # pass with its clean map first
+        assert passes == [1 + 7 * 3, 1 + 7 * 2]
         passes.clear()
-        monkeypatch.setattr(graph_module, "STACK_FLOATS", 1)
+        monkeypatch.setattr(sensitivity_module, "STACK_FLOATS", 1)
         assert score_noise(model, data, trials=5) == default
-        assert passes == [1 + 1] * 35
+        assert passes == [1 + 7] * 5
+
+    def test_one_trial_per_pass_when_one_copy_passes_the_budget(self, monkeypatch):
+        # 1,053,696 weights: one noisy copy of each tensor is over 2^18 floats
+        model = build_fixture_model(7, FixtureSpec((256, 1024, 512, 512, 10)))
+        rng = np.random.default_rng(1)
+        data = Dataset(rng.normal(size=(8, 256)), rng.integers(0, 10, 8), 10)
+        real, passes = sensitivity_module.chain_losses, []
+
+        def spy(model, data, maps):
+            passes.append([set(m) for m in maps])
+            return real(model, data, maps)
+
+        monkeypatch.setattr(sensitivity_module, "chain_losses", spy)
+        report = score_noise(model, data, trials=5, seed=3)
+        last_first = [{name} for name in reversed(model.weight_tensor_names())]
+        assert passes == [[set()] + last_first] * 5
+        samples = noise_samples_oracle(model, data, DEFAULT_NOISE_SCALE, trials=5, seed=3)
+        for name, values in samples.items():
+            expected = TensorScore(float(np.mean(values)), float(np.std(values)), 5)
+            assert report.scores[name] == expected, name
 
     def test_noisy_copies_stay_under_the_budget_at_many_trials(self):
         model = build_fixture_model(7, FixtureSpec((64, 192, 160, 128, 96, 64, 32, 10)))
@@ -132,9 +151,9 @@ class TestScoreNoise:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 200 noisy copies of the 160x192 tensor alone are 47 MiB; a group
-        # holds at most STACK_FLOATS (2 MiB) of copies plus one loss per map
-        # and row, and one block of activations per worker
+        # 200 noisy copies of the 160x192 tensor alone are 47 MiB; a pass
+        # holds 3 whole trials, 252,864 floats (1.9 MiB) of copies, plus one
+        # loss per map and row, and one block of activations per worker
         assert peak < 6 * 2**20
         samples = noise_samples_oracle(model, data, DEFAULT_NOISE_SCALE, trials=200, seed=3)
         for name, values in samples.items():
